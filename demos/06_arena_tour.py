@@ -7,19 +7,14 @@ the output commitments.  Interrupt edges say where an interrupt lands
 priority seen on the way was.
 """
 
-from chronosynth.arena import build_fv_arena, build_rc_arena, export_dot
+from chronosynth.arena import FV, RC, export_dot
+from chronosynth.continuous_synth import build_game_arena
 from chronosynth.fixtures import copy_spec
-from chronosynth.state_monoid import build_UP, build_class_table, context_from_automaton
 
 spec = copy_spec()
-ctx = context_from_automaton(spec)
-up = {
-    x: build_UP(build_class_table(ctx, letter=x), only_runs=True)
-    for x in spec.sigma_in
-}
 
-for name, builder in (("right-continuous", build_rc_arena), ("finite-variability", build_fv_arena)):
-    arena = builder(spec, up)
+for name, semantics in (("right-continuous", RC), ("finite-variability", FV)):
+    arena, _ = build_game_arena(spec, semantics)
     kinds = {}
     for n in arena.nodes:
         kinds[n.kind] = kinds.get(n.kind, 0) + 1
@@ -32,4 +27,4 @@ for name, builder in (("right-continuous", build_rc_arena), ("finite-variability
     print()
 
 print("== DOT rendering of the right-continuous arena ==")
-print(export_dot(build_rc_arena(spec, up)))
+print(export_dot(build_game_arena(spec, RC)[0]))

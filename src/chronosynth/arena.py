@@ -111,8 +111,8 @@ def _normalize_up(a: ParityAutomaton, up) -> dict:
     return {x: list(up) for x in a.sigma_in}
 
 
-def _interrupt_edges(a, src, member, letter, semantics):
-    """Deduplicated labeled edges for all interrupt positions.
+def _interrupt_targets(a, member, letter, semantics):
+    """Deduplicated (target, priority, size, kind) for all interrupt positions.
 
     Positions are scanned over the lag plus one period (two periods in the
     finite-variability arena, where position parity matters); later
@@ -121,7 +121,7 @@ def _interrupt_edges(a, src, member, letter, semantics):
     lag_len = len(member.lag)
     period_len = len(member.period)
     horizon = lag_len + (2 * period_len if semantics == FV else period_len)
-    edges = set()
+    targets = set()
     running = -1
     for n in range(1, horizon + 1):
         q_n = member.letter(n)
@@ -131,19 +131,44 @@ def _interrupt_edges(a, src, member, letter, semantics):
             if b == letter:
                 continue
             if semantics == RC:
-                dst = ArenaNode(O_PAIR, q_n, b)
-                edges.add(ArenaEdge(src, dst, running, size, "interrupt"))
+                targets.add((ArenaNode(O_PAIR, q_n, b), running, size, "interrupt"))
+            elif n % 2 == 1:
+                targets.add((ArenaNode(O_PAIR, q_n, b), running, size, LEFT))
             else:
-                if n % 2 == 1:
-                    dst = ArenaNode(O_PAIR, q_n, b)
-                    edges.add(ArenaEdge(src, dst, running, size, LEFT))
-                else:
-                    dst = ArenaNode(I_DAG, q_n, b)
-                    edges.add(ArenaEdge(src, dst, running, size, RIGHT))
-    return edges
+                targets.add((ArenaNode(I_DAG, q_n, b), running, size, RIGHT))
+    return targets
 
 
-def _finish(a, semantics, members, member_index, nodes, edges):
+def _add_block_nodes(a, semantics, up, source_kind, nodes, edges):
+    """Add the block nodes (q, x, u) with their entry and interrupt edges.
+
+    Entry edges leave the source_kind node (q, x).  Members are numbered in
+    first-use order over (letter, member, state); returns them in that order.
+    """
+    up_by_letter = _normalize_up(a, up)
+    rels = a.edge_relations()
+    members, member_index = [], {}
+    for x in a.sigma_in:
+        for member in up_by_letter[x]:
+            if not member.is_path_for(x):
+                continue
+            first = member.letter(1)
+            sources = [q for q in a.states if (q, first) in rels[x]]
+            if not sources:
+                continue
+            if member not in member_index:
+                member_index[member] = len(members)
+                members.append(member)
+            targets = _interrupt_targets(a, member, x, semantics)
+            for q in sources:
+                up_node = ArenaNode(I_UP, q, x, member_index[member])
+                nodes.add(up_node)
+                edges.add(ArenaEdge(ArenaNode(source_kind, q, x), up_node))
+                edges.update(ArenaEdge(up_node, *t) for t in targets)
+    return members
+
+
+def _finish(a, semantics, members, nodes, edges):
     edges = tuple(sorted(edges))
     nodes = tuple(sorted(nodes))
     edges_from = {}
@@ -184,9 +209,6 @@ def build_rc_arena(a: ParityAutomaton, up) -> Arena:
     land on (u(n), b) for b != a.
     """
     _require_max_even(a)
-    up_by_letter = _normalize_up(a, up)
-    rels = a.edge_relations()
-    members, member_index = [], {}
     nodes, edges = set(), set()
     fresh = ArenaNode(FRESH)
     nodes.add(fresh)
@@ -194,22 +216,8 @@ def build_rc_arena(a: ParityAutomaton, up) -> Arena:
         for q in a.states:
             nodes.add(ArenaNode(O_PAIR, q, x))
         edges.add(ArenaEdge(fresh, ArenaNode(O_PAIR, a.initial, x)))
-    for x in a.sigma_in:
-        for member in up_by_letter[x]:
-            if not member.is_path_for(x):
-                continue
-            first = member.letter(1)
-            for q in a.states:
-                if (q, first) not in rels[x]:
-                    continue
-                if member not in member_index:
-                    member_index[member] = len(members)
-                    members.append(member)
-                up_node = ArenaNode(I_UP, q, x, member_index[member])
-                nodes.add(up_node)
-                edges.add(ArenaEdge(ArenaNode(O_PAIR, q, x), up_node))
-                edges.update(_interrupt_edges(a, up_node, member, x, RC))
-    return _finish(a, RC, members, member_index, nodes, edges)
+    members = _add_block_nodes(a, RC, up, O_PAIR, nodes, edges)
+    return _finish(a, RC, members, nodes, edges)
 
 
 def build_fv_arena(a: ParityAutomaton, up) -> Arena:
@@ -222,9 +230,6 @@ def build_fv_arena(a: ParityAutomaton, up) -> Arena:
     (u(n), +, b).
     """
     _require_max_even(a)
-    up_by_letter = _normalize_up(a, up)
-    rels = a.edge_relations()
-    members, member_index = [], {}
     nodes, edges = set(), set()
     fresh = ArenaNode(FRESH)
     nodes.add(fresh)
@@ -239,22 +244,8 @@ def build_fv_arena(a: ParityAutomaton, up) -> Arena:
             for b in a.sigma_out:
                 q2 = a.transition[(q, x, b)]
                 edges.add(ArenaEdge(ArenaNode(O_PAIR, q, x), ArenaNode(O_DAG, q2)))
-    for x in a.sigma_in:
-        for member in up_by_letter[x]:
-            if not member.is_path_for(x):
-                continue
-            first = member.letter(1)
-            for q in a.states:
-                if (q, first) not in rels[x]:
-                    continue
-                if member not in member_index:
-                    member_index[member] = len(members)
-                    members.append(member)
-                up_node = ArenaNode(I_UP, q, x, member_index[member])
-                nodes.add(up_node)
-                edges.add(ArenaEdge(ArenaNode(I_DAG, q, x), up_node))
-                edges.update(_interrupt_edges(a, up_node, member, x, FV))
-    return _finish(a, FV, members, member_index, nodes, edges)
+    members = _add_block_nodes(a, FV, up, I_DAG, nodes, edges)
+    return _finish(a, FV, members, nodes, edges)
 
 
 # -- inspection -------------------------------------------------------------

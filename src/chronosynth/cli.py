@@ -2,10 +2,11 @@
 
 Subcommands: solve-discrete, definable, synth, monoid, arena, play,
 check-fixtures.  Exit codes: 0 success, 2 usage, 3 resource cap exceeded,
-4 adjudication undecided.  Caps can be overridden with environment
-variables CHRONOSYNTH_CAP_MONOID, CHRONOSYNTH_CAP_STRATEGIES,
-CHRONOSYNTH_CAP_ROUNDS and CHRONOSYNTH_CAP_HORIZON.  All randomness is
-seeded (--seed) and output is byte-deterministic for a fixed invocation.
+4 adjudication undecided; an unreadable or malformed spec or script file
+is a usage error.  Caps can be overridden with environment variables
+CHRONOSYNTH_CAP_MONOID, CHRONOSYNTH_CAP_STRATEGIES and
+CHRONOSYNTH_CAP_ROUNDS.  All randomness is seeded (--seed) and output is
+byte-deterministic for a fixed invocation.
 """
 
 from __future__ import annotations
@@ -18,9 +19,9 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arena import FV, RC, arena_to_json, build_fv_arena, build_rc_arena, export_dot
-from .automaton import MAX_EVEN, convert_convention, load_automaton
-from .continuous_synth import ResourceCapError, decide_continuous
+from .arena import FV, RC, arena_to_json, export_dot
+from .automaton import MAX_EVEN, AutomatonError, convert_convention, load_automaton
+from .continuous_synth import ResourceCapError, build_game_arena, decide_continuous
 from .definable_synth import solve_definable
 from .discrete_game import machine_to_dot, machine_to_json, solve
 from .game_sim import (
@@ -41,18 +42,36 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 EXIT_UNDECIDED = 4
 
+# what reading a malformed spec or script file can raise
+_BAD_INPUT = (OSError, ValueError, KeyError, TypeError, AttributeError, AutomatonError)
+
+
+class InputFileError(Exception):
+    """A spec or script file that cannot be read or parsed (a usage error)."""
+
+
+def _read_input(reader, path):
+    try:
+        return reader(path)
+    except _BAD_INPUT as exc:
+        detail = " ".join(str(exc).split())
+        raise InputFileError(f"cannot read {path}: {type(exc).__name__}: {detail}") from exc
+
+
+def _script_lines(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return [line.rstrip("\n") for line in fh if line.strip()]
+
 
 @dataclass
 class Config:
     monoid_cap: int = 200_000
     strategy_cap: int = 1_000_000
     round_cap: int = 60
-    horizon: int = 64
     seed: int = 0
-    jobs: int = 1
 
     def __post_init__(self):
-        for name in ("monoid_cap", "strategy_cap", "round_cap", "horizon"):
+        for name in ("monoid_cap", "strategy_cap", "round_cap"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
 
@@ -67,9 +86,7 @@ def config_from_args(args) -> Config:
         monoid_cap=_env_cap("MONOID", args.monoid_cap),
         strategy_cap=_env_cap("STRATEGIES", args.strategy_cap),
         round_cap=_env_cap("ROUNDS", args.round_cap),
-        horizon=_env_cap("HORIZON", args.horizon),
         seed=args.seed,
-        jobs=args.jobs,
     )
 
 
@@ -93,7 +110,7 @@ def cmd_solve_discrete(args, cfg, out, err):
     from .discrete_game import run_counter_machine, run_machine
     from .omega_word import format_lasso, parse_lasso
 
-    a = load_automaton(args.spec)
+    a = _read_input(load_automaton, args.spec)
     res = solve(a)
     payload = {"winner": res.winner}
     machine = res.mealy if res.winner == "output" else res.counter
@@ -112,7 +129,7 @@ def cmd_solve_discrete(args, cfg, out, err):
 
 
 def cmd_definable(args, cfg, out, err):
-    a = load_automaton(args.spec)
+    a = _read_input(load_automaton, args.spec)
     res = solve_definable(a)
     payload = {"definable": res.definable}
     if res.definable:
@@ -125,7 +142,7 @@ def cmd_definable(args, cfg, out, err):
 
 
 def cmd_synth(args, cfg, out, err):
-    a = load_automaton(args.spec)
+    a = _read_input(load_automaton, args.spec)
     try:
         res = decide_continuous(
             a, args.semantics, monoid_cap=cfg.monoid_cap, strategy_cap=cfg.strategy_cap
@@ -151,7 +168,7 @@ def cmd_synth(args, cfg, out, err):
 
 
 def cmd_monoid(args, cfg, out, err):
-    a = load_automaton(args.spec)
+    a = _read_input(load_automaton, args.spec)
     canonical = convert_convention(a, MAX_EVEN)
     ctx = context_from_automaton(canonical)
     try:
@@ -177,21 +194,10 @@ def cmd_monoid(args, cfg, out, err):
     return EXIT_OK
 
 
-def _build_arena(a, semantics, cfg):
-    canonical = convert_convention(a, MAX_EVEN)
-    ctx = context_from_automaton(canonical)
-    up = {
-        x: build_UP(build_class_table(ctx, cap=cfg.monoid_cap, letter=x), only_runs=True)
-        for x in canonical.sigma_in
-    }
-    builder = build_rc_arena if semantics == RC else build_fv_arena
-    return builder(canonical, up)
-
-
 def cmd_arena(args, cfg, out, err):
-    a = load_automaton(args.spec)
+    a = _read_input(load_automaton, args.spec)
     try:
-        arena = _build_arena(a, args.semantics, cfg)
+        arena, _ = build_game_arena(a, args.semantics, cfg.monoid_cap)
     except MonoidCapExceeded as exc:
         err.write(f"resource cap exceeded: {exc}\n")
         return EXIT_CAP
@@ -203,7 +209,7 @@ def cmd_arena(args, cfg, out, err):
 
 
 def cmd_play(args, cfg, out, err):
-    a = load_automaton(args.spec)
+    a = _read_input(load_automaton, args.spec)
     try:
         res = decide_continuous(
             a, args.semantics, monoid_cap=cfg.monoid_cap, strategy_cap=cfg.strategy_cap
@@ -216,9 +222,7 @@ def cmd_play(args, cfg, out, err):
         return EXIT_OK
     controller = ChoiceController(res.arena, res.witness)
     if args.script:
-        with open(args.script, "r", encoding="utf-8") as fh:
-            lines = [line.rstrip("\n") for line in fh if line.strip()]
-        reader = script_reader(lines)
+        reader = script_reader(_read_input(_script_lines, args.script))
     else:
         out.write("you play the environment; type 'help' for commands\n")
 
@@ -244,7 +248,6 @@ def cmd_play(args, cfg, out, err):
 
 def _fixture_checks(cfg):
     """The counterexample-construction property suite (runtime self-checks)."""
-    from .definable_synth import solve_definable as _definable
     from .discrete_game import run_machine
     from .fixtures import (
         copy_spec,
@@ -305,7 +308,7 @@ def _fixture_checks(cfg):
             assert g.value_at(t0) == flip and g.value_at(t0 + 1) == "1"
 
     def c_machine_causality_on_indicator_prefixes():
-        res = _definable(copy_spec_squared())
+        res = solve_definable(copy_spec_squared())
         assert res.definable
         m = res.witness
         from .definable_synth import pair_letter
@@ -328,13 +331,13 @@ def _fixture_checks(cfg):
             assert outs1 == outs2
 
     def c_gap_definable_no():
-        assert not _definable(jump_spec_squared()).definable
+        assert not solve_definable(jump_spec_squared()).definable
 
     def c_gap_synth_yes():
         assert decide_continuous(jump_spec_fv(), FV).realizable
 
     def c_copy_both_yes():
-        assert _definable(copy_spec_squared()).definable
+        assert solve_definable(copy_spec_squared()).definable
         assert decide_continuous(copy_spec(), FV).realizable
 
     def c_indeterminate_unrealizable():
@@ -375,11 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--monoid-cap", type=int, default=200_000)
     parser.add_argument("--strategy-cap", type=int, default=1_000_000)
     parser.add_argument("--round-cap", type=int, default=60)
-    parser.add_argument("--horizon", type=int, default=64)
-    parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="reserved; strategy enumeration currently runs sequentially",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve-discrete", help="solve the discrete synthesis game")
@@ -439,7 +437,11 @@ def main(argv=None, out=None, err=None) -> int:
     except ValueError as exc:
         err.write(f"bad configuration: {exc}\n")
         return EXIT_USAGE
-    return args.fn(args, cfg, out, err)
+    try:
+        return args.fn(args, cfg, out, err)
+    except InputFileError as exc:
+        err.write(f"{exc}\n")
+        return EXIT_USAGE
 
 
 def entry():

@@ -55,10 +55,6 @@ class StrategyGraph:
     nodes: frozenset
     edges: tuple
 
-    @property
-    def reachable_up_nodes(self):
-        return [n for n in self.nodes if n.kind == I_UP]
-
 
 def effective_priority(arena: Arena, edge: ArenaEdge):
     """Edge label joined with the source node's inherited priority."""
@@ -334,17 +330,12 @@ def enumerate_choices(arena: Arena, strategy_cap: int = 1_000_000, counters: dic
     yield from explore({})
 
 
-def decide_continuous(
-    spec: ParityAutomaton,
-    semantics: str,
-    monoid_cap: int = 200_000,
-    strategy_cap: int = 1_000_000,
-) -> SynthResult:
-    """Top-level verdict: is the specification implementable in real time?
+def build_game_arena(spec: ParityAutomaton, semantics: str, monoid_cap: int = 200_000):
+    """The arena for one semantics, and the sizes of the layers that built it.
 
-    Builds the per-input-letter block vocabularies, the arena for the
-    requested semantics, and searches positional choices; realizable iff
-    some choice survives the winning check.
+    Converts the spec to the max-even convention, builds the per-input-letter
+    class tables and block vocabularies, and the arena over them.  Returns
+    (arena, stats) with the class counts, vocabulary sizes and d bound set.
     """
     if semantics not in (RC, FV):
         raise SynthError(f"semantics must be '{RC}' or '{FV}'")
@@ -367,7 +358,21 @@ def decide_continuous(
         # cannot happen with a complete per-letter vocabulary over a total
         # automaton; a bare block vocabulary would silently skew the game
         raise SynthError(f"controller node without moves: {stuck[0]}")
+    return arena, stats
 
+
+def decide_continuous(
+    spec: ParityAutomaton,
+    semantics: str,
+    monoid_cap: int = 200_000,
+    strategy_cap: int = 1_000_000,
+) -> SynthResult:
+    """Top-level verdict: is the specification implementable in real time?
+
+    Builds the arena for the requested semantics and searches positional
+    choices; realizable iff some choice survives the winning check.
+    """
+    arena, stats = build_game_arena(spec, semantics, monoid_cap)
     counters = {}
     last_violation = None
     result = None
@@ -381,10 +386,3 @@ def decide_continuous(
     if result is not None:
         return result
     return SynthResult(False, semantics, None, arena, stats, violation=last_violation)
-
-
-def witness_to_player(arena: Arena, choice: dict):
-    """Wrap a winning choice as an executable controller for the simulator."""
-    from .game_sim import ChoiceController
-
-    return ChoiceController(arena, choice)

@@ -17,20 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .automaton import (
-    MAX_EVEN,
     AlphabetMismatchError,
     ParityAutomaton,
     SafetyMonitor,
-    convert_convention,
     product_with_monitor,
 )
-from .discrete_game import (
-    MealyMachine,
-    MooreCounterMachine,
-    game_from_automaton,
-    solve,
-    zielonka,
-)
+from .discrete_game import MealyMachine, MooreCounterMachine, solve
 
 PAIR_SEP = ","
 
@@ -142,9 +134,7 @@ def solve_definable(spec: ParityAutomaton) -> DefinableResult:
     res = solve(product)
     if res.winner == "output":
         return DefinableResult(True, res.mealy, None)
-    g = game_from_automaton(convert_convention(product, MAX_EVEN))
-    _, w_i, _, _ = zielonka(g)
-    losing = tuple(sorted((repr(v) for v in w_i)))
+    losing = tuple(sorted(repr(v) for v in res.input_region))
     return DefinableResult(False, None, res.counter, losing)
 
 

@@ -224,6 +224,7 @@ class SolveResult:
     winner: str  # 'output' | 'input'
     mealy: MealyMachine | None
     counter: MooreCounterMachine | None
+    input_region: frozenset  # game nodes the input player wins
 
 
 def solve(a: ParityAutomaton) -> SolveResult:
@@ -259,6 +260,7 @@ def solve(a: ParityAutomaton) -> SolveResult:
             "output",
             MealyMachine(tuple(sorted(seen, key=repr)), canonical.initial, transition),
             None,
+            frozenset(w_i),
         )
     output, transition = {}, {}
     reachable = [canonical.initial]
@@ -277,6 +279,7 @@ def solve(a: ParityAutomaton) -> SolveResult:
         "input",
         None,
         MooreCounterMachine(tuple(sorted(seen, key=repr)), canonical.initial, output, transition),
+        frozenset(w_i),
     )
 
 

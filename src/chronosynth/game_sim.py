@@ -597,9 +597,13 @@ class PlaySession:
             bound = play.block_scale * 2 * self.arena.lag_bound
             w(f"  small-tail duration bound from here: {format_rational(bound)}")
 
+    def _block_member(self, play):
+        if play.node.kind != I_UP:
+            raise IllegalMove("interrupts are only possible at block nodes")
+        return self.arena.member(play.node)
+
     def _small_late(self, play, letter, kind):
-        node = play.node
-        member = self.arena.member(node)
+        member = self._block_member(play)
         lag_len = max(1, len(member.lag))
         if self.arena.semantics == RC:
             n = lag_len
@@ -616,8 +620,7 @@ class PlaySession:
         return InterruptMove(play.block_start + play.block_scale * ((n + 1) // 2), letter, LEFT)
 
     def _first_big(self, play, letter, kind):
-        node = play.node
-        member = self.arena.member(node)
+        member = self._block_member(play)
         lag_len = len(member.lag)
         if self.arena.semantics == RC:
             n = lag_len + 1
@@ -688,12 +691,6 @@ class PlaySession:
             else:
                 raise
         return play, outcome
-
-
-def interactive_play(arena: Arena, controller, reader, writer, max_rounds=50):
-    """Run a terminal session; the human (or script) plays the environment."""
-    session = PlaySession(arena, controller, reader, writer, max_rounds=max_rounds)
-    return session.run()
 
 
 def script_reader(lines):

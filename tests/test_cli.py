@@ -4,6 +4,8 @@ import io
 import json
 import pathlib
 
+import pytest
+
 from chronosynth.cli import EXIT_CAP, EXIT_OK, EXIT_UNDECIDED, EXIT_USAGE, main
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
@@ -147,3 +149,49 @@ def test_check_fixtures_passes():
     assert code == EXIT_OK
     assert "all checks passed" in out
     assert out.count("ok ") >= 9
+
+
+CONTINUOUS_FIXTURES = sorted(p for p in FIXTURES.glob("*.json") if not p.stem.endswith("_d"))
+
+
+@pytest.mark.parametrize("semantics", ["rc", "fv"])
+@pytest.mark.parametrize("fixture", CONTINUOUS_FIXTURES, ids=lambda p: p.stem)
+def test_arena_export_matches_synth_stats(fixture, semantics):
+    code, out, _ = run_cli("arena", "--semantics", semantics, str(fixture))
+    assert code == EXIT_OK
+    arena = json.loads(out)
+    code, out, _ = run_cli("synth", "--semantics", semantics, "--stats", str(fixture))
+    assert code == EXIT_OK
+    stats = json.loads(out)["stats"]
+    assert len(arena["nodes"]) == stats["arena_nodes"]
+    assert len(arena["edges"]) == stats["arena_edges"]
+
+
+def _bad_specs(tmp_path):
+    not_json = tmp_path / "not_json.json"
+    not_json.write_text("states: [q]\n")
+    no_states = tmp_path / "no_states.json"
+    spec = json.loads((FIXTURES / "one_state.json").read_text())
+    del spec["states"]
+    no_states.write_text(json.dumps(spec))
+    return [tmp_path / "missing.json", not_json, no_states]
+
+
+@pytest.mark.parametrize("command", [["synth", "--semantics", "rc"], ["solve-discrete"]])
+def test_unreadable_spec_is_a_usage_error(tmp_path, command):
+    for path in _bad_specs(tmp_path):
+        code, out, err = run_cli(*command, str(path))
+        assert code == EXIT_USAGE, path
+        assert out == ""
+        assert err.count("\n") == 1 and str(path) in err
+        assert "Traceback" not in err
+
+
+def test_unreadable_play_script_is_a_usage_error(tmp_path):
+    missing = tmp_path / "missing.txt"
+    code, out, err = run_cli(
+        "play", "--semantics", "rc", "--script", str(missing), str(FIXTURES / "psi_copy.json")
+    )
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.count("\n") == 1 and str(missing) in err

@@ -4,10 +4,11 @@ import random
 
 import pytest
 
-from chronosynth.arena import FV, I_UP, RC, build_rc_arena
+from chronosynth.arena import FV, I_UP, RC
 from chronosynth.automaton import MAX_EVEN, ParityAutomaton
 from chronosynth.continuous_synth import (
     ResourceCapError,
+    build_game_arena,
     build_strategy_graph,
     decide_continuous,
     effective_priority,
@@ -20,11 +21,6 @@ from chronosynth.fixtures import (
     indeterminate_spec_fv,
     jump_spec_fv,
     jump_spec_rc,
-)
-from chronosynth.state_monoid import (
-    build_UP,
-    build_class_table,
-    context_from_automaton,
 )
 
 
@@ -40,14 +36,7 @@ def random_automaton(rng, n_states=2, max_prio=3):
 
 
 def arena_for(a, semantics=RC):
-    from chronosynth.arena import build_fv_arena
-
-    ctx = context_from_automaton(a)
-    up = {
-        x: build_UP(build_class_table(ctx, letter=x), only_runs=True)
-        for x in a.sigma_in
-    }
-    return (build_rc_arena if semantics == RC else build_fv_arena)(a, up)
+    return build_game_arena(a, semantics)[0]
 
 
 def exhaustive_bad_walk(sg, max_len=None):

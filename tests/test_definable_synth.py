@@ -19,6 +19,7 @@ from chronosynth.definable_synth import (
     split_letter,
     square_alphabet,
 )
+from chronosynth import definable_synth, discrete_game
 from chronosynth.discrete_game import (
     brute_force_solve,
     game_from_automaton,
@@ -139,11 +140,22 @@ def test_copy_is_definable_with_identity_witness():
         assert b == a
 
 
-def test_jump_is_not_definable():
+def test_jump_is_not_definable(monkeypatch):
+    calls = []
+    zielonka = discrete_game.zielonka
+
+    def counting_zielonka(g):
+        calls.append(g)
+        return zielonka(g)
+
+    monkeypatch.setattr(discrete_game, "zielonka", counting_zielonka)
+    # also catch a direct import of the solver into definable_synth
+    monkeypatch.setattr(definable_synth, "zielonka", counting_zielonka, raising=False)
     res = solve_definable(jump_spec_d())
     assert not res.definable
     assert res.counter is not None
     assert res.losing_region
+    assert len(calls) == 1
 
 
 def test_false_spec_not_definable():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from chronosynth.arena import FV, I_UP, RC
-from chronosynth.continuous_synth import decide_continuous, witness_to_player
+from chronosynth.continuous_synth import decide_continuous
 from chronosynth.fixtures import copy_spec, jump_spec_rc
 from chronosynth.game_sim import (
     Accept,
@@ -18,8 +18,8 @@ from chronosynth.game_sim import (
     StartInput,
     UndecidedError,
     ViolationEnvironment,
+    PlaySession,
     adjudicate,
-    interactive_play,
     new_play,
     play_example_geometric,
     resolve_interrupt,
@@ -127,7 +127,7 @@ def test_fv_left_interrupt_lands_on_odd_position():
 
 def test_witness_never_loses_random_plays():
     for res in (rc_setup(), fv_setup()):
-        controller = witness_to_player(res.arena, res.witness)
+        controller = ChoiceController(res.arena, res.witness)
         for i in range(100):
             env = RandomEnvironment(
                 res.arena, random.Random(1000 + i), force_accept_after=12
@@ -241,10 +241,10 @@ def test_interactive_session_scripted_replay_is_deterministic():
 
     def run_once():
         out = []
-        play, outcome = interactive_play(
+        play, outcome = PlaySession(
             res.arena, ChoiceController(res.arena, res.witness),
             script_reader(script), out.append,
-        )
+        ).run()
         return play.transcript(), "\n".join(out), outcome
 
     t1, console1, o1 = run_once()
@@ -259,22 +259,34 @@ def test_interactive_session_rejects_bad_input_and_reprompts():
     res = rc_setup()
     script = ["start 0", "interrupt 0 1", "nonsense", "late 1", "accept"]
     out = []
-    play, outcome = interactive_play(
+    play, outcome = PlaySession(
         res.arena, ChoiceController(res.arena, res.witness),
         script_reader(script), out.append,
-    )
+    ).run()
     text = "\n".join(out)
     assert "illegal move" in text
     assert outcome is not None
+
+    # late/big typed at an fv (q,+) node, before any block exists
+    res = fv_setup()
+    script = ["start 0", "late 1", "big 1", "input 0", "accept"]
+    out = []
+    play, outcome = PlaySession(
+        res.arena, ChoiceController(res.arena, res.witness),
+        script_reader(script), out.append,
+    ).run()
+    rejected = [line for line in out if line.startswith("illegal move")]
+    assert rejected == ["illegal move: interrupts are only possible at block nodes"] * 2
+    assert outcome is not None and outcome.winner == "O"
 
 
 def test_interactive_session_quit_is_graceful():
     res = rc_setup()
     out = []
-    play, outcome = interactive_play(
+    play, outcome = PlaySession(
         res.arena, ChoiceController(res.arena, res.witness),
         script_reader(["start 0", "quit"]), out.append,
-    )
+    ).run()
     assert outcome is None
     assert "abandoned" in "\n".join(out)
 
