@@ -14,6 +14,12 @@ finite-variability arena odd positions are interval values (interrupts
 from the left) and even positions are point values (interrupts from the
 right), and every non-fresh node inherits the priority of its automaton
 state.
+
+Block nodes are built over behaviours, not vocabulary members: a block
+node (q, x, u) is determined, as a game position, by q, x, whether u is
+final, and its set of labelled interrupt edges.  Members that agree on
+all four are interchangeable moves, so (q, x) gets one block node per
+such behaviour, represented by the first-ranked member that has it.
 """
 
 from __future__ import annotations
@@ -136,18 +142,21 @@ def _interrupt_targets(a, member, letter, semantics):
                 targets.add((ArenaNode(O_PAIR, q_n, b), running, size, LEFT))
             else:
                 targets.add((ArenaNode(I_DAG, q_n, b), running, size, RIGHT))
-    return targets
+    return frozenset(targets)
 
 
 def _add_block_nodes(a, semantics, up, source_kind, nodes, edges):
-    """Add the block nodes (q, x, u) with their entry and interrupt edges.
+    """Add one block node per behaviour of (q, x), with its entry and interrupt edges.
 
-    Entry edges leave the source_kind node (q, x).  Members are numbered in
-    first-use order over (letter, member, state); returns them in that order.
+    Entry edges leave the source_kind node (q, x).  Members are ranked in
+    first-use order over (letter, member, state), and the lowest-ranked
+    member with a behaviour represents it, so the moves out of (q, x) keep
+    their order over the whole vocabulary.  Only representatives are
+    numbered, in rank order.  Returns them and the set of final block nodes.
     """
     up_by_letter = _normalize_up(a, up)
     rels = a.edge_relations()
-    members, member_index = [], {}
+    rank, best = {}, {}  # member -> first-use rank; behaviour -> representative
     for x in a.sigma_in:
         for member in up_by_letter[x]:
             if not member.is_path_for(x):
@@ -156,32 +165,33 @@ def _add_block_nodes(a, semantics, up, source_kind, nodes, edges):
             sources = [q for q in a.states if (q, first) in rels[x]]
             if not sources:
                 continue
-            if member not in member_index:
-                member_index[member] = len(members)
-                members.append(member)
+            rank.setdefault(member, len(rank))
+            final = max(a.priority[q] for q in member.period) % 2 == 0
             targets = _interrupt_targets(a, member, x, semantics)
             for q in sources:
-                up_node = ArenaNode(I_UP, q, x, member_index[member])
-                nodes.add(up_node)
-                edges.add(ArenaEdge(ArenaNode(source_kind, q, x), up_node))
-                edges.update(ArenaEdge(up_node, *t) for t in targets)
-    return members
+                key = (q, x, final, targets)
+                if key not in best or rank[member] < rank[best[key]]:
+                    best[key] = member
+    members = sorted(set(best.values()), key=rank.__getitem__)
+    index = {m: i for i, m in enumerate(members)}
+    final_up = set()
+    for (q, x, final, targets), member in best.items():
+        up_node = ArenaNode(I_UP, q, x, index[member])
+        nodes.add(up_node)
+        if final:
+            final_up.add(up_node)
+        edges.add(ArenaEdge(ArenaNode(source_kind, q, x), up_node))
+        edges.update(ArenaEdge(up_node, *t) for t in targets)
+    return members, final_up
 
 
-def _finish(a, semantics, members, nodes, edges):
+def _finish(a, semantics, members, final_up, nodes, edges):
     edges = tuple(sorted(edges))
     nodes = tuple(sorted(nodes))
     edges_from = {}
     for e in edges:
         edges_from.setdefault(e.src, []).append(e)
     edges_from = {k: tuple(v) for k, v in edges_from.items()}
-    final = set()
-    for node in nodes:
-        if node.kind != I_UP:
-            continue
-        member = members[node.up]
-        if max(a.priority[q] for q in set(member.period)) % 2 == 0:
-            final.add(node)
     lag_bound = max((len(m.lag) for m in members), default=1)
     return Arena(
         semantics=semantics,
@@ -191,7 +201,7 @@ def _finish(a, semantics, members, nodes, edges):
         edges=edges,
         edges_from=edges_from,
         fresh=ArenaNode(FRESH),
-        final_up=frozenset(final),
+        final_up=frozenset(final_up),
         lag_bound=max(lag_bound, 1),
     )
 
@@ -216,8 +226,8 @@ def build_rc_arena(a: ParityAutomaton, up) -> Arena:
         for q in a.states:
             nodes.add(ArenaNode(O_PAIR, q, x))
         edges.add(ArenaEdge(fresh, ArenaNode(O_PAIR, a.initial, x)))
-    members = _add_block_nodes(a, RC, up, O_PAIR, nodes, edges)
-    return _finish(a, RC, members, nodes, edges)
+    members, final_up = _add_block_nodes(a, RC, up, O_PAIR, nodes, edges)
+    return _finish(a, RC, members, final_up, nodes, edges)
 
 
 def build_fv_arena(a: ParityAutomaton, up) -> Arena:
@@ -244,8 +254,8 @@ def build_fv_arena(a: ParityAutomaton, up) -> Arena:
             for b in a.sigma_out:
                 q2 = a.transition[(q, x, b)]
                 edges.add(ArenaEdge(ArenaNode(O_PAIR, q, x), ArenaNode(O_DAG, q2)))
-    members = _add_block_nodes(a, FV, up, I_DAG, nodes, edges)
-    return _finish(a, FV, members, nodes, edges)
+    members, final_up = _add_block_nodes(a, FV, up, I_DAG, nodes, edges)
+    return _finish(a, FV, members, final_up, nodes, edges)
 
 
 # -- inspection -------------------------------------------------------------

@@ -414,9 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("play", help="play the environment against a synthesized winner")
     p.add_argument("spec")
     p.add_argument("--semantics", choices=(RC, FV), required=True)
-    group = p.add_mutually_exclusive_group()
-    group.add_argument("--interactive", action="store_true")
-    group.add_argument("--script", help="replay environment moves from a file")
+    p.add_argument("--script", help="replay environment moves from a file (default: stdin)")
     p.set_defaults(fn=cmd_play)
 
     p = sub.add_parser("check-fixtures", help="run the counterexample property suites")

@@ -19,8 +19,7 @@ the edge label, which preserves the maximum over any closed walk.
 Enumeration is lazy: choices are extended only at controller nodes that
 are reachable under the partial assignment, and the two violations are
 monotone under extension, so a violated partial assignment prunes all its
-completions.  Moves whose target block node behaves identically (same
-finality, same labeled successor set) are deduplicated.
+completions.
 """
 
 from __future__ import annotations
@@ -238,29 +237,6 @@ def is_strategy_winning(sg: StrategyGraph) -> bool:
 # -- enumeration -------------------------------------------------------------
 
 
-def _behavior_key(arena: Arena, edge: ArenaEdge):
-    """Moves to behaviorally identical block nodes are interchangeable."""
-    dst = edge.dst
-    if dst.kind != I_UP:
-        return ("node", dst)
-    outs = frozenset(
-        (e.dst, e.priority, e.size, e.kind) for e in arena.outgoing(dst)
-    )
-    return ("up", dst.state, dst.letter, dst in arena.final_up, outs)
-
-
-def _candidate_edges(arena: Arena, node: ArenaNode):
-    seen = set()
-    out = []
-    for e in arena.outgoing(node):
-        key = _behavior_key(arena, e)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(e)
-    return out
-
-
 @dataclass
 class SynthStats:
     strategies_examined: int = 0
@@ -322,7 +298,7 @@ def enumerate_choices(arena: Arena, strategy_cap: int = 1_000_000, counters: dic
                 "strategies", f"strategy enumeration cap {strategy_cap} exceeded"
             )
         node = pending[0]
-        for edge in _candidate_edges(arena, node):
+        for edge in arena.outgoing(node):
             choice[node] = edge
             yield from explore(choice)
             del choice[node]

@@ -161,7 +161,7 @@ def resolve_interrupt(arena: Arena, play: TimedPlay, move: InterruptMove):
         raise IllegalMove("fv interrupts must pick kind 'left' or 'right'")
     size = "small" if n <= len(member.lag) else "big"
     edge = ArenaEdge(node, dst, _prefix_max_priority(arena, member, n), size, kind)
-    if edge not in set(arena.outgoing(node)):
+    if edge not in arena.outgoing(node):
         raise PlayError(f"resolved edge missing from the arena: {edge}")
     return n, edge
 
@@ -178,7 +178,7 @@ def step(play: TimedPlay, move) -> TimedPlay:
             raise IllegalMove("start moves only at the fresh node")
         dst = ArenaNode(O_PAIR, arena.automaton.initial, move.letter)
         edge = ArenaEdge(node, dst)
-        if edge not in set(arena.outgoing(node)):
+        if edge not in arena.outgoing(node):
             raise IllegalMove(f"unknown input letter {move.letter!r}")
         play.node = dst
         play.steps.append(TraceStep("I", f"I start a={move.letter}", edge, play.now))
@@ -189,7 +189,7 @@ def step(play: TimedPlay, move) -> TimedPlay:
             raise IllegalMove("point outputs only at (q,a) nodes of the fv game")
         dst = ArenaNode(O_DAG, move.state)
         edge = ArenaEdge(node, dst)
-        if edge not in set(arena.outgoing(node)):
+        if edge not in arena.outgoing(node):
             raise IllegalMove(f"no output reaches state {move.state!r}")
         play.node = dst
         play.steps.append(TraceStep("O", f"O point q={move.state}", edge, play.now))
@@ -200,7 +200,7 @@ def step(play: TimedPlay, move) -> TimedPlay:
             raise IllegalMove("input-for-a-while moves only at (q,+) nodes")
         dst = ArenaNode(I_DAG, node.state, move.letter)
         edge = ArenaEdge(node, dst)
-        if edge not in set(arena.outgoing(node)):
+        if edge not in arena.outgoing(node):
             raise IllegalMove(f"unknown input letter {move.letter!r}")
         play.node = dst
         play.steps.append(TraceStep("I", f"I input a={move.letter}", edge, play.now))
@@ -210,7 +210,7 @@ def step(play: TimedPlay, move) -> TimedPlay:
         expected = O_PAIR if arena.semantics == RC else I_DAG
         if node.kind != expected:
             raise IllegalMove("block moves only at the controller's block nodes")
-        if move.edge.src != node or move.edge not in set(arena.outgoing(node)):
+        if move.edge.src != node or move.edge not in arena.outgoing(node):
             raise IllegalMove("block edge does not leave the current node")
         scale = Fraction(move.scale)
         if scale <= 0:

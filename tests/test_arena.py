@@ -11,14 +11,17 @@ from chronosynth.arena import (
     LEFT,
     O_DAG,
     O_PAIR,
+    RC,
     RIGHT,
     ArenaError,
+    ArenaNode,
     arena_to_json,
     build_fv_arena,
     build_rc_arena,
     export_dot,
 )
 from chronosynth.automaton import MAX_EVEN, ParityAutomaton, convert_convention
+from chronosynth.continuous_synth import build_game_arena
 from chronosynth.state_monoid import (
     build_UP,
     build_class_table,
@@ -210,3 +213,107 @@ def test_json_dump_counts():
     assert data["semantics"] == FV
     ups = [n for n in data["nodes"] if n["kind"] == I_UP]
     assert all("final" in n for n in ups)
+
+
+# -- block nodes are built over behaviours -------------------------------------
+
+
+def corpus_automaton(rng, n_states, sigma_in):
+    states = [f"q{i}" for i in range(n_states)]
+    transition = {
+        (q, x, b): rng.choice(states) for q in states for x in sigma_in for b in ("0", "1")
+    }
+    priority = {q: rng.randint(0, 4) for q in states}
+    return ParityAutomaton(
+        tuple(states), sigma_in, ("0", "1"), transition, states[0], priority, MAX_EVEN
+    )
+
+
+def member_behaviour(a, semantics, member, x):
+    """Finality and labelled interrupt edges of a block, read off member.letter(n).
+
+    Scans four periods past the lag: the running maximum settles within one
+    period, and position parity (fv) repeats every two.
+    """
+    final = max(a.priority[q] for q in member.period) % 2 == 0
+    edges = set()
+    running = -1
+    for n in range(1, len(member.lag) + 4 * len(member.period) + 1):
+        q_n = member.letter(n)
+        running = max(running, a.priority[q_n])
+        size = "small" if n <= len(member.lag) else "big"
+        for b in a.sigma_in:
+            if b == x:
+                continue
+            if semantics == RC:
+                edges.add(((O_PAIR, q_n, b), running, size, "interrupt"))
+            elif n % 2:
+                edges.add(((O_PAIR, q_n, b), running, size, LEFT))
+            else:
+                edges.add(((I_DAG, q_n, b), running, size, RIGHT))
+    return final, frozenset(edges)
+
+
+def node_behaviour(arena, node):
+    edges = frozenset(
+        ((e.dst.kind, e.dst.state, e.dst.letter), e.priority, e.size, e.kind)
+        for e in arena.outgoing(node)
+        if e.labeled
+    )
+    return node in arena.final_up, edges
+
+
+@pytest.fixture(scope="module")
+def quotient_corpus():
+    """Seeded 1-3-state specs over one to three input letters, with both arenas."""
+    rng = random.Random(2024)
+    corpus = []
+    for sigma_in in (("0",), ("0", "1"), ("a", "b", "c")):
+        for n_states in (1, 2, 2, 3, 3):
+            a = corpus_automaton(rng, n_states, sigma_in)
+            for semantics in (RC, FV):
+                corpus.append((a, semantics, build_game_arena(a, semantics)[0]))
+    return corpus
+
+
+def test_every_usable_member_has_exactly_one_block_node(quotient_corpus):
+    checked = 0
+    for a, semantics, arena in quotient_corpus:
+        ctx = context_from_automaton(a)
+        rels = a.edge_relations()
+        source_kind = O_PAIR if semantics == RC else I_DAG
+        behaviour = {n: node_behaviour(arena, n) for n in arena.nodes if n.kind == I_UP}
+        rank, first = {}, {}  # member -> first-use rank; block node -> lowest-ranked member
+        for x in a.sigma_in:
+            for member in build_UP(build_class_table(ctx, letter=x), only_runs=True):
+                sources = [q for q in a.states if (q, member.letter(1)) in rels[x]]
+                if not member.is_path_for(x) or not sources:
+                    continue
+                rank.setdefault(member, len(rank))
+                want = member_behaviour(a, semantics, member, x)
+                for q in sources:
+                    blocks = [e.dst for e in arena.outgoing(ArenaNode(source_kind, q, x))]
+                    matches = [n for n in blocks if behaviour[n] == want]
+                    assert len(matches) == 1, (semantics, q, x, member)
+                    best = first.setdefault(matches[0], member)
+                    if rank[member] < rank[best]:
+                        first[matches[0]] = member
+                    checked += 1
+        # the lowest-ranked member represents each node, numbered in rank order
+        assert first == {n: arena.member(n) for n in arena.nodes if n.kind == I_UP}
+        assert [rank[m] for m in arena.members] == sorted(rank[m] for m in arena.members)
+    assert checked > 1000
+
+
+def test_block_nodes_out_of_one_controller_node_differ_in_behaviour(quotient_corpus):
+    blocks = 0
+    for _, _, arena in quotient_corpus:
+        for node in arena.nodes:
+            if arena.owner(node) != "O":
+                continue
+            targets = [e.dst for e in arena.outgoing(node) if e.dst.kind == I_UP]
+            behaviours = {node_behaviour(arena, n) for n in targets}
+            assert len(behaviours) == len(targets), node
+            blocks += len(targets)
+        assert len(arena.members) == len({n.up for n in arena.nodes if n.kind == I_UP})
+    assert blocks > 100

@@ -2,13 +2,17 @@
 
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from chronosynth.cli import EXIT_CAP, EXIT_OK, EXIT_UNDECIDED, EXIT_USAGE, main
 
-FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+FIXTURES = ROOT / "fixtures"
 
 
 def run_cli(*argv):
@@ -98,6 +102,22 @@ def test_play_scripted_replay(tmp_path):
         "play", "--semantics", "rc", "--script", str(script), str(FIXTURES / "psi_copy.json")
     )
     assert out == out2
+
+
+def test_play_reads_moves_from_stdin_until_eof():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(ROOT / "src"), env.get("PYTHONPATH")))
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "chronosynth.cli",
+         "play", "--semantics", "rc", str(FIXTURES / "psi_copy.json")],
+        input="start 0\nlate 1\n", capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert "I start a=0" in proc.stdout
+    assert "I interrupt t=2 letter=1" in proc.stdout
+    assert "outcome: undecided (play abandoned early)" in proc.stdout
 
 
 def test_play_undecided_exit_code(tmp_path):

@@ -1,11 +1,12 @@
 """Winning-check clauses, enumeration, and end-to-end verdicts."""
 
+import pathlib
 import random
 
 import pytest
 
 from chronosynth.arena import FV, I_UP, RC
-from chronosynth.automaton import MAX_EVEN, ParityAutomaton
+from chronosynth.automaton import MAX_EVEN, ParityAutomaton, load_automaton
 from chronosynth.continuous_synth import (
     ResourceCapError,
     build_game_arena,
@@ -234,3 +235,31 @@ def test_stats_reported():
     assert res.stats.strategies_examined >= 1
     assert res.stats.up_sizes
     assert res.stats.d_bound >= 1
+
+
+FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
+
+# (realizable, strategies_examined, pruned) per continuous fixture and
+# semantics, recorded on the arena with one block node per vocabulary
+# member: building block nodes over behaviours must not change the search
+SEARCH_TABLE = {
+    ("one_state", RC): (True, 1, 0),
+    ("one_state", FV): (True, 1, 0),
+    ("predict_next", RC): (False, 3, 3),
+    ("predict_next", FV): (False, 5, 5),
+    ("psi_copy", RC): (True, 3, 2),
+    ("psi_copy", FV): (True, 5, 4),
+    ("psi_indet_fv", RC): (False, 8, 8),
+    ("psi_indet_fv", FV): (False, 36, 36),
+    ("psi_jump_fv", RC): (True, 9, 8),
+    ("psi_jump_fv", FV): (True, 5, 4),
+    ("psi_jump_rc", RC): (True, 5, 4),
+    ("psi_jump_rc", FV): (True, 1, 0),
+}
+
+
+@pytest.mark.parametrize("fixture,semantics", sorted(SEARCH_TABLE))
+def test_fixture_search_is_pinned(fixture, semantics):
+    res = decide_continuous(load_automaton(FIXTURES / f"{fixture}.json"), semantics)
+    got = (res.realizable, res.stats.strategies_examined, res.stats.pruned)
+    assert got == SEARCH_TABLE[(fixture, semantics)]

@@ -10,6 +10,7 @@ from chronosynth.state_monoid import (
     MonoidCapExceeded,
     MonoidContext,
     MonoidError,
+    UPMember,
     build_UP,
     build_class_table,
     naive_equiv,
@@ -266,10 +267,19 @@ def test_letter_restricted_up_covers_path_lassos():
 
 def test_member_path_flags_match_unfolded_check():
     rng = random.Random(97)
+    draw = random.Random(98)  # kept apart so the contexts stay the same
     for _ in range(10):
         ctx = random_ctx(rng, ("a", "b", "c"))
         table = build_class_table(ctx)
-        for m in build_UP(table)[:80]:
+        idem = [s for s in table.order if s in table.idempotents]
+        members = [
+            UPMember(table.witnesses[sig], table.witnesses[e], sig, e)
+            for sig in draw.sample(table.order, min(40, table.class_count))
+            for e in idem
+            if product(ctx, sig, e) == sig
+        ]
+        assert members
+        for m in members:
             word = m.lag + m.period * 2
             for letter in ctx.letters:
                 literal = all(
