@@ -117,6 +117,22 @@ def _normalize_up(a: ParityAutomaton, up) -> dict:
     return {x: list(up) for x in a.sigma_in}
 
 
+def interrupt_at(semantics, member, n, b):
+    """Target node, edge kind and size of an interrupt to letter b at position n of member.
+
+    The target is (u(n), b), or (u(n), +, b) for a finite-variability
+    point; rc edges have kind 'interrupt', fv odd positions 'left' and fv
+    even positions 'right'; the edge is small iff n is inside the lag.
+    """
+    q_n = member.letter(n)
+    size = "small" if n <= len(member.lag) else "big"
+    if semantics == RC:
+        return ArenaNode(O_PAIR, q_n, b), "interrupt", size
+    if n % 2 == 1:
+        return ArenaNode(O_PAIR, q_n, b), LEFT, size
+    return ArenaNode(I_DAG, q_n, b), RIGHT, size
+
+
 def _interrupt_targets(a, member, letter, semantics):
     """Deduplicated (target, priority, size, kind) for all interrupt positions.
 
@@ -130,18 +146,11 @@ def _interrupt_targets(a, member, letter, semantics):
     targets = set()
     running = -1
     for n in range(1, horizon + 1):
-        q_n = member.letter(n)
-        running = max(running, a.priority[q_n])
-        size = "small" if n <= lag_len else "big"
         for b in a.sigma_in:
-            if b == letter:
-                continue
-            if semantics == RC:
-                targets.add((ArenaNode(O_PAIR, q_n, b), running, size, "interrupt"))
-            elif n % 2 == 1:
-                targets.add((ArenaNode(O_PAIR, q_n, b), running, size, LEFT))
-            else:
-                targets.add((ArenaNode(I_DAG, q_n, b), running, size, RIGHT))
+            if b != letter:
+                dst, kind, size = interrupt_at(semantics, member, n, b)
+                running = max(running, a.priority[dst.state])  # dst.state is u(n)
+                targets.add((dst, running, size, kind))
     return frozenset(targets)
 
 

@@ -2,10 +2,9 @@
 
 Subcommands: solve-discrete, definable, synth, monoid, arena, play,
 check-fixtures.  Exit codes: 0 success, 2 usage, 3 resource cap exceeded,
-4 adjudication undecided; an unreadable or malformed spec or script file
-is a usage error.  Caps can be overridden with environment variables
-CHRONOSYNTH_CAP_MONOID, CHRONOSYNTH_CAP_STRATEGIES and
-CHRONOSYNTH_CAP_ROUNDS.  All randomness is seeded (--seed) and output is
+4 adjudication undecided; an unreadable or malformed spec or script file,
+a cap that is not positive and an unknown monoid --letter are usage
+errors.  All randomness is seeded (--seed) and output is
 byte-deterministic for a fixed invocation.
 """
 
@@ -13,10 +12,8 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .arena import FV, RC, arena_to_json, export_dot
@@ -46,8 +43,8 @@ EXIT_UNDECIDED = 4
 _BAD_INPUT = (OSError, ValueError, KeyError, TypeError, AttributeError, AutomatonError)
 
 
-class InputFileError(Exception):
-    """A spec or script file that cannot be read or parsed (a usage error)."""
+class UsageError(Exception):
+    """A bad argument, or a spec or script file that cannot be read or parsed."""
 
 
 def _read_input(reader, path):
@@ -55,7 +52,7 @@ def _read_input(reader, path):
         return reader(path)
     except _BAD_INPUT as exc:
         detail = " ".join(str(exc).split())
-        raise InputFileError(f"cannot read {path}: {type(exc).__name__}: {detail}") from exc
+        raise UsageError(f"cannot read {path}: {type(exc).__name__}: {detail}") from exc
 
 
 def _script_lines(path):
@@ -63,35 +60,15 @@ def _script_lines(path):
         return [line.rstrip("\n") for line in fh if line.strip()]
 
 
-@dataclass
-class Config:
-    monoid_cap: int = 200_000
-    strategy_cap: int = 1_000_000
-    round_cap: int = 60
-    seed: int = 0
-
-    def __post_init__(self):
-        for name in ("monoid_cap", "strategy_cap", "round_cap"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-
-
-def _env_cap(name, fallback):
-    raw = os.environ.get(f"CHRONOSYNTH_CAP_{name}")
-    return int(raw) if raw else fallback
-
-
-def config_from_args(args) -> Config:
-    return Config(
-        monoid_cap=_env_cap("MONOID", args.monoid_cap),
-        strategy_cap=_env_cap("STRATEGIES", args.strategy_cap),
-        round_cap=_env_cap("ROUNDS", args.round_cap),
-        seed=args.seed,
-    )
-
-
 def _emit(obj, out):
     out.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def positive_int(text):
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be positive, not {value}")
+    return value
 
 
 def _witness_json(arena, choice):
@@ -106,7 +83,7 @@ def _witness_json(arena, choice):
     return entries
 
 
-def cmd_solve_discrete(args, cfg, out, err):
+def cmd_solve_discrete(args, out, err):
     from .discrete_game import run_counter_machine, run_machine
     from .omega_word import format_lasso, parse_lasso
 
@@ -128,7 +105,7 @@ def cmd_solve_discrete(args, cfg, out, err):
     return EXIT_OK
 
 
-def cmd_definable(args, cfg, out, err):
+def cmd_definable(args, out, err):
     a = _read_input(load_automaton, args.spec)
     res = solve_definable(a)
     payload = {"definable": res.definable}
@@ -141,15 +118,11 @@ def cmd_definable(args, cfg, out, err):
     return EXIT_OK
 
 
-def cmd_synth(args, cfg, out, err):
+def cmd_synth(args, out, err):
     a = _read_input(load_automaton, args.spec)
-    try:
-        res = decide_continuous(
-            a, args.semantics, monoid_cap=cfg.monoid_cap, strategy_cap=cfg.strategy_cap
-        )
-    except (ResourceCapError, MonoidCapExceeded) as exc:
-        err.write(f"resource cap exceeded: {exc}\n")
-        return EXIT_CAP
+    res = decide_continuous(
+        a, args.semantics, monoid_cap=args.monoid_cap, strategy_cap=args.strategy_cap
+    )
     payload = {"realizable": res.realizable, "semantics": res.semantics}
     if res.witness is not None:
         payload["witness"] = _witness_json(res.arena, res.witness)
@@ -167,16 +140,15 @@ def cmd_synth(args, cfg, out, err):
     return EXIT_OK
 
 
-def cmd_monoid(args, cfg, out, err):
+def cmd_monoid(args, out, err):
     a = _read_input(load_automaton, args.spec)
+    if args.letter is not None and args.letter not in a.sigma_in:
+        letters = ", ".join(a.sigma_in)
+        raise UsageError(f"unknown input letter {args.letter!r}; the spec's letters are {letters}")
     canonical = convert_convention(a, MAX_EVEN)
     ctx = context_from_automaton(canonical)
-    try:
-        table = build_class_table(ctx, cap=cfg.monoid_cap, letter=args.letter)
-        up = build_UP(table)
-    except MonoidCapExceeded as exc:
-        err.write(f"resource cap exceeded: {exc}\n")
-        return EXIT_CAP
+    table = build_class_table(ctx, cap=args.monoid_cap, letter=args.letter)
+    up = build_UP(table)
     payload = {
         "classes": table.class_count,
         "d_Q": table.d_q,
@@ -194,13 +166,9 @@ def cmd_monoid(args, cfg, out, err):
     return EXIT_OK
 
 
-def cmd_arena(args, cfg, out, err):
+def cmd_arena(args, out, err):
     a = _read_input(load_automaton, args.spec)
-    try:
-        arena, _ = build_game_arena(a, args.semantics, cfg.monoid_cap)
-    except MonoidCapExceeded as exc:
-        err.write(f"resource cap exceeded: {exc}\n")
-        return EXIT_CAP
+    arena, _ = build_game_arena(a, args.semantics, args.monoid_cap)
     if args.dot:
         out.write(export_dot(arena))
     else:
@@ -208,15 +176,11 @@ def cmd_arena(args, cfg, out, err):
     return EXIT_OK
 
 
-def cmd_play(args, cfg, out, err):
+def cmd_play(args, out, err):
     a = _read_input(load_automaton, args.spec)
-    try:
-        res = decide_continuous(
-            a, args.semantics, monoid_cap=cfg.monoid_cap, strategy_cap=cfg.strategy_cap
-        )
-    except (ResourceCapError, MonoidCapExceeded) as exc:
-        err.write(f"resource cap exceeded: {exc}\n")
-        return EXIT_CAP
+    res = decide_continuous(
+        a, args.semantics, monoid_cap=args.monoid_cap, strategy_cap=args.strategy_cap
+    )
     if not res.realizable:
         out.write("unrealizable: the environment wins; nothing to play against\n")
         return EXIT_OK
@@ -234,7 +198,7 @@ def cmd_play(args, cfg, out, err):
 
     session = PlaySession(
         res.arena, controller, reader, lambda s: out.write(s + "\n"),
-        max_rounds=cfg.round_cap,
+        max_rounds=args.round_cap,
     )
     try:
         play, outcome = session.run()
@@ -246,7 +210,7 @@ def cmd_play(args, cfg, out, err):
     return EXIT_OK
 
 
-def _fixture_checks(cfg):
+def _fixture_checks(seed):
     """The counterexample-construction property suite (runtime self-checks)."""
     from .discrete_game import run_machine
     from .fixtures import (
@@ -265,7 +229,7 @@ def _fixture_checks(cfg):
         signals_equal,
     )
 
-    rng = random.Random(cfg.seed)
+    rng = random.Random(seed)
     checks = []
 
     def check(name, fn):
@@ -355,10 +319,10 @@ def _fixture_checks(cfg):
     return checks
 
 
-def cmd_check_fixtures(args, cfg, out, err):
-    out.write(f"# seed={cfg.seed}\n")
+def cmd_check_fixtures(args, out, err):
+    out.write(f"# seed={args.seed}\n")
     failures = 0
-    for name, fn in _fixture_checks(cfg):
+    for name, fn in _fixture_checks(args.seed):
         try:
             fn()
             out.write(f"ok   {name}\n")
@@ -375,9 +339,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="synthesis of causal controllers over discrete and continuous time",
     )
     parser.add_argument("--seed", type=int, default=0, help="seed for randomized checks")
-    parser.add_argument("--monoid-cap", type=int, default=200_000)
-    parser.add_argument("--strategy-cap", type=int, default=1_000_000)
-    parser.add_argument("--round-cap", type=int, default=60)
+    parser.add_argument("--monoid-cap", type=positive_int, default=200_000)
+    parser.add_argument("--strategy-cap", type=positive_int, default=1_000_000)
+    parser.add_argument("--round-cap", type=positive_int, default=60)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve-discrete", help="solve the discrete synthesis game")
@@ -431,15 +395,13 @@ def main(argv=None, out=None, err=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        cfg = config_from_args(args)
-    except ValueError as exc:
-        err.write(f"bad configuration: {exc}\n")
-        return EXIT_USAGE
-    try:
-        return args.fn(args, cfg, out, err)
-    except InputFileError as exc:
+        return args.fn(args, out, err)
+    except UsageError as exc:
         err.write(f"{exc}\n")
         return EXIT_USAGE
+    except (ResourceCapError, MonoidCapExceeded) as exc:
+        err.write(f"resource cap exceeded: {exc}\n")
+        return EXIT_CAP
 
 
 def entry():

@@ -323,7 +323,7 @@ def build_game_arena(spec: ParityAutomaton, semantics: str, monoid_cap: int = 20
         table = build_class_table(ctx, cap=monoid_cap, letter=x)
         stats.class_counts[x] = table.class_count
         stats.d_bound = max(stats.d_bound, table.d_q)
-        up_by_letter[x] = build_UP(table, only_runs=True)
+        up_by_letter[x] = build_UP(table)
         stats.up_sizes[x] = len(up_by_letter[x])
     builder = build_rc_arena if semantics == RC else build_fv_arena
     arena = builder(canonical, up_by_letter)

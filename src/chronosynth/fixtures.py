@@ -151,13 +151,6 @@ def jump_spec_squared() -> ParityAutomaton:
     return ParityAutomaton(states, SQ, SQ, transition, "init", priority, MAX_EVEN)
 
 
-def trivial_spec_squared(accept: bool) -> ParityAutomaton:
-    transition = {("q", a, b): "q" for a in SQ for b in SQ}
-    return ParityAutomaton(
-        ("q",), SQ, SQ, transition, "q", {"q": 0 if accept else 1}, MAX_EVEN
-    )
-
-
 def predict_next_spec() -> ParityAutomaton:
     """Each output letter must equal the next input letter (discrete)."""
     states = ("start", "p0", "p1", "bad")

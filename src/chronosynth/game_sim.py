@@ -20,7 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .arena import FRESH, FV, I_DAG, I_UP, LEFT, O_DAG, O_PAIR, RC, RIGHT, Arena, ArenaEdge, ArenaNode
+from .arena import (
+    FRESH, FV, I_DAG, I_UP, LEFT, O_DAG, O_PAIR, RC, RIGHT, Arena, ArenaEdge, ArenaNode, interrupt_at,
+)
 from .continuous_synth import Violation, effective_priority
 from .rationals import format_rational, parse_rational
 
@@ -125,10 +127,22 @@ def _ceil_div(num: Fraction, den: Fraction) -> int:
     return -((-q.numerator) // q.denominator)
 
 
+def _interrupt_edge(arena: Arena, node: ArenaNode, n: int, b) -> ArenaEdge:
+    """The labeled edge of an interrupt to letter b at position n of node's block."""
+    member = arena.member(node)
+    dst, kind, size = interrupt_at(arena.semantics, member, n, b)
+    return ArenaEdge(node, dst, _prefix_max_priority(arena, member, n), size, kind)
+
+
+def _position_time(arena: Arena, play: TimedPlay, n: int) -> Fraction:
+    """The latest interrupt time that resolves to position n of the current block."""
+    spans = n if arena.semantics == RC else -(-n // 2)
+    return play.block_start + play.block_scale * spans
+
+
 def resolve_interrupt(arena: Arena, play: TimedPlay, move: InterruptMove):
     """Map an interrupt move at a block node to (position, arena edge)."""
     node = play.node
-    member = arena.member(node)
     t0, delta = play.block_start, play.block_scale
     t = Fraction(move.time)
     if t <= t0:
@@ -141,13 +155,8 @@ def resolve_interrupt(arena: Arena, play: TimedPlay, move: InterruptMove):
         if move.kind:
             raise IllegalMove("interrupt kinds belong to the fv game")
         n = _ceil_div(t - t0, delta)
-        dst = ArenaNode(O_PAIR, member.letter(n), move.letter)
-        kind = "interrupt"
     elif move.kind == LEFT:
-        k = _ceil_div(t - t0, delta) - 1
-        n = 2 * k + 1
-        dst = ArenaNode(O_PAIR, member.letter(n), move.letter)
-        kind = LEFT
+        n = 2 * _ceil_div(t - t0, delta) - 1
     elif move.kind == RIGHT:
         ratio = (t - t0) / delta
         if ratio.denominator != 1:
@@ -155,12 +164,9 @@ def resolve_interrupt(arena: Arena, play: TimedPlay, move: InterruptMove):
                 "interrupts from the right are legal exactly at grid points"
             )
         n = 2 * ratio.numerator
-        dst = ArenaNode(I_DAG, member.letter(n), move.letter)
-        kind = RIGHT
     else:
         raise IllegalMove("fv interrupts must pick kind 'left' or 'right'")
-    size = "small" if n <= len(member.lag) else "big"
-    edge = ArenaEdge(node, dst, _prefix_max_priority(arena, member, n), size, kind)
+    edge = _interrupt_edge(arena, node, n, move.letter)
     if edge not in arena.outgoing(node):
         raise PlayError(f"resolved edge missing from the arena: {edge}")
     return n, edge
@@ -273,13 +279,9 @@ def adjudicate(play: TimedPlay) -> PlayOutcome:
         return PlayOutcome("I", "rejected_final")
     arena = play.arena
     edges = [s.edge for s in play.steps if s.edge is not None]
-    keys = [
-        (e.src, e.dst, e.priority, e.size, e.kind)
-        for e in edges
-    ]
     cycle = None
-    for lam in range(1, len(keys) // 3 + 1):
-        if keys[-lam:] == keys[-2 * lam : -lam] == keys[-3 * lam : -2 * lam]:
+    for lam in range(1, len(edges) // 3 + 1):
+        if edges[-lam:] == edges[-2 * lam : -lam] == edges[-3 * lam : -2 * lam]:
             cycle = edges[-lam:]
             break
     if cycle is None:
@@ -329,42 +331,18 @@ def time_for_edge(arena: Arena, play: TimedPlay, edge: ArenaEdge, min_time=None)
     """
     node = play.node
     member = arena.member(node)
-    t0, delta = play.block_start, play.block_scale
     lag_len, period_len = len(member.lag), len(member.period)
-
-    def realization(n):
-        if arena.semantics == RC:
-            return t0 + delta * n
-        if n % 2 == 1:
-            return t0 + delta * ((n + 1) // 2)
-        return t0 + delta * (n // 2)
-
-    def matches(n):
-        if member.letter(n) != edge.dst.state:
-            return False
-        if _prefix_max_priority(arena, member, n) != edge.priority:
-            return False
-        size = "small" if n <= lag_len else "big"
-        if size != edge.size:
-            return False
-        if arena.semantics == FV:
-            if edge.kind == LEFT and n % 2 == 0:
-                return False
-            if edge.kind == RIGHT and n % 2 == 1:
-                return False
-        return True
-
     # fv positions advance the clock by delta per two positions
     mult = 2 if arena.semantics == FV else 1
     start = 1
-    if min_time is not None and min_time > t0:
-        approx = _ceil_div(Fraction(min_time) - t0, delta) * mult
+    if min_time is not None and min_time > play.block_start:
+        approx = _ceil_div(Fraction(min_time) - play.block_start, play.block_scale) * mult
         start = max(1, approx - 2 * period_len * mult - 2)
     horizon = max(start, lag_len) + (4 * period_len + 2) * mult
     for n in range(start, horizon + 1):
-        if not matches(n):
+        if _interrupt_edge(arena, node, n, edge.dst.letter) != edge:
             continue
-        t = realization(n)
+        t = _position_time(arena, play, n)
         if min_time is not None and t < min_time:
             continue
         kind = edge.kind if arena.semantics == FV else ""
@@ -533,7 +511,7 @@ class LastInstantInterrupter:
         letter = others[self.toggle % len(others)]
         self.toggle += 1
         # position 1 is the last span before the flip at position 2
-        return InterruptMove(play.block_start + play.block_scale, letter, "")
+        return InterruptMove(_position_time(self.arena, play, 1), letter, "")
 
 
 def play_example_geometric(rounds: int = 8):
@@ -597,42 +575,25 @@ class PlaySession:
             bound = play.block_scale * 2 * self.arena.lag_bound
             w(f"  small-tail duration bound from here: {format_rational(bound)}")
 
-    def _block_member(self, play):
-        if play.node.kind != I_UP:
+    def _late_or_big(self, play, letter, kind, size):
+        """Interrupt at the last small or the first big position whose edge kind fits ``kind``.
+
+        The move keeps ``kind`` as typed, so ``step`` judges it like an
+        ``interrupt`` command; an fv kind other than 'right' picks 'left'
+        positions.
+        """
+        node = play.node
+        if node.kind != I_UP:
             raise IllegalMove("interrupts are only possible at block nodes")
-        return self.arena.member(play.node)
-
-    def _small_late(self, play, letter, kind):
-        member = self._block_member(play)
-        lag_len = max(1, len(member.lag))
-        if self.arena.semantics == RC:
-            n = lag_len
-            t = play.block_start + play.block_scale * n
-            return InterruptMove(t, letter, "")
-        if kind == RIGHT:
-            n = lag_len if lag_len % 2 == 0 else lag_len - 1
-            if n < 2:
-                raise IllegalMove("no even lag position to interrupt at")
-            return InterruptMove(play.block_start + play.block_scale * (n // 2), letter, RIGHT)
-        n = lag_len if lag_len % 2 == 1 else lag_len - 1
-        if n < 1:
-            raise IllegalMove("no odd lag position to interrupt at")
-        return InterruptMove(play.block_start + play.block_scale * ((n + 1) // 2), letter, LEFT)
-
-    def _first_big(self, play, letter, kind):
-        member = self._block_member(play)
+        member = self.arena.member(node)
+        fits = "interrupt" if self.arena.semantics == RC else (RIGHT if kind == RIGHT else LEFT)
         lag_len = len(member.lag)
-        if self.arena.semantics == RC:
-            n = lag_len + 1
-            return InterruptMove(play.block_start + play.block_scale * n, letter, "")
-        n = lag_len + 1
-        if kind == RIGHT:
-            if n % 2 == 1:
-                n += 1
-            return InterruptMove(play.block_start + play.block_scale * (n // 2), letter, RIGHT)
-        if n % 2 == 0:
-            n += 1
-        return InterruptMove(play.block_start + play.block_scale * ((n + 1) // 2), letter, LEFT)
+        positions = range(lag_len, 0, -1) if size == "small" else (lag_len + 1, lag_len + 2)
+        for n in positions:
+            _, edge_kind, edge_size = interrupt_at(self.arena.semantics, member, n, letter)
+            if (edge_kind, edge_size) == (fits, size):
+                return InterruptMove(_position_time(self.arena, play, n), letter, kind)
+        raise IllegalMove("no even lag position to interrupt at")
 
     def _parse(self, play, line):
         parts = line.strip().split()
@@ -650,10 +611,10 @@ class PlaySession:
             return InterruptMove(parse_rational(parts[1]), parts[2], kind)
         if cmd == "late" and len(parts) in (2, 3):
             kind = parts[2] if len(parts) == 3 else (LEFT if self.arena.semantics == FV else "")
-            return self._small_late(play, parts[1], kind)
+            return self._late_or_big(play, parts[1], kind, "small")
         if cmd == "big" and len(parts) in (2, 3):
             kind = parts[2] if len(parts) == 3 else (LEFT if self.arena.semantics == FV else "")
-            return self._first_big(play, parts[1], kind)
+            return self._late_or_big(play, parts[1], kind, "big")
         raise IllegalMove(f"cannot parse {line!r}")
 
     def run(self):

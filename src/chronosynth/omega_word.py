@@ -36,10 +36,6 @@ class LassoWord:
     def lag(self) -> int:
         return len(self.prefix)
 
-    @property
-    def period_length(self) -> int:
-        return len(self.period)
-
     def __str__(self):
         return format_lasso(self)
 

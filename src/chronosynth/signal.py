@@ -438,17 +438,6 @@ class TimeWarp:
         x_last, y_last = ks[-1]
         return y_last + (t - x_last) * self.final_slope
 
-    def apply_inverse(self, y) -> Fraction:
-        y = Fraction(y)
-        if y < 0:
-            raise SignalError("negative time")
-        ks = self.knots
-        for (x1, y1), (x2, y2) in zip(ks, ks[1:]):
-            if y <= y2:
-                return x1 + (y - y1) * (x2 - x1) / (y2 - y1)
-        x_last, y_last = ks[-1]
-        return x_last + (y - y_last) / self.final_slope
-
 
 def identity_warp() -> TimeWarp:
     return TimeWarp(((0, 0), (1, 1)), Fraction(1))

@@ -66,9 +66,6 @@ class StateSignature:
     def flag(self, a) -> bool:
         return dict(self.run_flags)[a]
 
-    def is_run_for_some_letter(self) -> bool:
-        return any(v for _, v in self.run_flags)
-
 
 def signature_of(u, ctx: MonoidContext) -> StateSignature:
     """Direct computation of the invariant; u must be nonempty."""
@@ -138,14 +135,10 @@ class ClassTable:
     order: list  # signatures in (length, lex) witness order
     idempotents: frozenset
     d_q: int
-    restricted_to: object = None  # input letter, when path-restricted
 
     @property
     def class_count(self) -> int:
         return len(self.witnesses)
-
-    def representative(self, sig) -> tuple:
-        return self.witnesses[sig]
 
 
 def build_class_table(ctx: MonoidContext, cap: int = 200_000, letter=None) -> ClassTable:
@@ -190,7 +183,7 @@ def build_class_table(ctx: MonoidContext, cap: int = 200_000, letter=None) -> Cl
         level = next_level
     idem = frozenset(s for s in witnesses if product(ctx, s, s) == s)
     d_q = max(len(w) for w in witnesses.values())
-    return ClassTable(ctx, witnesses, order, idem, d_q, restricted_to=letter)
+    return ClassTable(ctx, witnesses, order, idem, d_q)
 
 
 @dataclass(frozen=True)
@@ -220,13 +213,11 @@ class UPMember:
         return self.lag_sig.flag(a)
 
 
-def build_UP(table: ClassTable, only_runs: bool = False) -> list:
+def build_UP(table: ClassTable) -> list:
     """The move vocabulary: lag . period^omega over class representatives.
 
     A pair of representatives (r, e) qualifies when e's class is idempotent
-    and appending e does not change r's class.  ``only_runs`` keeps only
-    members that are a valid run for at least one input letter; the others
-    can never be played and would only contribute edgeless arena nodes.
+    and appending e does not change r's class.
     """
     ctx = table.ctx
     members = []
@@ -236,10 +227,7 @@ def build_UP(table: ClassTable, only_runs: bool = False) -> list:
         for e_sig in idem_list:
             if product(ctx, sig, e_sig) != sig:
                 continue
-            member = UPMember(rep, table.witnesses[e_sig], sig, e_sig)
-            if only_runs and not member.lag_sig.is_run_for_some_letter():
-                continue
-            members.append(member)
+            members.append(UPMember(rep, table.witnesses[e_sig], sig, e_sig))
     return members
 
 

@@ -49,7 +49,7 @@ def random_automaton(rng, n_states=2):
 
 def up_for(a):
     ctx = context_from_automaton(a)
-    return build_UP(build_class_table(ctx), only_runs=True)
+    return build_UP(build_class_table(ctx))
 
 
 def test_rc_arena_one_state_shape():
@@ -285,7 +285,7 @@ def test_every_usable_member_has_exactly_one_block_node(quotient_corpus):
         behaviour = {n: node_behaviour(arena, n) for n in arena.nodes if n.kind == I_UP}
         rank, first = {}, {}  # member -> first-use rank; block node -> lowest-ranked member
         for x in a.sigma_in:
-            for member in build_UP(build_class_table(ctx, letter=x), only_runs=True):
+            for member in build_UP(build_class_table(ctx, letter=x)):
                 sources = [q for q in a.states if (q, member.letter(1)) in rels[x]]
                 if not member.is_path_for(x) or not sources:
                     continue

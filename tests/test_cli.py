@@ -1,4 +1,4 @@
-"""CLI subcommands, exit codes, determinism, env cap overrides."""
+"""CLI subcommands, exit codes, determinism, caps."""
 
 import io
 import json
@@ -139,14 +139,19 @@ def test_play_unrealizable_spec_reports():
     assert "unrealizable" in out
 
 
-def test_resource_cap_exit_code(monkeypatch):
-    monkeypatch.setenv("CHRONOSYNTH_CAP_MONOID", "1")
-    code, _, err = run_cli("synth", "--semantics", "fv", str(FIXTURES / "psi_copy.json"))
+def test_resource_cap_exit_code(capsys):
+    code, _, err = run_cli(
+        "--monoid-cap", "1", "synth", "--semantics", "fv", str(FIXTURES / "psi_copy.json")
+    )
     assert code == EXIT_CAP
     assert "cap" in err
-    monkeypatch.delenv("CHRONOSYNTH_CAP_MONOID")
     code, _, _ = run_cli("synth", "--semantics", "fv", str(FIXTURES / "psi_copy.json"))
     assert code == EXIT_OK
+    code, out, err = run_cli(
+        "--monoid-cap", "0", "synth", "--semantics", "fv", str(FIXTURES / "psi_copy.json")
+    )
+    assert code == EXIT_USAGE
+    assert out == "" and "--monoid-cap" in capsys.readouterr().err  # argparse's message
 
 
 def test_output_determinism():
@@ -215,3 +220,11 @@ def test_unreadable_play_script_is_a_usage_error(tmp_path):
     assert code == EXIT_USAGE
     assert out == ""
     assert err.count("\n") == 1 and str(missing) in err
+
+
+def test_monoid_unknown_letter_is_a_usage_error():
+    code, out, err = run_cli("monoid", "--letter", "0", str(FIXTURES / "psi_jump_d.json"))
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.count("\n") == 1 and "'0'" in err
+    assert "Traceback" not in err

@@ -1,12 +1,15 @@
 """Timed play engine, adjudication, scripted duels, interactive sessions."""
 
+import dataclasses
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
 from chronosynth.arena import FV, I_UP, RC
-from chronosynth.continuous_synth import decide_continuous
+from chronosynth.automaton import load_automaton
+from chronosynth.continuous_synth import build_game_arena, decide_continuous
 from chronosynth.fixtures import copy_spec, jump_spec_rc
 from chronosynth.game_sim import (
     Accept,
@@ -16,6 +19,7 @@ from chronosynth.game_sim import (
     InterruptMove,
     RandomEnvironment,
     StartInput,
+    TimedPlay,
     UndecidedError,
     ViolationEnvironment,
     PlaySession,
@@ -30,6 +34,7 @@ from chronosynth.game_sim import (
 )
 
 F = Fraction
+FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 
 
 def rc_setup():
@@ -217,21 +222,32 @@ def test_adjudicate_undecided_when_capped_too_early():
 
 
 def test_time_for_edge_realizes_each_arena_edge():
-    res = rc_setup()
-    arena = res.arena
-    controller = ChoiceController(arena, res.witness)
-    play = new_play(arena)
-    step(play, StartInput("0"))
-    step(play, controller.move(play))
-    for edge in arena.outgoing(play.node):
-        mv = time_for_edge(arena, play, edge)
-        n, resolved = resolve_interrupt(arena, play, mv)
-        assert resolved == edge
-        if edge.size == "big":
-            mv2 = time_for_edge(arena, play, edge, min_time=play.now + 5)
-            assert mv2.time >= play.now + 5
-            _, resolved2 = resolve_interrupt(arena, play, mv2)
-            assert resolved2 == edge
+    for fixture in sorted(FIXTURES.glob("*.json")):
+        if fixture.stem.endswith("_d"):
+            continue
+        for semantics in (RC, FV):
+            arena, _ = build_game_arena(load_automaton(str(fixture)), semantics)
+            session = PlaySession(arena, None, None, None)
+            kinds = ("",) if semantics == RC else (" left", " right")
+            for node in arena.nodes:
+                if node.kind != I_UP:
+                    continue
+                play = TimedPlay(arena, node, F(5, 2), block_start=F(5, 2), block_scale=F(1, 3))
+                for edge in arena.outgoing(node):
+                    mv = time_for_edge(arena, play, edge)
+                    assert resolve_interrupt(arena, play, mv)[1] == edge
+                    if edge.size == "big":
+                        mv2 = time_for_edge(arena, play, edge, min_time=play.now + 5)
+                        assert mv2.time >= play.now + 5
+                        assert resolve_interrupt(arena, play, mv2)[1] == edge
+                for b in arena.automaton.sigma_in:
+                    if b == node.letter:
+                        continue
+                    for kind in kinds:
+                        late = session._parse(play, f"late {b}{kind}")
+                        assert resolve_interrupt(arena, play, late)[1].size == "small"
+                        big = session._parse(play, f"big {b}{kind}")
+                        assert resolve_interrupt(arena, play, big)[1].size == "big"
 
 
 def test_interactive_session_scripted_replay_is_deterministic():
@@ -278,6 +294,38 @@ def test_interactive_session_rejects_bad_input_and_reprompts():
     rejected = [line for line in out if line.startswith("illegal move")]
     assert rejected == ["illegal move: interrupts are only possible at block nodes"] * 2
     assert outcome is not None and outcome.winner == "O"
+
+    # late/big take the same kinds as interrupt: none in rc, left|right in fv
+    for semantics, script, reason in (
+        (RC, ["start 0", "late 1 left", "big 1 right", "accept"],
+         "interrupt kinds belong to the fv game"),
+        (FV, ["start 0", "input 0", "late 1 bogus", "big 1 bogus", "accept"],
+         "fv interrupts must pick kind 'left' or 'right'"),
+    ):
+        res = decide_continuous(copy_spec(), semantics)
+        out = []
+        play, outcome = PlaySession(
+            res.arena, ChoiceController(res.arena, res.witness),
+            script_reader(script), out.append,
+        ).run()
+        rejected = [line for line in out if line.startswith("illegal move")]
+        assert rejected == [f"illegal move: {reason}"] * 2
+        assert play.interrupt_count == 0 and outcome.winner == "O"
+
+    # fv 'late b right' needs an even position inside the lag; an absorbing
+    # lag is at least two states long, so the block's lag is cut to one here
+    res = fv_setup()
+    play = new_play(res.arena)
+    step(play, StartInput("0"))
+    while play.node.kind != I_UP:
+        step(play, ChoiceController(res.arena, res.witness).move(play)
+             if res.arena.owner(play.node) == "O" else InputForAWhile("0"))
+    member = res.arena.member(play.node)
+    members = list(res.arena.members)
+    members[play.node.up] = dataclasses.replace(member, lag=member.lag[:1])
+    arena = dataclasses.replace(res.arena, members=tuple(members))
+    with pytest.raises(IllegalMove, match="no even lag position to interrupt at"):
+        PlaySession(arena, None, None, None)._parse(play, "late 1 right")
 
 
 def test_interactive_session_quit_is_graceful():

@@ -245,7 +245,7 @@ def test_letter_restricted_up_covers_path_lassos():
     for _ in range(6):
         ctx = random_ctx(rng, ("a", "b"), letters=("x",))
         table = build_class_table(ctx, letter="x")
-        up = build_UP(table, only_runs=True)
+        up = build_UP(table)
         rel = ctx.relations["x"]
 
         def is_path(word):
