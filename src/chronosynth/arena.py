@@ -20,11 +20,16 @@ node (q, x, u) is determined, as a game position, by q, x, whether u is
 final, and its set of labelled interrupt edges.  Members that agree on
 all four are interchangeable moves, so (q, x) gets one block node per
 such behaviour, represented by the first-ranked member that has it.
+
+Nodes and edges are immutable named tuples, ordered, compared and hashed
+by their fields in declaration order; the sorted node and edge lists, and
+with them the search order, witnesses and exports, follow that order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .automaton import MAX_EVEN, ParityAutomaton
 from .state_monoid import UPMember
@@ -51,8 +56,7 @@ class ArenaError(Exception):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class ArenaNode:
+class ArenaNode(NamedTuple):
     kind: str
     state: object = None
     letter: object = None
@@ -70,8 +74,7 @@ class ArenaNode:
         return f"({self.state},{self.letter},u{self.up})"
 
 
-@dataclass(frozen=True, order=True)
-class ArenaEdge:
+class ArenaEdge(NamedTuple):
     src: ArenaNode
     dst: ArenaNode
     priority: int = -1  # -1 for unlabeled edges

@@ -47,6 +47,8 @@ class ParityAutomaton:
         object.__setattr__(self, "states", tuple(self.states))
         object.__setattr__(self, "sigma_in", tuple(self.sigma_in))
         object.__setattr__(self, "sigma_out", tuple(self.sigma_out))
+        if not self.sigma_in or not self.sigma_out:
+            raise AutomatonError("sigma_in and sigma_out must be nonempty")
         if self.convention not in CONVENTIONS:
             raise AutomatonError(f"unknown convention {self.convention!r}")
         if self.initial not in self.states:

@@ -2,22 +2,31 @@
 
 Subcommands: solve-discrete, definable, synth, monoid, arena, play,
 check-fixtures.  Exit codes: 0 success, 2 usage, 3 resource cap exceeded,
-4 adjudication undecided; an unreadable or malformed spec or script file,
-a cap that is not positive and an unknown monoid --letter are usage
-errors.  All randomness is seeded (--seed) and output is
+4 adjudication undecided; an unreadable or malformed spec or script file
+(an empty alphabet included), a cap that is not positive, an unknown
+monoid --letter and a definable spec whose alphabets are not squared are
+usage errors.  Usage errors and --help go to the err and out streams given
+to main.  All randomness is seeded (--seed) and output is
 byte-deterministic for a fixed invocation.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import random
 import sys
 from fractions import Fraction
 
 from .arena import FV, RC, arena_to_json, export_dot
-from .automaton import MAX_EVEN, AutomatonError, convert_convention, load_automaton
+from .automaton import (
+    MAX_EVEN,
+    AlphabetMismatchError,
+    AutomatonError,
+    convert_convention,
+    load_automaton,
+)
 from .continuous_synth import ResourceCapError, build_game_arena, decide_continuous
 from .definable_synth import solve_definable
 from .discrete_game import machine_to_dot, machine_to_json, solve
@@ -39,8 +48,11 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 EXIT_UNDECIDED = 4
 
-# what reading a malformed spec or script file can raise
-_BAD_INPUT = (OSError, ValueError, KeyError, TypeError, AttributeError, AutomatonError)
+# what reading a malformed spec or script file can raise; OverflowError is
+# int() of an Infinity that json reads as a priority
+_BAD_INPUT = (
+    OSError, ValueError, KeyError, TypeError, AttributeError, OverflowError, AutomatonError,
+)
 
 
 class UsageError(Exception):
@@ -107,7 +119,10 @@ def cmd_solve_discrete(args, out, err):
 
 def cmd_definable(args, out, err):
     a = _read_input(load_automaton, args.spec)
-    res = solve_definable(a)
+    try:
+        res = solve_definable(a)
+    except AlphabetMismatchError as exc:
+        raise UsageError(f"{args.spec}: {exc}") from exc
     payload = {"definable": res.definable}
     if res.definable:
         payload["witness"] = machine_to_json(res.witness)
@@ -391,7 +406,9 @@ def main(argv=None, out=None, err=None) -> int:
     err = err or sys.stderr
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        # argparse prints usage errors and --help to sys.stderr/sys.stdout
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

@@ -52,7 +52,7 @@ class StrategyGraph:
     arena: Arena
     choice: dict  # controller node -> ArenaEdge
     nodes: frozenset
-    edges: tuple
+    edges: tuple  # sorted
 
 
 def effective_priority(arena: Arena, edge: ArenaEdge):
@@ -149,7 +149,7 @@ class Violation:
     entry: tuple = ()  # edges from fresh to the violation site
 
 
-def _bfs_path(edges_by_src, start, goal_nodes, allowed=None):
+def _bfs_path(edges_by_src, start, goal_nodes):
     """Shortest edge path from start into goal_nodes; deterministic."""
     if start in goal_nodes:
         return ()
@@ -159,8 +159,6 @@ def _bfs_path(edges_by_src, start, goal_nodes, allowed=None):
         new = []
         for v in sorted(frontier):
             for e in edges_by_src.get(v, ()):
-                if allowed is not None and e not in allowed:
-                    continue
                 if e.dst in prev:
                     continue
                 prev[e.dst] = e
@@ -177,52 +175,42 @@ def _bfs_path(edges_by_src, start, goal_nodes, allowed=None):
 def find_violation(sg: StrategyGraph):
     """First reason the environment beats the choice, or None."""
     arena = sg.arena
+    # sg.edges is sorted, so every per-source list and filtered list below is too
     edges_by_src = {}
     for e in sg.edges:
         edges_by_src.setdefault(e.src, []).append(e)
-    for v in edges_by_src:
-        edges_by_src[v] = sorted(edges_by_src[v])
 
     bad_up = sorted(n for n in sg.nodes if n.kind == I_UP and n not in arena.final_up)
     if bad_up:
         entry = _bfs_path(edges_by_src, arena.fresh, {bad_up[0]})
         return Violation(kind="A", node=bad_up[0], entry=entry)
 
-    prios = sorted(
-        {p for e in sg.edges if (p := effective_priority(arena, e)) is not None},
-        reverse=True,
-    )
+    weighted = [(e, effective_priority(arena, e)) for e in sg.edges]
+    prios = sorted({p for _, p in weighted if p is not None}, reverse=True)
     for p in prios:
         if p % 2 == 0:
             continue
-        sub_edges = [
-            e
-            for e in sg.edges
-            if (effective_priority(arena, e) is None or effective_priority(arena, e) <= p)
-        ]
+        sub_edges = [(e, q) for e, q in weighted if q is None or q <= p]
         succ = {}
-        for e in sub_edges:
+        for e, _ in sub_edges:
             succ.setdefault(e.src, []).append(e.dst)
-        comps = _sccs({e.src for e in sub_edges} | {e.dst for e in sub_edges}, succ)
+        comps = _sccs({e.src for e, _ in sub_edges} | {e.dst for e, _ in sub_edges}, succ)
         for comp in comps:
-            inside = [e for e in sub_edges if e.src in comp and e.dst in comp]
-            peak = [e for e in inside if effective_priority(arena, e) == p]
-            big = [e for e in inside if e.size == "big"]
+            inside = [(e, q) for e, q in sub_edges if e.src in comp and e.dst in comp]
+            peak = [e for e, q in inside if q == p]
+            big = [e for e, _ in inside if e.size == "big"]
             if not peak or not big:
                 continue
-            e_p, e_b = sorted(peak)[0], sorted(big)[0]
-            allowed = set(inside)
+            e_p, e_b = peak[0], big[0]
             inner_by_src = {}
-            for e in inside:
+            for e, _ in inside:
                 inner_by_src.setdefault(e.src, []).append(e)
-            for v in inner_by_src:
-                inner_by_src[v] = sorted(inner_by_src[v])
             if e_p == e_b:
-                back = _bfs_path(inner_by_src, e_p.dst, {e_p.src}, allowed)
+                back = _bfs_path(inner_by_src, e_p.dst, {e_p.src})
                 cycle = (e_p,) + back
             else:
-                mid = _bfs_path(inner_by_src, e_p.dst, {e_b.src}, allowed)
-                back = _bfs_path(inner_by_src, e_b.dst, {e_p.src}, allowed)
+                mid = _bfs_path(inner_by_src, e_p.dst, {e_b.src})
+                back = _bfs_path(inner_by_src, e_b.dst, {e_p.src})
                 cycle = (e_p,) + mid + (e_b,) + back
             entry = _bfs_path(edges_by_src, arena.fresh, {e_p.src})
             return Violation(kind="B", priority=p, cycle=cycle, entry=entry)

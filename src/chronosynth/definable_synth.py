@@ -47,10 +47,10 @@ def square_alphabet(letters) -> tuple:
 def is_squared_alphabet(letters) -> bool:
     try:
         pairs = [split_letter(x) for x in letters]
-    except ValueError:
+        base = sorted({p for p, _ in pairs} | {i for _, i in pairs})
+        return sorted(letters) == sorted(square_alphabet(base))
+    except (ValueError, AttributeError):  # no separator, more than one, or not a string
         return False
-    base = sorted({p for p, _ in pairs} | {i for _, i in pairs})
-    return sorted(letters) == sorted(square_alphabet(base))
 
 
 def build_psi_star_monitor(sigma_in, sigma_out, constrain: str = "output") -> SafetyMonitor:

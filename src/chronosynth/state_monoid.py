@@ -16,6 +16,7 @@ absorbing representative and an idempotent period representative.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .omega_word import LassoWord
 
@@ -55,16 +56,20 @@ def context_from_automaton(a) -> MonoidContext:
     return MonoidContext(states=tuple(a.states), relations=a.edge_relations())
 
 
-@dataclass(frozen=True)
-class StateSignature:
+class StateSignature(NamedTuple):
+    """Immutable normal form of a state-string class; hashed and compared as a tuple."""
+
     first: object
     last: object
     occ: frozenset
     pairs: frozenset  # of (state, frozenset of states strictly before)
-    run_flags: tuple  # sorted (letter, bool) pairs
+    run_flags: tuple  # (letter, bool) pairs in MonoidContext.letters order
 
     def flag(self, a) -> bool:
-        return dict(self.run_flags)[a]
+        for letter, value in self.run_flags:
+            if letter == a:
+                return value
+        raise KeyError(a)
 
 
 def signature_of(u, ctx: MonoidContext) -> StateSignature:
@@ -89,9 +94,10 @@ def product(ctx: MonoidContext, s1: StateSignature, s2: StateSignature) -> State
     pairs = set(s1.pairs)
     for q, before in s2.pairs:
         pairs.add((q, s1.occ | before))
+    # both flag tuples are in ctx.letters order, so they align position by position
     flags = tuple(
-        (a, f1 and dict(s2.run_flags)[a] and ctx.has_edge(a, s1.last, s2.first))
-        for a, f1 in s1.run_flags
+        (a, f1 and f2 and ctx.has_edge(a, s1.last, s2.first))
+        for (a, f1), (_, f2) in zip(s1.run_flags, s2.run_flags)
     )
     return StateSignature(s1.first, s2.last, s1.occ | s2.occ, frozenset(pairs), flags)
 
@@ -155,8 +161,8 @@ def build_class_table(ctx: MonoidContext, cap: int = 200_000, letter=None) -> Cl
     witnesses = {}
     order = []
     level = []  # (witness, signature) pairs of the current length
-    for q in ctx.states:
-        sig = signature_of((q,), ctx)
+    generators = {q: signature_of((q,), ctx) for q in ctx.states}
+    for q, sig in generators.items():
         if sig not in witnesses:
             witnesses[sig] = (q,)
             order.append(sig)
@@ -169,7 +175,7 @@ def build_class_table(ctx: MonoidContext, cap: int = 200_000, letter=None) -> Cl
             for q in ctx.states:
                 if letter is not None and not ctx.has_edge(letter, witness[-1], q):
                     continue
-                new_sig = product(ctx, sig, signature_of((q,), ctx))
+                new_sig = product(ctx, sig, generators[q])
                 if new_sig in witnesses:
                     continue
                 if len(witnesses) + len(next_level) >= cap:

@@ -28,6 +28,19 @@ def test_usage_error_exit_code():
     assert code == EXIT_USAGE
 
 
+def test_argparse_output_goes_to_the_given_streams(capsys):
+    code, out, err = run_cli("synth", str(FIXTURES / "psi_copy.json"))
+    assert code == EXIT_USAGE
+    assert out == "" and "--semantics" in err
+    code, out, err = run_cli("--help")
+    assert code == EXIT_OK
+    assert out.startswith("usage: chronosynth") and err == ""
+    code, out, err = run_cli("synth", "--help")
+    assert code == EXIT_OK
+    assert "--semantics" in out and err == ""
+    assert capsys.readouterr() == ("", "")
+
+
 def test_synth_copy_fv_realizable():
     code, out, _ = run_cli("synth", "--semantics", "fv", str(FIXTURES / "psi_copy.json"))
     assert code == EXIT_OK
@@ -139,7 +152,7 @@ def test_play_unrealizable_spec_reports():
     assert "unrealizable" in out
 
 
-def test_resource_cap_exit_code(capsys):
+def test_resource_cap_exit_code():
     code, _, err = run_cli(
         "--monoid-cap", "1", "synth", "--semantics", "fv", str(FIXTURES / "psi_copy.json")
     )
@@ -151,7 +164,7 @@ def test_resource_cap_exit_code(capsys):
         "--monoid-cap", "0", "synth", "--semantics", "fv", str(FIXTURES / "psi_copy.json")
     )
     assert code == EXIT_USAGE
-    assert out == "" and "--monoid-cap" in capsys.readouterr().err  # argparse's message
+    assert out == "" and "--monoid-cap" in err  # argparse's message
 
 
 def test_output_determinism():
@@ -228,3 +241,39 @@ def test_monoid_unknown_letter_is_a_usage_error():
     assert out == ""
     assert err.count("\n") == 1 and "'0'" in err
     assert "Traceback" not in err
+
+
+def _one_line_usage_error(code, out, err):
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_definable_needs_squared_alphabets(tmp_path):
+    code, out, err = run_cli("definable", str(FIXTURES / "psi_copy.json"))
+    _one_line_usage_error(code, out, err)
+    assert "squared" in err
+    spec = json.loads((FIXTURES / "psi_copy_d.json").read_text())
+    for letters in (["0,1,0", "0,0", "1,0", "1,1"], [0, 1]):
+        bad = dict(spec, sigma_in=letters, transitions=[])
+        path = tmp_path / "bad_letters.json"
+        path.write_text(json.dumps(bad))
+        code, out, err = run_cli("definable", str(path))
+        _one_line_usage_error(code, out, err)
+        assert "squared" in err
+
+
+@pytest.mark.parametrize("alphabet", ["sigma_in", "sigma_out"])
+@pytest.mark.parametrize(
+    "command", [["synth", "--semantics", "rc"], ["synth", "--semantics", "fv"], ["solve-discrete"]]
+)
+def test_empty_alphabet_is_a_usage_error(tmp_path, alphabet, command):
+    spec = json.loads((FIXTURES / "psi_copy.json").read_text())
+    spec[alphabet] = []
+    spec["transitions"] = []
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli(*command, str(path))
+    _one_line_usage_error(code, out, err)
+    assert "nonempty" in err

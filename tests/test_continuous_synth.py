@@ -1,5 +1,7 @@
 """Winning-check clauses, enumeration, and end-to-end verdicts."""
 
+import hashlib
+import json
 import pathlib
 import random
 
@@ -7,6 +9,7 @@ import pytest
 
 from chronosynth.arena import FV, I_UP, RC
 from chronosynth.automaton import MAX_EVEN, ParityAutomaton, load_automaton
+from chronosynth.cli import _witness_json
 from chronosynth.continuous_synth import (
     ResourceCapError,
     build_game_arena,
@@ -263,3 +266,84 @@ def test_fixture_search_is_pinned(fixture, semantics):
     res = decide_continuous(load_automaton(FIXTURES / f"{fixture}.json"), semantics)
     got = (res.realizable, res.stats.strategies_examined, res.stats.pruned)
     assert got == SEARCH_TABLE[(fixture, semantics)]
+
+
+# per (spec index, semantics) of a seeded corpus of 2-state specs:
+# (realizable, strategies_examined, pruned, arena nodes, arena edges, and the
+# first 16 hex digits of the sha256 of the witness JSON and of the reprs of
+# every violation the search meets before its verdict), recorded with
+# dataclass arena nodes, edges and signatures.  Their order decides the
+# search order, the witness and each violation's cycle and entry path.
+CORPUS_TABLE = {
+    (0, RC): (True, 1, 0, 27, 93, "1ca1dcbe31166e1d", "e3b0c44298fc1c14"),
+    (0, FV): (True, 1, 0, 80, 479, "af619c3ff0ec5f8c", "e3b0c44298fc1c14"),
+    (1, RC): (False, 3, 3, 11, 26, "74234e98afe7498f", "cfed42d299f6980c"),
+    (1, FV): (False, 5, 5, 18, 50, "74234e98afe7498f", "929898f635ffa33f"),
+    (2, RC): (True, 1, 0, 15, 50, "798b71db6af6f422", "e3b0c44298fc1c14"),
+    (2, FV): (True, 1, 0, 41, 232, "86d21b0516a231dd", "e3b0c44298fc1c14"),
+    (3, RC): (True, 1, 0, 11, 21, "1ca1dcbe31166e1d", "e3b0c44298fc1c14"),
+    (3, FV): (True, 1, 0, 18, 49, "af619c3ff0ec5f8c", "e3b0c44298fc1c14"),
+    (4, RC): (False, 3, 3, 13, 28, "74234e98afe7498f", "38164f6f264a43d2"),
+    (4, FV): (False, 5, 5, 21, 68, "74234e98afe7498f", "4cdbd077a8890493"),
+    (5, RC): (True, 1, 0, 21, 76, "7f95ce4a253b3e47", "e3b0c44298fc1c14"),
+    (5, FV): (True, 19, 18, 61, 354, "ab213b4496981480", "ac13ed94f7773fa6"),
+    (6, RC): (True, 1, 0, 25, 86, "7f95ce4a253b3e47", "e3b0c44298fc1c14"),
+    (6, FV): (True, 2, 0, 77, 460, "a11fed50f2618373", "a5aad98e71b735f3"),
+    (7, RC): (True, 1, 0, 11, 21, "1ca1dcbe31166e1d", "e3b0c44298fc1c14"),
+    (7, FV): (True, 1, 0, 18, 49, "af619c3ff0ec5f8c", "e3b0c44298fc1c14"),
+    (8, RC): (False, 1, 1, 27, 93, "74234e98afe7498f", "421ab0403053329c"),
+    (8, FV): (False, 1, 1, 80, 479, "74234e98afe7498f", "da4d2f84ec13b53c"),
+    (9, RC): (True, 1, 0, 11, 21, "1ca1dcbe31166e1d", "e3b0c44298fc1c14"),
+    (9, FV): (True, 1, 0, 18, 49, "af619c3ff0ec5f8c", "e3b0c44298fc1c14"),
+    (10, RC): (True, 1, 0, 15, 45, "1ca1dcbe31166e1d", "e3b0c44298fc1c14"),
+    (10, FV): (True, 1, 0, 38, 192, "af619c3ff0ec5f8c", "e3b0c44298fc1c14"),
+    (11, RC): (False, 15, 15, 32, 119, "74234e98afe7498f", "934e8ba05decd203"),
+    (11, FV): (False, 194, 194, 118, 766, "74234e98afe7498f", "44b246c6743c5cf5"),
+    (12, RC): (False, 9, 9, 27, 93, "74234e98afe7498f", "26ceb41ea7badba3"),
+    (12, FV): (False, 268, 268, 80, 479, "74234e98afe7498f", "2e0cfd1da76fca67"),
+    (13, RC): (True, 1, 0, 11, 21, "7f95ce4a253b3e47", "e3b0c44298fc1c14"),
+    (13, FV): (True, 1, 0, 18, 49, "a11fed50f2618373", "e3b0c44298fc1c14"),
+    (14, RC): (False, 1, 1, 15, 45, "74234e98afe7498f", "421ab0403053329c"),
+    (14, FV): (False, 1, 1, 38, 192, "74234e98afe7498f", "da4d2f84ec13b53c"),
+    (15, RC): (True, 1, 0, 13, 28, "1ca1dcbe31166e1d", "e3b0c44298fc1c14"),
+    (15, FV): (True, 1, 0, 21, 68, "af619c3ff0ec5f8c", "e3b0c44298fc1c14"),
+    (16, RC): (False, 1, 1, 15, 50, "74234e98afe7498f", "57549412d7b45a1f"),
+    (16, FV): (False, 1, 1, 49, 291, "74234e98afe7498f", "af8b404fa4a9bae4"),
+    (17, RC): (True, 1, 0, 9, 14, "1ca1dcbe31166e1d", "e3b0c44298fc1c14"),
+    (17, FV): (True, 1, 0, 15, 30, "af619c3ff0ec5f8c", "e3b0c44298fc1c14"),
+    (18, RC): (True, 3, 2, 32, 119, "65e4d8351ebcadff", "a1238da7ae4e28e6"),
+    (18, FV): (True, 3, 2, 118, 766, "653e1832d6372f73", "6d37f48f0b280320"),
+    (19, RC): (True, 1, 0, 27, 93, "1ca1dcbe31166e1d", "e3b0c44298fc1c14"),
+    (19, FV): (True, 1, 0, 80, 479, "af619c3ff0ec5f8c", "e3b0c44298fc1c14"),
+}
+
+
+def _corpus_specs():
+    rng = random.Random(2)
+    return [random_automaton(rng, max_prio=5) for _ in range(20)]
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_random_corpus_search_is_pinned():
+    for i, spec in enumerate(_corpus_specs()):
+        for sem in (RC, FV):
+            res = decide_continuous(spec, sem)
+            witness = None if res.witness is None else _witness_json(res.arena, res.witness)
+            violations = []
+            for _, violation in enumerate_choices(res.arena):
+                if violation is None:
+                    break
+                violations.append(repr(violation))
+            got = (
+                res.realizable,
+                res.stats.strategies_examined,
+                res.stats.pruned,
+                len(res.arena.nodes),
+                len(res.arena.edges),
+                _digest(json.dumps(witness, sort_keys=True)),
+                _digest("".join(violations)),
+            )
+            assert got == CORPUS_TABLE[(i, sem)], (i, sem)

@@ -81,6 +81,22 @@ def test_product_is_concatenation_random_contexts():
         )
 
 
+def test_product_flags_follow_sorted_letters_not_relation_order():
+    # the relations dict lists its letters out of sorted order; run flags
+    # follow MonoidContext.letters, and product pairs them position by position
+    rng = random.Random(23)
+    for _ in range(30):
+        ctx = random_ctx(rng, ("a", "b", "c"), letters=("z", "x", "y"))
+        u = tuple(rng.choice("abc") for _ in range(rng.randint(1, 4)))
+        v = tuple(rng.choice("abc") for _ in range(rng.randint(1, 4)))
+        joined = product(ctx, signature_of(u, ctx), signature_of(v, ctx))
+        assert joined == signature_of(u + v, ctx)
+        w = u + v
+        for a in ("z", "x", "y"):
+            path = all((w[i], w[i + 1]) in ctx.relations[a] for i in range(len(w) - 1))
+            assert joined.flag(a) is path
+
+
 def test_product_associative_random():
     rng = random.Random(37)
     ctx = random_ctx(rng, ("a", "b"))
