@@ -114,12 +114,6 @@ class Arena:
         return self.edges_from.get(node, ())
 
 
-def _normalize_up(a: ParityAutomaton, up) -> dict:
-    if isinstance(up, dict):
-        return {x: list(up.get(x, ())) for x in a.sigma_in}
-    return {x: list(up) for x in a.sigma_in}
-
-
 def interrupt_at(semantics, member, n, b):
     """Target node, edge kind and size of an interrupt to letter b at position n of member.
 
@@ -160,19 +154,18 @@ def _interrupt_targets(a, member, letter, semantics):
 def _add_block_nodes(a, semantics, up, source_kind, nodes, edges):
     """Add one block node per behaviour of (q, x), with its entry and interrupt edges.
 
-    Entry edges leave the source_kind node (q, x).  Members are ranked in
-    first-use order over (letter, member, state), and the lowest-ranked
-    member with a behaviour represents it, so the moves out of (q, x) keep
-    their order over the whole vocabulary.  Only representatives are
-    numbered, in rank order.  Returns them and the set of final block nodes.
+    up[x] is the block vocabulary of input letter x, built over its path
+    classes, so every member is a run under x.  Entry edges leave the
+    source_kind node (q, x).  Members are ranked in first-use order over
+    (letter, member, state), and the lowest-ranked member with a behaviour
+    represents it, so the moves out of (q, x) keep their order over the
+    whole vocabulary.  Only representatives are numbered, in rank order.
+    Returns them and the set of final block nodes.
     """
-    up_by_letter = _normalize_up(a, up)
     rels = a.edge_relations()
     rank, best = {}, {}  # member -> first-use rank; behaviour -> representative
     for x in a.sigma_in:
-        for member in up_by_letter[x]:
-            if not member.is_path_for(x):
-                continue
+        for member in up[x]:
             first = member.letter(1)
             sources = [q for q in a.states if (q, first) in rels[x]]
             if not sources:
@@ -223,7 +216,7 @@ def _require_max_even(a):
         raise ArenaError("arena construction expects the max-even convention")
 
 
-def build_rc_arena(a: ParityAutomaton, up) -> Arena:
+def build_rc_arena(a: ParityAutomaton, up: dict) -> Arena:
     """Arena for the right-continuous game.
 
     fresh -> (q_init, a); (q, a) -> (q, a, u) for blocks u that are valid
@@ -242,7 +235,7 @@ def build_rc_arena(a: ParityAutomaton, up) -> Arena:
     return _finish(a, RC, members, final_up, nodes, edges)
 
 
-def build_fv_arena(a: ParityAutomaton, up) -> Arena:
+def build_fv_arena(a: ParityAutomaton, up: dict) -> Arena:
     """Arena for the finite-variability game, with dagger nodes.
 
     (q, a) -> (q', +) consumes the point output; (q, +) -> (q, +, a) fixes

@@ -171,10 +171,11 @@ class SafetyMonitor:
             raise AlphabetMismatchError(f"monitor has no transition at ({q!r}, {a!r}, {b!r})")
 
 
-def _worst_priority(a: ParityAutomaton) -> int:
-    if a.convention == MIN_EVEN:
+def _worst_priority(convention, priorities) -> int:
+    """Losing priority for an added sink: 1 under min_even, else the least odd one >= all given."""
+    if convention != MAX_EVEN:
         return 1
-    m = a.max_priority()
+    m = max(priorities, default=0)
     return m if m % 2 == 1 else m + 1
 
 
@@ -200,7 +201,10 @@ def product_with_monitor(a: ParityAutomaton, m: SafetyMonitor, sink_accepting: b
                     raise AlphabetMismatchError(
                         f"monitor does not cover letter ({ain!r}, {aout!r})"
                     )
-    sink_prio = _best_priority(a) if sink_accepting else _worst_priority(a)
+    if sink_accepting:
+        sink_prio = _best_priority(a)
+    else:
+        sink_prio = _worst_priority(a.convention, (a.priority[q] for q in a.states))
     states = []
     transition = {}
     priority = {}
@@ -244,7 +248,11 @@ def automaton_from_json(data) -> ParityAutomaton:
     sigma_in = tuple(data["sigma_in"])
     sigma_out = tuple(data["sigma_out"])
     convention = data.get("convention", MIN_EVEN)
-    priority = {q: int(p) for q, p in data["priority"].items()}
+    priority = {}
+    for q, p in data["priority"].items():
+        if isinstance(p, bool) or not isinstance(p, int):
+            raise AutomatonError(f"priority of {q!r} is not an integer: {p!r}")
+        priority[q] = p
     transition = {}
     for entry in data["transitions"]:
         q, ain, aout, tgt = entry["from"], entry["in"], entry["out"], entry["to"]
@@ -264,11 +272,7 @@ def automaton_from_json(data) -> ParityAutomaton:
     if referenced_sink or incomplete:
         if SINK not in states:
             states.append(SINK)
-            sink_prio = 1
-            if convention == MAX_EVEN:
-                m = max(priority.values()) if priority else 0
-                sink_prio = m if m % 2 == 1 else m + 1
-            priority[SINK] = sink_prio
+            priority[SINK] = _worst_priority(convention, priority.values())
         for q in states:
             for a in sigma_in:
                 for b in sigma_out:

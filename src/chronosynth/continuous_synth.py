@@ -217,11 +217,6 @@ def find_violation(sg: StrategyGraph):
     return None
 
 
-def is_strategy_winning(sg: StrategyGraph) -> bool:
-    """True iff the controller wins against every environment behavior."""
-    return find_violation(sg) is None
-
-
 # -- enumeration -------------------------------------------------------------
 
 

@@ -5,8 +5,7 @@ step: from position ('i', q) the input player picks a, from ('o', q, a) the
 output player answers b, and the automaton advances to d(q, (a, b)).  The
 output player wins a play iff the traversed state sequence is accepted.
 Solving is by recursive attractor decomposition with positional strategy
-extraction; a naive nested-fixpoint evaluator doubles as an independent
-oracle for tests.
+extraction.
 """
 
 from __future__ import annotations
@@ -148,41 +147,6 @@ def zielonka(g: GameGraph):
                         strat[v] = w
                         break
     return w_o, w_i, s_o, s_i
-
-
-def brute_force_solve(g: GameGraph, node_cap: int = 64):
-    """Winning region of the output player via naive nested fixpoints.
-
-    Evaluates the alternating fixpoint over one set variable per priority
-    value, highest priority outermost (greatest fixpoint when even).  Used
-    only as an oracle; exponential in alternations.
-    """
-    g.check()
-    if len(g.owner) > node_cap:
-        raise GameError(f"brute force oracle capped at {node_cap} nodes")
-    prios = sorted({g.priority[v] for v in g.owner}, reverse=True)
-    nodes = set(g.owner)
-    X = {}
-
-    def phi():
-        res = set()
-        for v in nodes:
-            quantifier = any if g.owner[v] == "O" else all
-            if quantifier(w in X[g.priority[w]] for w in g.succ[v]):
-                res.add(v)
-        return res
-
-    def eval_chain(i):
-        p = prios[i]
-        X[p] = set(nodes) if p % 2 == 0 else set()
-        while True:
-            val = eval_chain(i + 1) if i + 1 < len(prios) else phi()
-            if val == X[p]:
-                return val
-            X[p] = val
-
-    w_o = eval_chain(0)
-    return w_o, nodes - w_o
 
 
 @dataclass(frozen=True)
@@ -356,24 +320,6 @@ def machine_to_json(m) -> dict:
             ),
         }
     raise GameError(f"cannot serialize {type(m).__name__}")
-
-
-def machine_from_json(data):
-    import json
-
-    if isinstance(data, (str, bytes)):
-        data = json.loads(data)
-    if data["kind"] == "mealy":
-        transition = {
-            (e["from"], e["in"]): (e["to"], e["out"]) for e in data["transitions"]
-        }
-        return MealyMachine(tuple(data["states"]), data["initial"], transition)
-    if data["kind"] == "moore_counter":
-        transition = {(e["from"], e["out"]): e["to"] for e in data["transitions"]}
-        return MooreCounterMachine(
-            tuple(data["states"]), data["initial"], data["output"], transition
-        )
-    raise GameError(f"unknown machine kind {data['kind']!r}")
 
 
 def machine_to_dot(m) -> str:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .omega_word import LassoWord, normalize
-from .rationals import format_rational, frac_lcm, parse_rational
+from .rationals import format_rational, frac_lcm
 
 
 class SignalError(Exception):
@@ -501,43 +501,3 @@ def counter_operator(y: FVSignal, alphabet=("0", "1")) -> FVSignal:
     return FVSignal(
         (Fraction(0), t0), (zero, flip[a]), (flip[a],), ConstantTail(one)
     )
-
-
-# -- file format ----------------------------------------------------------
-
-
-def signal_from_json(data) -> FVSignal:
-    import json
-
-    if isinstance(data, (str, bytes)):
-        data = json.loads(data)
-    bps = tuple(parse_rational(t) for t in data["breakpoints"])
-    tail_data = data["tail"]
-    if "constant" in tail_data:
-        tail = ConstantTail(tail_data["constant"])
-    elif "lasso" in tail_data:
-        tail = LassoTail(
-            parse_rational(tail_data["lasso"]["delta"]),
-            tuple((p, i) for p, i in tail_data["lasso"]["block"]),
-        )
-    else:
-        raise SignalError("tail must carry 'constant' or 'lasso'")
-    return FVSignal(bps, tuple(data["point_values"]), tuple(data["interval_values"]), tail)
-
-
-def signal_to_json(s: FVSignal) -> dict:
-    if isinstance(s.tail, ConstantTail):
-        tail = {"constant": s.tail.value}
-    else:
-        tail = {
-            "lasso": {
-                "delta": format_rational(s.tail.delta),
-                "block": [[p, i] for p, i in s.tail.block],
-            }
-        }
-    return {
-        "breakpoints": [format_rational(t) for t in s.breakpoints],
-        "point_values": list(s.point_values),
-        "interval_values": list(s.interval_values),
-        "tail": tail,
-    }

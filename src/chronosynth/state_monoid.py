@@ -102,36 +102,6 @@ def product(ctx: MonoidContext, s1: StateSignature, s2: StateSignature) -> State
     return StateSignature(s1.first, s2.last, s1.occ | s2.occ, frozenset(pairs), flags)
 
 
-def naive_equiv(u, v, ctx: MonoidContext) -> bool:
-    """Literal double-loop check of the defining conditions; test oracle."""
-    u, v = tuple(u), tuple(v)
-    if not u or not v:
-        raise MonoidError("nonempty strings required")
-    if u[0] != v[0] or u[-1] != v[-1]:
-        return False
-
-    def covers(x, y):
-        for m in range(len(x)):
-            before_m = set(x[:m])
-            found = False
-            for n in range(len(y)):
-                if y[n] == x[m] and set(y[:n]) == before_m:
-                    found = True
-                    break
-            if not found:
-                return False
-        return True
-
-    if not covers(u, v) or not covers(v, u):
-        return False
-    for a in ctx.letters:
-        ru = all(ctx.has_edge(a, u[i], u[i + 1]) for i in range(len(u) - 1))
-        rv = all(ctx.has_edge(a, v[i], v[i + 1]) for i in range(len(v) - 1))
-        if ru != rv:
-            return False
-    return True
-
-
 @dataclass
 class ClassTable:
     """All signature classes with shortest witnesses, ordered by discovery."""

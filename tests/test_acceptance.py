@@ -16,7 +16,6 @@ from chronosynth.cli import main as cli_main
 from chronosynth.continuous_synth import decide_continuous, enumerate_choices
 from chronosynth.discrete_game import (
     GameGraph,
-    brute_force_solve,
     run_counter_machine,
     run_machine,
     solve,
@@ -51,9 +50,10 @@ from chronosynth.state_monoid import (
     MonoidContext,
     build_UP,
     build_class_table,
-    naive_equiv,
     signature_of,
 )
+
+from oracles import brute_force_solve, naive_equiv
 
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 F = Fraction

@@ -49,7 +49,7 @@ def random_automaton(rng, n_states=2):
 
 def up_for(a):
     ctx = context_from_automaton(a)
-    return build_UP(build_class_table(ctx))
+    return {x: build_UP(build_class_table(ctx, letter=x)) for x in a.sigma_in}
 
 
 def test_rc_arena_one_state_shape():
@@ -61,7 +61,7 @@ def test_rc_arena_one_state_shape():
         kinds.setdefault(n.kind, []).append(n)
     assert len(kinds["fresh"]) == 1
     assert len(kinds[O_PAIR]) == 2
-    assert len(kinds[I_UP]) <= 2 * len(up)
+    assert len(kinds[I_UP]) <= sum(len(members) for members in up.values())
     # from fresh, one edge per input letter
     assert len(arena.outgoing(arena.fresh)) == 2
     # every block node interrupts only to the other letter, via big edges too

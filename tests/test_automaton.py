@@ -1,6 +1,7 @@
 """Parity automaton runs, acceptance, conventions, and monitor products."""
 
 import itertools
+import json
 import random
 
 import pytest
@@ -244,6 +245,41 @@ def test_json_roundtrip_and_sink_completion():
     again = automaton_from_json(automaton_to_json(a))
     assert again.transition == a.transition
     assert again.priority == a.priority
+
+
+@pytest.mark.parametrize("value", [1.7, 2.0, True, False, "2", None, [1]])
+def test_json_rejects_non_integer_priorities(value):
+    data = {
+        "states": ["a"],
+        "sigma_in": ["0"],
+        "sigma_out": ["0"],
+        "initial": "a",
+        "priority": {"a": value},
+        "transitions": [{"from": "a", "in": "0", "out": "0", "to": "a"}],
+    }
+    with pytest.raises(AutomatonError, match="not an integer"):
+        automaton_from_json(json.dumps(data))
+
+
+@pytest.mark.parametrize(
+    "convention, priorities, sink",
+    [(MIN_EVEN, [0, 4], 1), (MAX_EVEN, [0, 1], 1), (MAX_EVEN, [0, 2], 3), (MAX_EVEN, [5, 2], 5)],
+)
+def test_loader_and_monitor_product_give_the_sink_one_priority(convention, priorities, sink):
+    data = {
+        "states": ["a", "b"],
+        "sigma_in": ["0", "1"],
+        "sigma_out": ["0"],
+        "initial": "a",
+        "priority": dict(zip("ab", priorities)),
+        "convention": convention,
+        "transitions": [{"from": q, "in": "0", "out": "0", "to": q} for q in "ab"],
+    }
+    assert automaton_from_json(data).priority[SINK] == sink
+    data["transitions"] = [{"from": q, "in": x, "out": "0", "to": q} for q in "ab" for x in "01"]
+    complete = automaton_from_json(data)
+    prod = product_with_monitor(complete, accept_all_monitor(complete.sigma_in, complete.sigma_out))
+    assert {prod.priority[(q, "dead")] for q in "ab"} == {sink}
 
 
 def test_json_rejects_bad_references():

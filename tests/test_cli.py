@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, determinism, caps."""
 
+import importlib.util
 import io
 import json
 import os
@@ -9,6 +10,7 @@ import sys
 
 import pytest
 
+from chronosynth.automaton import automaton_to_json
 from chronosynth.cli import EXIT_CAP, EXIT_OK, EXIT_UNDECIDED, EXIT_USAGE, main
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -189,6 +191,16 @@ def test_check_fixtures_passes():
     assert out.count("ok ") >= 9
 
 
+def test_fixture_files_match_their_builders():
+    spec = importlib.util.spec_from_file_location("make_fixtures", FIXTURES / "make_fixtures.py")
+    make_fixtures = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_fixtures)
+    assert sorted(make_fixtures.FILES) == sorted(p.name for p in FIXTURES.glob("*.json"))
+    for name, automaton in make_fixtures.FILES.items():
+        text = json.dumps(automaton_to_json(automaton), indent=2, sort_keys=True) + "\n"
+        assert (FIXTURES / name).read_text(encoding="utf-8") == text, name
+
+
 CONTINUOUS_FIXTURES = sorted(p for p in FIXTURES.glob("*.json") if not p.stem.endswith("_d"))
 
 
@@ -208,11 +220,15 @@ def test_arena_export_matches_synth_stats(fixture, semantics):
 def _bad_specs(tmp_path):
     not_json = tmp_path / "not_json.json"
     not_json.write_text("states: [q]\n")
-    no_states = tmp_path / "no_states.json"
     spec = json.loads((FIXTURES / "one_state.json").read_text())
+    bad = [tmp_path / "missing.json", not_json]
+    for i, value in enumerate([1.7, True, "2"]):  # priorities that are not JSON integers
+        bad.append(tmp_path / f"priority_{i}.json")
+        bad[-1].write_text(json.dumps(dict(spec, priority={"q": value})))
     del spec["states"]
-    no_states.write_text(json.dumps(spec))
-    return [tmp_path / "missing.json", not_json, no_states]
+    bad.append(tmp_path / "no_states.json")
+    bad[-1].write_text(json.dumps(spec))
+    return bad
 
 
 @pytest.mark.parametrize("command", [["synth", "--semantics", "rc"], ["solve-discrete"]])
@@ -277,3 +293,4 @@ def test_empty_alphabet_is_a_usage_error(tmp_path, alphabet, command):
     code, out, err = run_cli(*command, str(path))
     _one_line_usage_error(code, out, err)
     assert "nonempty" in err
+

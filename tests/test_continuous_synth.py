@@ -17,7 +17,7 @@ from chronosynth.continuous_synth import (
     decide_continuous,
     effective_priority,
     enumerate_choices,
-    is_strategy_winning,
+    find_violation,
     partial_strategy_graph,
 )
 from chronosynth.fixtures import (
@@ -112,7 +112,7 @@ def test_all_small_odd_cycle_is_won_by_controller():
     # has no reachable non-final node and no big odd cycle
     res = decide_continuous(copy_spec(), RC)
     sg = build_strategy_graph(res.arena, res.witness)
-    assert is_strategy_winning(sg)
+    assert find_violation(sg) is None
     assert all(n in res.arena.final_up for n in sg.nodes if n.kind == I_UP)
 
 

@@ -21,12 +21,13 @@ from chronosynth.definable_synth import (
 )
 from chronosynth import definable_synth, discrete_game
 from chronosynth.discrete_game import (
-    brute_force_solve,
     game_from_automaton,
     run_machine,
 )
 from chronosynth.omega_word import LassoWord, zip_lassos
 from chronosynth.signal import is_stuttering_free, stutter_normalize
+
+from oracles import brute_force_solve
 
 SQ = square_alphabet(("0", "1"))
 

@@ -23,8 +23,6 @@ from chronosynth.signal import (
     integer_samples,
     is_stuttering_free,
     reparameterize,
-    signal_from_json,
-    signal_to_json,
     signals_equal,
     stutter_normalize,
     stuttering_equivalent,
@@ -321,10 +319,3 @@ def test_counter_operator_strong_causality():
             if i + 1 < len(grid_check):
                 mid = (x + grid_check[i + 1]) / 2
                 assert g1.value_at(mid) == g2.value_at(mid)
-
-
-def test_signal_json_roundtrip():
-    for s in (constant_signal("1"), delta_signal(F(7, 3)), lasso_tail_signal()):
-        data = signal_to_json(s)
-        back = signal_from_json(data)
-        assert back == s

@@ -88,6 +88,9 @@ def test_transition_field_loads_or_raises_a_usage_error(key, index, value):
 @example(value=float("inf")).via("json.loads reads Infinity")
 @example(value=float("nan"))
 @example(value=-1)
+@example(value=1.7)
+@example(value=True)
+@example(value="2")
 def test_priority_value_loads_or_raises_a_usage_error(state, value):
     spec = copy.deepcopy(VALID)
     _replace(spec["priority"], state, value)

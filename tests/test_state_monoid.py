@@ -13,11 +13,12 @@ from chronosynth.state_monoid import (
     UPMember,
     build_UP,
     build_class_table,
-    naive_equiv,
     product,
     ramsey_factorize,
     signature_of,
 )
+
+from oracles import naive_equiv
 
 
 def total_ctx(states, letters=("x",)):
@@ -303,6 +304,24 @@ def test_member_path_flags_match_unfolded_check():
                     for i in range(len(word) - 1)
                 )
                 assert m.is_path_for(letter) == literal
+
+
+def test_per_letter_vocabulary_holds_only_paths_for_its_letter():
+    # the arena takes every member of a letter's vocabulary as a run under it
+    rng = random.Random(23)
+    checked = 0
+    for letters in (("x", "y"), ("x", "y", "z")):
+        for n_states in (1, 2, 2, 3, 3):
+            ctx = random_ctx(rng, tuple("abc"[:n_states]), letters)
+            for letter in letters:
+                for m in build_UP(build_class_table(ctx, letter=letter)):
+                    word = m.lag + m.period * 2
+                    assert all(
+                        ctx.has_edge(letter, word[i], word[i + 1]) for i in range(len(word) - 1)
+                    ), (letter, m.lag, m.period)
+                    assert m.is_path_for(letter)
+                    checked += 1
+    assert checked > 1000
 
 
 def test_ramsey_single_state():
