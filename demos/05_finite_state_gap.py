@@ -9,10 +9,10 @@ with the jump-discipline monitor and answers on the product.
 """
 
 from chronosynth.definable_synth import solve_definable
-from chronosynth.fixtures import copy_spec_squared, jump_spec_squared
+from chronosynth.fixtures import SQ, copy_spec, jump_spec_squared
 
 print("== output must equal input (encoded over point/interval pairs) ==")
-res = solve_definable(copy_spec_squared())
+res = solve_definable(copy_spec(SQ))
 print(f"  finite-state implementable? {res.definable}")
 q = res.witness.initial
 for letter in ("0,0", "1,1", "0,1"):

@@ -8,8 +8,8 @@ import pathlib
 
 from chronosynth.automaton import automaton_to_json
 from chronosynth.fixtures import (
+    SQ,
     copy_spec,
-    copy_spec_squared,
     indeterminate_spec_fv,
     jump_spec_fv,
     jump_spec_rc,
@@ -31,7 +31,7 @@ FILES = {
     "psi_jump_fv.json": jump_spec_fv(),
     "psi_jump_rc.json": jump_spec_rc(),
     "psi_indet_fv.json": indeterminate_spec_fv(),
-    "psi_copy_d.json": copy_spec_squared(),
+    "psi_copy_d.json": copy_spec(SQ),
     "psi_jump_d.json": jump_spec_squared(),
     "predict_next.json": predict_next_spec(),
     "one_state.json": one_state(),

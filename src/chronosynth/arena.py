@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .automaton import MAX_EVEN, ParityAutomaton
+from .automaton import MAX_EVEN, ParityAutomaton, state_name
 from .state_monoid import UPMember
 
 RC = "rc"
@@ -295,7 +295,7 @@ def arena_to_json(arena: Arena) -> dict:
     def node_dict(n):
         d = {"kind": n.kind, "owner": arena.owner(n)}
         if n.state is not None:
-            d["state"] = n.state if isinstance(n.state, str) else repr(n.state)
+            d["state"] = state_name(n.state)
         if n.letter is not None:
             d["letter"] = n.letter
         if n.kind == I_UP:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from .omega_word import LassoWord, inf_set
+from .omega_word import LassoWord, inf_set, transduce
 
 SINK = "__sink__"
 
@@ -91,9 +91,9 @@ class ParityAutomaton:
 def run_over(a: ParityAutomaton, word: LassoWord) -> LassoWord:
     """The unique run of the automaton over a lasso of (in, out) letters.
 
-    Returned as a lasso over states starting from the initial state; the
-    state sequence at period boundaries must repeat within |states| + 1
-    pumpings, which closes the run lasso.
+    Returned as a lasso over states starting from the initial state: each
+    step emits the state it leaves.  The state at period boundaries repeats
+    within |states| + 1 pumpings, which closes the run lasso.
     """
     for i in range(len(word.prefix) + len(word.period)):
         letter = word.letter_at(i)
@@ -103,21 +103,7 @@ def run_over(a: ParityAutomaton, word: LassoWord) -> LassoWord:
         if ain not in a.sigma_in or aout not in a.sigma_out:
             raise InputDomainError(f"letter ({ain!r}, {aout!r}) outside alphabet")
 
-    states = [a.initial]
-    cur = a.initial
-    for letter in word.prefix:
-        cur = a.step(cur, letter[0], letter[1])
-        states.append(cur)
-    boundary_index = {cur: len(states) - 1}
-    while True:
-        for letter in word.period:
-            cur = a.step(cur, letter[0], letter[1])
-            states.append(cur)
-        pos = len(states) - 1
-        if cur in boundary_index:
-            start = boundary_index[cur]
-            return LassoWord(tuple(states[:start]), tuple(states[start:pos]))
-        boundary_index[cur] = pos
+    return transduce(lambda q, letter: (a.step(q, *letter), q), a.initial, word)
 
 
 def accepts(a: ParityAutomaton, word: LassoWord) -> bool:
@@ -291,20 +277,22 @@ def automaton_from_json(data) -> ParityAutomaton:
     )
 
 
-def automaton_to_json(a: ParityAutomaton) -> dict:
-    def name(q):
-        return q if isinstance(q, str) else repr(q)
+def state_name(q) -> str:
+    """A state as exported: strings as they are, anything else by repr."""
+    return q if isinstance(q, str) else repr(q)
 
+
+def automaton_to_json(a: ParityAutomaton) -> dict:
     return {
-        "states": [name(q) for q in a.states],
+        "states": [state_name(q) for q in a.states],
         "sigma_in": list(a.sigma_in),
         "sigma_out": list(a.sigma_out),
-        "initial": name(a.initial),
-        "priority": {name(q): a.priority[q] for q in a.states},
+        "initial": state_name(a.initial),
+        "priority": {state_name(q): a.priority[q] for q in a.states},
         "convention": a.convention,
         "transitions": sorted(
             (
-                {"from": name(q), "in": ain, "out": aout, "to": name(t)}
+                {"from": state_name(q), "in": ain, "out": aout, "to": state_name(t)}
                 for (q, ain, aout), t in a.transition.items()
             ),
             key=lambda e: (e["from"], e["in"], e["out"]),

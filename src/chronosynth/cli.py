@@ -229,8 +229,8 @@ def _fixture_checks(seed):
     """The counterexample-construction property suite (runtime self-checks)."""
     from .discrete_game import run_machine
     from .fixtures import (
+        SQ,
         copy_spec,
-        copy_spec_squared,
         indeterminate_spec_fv,
         jump_spec_fv,
         jump_spec_squared,
@@ -287,7 +287,7 @@ def _fixture_checks(seed):
             assert g.value_at(t0) == flip and g.value_at(t0 + 1) == "1"
 
     def c_machine_causality_on_indicator_prefixes():
-        res = solve_definable(copy_spec_squared())
+        res = solve_definable(copy_spec(SQ))
         assert res.definable
         m = res.witness
         from .definable_synth import pair_letter
@@ -316,7 +316,7 @@ def _fixture_checks(seed):
         assert decide_continuous(jump_spec_fv(), FV).realizable
 
     def c_copy_both_yes():
-        assert solve_definable(copy_spec_squared()).definable
+        assert solve_definable(copy_spec(SQ)).definable
         assert decide_continuous(copy_spec(), FV).realizable
 
     def c_indeterminate_unrealizable():

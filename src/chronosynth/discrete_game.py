@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automaton import MAX_EVEN, ParityAutomaton, convert_convention
-from .omega_word import LassoWord
+from .automaton import MAX_EVEN, ParityAutomaton, convert_convention, state_name
+from .omega_word import LassoWord, transduce
 
 
 class GameError(Exception):
@@ -92,61 +92,46 @@ def _attractor(g: GameGraph, region, target, player):
     return attr, strategy
 
 
+def _complete(g: GameGraph, player, strat, nodes, region):
+    """Give each of player's nodes without a move its first successor in region."""
+    for v in sorted(nodes):
+        if g.owner[v] == player and v not in strat:
+            for w in g.succ[v]:
+                if w in region:
+                    strat[v] = w
+                    break
+
+
 def zielonka(g: GameGraph):
     """Winning regions and positional strategies for both players."""
     g.check()
 
     def solve(region):
-        region = set(region)
+        """Per-player winning regions and strategies on the subgame region."""
         if not region:
-            return set(), set(), {}, {}
+            return {"O": set(), "I": set()}, {"O": {}, "I": {}}
         p = max(g.priority[v] for v in region)
         player = "O" if p % 2 == 0 else "I"
         other = "I" if player == "O" else "O"
         top = sorted(v for v in region if g.priority[v] == p)
         attr, attr_strat = _attractor(g, region, top, player)
-        rest = region - attr
-        w_o, w_i, s_o, s_i = solve(rest)
-        w_player, s_player = (w_o, s_o) if player == "O" else (w_i, s_i)
-        w_other, s_other = (w_i, s_i) if player == "O" else (w_o, s_o)
-        if not w_other:
+        win, strat = solve(region - attr)
+        if not win[other]:
             # player wins everywhere: attractor strategy on attr, plus an
             # arbitrary region-internal edge on top nodes owned by player
-            strat = dict(s_player)
-            strat.update(attr_strat)
-            for v in sorted(attr):
-                if g.owner[v] == player and v not in strat:
-                    for w in g.succ[v]:
-                        if w in region:
-                            strat[v] = w
-                            break
-            full = region
-            if player == "O":
-                return full, set(), strat, {}
-            return set(), full, {}, strat
-        b, b_strat = _attractor(g, region, w_other, other)
-        w_o2, w_i2, s_o2, s_i2 = solve(region - b)
-        if other == "O":
-            strat_other = dict(s_o2)
-            strat_other.update(s_other)
-            strat_other.update(b_strat)
-            return w_o2 | b, w_i2, strat_other, s_i2
-        strat_other = dict(s_i2)
-        strat_other.update(s_other)
-        strat_other.update(b_strat)
-        return w_o2, w_i2 | b, s_o2, strat_other
+            mine = {**strat[player], **attr_strat}
+            _complete(g, player, mine, attr, region)
+            return {player: region, other: set()}, {player: mine, other: {}}
+        b, b_strat = _attractor(g, region, win[other], other)
+        win2, strat2 = solve(region - b)
+        win2[other] = win2[other] | b
+        strat2[other] = {**strat2[other], **strat[other], **b_strat}
+        return win2, strat2
 
-    w_o, w_i, s_o, s_i = solve(set(g.nodes()))
-    # complete strategies inside the winning regions (attractor-internal
-    # top nodes may still be unassigned after unions)
-    for player, region, strat in (("O", w_o, s_o), ("I", w_i, s_i)):
-        for v in sorted(region):
-            if g.owner[v] == player and v not in strat:
-                for w in g.succ[v]:
-                    if w in region:
-                        strat[v] = w
-                        break
-    return w_o, w_i, s_o, s_i
+    # each solve gives a player a move at every node it owns in its winning
+    # region (from a subgame, an attractor or _complete), so no final pass
+    win, strat = solve(set(g.nodes()))
+    return win["O"], win["I"], strat["O"], strat["I"]
 
 
 @dataclass(frozen=True)
@@ -201,105 +186,67 @@ def solve(a: ParityAutomaton) -> SolveResult:
     canonical = convert_convention(a, MAX_EVEN)
     g = game_from_automaton(canonical)
     w_o, w_i, s_o, s_i = zielonka(g)
-    start = ("i", canonical.initial)
-    if start in w_o:
+
+    def walk(successors):
+        """States reachable from the initial one; successors(q) records q's moves."""
+        seen, todo = {canonical.initial}, [canonical.initial]
+        while todo:
+            for q_next in successors(todo.pop()):
+                if q_next not in seen:
+                    seen.add(q_next)
+                    todo.append(q_next)
+        return tuple(sorted(seen, key=repr))
+
+    if ("i", canonical.initial) in w_o:
         transition = {}
-        reachable = [canonical.initial]
-        seen = {canonical.initial}
-        while reachable:
-            q = reachable.pop()
+
+        def respond(q):
             for x in canonical.sigma_in:
-                target = s_o[("o", q, x)]
-                q_next = target[1]
+                q_next = s_o[("o", q, x)][1]
                 b = min(
                     b
                     for b in canonical.sigma_out
                     if canonical.transition[(q, x, b)] == q_next
                 )
                 transition[(q, x)] = (q_next, b)
-                if q_next not in seen:
-                    seen.add(q_next)
-                    reachable.append(q_next)
-        return SolveResult(
-            "output",
-            MealyMachine(tuple(sorted(seen, key=repr)), canonical.initial, transition),
-            None,
-            frozenset(w_i),
-        )
+                yield q_next
+
+        machine = MealyMachine(walk(respond), canonical.initial, transition)
+        return SolveResult("output", machine, None, frozenset(w_i))
     output, transition = {}, {}
-    reachable = [canonical.initial]
-    seen = {canonical.initial}
-    while reachable:
-        q = reachable.pop()
-        x = s_i[("i", q)][2]
-        output[q] = x
+
+    def challenge(q):
+        x = output[q] = s_i[("i", q)][2]
         for b in canonical.sigma_out:
-            q_next = canonical.transition[(q, x, b)]
-            transition[(q, b)] = q_next
-            if q_next not in seen:
-                seen.add(q_next)
-                reachable.append(q_next)
-    return SolveResult(
-        "input",
-        None,
-        MooreCounterMachine(tuple(sorted(seen, key=repr)), canonical.initial, output, transition),
-        frozenset(w_i),
-    )
+            q_next = transition[(q, b)] = canonical.transition[(q, x, b)]
+            yield q_next
+
+    machine = MooreCounterMachine(walk(challenge), canonical.initial, output, transition)
+    return SolveResult("input", None, machine, frozenset(w_i))
 
 
 def run_machine(m: MealyMachine, word: LassoWord) -> LassoWord:
     """Output lasso of the machine on an input lasso of in-letters."""
-    outputs = []
-    q = m.initial
-    for a in word.prefix:
-        q, b = m.react(q, a)
-        outputs.append(b)
-    seen = {(q, 0): len(outputs)}
-    while True:
-        for a in word.period:
-            q, b = m.react(q, a)
-            outputs.append(b)
-        key = (q, 0)
-        if key in seen:
-            start = seen[key]
-            return LassoWord(tuple(outputs[:start]), tuple(outputs[start:]))
-        seen[key] = len(outputs)
+    return transduce(m.react, m.initial, word)
 
 
 def run_counter_machine(m: MooreCounterMachine, word: LassoWord) -> LassoWord:
     """Input lasso emitted by the counter against an output lasso."""
-    emitted = []
-    q = m.initial
-    for b in word.prefix:
-        emitted.append(m.emit(q))
-        q = m.advance(q, b)
-    seen = {(q, 0): len(emitted)}
-    while True:
-        for b in word.period:
-            emitted.append(m.emit(q))
-            q = m.advance(q, b)
-        key = (q, 0)
-        if key in seen:
-            start = seen[key]
-            return LassoWord(tuple(emitted[:start]), tuple(emitted[start:]))
-        seen[key] = len(emitted)
+    return transduce(lambda q, b: (m.advance(q, b), m.emit(q)), m.initial, word)
 
 
 # -- serialization ---------------------------------------------------------
 
 
 def machine_to_json(m) -> dict:
-    def name(q):
-        return q if isinstance(q, str) else repr(q)
-
     if isinstance(m, MealyMachine):
         return {
             "kind": "mealy",
-            "states": [name(q) for q in m.states],
-            "initial": name(m.initial),
+            "states": [state_name(q) for q in m.states],
+            "initial": state_name(m.initial),
             "transitions": sorted(
                 (
-                    {"from": name(q), "in": a, "out": b, "to": name(t)}
+                    {"from": state_name(q), "in": a, "out": b, "to": state_name(t)}
                     for (q, a), (t, b) in m.transition.items()
                 ),
                 key=lambda e: (e["from"], e["in"]),
@@ -308,12 +255,12 @@ def machine_to_json(m) -> dict:
     if isinstance(m, MooreCounterMachine):
         return {
             "kind": "moore_counter",
-            "states": [name(q) for q in m.states],
-            "initial": name(m.initial),
-            "output": {name(q): m.output[q] for q in m.states},
+            "states": [state_name(q) for q in m.states],
+            "initial": state_name(m.initial),
+            "output": {state_name(q): m.output[q] for q in m.states},
             "transitions": sorted(
                 (
-                    {"from": name(q), "out": b, "to": name(t)}
+                    {"from": state_name(q), "out": b, "to": state_name(t)}
                     for (q, b), t in m.transition.items()
                 ),
                 key=lambda e: (e["from"], e["out"]),
@@ -323,20 +270,17 @@ def machine_to_json(m) -> dict:
 
 
 def machine_to_dot(m) -> str:
-    def name(q):
-        return q if isinstance(q, str) else repr(q)
-
     lines = ["digraph machine {", '  rankdir="LR";']
-    lines.append(f'  __start [shape=point]; __start -> "{name(m.initial)}";')
+    lines.append(f'  __start [shape=point]; __start -> "{state_name(m.initial)}";')
     if isinstance(m, MealyMachine):
         for q in m.states:
-            lines.append(f'  "{name(q)}" [shape=circle];')
+            lines.append(f'  "{state_name(q)}" [shape=circle];')
         for (q, a), (t, b) in sorted(m.transition.items(), key=lambda kv: (repr(kv[0]))):
-            lines.append(f'  "{name(q)}" -> "{name(t)}" [label="{a}/{b}"];')
+            lines.append(f'  "{state_name(q)}" -> "{state_name(t)}" [label="{a}/{b}"];')
     else:
         for q in m.states:
-            lines.append(f'  "{name(q)}" [shape=box, label="{name(q)}|{m.output[q]}"];')
+            lines.append(f'  "{state_name(q)}" [shape=box, label="{state_name(q)}|{m.output[q]}"];')
         for (q, b), t in sorted(m.transition.items(), key=lambda kv: (repr(kv[0]))):
-            lines.append(f'  "{name(q)}" -> "{name(t)}" [label="{b}"];')
+            lines.append(f'  "{state_name(q)}" -> "{state_name(t)}" [label="{b}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

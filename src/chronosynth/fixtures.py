@@ -116,17 +116,6 @@ def indeterminate_spec_fv() -> ParityAutomaton:
     )
 
 
-def copy_spec_squared() -> ParityAutomaton:
-    """Discrete encoding of the copy specification over squared letters."""
-    states = ("ok", "bad")
-    transition = {}
-    for q in states:
-        for a in SQ:
-            for b in SQ:
-                transition[(q, a, b)] = "ok" if (q == "ok" and a == b) else "bad"
-    return ParityAutomaton(states, SQ, SQ, transition, "ok", {"ok": 0, "bad": 1}, MAX_EVEN)
-
-
 def jump_spec_squared() -> ParityAutomaton:
     """Discrete encoding of the output-must-jump specification.
 
@@ -166,14 +155,3 @@ def predict_next_spec() -> ParityAutomaton:
         {"start": 0, "p0": 0, "p1": 0, "bad": 1}, MAX_EVEN,
     )
 
-
-ALL = {
-    "copy_fv": copy_spec,
-    "copy_rc": copy_spec,
-    "jump_fv": jump_spec_fv,
-    "jump_rc": jump_spec_rc,
-    "indet_fv": indeterminate_spec_fv,
-    "copy_squared": copy_spec_squared,
-    "jump_squared": jump_spec_squared,
-    "predict_next": predict_next_spec,
-}

@@ -306,10 +306,9 @@ def adjudicate(play: TimedPlay) -> PlayOutcome:
 class ChoiceController:
     """Plays a positional choice; the i-th block uses scale 2^-i."""
 
-    def __init__(self, arena: Arena, choice: dict, initial_scale=Fraction(1)):
+    def __init__(self, arena: Arena, choice: dict):
         self.arena = arena
         self.choice = dict(choice)
-        self.initial_scale = Fraction(initial_scale)
 
     def move(self, play: TimedPlay):
         node = play.node
@@ -318,8 +317,7 @@ class ChoiceController:
         edge = self.choice[node]
         if node.kind == O_PAIR and self.arena.semantics == FV:
             return PointOutput(edge.dst.state)
-        scale = self.initial_scale * Fraction(1, 2**play.block_index)
-        return BlockMove(edge, scale)
+        return BlockMove(edge, Fraction(1, 2**play.block_index))
 
 
 def time_for_edge(arena: Arena, play: TimedPlay, edge: ArenaEdge, min_time=None):
@@ -398,32 +396,22 @@ class ViolationEnvironment:
     def __init__(self, arena: Arena, violation: Violation, rng=None):
         self.arena = arena
         self.violation = violation
-        self.plan = list(violation.entry)
-        self.pointer = 0
-        self.looping = violation.kind == "B"
         self.rng = rng
-
-    def _advance_past(self, edge: ArenaEdge):
-        if self.pointer < len(self.plan) and self.plan[self.pointer] == edge:
-            self.pointer += 1
-            if self.looping and self.pointer == len(self.plan):
-                self.plan.extend(self.violation.cycle)
-
-    def observe(self, play: TimedPlay):
-        if play.steps:
-            last = play.steps[-1]
-            if last.edge is not None:
-                self._advance_past(last.edge)
 
     def move(self, play: TimedPlay):
         node = play.node
-        if self.pointer >= len(self.plan):
-            if self.violation.kind == "A":
-                if node != self.violation.node:
-                    raise PlayError("violation path ended off target")
-                return Accept()
-            self.plan.extend(self.violation.cycle)
-        edge = self.plan[self.pointer]
+        entry, cycle = self.violation.entry, self.violation.cycle
+        # every step but a final accept plays one edge, and until the play
+        # diverges each of them is the plan's next edge
+        k = len(play.steps)
+        if k < len(entry):
+            edge = entry[k]
+        elif self.violation.kind == "A":
+            if node != self.violation.node:
+                raise PlayError("violation path ended off target")
+            return Accept()
+        else:
+            edge = cycle[(k - len(entry)) % len(cycle)]
         if edge.src != node:
             raise PlayError(f"environment plan diverged at {node}")
         if node.kind == FRESH:
@@ -447,10 +435,6 @@ def run_play(arena: Arena, controller, environment, max_rounds=40, max_steps=500
         actor = controller if mover == "O" else environment
         move = actor.move(play)
         step(play, move)
-        for side in (controller, environment):
-            observe = getattr(side, "observe", None)
-            if observe:
-                observe(play)
         steps += 1
     return play
 

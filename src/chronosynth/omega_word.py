@@ -119,6 +119,27 @@ def omega_equivalent(w1: LassoWord, w2: LassoWord, relations: dict | None = None
     return True
 
 
+def transduce(step, state, word: LassoWord) -> LassoWord:
+    """Output lasso of a deterministic transducer run over a lasso.
+
+    ``step(state, letter)`` returns ``(next state, output)``.  The period is
+    pumped until the state at a period boundary recurs, which closes the
+    output lasso.
+    """
+    out = []
+    for letter in word.prefix:
+        state, emitted = step(state, letter)
+        out.append(emitted)
+    boundary = {}
+    while state not in boundary:
+        boundary[state] = len(out)
+        for letter in word.period:
+            state, emitted = step(state, letter)
+            out.append(emitted)
+    start = boundary[state]
+    return LassoWord(tuple(out[:start]), tuple(out[start:]))
+
+
 def zip_lassos(w1: LassoWord, w2: LassoWord) -> LassoWord:
     """Letter-wise pairing of two lassos, as a lasso over pairs."""
     from math import lcm

@@ -1,11 +1,18 @@
-"""Discrete solver vs oracles, machine extraction, machine runs."""
+"""Discrete solver vs oracles, machine extraction, machine runs.
 
+``PYTHONPATH=src python tests/test_discrete_game.py`` prints the pinned
+machine tables below, as recorded by the code under test.
+"""
+
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
 
-from chronosynth.automaton import MIN_EVEN, ParityAutomaton, accepts
+from chronosynth.automaton import CONVENTIONS, MIN_EVEN, ParityAutomaton, accepts
+from chronosynth.definable_synth import solve_definable, square_alphabet
 from chronosynth.discrete_game import (
     GameError,
     GameGraph,
@@ -190,37 +197,42 @@ def test_zielonka_agrees_with_brute_force_and_enumeration():
         assert not (zo & zi)
 
 
+def _assert_strategy_wins(g, player, region, strat):
+    """player's strategy keeps every play from region inside it, and the
+    opponent can reach no cycle whose top priority has the opponent's parity."""
+    for v in region:
+        if g.owner[v] == player:
+            assert v in strat, f"{player} has no move at {v}"
+            assert strat[v] in g.succ[v] and strat[v] in region, f"{player} leaves its region at {v}"
+    succ = {v: (strat[v],) if v in strat else g.succ[v] for v in g.owner}
+    reach = set(region)
+    frontier = list(region)
+    while frontier:
+        v = frontier.pop()
+        for w in succ[v]:
+            if w not in reach:
+                reach.add(w)
+                frontier.append(w)
+    losing_parity = 1 if player == "O" else 0
+    for p in {g.priority[v] for v in reach}:
+        if p % 2 != losing_parity:
+            continue
+        sub = {v for v in reach if g.priority[v] <= p}
+        for scc in _sccs(sub, succ):
+            if len(scc) > 1 or any(v in succ[v] for v in scc):
+                assert not any(
+                    g.priority[v] == p for v in scc
+                ), f"{player} strategy admits a cycle won by the opponent"
+
+
 def test_zielonka_strategy_is_winning_in_own_region():
     # validate extracted strategies by adversarial search in the fixed graph
     rng = random.Random(13)
     for _ in range(60):
         g = random_game(rng, n=rng.randint(2, 7))
         zo, zi, so, si = zielonka(g)
-        # O's strategy restricted: I must not find an odd-dominated cycle
-        for start in zo:
-            # plays from W_O under the strategy never leave W_O, so nodes
-            # outside it keep their raw successors without harm
-            succ = {
-                v: (so[v],) if (g.owner[v] == "O" and v in so) else g.succ[v]
-                for v in g.owner
-            }
-            reach = {start}
-            frontier = [start]
-            while frontier:
-                v = frontier.pop()
-                for w in succ[v]:
-                    if w not in reach:
-                        reach.add(w)
-                        frontier.append(w)
-            for p in {g.priority[v] for v in reach}:
-                if p % 2 == 0:
-                    continue
-                sub = {v for v in reach if g.priority[v] <= p}
-                for scc in _sccs(sub, succ):
-                    if len(scc) > 1 or any(v in succ[v] for v in scc):
-                        assert not any(
-                            g.priority[v] == p for v in scc
-                        ), "O strategy admits an odd cycle"
+        _assert_strategy_wins(g, "O", zo, so)
+        _assert_strategy_wins(g, "I", zi, si)
 
 
 def test_solve_copy_spec_identity():
@@ -304,3 +316,104 @@ def test_machine_serialization_roundtrip():
     data2 = machine_to_json(res2.counter)
     assert data2["kind"] == "moore_counter"
     assert data2["output"] == res2.counter.output
+
+
+# per seeded spec: (winner, first 16 hex digits of the sha256 of the winning
+# machine's JSON).  Zielonka's tie-breaking decides every strategy edge and so
+# every machine transition; these were recorded before the solver was made
+# player-symmetric.
+SOLVE_TABLE = {
+    0: ('output', '22948e3b9b82ce49'),
+    1: ('input', '25a578f1cb77f6aa'),
+    2: ('output', 'cd847b89e5b13a8b'),
+    3: ('output', '8285444901c05b0f'),
+    4: ('output', '00b5cafe33162792'),
+    5: ('output', '1da7957e24904d14'),
+    6: ('input', '1c121fafbf3a631b'),
+    7: ('output', '6213c299926ccd90'),
+    8: ('output', '5720b00e46459a94'),
+    9: ('output', '7799a3593bf69f56'),
+    10: ('output', '9765741a583dbfa1'),
+    11: ('output', '4511916577036a13'),
+    12: ('output', '51772d2a84d1b1e8'),
+    13: ('output', '1838a6ff04080c06'),
+    14: ('output', '4e67afff39b0c6e9'),
+    15: ('output', 'e40e96b7bf992b43'),
+    16: ('input', '161c22547380dc74'),
+    17: ('output', '368991319b22283a'),
+    18: ('input', '1fc4c3bb3451cd20'),
+    19: ('input', '8b0e6cda2ce4ba8f'),
+    20: ('input', '83f2546351bb678d'),
+    21: ('input', 'ca6771c08c7bd2ca'),
+    22: ('output', 'faee9ee32d0d98a2'),
+    23: ('output', '6694bfbf1bacf994'),
+    24: ('input', '84a080a7b669bb76'),
+    25: ('input', '962ecdad8cf51b0e'),
+    26: ('output', 'c4b8c236afaaf6fd'),
+    27: ('output', 'dd453dea2f7e0746'),
+    28: ('output', '18caaf03a0b575cf'),
+    29: ('input', '4b6a51a8a37b3758'),
+}
+
+# per seeded squared spec: (definable, machine digest, digest of the losing
+# region), recorded alongside SOLVE_TABLE.
+DEFINABLE_TABLE = {
+    0: (True, '3f66abb682c9381a', '4f53cda18c2baa0c'),
+    1: (False, 'f93cf14efc093026', '48ee6a0b8bbd5aa2'),
+    2: (False, 'fe475fd6f288c0f0', '59a89bcc832b9b6c'),
+    3: (False, '0d841554ccc6e15b', '48ee6a0b8bbd5aa2'),
+    4: (False, 'e3d0a21167f3cb3a', 'd13b200b4b4d27d1'),
+    5: (False, '1b4048aae10b6758', '59a89bcc832b9b6c'),
+    6: (False, '155b5de011c48aa5', '500e6b0e72d2278a'),
+    7: (False, 'f85b3dfdcb316e2e', '22b632cfda8fd687'),
+    8: (False, 'd299b912b6fb321e', '97956226dc1e24cf'),
+    9: (False, '3e5c707f7ee031e0', '48ee6a0b8bbd5aa2'),
+}
+
+
+def _digest(data):
+    return hashlib.sha256(json.dumps(data).encode()).hexdigest()[:16]
+
+
+def _seeded_spec(rng, n_states, letters):
+    states = [f"q{i}" for i in range(n_states)]
+    transition = {
+        (q, a, b): rng.choice(states) for q in states for a in letters for b in letters
+    }
+    priority = {q: rng.randint(0, 5) for q in states}
+    return ParityAutomaton(
+        tuple(states), letters, letters, transition, states[0], priority, rng.choice(CONVENTIONS)
+    )
+
+
+def _pinned_solve_rows():
+    rng = random.Random(29)
+    for i in range(30):
+        res = solve(_seeded_spec(rng, rng.randint(2, 30), ("0", "1")))
+        yield i, (res.winner, _digest(machine_to_json(res.mealy or res.counter)))
+
+
+def _pinned_definable_rows():
+    rng = random.Random(31)
+    for i in range(10):
+        res = solve_definable(_seeded_spec(rng, rng.randint(2, 8), square_alphabet("01")))
+        machine = res.witness or res.counter
+        yield i, (res.definable, _digest(machine_to_json(machine)), _digest(res.losing_region))
+
+
+def test_seeded_solve_machines_are_pinned():
+    for i, row in _pinned_solve_rows():
+        assert row == SOLVE_TABLE[i], i
+
+
+def test_seeded_definable_machines_are_pinned():
+    for i, row in _pinned_definable_rows():
+        assert row == DEFINABLE_TABLE[i], i
+
+
+if __name__ == "__main__":
+    for title, rows in (("SOLVE_TABLE", _pinned_solve_rows()), ("DEFINABLE_TABLE", _pinned_definable_rows())):
+        print(f"{title} = {{")
+        for i, row in rows:
+            print(f"    {i}: {row!r},")
+        print("}")
