@@ -105,7 +105,14 @@ def cmd_solve_discrete(args, out, err):
     machine = res.mealy if res.winner == "output" else res.counter
     payload["machine"] = machine_to_json(machine)
     if args.run:
-        word = parse_lasso(args.run)
+        side, alphabet = ("input", a.sigma_in) if res.winner == "output" else ("output", a.sigma_out)
+        try:
+            word = parse_lasso(args.run)
+        except ValueError as exc:
+            raise UsageError(f"--run {args.run!r}: {exc}") from exc
+        foreign = sorted(set(word.prefix + word.period) - set(alphabet))
+        if foreign:
+            raise UsageError(f"--run {args.run!r}: {foreign} not in the {side} alphabet {list(alphabet)}")
         if res.winner == "output":
             payload["run"] = {"input": args.run, "output": format_lasso(run_machine(machine, word))}
         else:

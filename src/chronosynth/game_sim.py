@@ -1,22 +1,23 @@
 """Operational semantics of the timed interrupt games.
 
 A play walks the arena with exact rational timestamps.  The controller
-commits blocks (an arena edge to a block node plus a positive time scale);
-the environment either accepts, ending the play, or interrupts at a chosen
-time, which resolves to a position inside the block: in the
-right-continuous game position n covers the half-open span ending at
-scale * n; in the finite-variability game odd positions are open intervals
-(interrupts from the left) and even positions are grid points (interrupts
-from the right, legal exactly at the grid).
+commits blocks (an arena edge to a block node); the i-th block of a play,
+counting from 0, runs at time scale 2^-i.  The environment either accepts,
+ending the play, or interrupts at a chosen time, which resolves to a
+position inside the block: in the right-continuous game position n covers
+the half-open span ending at scale * n; in the finite-variability game odd
+positions are open intervals (interrupts from the left) and even positions
+are grid points (interrupts from the right, legal exactly at the grid).
 
 Adjudication of capped plays detects the eventual cycle of the move
-sequence: an all-small cycle under geometrically shrinking scales keeps
-the total duration finite and goes to the controller; otherwise the
-maximal effective priority on the cycle decides.
+sequence: an all-small cycle keeps the total duration finite under the
+halving scales and goes to the controller; otherwise the maximal
+effective priority on the cycle decides.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -60,7 +61,6 @@ class InputForAWhile:
 @dataclass(frozen=True)
 class BlockMove:
     edge: ArenaEdge
-    scale: Fraction
 
 
 @dataclass(frozen=True)
@@ -77,11 +77,9 @@ class InterruptMove:
 
 @dataclass(frozen=True)
 class TraceStep:
-    mover: str
     text: str
     edge: ArenaEdge
     time: Fraction
-    scale: Fraction = None
 
 
 @dataclass
@@ -92,13 +90,10 @@ class TimedPlay:
     block_index: int = 0  # number of block moves committed so far
     block_start: Fraction = None
     block_scale: Fraction = None
+    interrupt_count: int = 0
     steps: list = field(default_factory=list)
     finished: bool = False
     final_accepting: bool = None
-
-    @property
-    def interrupt_count(self):
-        return sum(1 for s in self.steps if s.text.startswith("I interrupt"))
 
     def transcript(self) -> str:
         return "\n".join(s.text for s in self.steps) + ("\n" if self.steps else "")
@@ -114,29 +109,21 @@ def new_play(arena: Arena) -> TimedPlay:
     return TimedPlay(arena=arena, node=arena.fresh, now=Fraction(0))
 
 
-def _prefix_max_priority(arena: Arena, member, n: int) -> int:
-    """Max state priority over positions 1..n; constant past lag + period."""
-    pr = arena.automaton.priority
-    cap = min(n, len(member.lag) + len(member.period))
-    best = max(pr[member.letter(i)] for i in range(1, cap + 1))
-    return best
-
-
-def _ceil_div(num: Fraction, den: Fraction) -> int:
-    q = num / den
-    return -((-q.numerator) // q.denominator)
-
-
 def _interrupt_edge(arena: Arena, node: ArenaNode, n: int, b) -> ArenaEdge:
-    """The labeled edge of an interrupt to letter b at position n of node's block."""
+    """The labeled edge of an interrupt to letter b at position n of node's block.
+
+    Its priority is the max over positions 1..n, constant past lag + period.
+    """
     member = arena.member(node)
     dst, kind, size = interrupt_at(arena.semantics, member, n, b)
-    return ArenaEdge(node, dst, _prefix_max_priority(arena, member, n), size, kind)
+    pr = arena.automaton.priority
+    last = min(n, len(member.lag) + len(member.period))
+    return ArenaEdge(node, dst, max(pr[member.letter(i)] for i in range(1, last + 1)), size, kind)
 
 
 def _position_time(arena: Arena, play: TimedPlay, n: int) -> Fraction:
     """The latest interrupt time that resolves to position n of the current block."""
-    spans = n if arena.semantics == RC else -(-n // 2)
+    spans = n if arena.semantics == RC else (n + 1) // 2
     return play.block_start + play.block_scale * spans
 
 
@@ -154,26 +141,35 @@ def resolve_interrupt(arena: Arena, play: TimedPlay, move: InterruptMove):
     if arena.semantics == RC:
         if move.kind:
             raise IllegalMove("interrupt kinds belong to the fv game")
-        n = _ceil_div(t - t0, delta)
+        n = math.ceil((t - t0) / delta)
     elif move.kind == LEFT:
-        n = 2 * _ceil_div(t - t0, delta) - 1
+        n = 2 * math.ceil((t - t0) / delta) - 1
     elif move.kind == RIGHT:
         ratio = (t - t0) / delta
         if ratio.denominator != 1:
-            raise IllegalMove(
-                "interrupts from the right are legal exactly at grid points"
-            )
+            raise IllegalMove("interrupts from the right are legal exactly at grid points")
         n = 2 * ratio.numerator
     else:
         raise IllegalMove("fv interrupts must pick kind 'left' or 'right'")
-    edge = _interrupt_edge(arena, node, n, move.letter)
-    if edge not in arena.outgoing(node):
-        raise PlayError(f"resolved edge missing from the arena: {edge}")
-    return n, edge
+    return n, _interrupt_edge(arena, node, n, move.letter)
+
+
+def _take(play: TimedPlay, edge: ArenaEdge, missing_msg: str, text: str, time=None) -> TimedPlay:
+    """Move along an arena edge from the current node, at ``time`` if given, and record it."""
+    if edge not in play.arena.outgoing(play.node):
+        raise IllegalMove(missing_msg)
+    play.node = edge.dst
+    if time is not None:
+        play.now = time
+    play.steps.append(TraceStep(text, edge, play.now))
+    return play
 
 
 def step(play: TimedPlay, move) -> TimedPlay:
-    """Apply one move, validating ownership and legality."""
+    """Apply one move, validating ownership and legality.
+
+    Block i of the play, counting from 0, gets the time scale 2^-i.
+    """
     arena = play.arena
     node = play.node
     if play.finished:
@@ -182,58 +178,32 @@ def step(play: TimedPlay, move) -> TimedPlay:
     if isinstance(move, StartInput):
         if node.kind != FRESH:
             raise IllegalMove("start moves only at the fresh node")
-        dst = ArenaNode(O_PAIR, arena.automaton.initial, move.letter)
-        edge = ArenaEdge(node, dst)
-        if edge not in arena.outgoing(node):
-            raise IllegalMove(f"unknown input letter {move.letter!r}")
-        play.node = dst
-        play.steps.append(TraceStep("I", f"I start a={move.letter}", edge, play.now))
-        return play
+        edge = ArenaEdge(node, ArenaNode(O_PAIR, arena.automaton.initial, move.letter))
+        return _take(play, edge, f"unknown input letter {move.letter!r}", f"I start a={move.letter}")
 
     if isinstance(move, PointOutput):
         if not (node.kind == O_PAIR and arena.semantics == FV):
             raise IllegalMove("point outputs only at (q,a) nodes of the fv game")
-        dst = ArenaNode(O_DAG, move.state)
-        edge = ArenaEdge(node, dst)
-        if edge not in arena.outgoing(node):
-            raise IllegalMove(f"no output reaches state {move.state!r}")
-        play.node = dst
-        play.steps.append(TraceStep("O", f"O point q={move.state}", edge, play.now))
-        return play
+        edge = ArenaEdge(node, ArenaNode(O_DAG, move.state))
+        return _take(play, edge, f"no output reaches state {move.state!r}", f"O point q={move.state}")
 
     if isinstance(move, InputForAWhile):
         if node.kind != O_DAG:
             raise IllegalMove("input-for-a-while moves only at (q,+) nodes")
-        dst = ArenaNode(I_DAG, node.state, move.letter)
-        edge = ArenaEdge(node, dst)
-        if edge not in arena.outgoing(node):
-            raise IllegalMove(f"unknown input letter {move.letter!r}")
-        play.node = dst
-        play.steps.append(TraceStep("I", f"I input a={move.letter}", edge, play.now))
-        return play
+        edge = ArenaEdge(node, ArenaNode(I_DAG, node.state, move.letter))
+        return _take(play, edge, f"unknown input letter {move.letter!r}", f"I input a={move.letter}")
 
     if isinstance(move, BlockMove):
-        expected = O_PAIR if arena.semantics == RC else I_DAG
-        if node.kind != expected:
+        if node.kind != (O_PAIR if arena.semantics == RC else I_DAG):
             raise IllegalMove("block moves only at the controller's block nodes")
-        if move.edge.src != node or move.edge not in arena.outgoing(node):
-            raise IllegalMove("block edge does not leave the current node")
-        scale = Fraction(move.scale)
-        if scale <= 0:
-            raise IllegalMove("block scales must be positive")
-        play.node = move.edge.dst
+        scale = Fraction(1, 2**play.block_index)
+        _take(
+            play, move.edge, "block edge does not leave the current node",
+            f"O block u=u{move.edge.dst.up} scale={format_rational(scale)}",
+        )
         play.block_start = play.now
         play.block_scale = scale
         play.block_index += 1
-        play.steps.append(
-            TraceStep(
-                "O",
-                f"O block u=u{move.edge.dst.up} scale={format_rational(scale)}",
-                move.edge,
-                play.now,
-                scale,
-            )
-        )
         return play
 
     if isinstance(move, Accept):
@@ -241,24 +211,20 @@ def step(play: TimedPlay, move) -> TimedPlay:
             raise IllegalMove("accepting is only possible at block nodes")
         play.finished = True
         play.final_accepting = node in arena.final_up
-        play.steps.append(TraceStep("I", "I accept", None, play.now))
+        play.steps.append(TraceStep("I accept", None, play.now))
         return play
 
     if isinstance(move, InterruptMove):
         if node.kind != I_UP:
             raise IllegalMove("interrupts are only possible at block nodes")
-        n, edge = resolve_interrupt(arena, play, move)
-        play.node = edge.dst
-        play.now = Fraction(move.time)
+        _, edge = resolve_interrupt(arena, play, move)
         kind_part = f" kind={edge.kind}" if arena.semantics == FV else ""
-        play.steps.append(
-            TraceStep(
-                "I",
-                f"I interrupt t={format_rational(move.time)} letter={move.letter}{kind_part}",
-                edge,
-                play.now,
-            )
+        _take(
+            play, edge, f"resolved edge missing from the arena: {edge}",
+            f"I interrupt t={format_rational(move.time)} letter={move.letter}{kind_part}",
+            Fraction(move.time),
         )
+        play.interrupt_count += 1
         return play
 
     raise IllegalMove(f"unknown move {move!r}")
@@ -268,10 +234,10 @@ def adjudicate(play: TimedPlay) -> PlayOutcome:
     """Classify a finished or capped play.
 
     Finite plays are decided by the final node.  Capped plays must show an
-    eventual cycle in their move sequence: an all-small cycle whose block
-    scales keep halving converges (total time bounded by the lag bound
-    times the remaining geometric sum) and goes to the controller; any
-    other cycle is decided by its maximal effective priority.
+    eventual cycle in their move sequence: an all-small cycle converges,
+    since ``step`` halves the block scale each time (total time bounded by
+    the lag bound times the remaining geometric sum), and goes to the
+    controller; any other cycle is decided by its maximal effective priority.
     """
     if play.finished:
         if play.final_accepting:
@@ -287,9 +253,7 @@ def adjudicate(play: TimedPlay) -> PlayOutcome:
     if cycle is None:
         raise UndecidedError("no eventual cycle visible; raise the round cap")
     interrupts = [e for e in cycle if e.labeled]
-    scales = [s.scale for s in play.steps if s.scale is not None]
-    shrinking = all(b <= a / 2 for a, b in zip(scales, scales[1:]))
-    if interrupts and all(e.size == "small" for e in interrupts) and shrinking:
+    if interrupts and all(e.size == "small" for e in interrupts):
         return PlayOutcome("O", "zeno_O_win")
     prios = [p for e in cycle if (p := effective_priority(arena, e)) is not None]
     if not prios:
@@ -304,7 +268,7 @@ def adjudicate(play: TimedPlay) -> PlayOutcome:
 
 
 class ChoiceController:
-    """Plays a positional choice; the i-th block uses scale 2^-i."""
+    """Plays a positional choice."""
 
     def __init__(self, arena: Arena, choice: dict):
         self.arena = arena
@@ -317,7 +281,7 @@ class ChoiceController:
         edge = self.choice[node]
         if node.kind == O_PAIR and self.arena.semantics == FV:
             return PointOutput(edge.dst.state)
-        return BlockMove(edge, Fraction(1, 2**play.block_index))
+        return BlockMove(edge)
 
 
 def time_for_edge(arena: Arena, play: TimedPlay, edge: ArenaEdge, min_time=None):
@@ -334,7 +298,7 @@ def time_for_edge(arena: Arena, play: TimedPlay, edge: ArenaEdge, min_time=None)
     mult = 2 if arena.semantics == FV else 1
     start = 1
     if min_time is not None and min_time > play.block_start:
-        approx = _ceil_div(Fraction(min_time) - play.block_start, play.block_scale) * mult
+        approx = math.ceil((min_time - play.block_start) / play.block_scale) * mult
         start = max(1, approx - 2 * period_len * mult - 2)
     horizon = max(start, lag_len) + (4 * period_len + 2) * mult
     for n in range(start, horizon + 1):
@@ -346,6 +310,15 @@ def time_for_edge(arena: Arena, play: TimedPlay, edge: ArenaEdge, min_time=None)
         kind = edge.kind if arena.semantics == FV else ""
         return InterruptMove(t, edge.dst.letter, kind)
     raise PlayError(f"no position realizes {edge} at or after {min_time}")
+
+
+def _environment_move(arena: Arena, play: TimedPlay, edge: ArenaEdge, min_time=None):
+    """The environment move that takes ``edge`` from the current node."""
+    if play.node.kind == FRESH:
+        return StartInput(edge.dst.letter)
+    if play.node.kind == O_DAG:
+        return InputForAWhile(edge.dst.letter)
+    return time_for_edge(arena, play, edge, min_time)
 
 
 class RandomEnvironment:
@@ -363,25 +336,18 @@ class RandomEnvironment:
         self.force_accept_after = force_accept_after
 
     def move(self, play: TimedPlay):
-        node = play.node
-        outs = self.arena.outgoing(node)
-        if node.kind in (FRESH, O_DAG):
-            edge = self.rng.choice(sorted(outs))
-            if node.kind == FRESH:
-                return StartInput(edge.dst.letter)
-            return InputForAWhile(edge.dst.letter)
-        if (
-            self.force_accept_after is not None
-            and play.interrupt_count >= self.force_accept_after
+        outs = self.arena.outgoing(play.node)
+        if play.node.kind == I_UP and (
+            (self.force_accept_after is not None and play.interrupt_count >= self.force_accept_after)
+            or not outs
+            or self.rng.random() < self.accept_rate
         ):
-            return Accept()
-        if not outs or self.rng.random() < self.accept_rate:
             return Accept()
         edge = self.rng.choice(sorted(outs))
         bump = None
         if edge.size == "big" and self.rng.random() < 0.5:
             bump = play.now + self.rng.randint(1, 3)
-        return time_for_edge(self.arena, play, edge, min_time=bump)
+        return _environment_move(self.arena, play, edge, bump)
 
 
 class ViolationEnvironment:
@@ -414,67 +380,45 @@ class ViolationEnvironment:
             edge = cycle[(k - len(entry)) % len(cycle)]
         if edge.src != node:
             raise PlayError(f"environment plan diverged at {node}")
-        if node.kind == FRESH:
-            return StartInput(edge.dst.letter)
-        if node.kind == O_DAG:
-            return InputForAWhile(edge.dst.letter)
         min_time = None
         if edge.size == "big":
             min_time = play.now + 1
             if self.rng is not None:
                 min_time += self.rng.randint(0, 3)
-        return time_for_edge(self.arena, play, edge, min_time=min_time)
+        return _environment_move(self.arena, play, edge, min_time)
 
 
-def run_play(arena: Arena, controller, environment, max_rounds=40, max_steps=5000):
+def run_play(arena: Arena, controller, environment, max_rounds=40):
     """Drive a play to acceptance or the round cap; returns the play."""
     play = new_play(arena)
-    steps = 0
-    while not play.finished and play.interrupt_count < max_rounds and steps < max_steps:
-        mover = arena.owner(play.node)
-        actor = controller if mover == "O" else environment
-        move = actor.move(play)
-        step(play, move)
-        steps += 1
+    while not play.finished and play.interrupt_count < max_rounds:
+        actor = controller if arena.owner(play.node) == "O" else environment
+        step(play, actor.move(play))
     return play
 
 
 # -- the geometric-scale demonstration play ----------------------------------
 
 
-class HoldThenFlipController:
+class HoldThenFlipController(ChoiceController):
     """Block choice that keeps the current output for one span, then jumps.
 
+    At each block node of the rc arena it picks the first block that is off
+    ``settle_state`` at position 1 and settles there from position 2 on.
     Scales shrink geometrically, so an environment determined to interrupt
     before the jump materializes runs out of time.
     """
 
     def __init__(self, arena: Arena, settle_state):
-        self.arena = arena
-        self.settle = settle_state
-
-    def pick_block_edge(self, node):
-        best = None
-        for e in self.arena.outgoing(node):
-            member = self.arena.member(e.dst)
-            if member.letter(1) == self.settle:
-                continue
-            if member.letter(2) != self.settle:
-                continue
-            if set(member.period) != {self.settle}:
-                continue
-            if best is None:
-                best = e
-        if best is None:
-            raise PlayError(f"no hold-then-flip block available at {node}")
-        return best
-
-    def move(self, play: TimedPlay):
-        node = play.node
-        if node.kind == O_PAIR and self.arena.semantics == FV:
+        if arena.semantics != RC:
             raise PlayError("this demonstration runs on the rc arena")
-        edge = self.pick_block_edge(node)
-        return BlockMove(edge, Fraction(1, 2**play.block_index))
+        choice = {}
+        for e in arena.edges:
+            if e.src.kind == O_PAIR and e.src not in choice:
+                m = arena.member(e.dst)
+                if m.letter(1) != settle_state and m.letter(2) == settle_state and set(m.period) == {settle_state}:
+                    choice[e.src] = e
+        super().__init__(arena, choice)
 
 
 class LastInstantInterrupter:
@@ -593,12 +537,9 @@ class PlaySession:
         if cmd == "interrupt" and len(parts) in (3, 4):
             kind = parts[3] if len(parts) == 4 else ""
             return InterruptMove(parse_rational(parts[1]), parts[2], kind)
-        if cmd == "late" and len(parts) in (2, 3):
+        if cmd in ("late", "big") and len(parts) in (2, 3):
             kind = parts[2] if len(parts) == 3 else (LEFT if self.arena.semantics == FV else "")
-            return self._late_or_big(play, parts[1], kind, "small")
-        if cmd == "big" and len(parts) in (2, 3):
-            kind = parts[2] if len(parts) == 3 else (LEFT if self.arena.semantics == FV else "")
-            return self._late_or_big(play, parts[1], kind, "big")
+            return self._late_or_big(play, parts[1], kind, "small" if cmd == "late" else "big")
         raise IllegalMove(f"cannot parse {line!r}")
 
     def run(self):

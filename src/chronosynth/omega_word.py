@@ -161,7 +161,7 @@ def parse_lasso(text: str) -> LassoWord:
     if not s.endswith("^w"):
         raise ValueError(f"lasso must end with '^w': {text!r}")
     body = s[:-2]
-    if not body.endswith(")"):
+    if not body.endswith(")") or "(" not in body:
         raise ValueError(f"missing period parentheses: {text!r}")
     open_idx = body.index("(")
     u_part, v_part = body[:open_idx], body[open_idx + 1 : -1]

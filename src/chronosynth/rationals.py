@@ -16,8 +16,10 @@ def parse_rational(text) -> Fraction:
         raise ValueError("floating point time is not accepted; use 'p/q' strings")
     s = str(text).strip()
     if "/" in s:
-        num, den = s.split("/", 1)
-        return Fraction(int(num), int(den))
+        num, den = (int(part) for part in s.split("/", 1))
+        if den == 0:
+            raise ValueError(f"zero denominator in {s!r}")
+        return Fraction(num, den)
     return Fraction(int(s))
 
 

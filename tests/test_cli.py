@@ -184,6 +184,22 @@ def test_solve_discrete_run_lasso():
     assert data["run"]["input"]  # the counter machine's reply, as a lasso
 
 
+@pytest.mark.parametrize(
+    "fixture, lasso, detail",
+    [
+        ("psi_copy", "01", "must end with '^w'"),
+        ("psi_copy", "0()^w", "period must be nonempty"),
+        ("psi_copy", "01)^w", "missing period parentheses"),
+        ("psi_copy_d", "0(1)^w", "not in the input alphabet"),
+        ("predict_next", "0(2)^w", "not in the output alphabet"),
+    ],
+)
+def test_solve_discrete_bad_run_lasso_is_a_usage_error(fixture, lasso, detail):
+    code, out, err = run_cli("solve-discrete", str(FIXTURES / f"{fixture}.json"), "--run", lasso)
+    _one_line_usage_error(code, out, err)
+    assert detail in err
+
+
 def test_check_fixtures_passes():
     code, out, _ = run_cli("check-fixtures")
     assert code == EXIT_OK

@@ -6,6 +6,7 @@ and records the new digests: ``python tests/test_cli_pinned.py`` prints
 them.
 """
 
+import contextlib
 import hashlib
 import io
 import pathlib
@@ -26,6 +27,21 @@ SCRIPTS = {
         "start 0", "late 1", "input 0", "big 1", "input 1", "late 0",
         "interrupt 9 1", "accept", "input 0", "accept",
     ],
+    # one line per illegal-move message a session can print; the blank line
+    # is dropped from a --script file and reaches the session from stdin
+    "illegal-rc": [
+        "help", "", "nonsense", "start", "accept", "interrupt 1 1", "late 1", "input 0",
+        "start 7", "start 0", "start 0", "input 0", "interrupt 0 1", "interrupt 1/2 7",
+        "interrupt 1/2 0", "interrupt 1/2 1 left", "interrupt x 1", "interrupt 1/2 1",
+        "late 0", "accept",
+    ],
+    "illegal-fv": [
+        "help", "", "nonsense", "input 0", "start 7", "start 0", "start 0", "input 7",
+        "accept", "interrupt 1 1 left", "big 1", "input 0", "interrupt 0 1 left",
+        "interrupt 1/2 0 left", "interrupt 1/2 7 left", "interrupt 1/2 1",
+        "interrupt 1/2 1 bogus", "late 1 bogus", "interrupt 1/2 1 right", "interrupt 1",
+        "input 0", "interrupt 1 1 right", "late 0", "input 1", "accept",
+    ],
 }
 
 
@@ -44,6 +60,9 @@ def _invocations():
     for name in ("one_state", "psi_copy", "psi_jump_fv", "psi_jump_rc"):
         for sem in ("rc", "fv"):
             yield ("play", "--semantics", sem, "--script", f"script-{sem}", name)
+    for sem in ("rc", "fv"):
+        yield ("play", "--semantics", sem, "--script", f"script-illegal-{sem}", "psi_copy")
+        yield ("play", "--semantics", sem, f"stdin-illegal-{sem}", "psi_copy")
 
 
 INVOCATIONS = list(_invocations())
@@ -106,6 +125,10 @@ PINNED = {
     "play --semantics fv --script script-fv psi_jump_fv": "414c701e76f7de74bb6a9065cff63cd76b9ec07abdd030a2d28886569ba86444",
     "play --semantics rc --script script-rc psi_jump_rc": "a8f7e7572be6b13b2cab87ab458b4f0be2f855401fa4e20268268f8870311d66",
     "play --semantics fv --script script-fv psi_jump_rc": "9d12facd91881308a3998ca699b1c1262e47e288015e2c85f53dd7b6e4c5a04b",
+    "play --semantics rc --script script-illegal-rc psi_copy": "6ff0eea3980d624811985865ec9e8cb76e42a6fc7e8f4acffd9a1d909f682437",
+    "play --semantics rc stdin-illegal-rc psi_copy": "4deb8955478f797925d0c17837f807521841d4f7db6f68998356c565ed7b5630",
+    "play --semantics fv --script script-illegal-fv psi_copy": "b4db68c14efb5fc6d5839270edc57ffa7ed0fe906921a9e0ff64dcacedfb6d00",
+    "play --semantics fv stdin-illegal-fv psi_copy": "501e127bc76b13f95102e6d2145e2bdb2120e14ea5c55c096c895e7c0dfcfdbf",
 }
 
 
@@ -113,15 +136,24 @@ def _digest(invocation, tmp_dir):
     from chronosynth.cli import main  # imported late: run as a script, src/ joins the path first
 
     *args, name = invocation
-    argv = []
+    argv, stdin = [], ""
     for arg in args:
+        if arg.startswith("stdin-"):
+            # typed at the prompt: the "> " prompts go to sys.stdout, not to out
+            stdin = "\n".join(SCRIPTS[arg[len("stdin-"):]]) + "\n"
+            continue
         if arg.startswith("script-"):
             path = pathlib.Path(tmp_dir) / arg
             path.write_text("\n".join(SCRIPTS[arg[len("script-"):]]) + "\n")
             arg = str(path)
         argv.append(arg)
     out, err = io.StringIO(), io.StringIO()
-    code = main(argv + [str(FIXTURES / f"{name}.json")], out=out, err=err)
+    saved_stdin, sys.stdin = sys.stdin, io.StringIO(stdin)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(argv + [str(FIXTURES / f"{name}.json")], out=out, err=err)
+    finally:
+        sys.stdin = saved_stdin
     return hashlib.sha256(f"{code}\n{out.getvalue()}".encode("utf-8")).hexdigest()
 
 

@@ -7,12 +7,13 @@ from fractions import Fraction
 
 import pytest
 
-from chronosynth.arena import FV, I_UP, RC
+from chronosynth.arena import FV, I_UP, O_PAIR, RC
 from chronosynth.automaton import load_automaton
 from chronosynth.continuous_synth import build_game_arena, decide_continuous
 from chronosynth.fixtures import copy_spec, jump_spec_rc
 from chronosynth.game_sim import (
     Accept,
+    BlockMove,
     ChoiceController,
     IllegalMove,
     InputForAWhile,
@@ -23,6 +24,7 @@ from chronosynth.game_sim import (
     UndecidedError,
     ViolationEnvironment,
     PlaySession,
+    PointOutput,
     adjudicate,
     new_play,
     play_example_geometric,
@@ -32,6 +34,7 @@ from chronosynth.game_sim import (
     step,
     time_for_edge,
 )
+from chronosynth.rationals import format_rational
 
 F = Fraction
 FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
@@ -128,6 +131,30 @@ def test_fv_left_interrupt_lands_on_odd_position():
     n, edge = resolve_interrupt(arena, play, mv)
     assert n % 2 == 1
     assert edge.kind == "left"
+
+
+def test_block_i_runs_at_scale_two_to_the_minus_i():
+    # the schedule belongs to step: a block move names only its edge
+    for res in (rc_setup(), fv_setup()):
+        arena = res.arena
+        for seed in range(10):
+            env = RandomEnvironment(arena, random.Random(seed), accept_rate=0.05)
+            play = new_play(arena)
+            while not play.finished and play.interrupt_count < 8:
+                edge = res.witness.get(play.node)
+                if arena.owner(play.node) == "I":
+                    step(play, env.move(play))
+                elif play.node.kind == O_PAIR and arena.semantics == FV:
+                    step(play, PointOutput(edge.dst.state))
+                else:
+                    step(play, BlockMove(edge))
+            blocks = [s.text for s in play.steps if s.text.startswith("O block")]
+            assert blocks
+            for i, text in enumerate(blocks):
+                assert text.endswith(f" scale={format_rational(F(1, 2**i))}"), (res.semantics, seed, i)
+            assert play.block_index == len(blocks)
+            interrupts = [s for s in play.steps if s.text.startswith("I interrupt")]
+            assert play.interrupt_count == len(interrupts), (res.semantics, seed)
 
 
 def test_witness_never_loses_random_plays():
@@ -273,14 +300,15 @@ def test_interactive_session_scripted_replay_is_deterministic():
 
 def test_interactive_session_rejects_bad_input_and_reprompts():
     res = rc_setup()
-    script = ["start 0", "interrupt 0 1", "nonsense", "late 1", "accept"]
+    script = ["start 0", "interrupt 0 1", "nonsense", "interrupt 1/0 1", "late 1", "accept"]
     out = []
     play, outcome = PlaySession(
         res.arena, ChoiceController(res.arena, res.witness),
         script_reader(script), out.append,
     ).run()
     text = "\n".join(out)
-    assert "illegal move" in text
+    assert text.count("illegal move") == 3
+    assert "illegal move: zero denominator in '1/0'" in out
     assert outcome is not None
 
     # late/big typed at an fv (q,+) node, before any block exists
