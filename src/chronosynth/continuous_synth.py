@@ -236,7 +236,7 @@ class SynthResult:
     witness: dict | None
     arena: Arena
     stats: SynthStats
-    violation: Violation | None = None  # witness for the empty-choice case
+    violation: Violation | None = None  # of the last choice the search enumerated
 
 
 def partial_strategy_graph(arena: Arena, choice: dict) -> StrategyGraph:

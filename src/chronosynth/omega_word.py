@@ -7,6 +7,7 @@ letter pairs.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 
@@ -151,11 +152,13 @@ def zip_lassos(w1: LassoWord, w2: LassoWord) -> LassoWord:
     return LassoWord(prefix, period)
 
 
-def parse_lasso(text: str) -> LassoWord:
+def parse_lasso(text: str, alphabet=()) -> LassoWord:
     """Parse the textual syntax ``u(v)^w``, e.g. ``ab(ba)^w``.
 
-    Letters are single characters unless commas are present, in which case
-    the comma-separated pieces are the letters.
+    A letter of ``alphabet`` is read whole, the longest first, so letters
+    that contain commas, such as the squared ``0,1``, can be written; commas
+    between letters are optional.  Any other letter runs to the next comma
+    when its part of the lasso has one, and is one character otherwise.
     """
     s = text.strip()
     if not s.endswith("^w"):
@@ -165,11 +168,11 @@ def parse_lasso(text: str) -> LassoWord:
         raise ValueError(f"missing period parentheses: {text!r}")
     open_idx = body.index("(")
     u_part, v_part = body[:open_idx], body[open_idx + 1 : -1]
+    known = [re.escape(a) for a in sorted(alphabet, key=len, reverse=True)]
 
     def letters(chunk: str) -> tuple:
-        if "," in chunk:
-            return tuple(piece for piece in chunk.split(",") if piece)
-        return tuple(chunk)
+        other = "[^,]+" if "," in chunk else "."
+        return tuple(re.findall("|".join([*known, other]), chunk, re.DOTALL))
 
     return LassoWord(letters(u_part), letters(v_part))
 

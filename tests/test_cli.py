@@ -28,6 +28,10 @@ def test_usage_error_exit_code():
     assert code == EXIT_USAGE
     code, _, _ = run_cli("no-such-command")
     assert code == EXIT_USAGE
+    code, _, _ = run_cli("check-fixtures")
+    assert code == EXIT_USAGE
+    code, _, _ = run_cli("--seed", "0", "synth", "--semantics", "fv", str(FIXTURES / "psi_copy.json"))
+    assert code == EXIT_USAGE
 
 
 def test_argparse_output_goes_to_the_given_streams(capsys):
@@ -167,6 +171,10 @@ def test_resource_cap_exit_code():
     )
     assert code == EXIT_USAGE
     assert out == "" and "--monoid-cap" in err  # argparse's message
+    # psi_copy's table has 24 classes and 10 idempotents: build_UP would try 240 pairs
+    code, out, err = run_cli("--monoid-cap", "100", "monoid", str(FIXTURES / "psi_copy.json"))
+    assert code == EXIT_CAP
+    assert out == "" and "240 pairs" in err
 
 
 def test_output_determinism():
@@ -185,6 +193,20 @@ def test_solve_discrete_run_lasso():
 
 
 @pytest.mark.parametrize(
+    "fixture, lasso, answer",
+    [
+        ("psi_copy_d", "0,0(0,1)^w", "0,0(0,1)^w"),
+        ("psi_copy_d", "0,0,1,1(0,1)^w", "0,0,1,1(0,1)^w"),
+        ("psi_copy", "0,1(1,0)^w", "01(10)^w"),
+    ],
+)
+def test_solve_discrete_run_reads_letters_of_the_spec(fixture, lasso, answer):
+    code, out, err = run_cli("solve-discrete", str(FIXTURES / f"{fixture}.json"), "--run", lasso)
+    assert code == EXIT_OK, err
+    assert json.loads(out)["run"] == {"input": lasso, "output": answer}
+
+
+@pytest.mark.parametrize(
     "fixture, lasso, detail",
     [
         ("psi_copy", "01", "must end with '^w'"),
@@ -198,13 +220,6 @@ def test_solve_discrete_bad_run_lasso_is_a_usage_error(fixture, lasso, detail):
     code, out, err = run_cli("solve-discrete", str(FIXTURES / f"{fixture}.json"), "--run", lasso)
     _one_line_usage_error(code, out, err)
     assert detail in err
-
-
-def test_check_fixtures_passes():
-    code, out, _ = run_cli("check-fixtures")
-    assert code == EXIT_OK
-    assert "all checks passed" in out
-    assert out.count("ok ") >= 9
 
 
 def test_fixture_files_match_their_builders():

@@ -1,6 +1,7 @@
 """Jump-discipline monitor and definable-operator decisions."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -20,12 +21,19 @@ from chronosynth.definable_synth import (
     square_alphabet,
 )
 from chronosynth import definable_synth, discrete_game
+from chronosynth.fixtures import copy_spec
 from chronosynth.discrete_game import (
     game_from_automaton,
     run_machine,
 )
 from chronosynth.omega_word import LassoWord, zip_lassos
-from chronosynth.signal import is_stuttering_free, stutter_normalize
+from chronosynth.signal import (
+    delta_signal,
+    encode_D,
+    integer_samples,
+    is_stuttering_free,
+    stutter_normalize,
+)
 
 from oracles import brute_force_solve
 
@@ -190,6 +198,27 @@ def test_witness_sound_on_stuttering_free_inputs():
             if flat[i][1] != flat[i - 1][1]:
                 assert flat[i][0] != flat[i - 1][0]
         checked += 1
+
+
+def test_witness_answers_indicator_prefixes_alike_until_they_diverge():
+    res = solve_definable(copy_spec(SQ))
+    assert res.definable
+    m = res.witness
+    grid = integer_samples(Fraction(1, 6))
+    w1 = encode_D(delta_signal(1), grid)
+    for t in (Fraction(1, 2), Fraction(1, 3)):
+        # the encodings of delta(1) and delta(t) agree strictly below index k;
+        # a causal machine must answer identically there
+        w2 = encode_D(delta_signal(t), grid)
+        k = 0
+        while w1.letter_at(k) == w2.letter_at(k):
+            k += 1
+        assert k > 0
+        q1 = q2 = m.initial
+        for i in range(k):
+            q1, b1 = m.react(q1, pair_letter(*w1.letter_at(i)))
+            q2, b2 = m.react(q2, pair_letter(*w2.letter_at(i)))
+            assert b1 == b2, (t, i)
 
 
 def test_sc_counter_trivial_specs():

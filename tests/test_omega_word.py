@@ -126,6 +126,18 @@ def test_parse_and_format_roundtrip():
     assert parse_lasso(format_lasso(w2)) == w2
 
 
+def test_parse_reads_the_letters_of_its_alphabet_whole():
+    squared = ("0,0", "0,1", "1,0", "1,1")
+    w = parse_lasso("0,0,1,1(0,1)^w", squared)
+    assert w == LassoWord(("0,0", "1,1"), ("0,1",))
+    assert parse_lasso(format_lasso(w), squared) == w
+    bits = LassoWord(("0", "1"), ("1", "0"))
+    assert parse_lasso("0,1(1,0)^w", ("0", "1")) == bits
+    assert parse_lasso("01(10)^w", ("0", "1")) == bits
+    # text that is no letter of the alphabet is read as before
+    assert parse_lasso("0(1)^w", squared) == LassoWord(("0",), ("1",))
+
+
 def test_zip_lassos_alignment():
     w1 = LassoWord(("a",), ("b", "c"))
     w2 = LassoWord((), ("x", "y", "z"))

@@ -284,6 +284,23 @@ def test_counter_operator_delta_input():
     assert g2.value_at(2) == "1"
 
 
+def test_counter_operator_flips_until_the_first_jump_then_holds_one():
+    rng = random.Random(29)
+    checked = 0
+    for _ in range(100):
+        y = random_signal(rng)
+        t0 = y.first_jump_after_zero()
+        if t0 is None:
+            continue
+        g = counter_operator(y)
+        flip = {"0": "1", "1": "0"}[y.right_limit(0)]
+        assert g.value_at(t0 / 2) == flip
+        assert g.value_at(t0) == flip
+        assert g.value_at(t0 + 1) == "1"
+        checked += 1
+    assert checked > 50
+
+
 def test_counter_operator_differs_from_argument():
     rng = random.Random(71)
     for _ in range(100):
