@@ -239,10 +239,25 @@ def automaton_from_json(data) -> ParityAutomaton:
         if isinstance(p, bool) or not isinstance(p, int):
             raise AutomatonError(f"priority of {q!r} is not an integer: {p!r}")
         priority[q] = p
+    # membership as in the list of states; JSON arrays and objects cannot be
+    # hashed, so they are kept apart and scanned
+    known, unhashable = set(), []
+    for q in states:
+        try:
+            known.add(q)
+        except TypeError:
+            unhashable.append(q)
+
+    def declared(q):
+        try:
+            return q in known
+        except TypeError:
+            return q in unhashable
+
     transition = {}
     for entry in data["transitions"]:
         q, ain, aout, tgt = entry["from"], entry["in"], entry["out"], entry["to"]
-        if q not in states:
+        if not declared(q):
             raise AutomatonError(f"transition from undeclared state {q!r}")
         if ain not in sigma_in or aout not in sigma_out:
             raise AutomatonError(f"transition letter ({ain!r}, {aout!r}) undeclared")
@@ -251,20 +266,21 @@ def automaton_from_json(data) -> ParityAutomaton:
             raise AutomatonError(f"duplicate transition at {key!r}")
         transition[key] = tgt
 
-    referenced_sink = any(t == SINK for t in transition.values()) and SINK not in states
+    referenced_sink = any(t == SINK for t in transition.values()) and SINK not in known
     incomplete = any(
         (q, a, b) not in transition for q in states for a in sigma_in for b in sigma_out
     )
     if referenced_sink or incomplete:
-        if SINK not in states:
+        if SINK not in known:
             states.append(SINK)
+            known.add(SINK)
             priority[SINK] = _worst_priority(convention, priority.values())
         for q in states:
             for a in sigma_in:
                 for b in sigma_out:
                     transition.setdefault((q, a, b), SINK)
     for tgt in transition.values():
-        if tgt not in states:
+        if not declared(tgt):
             raise AutomatonError(f"transition target {tgt!r} undeclared")
     return ParityAutomaton(
         states=tuple(states),

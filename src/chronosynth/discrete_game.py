@@ -4,8 +4,8 @@ The synthesis game alternates input and output letters inside one time
 step: from position ('i', q) the input player picks a, from ('o', q, a) the
 output player answers b, and the automaton advances to d(q, (a, b)).  The
 output player wins a play iff the traversed state sequence is accepted.
-Solving is by recursive attractor decomposition with positional strategy
-extraction.
+Solving is by attractor decomposition (Zielonka) on integer-numbered nodes,
+with positional strategy extraction.
 """
 
 from __future__ import annotations
@@ -37,9 +37,13 @@ class GameGraph:
         return self.owner.keys()
 
     def check(self):
+        """Every node has a successor, and every successor is a node."""
         for v in self.owner:
             if not self.succ.get(v):
                 raise GameError(f"node {v!r} has no successor (games must be total)")
+            for w in self.succ[v]:
+                if w not in self.owner:
+                    raise GameError(f"successor {w!r} of node {v!r} is not a node")
 
 
 def game_from_automaton(a: ParityAutomaton) -> GameGraph:
@@ -58,80 +62,122 @@ def game_from_automaton(a: ParityAutomaton) -> GameGraph:
     return GameGraph(owner, priority, succ)
 
 
-def _attractor(g: GameGraph, region, target, player):
-    """Player-forced reachability of target inside region, with strategy."""
-    region = set(region)
-    attr = set(target) & region
-    strategy = {}
-    preds = {v: [] for v in region}
-    for v in region:
-        for w in g.succ[v]:
-            if w in region:
-                preds[w].append(v)
-    out_count = {
-        v: sum(1 for w in g.succ[v] if w in region) for v in region
-    }
-    frontier = sorted(attr)
-    while frontier:
-        new_frontier = []
-        for w in frontier:
-            for v in preds[w]:
-                if v in attr:
-                    continue
-                if g.owner[v] == player:
-                    attr.add(v)
-                    if v not in strategy:
-                        strategy[v] = w
-                    new_frontier.append(v)
-                else:
-                    out_count[v] -= 1
-                    if out_count[v] == 0:
-                        attr.add(v)
-                        new_frontier.append(v)
-        frontier = sorted(new_frontier)
-    return attr, strategy
-
-
-def _complete(g: GameGraph, player, strat, nodes, region):
-    """Give each of player's nodes without a move its first successor in region."""
-    for v in sorted(nodes):
-        if g.owner[v] == player and v not in strat:
-            for w in g.succ[v]:
-                if w in region:
-                    strat[v] = w
-                    break
-
-
 def zielonka(g: GameGraph):
-    """Winning regions and positional strategies for both players."""
-    g.check()
+    """Winning regions and positional strategies for both players.
 
-    def solve(region):
-        """Per-player winning regions and strategies on the subgame region."""
-        if not region:
-            return {"O": set(), "I": set()}, {"O": {}, "I": {}}
-        p = max(g.priority[v] for v in region)
-        player = "O" if p % 2 == 0 else "I"
-        other = "I" if player == "O" else "O"
-        top = sorted(v for v in region if g.priority[v] == p)
-        attr, attr_strat = _attractor(g, region, top, player)
-        win, strat = solve(region - attr)
-        if not win[other]:
-            # player wins everywhere: attractor strategy on attr, plus an
-            # arbitrary region-internal edge on top nodes owned by player
-            mine = {**strat[player], **attr_strat}
-            _complete(g, player, mine, attr, region)
-            return {player: region, other: set()}, {player: mine, other: {}}
-        b, b_strat = _attractor(g, region, win[other], other)
-        win2, strat2 = solve(region - b)
-        win2[other] = win2[other] | b
-        strat2[other] = {**strat2[other], **strat[other], **b_strat}
-        return win2, strat2
+    Nodes are numbered by their rank in sorted order, so every sorted list of
+    numbers below visits nodes in sorted order, and every tie is broken as on
+    the nodes themselves.  A region is a sorted list of numbers together with
+    a bytearray marking its members.  Only the first recursive call of the
+    attractor decomposition recurses, on a subgame without the top priority,
+    so the depth is at most the number of distinct priorities plus one.
+    """
+    nodes = sorted(g.owner)
+    index = {v: i for i, v in enumerate(nodes)}
+    # distinct successors in tuple order; pred[w] lists each predecessor once
+    try:
+        succ = [list(dict.fromkeys(map(index.__getitem__, g.succ[v]))) for v in nodes]
+    except KeyError:
+        succ = None
+    if succ is None or not all(succ):
+        g.check()  # names the node without a successor, or the one that is not a node
+    owner = [g.owner[v] for v in nodes]
+    priority = [g.priority[v] for v in nodes]
+    pred = [[] for _ in nodes]
+    for v, ws in enumerate(succ):
+        for w in ws:
+            pred[w].append(v)
+
+    def attractor(inside, target, player):
+        """player-forced reachability of target (sorted, inside the region).
+
+        Returns the membership of the region minus the attractor, the
+        attractor's nodes and player's moves towards target.
+        """
+        rest = bytearray(inside)
+        for v in target:
+            rest[v] = 0
+        attr, strategy, count = list(target), {}, {}
+        frontier = target
+        while frontier:
+            new_frontier = []
+            for w in frontier:
+                for v in pred[w]:
+                    if not rest[v]:
+                        continue
+                    if owner[v] == player:
+                        rest[v] = 0
+                        strategy[v] = w
+                        new_frontier.append(v)
+                        continue
+                    c = count.get(v)
+                    if c is None:
+                        c = sum(map(inside.__getitem__, succ[v]))
+                    if c == 1:
+                        rest[v] = 0
+                        new_frontier.append(v)
+                    else:
+                        count[v] = c - 1
+            new_frontier.sort()
+            attr += new_frontier
+            frontier = new_frontier
+        return rest, attr, strategy
+
+    def complete(player, strat, region_nodes, inside):
+        """Give each of player's nodes without a move its first successor in the region."""
+        for v in sorted(region_nodes):
+            if owner[v] == player and v not in strat:
+                for w in succ[v]:
+                    if inside[w]:
+                        strat[v] = w
+                        break
+
+    def solve(inside, region):
+        """Per-player winning regions and strategies on the subgame region.
+
+        Each pass that the opponent of the top priority's player wins part
+        of peels that part's attractor off and goes on with the rest; the
+        peeled parts join the opponent's region and strategy on the way out.
+        """
+        peeled = []
+        while True:
+            if not region:
+                win, strat = {"O": [], "I": []}, {"O": {}, "I": {}}
+                break
+            p = max(priority[v] for v in region)
+            player = "O" if p % 2 == 0 else "I"
+            other = "I" if player == "O" else "O"
+            top = [v for v in region if priority[v] == p]
+            rest, attr, attr_strat = attractor(inside, top, player)
+            win, strat = solve(rest, [v for v in region if rest[v]])
+            if not win[other]:
+                # player wins everywhere: attractor strategy on attr, plus an
+                # arbitrary region-internal edge on top nodes owned by player
+                mine = {**strat[player], **attr_strat}
+                complete(player, mine, attr, inside)
+                win, strat = {player: region, other: []}, {player: mine, other: {}}
+                break
+            rest, b, b_strat = attractor(inside, sorted(win[other]), other)
+            peeled.append((other, b, strat[other], b_strat))
+            inside, region = rest, [v for v in region if rest[v]]
+        for other, b, s, b_strat in reversed(peeled):
+            win[other] = win[other] + b
+            strat[other] = {**strat[other], **s, **b_strat}
+        return win, strat
 
     # each solve gives a player a move at every node it owns in its winning
-    # region (from a subgame, an attractor or _complete), so no final pass
-    win, strat = solve(set(g.nodes()))
-    return win["O"], win["I"], strat["O"], strat["I"]
+    # region (from a subgame, an attractor or complete), so no final pass
+    win, strat = solve(bytearray(b"\x01") * len(nodes), list(range(len(nodes))))
+
+    def named(s):
+        return {nodes[v]: nodes[w] for v, w in s.items()}
+
+    return (
+        {nodes[v] for v in win["O"]},
+        {nodes[v] for v in win["I"]},
+        named(strat["O"]),
+        named(strat["I"]),
+    )
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,12 @@
 """Slow reference procedures that the tests check the library against.
 
 ``brute_force_solve`` solves a parity game by naive nested fixpoints, as an
-oracle for ``discrete_game.zielonka``; ``naive_equiv`` checks the defining
-conditions of the state-string congruence literally, as an oracle for
-``state_monoid.signature_of`` and ``product``.
+oracle for ``discrete_game.zielonka``; ``reference_zielonka`` is that solver
+on node-keyed sets, with both recursive calls and predecessor lists rebuilt
+per attractor, and must return exactly what ``zielonka`` returns, strategies
+included; ``naive_equiv`` checks the defining conditions of the state-string
+congruence literally, as an oracle for ``state_monoid.signature_of`` and
+``product``.
 """
 
 from chronosynth.discrete_game import GameError, GameGraph
@@ -43,6 +46,82 @@ def brute_force_solve(g: GameGraph, node_cap: int = 64):
 
     w_o = eval_chain(0)
     return w_o, nodes - w_o
+
+
+def _attractor(g: GameGraph, region, target, player):
+    """Player-forced reachability of target inside region, with strategy."""
+    region = set(region)
+    attr = set(target) & region
+    strategy = {}
+    preds = {v: [] for v in region}
+    for v in region:
+        for w in g.succ[v]:
+            if w in region:
+                preds[w].append(v)
+    out_count = {
+        v: sum(1 for w in g.succ[v] if w in region) for v in region
+    }
+    frontier = sorted(attr)
+    while frontier:
+        new_frontier = []
+        for w in frontier:
+            for v in preds[w]:
+                if v in attr:
+                    continue
+                if g.owner[v] == player:
+                    attr.add(v)
+                    if v not in strategy:
+                        strategy[v] = w
+                    new_frontier.append(v)
+                else:
+                    out_count[v] -= 1
+                    if out_count[v] == 0:
+                        attr.add(v)
+                        new_frontier.append(v)
+        frontier = sorted(new_frontier)
+    return attr, strategy
+
+
+def _complete(g: GameGraph, player, strat, nodes, region):
+    """Give each of player's nodes without a move its first successor in region."""
+    for v in sorted(nodes):
+        if g.owner[v] == player and v not in strat:
+            for w in g.succ[v]:
+                if w in region:
+                    strat[v] = w
+                    break
+
+
+def reference_zielonka(g: GameGraph):
+    """Winning regions and positional strategies for both players."""
+    g.check()
+
+    def solve(region):
+        """Per-player winning regions and strategies on the subgame region."""
+        if not region:
+            return {"O": set(), "I": set()}, {"O": {}, "I": {}}
+        p = max(g.priority[v] for v in region)
+        player = "O" if p % 2 == 0 else "I"
+        other = "I" if player == "O" else "O"
+        top = sorted(v for v in region if g.priority[v] == p)
+        attr, attr_strat = _attractor(g, region, top, player)
+        win, strat = solve(region - attr)
+        if not win[other]:
+            # player wins everywhere: attractor strategy on attr, plus an
+            # arbitrary region-internal edge on top nodes owned by player
+            mine = {**strat[player], **attr_strat}
+            _complete(g, player, mine, attr, region)
+            return {player: region, other: set()}, {player: mine, other: {}}
+        b, b_strat = _attractor(g, region, win[other], other)
+        win2, strat2 = solve(region - b)
+        win2[other] = win2[other] | b
+        strat2[other] = {**strat2[other], **strat[other], **b_strat}
+        return win2, strat2
+
+    # each solve gives a player a move at every node it owns in its winning
+    # region (from a subgame, an attractor or _complete), so no final pass
+    win, strat = solve(set(g.nodes()))
+    return win["O"], win["I"], strat["O"], strat["I"]
 
 
 def naive_equiv(u, v, ctx: MonoidContext) -> bool:

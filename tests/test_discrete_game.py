@@ -11,8 +11,15 @@ import random
 
 import pytest
 
-from chronosynth.automaton import CONVENTIONS, MIN_EVEN, ParityAutomaton, accepts
-from chronosynth.definable_synth import solve_definable, square_alphabet
+from chronosynth.automaton import (
+    CONVENTIONS,
+    MAX_EVEN,
+    MIN_EVEN,
+    ParityAutomaton,
+    accepts,
+    product_with_monitor,
+)
+from chronosynth.definable_synth import build_psi_star_monitor, solve_definable, square_alphabet
 from chronosynth.discrete_game import (
     GameError,
     GameGraph,
@@ -27,7 +34,7 @@ from chronosynth.discrete_game import (
 )
 from chronosynth.omega_word import LassoWord, zip_lassos
 
-from oracles import brute_force_solve
+from oracles import brute_force_solve, reference_zielonka
 
 
 def copy_spec():
@@ -301,6 +308,63 @@ def test_game_requires_totality():
     g = GameGraph({"v": "O"}, {"v": 0}, {"v": ()})
     with pytest.raises(GameError):
         zielonka(g)
+    dangling = GameGraph({"v": "O"}, {"v": 0}, {"v": ("w",)})
+    with pytest.raises(GameError, match="'w'"):
+        zielonka(dangling)
+
+
+def _family_spec(family, index, n_states, letters, max_priority):
+    """The spec bench/workloads.random_spec draws as member index of a family."""
+    rng = random.Random(f"{family}/{index}")
+    states = [f"q{i}" for i in range(n_states)]
+    priority = {q: rng.randint(0, max_priority) for q in states}
+    transition = {
+        (q, a, b): rng.choice(states) for q in states for a in letters for b in letters
+    }
+    return ParityAutomaton(tuple(states), letters, letters, transition, "q0", priority, MAX_EVEN)
+
+
+def _seeded_games():
+    rng = random.Random(37)
+    for trial in range(2000):
+        n = rng.randint(1, 40)
+        if trial % 2:
+            names = [("i", k) if k % 3 else ("o", k // 3, "x") for k in range(n)]
+        else:
+            names = [f"v{k}" for k in range(n)]
+        # drawn with replacement, so successor tuples repeat nodes
+        yield GameGraph(
+            {v: rng.choice("OI") for v in names},
+            {v: rng.randint(0, 7) for v in names},
+            {v: tuple(rng.choices(names, k=rng.randint(1, 4))) for v in names},
+        )
+    for i in range(3):
+        yield game_from_automaton(_family_spec("large", i, 300, ("0", "1"), 7))
+    squared = square_alphabet("01")
+    for i in range(3):
+        spec = _family_spec("squared", i, 40, squared, 5)
+        monitor = build_psi_star_monitor(squared, squared, constrain="output")
+        yield game_from_automaton(product_with_monitor(spec, monitor, sink_accepting=False))
+
+
+def test_zielonka_matches_reference_on_seeded_games():
+    for trial, g in enumerate(_seeded_games()):
+        assert zielonka(g) == reference_zielonka(g), trial
+
+
+def test_zielonka_depth_does_not_grow_with_peeled_regions():
+    # gadget j: t_j moves to y_j; y_j loops or moves to t_{j-1}.  Each pass
+    # of the decomposition peels only the bottom gadget off for I.
+    k = 1500
+    owner, priority, succ = {}, {}, {}
+    for j in range(1, k + 1):
+        owner[f"t{j}"] = owner[f"y{j}"] = "O"
+        priority[f"t{j}"], priority[f"y{j}"] = 2, 1
+        succ[f"t{j}"] = (f"y{j}",)
+        succ[f"y{j}"] = (f"y{j}",) + ((f"t{j - 1}",) if j > 1 else ())
+    w_o, w_i, s_o, s_i = zielonka(GameGraph(owner, priority, succ))
+    assert not w_o and w_i == set(owner)
+    assert not s_o and not s_i
 
 
 def test_machine_serialization_roundtrip():
