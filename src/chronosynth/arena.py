@@ -114,6 +114,15 @@ class Arena:
         return self.edges_from.get(node, ())
 
 
+def _landing(semantics, q, n, b):
+    """Target node and edge kind of an interrupt to letter b at position n, where state q sits."""
+    if semantics == RC:
+        return ArenaNode(O_PAIR, q, b), "interrupt"
+    if n % 2 == 1:
+        return ArenaNode(O_PAIR, q, b), LEFT
+    return ArenaNode(I_DAG, q, b), RIGHT
+
+
 def interrupt_at(semantics, member, n, b):
     """Target node, edge kind and size of an interrupt to letter b at position n of member.
 
@@ -121,34 +130,54 @@ def interrupt_at(semantics, member, n, b):
     point; rc edges have kind 'interrupt', fv odd positions 'left' and fv
     even positions 'right'; the edge is small iff n is inside the lag.
     """
-    q_n = member.letter(n)
-    size = "small" if n <= len(member.lag) else "big"
-    if semantics == RC:
-        return ArenaNode(O_PAIR, q_n, b), "interrupt", size
-    if n % 2 == 1:
-        return ArenaNode(O_PAIR, q_n, b), LEFT, size
-    return ArenaNode(I_DAG, q_n, b), RIGHT, size
+    dst, kind = _landing(semantics, member.letter(n), n, b)
+    return dst, kind, "small" if n <= len(member.lag) else "big"
 
 
-def _interrupt_targets(a, member, letter, semantics):
-    """Deduplicated (target, priority, size, kind) for all interrupt positions.
+def _interrupt_targets(a, semantics):
+    """The interrupt targets of vocabulary members, from two halves cached for one arena build.
 
-    Positions are scanned over the lag plus one period (two periods in the
-    finite-variability arena, where position parity matters); later
-    positions repeat earlier (target, label) combinations.
+    Returns targets(member, letter) -> (small, big), two frozensets of
+    (target, priority, size, kind), one per interrupt to a letter other than
+    letter at each position of the member, without repeats.  The small
+    targets land in the lag and carry the running maximum priority over it,
+    so they depend only on (lag, letter).  Absorption makes the period's
+    states a subset of the lag's, so past the lag the running maximum is the
+    constant M, the lag's top priority: the big targets depend only on
+    (period, M, letter), plus the parity of the lag length under fv, where a
+    position's parity fixes its edge kind.  One period lists every big
+    (target, kind) under rc, two periods under fv.
     """
-    lag_len = len(member.lag)
-    period_len = len(member.period)
-    horizon = lag_len + (2 * period_len if semantics == FV else period_len)
-    targets = set()
-    running = -1
-    for n in range(1, horizon + 1):
-        for b in a.sigma_in:
-            if b != letter:
-                dst, kind, size = interrupt_at(semantics, member, n, b)
-                running = max(running, a.priority[dst.state])  # dst.state is u(n)
-                targets.add((dst, running, size, kind))
-    return frozenset(targets)
+    small_half, big_half = {}, {}
+    # (target, kind) of each interrupt to another letter, by (state, position parity, letter)
+    landings = {
+        (q, parity, x): tuple(_landing(semantics, q, parity, b) for b in a.sigma_in if b != x)
+        for q in a.states
+        for parity in (0, 1)
+        for x in a.sigma_in
+    }
+    periods = 2 if semantics == FV else 1
+
+    def targets(member, letter):
+        key = (member.lag, letter)
+        if key not in small_half:
+            found, running = set(), -1
+            for n, q in enumerate(member.lag, 1):
+                running = max(running, a.priority[q])
+                found.update((dst, running, "small", kind) for dst, kind in landings[q, n % 2, letter])
+            small_half[key] = frozenset(found), running
+        small, top = small_half[key]
+        start = len(member.lag) % 2 if semantics == FV else 0
+        key = (member.period, top, letter, start)
+        if key not in big_half:
+            big_half[key] = frozenset(
+                (dst, top, "big", kind)
+                for n, q in enumerate(member.period * periods, start + 1)
+                for dst, kind in landings[q, n % 2, letter]
+            )
+        return small, big_half[key]
+
+    return targets
 
 
 def _add_block_nodes(a, semantics, up, source_kind, nodes, edges):
@@ -163,30 +192,37 @@ def _add_block_nodes(a, semantics, up, source_kind, nodes, edges):
     Returns them and the set of final block nodes.
     """
     rels = a.edge_relations()
-    rank, best = {}, {}  # member -> first-use rank; behaviour -> representative
+    targets_of = _interrupt_targets(a, semantics)
+    rank, best = {}, {}  # member -> first-use rank; behaviour -> (rank, representative)
+    final_of = {}  # period -> whether its top priority is even
     for x in a.sigma_in:
+        sources_of = {
+            q2: [q for q in a.states if (q, q2) in rels[x]] for q2 in a.states
+        }
         for member in up[x]:
-            first = member.letter(1)
-            sources = [q for q in a.states if (q, first) in rels[x]]
+            sources = sources_of[member.lag[0]]
             if not sources:
                 continue
-            rank.setdefault(member, len(rank))
-            final = max(a.priority[q] for q in member.period) % 2 == 0
-            targets = _interrupt_targets(a, member, x, semantics)
+            r = rank.setdefault(member, len(rank))
+            period = member.period
+            if period not in final_of:
+                final_of[period] = max(a.priority[q] for q in period) % 2 == 0
+            # small and big targets differ in size, so equal halves mean equal edge sets
+            small, big = targets_of(member, x)
             for q in sources:
-                key = (q, x, final, targets)
-                if key not in best or rank[member] < rank[best[key]]:
-                    best[key] = member
-    members = sorted(set(best.values()), key=rank.__getitem__)
+                key = (q, x, final_of[period], small, big)
+                if key not in best or r < best[key][0]:
+                    best[key] = r, member
+    members = [m for _, m in sorted(set(best.values()))]
     index = {m: i for i, m in enumerate(members)}
     final_up = set()
-    for (q, x, final, targets), member in best.items():
+    for (q, x, final, small, big), (_, member) in best.items():
         up_node = ArenaNode(I_UP, q, x, index[member])
         nodes.add(up_node)
         if final:
             final_up.add(up_node)
         edges.add(ArenaEdge(ArenaNode(source_kind, q, x), up_node))
-        edges.update(ArenaEdge(up_node, *t) for t in targets)
+        edges.update(ArenaEdge(up_node, *t) for t in small | big)
     return members, final_up
 
 

@@ -164,7 +164,8 @@ def cmd_monoid(spec, args, out, err):
     canonical = convert_convention(spec, MAX_EVEN)
     ctx = context_from_automaton(canonical)
     table = build_class_table(ctx, cap=args.monoid_cap, letter=args.letter)
-    # build_UP tries every (class, idempotent) pair
+    # the cap bounds the (class, idempotent) pairs that could form members;
+    # build_UP tries only the pairs that end in the same state
     pairs = table.class_count * len(table.idempotents)
     if pairs > args.monoid_cap:
         raise ResourceCapError("monoid", (

@@ -102,6 +102,29 @@ def product(ctx: MonoidContext, s1: StateSignature, s2: StateSignature) -> State
     return StateSignature(s1.first, s2.last, s1.occ | s2.occ, frozenset(pairs), flags)
 
 
+def late_states(s: StateSignature) -> frozenset:
+    """States that occur again after every state of s has occurred: {q : (q, s.occ) in s.pairs}."""
+    return frozenset(q for q, before in s.pairs if before == s.occ)
+
+
+def absorbs(ctx: MonoidContext, s: StateSignature, e: StateSignature, late: frozenset) -> bool:
+    """Whether product(ctx, s, e) == s, read off the signatures; late is late_states(s).
+
+    Appending e keeps s's last state iff e.last == s.last.  Each state q of
+    e then occurs with all of s.occ before it, so the product has no pair
+    that s lacks iff every such (q, s.occ) is already in s, that is iff
+    e.occ is inside late.  It keeps every flag of s iff each letter flagged
+    in s is flagged in e and joins s.last to e.first.
+    """
+    if e.last != s.last or not e.occ <= late:
+        return False
+    return all(
+        f2 and ctx.has_edge(a, s.last, e.first)
+        for (a, f1), (_, f2) in zip(s.run_flags, e.run_flags)
+        if f1
+    )
+
+
 @dataclass
 class ClassTable:
     """All signature classes with shortest witnesses, ordered by discovery."""
@@ -157,7 +180,7 @@ def build_class_table(ctx: MonoidContext, cap: int = 200_000, letter=None) -> Cl
         for w, s in next_level:
             order.append(s)
         level = next_level
-    idem = frozenset(s for s in witnesses if product(ctx, s, s) == s)
+    idem = frozenset(s for s in witnesses if absorbs(ctx, s, s, late_states(s)))
     d_q = max(len(w) for w in witnesses.values())
     return ClassTable(ctx, witnesses, order, idem, d_q)
 
@@ -183,27 +206,28 @@ class UPMember:
             return self.lag[n - 1]
         return self.period[(n - len(self.lag) - 1) % len(self.period)]
 
-    def is_path_for(self, a) -> bool:
-        # absorption (lag_sig * period_sig = lag_sig) plus idempotence make
-        # the lag flag alone decide path validity of the whole omega-word
-        return self.lag_sig.flag(a)
-
 
 def build_UP(table: ClassTable) -> list:
     """The move vocabulary: lag . period^omega over class representatives.
 
     A pair of representatives (r, e) qualifies when e's class is idempotent
-    and appending e does not change r's class.
+    and appending e does not change r's class, which ``absorbs`` decides in
+    closed form.  Only idempotents ending where r's class ends can qualify,
+    so each class is tried against that bucket alone.  Members come out in
+    (class order, idempotent order).
     """
     ctx = table.ctx
+    by_last = {}
+    for e_sig in table.order:
+        if e_sig in table.idempotents:
+            by_last.setdefault(e_sig.last, []).append(e_sig)
     members = []
-    idem_list = [s for s in table.order if s in table.idempotents]
     for sig in table.order:
+        late = late_states(sig)
         rep = table.witnesses[sig]
-        for e_sig in idem_list:
-            if product(ctx, sig, e_sig) != sig:
-                continue
-            members.append(UPMember(rep, table.witnesses[e_sig], sig, e_sig))
+        for e_sig in by_last.get(sig.last, ()):
+            if absorbs(ctx, sig, e_sig, late):
+                members.append(UPMember(rep, table.witnesses[e_sig], sig, e_sig))
     return members
 
 

@@ -6,11 +6,17 @@ on node-keyed sets, with both recursive calls and predecessor lists rebuilt
 per attractor, and must return exactly what ``zielonka`` returns, strategies
 included; ``naive_equiv`` checks the defining conditions of the state-string
 congruence literally, as an oracle for ``state_monoid.signature_of`` and
-``product``.
+``product``; ``reference_build_UP`` builds the block vocabulary by testing
+every (class, idempotent) pair with ``product``, as an oracle for the
+closed-form absorption test of ``state_monoid.build_UP``, and must return the
+same members in the same order; ``reference_interrupt_targets`` scans every
+interrupt position of a member's lag plus one period (two under fv), as an
+oracle for the two cached halves of ``arena._interrupt_targets``.
 """
 
+from chronosynth.arena import FV, interrupt_at
 from chronosynth.discrete_game import GameError, GameGraph
-from chronosynth.state_monoid import MonoidContext, MonoidError
+from chronosynth.state_monoid import MonoidContext, MonoidError, UPMember, product
 
 
 def brute_force_solve(g: GameGraph, node_cap: int = 64):
@@ -152,3 +158,38 @@ def naive_equiv(u, v, ctx: MonoidContext) -> bool:
         if ru != rv:
             return False
     return True
+
+
+def reference_build_UP(table):
+    """Block vocabulary by trying every (class, idempotent) pair with ``product``."""
+    ctx = table.ctx
+    members = []
+    idem_list = [s for s in table.order if s in table.idempotents]
+    for sig in table.order:
+        rep = table.witnesses[sig]
+        for e_sig in idem_list:
+            if product(ctx, sig, e_sig) != sig:
+                continue
+            members.append(UPMember(rep, table.witnesses[e_sig], sig, e_sig))
+    return members
+
+
+def reference_interrupt_targets(a, member, letter, semantics):
+    """Deduplicated (target, priority, size, kind) over all interrupt positions.
+
+    Positions are scanned over the lag plus one period (two periods in the
+    finite-variability arena, where position parity matters); later
+    positions repeat earlier (target, label) combinations.
+    """
+    lag_len = len(member.lag)
+    period_len = len(member.period)
+    horizon = lag_len + (2 * period_len if semantics == FV else period_len)
+    targets = set()
+    running = -1
+    for n in range(1, horizon + 1):
+        for b in a.sigma_in:
+            if b != letter:
+                dst, kind, size = interrupt_at(semantics, member, n, b)
+                running = max(running, a.priority[dst.state])  # dst.state is u(n)
+                targets.add((dst, running, size, kind))
+    return frozenset(targets)

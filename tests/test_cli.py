@@ -171,7 +171,7 @@ def test_resource_cap_exit_code():
     )
     assert code == EXIT_USAGE
     assert out == "" and "--monoid-cap" in err  # argparse's message
-    # psi_copy's table has 24 classes and 10 idempotents: build_UP would try 240 pairs
+    # psi_copy's table has 24 classes and 10 idempotents: 240 (class, idempotent) pairs
     code, out, err = run_cli("--monoid-cap", "100", "monoid", str(FIXTURES / "psi_copy.json"))
     assert code == EXIT_CAP
     assert out == "" and "240 pairs" in err
