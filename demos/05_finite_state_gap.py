@@ -8,11 +8,15 @@ indicator of time 1.  The decision procedure composes the specification
 with the jump-discipline monitor and answers on the product.
 """
 
+from pathlib import Path
+
+from chronosynth.automaton import load_automaton
 from chronosynth.definable_synth import solve_definable
-from chronosynth.fixtures import SQ, copy_spec, jump_spec_squared
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 print("== output must equal input (encoded over point/interval pairs) ==")
-res = solve_definable(copy_spec(SQ))
+res = solve_definable(load_automaton(FIXTURES / "psi_copy_d.json"))
 print(f"  finite-state implementable? {res.definable}")
 q = res.witness.initial
 for letter in ("0,0", "1,1", "0,1"):
@@ -21,7 +25,7 @@ for letter in ("0,0", "1,1", "0,1"):
 
 print()
 print("== output must jump after time 0 ==")
-res2 = solve_definable(jump_spec_squared())
+res2 = solve_definable(load_automaton(FIXTURES / "psi_jump_d.json"))
 print(f"  finite-state implementable? {res2.definable}")
 print(f"  certificate: counter machine with {len(res2.counter.states)} states, "
       f"losing region of size {len(res2.losing_region)}")

@@ -7,11 +7,14 @@ the output commitments.  Interrupt edges say where an interrupt lands
 priority seen on the way was.
 """
 
-from chronosynth.arena import FV, RC, export_dot
-from chronosynth.continuous_synth import build_game_arena
-from chronosynth.fixtures import copy_spec
+from pathlib import Path
 
-spec = copy_spec()
+from chronosynth.arena import FV, RC, export_dot
+from chronosynth.automaton import load_automaton
+from chronosynth.continuous_synth import build_game_arena
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+spec = load_automaton(FIXTURES / "psi_copy.json")
 
 for name, semantics in (("right-continuous", RC), ("finite-variability", FV)):
     arena, _ = build_game_arena(spec, semantics)

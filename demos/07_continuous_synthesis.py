@@ -10,15 +10,20 @@ whatever block the controller commits, the environment either accepts
 before the jump or cuts the window right before it.
 """
 
+from pathlib import Path
+
 from chronosynth.arena import FV, RC
+from chronosynth.automaton import load_automaton
 from chronosynth.continuous_synth import decide_continuous
-from chronosynth.fixtures import copy_spec, indeterminate_spec_fv, jump_spec_fv
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+copy_spec = load_automaton(FIXTURES / "psi_copy.json")
 
 jobs = [
-    ("copy, right-continuous", copy_spec(), RC),
-    ("copy, finite-variability", copy_spec(), FV),
-    ("output must jump, finite-variability", jump_spec_fv(), FV),
-    ("jump inside the constancy window", indeterminate_spec_fv(), FV),
+    ("copy, right-continuous", copy_spec, RC),
+    ("copy, finite-variability", copy_spec, FV),
+    ("output must jump, finite-variability", load_automaton(FIXTURES / "psi_jump_fv.json"), FV),
+    ("jump inside the constancy window", load_automaton(FIXTURES / "psi_indet_fv.json"), FV),
 ]
 
 for name, spec, sem in jobs:

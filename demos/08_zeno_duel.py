@@ -8,11 +8,17 @@ convergent (Zeno) play, which the rules award to the controller; giving up
 and accepting lands on a final block node.  Either way the fight is lost.
 """
 
+from pathlib import Path
+
+from chronosynth.automaton import load_automaton
 from chronosynth.game_sim import adjudicate, play_example_geometric
 from chronosynth.rationals import format_rational
 
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+spec = load_automaton(FIXTURES / "psi_jump_rc.json")
+
 for rounds in (3, 6, 10):
-    play = play_example_geometric(rounds)
+    play = play_example_geometric(spec, rounds)
     outcome = adjudicate(play)
     print(f"== environment fights for {rounds} rounds ==")
     for step in play.steps:

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .automaton import MAX_EVEN, ParityAutomaton, state_name
+from .automaton import MAX_EVEN, ParityAutomaton, dot_quote, state_name
 from .state_monoid import UPMember
 
 RC = "rc"
@@ -305,16 +305,18 @@ def build_fv_arena(a: ParityAutomaton, up: dict) -> Arena:
 def export_dot(arena: Arena) -> str:
     """Deterministic DOT rendering; big interrupt edges are drawn bold."""
     lines = ["digraph arena {", '  rankdir="LR";']
+    ids = {}
     for node in arena.nodes:
         shape = {"I": "box", "O": "ellipse"}[arena.owner(node)]
         extras = ""
         if node in arena.final_up:
             extras = ", peripheries=2"
         prio = arena.node_priority(node)
-        label = node.pretty(arena)
+        label = name = node.pretty(arena)
         if prio is not None:
             label += f" p{prio}"
-        lines.append(f'  "{node.pretty(arena)}" [shape={shape}, label="{label}"{extras}];')
+        ids[node] = dot_quote(name)
+        lines.append(f"  {ids[node]} [shape={shape}, label={dot_quote(label)}{extras}];")
     for e in arena.edges:
         attrs = []
         if e.labeled:
@@ -322,7 +324,7 @@ def export_dot(arena: Arena) -> str:
             if e.size == "big":
                 attrs.append("style=bold")
         body = f" [{', '.join(attrs)}]" if attrs else ""
-        lines.append(f'  "{e.src.pretty(arena)}" -> "{e.dst.pretty(arena)}"{body};')
+        lines.append(f"  {ids[e.src]} -> {ids[e.dst]}{body};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

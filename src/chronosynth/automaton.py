@@ -298,6 +298,11 @@ def state_name(q) -> str:
     return q if isinstance(q, str) else repr(q)
 
 
+def dot_quote(text) -> str:
+    """``text`` as a quoted DOT string, with backslashes and double quotes escaped."""
+    return '"' + str(text).replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
 def automaton_to_json(a: ParityAutomaton) -> dict:
     return {
         "states": [state_name(q) for q in a.states],

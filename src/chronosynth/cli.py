@@ -5,9 +5,10 @@ reads one spec file.  Exit codes: 0 success, 2 usage, 3 resource cap
 exceeded, 4 adjudication undecided; an unreadable or malformed spec or
 script file (an empty alphabet included), a cap that is not positive, an
 unknown monoid --letter, a --run lasso that does not parse over the
-machine's alphabet and a definable spec whose alphabets are not squared are
-usage errors.  Usage errors and --help go to the err and out streams given
-to main.  Output is byte-deterministic for a fixed invocation.
+machine's alphabet, a --dot file that cannot be written and a definable
+spec whose alphabets are not squared are usage errors.  Usage errors and
+--help go to the err and out streams given to main.  Output is
+byte-deterministic for a fixed invocation.
 """
 
 from __future__ import annotations
@@ -114,10 +115,16 @@ def cmd_solve_discrete(spec, args, out, err):
             payload["run"] = {"input": args.run, "output": format_lasso(run_machine(machine, word))}
         else:
             payload["run"] = {"output": args.run, "input": format_lasso(run_counter_machine(machine, word))}
-    _emit(payload, out)
-    if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(machine_to_dot(machine))
+    if not args.dot:
+        _emit(payload, out)
+        return EXIT_OK
+    try:
+        dot = open(args.dot, "w", encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot write {args.dot}: {type(exc).__name__}: {exc.strerror}") from exc
+    with dot:
+        _emit(payload, out)
+        dot.write(machine_to_dot(machine))
     return EXIT_OK
 
 

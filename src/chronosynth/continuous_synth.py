@@ -195,8 +195,12 @@ def find_violation(sg: StrategyGraph):
         for e, _ in sub_edges:
             succ.setdefault(e.src, []).append(e.dst)
         comps = _sccs({e.src for e, _ in sub_edges} | {e.dst for e, _ in sub_edges}, succ)
-        for comp in comps:
-            inside = [(e, q) for e, q in sub_edges if e.src in comp and e.dst in comp]
+        comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
+        inside_of = [[] for _ in comps]
+        for e, q in sub_edges:
+            if comp_of[e.src] == comp_of[e.dst]:
+                inside_of[comp_of[e.src]].append((e, q))
+        for inside in inside_of:
             peak = [e for e, q in inside if q == p]
             big = [e for e, _ in inside if e.size == "big"]
             if not peak or not big:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .automaton import MAX_EVEN, ParityAutomaton, convert_convention, state_name
+from .automaton import MAX_EVEN, ParityAutomaton, convert_convention, dot_quote, state_name
 from .omega_word import LassoWord, transduce
 
 
@@ -316,17 +316,19 @@ def machine_to_json(m) -> dict:
 
 
 def machine_to_dot(m) -> str:
+    ids = {q: dot_quote(state_name(q)) for q in m.states}
     lines = ["digraph machine {", '  rankdir="LR";']
-    lines.append(f'  __start [shape=point]; __start -> "{state_name(m.initial)}";')
+    lines.append(f"  __start [shape=point]; __start -> {ids[m.initial]};")
     if isinstance(m, MealyMachine):
         for q in m.states:
-            lines.append(f'  "{state_name(q)}" [shape=circle];')
+            lines.append(f"  {ids[q]} [shape=circle];")
         for (q, a), (t, b) in sorted(m.transition.items(), key=lambda kv: (repr(kv[0]))):
-            lines.append(f'  "{state_name(q)}" -> "{state_name(t)}" [label="{a}/{b}"];')
+            lines.append(f"  {ids[q]} -> {ids[t]} [label={dot_quote(f'{a}/{b}')}];")
     else:
         for q in m.states:
-            lines.append(f'  "{state_name(q)}" [shape=box, label="{state_name(q)}|{m.output[q]}"];')
+            label = dot_quote(f"{state_name(q)}|{m.output[q]}")
+            lines.append(f"  {ids[q]} [shape=box, label={label}];")
         for (q, b), t in sorted(m.transition.items(), key=lambda kv: (repr(kv[0]))):
-            lines.append(f'  "{state_name(q)}" -> "{state_name(t)}" [label="{b}"];')
+            lines.append(f"  {ids[q]} -> {ids[t]} [label={dot_quote(b)}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -442,8 +442,9 @@ class LastInstantInterrupter:
         return InterruptMove(_position_time(self.arena, play, 1), letter, "")
 
 
-def play_example_geometric(rounds: int = 8):
-    """Scripted duel on the output-must-jump spec, right-continuous arena.
+def play_example_geometric(spec, rounds: int = 8):
+    """Scripted duel on the right-continuous arena of ``spec``: the
+    output-must-jump spec in segment form, whose jump settles in ``done``.
 
     The environment interrupts each block as late as it can without letting
     the jump happen; after ``rounds`` interrupts it gives up and accepts.
@@ -451,9 +452,7 @@ def play_example_geometric(rounds: int = 8):
     below 2 no matter how long it fights.
     """
     from .continuous_synth import decide_continuous
-    from .fixtures import jump_spec_rc
 
-    spec = jump_spec_rc()
     result = decide_continuous(spec, RC)
     arena = result.arena
     controller = HoldThenFlipController(arena, "done")

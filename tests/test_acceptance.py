@@ -6,7 +6,6 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 
 import itertools
 import json
-import pathlib
 import random
 from fractions import Fraction
 
@@ -21,7 +20,6 @@ from chronosynth.discrete_game import (
     solve,
     zielonka,
 )
-from chronosynth.fixtures import copy_spec
 from chronosynth.game_sim import (
     ChoiceController,
     RandomEnvironment,
@@ -53,9 +51,9 @@ from chronosynth.state_monoid import (
     signature_of,
 )
 
+from fixture_specs import FIXTURES, load_fixture
 from oracles import brute_force_solve, naive_equiv
 
-FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 F = Fraction
 
 
@@ -249,7 +247,7 @@ def test_criterion_4_gap_end_to_end(capsys):
 
 def test_criterion_5_geometric_play_duration():
     for rounds in (1, 2, 5, 9, 13):
-        play = play_example_geometric(rounds)
+        play = play_example_geometric(load_fixture("psi_jump_rc"), rounds)
         duration = play.now
         assert duration == 2 - F(1, 2 ** (rounds - 1))
         assert duration < 2
@@ -299,7 +297,7 @@ def test_criterion_6_zeno_bound():
     while done < 50:
         attempt += 1
         sem = RC if attempt % 2 == 0 else FV
-        res = decide_continuous(copy_spec(), sem)
+        res = decide_continuous(load_fixture("psi_copy"), sem)
         d_q = res.stats.d_bound
         rng = random.Random(attempt)
         env = SmallInterrupter(res.arena, rng, rounds=rng.randint(4, 10))
@@ -326,7 +324,8 @@ def test_criterion_6_zeno_bound():
 
 def test_criterion_7_strategy_check_vs_simulation():
     rng_master = random.Random(2024)
-    specs = [(copy_spec(), RC), (copy_spec(), FV)]
+    copy_spec = load_fixture("psi_copy")
+    specs = [(copy_spec, RC), (copy_spec, FV)]
     for seed in (1, 2, 3):
         rng = random.Random(seed)
         states = [f"q{i}" for i in range(rng.randint(1, 2))]

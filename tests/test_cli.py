@@ -1,16 +1,15 @@
 """CLI subcommands, exit codes, determinism, caps."""
 
-import importlib.util
 import io
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
 import pytest
 
-from chronosynth.automaton import automaton_to_json
 from chronosynth.cli import EXIT_CAP, EXIT_OK, EXIT_UNDECIDED, EXIT_USAGE, main
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -105,6 +104,42 @@ def test_solve_discrete_machine_output(tmp_path):
     assert data["winner"] == "input"
     assert data["machine"]["kind"] == "moore_counter"
     assert dot.read_text().startswith("digraph")
+
+
+def test_unwritable_dot_path_is_a_usage_error(tmp_path):
+    dot = tmp_path / "missing" / "machine.dot"
+    code, out, err = run_cli("solve-discrete", str(FIXTURES / "one_state.json"), "--dot", str(dot))
+    _one_line_usage_error(code, out, err)
+    assert str(dot) in err
+    assert not dot.exists()
+
+
+QUOTED = re.compile(r'"(?:[^"\\]|\\.)*"')
+
+
+def _dot_strings(text):
+    """The quoted strings of a DOT text, unescaped; no quote or backslash lies outside them."""
+    assert not re.search(r'["\\]', QUOTED.sub("", text))
+    return {re.sub(r"\\(.)", r"\1", q[1:-1]) for q in QUOTED.findall(text)}
+
+
+@pytest.mark.parametrize("fixture", ["psi_copy", "predict_next"])
+def test_dot_exports_escape_quotes_and_backslashes(fixture, tmp_path):
+    spec = json.loads((FIXTURES / f"{fixture}.json").read_text())
+    rename = {q: q + '"\\' for q in spec["states"]}
+    spec["states"] = [rename[q] for q in spec["states"]]
+    spec["initial"] = initial = rename[spec["initial"]]
+    spec["priority"] = {rename[q]: p for q, p in spec["priority"].items()}
+    for t in spec["transitions"]:
+        t["from"], t["to"] = rename[t["from"]], rename[t["to"]]
+    path, dot = tmp_path / "spec.json", tmp_path / "machine.dot"
+    path.write_text(json.dumps(spec))
+    code, _, _ = run_cli("solve-discrete", str(path), "--dot", str(dot))
+    assert code == EXIT_OK
+    assert initial in _dot_strings(dot.read_text())
+    code, out, _ = run_cli("arena", "--semantics", "rc", "--dot", str(path))
+    assert code == EXIT_OK
+    assert f"({initial},0)" in _dot_strings(out)
 
 
 def test_play_scripted_replay(tmp_path):
@@ -220,16 +255,6 @@ def test_solve_discrete_bad_run_lasso_is_a_usage_error(fixture, lasso, detail):
     code, out, err = run_cli("solve-discrete", str(FIXTURES / f"{fixture}.json"), "--run", lasso)
     _one_line_usage_error(code, out, err)
     assert detail in err
-
-
-def test_fixture_files_match_their_builders():
-    spec = importlib.util.spec_from_file_location("make_fixtures", FIXTURES / "make_fixtures.py")
-    make_fixtures = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(make_fixtures)
-    assert sorted(make_fixtures.FILES) == sorted(p.name for p in FIXTURES.glob("*.json"))
-    for name, automaton in make_fixtures.FILES.items():
-        text = json.dumps(automaton_to_json(automaton), indent=2, sort_keys=True) + "\n"
-        assert (FIXTURES / name).read_text(encoding="utf-8") == text, name
 
 
 CONTINUOUS_FIXTURES = sorted(p for p in FIXTURES.glob("*.json") if not p.stem.endswith("_d"))

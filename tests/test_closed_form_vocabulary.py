@@ -7,7 +7,6 @@ cached by period.  Each is compared with the literal procedure it replaces,
 kept in ``oracles.py``, on seeded specs and on the fixtures.
 """
 
-import pathlib
 import random
 
 import pytest
@@ -16,9 +15,9 @@ from chronosynth.arena import FV, RC, _interrupt_targets
 from chronosynth.automaton import MAX_EVEN, ParityAutomaton, convert_convention, load_automaton
 from chronosynth.state_monoid import build_UP, build_class_table, context_from_automaton, product
 
+from fixture_specs import FIXTURES
 from oracles import reference_build_UP, reference_interrupt_targets
 
-FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 PAIR_CAP = 200_000  # the default --monoid-cap, which `monoid` applies to classes x idempotents
 
 

@@ -2,13 +2,12 @@
 
 import hashlib
 import json
-import pathlib
 import random
 
 import pytest
 
 from chronosynth.arena import FV, I_UP, RC
-from chronosynth.automaton import MAX_EVEN, ParityAutomaton, load_automaton
+from chronosynth.automaton import MAX_EVEN, ParityAutomaton
 from chronosynth.cli import _witness_json
 from chronosynth.continuous_synth import (
     ResourceCapError,
@@ -20,12 +19,8 @@ from chronosynth.continuous_synth import (
     find_violation,
     partial_strategy_graph,
 )
-from chronosynth.fixtures import (
-    copy_spec,
-    indeterminate_spec_fv,
-    jump_spec_fv,
-    jump_spec_rc,
-)
+
+from fixture_specs import load_fixture
 
 
 def random_automaton(rng, n_states=2, max_prio=3):
@@ -83,7 +78,7 @@ def first_complete_choice(arena):
 
 
 def test_clause_a_detects_nonfinal_block_node():
-    spec = indeterminate_spec_fv()
+    spec = load_fixture("psi_indet_fv")
     res = decide_continuous(spec, FV)
     assert not res.realizable
     assert res.violation is not None
@@ -110,7 +105,7 @@ def test_all_small_odd_cycle_is_won_by_controller():
     # the copy spec's witness loops through interrupts with only small
     # edges... build instead an explicit graph check: every winning witness
     # has no reachable non-final node and no big odd cycle
-    res = decide_continuous(copy_spec(), RC)
+    res = decide_continuous(load_fixture("psi_copy"), RC)
     sg = build_strategy_graph(res.arena, res.witness)
     assert find_violation(sg) is None
     assert all(n in res.arena.final_up for n in sg.nodes if n.kind == I_UP)
@@ -167,11 +162,11 @@ def test_violation_cycle_is_well_formed():
 
 
 def test_verdicts_for_paper_specs():
-    assert decide_continuous(copy_spec(), RC).realizable
-    assert decide_continuous(copy_spec(), FV).realizable
-    assert decide_continuous(jump_spec_fv(), FV).realizable
-    assert decide_continuous(jump_spec_rc(), RC).realizable
-    assert not decide_continuous(indeterminate_spec_fv(), FV).realizable
+    assert decide_continuous(load_fixture("psi_copy"), RC).realizable
+    assert decide_continuous(load_fixture("psi_copy"), FV).realizable
+    assert decide_continuous(load_fixture("psi_jump_fv"), FV).realizable
+    assert decide_continuous(load_fixture("psi_jump_rc"), RC).realizable
+    assert not decide_continuous(load_fixture("psi_indet_fv"), FV).realizable
 
 
 def test_adding_accepting_escape_never_breaks_realizability():
@@ -193,13 +188,14 @@ def test_adding_accepting_escape_never_breaks_realizability():
             states, a.sigma_in, sigma_out, transition, a.initial, priority, MAX_EVEN
         )
 
-    for spec, sem in ((copy_spec(), RC), (copy_spec(), FV), (jump_spec_fv(), FV)):
+    copy_spec = load_fixture("psi_copy")
+    for spec, sem in ((copy_spec, RC), (copy_spec, FV), (load_fixture("psi_jump_fv"), FV)):
         assert decide_continuous(spec, sem).realizable
         assert decide_continuous(with_escape(spec), sem).realizable
 
 
 def test_witness_total_on_reachable_controller_nodes():
-    for spec, sem in ((copy_spec(), RC), (jump_spec_fv(), FV)):
+    for spec, sem in ((load_fixture("psi_copy"), RC), (load_fixture("psi_jump_fv"), FV)):
         res = decide_continuous(spec, sem)
         sg = build_strategy_graph(res.arena, res.witness)
         for node in sg.nodes:
@@ -228,19 +224,17 @@ def test_uniform_priority_parity_forces_verdict():
 
 
 def test_strategy_cap_raises():
-    spec = indeterminate_spec_fv()
+    spec = load_fixture("psi_indet_fv")
     with pytest.raises(ResourceCapError):
         decide_continuous(spec, FV, strategy_cap=3)
 
 
 def test_stats_reported():
-    res = decide_continuous(copy_spec(), RC)
+    res = decide_continuous(load_fixture("psi_copy"), RC)
     assert res.stats.strategies_examined >= 1
     assert res.stats.up_sizes
     assert res.stats.d_bound >= 1
 
-
-FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 
 # (realizable, strategies_examined, pruned) per continuous fixture and
 # semantics, recorded on the arena with one block node per vocabulary
@@ -263,7 +257,7 @@ SEARCH_TABLE = {
 
 @pytest.mark.parametrize("fixture,semantics", sorted(SEARCH_TABLE))
 def test_fixture_search_is_pinned(fixture, semantics):
-    res = decide_continuous(load_automaton(FIXTURES / f"{fixture}.json"), semantics)
+    res = decide_continuous(load_fixture(fixture), semantics)
     got = (res.realizable, res.stats.strategies_examined, res.stats.pruned)
     assert got == SEARCH_TABLE[(fixture, semantics)]
 

@@ -21,7 +21,6 @@ from chronosynth.definable_synth import (
     square_alphabet,
 )
 from chronosynth import definable_synth, discrete_game
-from chronosynth.fixtures import copy_spec
 from chronosynth.discrete_game import (
     game_from_automaton,
     run_machine,
@@ -35,6 +34,7 @@ from chronosynth.signal import (
     stutter_normalize,
 )
 
+from fixture_specs import load_fixture
 from oracles import brute_force_solve
 
 SQ = square_alphabet(("0", "1"))
@@ -201,7 +201,7 @@ def test_witness_sound_on_stuttering_free_inputs():
 
 
 def test_witness_answers_indicator_prefixes_alike_until_they_diverge():
-    res = solve_definable(copy_spec(SQ))
+    res = solve_definable(load_fixture("psi_copy_d"))
     assert res.definable
     m = res.witness
     grid = integer_samples(Fraction(1, 6))

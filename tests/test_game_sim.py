@@ -1,16 +1,13 @@
 """Timed play engine, adjudication, scripted duels, interactive sessions."""
 
 import dataclasses
-import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
 from chronosynth.arena import FV, I_UP, O_PAIR, RC
-from chronosynth.automaton import load_automaton
 from chronosynth.continuous_synth import build_game_arena, decide_continuous
-from chronosynth.fixtures import copy_spec, jump_spec_rc
 from chronosynth.game_sim import (
     Accept,
     BlockMove,
@@ -36,17 +33,18 @@ from chronosynth.game_sim import (
 )
 from chronosynth.rationals import format_rational
 
+from fixture_specs import FIXTURES, load_fixture
+
 F = Fraction
-FIXTURES = pathlib.Path(__file__).resolve().parents[1] / "fixtures"
 
 
 def rc_setup():
-    res = decide_continuous(copy_spec(), RC)
+    res = decide_continuous(load_fixture("psi_copy"), RC)
     return res
 
 
 def fv_setup():
-    res = decide_continuous(copy_spec(), FV)
+    res = decide_continuous(load_fixture("psi_copy"), FV)
     return res
 
 
@@ -189,7 +187,7 @@ def test_violation_environment_defeats_losing_choice():
 
 def test_geometric_example_duration_strictly_below_two():
     for rounds in (1, 4, 8, 12):
-        play = play_example_geometric(rounds)
+        play = play_example_geometric(load_fixture("psi_jump_rc"), rounds)
         assert play.finished  # the environment eventually accepts
         out = adjudicate(play)
         assert out.winner == "O" and out.reason == "accepted_final"
@@ -199,7 +197,7 @@ def test_geometric_example_duration_strictly_below_two():
 
 
 def test_geometric_example_transcript_timestamps_increase():
-    play = play_example_geometric(6)
+    play = play_example_geometric(load_fixture("psi_jump_rc"), 6)
     times = [s.time for s in play.steps]
     assert all(a <= b for a, b in zip(times, times[1:]))
     interrupts = [s for s in play.steps if s.text.startswith("I interrupt")]
@@ -208,10 +206,9 @@ def test_geometric_example_transcript_timestamps_increase():
 
 
 def test_adjudicate_zeno_on_capped_geometric_play():
-    from chronosynth.fixtures import jump_spec_rc
     from chronosynth.game_sim import HoldThenFlipController, LastInstantInterrupter
 
-    res = decide_continuous(jump_spec_rc(), RC)
+    res = decide_continuous(load_fixture("psi_jump_rc"), RC)
     controller = HoldThenFlipController(res.arena, "done")
     env = LastInstantInterrupter(res.arena, rounds=10**9)  # never accepts
     play = run_play(res.arena, controller, env, max_rounds=16)
@@ -224,7 +221,7 @@ def test_adjudicate_divergent_odd_cycle():
     # environment loops a big edge with unit gaps on a losing choice
     from chronosynth.continuous_synth import enumerate_choices
 
-    res = decide_continuous(jump_spec_rc(), RC)
+    res = decide_continuous(load_fixture("psi_jump_rc"), RC)
     arena = res.arena
     for choice, violation in enumerate_choices(arena):
         if violation is not None and violation.kind == "B":
@@ -253,7 +250,7 @@ def test_time_for_edge_realizes_each_arena_edge():
         if fixture.stem.endswith("_d"):
             continue
         for semantics in (RC, FV):
-            arena, _ = build_game_arena(load_automaton(str(fixture)), semantics)
+            arena, _ = build_game_arena(load_fixture(fixture.stem), semantics)
             session = PlaySession(arena, None, None, None)
             kinds = ("",) if semantics == RC else (" left", " right")
             for node in arena.nodes:
@@ -330,7 +327,7 @@ def test_interactive_session_rejects_bad_input_and_reprompts():
         (FV, ["start 0", "input 0", "late 1 bogus", "big 1 bogus", "accept"],
          "fv interrupts must pick kind 'left' or 'right'"),
     ):
-        res = decide_continuous(copy_spec(), semantics)
+        res = decide_continuous(load_fixture("psi_copy"), semantics)
         out = []
         play, outcome = PlaySession(
             res.arena, ChoiceController(res.arena, res.witness),
