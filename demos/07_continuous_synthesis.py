@@ -35,7 +35,7 @@ for name, spec, sem in jobs:
     if res.witness:
         picks = sorted(res.witness)
         print(f"  winning choice fixes {len(picks)} controller nodes, e.g. "
-              f"{picks[0].pretty(res.arena)} -> {res.witness[picks[0]].dst.pretty(res.arena)}")
+              f"{picks[0].pretty()} -> {res.witness[picks[0]].dst.pretty()}")
     elif res.violation is not None:
         print(f"  last refutation: clause {res.violation.kind}")
     print()

@@ -62,7 +62,7 @@ class ArenaNode(NamedTuple):
     letter: object = None
     up: int = -1  # index into Arena.members for i_up nodes
 
-    def pretty(self, arena=None) -> str:
+    def pretty(self) -> str:
         if self.kind == FRESH:
             return "fresh"
         if self.kind == O_PAIR:
@@ -312,7 +312,7 @@ def export_dot(arena: Arena) -> str:
         if node in arena.final_up:
             extras = ", peripheries=2"
         prio = arena.node_priority(node)
-        label = name = node.pretty(arena)
+        label = name = node.pretty()
         if prio is not None:
             label += f" p{prio}"
         ids[node] = dot_quote(name)
@@ -345,7 +345,7 @@ def arena_to_json(arena: Arena) -> dict:
         return d
 
     def edge_dict(e):
-        d = {"from": e.src.pretty(arena), "to": e.dst.pretty(arena), "kind": e.kind}
+        d = {"from": e.src.pretty(), "to": e.dst.pretty(), "kind": e.kind}
         if e.labeled:
             d["priority"] = e.priority
             d["size"] = e.size

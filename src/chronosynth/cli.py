@@ -86,7 +86,7 @@ def _witness_json(arena, choice):
     entries = []
     for node in sorted(choice):
         e = choice[node]
-        entry = {"at": node.pretty(arena), "to": e.dst.pretty(arena)}
+        entry = {"at": node.pretty(), "to": e.dst.pretty()}
         if e.labeled:
             entry["priority"] = e.priority
             entry["size"] = e.size

@@ -1,8 +1,10 @@
 """Operational semantics of the timed interrupt games.
 
-A play walks the arena with exact rational timestamps.  The controller
-commits blocks (an arena edge to a block node); the i-th block of a play,
-counting from 0, runs at time scale 2^-i.  The environment either accepts,
+A play walks the arena with exact rational timestamps.  A move is one of
+three things: an arena edge out of a node that is not a block node (a start
+or input letter, a point output, or a block), an interrupt, or accepting.
+Only an interrupt carries a time.  The i-th block of a play, counting from
+0, runs at time scale 2^-i.  At a block node the environment either accepts,
 ending the play, or interrupts at a chosen time, which resolves to a
 position inside the block: in the right-continuous game position n covers
 the half-open span ending at scale * n; in the finite-variability game odd
@@ -22,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arena import (
-    FRESH, FV, I_DAG, I_UP, LEFT, O_DAG, O_PAIR, RC, RIGHT, Arena, ArenaEdge, ArenaNode, interrupt_at,
+    FRESH, FV, I_UP, LEFT, O_DAG, O_PAIR, RC, RIGHT, Arena, ArenaEdge, ArenaNode, interrupt_at,
 )
 from .continuous_synth import Violation, effective_priority
 from .rationals import format_rational, parse_rational
@@ -41,26 +43,6 @@ class UndecidedError(PlayError):
 
 
 # -- moves -------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class StartInput:
-    letter: str
-
-
-@dataclass(frozen=True)
-class PointOutput:
-    state: object
-
-
-@dataclass(frozen=True)
-class InputForAWhile:
-    letter: str
-
-
-@dataclass(frozen=True)
-class BlockMove:
-    edge: ArenaEdge
 
 
 @dataclass(frozen=True)
@@ -93,7 +75,6 @@ class TimedPlay:
     interrupt_count: int = 0
     steps: list = field(default_factory=list)
     finished: bool = False
-    final_accepting: bool = None
 
     def transcript(self) -> str:
         return "\n".join(s.text for s in self.steps) + ("\n" if self.steps else "")
@@ -154,6 +135,14 @@ def resolve_interrupt(arena: Arena, play: TimedPlay, move: InterruptMove):
     return n, _interrupt_edge(arena, node, n, move.letter)
 
 
+def _letter_edge(arena: Arena, node: ArenaNode, letter) -> ArenaEdge:
+    """The edge out of the fresh node or a (q,+) node that fixes input ``letter``."""
+    for edge in arena.outgoing(node):
+        if edge.dst.letter == letter:
+            return edge
+    raise IllegalMove(f"unknown input letter {letter!r}")
+
+
 def _take(play: TimedPlay, edge: ArenaEdge, missing_msg: str, text: str, time=None) -> TimedPlay:
     """Move along an arena edge from the current node, at ``time`` if given, and record it."""
     if edge not in play.arena.outgoing(play.node):
@@ -166,7 +155,8 @@ def _take(play: TimedPlay, edge: ArenaEdge, missing_msg: str, text: str, time=No
 
 
 def step(play: TimedPlay, move) -> TimedPlay:
-    """Apply one move, validating ownership and legality.
+    """Apply one move: an arena edge out of a node that is not a block node,
+    an ``InterruptMove`` or ``Accept``.  Illegal moves leave the play unchanged.
 
     Block i of the play, counting from 0, gets the time scale 2^-i.
     """
@@ -175,32 +165,17 @@ def step(play: TimedPlay, move) -> TimedPlay:
     if play.finished:
         raise IllegalMove("the play has ended")
 
-    if isinstance(move, StartInput):
-        if node.kind != FRESH:
-            raise IllegalMove("start moves only at the fresh node")
-        edge = ArenaEdge(node, ArenaNode(O_PAIR, arena.automaton.initial, move.letter))
-        return _take(play, edge, f"unknown input letter {move.letter!r}", f"I start a={move.letter}")
-
-    if isinstance(move, PointOutput):
-        if not (node.kind == O_PAIR and arena.semantics == FV):
-            raise IllegalMove("point outputs only at (q,a) nodes of the fv game")
-        edge = ArenaEdge(node, ArenaNode(O_DAG, move.state))
-        return _take(play, edge, f"no output reaches state {move.state!r}", f"O point q={move.state}")
-
-    if isinstance(move, InputForAWhile):
-        if node.kind != O_DAG:
-            raise IllegalMove("input-for-a-while moves only at (q,+) nodes")
-        edge = ArenaEdge(node, ArenaNode(I_DAG, node.state, move.letter))
-        return _take(play, edge, f"unknown input letter {move.letter!r}", f"I input a={move.letter}")
-
-    if isinstance(move, BlockMove):
-        if node.kind != (O_PAIR if arena.semantics == RC else I_DAG):
-            raise IllegalMove("block moves only at the controller's block nodes")
+    if isinstance(move, ArenaEdge):
+        if node.kind == I_UP:
+            raise IllegalMove("block nodes are left only by an interrupt or by accepting")
+        missing = "edge does not leave the current node"
+        if node.kind in (FRESH, O_DAG):
+            verb = "start" if node.kind == FRESH else "input"
+            return _take(play, move, missing, f"I {verb} a={move.dst.letter}")
+        if node.kind == O_PAIR and arena.semantics == FV:
+            return _take(play, move, missing, f"O point q={move.dst.state}")
         scale = Fraction(1, 2**play.block_index)
-        _take(
-            play, move.edge, "block edge does not leave the current node",
-            f"O block u=u{move.edge.dst.up} scale={format_rational(scale)}",
-        )
+        _take(play, move, missing, f"O block u=u{move.dst.up} scale={format_rational(scale)}")
         play.block_start = play.now
         play.block_scale = scale
         play.block_index += 1
@@ -210,7 +185,6 @@ def step(play: TimedPlay, move) -> TimedPlay:
         if node.kind != I_UP:
             raise IllegalMove("accepting is only possible at block nodes")
         play.finished = True
-        play.final_accepting = node in arena.final_up
         play.steps.append(TraceStep("I accept", None, play.now))
         return play
 
@@ -239,11 +213,11 @@ def adjudicate(play: TimedPlay) -> PlayOutcome:
     the lag bound times the remaining geometric sum), and goes to the
     controller; any other cycle is decided by its maximal effective priority.
     """
+    arena = play.arena
     if play.finished:
-        if play.final_accepting:
+        if play.node in arena.final_up:
             return PlayOutcome("O", "accepted_final")
         return PlayOutcome("I", "rejected_final")
-    arena = play.arena
     edges = [s.edge for s in play.steps if s.edge is not None]
     cycle = None
     for lam in range(1, len(edges) // 3 + 1):
@@ -278,10 +252,7 @@ class ChoiceController:
         node = play.node
         if node not in self.choice:
             raise PlayError(f"controller has no choice at {node}")
-        edge = self.choice[node]
-        if node.kind == O_PAIR and self.arena.semantics == FV:
-            return PointOutput(edge.dst.state)
-        return BlockMove(edge)
+        return self.choice[node]
 
 
 def time_for_edge(arena: Arena, play: TimedPlay, edge: ArenaEdge, min_time=None):
@@ -312,15 +283,6 @@ def time_for_edge(arena: Arena, play: TimedPlay, edge: ArenaEdge, min_time=None)
     raise PlayError(f"no position realizes {edge} at or after {min_time}")
 
 
-def _environment_move(arena: Arena, play: TimedPlay, edge: ArenaEdge, min_time=None):
-    """The environment move that takes ``edge`` from the current node."""
-    if play.node.kind == FRESH:
-        return StartInput(edge.dst.letter)
-    if play.node.kind == O_DAG:
-        return InputForAWhile(edge.dst.letter)
-    return time_for_edge(arena, play, edge, min_time)
-
-
 class RandomEnvironment:
     """Random but legal environment moves; accepts with a small rate.
 
@@ -343,11 +305,13 @@ class RandomEnvironment:
             or self.rng.random() < self.accept_rate
         ):
             return Accept()
-        edge = self.rng.choice(sorted(outs))
+        edge = self.rng.choice(outs)
+        if play.node.kind != I_UP:
+            return edge
         bump = None
         if edge.size == "big" and self.rng.random() < 0.5:
             bump = play.now + self.rng.randint(1, 3)
-        return _environment_move(self.arena, play, edge, bump)
+        return time_for_edge(self.arena, play, edge, bump)
 
 
 class ViolationEnvironment:
@@ -380,12 +344,14 @@ class ViolationEnvironment:
             edge = cycle[(k - len(entry)) % len(cycle)]
         if edge.src != node:
             raise PlayError(f"environment plan diverged at {node}")
+        if node.kind != I_UP:
+            return edge
         min_time = None
         if edge.size == "big":
             min_time = play.now + 1
             if self.rng is not None:
                 min_time += self.rng.randint(0, 3)
-        return _environment_move(self.arena, play, edge, min_time)
+        return time_for_edge(self.arena, play, edge, min_time)
 
 
 def run_play(arena: Arena, controller, environment, max_rounds=40):
@@ -432,7 +398,7 @@ class LastInstantInterrupter:
     def move(self, play: TimedPlay):
         node = play.node
         if node.kind == FRESH:
-            return StartInput(self.arena.automaton.sigma_in[0])
+            return _letter_edge(self.arena, node, self.arena.automaton.sigma_in[0])
         if play.interrupt_count >= self.rounds:
             return Accept()
         others = [x for x in self.arena.automaton.sigma_in if x != node.letter]
@@ -489,7 +455,7 @@ class PlaySession:
     def _render(self, play: TimedPlay):
         node = play.node
         w = self.writer
-        w(f"t={format_rational(play.now)} node={node.pretty(self.arena)}")
+        w(f"t={format_rational(play.now)} node={node.pretty()}")
         if node.kind == I_UP:
             member = self.arena.member(node)
             lag = ",".join(str(x) for x in member.lag)
@@ -527,10 +493,12 @@ class PlaySession:
         if not parts:
             raise IllegalMove("empty command")
         cmd = parts[0].lower()
-        if cmd == "start" and len(parts) == 2:
-            return StartInput(parts[1])
-        if cmd == "input" and len(parts) == 2:
-            return InputForAWhile(parts[1])
+        if cmd in ("start", "input") and len(parts) == 2:
+            if cmd == "start" and play.node.kind != FRESH:
+                raise IllegalMove("start moves only at the fresh node")
+            if cmd == "input" and play.node.kind != O_DAG:
+                raise IllegalMove("input-for-a-while moves only at (q,+) nodes")
+            return _letter_edge(self.arena, play.node, parts[1])
         if cmd == "accept":
             return Accept()
         if cmd == "interrupt" and len(parts) in (3, 4):

@@ -266,15 +266,12 @@ class SmallInterrupter:
         self.rounds = rounds
 
     def move(self, play):
-        from chronosynth.game_sim import Accept, InterruptMove, StartInput
+        from chronosynth.game_sim import Accept, InterruptMove
 
         node = play.node
-        if node.kind == "fresh":
-            return StartInput(self.rng.choice(self.arena.automaton.sigma_in))
-        if node.kind == "o_dag":
-            from chronosynth.game_sim import InputForAWhile
-
-            return InputForAWhile(self.rng.choice(self.arena.automaton.sigma_in))
+        if node.kind in ("fresh", "o_dag"):
+            letter = self.rng.choice(self.arena.automaton.sigma_in)
+            return next(e for e in self.arena.outgoing(node) if e.dst.letter == letter)
         if play.interrupt_count >= self.rounds:
             return Accept()
         member = self.arena.member(node)

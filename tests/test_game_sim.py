@@ -6,22 +6,19 @@ from fractions import Fraction
 
 import pytest
 
-from chronosynth.arena import FV, I_UP, O_PAIR, RC
+from chronosynth.arena import FRESH, FV, I_DAG, I_UP, O_DAG, O_PAIR, RC
 from chronosynth.continuous_synth import build_game_arena, decide_continuous
 from chronosynth.game_sim import (
     Accept,
-    BlockMove,
     ChoiceController,
     IllegalMove,
-    InputForAWhile,
     InterruptMove,
     RandomEnvironment,
-    StartInput,
     TimedPlay,
+    TraceStep,
     UndecidedError,
     ViolationEnvironment,
     PlaySession,
-    PointOutput,
     adjudicate,
     new_play,
     play_example_geometric,
@@ -48,12 +45,17 @@ def fv_setup():
     return res
 
 
+def letter_edge(play, letter):
+    """The arena edge that fixes input ``letter`` at the fresh node or a (q,+) node."""
+    return next(e for e in play.arena.outgoing(play.node) if e.dst.letter == letter)
+
+
 def test_accept_at_final_node_wins_for_controller():
     res = rc_setup()
     arena = res.arena
     controller = ChoiceController(arena, res.witness)
     play = new_play(arena)
-    step(play, StartInput("0"))
+    step(play, letter_edge(play, "0"))
     step(play, controller.move(play))
     assert play.node.kind == I_UP
     step(play, Accept())
@@ -66,7 +68,7 @@ def test_interrupt_positions_and_labels():
     arena = res.arena
     controller = ChoiceController(arena, res.witness)
     play = new_play(arena)
-    step(play, StartInput("0"))
+    step(play, letter_edge(play, "0"))
     step(play, controller.move(play))
     member = arena.member(play.node)
     lag = len(member.lag)
@@ -91,9 +93,10 @@ def test_illegal_moves_rejected():
     play = new_play(arena)
     with pytest.raises(IllegalMove):
         step(play, Accept())
-    step(play, StartInput("0"))
+    start = letter_edge(play, "0")
+    step(play, start)
     with pytest.raises(IllegalMove):
-        step(play, StartInput("0"))
+        step(play, start)
     step(play, controller.move(play))
     with pytest.raises(IllegalMove):
         step(play, InterruptMove(F(0), "1", ""))  # not after block start
@@ -103,14 +106,51 @@ def test_illegal_moves_rejected():
         step(play, InterruptMove(F(1, 2), "1", "left"))  # fv kind in rc
 
 
+def test_untimed_moves_are_arena_edges():
+    for semantics in (RC, FV):
+        arena = decide_continuous(load_fixture("psi_copy"), semantics).arena
+        kinds = {node.kind for node in arena.nodes}
+        assert kinds == ({FRESH, O_PAIR, I_UP} if semantics == RC else {FRESH, O_PAIR, O_DAG, I_DAG, I_UP})
+        now = F(5, 2)
+        for node in arena.nodes:
+            # the second block of a play, mid-way through it
+            play = TimedPlay(arena, node, now, block_index=1, block_start=F(2), block_scale=F(1))
+            before = dataclasses.replace(play, steps=[])
+            foreign = next(e for e in arena.edges if e.src != node)
+            untimed = [foreign] + list(arena.outgoing(node) if node.kind == I_UP else ())
+            for edge in untimed:
+                with pytest.raises(IllegalMove):
+                    step(play, edge)
+                assert play == before, (semantics, node, edge)
+            if node.kind == I_UP:
+                continue
+            for edge in arena.outgoing(node):
+                play = dataclasses.replace(before, steps=[])
+                step(play, edge)
+                if node.kind == FRESH:
+                    text = f"I start a={edge.dst.letter}"
+                elif node.kind == O_DAG:
+                    text = f"I input a={edge.dst.letter}"
+                elif edge.dst.kind == O_DAG:
+                    assert semantics == FV and node.kind == O_PAIR
+                    text = f"O point q={edge.dst.state}"
+                else:
+                    assert edge.dst.kind == I_UP and node.kind == (O_PAIR if semantics == RC else I_DAG)
+                    text = f"O block u=u{edge.dst.up} scale=1/2"
+                    assert (play.block_index, play.block_start, play.block_scale) == (2, now, F(1, 2))
+                assert play.node == edge.dst, (semantics, edge)
+                assert play.steps == [TraceStep(text, edge, now)], (semantics, edge)
+                assert play.now == now and play.interrupt_count == 0 and not play.finished
+
+
 def test_fv_right_interrupts_only_at_grid():
     res = fv_setup()
     arena = res.arena
     controller = ChoiceController(arena, res.witness)
     play = new_play(arena)
-    step(play, StartInput("0"))
+    step(play, letter_edge(play, "0"))
     while play.node.kind != I_UP:
-        step(play, controller.move(play) if arena.owner(play.node) == "O" else InputForAWhile("0"))
+        step(play, controller.move(play) if arena.owner(play.node) == "O" else letter_edge(play, "0"))
     with pytest.raises(IllegalMove):
         step(play, InterruptMove(play.block_start + play.block_scale / 2, "1", "right"))
     step(play, InterruptMove(play.block_start + play.block_scale, "1", "right"))
@@ -122,9 +162,9 @@ def test_fv_left_interrupt_lands_on_odd_position():
     arena = res.arena
     controller = ChoiceController(arena, res.witness)
     play = new_play(arena)
-    step(play, StartInput("0"))
+    step(play, letter_edge(play, "0"))
     while play.node.kind != I_UP:
-        step(play, controller.move(play) if arena.owner(play.node) == "O" else InputForAWhile("0"))
+        step(play, controller.move(play) if arena.owner(play.node) == "O" else letter_edge(play, "0"))
     mv = InterruptMove(play.block_start + play.block_scale / 2, "1", "left")
     n, edge = resolve_interrupt(arena, play, mv)
     assert n % 2 == 1
@@ -132,20 +172,17 @@ def test_fv_left_interrupt_lands_on_odd_position():
 
 
 def test_block_i_runs_at_scale_two_to_the_minus_i():
-    # the schedule belongs to step: a block move names only its edge
+    # the schedule belongs to step: a block move is only its edge
     for res in (rc_setup(), fv_setup()):
         arena = res.arena
         for seed in range(10):
             env = RandomEnvironment(arena, random.Random(seed), accept_rate=0.05)
             play = new_play(arena)
             while not play.finished and play.interrupt_count < 8:
-                edge = res.witness.get(play.node)
                 if arena.owner(play.node) == "I":
                     step(play, env.move(play))
-                elif play.node.kind == O_PAIR and arena.semantics == FV:
-                    step(play, PointOutput(edge.dst.state))
                 else:
-                    step(play, BlockMove(edge))
+                    step(play, res.witness[play.node])
             blocks = [s.text for s in play.steps if s.text.startswith("O block")]
             assert blocks
             for i, text in enumerate(blocks):
@@ -341,10 +378,10 @@ def test_interactive_session_rejects_bad_input_and_reprompts():
     # lag is at least two states long, so the block's lag is cut to one here
     res = fv_setup()
     play = new_play(res.arena)
-    step(play, StartInput("0"))
+    step(play, letter_edge(play, "0"))
     while play.node.kind != I_UP:
         step(play, ChoiceController(res.arena, res.witness).move(play)
-             if res.arena.owner(play.node) == "O" else InputForAWhile("0"))
+             if res.arena.owner(play.node) == "O" else letter_edge(play, "0"))
     member = res.arena.member(play.node)
     members = list(res.arena.members)
     members[play.node.up] = dataclasses.replace(member, lag=member.lag[:1])
