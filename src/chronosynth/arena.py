@@ -28,7 +28,9 @@ with them the search order, witnesses and exports, follow that order.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 from .automaton import MAX_EVEN, ParityAutomaton, dot_quote, state_name
@@ -112,6 +114,18 @@ class Arena:
 
     def outgoing(self, node: ArenaNode) -> tuple:
         return self.edges_from.get(node, ())
+
+    @cached_property
+    def names(self) -> dict:
+        """The exported name of each node: ``pretty()``, or ``repr()`` where nodes share it.
+
+        Under fv an input letter '+' makes the (q, a) node for a = '+' print
+        like the dagger node (q, +).  A repr spells out every field and never
+        starts like a pretty name, so distinct nodes get distinct names.
+        """
+        names = {node: node.pretty() for node in self.nodes}
+        shared = Counter(names.values())
+        return {node: repr(node) if shared[name] > 1 else name for node, name in names.items()}
 
 
 def _landing(semantics, q, n, b):
@@ -305,14 +319,14 @@ def build_fv_arena(a: ParityAutomaton, up: dict) -> Arena:
 def export_dot(arena: Arena) -> str:
     """Deterministic DOT rendering; big interrupt edges are drawn bold."""
     lines = ["digraph arena {", '  rankdir="LR";']
-    ids = {}
+    names, ids = arena.names, {}
     for node in arena.nodes:
         shape = {"I": "box", "O": "ellipse"}[arena.owner(node)]
         extras = ""
         if node in arena.final_up:
             extras = ", peripheries=2"
         prio = arena.node_priority(node)
-        label = name = node.pretty()
+        label = name = names[node]
         if prio is not None:
             label += f" p{prio}"
         ids[node] = dot_quote(name)
@@ -330,6 +344,8 @@ def export_dot(arena: Arena) -> str:
 
 
 def arena_to_json(arena: Arena) -> dict:
+    names = arena.names
+
     def node_dict(n):
         d = {"kind": n.kind, "owner": arena.owner(n)}
         if n.state is not None:
@@ -345,7 +361,7 @@ def arena_to_json(arena: Arena) -> dict:
         return d
 
     def edge_dict(e):
-        d = {"from": e.src.pretty(), "to": e.dst.pretty(), "kind": e.kind}
+        d = {"from": names[e.src], "to": names[e.dst], "kind": e.kind}
         if e.labeled:
             d["priority"] = e.priority
             d["size"] = e.size

@@ -165,20 +165,11 @@ def _worst_priority(convention, priorities) -> int:
     return m if m % 2 == 1 else m + 1
 
 
-def _best_priority(a: ParityAutomaton) -> int:
-    if a.convention == MAX_EVEN:
-        return 0
-    m = a.max_priority()
-    return m if m % 2 == 0 else m + 1
-
-
-def product_with_monitor(a: ParityAutomaton, m: SafetyMonitor, sink_accepting: bool = False) -> ParityAutomaton:
+def product_with_monitor(a: ParityAutomaton, m: SafetyMonitor) -> ParityAutomaton:
     """Product automaton; entering the monitor sink fixes the verdict.
 
-    By default sink states receive the worst (losing-for-acceptance)
-    priority.  ``sink_accepting=True`` flips the burden: a monitor
-    violation then counts in favor of acceptance (used when the monitored
-    discipline binds the opponent).
+    Sink states receive the worst (losing-for-acceptance) priority, so a
+    word that violates the monitored discipline is rejected.
     """
     for q in m.states:
         for ain in a.sigma_in:
@@ -187,10 +178,7 @@ def product_with_monitor(a: ParityAutomaton, m: SafetyMonitor, sink_accepting: b
                     raise AlphabetMismatchError(
                         f"monitor does not cover letter ({ain!r}, {aout!r})"
                     )
-    if sink_accepting:
-        sink_prio = _best_priority(a)
-    else:
-        sink_prio = _worst_priority(a.convention, (a.priority[q] for q in a.states))
+    sink_prio = _worst_priority(a.convention, (a.priority[q] for q in a.states))
     states = []
     transition = {}
     priority = {}
@@ -214,12 +202,6 @@ def product_with_monitor(a: ParityAutomaton, m: SafetyMonitor, sink_accepting: b
         priority=priority,
         convention=a.convention,
     )
-
-
-def accept_all_monitor(sigma_in, sigma_out) -> SafetyMonitor:
-    transition = {("ok", a, b): "ok" for a in sigma_in for b in sigma_out}
-    transition.update({("dead", a, b): "dead" for a in sigma_in for b in sigma_out})
-    return SafetyMonitor(states=("ok", "dead"), initial="ok", sink="dead", transition=transition)
 
 
 def automaton_from_json(data) -> ParityAutomaton:
@@ -301,24 +283,6 @@ def state_name(q) -> str:
 def dot_quote(text) -> str:
     """``text`` as a quoted DOT string, with backslashes and double quotes escaped."""
     return '"' + str(text).replace("\\", "\\\\").replace('"', '\\"') + '"'
-
-
-def automaton_to_json(a: ParityAutomaton) -> dict:
-    return {
-        "states": [state_name(q) for q in a.states],
-        "sigma_in": list(a.sigma_in),
-        "sigma_out": list(a.sigma_out),
-        "initial": state_name(a.initial),
-        "priority": {state_name(q): a.priority[q] for q in a.states},
-        "convention": a.convention,
-        "transitions": sorted(
-            (
-                {"from": state_name(q), "in": ain, "out": aout, "to": state_name(t)}
-                for (q, ain, aout), t in a.transition.items()
-            ),
-            key=lambda e: (e["from"], e["in"], e["out"]),
-        ),
-    }
 
 
 def load_automaton(path) -> ParityAutomaton:

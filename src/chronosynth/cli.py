@@ -83,10 +83,10 @@ def positive_int(text):
 
 
 def _witness_json(arena, choice):
-    entries = []
+    names, entries = arena.names, []
     for node in sorted(choice):
         e = choice[node]
-        entry = {"at": node.pretty(), "to": e.dst.pretty()}
+        entry = {"at": names[node], "to": names[e.dst]}
         if e.labeled:
             entry["priority"] = e.priority
             entry["size"] = e.size

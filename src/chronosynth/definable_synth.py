@@ -53,19 +53,15 @@ def is_squared_alphabet(letters) -> bool:
         return False
 
 
-def build_psi_star_monitor(sigma_in, sigma_out, constrain: str = "output") -> SafetyMonitor:
+def build_psi_star_monitor(sigma_in, sigma_out) -> SafetyMonitor:
     """Safety monitor for the jump discipline of finite-state operators.
 
     Remembers the previous letter's interval components (a', b').  On the
-    next letter ((c, c'), (d, d')): if a' = c (the constrained-side's input
-    is left-continuous at the sample point) the other side must be too
-    (b' = d); if additionally c = c' (continuous), d = d' is also required.
-    The first letter is unconstrained: the clauses quantify over times
-    strictly after 0.  ``constrain`` picks which side bears the burden:
-    "output" guards Y against jumps where X is smooth, "input" the reverse.
+    next letter ((c, c'), (d, d')): if a' = c (the input is left-continuous
+    at the sample point) the output must be too (b' = d); if additionally
+    c = c' (continuous), d = d' is also required.  The first letter is
+    unconstrained: the clauses quantify over times strictly after 0.
     """
-    if constrain not in ("output", "input"):
-        raise ValueError("constrain must be 'output' or 'input'")
     base_in = sorted({piece for letter in sigma_in for piece in split_letter(letter)})
     base_out = sorted({piece for letter in sigma_out for piece in split_letter(letter)})
     states = ["start", "dead"]
@@ -81,18 +77,7 @@ def build_psi_star_monitor(sigma_in, sigma_out, constrain: str = "output") -> Sa
             transition[("dead", ain, aout)] = "dead"
             for x, y in memories:
                 state = f"m:{x}{PAIR_SEP}{y}"
-                if constrain == "output":
-                    smooth_in, smooth_out = (x, c, c_prime), (y, d, d_prime)
-                else:
-                    smooth_in, smooth_out = (y, d, d_prime), (x, c, c_prime)
-                prev_i, point_i, next_i = smooth_in
-                prev_o, point_o, next_o = smooth_out
-                violated = False
-                if prev_i == point_i:  # left-continuous at the sample point
-                    if prev_o != point_o:
-                        violated = True
-                    if point_i == next_i and point_o != next_o:  # continuous
-                        violated = True
+                violated = x == c and (y != d or (c == c_prime and d != d_prime))
                 transition[(state, ain, aout)] = "dead" if violated else next_mem
     return SafetyMonitor(tuple(states), "start", "dead", transition)
 
@@ -103,13 +88,6 @@ class DefinableResult:
     witness: MealyMachine | None
     counter: MooreCounterMachine | None
     losing_region: tuple = ()
-
-
-@dataclass(frozen=True)
-class ScCounterResult:
-    exists: bool
-    counter: MooreCounterMachine | None
-    witness_against: MealyMachine | None
 
 
 def _check_squared(spec: ParityAutomaton):
@@ -129,27 +107,10 @@ def solve_definable(spec: ParityAutomaton) -> DefinableResult:
     player's winning region certifies impossibility.
     """
     _check_squared(spec)
-    monitor = build_psi_star_monitor(spec.sigma_in, spec.sigma_out, constrain="output")
-    product = product_with_monitor(spec, monitor, sink_accepting=False)
+    monitor = build_psi_star_monitor(spec.sigma_in, spec.sigma_out)
+    product = product_with_monitor(spec, monitor)
     res = solve(product)
     if res.winner == "output":
         return DefinableResult(True, res.mealy, None)
     losing = tuple(sorted(repr(v) for v in res.input_region))
     return DefinableResult(False, None, res.counter, losing)
-
-
-def solve_definable_sc(spec: ParityAutomaton) -> ScCounterResult:
-    """Decide whether a finite-state strongly causal counter-operator exists.
-
-    The counter emits input letters before reading output letters and wants
-    the spec to fail on the combined word; being finite-state, its own
-    jump discipline (input jumps only where output jumps) is enforced by a
-    transposed monitor whose violation counts against the counter.
-    """
-    _check_squared(spec)
-    monitor = build_psi_star_monitor(spec.sigma_in, spec.sigma_out, constrain="input")
-    product = product_with_monitor(spec, monitor, sink_accepting=True)
-    res = solve(product)
-    if res.winner == "input":
-        return ScCounterResult(True, res.counter, None)
-    return ScCounterResult(False, None, res.mealy)

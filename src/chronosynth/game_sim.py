@@ -455,7 +455,7 @@ class PlaySession:
     def _render(self, play: TimedPlay):
         node = play.node
         w = self.writer
-        w(f"t={format_rational(play.now)} node={node.pretty()}")
+        w(f"t={format_rational(play.now)} node={self.arena.names[node]}")
         if node.kind == I_UP:
             member = self.arena.member(node)
             lag = ",".join(str(x) for x in member.lag)

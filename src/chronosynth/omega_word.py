@@ -1,4 +1,4 @@
-"""Ultimately periodic omega-words (lassos) and their equivalences.
+"""Ultimately periodic omega-words (lassos).
 
 A lasso ``u (v)^w`` finitely presents the omega-word ``u v v v ...``.
 Letters are arbitrary hashable values; automaton modules use strings and
@@ -68,56 +68,6 @@ def normalize(w: LassoWord) -> LassoWord:
 def inf_set(w: LassoWord) -> frozenset:
     """Letters occurring infinitely often: exactly the normalized period."""
     return frozenset(normalize(w).period)
-
-
-def pair_profile(w: LassoWord) -> frozenset:
-    """The set of pairs (letter at m, set of letters strictly before m).
-
-    The prefix-letter sets grow monotonically and reach the full letter set
-    within ``lag + period`` positions, after which each period letter pairs
-    with the full set; one further period copy therefore adds nothing new,
-    so scanning ``u v v`` is exhaustive.
-    """
-    horizon = len(w.prefix) + 2 * len(w.period)
-    seen = set()
-    pairs = set()
-    for i in range(horizon):
-        letter = w.letter_at(i)
-        pairs.add((letter, frozenset(seen)))
-        seen.add(letter)
-    return frozenset(pairs)
-
-
-def path_flags(w: LassoWord, relations: dict) -> dict:
-    """Per input letter a: is the omega-word an E_a-path throughout?
-
-    ``relations`` maps each input letter to a set of state pairs (q, q').
-    Consecutive pairs of ``u v v`` cover the prefix, the prefix/period
-    boundary, the period interior, and the period wrap-around.
-    """
-    word = w.prefix + w.period + w.period
-    flags = {}
-    for a, rel in relations.items():
-        flags[a] = all((word[i], word[i + 1]) in rel for i in range(len(word) - 1))
-    return flags
-
-
-def omega_equivalent(w1: LassoWord, w2: LassoWord, relations: dict | None = None) -> bool:
-    """Equivalence of omega-words over automaton states.
-
-    Holds iff (1) the infinitely-occurring letter sets agree, (2, 3) the
-    (letter, letters-strictly-before) pair sets agree in both directions,
-    and (4) the per-input-letter path validity flags agree.  ``relations``
-    may be omitted when no path context is relevant.
-    """
-    if inf_set(w1) != inf_set(w2):
-        return False
-    if pair_profile(w1) != pair_profile(w2):
-        return False
-    if relations:
-        if path_flags(w1, relations) != path_flags(w2, relations):
-            return False
-    return True
 
 
 def transduce(step, state, word: LassoWord) -> LassoWord:

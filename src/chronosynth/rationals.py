@@ -1,9 +1,8 @@
-"""Exact rational helpers shared by the signal and game modules."""
+"""Exact rational times as the play session reads and prints them."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 
 def parse_rational(text) -> Fraction:
@@ -29,14 +28,3 @@ def format_rational(x: Fraction) -> str:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
 
-
-def frac_gcd(a: Fraction, b: Fraction) -> Fraction:
-    """Greatest common divisor of two positive rationals."""
-    a, b = Fraction(a), Fraction(b)
-    num = gcd(a.numerator * b.denominator, b.numerator * a.denominator)
-    return Fraction(num, a.denominator * b.denominator)
-
-
-def frac_lcm(a: Fraction, b: Fraction) -> Fraction:
-    a, b = Fraction(a), Fraction(b)
-    return a * b / frac_gcd(a, b)

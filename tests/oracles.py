@@ -11,11 +11,15 @@ every (class, idempotent) pair with ``product``, as an oracle for the
 closed-form absorption test of ``state_monoid.build_UP``, and must return the
 same members in the same order; ``reference_interrupt_targets`` scans every
 interrupt position of a member's lag plus one period (two under fv), as an
-oracle for the two cached halves of ``arena._interrupt_targets``.
+oracle for the two cached halves of ``arena._interrupt_targets``;
+``omega_equivalent`` is the equivalence of omega-words over states, built
+from ``pair_profile`` and ``path_flags``, whose classes the tests check
+``state_monoid.signature_of`` and the block vocabulary against.
 """
 
 from chronosynth.arena import FV, interrupt_at
 from chronosynth.discrete_game import GameError, GameGraph
+from chronosynth.omega_word import LassoWord, inf_set
 from chronosynth.state_monoid import MonoidContext, MonoidError, UPMember, product
 
 
@@ -193,3 +197,53 @@ def reference_interrupt_targets(a, member, letter, semantics):
                 running = max(running, a.priority[dst.state])  # dst.state is u(n)
                 targets.add((dst, running, size, kind))
     return frozenset(targets)
+
+
+def pair_profile(w: LassoWord) -> frozenset:
+    """The set of pairs (letter at m, set of letters strictly before m).
+
+    The prefix-letter sets grow monotonically and reach the full letter set
+    within ``lag + period`` positions, after which each period letter pairs
+    with the full set; one further period copy therefore adds nothing new,
+    so scanning ``u v v`` is exhaustive.
+    """
+    horizon = len(w.prefix) + 2 * len(w.period)
+    seen = set()
+    pairs = set()
+    for i in range(horizon):
+        letter = w.letter_at(i)
+        pairs.add((letter, frozenset(seen)))
+        seen.add(letter)
+    return frozenset(pairs)
+
+
+def path_flags(w: LassoWord, relations: dict) -> dict:
+    """Per input letter a: is the omega-word an E_a-path throughout?
+
+    ``relations`` maps each input letter to a set of state pairs (q, q').
+    Consecutive pairs of ``u v v`` cover the prefix, the prefix/period
+    boundary, the period interior, and the period wrap-around.
+    """
+    word = w.prefix + w.period + w.period
+    flags = {}
+    for a, rel in relations.items():
+        flags[a] = all((word[i], word[i + 1]) in rel for i in range(len(word) - 1))
+    return flags
+
+
+def omega_equivalent(w1: LassoWord, w2: LassoWord, relations: dict | None = None) -> bool:
+    """Equivalence of omega-words over automaton states.
+
+    Holds iff (1) the infinitely-occurring letter sets agree, (2, 3) the
+    (letter, letters-strictly-before) pair sets agree in both directions,
+    and (4) the per-input-letter path validity flags agree.  ``relations``
+    may be omitted when no path context is relevant.
+    """
+    if inf_set(w1) != inf_set(w2):
+        return False
+    if pair_profile(w1) != pair_profile(w2):
+        return False
+    if relations:
+        if path_flags(w1, relations) != path_flags(w2, relations):
+            return False
+    return True

@@ -10,15 +10,30 @@ The same module houses sample sequences, the encoding of signals as
 omega-words of (point value, interval value) pairs, the stuttering
 normal form, piecewise-linear time reparameterization, and the
 counter-operator construction used by the indeterminacy fixtures.
+No subcommand runs on a concrete signal, so the model lives with the
+tests: the acceptance criteria and demo 02 read it from here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
-from .omega_word import LassoWord, normalize
-from .rationals import format_rational, frac_lcm
+from chronosynth.omega_word import LassoWord, normalize
+from chronosynth.rationals import format_rational
+
+
+def frac_gcd(a: Fraction, b: Fraction) -> Fraction:
+    """Greatest common divisor of two positive rationals."""
+    a, b = Fraction(a), Fraction(b)
+    num = gcd(a.numerator * b.denominator, b.numerator * a.denominator)
+    return Fraction(num, a.denominator * b.denominator)
+
+
+def frac_lcm(a: Fraction, b: Fraction) -> Fraction:
+    a, b = Fraction(a), Fraction(b)
+    return a * b / frac_gcd(a, b)
 
 
 class SignalError(Exception):

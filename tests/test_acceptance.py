@@ -28,8 +28,17 @@ from chronosynth.game_sim import (
     play_example_geometric,
     run_play,
 )
-from chronosynth.omega_word import LassoWord, omega_equivalent, zip_lassos
-from chronosynth.signal import (
+from chronosynth.omega_word import LassoWord, inf_set, zip_lassos
+from chronosynth.state_monoid import (
+    MonoidContext,
+    build_UP,
+    build_class_table,
+    signature_of,
+)
+
+from fixture_specs import FIXTURES, load_fixture
+from oracles import brute_force_solve, naive_equiv, omega_equivalent, pair_profile, path_flags
+from signal_model import (
     ConstantTail,
     FVSignal,
     LassoTail,
@@ -44,15 +53,6 @@ from chronosynth.signal import (
     warp_sample_sequence,
     reparameterize,
 )
-from chronosynth.state_monoid import (
-    MonoidContext,
-    build_UP,
-    build_class_table,
-    signature_of,
-)
-
-from fixture_specs import FIXTURES, load_fixture
-from oracles import brute_force_solve, naive_equiv
 
 F = Fraction
 
@@ -143,43 +143,21 @@ def test_criterion_2_up_correctness():
         keys = {}
         for m in up:
             w = m.word
-            key = (
-                frozenset(stutter_free_inf(w)),
-                profile_key(w),
-                flags_key(w, ctx),
-            )
+            key = (inf_set(w), pair_profile(w), flags_key(w, ctx))
             keys.setdefault(key, w)
         for ulen in range(0, 4):
             for vlen in range(1, 4):
                 for u in itertools.product(ctx.states, repeat=ulen):
                     for v in itertools.product(ctx.states, repeat=vlen):
                         w = LassoWord(u, v)
-                        key = (
-                            frozenset(stutter_free_inf(w)),
-                            profile_key(w),
-                            flags_key(w, ctx),
-                        )
+                        key = (inf_set(w), pair_profile(w), flags_key(w, ctx))
                         match = keys.get(key)
                         assert match is not None, f"no member covers {w}"
                         assert omega_equivalent(w, match, ctx.relations)
     report(2, "UP members satisfy their equations, bounds, and cover all small lassos (|Q|<=3)")
 
 
-def stutter_free_inf(w):
-    from chronosynth.omega_word import inf_set
-
-    return inf_set(w)
-
-
-def profile_key(w):
-    from chronosynth.omega_word import pair_profile
-
-    return pair_profile(w)
-
-
 def flags_key(w, ctx):
-    from chronosynth.omega_word import path_flags
-
     return tuple(sorted(path_flags(w, ctx.relations).items()))
 
 

@@ -10,7 +10,9 @@ import sys
 
 import pytest
 
+from chronosynth.automaton import load_automaton
 from chronosynth.cli import EXIT_CAP, EXIT_OK, EXIT_UNDECIDED, EXIT_USAGE, main
+from chronosynth.continuous_synth import build_game_arena
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "fixtures"
@@ -96,6 +98,43 @@ def test_arena_dot_and_json():
     assert data["nodes"] and data["edges"]
 
 
+def test_exported_names_tell_distinct_arena_nodes_apart(tmp_path):
+    # with input letters '+' and '-', the fv node (ok,a) for a = '+' prints
+    # like the dagger node (ok,+)
+    spec = json.loads((FIXTURES / "psi_copy.json").read_text())
+    plus_minus = {"0": "-", "1": "+"}
+    spec["sigma_in"] = [plus_minus[x] for x in spec["sigma_in"]]
+    for t in spec["transitions"]:
+        t["in"] = plus_minus[t["in"]]
+    path = tmp_path / "psi_copy_pm.json"
+    path.write_text(json.dumps(spec))
+    arena, _ = build_game_arena(load_automaton(path), "fv")
+
+    quoted = QUOTED.pattern
+    code, dot, _ = run_cli("arena", "--semantics", "fv", "--dot", str(path))
+    assert code == EXIT_OK
+    ids = re.findall(rf"^  ({quoted}) \[shape=", dot, re.M)
+    assert len(set(ids)) == len(ids) == len(arena.nodes)
+    node_of = {json.loads(i): n for i, n in zip(ids, arena.nodes)}
+    dot_edges = re.findall(rf"^  ({quoted}) -> ({quoted})", dot, re.M)
+    assert [(node_of[json.loads(s)], node_of[json.loads(d)]) for s, d in dot_edges] == [
+        (e.src, e.dst) for e in arena.edges
+    ]
+
+    code, out, _ = run_cli("arena", "--semantics", "fv", str(path))
+    assert [(node_of[e["from"]], node_of[e["to"]]) for e in json.loads(out)["edges"]] == [
+        (e.src, e.dst) for e in arena.edges
+    ]
+
+    code, out, _ = run_cli("synth", "--semantics", "fv", str(path))
+    witness = json.loads(out)["witness"]
+    assert witness
+    for entry in witness:
+        src, dst = node_of[entry["at"]], node_of[entry["to"]]
+        assert arena.owner(src) == "O"
+        assert dst in [e.dst for e in arena.outgoing(src)]
+
+
 def test_solve_discrete_machine_output(tmp_path):
     dot = tmp_path / "machine.dot"
     code, out, _ = run_cli("solve-discrete", str(FIXTURES / "predict_next.json"), "--dot", str(dot))
@@ -172,6 +211,26 @@ def test_play_reads_moves_from_stdin_until_eof():
     assert "I start a=0" in proc.stdout
     assert "I interrupt t=2 letter=1" in proc.stdout
     assert "outcome: undecided (play abandoned early)" in proc.stdout
+
+
+def test_every_module_imports_with_only_src_on_the_path(tmp_path):
+    # pytest puts tests/ on sys.path, which would hide an import of a test
+    # helper such as signal_model or oracles from inside the package
+    code = (
+        "import importlib, pkgutil, sys\n"
+        f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"
+        "import chronosynth\n"
+        "for m in pkgutil.iter_modules(chronosynth.__path__):\n"
+        "    importlib.import_module('chronosynth.' + m.name)\n"
+        "    print(m.name)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    modules = sorted(p.stem for p in (ROOT / "src" / "chronosynth").glob("[!_]*.py"))
+    assert sorted(proc.stdout.split()) == modules
 
 
 def test_play_undecided_exit_code(tmp_path):

@@ -16,26 +16,21 @@ from chronosynth.definable_synth import (
     is_squared_alphabet,
     pair_letter,
     solve_definable,
-    solve_definable_sc,
     split_letter,
     square_alphabet,
 )
 from chronosynth import definable_synth, discrete_game
-from chronosynth.discrete_game import (
-    game_from_automaton,
-    run_machine,
-)
+from chronosynth.discrete_game import run_machine
 from chronosynth.omega_word import LassoWord, zip_lassos
-from chronosynth.signal import (
+
+from fixture_specs import load_fixture
+from signal_model import (
     delta_signal,
     encode_D,
     integer_samples,
     is_stuttering_free,
     stutter_normalize,
 )
-
-from fixture_specs import load_fixture
-from oracles import brute_force_solve
 
 SQ = square_alphabet(("0", "1"))
 
@@ -219,25 +214,3 @@ def test_witness_answers_indicator_prefixes_alike_until_they_diverge():
             q1, b1 = m.react(q1, pair_letter(*w1.letter_at(i)))
             q2, b2 = m.react(q2, pair_letter(*w2.letter_at(i)))
             assert b1 == b2, (t, i)
-
-
-def test_sc_counter_trivial_specs():
-    assert not solve_definable_sc(trivial_spec(True)).exists
-    res = solve_definable_sc(trivial_spec(False))
-    assert res.exists
-    assert res.counter is not None
-
-
-def test_sc_counter_verdicts_match_game_oracle():
-    # game-level oracle: brute-force regions of the monitored product
-    from chronosynth.automaton import MAX_EVEN, convert_convention
-
-    for spec in (copy_spec_d(), trivial_spec(True), trivial_spec(False)):
-        mon = build_psi_star_monitor(spec.sigma_in, spec.sigma_out, constrain="input")
-        product = product_with_monitor(spec, mon, sink_accepting=True)
-        res = solve_definable_sc(spec)
-        canonical = convert_convention(product, MAX_EVEN)
-        g = game_from_automaton(canonical)
-        w_o, w_i = brute_force_solve(g, node_cap=1000)
-        start = ("i", canonical.initial)
-        assert res.exists == (start in w_i)

@@ -343,8 +343,8 @@ def _seeded_games():
     squared = square_alphabet("01")
     for i in range(3):
         spec = _family_spec("squared", i, 40, squared, 5)
-        monitor = build_psi_star_monitor(squared, squared, constrain="output")
-        yield game_from_automaton(product_with_monitor(spec, monitor, sink_accepting=False))
+        monitor = build_psi_star_monitor(squared, squared)
+        yield game_from_automaton(product_with_monitor(spec, monitor))
 
 
 def test_zielonka_matches_reference_on_seeded_games():

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from chronosynth.omega_word import LassoWord
-from chronosynth.signal import (
+
+from signal_model import (
     ConstantTail,
     FVSignal,
     LassoTail,

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from chronosynth.omega_word import LassoWord, omega_equivalent
+from chronosynth.omega_word import LassoWord
 from chronosynth.state_monoid import (
     MonoidCapExceeded,
     MonoidContext,
@@ -18,7 +18,7 @@ from chronosynth.state_monoid import (
     signature_of,
 )
 
-from oracles import naive_equiv
+from oracles import naive_equiv, omega_equivalent
 
 
 def total_ctx(states, letters=("x",)):
