@@ -213,6 +213,9 @@ def automaton_from_json(data) -> ParityAutomaton:
     if isinstance(data, (str, bytes)):
         data = json.loads(data)
     states = list(data["states"])
+    for q in states:
+        if not isinstance(q, str):
+            raise AutomatonError(f"state {q!r} is not a string")
     sigma_in = tuple(data["sigma_in"])
     sigma_out = tuple(data["sigma_out"])
     convention = data.get("convention", MIN_EVEN)
@@ -221,20 +224,10 @@ def automaton_from_json(data) -> ParityAutomaton:
         if isinstance(p, bool) or not isinstance(p, int):
             raise AutomatonError(f"priority of {q!r} is not an integer: {p!r}")
         priority[q] = p
-    # membership as in the list of states; JSON arrays and objects cannot be
-    # hashed, so they are kept apart and scanned
-    known, unhashable = set(), []
-    for q in states:
-        try:
-            known.add(q)
-        except TypeError:
-            unhashable.append(q)
+    known = set(states)
 
     def declared(q):
-        try:
-            return q in known
-        except TypeError:
-            return q in unhashable
+        return isinstance(q, str) and q in known
 
     transition = {}
     for entry in data["transitions"]:

@@ -27,7 +27,6 @@ from .arena import (
     FRESH, FV, I_UP, LEFT, O_DAG, O_PAIR, RC, RIGHT, Arena, ArenaEdge, ArenaNode, interrupt_at,
 )
 from .continuous_synth import Violation, effective_priority
-from .rationals import format_rational, parse_rational
 
 
 class PlayError(Exception):
@@ -175,7 +174,7 @@ def step(play: TimedPlay, move) -> TimedPlay:
         if node.kind == O_PAIR and arena.semantics == FV:
             return _take(play, move, missing, f"O point q={move.dst.state}")
         scale = Fraction(1, 2**play.block_index)
-        _take(play, move, missing, f"O block u=u{move.dst.up} scale={format_rational(scale)}")
+        _take(play, move, missing, f"O block u=u{move.dst.up} scale={scale}")
         play.block_start = play.now
         play.block_scale = scale
         play.block_index += 1
@@ -193,10 +192,10 @@ def step(play: TimedPlay, move) -> TimedPlay:
             raise IllegalMove("interrupts are only possible at block nodes")
         _, edge = resolve_interrupt(arena, play, move)
         kind_part = f" kind={edge.kind}" if arena.semantics == FV else ""
+        t = Fraction(move.time)
         _take(
             play, edge, f"resolved edge missing from the arena: {edge}",
-            f"I interrupt t={format_rational(move.time)} letter={move.letter}{kind_part}",
-            Fraction(move.time),
+            f"I interrupt t={t} letter={move.letter}{kind_part}", t,
         )
         play.interrupt_count += 1
         return play
@@ -363,71 +362,17 @@ def run_play(arena: Arena, controller, environment, max_rounds=40):
     return play
 
 
-# -- the geometric-scale demonstration play ----------------------------------
-
-
-class HoldThenFlipController(ChoiceController):
-    """Block choice that keeps the current output for one span, then jumps.
-
-    At each block node of the rc arena it picks the first block that is off
-    ``settle_state`` at position 1 and settles there from position 2 on.
-    Scales shrink geometrically, so an environment determined to interrupt
-    before the jump materializes runs out of time.
-    """
-
-    def __init__(self, arena: Arena, settle_state):
-        if arena.semantics != RC:
-            raise PlayError("this demonstration runs on the rc arena")
-        choice = {}
-        for e in arena.edges:
-            if e.src.kind == O_PAIR and e.src not in choice:
-                m = arena.member(e.dst)
-                if m.letter(1) != settle_state and m.letter(2) == settle_state and set(m.period) == {settle_state}:
-                    choice[e.src] = e
-        super().__init__(arena, choice)
-
-
-class LastInstantInterrupter:
-    """Always interrupts at the last instant before the controller's jump."""
-
-    def __init__(self, arena: Arena, rounds: int):
-        self.arena = arena
-        self.rounds = rounds
-        self.toggle = 0
-
-    def move(self, play: TimedPlay):
-        node = play.node
-        if node.kind == FRESH:
-            return _letter_edge(self.arena, node, self.arena.automaton.sigma_in[0])
-        if play.interrupt_count >= self.rounds:
-            return Accept()
-        others = [x for x in self.arena.automaton.sigma_in if x != node.letter]
-        letter = others[self.toggle % len(others)]
-        self.toggle += 1
-        # position 1 is the last span before the flip at position 2
-        return InterruptMove(_position_time(self.arena, play, 1), letter, "")
-
-
-def play_example_geometric(spec, rounds: int = 8):
-    """Scripted duel on the right-continuous arena of ``spec``: the
-    output-must-jump spec in segment form, whose jump settles in ``done``.
-
-    The environment interrupts each block as late as it can without letting
-    the jump happen; after ``rounds`` interrupts it gives up and accepts.
-    Round i consumes exactly 2^-i time units, so the total duration stays
-    below 2 no matter how long it fights.
-    """
-    from .continuous_synth import decide_continuous
-
-    result = decide_continuous(spec, RC)
-    arena = result.arena
-    controller = HoldThenFlipController(arena, "done")
-    environment = LastInstantInterrupter(arena, rounds)
-    play = run_play(arena, controller, environment, max_rounds=rounds + 2)
-    return play
-
-
 # -- interactive sessions ----------------------------------------------------
+
+
+def _parse_time(text) -> Fraction:
+    """The time "p/q" or "n" of an ``interrupt`` command."""
+    if "/" in text:
+        num, den = (int(part) for part in text.split("/", 1))
+        if den == 0:
+            raise ValueError(f"zero denominator in {text!r}")
+        return Fraction(num, den)
+    return Fraction(int(text))
 
 
 HELP_TEXT = """commands:
@@ -455,7 +400,7 @@ class PlaySession:
     def _render(self, play: TimedPlay):
         node = play.node
         w = self.writer
-        w(f"t={format_rational(play.now)} node={self.arena.names[node]}")
+        w(f"t={play.now} node={self.arena.names[node]}")
         if node.kind == I_UP:
             member = self.arena.member(node)
             lag = ",".join(str(x) for x in member.lag)
@@ -463,10 +408,10 @@ class PlaySession:
             final = "final" if node in self.arena.final_up else "non-final"
             w(
                 f"  block u{node.up}: lag=[{lag}] period=[{per}] scale="
-                f"{format_rational(play.block_scale)} ({final})"
+                f"{play.block_scale} ({final})"
             )
             bound = play.block_scale * 2 * self.arena.lag_bound
-            w(f"  small-tail duration bound from here: {format_rational(bound)}")
+            w(f"  small-tail duration bound from here: {bound}")
 
     def _late_or_big(self, play, letter, kind, size):
         """Interrupt at the last small or the first big position whose edge kind fits ``kind``.
@@ -503,7 +448,7 @@ class PlaySession:
             return Accept()
         if cmd == "interrupt" and len(parts) in (3, 4):
             kind = parts[3] if len(parts) == 4 else ""
-            return InterruptMove(parse_rational(parts[1]), parts[2], kind)
+            return InterruptMove(_parse_time(parts[1]), parts[2], kind)
         if cmd in ("late", "big") and len(parts) in (2, 3):
             kind = parts[2] if len(parts) == 3 else (LEFT if self.arena.semantics == FV else "")
             return self._late_or_big(play, parts[1], kind, "small" if cmd == "late" else "big")

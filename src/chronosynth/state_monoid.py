@@ -152,17 +152,15 @@ def build_class_table(ctx: MonoidContext, cap: int = 200_000, letter=None) -> Cl
     if letter is not None and letter not in ctx.relations:
         raise MonoidError(f"unknown input letter {letter!r}")
     witnesses = {}
-    order = []
     level = []  # (witness, signature) pairs of the current length
     generators = {q: signature_of((q,), ctx) for q in ctx.states}
     for q, sig in generators.items():
         if sig not in witnesses:
             witnesses[sig] = (q,)
-            order.append(sig)
             level.append(((q,), sig))
+    if len(witnesses) > cap:
+        raise MonoidCapExceeded(len(witnesses))
     while level:
-        if len(witnesses) > cap:
-            raise MonoidCapExceeded(len(witnesses))
         next_level = []
         for witness, sig in level:
             for q in ctx.states:
@@ -171,18 +169,15 @@ def build_class_table(ctx: MonoidContext, cap: int = 200_000, letter=None) -> Cl
                 new_sig = product(ctx, sig, generators[q])
                 if new_sig in witnesses:
                     continue
-                if len(witnesses) + len(next_level) >= cap:
-                    raise MonoidCapExceeded(len(witnesses) + len(next_level))
+                if len(witnesses) >= cap:
+                    raise MonoidCapExceeded(cap + 1)
                 new_witness = witness + (q,)
                 witnesses[new_sig] = new_witness
                 next_level.append((new_witness, new_sig))
-        next_level.sort(key=lambda pair: pair[0])
-        for w, s in next_level:
-            order.append(s)
         level = next_level
     idem = frozenset(s for s in witnesses if absorbs(ctx, s, s, late_states(s)))
     d_q = max(len(w) for w in witnesses.values())
-    return ClassTable(ctx, witnesses, order, idem, d_q)
+    return ClassTable(ctx, witnesses, list(witnesses), idem, d_q)
 
 
 @dataclass(frozen=True)

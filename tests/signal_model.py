@@ -21,7 +21,6 @@ from fractions import Fraction
 from math import gcd
 
 from chronosynth.omega_word import LassoWord, normalize
-from chronosynth.rationals import format_rational
 
 
 def frac_gcd(a: Fraction, b: Fraction) -> Fraction:
@@ -295,7 +294,7 @@ def encode_D(s: FVSignal, ss: SampleSequence) -> LassoWord:
     for t in s.jump_times(horizon):
         if t > 0 and not ss.contains(t):
             raise NotASampleSequenceError(
-                f"sample sequence misses the discontinuity at t={format_rational(t)}"
+                f"sample sequence misses the discontinuity at t={t}"
             )
 
     # first index from which the letter stream is periodic

@@ -25,7 +25,6 @@ from chronosynth.game_sim import (
     RandomEnvironment,
     ViolationEnvironment,
     adjudicate,
-    play_example_geometric,
     run_play,
 )
 from chronosynth.omega_word import LassoWord, inf_set, zip_lassos
@@ -36,6 +35,7 @@ from chronosynth.state_monoid import (
     signature_of,
 )
 
+from duel import geometric_duel
 from fixture_specs import FIXTURES, load_fixture
 from oracles import brute_force_solve, naive_equiv, omega_equivalent, pair_profile, path_flags
 from signal_model import (
@@ -225,7 +225,7 @@ def test_criterion_4_gap_end_to_end(capsys):
 
 def test_criterion_5_geometric_play_duration():
     for rounds in (1, 2, 5, 9, 13):
-        play = play_example_geometric(load_fixture("psi_jump_rc"), rounds)
+        play = geometric_duel(load_fixture("psi_jump_rc"), rounds)
         duration = play.now
         assert duration == 2 - F(1, 2 ** (rounds - 1))
         assert duration < 2

@@ -283,6 +283,20 @@ def test_loader_and_monitor_product_give_the_sink_one_priority(convention, prior
     assert {prod.priority[(q, "dead")] for q in "ab"} == {sink}
 
 
+@pytest.mark.parametrize("state", [1, ["a"]], ids=["int", "list"])
+def test_json_rejects_states_that_are_not_strings(state):
+    data = {
+        "states": [state, "q"],
+        "sigma_in": ["0"],
+        "sigma_out": ["0"],
+        "initial": "q",
+        "priority": {"q": 0},
+        "transitions": [{"from": "q", "in": "0", "out": "0", "to": "q"}],
+    }
+    with pytest.raises(AutomatonError, match="is not a string"):
+        automaton_from_json(json.dumps(data))
+
+
 def test_json_rejects_bad_references():
     data = {
         "states": ["a"],

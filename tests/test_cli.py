@@ -340,6 +340,9 @@ def _bad_specs(tmp_path):
     for i, value in enumerate([1.7, True, "2"]):  # priorities that are not JSON integers
         bad.append(tmp_path / f"priority_{i}.json")
         bad[-1].write_text(json.dumps(dict(spec, priority={"q": value})))
+    for i, state in enumerate([1, ["a"]]):  # states that are not JSON strings
+        bad.append(tmp_path / f"state_{i}.json")
+        bad[-1].write_text(json.dumps(dict(spec, states=[state, "q"])))
     del spec["states"]
     bad.append(tmp_path / "no_states.json")
     bad[-1].write_text(json.dumps(spec))

@@ -21,15 +21,14 @@ from chronosynth.game_sim import (
     PlaySession,
     adjudicate,
     new_play,
-    play_example_geometric,
     resolve_interrupt,
     run_play,
     script_reader,
     step,
     time_for_edge,
 )
-from chronosynth.rationals import format_rational
 
+from duel import geometric_duel
 from fixture_specs import FIXTURES, load_fixture
 
 F = Fraction
@@ -186,7 +185,7 @@ def test_block_i_runs_at_scale_two_to_the_minus_i():
             blocks = [s.text for s in play.steps if s.text.startswith("O block")]
             assert blocks
             for i, text in enumerate(blocks):
-                assert text.endswith(f" scale={format_rational(F(1, 2**i))}"), (res.semantics, seed, i)
+                assert text.endswith(f" scale={F(1, 2**i)}"), (res.semantics, seed, i)
             assert play.block_index == len(blocks)
             interrupts = [s for s in play.steps if s.text.startswith("I interrupt")]
             assert play.interrupt_count == len(interrupts), (res.semantics, seed)
@@ -224,7 +223,7 @@ def test_violation_environment_defeats_losing_choice():
 
 def test_geometric_example_duration_strictly_below_two():
     for rounds in (1, 4, 8, 12):
-        play = play_example_geometric(load_fixture("psi_jump_rc"), rounds)
+        play = geometric_duel(load_fixture("psi_jump_rc"), rounds)
         assert play.finished  # the environment eventually accepts
         out = adjudicate(play)
         assert out.winner == "O" and out.reason == "accepted_final"
@@ -234,21 +233,18 @@ def test_geometric_example_duration_strictly_below_two():
 
 
 def test_geometric_example_transcript_timestamps_increase():
-    play = play_example_geometric(load_fixture("psi_jump_rc"), 6)
+    play = geometric_duel(load_fixture("psi_jump_rc"), 6)
     times = [s.time for s in play.steps]
     assert all(a <= b for a, b in zip(times, times[1:]))
     interrupts = [s for s in play.steps if s.text.startswith("I interrupt")]
     stamps = [s.time for s in interrupts]
     assert all(a < b for a, b in zip(stamps, stamps[1:]))
+    # each interrupt lands at position 1 of its block, before the jump to done
+    assert all(s.edge.size == "small" and s.edge.dst.state == "hold0" for s in interrupts)
 
 
 def test_adjudicate_zeno_on_capped_geometric_play():
-    from chronosynth.game_sim import HoldThenFlipController, LastInstantInterrupter
-
-    res = decide_continuous(load_fixture("psi_jump_rc"), RC)
-    controller = HoldThenFlipController(res.arena, "done")
-    env = LastInstantInterrupter(res.arena, rounds=10**9)  # never accepts
-    play = run_play(res.arena, controller, env, max_rounds=16)
+    play = geometric_duel(load_fixture("psi_jump_rc"), 16, accept=False)
     assert not play.finished
     out = adjudicate(play)
     assert out.winner == "O" and out.reason == "zeno_O_win"

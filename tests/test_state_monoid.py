@@ -13,11 +13,13 @@ from chronosynth.state_monoid import (
     UPMember,
     build_UP,
     build_class_table,
+    context_from_automaton,
     product,
     ramsey_factorize,
     signature_of,
 )
 
+from fixture_specs import load_fixture
 from oracles import naive_equiv, omega_equivalent
 
 
@@ -165,6 +167,17 @@ def test_class_table_cap():
     ctx = total_ctx(("a", "b", "c"))
     with pytest.raises(MonoidCapExceeded):
         build_class_table(ctx, cap=5)
+
+
+def test_class_table_cap_counts_each_class_once():
+    # a table with exactly cap classes builds; one class more raises
+    copy_ctx = context_from_automaton(load_fixture("psi_copy"))
+    for ctx, letter in ((total_ctx(("a", "b", "c")), None), (copy_ctx, None), (copy_ctx, "1")):
+        count = build_class_table(ctx, letter=letter).class_count
+        assert build_class_table(ctx, cap=count, letter=letter).class_count == count
+        with pytest.raises(MonoidCapExceeded) as exc:
+            build_class_table(ctx, cap=count - 1, letter=letter)
+        assert exc.value.count == count
 
 
 def test_empty_relation_kills_flags():
