@@ -25,7 +25,7 @@ table = build_class_table(ctx)
 print(f"== class table over {states} with every step allowed ==")
 print(f"  classes: {table.class_count}   longest shortest witness d_Q = {table.d_q}")
 print(f"  idempotent classes: {len(table.idempotents)}")
-print("  first few representatives:", ["".join(table.witnesses[s]) for s in table.order[:8]])
+print("  first few representatives:", ["".join(w) for w in list(table.witnesses.values())[:8]])
 
 up = build_UP(table)
 print(f"\n== block vocabulary ==")

@@ -13,7 +13,8 @@ when the interrupt lands inside u's lag, big otherwise.  In the
 finite-variability arena odd positions are interval values (interrupts
 from the left) and even positions are point values (interrupts from the
 right), and every non-fresh node inherits the priority of its automaton
-state.
+state.  ``Arena.interrupt_edge`` states this rule for one position; the
+builders read the same labels off two cached halves per member.
 
 Block nodes are built over behaviours, not vocabulary members: a block
 node (q, x, u) is determined, as a game position, by q, x, whether u is
@@ -98,7 +99,6 @@ class Arena:
     edges_from: dict
     fresh: ArenaNode
     final_up: frozenset  # i_up nodes whose period's max priority is even
-    lag_bound: int  # max lag length among members (bounds small-edge spans)
 
     def owner(self, node: ArenaNode) -> str:
         return OWNER[node.kind]
@@ -114,6 +114,27 @@ class Arena:
 
     def outgoing(self, node: ArenaNode) -> tuple:
         return self.edges_from.get(node, ())
+
+    @cached_property
+    def lag_bound(self) -> int:
+        """The longest lag among the members (bounds small-edge spans)."""
+        return max((len(m.lag) for m in self.members), default=1)
+
+    def interrupt_edge(self, node: ArenaNode, n: int, b) -> ArenaEdge:
+        """The labelled edge of an interrupt to letter b at position n of block node's member.
+
+        The target is (u(n), b), or (u(n), +, b) for a finite-variability
+        point; rc edges have kind 'interrupt', fv odd positions 'left' and fv
+        even positions 'right'.  The edge is small iff n is inside the lag,
+        and its priority is the max over positions 1..n, which is constant
+        past lag + period.
+        """
+        member = self.member(node)
+        dst, kind = _landing(self.semantics, member.letter(n), n, b)
+        size = "small" if n <= len(member.lag) else "big"
+        last = min(n, len(member.lag) + len(member.period))
+        priority = max(self.automaton.priority[member.letter(i)] for i in range(1, last + 1))
+        return ArenaEdge(node, dst, priority, size, kind)
 
     @cached_property
     def names(self) -> dict:
@@ -135,17 +156,6 @@ def _landing(semantics, q, n, b):
     if n % 2 == 1:
         return ArenaNode(O_PAIR, q, b), LEFT
     return ArenaNode(I_DAG, q, b), RIGHT
-
-
-def interrupt_at(semantics, member, n, b):
-    """Target node, edge kind and size of an interrupt to letter b at position n of member.
-
-    The target is (u(n), b), or (u(n), +, b) for a finite-variability
-    point; rc edges have kind 'interrupt', fv odd positions 'left' and fv
-    even positions 'right'; the edge is small iff n is inside the lag.
-    """
-    dst, kind = _landing(semantics, member.letter(n), n, b)
-    return dst, kind, "small" if n <= len(member.lag) else "big"
 
 
 def _interrupt_targets(a, semantics):
@@ -247,7 +257,6 @@ def _finish(a, semantics, members, final_up, nodes, edges):
     for e in edges:
         edges_from.setdefault(e.src, []).append(e)
     edges_from = {k: tuple(v) for k, v in edges_from.items()}
-    lag_bound = max((len(m.lag) for m in members), default=1)
     return Arena(
         semantics=semantics,
         automaton=a,
@@ -257,7 +266,6 @@ def _finish(a, semantics, members, final_up, nodes, edges):
         edges_from=edges_from,
         fresh=ArenaNode(FRESH),
         final_up=frozenset(final_up),
-        lag_bound=max(lag_bound, 1),
     )
 
 

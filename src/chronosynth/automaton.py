@@ -204,6 +204,14 @@ def product_with_monitor(a: ParityAutomaton, m: SafetyMonitor) -> ParityAutomato
     )
 
 
+def _array(data, key) -> tuple:
+    """The entries of the JSON array ``data[key]``."""
+    values = data[key]
+    if not isinstance(values, list):
+        raise AutomatonError(f"{key} is not a JSON array: {values!r}")
+    return tuple(values)
+
+
 def automaton_from_json(data) -> ParityAutomaton:
     """Load the file format; missing transitions complete to the sink.
 
@@ -212,19 +220,23 @@ def automaton_from_json(data) -> ParityAutomaton:
     """
     if isinstance(data, (str, bytes)):
         data = json.loads(data)
-    states = list(data["states"])
-    for q in states:
+    names = {key: _array(data, key) for key in ("states", "sigma_in", "sigma_out")}
+    for q in names["states"]:
         if not isinstance(q, str):
             raise AutomatonError(f"state {q!r} is not a string")
-    sigma_in = tuple(data["sigma_in"])
-    sigma_out = tuple(data["sigma_out"])
+    for key, values in names.items():
+        if len(set(values)) < len(values):
+            raise AutomatonError(f"{key} repeats an entry: {list(values)!r}")
+    states, sigma_in, sigma_out = list(names["states"]), names["sigma_in"], names["sigma_out"]
     convention = data.get("convention", MIN_EVEN)
+    known = set(states)
     priority = {}
     for q, p in data["priority"].items():
+        if q not in known:
+            raise AutomatonError(f"priority of undeclared state {q!r}")
         if isinstance(p, bool) or not isinstance(p, int):
             raise AutomatonError(f"priority of {q!r} is not an integer: {p!r}")
         priority[q] = p
-    known = set(states)
 
     def declared(q):
         return isinstance(q, str) and q in known

@@ -175,10 +175,10 @@ def cmd_monoid(spec, args, out, err):
     # build_UP tries only the pairs that end in the same state
     pairs = table.class_count * len(table.idempotents)
     if pairs > args.monoid_cap:
-        raise ResourceCapError("monoid", (
+        raise ResourceCapError(
             f"{table.class_count} classes x {len(table.idempotents)} idempotents = "
             f"{pairs} pairs, over --monoid-cap {args.monoid_cap}"
-        ))
+        )
     up = build_UP(table)
     payload = {
         "classes": table.class_count,
@@ -189,7 +189,7 @@ def cmd_monoid(spec, args, out, err):
     if args.letter:
         payload["letter"] = args.letter
     if args.full:
-        payload["representatives"] = ["".join(map(str, table.witnesses[s])) for s in table.order]
+        payload["representatives"] = ["".join(map(str, w)) for w in table.witnesses.values()]
         payload["up"] = [
             {"lag": list(m.lag), "period": list(m.period)} for m in up
         ]

@@ -40,9 +40,7 @@ class SynthError(Exception):
 
 
 class ResourceCapError(SynthError):
-    def __init__(self, kind, message):
-        super().__init__(message)
-        self.kind = kind
+    """A resource cap stopped a build or the search."""
 
 
 @dataclass
@@ -50,7 +48,6 @@ class StrategyGraph:
     """One-player restriction of the arena under a positional choice."""
 
     arena: Arena
-    choice: dict  # controller node -> ArenaEdge
     nodes: frozenset
     edges: tuple  # sorted
 
@@ -66,18 +63,8 @@ def effective_priority(arena: Arena, edge: ArenaEdge):
     return max(label, node)
 
 
-def build_strategy_graph(arena: Arena, choice: dict) -> StrategyGraph:
-    nodes, edges = _reachable(arena, choice)
-    missing = [
-        n for n in nodes if arena.owner(n) == "O" and n not in choice and arena.outgoing(n)
-    ]
-    if missing:
-        raise SynthError(f"choice undefined at reachable controller node {missing[0]}")
-    return StrategyGraph(arena, dict(choice), frozenset(nodes), tuple(sorted(edges)))
-
-
-def _reachable(arena: Arena, choice: dict):
-    """Nodes and edges reachable from fresh under a (possibly partial) choice."""
+def partial_strategy_graph(arena: Arena, choice: dict) -> StrategyGraph:
+    """The restriction reachable from fresh under a choice that need not be total."""
     seen = {arena.fresh}
     edges = []
     frontier = [arena.fresh]
@@ -92,7 +79,24 @@ def _reachable(arena: Arena, choice: dict):
             if e.dst not in seen:
                 seen.add(e.dst)
                 frontier.append(e.dst)
-    return seen, edges
+    return StrategyGraph(arena, frozenset(seen), tuple(sorted(edges)))
+
+
+def _pending(sg: StrategyGraph, choice: dict) -> list:
+    """Reachable controller nodes with moves that ``choice`` leaves open, sorted."""
+    arena = sg.arena
+    return sorted(
+        n for n in sg.nodes if arena.owner(n) == "O" and n not in choice and arena.outgoing(n)
+    )
+
+
+def build_strategy_graph(arena: Arena, choice: dict) -> StrategyGraph:
+    """The restriction under a choice that must be defined at every reachable controller node."""
+    sg = partial_strategy_graph(arena, choice)
+    missing = _pending(sg, choice)
+    if missing:
+        raise SynthError(f"choice undefined at reachable controller node {missing[0]}")
+    return sg
 
 
 def _sccs(nodes, succ):
@@ -243,47 +247,37 @@ class SynthResult:
     violation: Violation | None = None  # of the last choice the search enumerated
 
 
-def partial_strategy_graph(arena: Arena, choice: dict) -> StrategyGraph:
-    """Reachable restriction without requiring totality (search internals)."""
-    nodes, edges = _reachable(arena, choice)
-    restricted = {k: v for k, v in choice.items() if k in nodes}
-    return StrategyGraph(arena, restricted, frozenset(nodes), tuple(sorted(edges)))
-
-
-def enumerate_choices(arena: Arena, strategy_cap: int = 1_000_000, counters: dict | None = None):
+def enumerate_choices(
+    arena: Arena, strategy_cap: int = 1_000_000, stats: SynthStats | None = None
+):
     """Depth-first search over reachable partial choices.
 
     Yields (choice, violation-or-None) for every assignment whose verdict
     is decided: completed winning/losing assignments, and violated partial
     assignments (whose every completion loses, since reachability and both
-    violation clauses only grow under extension).  Order is deterministic.
+    violation clauses only grow under extension).  Every key of a yielded
+    choice is reachable under it: each is chosen while reachable, and
+    reachability only grows.  Order is deterministic.  Counts the choices
+    examined and pruned into ``stats`` if given.
     """
-    stats = counters if counters is not None else {}
-    stats.setdefault("examined", 0)
-    stats.setdefault("pruned", 0)
+    stats = stats if stats is not None else SynthStats()
 
     def explore(choice):
         sg = partial_strategy_graph(arena, choice)
-        pending = sorted(
-            n
-            for n in sg.nodes
-            if arena.owner(n) == "O" and n not in choice and arena.outgoing(n)
-        )
+        pending = _pending(sg, choice)
         violation = find_violation(sg)
         if violation is not None:
-            stats["examined"] += 1
+            stats.strategies_examined += 1
             if pending:
-                stats["pruned"] += 1
-            yield dict(sg.choice), violation
+                stats.pruned += 1
+            yield dict(choice), violation
             return
         if not pending:
-            stats["examined"] += 1
-            yield dict(sg.choice), None
+            stats.strategies_examined += 1
+            yield dict(choice), None
             return
-        if stats["examined"] > strategy_cap:
-            raise ResourceCapError(
-                "strategies", f"strategy enumeration cap {strategy_cap} exceeded"
-            )
+        if stats.strategies_examined > strategy_cap:
+            raise ResourceCapError(f"strategy enumeration cap {strategy_cap} exceeded")
         node = pending[0]
         for edge in arena.outgoing(node):
             choice[node] = edge
@@ -336,16 +330,8 @@ def decide_continuous(
     choices; realizable iff some choice survives the winning check.
     """
     arena, stats = build_game_arena(spec, semantics, monoid_cap)
-    counters = {}
-    last_violation = None
-    result = None
-    for choice, violation in enumerate_choices(arena, strategy_cap, counters):
+    violation = None
+    for choice, violation in enumerate_choices(arena, strategy_cap, stats):
         if violation is None:
-            result = SynthResult(True, semantics, choice, arena, stats)
-            break
-        last_violation = violation
-    stats.strategies_examined = counters.get("examined", 0)
-    stats.pruned = counters.get("pruned", 0)
-    if result is not None:
-        return result
-    return SynthResult(False, semantics, None, arena, stats, violation=last_violation)
+            return SynthResult(True, semantics, choice, arena, stats)
+    return SynthResult(False, semantics, None, arena, stats, violation=violation)

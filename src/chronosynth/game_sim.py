@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .arena import (
-    FRESH, FV, I_UP, LEFT, O_DAG, O_PAIR, RC, RIGHT, Arena, ArenaEdge, ArenaNode, interrupt_at,
+    FRESH, FV, I_UP, LEFT, O_DAG, O_PAIR, RC, RIGHT, Arena, ArenaEdge, ArenaNode,
 )
 from .continuous_synth import Violation, effective_priority
 
@@ -89,18 +89,6 @@ def new_play(arena: Arena) -> TimedPlay:
     return TimedPlay(arena=arena, node=arena.fresh, now=Fraction(0))
 
 
-def _interrupt_edge(arena: Arena, node: ArenaNode, n: int, b) -> ArenaEdge:
-    """The labeled edge of an interrupt to letter b at position n of node's block.
-
-    Its priority is the max over positions 1..n, constant past lag + period.
-    """
-    member = arena.member(node)
-    dst, kind, size = interrupt_at(arena.semantics, member, n, b)
-    pr = arena.automaton.priority
-    last = min(n, len(member.lag) + len(member.period))
-    return ArenaEdge(node, dst, max(pr[member.letter(i)] for i in range(1, last + 1)), size, kind)
-
-
 def _position_time(arena: Arena, play: TimedPlay, n: int) -> Fraction:
     """The latest interrupt time that resolves to position n of the current block."""
     spans = n if arena.semantics == RC else (n + 1) // 2
@@ -131,7 +119,7 @@ def resolve_interrupt(arena: Arena, play: TimedPlay, move: InterruptMove):
         n = 2 * ratio.numerator
     else:
         raise IllegalMove("fv interrupts must pick kind 'left' or 'right'")
-    return n, _interrupt_edge(arena, node, n, move.letter)
+    return n, arena.interrupt_edge(node, n, move.letter)
 
 
 def _letter_edge(arena: Arena, node: ArenaNode, letter) -> ArenaEdge:
@@ -257,28 +245,25 @@ class ChoiceController:
 def time_for_edge(arena: Arena, play: TimedPlay, edge: ArenaEdge, min_time=None):
     """An interrupt move realizing a labeled arena edge from the current block.
 
-    Picks the earliest matching position; with ``min_time`` (big edges
-    only), later period repetitions are used until the realization time
-    reaches it.
+    Picks the earliest position whose edge it is, counting only positions
+    whose time is at least ``min_time`` if given (big edges only).  Past the
+    lag the edges repeat with the period, or with twice the period under fv,
+    where a position's parity fixes the kind, so the scan ends one such
+    window past the lag, or past the first allowed position if that is later.
     """
     node = play.node
     member = arena.member(node)
-    lag_len, period_len = len(member.lag), len(member.period)
     # fv positions advance the clock by delta per two positions
     mult = 2 if arena.semantics == FV else 1
-    start = 1
-    if min_time is not None and min_time > play.block_start:
-        approx = math.ceil((min_time - play.block_start) / play.block_scale) * mult
-        start = max(1, approx - 2 * period_len * mult - 2)
-    horizon = max(start, lag_len) + (4 * period_len + 2) * mult
-    for n in range(start, horizon + 1):
-        if _interrupt_edge(arena, node, n, edge.dst.letter) != edge:
-            continue
-        t = _position_time(arena, play, n)
-        if min_time is not None and t < min_time:
-            continue
-        kind = edge.kind if arena.semantics == FV else ""
-        return InterruptMove(t, edge.dst.letter, kind)
+    first = 1
+    if min_time is not None:
+        spans = math.ceil((min_time - play.block_start) / play.block_scale)
+        first = max(1, mult * spans - mult + 1)
+    last = max(first - 1, len(member.lag)) + mult * len(member.period)
+    for n in range(first, last + 1):
+        if arena.interrupt_edge(node, n, edge.dst.letter) == edge:
+            kind = edge.kind if arena.semantics == FV else ""
+            return InterruptMove(_position_time(arena, play, n), edge.dst.letter, kind)
     raise PlayError(f"no position realizes {edge} at or after {min_time}")
 
 
@@ -423,13 +408,12 @@ class PlaySession:
         node = play.node
         if node.kind != I_UP:
             raise IllegalMove("interrupts are only possible at block nodes")
-        member = self.arena.member(node)
         fits = "interrupt" if self.arena.semantics == RC else (RIGHT if kind == RIGHT else LEFT)
-        lag_len = len(member.lag)
+        lag_len = len(self.arena.member(node).lag)
         positions = range(lag_len, 0, -1) if size == "small" else (lag_len + 1, lag_len + 2)
         for n in positions:
-            _, edge_kind, edge_size = interrupt_at(self.arena.semantics, member, n, letter)
-            if (edge_kind, edge_size) == (fits, size):
+            edge = self.arena.interrupt_edge(node, n, letter)
+            if (edge.kind, edge.size) == (fits, size):
                 return InterruptMove(_position_time(self.arena, play, n), letter, kind)
         raise IllegalMove("no even lag position to interrupt at")
 

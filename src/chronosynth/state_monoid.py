@@ -130,8 +130,7 @@ class ClassTable:
     """All signature classes with shortest witnesses, ordered by discovery."""
 
     ctx: MonoidContext
-    witnesses: dict  # StateSignature -> tuple (shortest, lexicographically least)
-    order: list  # signatures in (length, lex) witness order
+    witnesses: dict  # StateSignature -> tuple (shortest, lex least), in (length, lex) order
     idempotents: frozenset
     d_q: int
 
@@ -177,21 +176,14 @@ def build_class_table(ctx: MonoidContext, cap: int = 200_000, letter=None) -> Cl
         level = next_level
     idem = frozenset(s for s in witnesses if absorbs(ctx, s, s, late_states(s)))
     d_q = max(len(w) for w in witnesses.values())
-    return ClassTable(ctx, witnesses, list(witnesses), idem, d_q)
+    return ClassTable(ctx, witnesses, idem, d_q)
 
 
-@dataclass(frozen=True)
-class UPMember:
+class UPMember(NamedTuple):
     """An ultimately periodic state-word: absorbing lag, idempotent period."""
 
     lag: tuple
     period: tuple
-    lag_sig: StateSignature
-    period_sig: StateSignature
-
-    @property
-    def word(self) -> LassoWord:
-        return LassoWord(self.lag, self.period)
 
     def letter(self, n: int):
         """1-indexed position: lag first, then the period cycles."""
@@ -213,16 +205,15 @@ def build_UP(table: ClassTable) -> list:
     """
     ctx = table.ctx
     by_last = {}
-    for e_sig in table.order:
+    for e_sig in table.witnesses:
         if e_sig in table.idempotents:
             by_last.setdefault(e_sig.last, []).append(e_sig)
     members = []
-    for sig in table.order:
+    for sig, rep in table.witnesses.items():
         late = late_states(sig)
-        rep = table.witnesses[sig]
         for e_sig in by_last.get(sig.last, ()):
             if absorbs(ctx, sig, e_sig, late):
-                members.append(UPMember(rep, table.witnesses[e_sig], sig, e_sig))
+                members.append(UPMember(rep, table.witnesses[e_sig]))
     return members
 
 

@@ -17,7 +17,7 @@ from ``pair_profile`` and ``path_flags``, whose classes the tests check
 ``state_monoid.signature_of`` and the block vocabulary against.
 """
 
-from chronosynth.arena import FV, interrupt_at
+from chronosynth.arena import FV, I_DAG, LEFT, O_PAIR, RC, RIGHT, ArenaNode
 from chronosynth.discrete_game import GameError, GameGraph
 from chronosynth.omega_word import LassoWord, inf_set
 from chronosynth.state_monoid import MonoidContext, MonoidError, UPMember, product
@@ -168,13 +168,12 @@ def reference_build_UP(table):
     """Block vocabulary by trying every (class, idempotent) pair with ``product``."""
     ctx = table.ctx
     members = []
-    idem_list = [s for s in table.order if s in table.idempotents]
-    for sig in table.order:
-        rep = table.witnesses[sig]
+    idem_list = [s for s in table.witnesses if s in table.idempotents]
+    for sig, rep in table.witnesses.items():
         for e_sig in idem_list:
             if product(ctx, sig, e_sig) != sig:
                 continue
-            members.append(UPMember(rep, table.witnesses[e_sig], sig, e_sig))
+            members.append(UPMember(rep, table.witnesses[e_sig]))
     return members
 
 
@@ -191,10 +190,15 @@ def reference_interrupt_targets(a, member, letter, semantics):
     targets = set()
     running = -1
     for n in range(1, horizon + 1):
+        q = member.letter(n)
+        running = max(running, a.priority[q])
+        size = "small" if n <= lag_len else "big"
         for b in a.sigma_in:
             if b != letter:
-                dst, kind, size = interrupt_at(semantics, member, n, b)
-                running = max(running, a.priority[dst.state])  # dst.state is u(n)
+                # rc lands on (u(n), b); fv odd positions from the left on
+                # (u(n), b), even positions from the right on (u(n), +, b)
+                dst = ArenaNode(O_PAIR if semantics == RC or n % 2 else I_DAG, q, b)
+                kind = "interrupt" if semantics == RC else (LEFT if n % 2 else RIGHT)
                 targets.add((dst, running, size, kind))
     return frozenset(targets)
 

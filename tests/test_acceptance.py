@@ -134,15 +134,18 @@ def test_criterion_2_up_correctness():
         for m in up:
             assert len(m.lag) <= table.d_q
             assert len(m.period) <= table.d_q
-            assert signature_of(m.period + m.period, ctx) == m.period_sig
-            assert signature_of(m.lag + m.period, ctx) == m.lag_sig
+            # lag and period are their classes' witnesses, absorbing and idempotent
+            lag_sig, period_sig = signature_of(m.lag, ctx), signature_of(m.period, ctx)
+            assert table.witnesses[lag_sig] == m.lag and table.witnesses[period_sig] == m.period
+            assert signature_of(m.period + m.period, ctx) == period_sig
+            assert signature_of(m.lag + m.period, ctx) == lag_sig
         for m in sample[:300]:
             assert naive_equiv(m.period + m.period, m.period, ctx)
             assert naive_equiv(m.lag + m.period, m.lag, ctx)
         # coverage: every small lasso is equivalent to some member
         keys = {}
         for m in up:
-            w = m.word
+            w = LassoWord(m.lag, m.period)
             key = (inf_set(w), pair_profile(w), flags_key(w, ctx))
             keys.setdefault(key, w)
         for ulen in range(0, 4):

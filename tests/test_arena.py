@@ -26,7 +26,10 @@ from chronosynth.state_monoid import (
     build_UP,
     build_class_table,
     context_from_automaton,
+    signature_of,
 )
+
+from fixture_specs import FIXTURES, load_fixture
 
 
 def one_state_automaton(sigma_in=("0", "1"), priority=0):
@@ -47,10 +50,10 @@ def random_automaton(rng, n_states=2):
     )
 
 
-def is_path_for(member, a):
-    # absorption (lag_sig * period_sig = lag_sig) plus idempotence make the
-    # lag flag alone decide path validity of the whole omega-word
-    return member.lag_sig.flag(a)
+def is_path_for(member, a, ctx):
+    # absorption (lag . period ~ lag) plus idempotence make the lag's flag
+    # alone decide path validity of the whole omega-word
+    return signature_of(member.lag, ctx).flag(a)
 
 
 def up_for(a):
@@ -293,7 +296,7 @@ def test_every_usable_member_has_exactly_one_block_node(quotient_corpus):
         for x in a.sigma_in:
             for member in build_UP(build_class_table(ctx, letter=x)):
                 sources = [q for q in a.states if (q, member.letter(1)) in rels[x]]
-                if not is_path_for(member, x) or not sources:
+                if not is_path_for(member, x, ctx) or not sources:
                     continue
                 rank.setdefault(member, len(rank))
                 want = member_behaviour(a, semantics, member, x)
@@ -323,3 +326,29 @@ def test_block_nodes_out_of_one_controller_node_differ_in_behaviour(quotient_cor
             blocks += len(targets)
         assert len(arena.members) == len({n.up for n in arena.nodes if n.kind == I_UP})
     assert blocks > 100
+
+
+def test_interrupt_edge_at_each_position_is_an_arena_edge(quotient_corpus):
+    # the play engine resolves interrupts through interrupt_edge, the builders
+    # through the cached halves: over the lag and one repeat window past it
+    # (two periods under fv, where parity fixes the kind) both give the same edges
+    arenas = [arena for _, _, arena in quotient_corpus]
+    for fixture in sorted(FIXTURES.glob("*.json")):
+        if not fixture.stem.endswith("_d"):
+            arenas += [build_game_arena(load_fixture(fixture.stem), s)[0] for s in (RC, FV)]
+    checked = 0
+    for arena in arenas:
+        mult = 2 if arena.semantics == FV else 1
+        for node in arena.nodes:
+            if node.kind != I_UP:
+                continue
+            member = arena.member(node)
+            span = len(member.lag) + mult * len(member.period)
+            for b in arena.automaton.sigma_in:
+                if b == node.letter:
+                    continue
+                positions = {arena.interrupt_edge(node, n, b) for n in range(1, span + 1)}
+                labelled = {e for e in arena.outgoing(node) if e.labeled and e.dst.letter == b}
+                assert positions == labelled, (arena.semantics, node, b)
+                checked += 1
+    assert checked > 1000

@@ -297,6 +297,38 @@ def test_json_rejects_states_that_are_not_strings(state):
         automaton_from_json(json.dumps(data))
 
 
+ONE_STATE = {
+    "states": ["q"],
+    "sigma_in": ["0", "1"],
+    "sigma_out": ["0"],
+    "initial": "q",
+    "priority": {"q": 0},
+    "transitions": [{"from": "q", "in": x, "out": "0", "to": "q"} for x in "01"],
+}
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("states", "q", "states is not a JSON array"),
+        ("states", {"q": 5}, "states is not a JSON array"),
+        ("sigma_in", "01", "sigma_in is not a JSON array"),
+        ("sigma_out", "0", "sigma_out is not a JSON array"),
+        ("states", ["q", "q"], "states repeats an entry"),
+        ("sigma_in", ["0", "1", "0"], "sigma_in repeats an entry"),
+        ("sigma_out", ["0", "0"], "sigma_out repeats an entry"),
+        # an undeclared key used to set the priority of the added sink
+        ("priority", {"q": 0, "zz": 9}, "priority of undeclared state 'zz'"),
+    ],
+    ids=["states_str", "states_obj", "sigma_in_str", "sigma_out_str",
+         "states_repeat", "sigma_in_repeat", "sigma_out_repeat", "priority_undeclared"],
+)
+def test_json_rejects_names_that_are_not_distinct_declared_entries(field, value, message):
+    data = dict(ONE_STATE, transitions=ONE_STATE["transitions"][1:], **{field: value})
+    with pytest.raises(AutomatonError, match=message):
+        automaton_from_json(json.dumps(data))
+
+
 def test_json_rejects_bad_references():
     data = {
         "states": ["a"],

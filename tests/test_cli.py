@@ -343,6 +343,13 @@ def _bad_specs(tmp_path):
     for i, state in enumerate([1, ["a"]]):  # states that are not JSON strings
         bad.append(tmp_path / f"state_{i}.json")
         bad[-1].write_text(json.dumps(dict(spec, states=[state, "q"])))
+    # names that are not JSON arrays, repeated names, and an undeclared priority key
+    for i, names in enumerate([
+        {"states": "q"}, {"sigma_in": "01"}, {"states": ["q", "q"]}, {"sigma_in": ["0", "1", "0"]},
+        {"priority": {"q": 0, "zz": 9}, "transitions": spec["transitions"][1:]},
+    ]):
+        bad.append(tmp_path / f"names_{i}.json")
+        bad[-1].write_text(json.dumps(dict(spec, **names)))
     del spec["states"]
     bad.append(tmp_path / "no_states.json")
     bad[-1].write_text(json.dumps(spec))

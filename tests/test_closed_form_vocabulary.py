@@ -70,7 +70,7 @@ def test_closed_form_vocabulary_matches_product_reference(name, vocabularies):
     full_tables = 0
     for letter, table, members in vocabularies[name]:
         ctx = table.ctx
-        for s in table.order:
+        for s in table.witnesses:
             assert (s in table.idempotents) == (product(ctx, s, s) == s), (letter, s)
         assert members == reference_build_UP(table), letter
         full_tables += letter is None

@@ -120,6 +120,8 @@ def test_scc_detection_matches_walk_enumeration():
         seen = 0
         for choice, violation in enumerate_choices(arena):
             sg = partial_strategy_graph(arena, choice)
+            # the search chooses only at reachable nodes, and reachability only grows
+            assert set(choice) <= sg.nodes
             if len(sg.edges) > 40:
                 break
             bad_a = [n for n in sg.nodes if n.kind == I_UP and n not in arena.final_up]

@@ -278,6 +278,16 @@ def test_adjudicate_undecided_when_capped_too_early():
             adjudicate(play)
 
 
+def earliest_position(arena, play, edge, min_time):
+    """Plain scan: the first position whose edge is ``edge`` and whose latest time is >= min_time."""
+    for n in range(1, 10_000):
+        spans = n if arena.semantics == RC else (n + 1) // 2
+        time = play.block_start + play.block_scale * spans
+        if time >= min_time and arena.interrupt_edge(play.node, n, edge.dst.letter) == edge:
+            return n
+    raise AssertionError(f"no position realizes {edge}")
+
+
 def test_time_for_edge_realizes_each_arena_edge():
     for fixture in sorted(FIXTURES.glob("*.json")):
         if fixture.stem.endswith("_d"):
@@ -292,11 +302,16 @@ def test_time_for_edge_realizes_each_arena_edge():
                 play = TimedPlay(arena, node, F(5, 2), block_start=F(5, 2), block_scale=F(1, 3))
                 for edge in arena.outgoing(node):
                     mv = time_for_edge(arena, play, edge)
-                    assert resolve_interrupt(arena, play, mv)[1] == edge
+                    assert resolve_interrupt(arena, play, mv) == (
+                        earliest_position(arena, play, edge, play.block_start), edge
+                    )
                     if edge.size == "big":
-                        mv2 = time_for_edge(arena, play, edge, min_time=play.now + 5)
-                        assert mv2.time >= play.now + 5
-                        assert resolve_interrupt(arena, play, mv2)[1] == edge
+                        for min_time in (play.now + F(5, 7), play.now + 5):
+                            mv2 = time_for_edge(arena, play, edge, min_time=min_time)
+                            assert mv2.time >= min_time
+                            assert resolve_interrupt(arena, play, mv2) == (
+                                earliest_position(arena, play, edge, min_time), edge
+                            )
                 for b in arena.automaton.sigma_in:
                     if b == node.letter:
                         continue
@@ -380,7 +395,7 @@ def test_interactive_session_rejects_bad_input_and_reprompts():
              if res.arena.owner(play.node) == "O" else letter_edge(play, "0"))
     member = res.arena.member(play.node)
     members = list(res.arena.members)
-    members[play.node.up] = dataclasses.replace(member, lag=member.lag[:1])
+    members[play.node.up] = member._replace(lag=member.lag[:1])
     arena = dataclasses.replace(res.arena, members=tuple(members))
     with pytest.raises(IllegalMove, match="no even lag position to interrupt at"):
         PlaySession(arena, None, None, None)._parse(play, "late 1 right")

@@ -37,10 +37,10 @@ def random_ctx(rng, states, letters=("x", "y")):
     return MonoidContext(tuple(states), rels)
 
 
-def is_path_for(member, a):
-    # absorption (lag_sig * period_sig = lag_sig) plus idempotence make the
-    # lag flag alone decide path validity of the whole omega-word
-    return member.lag_sig.flag(a)
+def is_path_for(member, a, ctx):
+    # absorption (lag . period ~ lag) plus idempotence make the lag's flag
+    # alone decide path validity of the whole omega-word
+    return signature_of(member.lag, ctx).flag(a)
 
 
 def test_signature_single_state():
@@ -221,7 +221,7 @@ def test_up_covers_small_lassos():
     ctx = total_ctx(("p", "q"))
     table = build_class_table(ctx)
     up = build_UP(table)
-    words = [m.word for m in up]
+    words = [LassoWord(m.lag, m.period) for m in up]
     for ulen in range(0, 3):
         for vlen in range(1, 3):
             for u in itertools.product(("p", "q"), repeat=ulen):
@@ -296,7 +296,7 @@ def test_letter_restricted_up_covers_path_lassos():
                         if not is_path(unfolded):
                             continue
                         assert any(
-                            omega_equivalent(w, m.word, ctx.relations)
+                            omega_equivalent(w, LassoWord(m.lag, m.period), ctx.relations)
                             for m in up
                         ), f"path lasso {w} uncovered under relation {sorted(rel)}"
 
@@ -307,10 +307,10 @@ def test_member_path_flags_match_unfolded_check():
     for _ in range(10):
         ctx = random_ctx(rng, ("a", "b", "c"))
         table = build_class_table(ctx)
-        idem = [s for s in table.order if s in table.idempotents]
+        idem = [s for s in table.witnesses if s in table.idempotents]
         members = [
-            UPMember(table.witnesses[sig], table.witnesses[e], sig, e)
-            for sig in draw.sample(table.order, min(40, table.class_count))
+            UPMember(table.witnesses[sig], table.witnesses[e])
+            for sig in draw.sample(list(table.witnesses), min(40, table.class_count))
             for e in idem
             if product(ctx, sig, e) == sig
         ]
@@ -322,7 +322,7 @@ def test_member_path_flags_match_unfolded_check():
                     ctx.has_edge(letter, word[i], word[i + 1])
                     for i in range(len(word) - 1)
                 )
-                assert is_path_for(m, letter) == literal
+                assert is_path_for(m, letter, ctx) == literal
 
 
 def test_per_letter_vocabulary_holds_only_paths_for_its_letter():
@@ -338,7 +338,7 @@ def test_per_letter_vocabulary_holds_only_paths_for_its_letter():
                     assert all(
                         ctx.has_edge(letter, word[i], word[i + 1]) for i in range(len(word) - 1)
                     ), (letter, m.lag, m.period)
-                    assert is_path_for(m, letter)
+                    assert is_path_for(m, letter, ctx)
                     checked += 1
     assert checked > 1000
 
