@@ -3,8 +3,8 @@
 An ultimately periodic word is stored as a prefix plus a repeating period.
 Normal forms make equality of the underlying infinite words a tuple
 comparison, and the set of letters occurring infinitely often is just the
-normalized period.  Automaton runs over such words are again lassos, so
-acceptance is decidable by inspecting finitely much data.
+set of letters of the period.  Automaton runs over such words are again
+lassos, so acceptance is decidable by inspecting finitely much data.
 """
 
 from chronosynth.automaton import (

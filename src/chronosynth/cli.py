@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
+import os
 import sys
 
 from .arena import FV, RC, arena_to_json, export_dot
@@ -239,6 +241,7 @@ def cmd_play(spec, args, out, err):
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chronosynth",
@@ -310,7 +313,15 @@ def main(argv=None, out=None, err=None) -> int:
 
 
 def entry():
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader stopped early (`| head`, `| grep -q`); send what is still
+        # buffered to devnull, or the flush at exit reports the closed pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -290,21 +290,25 @@ def enumerate_choices(
 def build_game_arena(spec: ParityAutomaton, semantics: str, monoid_cap: int = 200_000):
     """The arena for one semantics, and the sizes of the layers that built it.
 
-    Converts the spec to the max-even convention, builds the per-input-letter
-    class tables and block vocabularies, and the arena over them.  Returns
-    (arena, stats) with the class counts, vocabulary sizes and d bound set.
+    Converts the spec to the max-even convention, builds one class table and
+    block vocabulary per distinct one-step relation (letters that share a
+    relation share them) and the arena over them.  Returns (arena, stats)
+    with the class counts, vocabulary sizes and d bound set.
     """
     if semantics not in (RC, FV):
         raise SynthError(f"semantics must be '{RC}' or '{FV}'")
     canonical = convert_convention(spec, MAX_EVEN)
     ctx = context_from_automaton(canonical)
     stats = SynthStats()
+    solved = {}  # relation -> (class table, vocabulary) of its first letter
     up_by_letter = {}
     for x in canonical.sigma_in:
-        table = build_class_table(ctx, cap=monoid_cap, letter=x)
+        if ctx.relations[x] not in solved:
+            table = build_class_table(ctx, cap=monoid_cap, letter=x)
+            solved[ctx.relations[x]] = table, build_UP(table)
+        table, up_by_letter[x] = solved[ctx.relations[x]]
         stats.class_counts[x] = table.class_count
         stats.d_bound = max(stats.d_bound, table.d_q)
-        up_by_letter[x] = build_UP(table)
         stats.up_sizes[x] = len(up_by_letter[x])
     builder = build_rc_arena if semantics == RC else build_fv_arena
     arena = builder(canonical, up_by_letter)

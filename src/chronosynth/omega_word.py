@@ -66,8 +66,8 @@ def normalize(w: LassoWord) -> LassoWord:
 
 
 def inf_set(w: LassoWord) -> frozenset:
-    """Letters occurring infinitely often: exactly the normalized period."""
-    return frozenset(normalize(w).period)
+    """Letters occurring infinitely often: exactly those of any period of w."""
+    return frozenset(w.period)
 
 
 def transduce(step, state, word: LassoWord) -> LassoWord:

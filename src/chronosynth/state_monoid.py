@@ -44,10 +44,6 @@ class MonoidContext:
             self, "relations", {a: frozenset(r) for a, r in self.relations.items()}
         )
 
-    @property
-    def letters(self):
-        return tuple(sorted(self.relations))
-
     def has_edge(self, a, q, q2) -> bool:
         return (q, q2) in self.relations[a]
 
@@ -63,13 +59,7 @@ class StateSignature(NamedTuple):
     last: object
     occ: frozenset
     pairs: frozenset  # of (state, frozenset of states strictly before)
-    run_flags: tuple  # (letter, bool) pairs in MonoidContext.letters order
-
-    def flag(self, a) -> bool:
-        for letter, value in self.run_flags:
-            if letter == a:
-                return value
-        raise KeyError(a)
+    flags: frozenset  # letters a for which the string is an E_a-path
 
 
 def signature_of(u, ctx: MonoidContext) -> StateSignature:
@@ -82,9 +72,9 @@ def signature_of(u, ctx: MonoidContext) -> StateSignature:
     for q in u:
         pairs.add((q, frozenset(seen)))
         seen.add(q)
-    flags = tuple(
-        (a, all(ctx.has_edge(a, u[i], u[i + 1]) for i in range(len(u) - 1)))
-        for a in ctx.letters
+    flags = frozenset(
+        a for a in ctx.relations
+        if all(ctx.has_edge(a, u[i], u[i + 1]) for i in range(len(u) - 1))
     )
     return StateSignature(u[0], u[-1], frozenset(seen), frozenset(pairs), flags)
 
@@ -94,11 +84,7 @@ def product(ctx: MonoidContext, s1: StateSignature, s2: StateSignature) -> State
     pairs = set(s1.pairs)
     for q, before in s2.pairs:
         pairs.add((q, s1.occ | before))
-    # both flag tuples are in ctx.letters order, so they align position by position
-    flags = tuple(
-        (a, f1 and f2 and ctx.has_edge(a, s1.last, s2.first))
-        for (a, f1), (_, f2) in zip(s1.run_flags, s2.run_flags)
-    )
+    flags = frozenset(a for a in s1.flags & s2.flags if ctx.has_edge(a, s1.last, s2.first))
     return StateSignature(s1.first, s2.last, s1.occ | s2.occ, frozenset(pairs), flags)
 
 
@@ -113,16 +99,12 @@ def absorbs(ctx: MonoidContext, s: StateSignature, e: StateSignature, late: froz
     Appending e keeps s's last state iff e.last == s.last.  Each state q of
     e then occurs with all of s.occ before it, so the product has no pair
     that s lacks iff every such (q, s.occ) is already in s, that is iff
-    e.occ is inside late.  It keeps every flag of s iff each letter flagged
-    in s is flagged in e and joins s.last to e.first.
+    e.occ is inside late.  It keeps s.flags iff every letter in them is also
+    in e.flags and has an edge from s.last to e.first.
     """
     if e.last != s.last or not e.occ <= late:
         return False
-    return all(
-        f2 and ctx.has_edge(a, s.last, e.first)
-        for (a, f1), (_, f2) in zip(s.run_flags, e.run_flags)
-        if f1
-    )
+    return all(a in e.flags and ctx.has_edge(a, s.last, e.first) for a in s.flags)
 
 
 @dataclass
@@ -232,7 +214,7 @@ def ramsey_factorize(w: LassoWord, ctx: MonoidContext):
     e_sig = sig_v
     k = 1
     seen = {e_sig: 1}
-    while product(ctx, e_sig, e_sig) != e_sig:
+    while not absorbs(ctx, e_sig, e_sig, late_states(e_sig)):
         power = power + v
         e_sig = product(ctx, e_sig, sig_v)
         k += 1
@@ -241,13 +223,12 @@ def ramsey_factorize(w: LassoWord, ctx: MonoidContext):
         seen[e_sig] = k
     block = power  # = v^k
 
-    start = 0 if u else 1
-    j = start
+    j = 0 if u else 1
     while True:
         head = u + v * j
         if head:
             head_sig = signature_of(head, ctx)
-            if product(ctx, head_sig, e_sig) == head_sig:
+            if absorbs(ctx, head_sig, e_sig, late_states(head_sig)):
                 break
         j += 1
         if j > 2 * k + 1:

@@ -156,7 +156,7 @@ def naive_equiv(u, v, ctx: MonoidContext) -> bool:
 
     if not covers(u, v) or not covers(v, u):
         return False
-    for a in ctx.letters:
+    for a in sorted(ctx.relations):
         ru = all(ctx.has_edge(a, u[i], u[i + 1]) for i in range(len(u) - 1))
         rv = all(ctx.has_edge(a, v[i], v[i + 1]) for i in range(len(v) - 1))
         if ru != rv:

@@ -53,7 +53,7 @@ def random_automaton(rng, n_states=2):
 def is_path_for(member, a, ctx):
     # absorption (lag . period ~ lag) plus idempotence make the lag's flag
     # alone decide path validity of the whole omega-word
-    return signature_of(member.lag, ctx).flag(a)
+    return a in signature_of(member.lag, ctx).flags
 
 
 def up_for(a):

@@ -213,6 +213,26 @@ def test_play_reads_moves_from_stdin_until_eof():
     assert "outcome: undecided (play abandoned early)" in proc.stdout
 
 
+def test_closed_stdout_exits_1_without_a_traceback():
+    # a reader that stops early, as `| grep -q` does, closes the pipe first
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(ROOT / "src"), env.get("PYTHONPATH")))
+    )
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "chronosynth.cli",
+             "synth", "--semantics", "rc", str(FIXTURES / "psi_copy.json")],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+
+
 def test_every_module_imports_with_only_src_on_the_path(tmp_path):
     # pytest puts tests/ on sys.path, which would hide an import of a test
     # helper such as signal_model or oracles from inside the package

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from chronosynth import continuous_synth
 from chronosynth.arena import FV, I_UP, RC
 from chronosynth.automaton import MAX_EVEN, ParityAutomaton
 from chronosynth.cli import _witness_json
@@ -236,6 +237,28 @@ def test_stats_reported():
     assert res.stats.strategies_examined >= 1
     assert res.stats.up_sizes
     assert res.stats.d_bound >= 1
+
+
+@pytest.mark.parametrize(
+    "fixture,tables,classes,members",
+    [("psi_copy", 1, 8, 4), ("psi_indet_fv", 2, 127, 56)],
+)
+def test_letters_with_one_relation_share_one_class_table(
+    monkeypatch, fixture, tables, classes, members
+):
+    # psi_copy's input letters have the same one-step relation, psi_indet_fv's do not
+    calls = []
+    build = continuous_synth.build_class_table
+
+    def counting_build(*args, **kwargs):
+        calls.append(kwargs["letter"])
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(continuous_synth, "build_class_table", counting_build)
+    _, stats = build_game_arena(load_fixture(fixture), RC)
+    assert len(calls) == tables
+    assert stats.class_counts == {"0": classes, "1": classes}
+    assert stats.up_sizes == {"0": members, "1": members}
 
 
 # (realizable, strategies_examined, pruned) per continuous fixture and

@@ -62,6 +62,17 @@ def test_inf_set():
     w = LassoWord(("a", "b"), ("c", "a"))
     tail = w.unfold(30)[10:]
     assert inf_set(w) == set(tail)
+    # seeded lassos with non-primitive periods and prefixes that end in the
+    # period's last letter, which normalize would shorten and rotate
+    rng = random.Random(59)
+    for _ in range(300):
+        root = tuple(rng.choice("abcd") for _ in range(rng.randint(1, 3)))
+        period = root * rng.randint(1, 3)
+        prefix = tuple(rng.choice("abcd") for _ in range(rng.randint(0, 3)))
+        if rng.random() < 0.5:
+            prefix += (period[-1],)
+        w = LassoWord(prefix, period)
+        assert inf_set(w) == set(w.unfold(30)[10:])
 
 
 def test_pair_profile_examples():

@@ -40,7 +40,7 @@ def random_ctx(rng, states, letters=("x", "y")):
 def is_path_for(member, a, ctx):
     # absorption (lag . period ~ lag) plus idempotence make the lag's flag
     # alone decide path validity of the whole omega-word
-    return signature_of(member.lag, ctx).flag(a)
+    return a in signature_of(member.lag, ctx).flags
 
 
 def test_signature_single_state():
@@ -49,7 +49,7 @@ def test_signature_single_state():
     assert sig.first == sig.last == "q"
     assert sig.pairs == frozenset({("q", frozenset())})
     assert sig.occ == frozenset({"q"})
-    assert all(v for _, v in sig.run_flags)
+    assert sig.flags == frozenset(ctx.relations)
 
 
 def test_signature_qq_differs_from_q():
@@ -90,9 +90,9 @@ def test_product_is_concatenation_random_contexts():
         )
 
 
-def test_product_flags_follow_sorted_letters_not_relation_order():
-    # the relations dict lists its letters out of sorted order; run flags
-    # follow MonoidContext.letters, and product pairs them position by position
+def test_product_flags_are_the_path_letters_of_the_concatenation():
+    # the relations dict lists its letters out of sorted order, which the
+    # flag sets must not depend on
     rng = random.Random(23)
     for _ in range(30):
         ctx = random_ctx(rng, ("a", "b", "c"), letters=("z", "x", "y"))
@@ -103,7 +103,7 @@ def test_product_flags_follow_sorted_letters_not_relation_order():
         w = u + v
         for a in ("z", "x", "y"):
             path = all((w[i], w[i + 1]) in ctx.relations[a] for i in range(len(w) - 1))
-            assert joined.flag(a) is path
+            assert (a in joined.flags) is path
 
 
 def test_product_associative_random():
@@ -183,8 +183,8 @@ def test_class_table_cap_counts_each_class_once():
 def test_empty_relation_kills_flags():
     ctx = MonoidContext(("p", "q"), {"x": frozenset()})
     sig = signature_of(("p", "q"), ctx)
-    assert not sig.flag("x")
-    assert signature_of(("p",), ctx).flag("x")
+    assert "x" not in sig.flags
+    assert "x" in signature_of(("p",), ctx).flags
 
 
 def test_class_count_monotone_in_states():
@@ -317,7 +317,7 @@ def test_member_path_flags_match_unfolded_check():
         assert members
         for m in members:
             word = m.lag + m.period * 2
-            for letter in ctx.letters:
+            for letter in sorted(ctx.relations):
                 literal = all(
                     ctx.has_edge(letter, word[i], word[i + 1])
                     for i in range(len(word) - 1)
