@@ -7,6 +7,9 @@ set of letters of the period.  Automaton runs over such words are again
 lassos, so acceptance is decidable by inspecting finitely much data.
 """
 
+import sys
+from pathlib import Path
+
 from chronosynth.automaton import (
     MAX_EVEN,
     MIN_EVEN,
@@ -15,7 +18,11 @@ from chronosynth.automaton import (
     convert_convention,
     run_over,
 )
-from chronosynth.omega_word import LassoWord, format_lasso, inf_set, normalize, parse_lasso
+from chronosynth.omega_word import LassoWord, format_lasso, inf_set, parse_lasso
+
+# the lasso normal form is a reference the tests check against, kept with them
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from word_forms import normalize  # noqa: E402
 
 print("== lasso normal forms ==")
 for text in ("ab(abab)^w", "a(bb)^w", "ab(ba)^w"):

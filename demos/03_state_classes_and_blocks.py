@@ -8,14 +8,15 @@ controller plays in the timed games: an absorbing lag followed by an
 idempotent period.  Any infinite word factorizes into such blocks.
 """
 
+import sys
+from pathlib import Path
+
 from chronosynth.omega_word import LassoWord, format_lasso
-from chronosynth.state_monoid import (
-    MonoidContext,
-    build_UP,
-    build_class_table,
-    ramsey_factorize,
-    signature_of,
-)
+from chronosynth.state_monoid import MonoidContext, build_UP, build_class_table, signature_of
+
+# the factorization of periodic words is read only by tests and demos, kept with the tests
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from word_forms import ramsey_factorize  # noqa: E402
 
 states = ("p", "q")
 total = frozenset((a, b) for a in states for b in states)

@@ -103,10 +103,10 @@ class Arena:
     def owner(self, node: ArenaNode) -> str:
         return OWNER[node.kind]
 
-    def node_priority(self, node: ArenaNode):
-        """Inherited automaton priority; None in the right-continuous arena."""
+    def node_priority(self, node: ArenaNode) -> int:
+        """Inherited automaton priority; -1, as on unlabeled edges, at the fresh node and under rc."""
         if self.semantics == RC or node.kind == FRESH:
-            return None
+            return -1
         return self.automaton.priority[node.state]
 
     def member(self, node: ArenaNode) -> UPMember:
@@ -335,7 +335,7 @@ def export_dot(arena: Arena) -> str:
             extras = ", peripheries=2"
         prio = arena.node_priority(node)
         label = name = names[node]
-        if prio is not None:
+        if prio >= 0:
             label += f" p{prio}"
         ids[node] = dot_quote(name)
         lines.append(f"  {ids[node]} [shape={shape}, label={dot_quote(label)}{extras}];")
@@ -364,7 +364,7 @@ def arena_to_json(arena: Arena) -> dict:
             d["up"] = n.up
             d["final"] = n in arena.final_up
         prio = arena.node_priority(n)
-        if prio is not None:
+        if prio >= 0:
             d["priority"] = prio
         return d
 

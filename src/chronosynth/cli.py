@@ -28,17 +28,13 @@ from .automaton import (
     convert_convention,
     load_automaton,
 )
-from .continuous_synth import ResourceCapError, build_game_arena, decide_continuous
+from .continuous_synth import STRATEGY_CAP, build_game_arena, decide_continuous
 from .definable_synth import solve_definable
 from .discrete_game import machine_to_dot, machine_to_json, solve
-from .game_sim import (
-    ChoiceController,
-    PlaySession,
-    UndecidedError,
-    script_reader,
-)
+from .game_sim import ROUND_CAP, ChoiceController, PlaySession, UndecidedError
 from .state_monoid import (
-    MonoidCapExceeded,
+    MONOID_CAP,
+    ResourceCapError,
     build_UP,
     build_class_table,
     context_from_automaton,
@@ -71,6 +67,15 @@ def _read_input(reader, path):
 def _script_lines(path):
     with open(path, "r", encoding="utf-8") as fh:
         return [line.rstrip("\n") for line in fh if line.strip()]
+
+
+def _stdin_lines():
+    """The lines typed at a ``> `` prompt, until end of input."""
+    try:
+        while True:
+            yield input("> ")
+    except EOFError:
+        return
 
 
 def _emit(obj, out):
@@ -217,18 +222,12 @@ def cmd_play(spec, args, out, err):
         return EXIT_OK
     controller = ChoiceController(res.arena, res.witness)
     if args.script:
-        reader = script_reader(_read_input(_script_lines, args.script))
+        lines = _read_input(_script_lines, args.script)
     else:
         out.write("you play the environment; type 'help' for commands\n")
-
-        def reader():
-            try:
-                return input("> ")
-            except EOFError:
-                return None
-
+        lines = _stdin_lines()
     session = PlaySession(
-        res.arena, controller, reader, lambda s: out.write(s + "\n"),
+        res.arena, controller, lines, lambda s: out.write(s + "\n"),
         max_rounds=args.round_cap,
     )
     try:
@@ -247,9 +246,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="chronosynth",
         description="synthesis of causal controllers over discrete and continuous time",
     )
-    parser.add_argument("--monoid-cap", type=positive_int, default=200_000)
-    parser.add_argument("--strategy-cap", type=positive_int, default=1_000_000)
-    parser.add_argument("--round-cap", type=positive_int, default=60)
+    parser.add_argument("--monoid-cap", type=positive_int, default=MONOID_CAP)
+    parser.add_argument("--strategy-cap", type=positive_int, default=STRATEGY_CAP)
+    parser.add_argument("--round-cap", type=positive_int, default=ROUND_CAP)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("solve-discrete", help="solve the discrete synthesis game")
@@ -307,7 +306,7 @@ def main(argv=None, out=None, err=None) -> int:
     except UsageError as exc:
         err.write(f"{exc}\n")
         return EXIT_USAGE
-    except (ResourceCapError, MonoidCapExceeded) as exc:
+    except ResourceCapError as exc:
         err.write(f"resource cap exceeded: {exc}\n")
         return EXIT_CAP
 

@@ -29,18 +29,18 @@ from dataclasses import dataclass, field
 from .arena import FV, I_UP, RC, Arena, ArenaEdge, ArenaNode, build_fv_arena, build_rc_arena
 from .automaton import MAX_EVEN, ParityAutomaton, convert_convention
 from .state_monoid import (
+    MONOID_CAP,
+    ResourceCapError,
     build_UP,
     build_class_table,
     context_from_automaton,
 )
 
+STRATEGY_CAP = 1_000_000  # choices examined before the search gives up
+
 
 class SynthError(Exception):
     pass
-
-
-class ResourceCapError(SynthError):
-    """A resource cap stopped a build or the search."""
 
 
 @dataclass
@@ -52,15 +52,9 @@ class StrategyGraph:
     edges: tuple  # sorted
 
 
-def effective_priority(arena: Arena, edge: ArenaEdge):
-    """Edge label joined with the source node's inherited priority."""
-    label = edge.priority if edge.labeled else None
-    node = arena.node_priority(edge.src)
-    if label is None:
-        return node
-    if node is None:
-        return label
-    return max(label, node)
+def effective_priority(arena: Arena, edge: ArenaEdge) -> int:
+    """Edge label joined with the source node's inherited priority; -1 where neither has one."""
+    return max(edge.priority, arena.node_priority(edge.src))
 
 
 def partial_strategy_graph(arena: Arena, choice: dict) -> StrategyGraph:
@@ -190,11 +184,11 @@ def find_violation(sg: StrategyGraph):
         return Violation(kind="A", node=bad_up[0], entry=entry)
 
     weighted = [(e, effective_priority(arena, e)) for e in sg.edges]
-    prios = sorted({p for _, p in weighted if p is not None}, reverse=True)
+    prios = sorted({p for _, p in weighted if p >= 0}, reverse=True)
     for p in prios:
         if p % 2 == 0:
             continue
-        sub_edges = [(e, q) for e, q in weighted if q is None or q <= p]
+        sub_edges = [(e, q) for e, q in weighted if q <= p]
         succ = {}
         for e, _ in sub_edges:
             succ.setdefault(e.src, []).append(e.dst)
@@ -248,7 +242,7 @@ class SynthResult:
 
 
 def enumerate_choices(
-    arena: Arena, strategy_cap: int = 1_000_000, stats: SynthStats | None = None
+    arena: Arena, strategy_cap: int = STRATEGY_CAP, stats: SynthStats | None = None
 ):
     """Depth-first search over reachable partial choices.
 
@@ -287,7 +281,7 @@ def enumerate_choices(
     yield from explore({})
 
 
-def build_game_arena(spec: ParityAutomaton, semantics: str, monoid_cap: int = 200_000):
+def build_game_arena(spec: ParityAutomaton, semantics: str, monoid_cap: int = MONOID_CAP):
     """The arena for one semantics, and the sizes of the layers that built it.
 
     Converts the spec to the max-even convention, builds one class table and
@@ -325,8 +319,8 @@ def build_game_arena(spec: ParityAutomaton, semantics: str, monoid_cap: int = 20
 def decide_continuous(
     spec: ParityAutomaton,
     semantics: str,
-    monoid_cap: int = 200_000,
-    strategy_cap: int = 1_000_000,
+    monoid_cap: int = MONOID_CAP,
+    strategy_cap: int = STRATEGY_CAP,
 ) -> SynthResult:
     """Top-level verdict: is the specification implementable in real time?
 

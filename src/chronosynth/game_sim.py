@@ -28,6 +28,8 @@ from .arena import (
 )
 from .continuous_synth import Violation, effective_priority
 
+ROUND_CAP = 60  # interrupts before a session stops and adjudicates
+
 
 class PlayError(Exception):
     pass
@@ -68,9 +70,8 @@ class TimedPlay:
     arena: Arena
     node: ArenaNode
     now: Fraction
-    block_index: int = 0  # number of block moves committed so far
     block_start: Fraction = None
-    block_scale: Fraction = None
+    block_scale: Fraction = Fraction(2)  # each block move halves it, so block i runs at 2^-i
     interrupt_count: int = 0
     steps: list = field(default_factory=list)
     finished: bool = False
@@ -89,14 +90,8 @@ def new_play(arena: Arena) -> TimedPlay:
     return TimedPlay(arena=arena, node=arena.fresh, now=Fraction(0))
 
 
-def _position_time(arena: Arena, play: TimedPlay, n: int) -> Fraction:
-    """The latest interrupt time that resolves to position n of the current block."""
-    spans = n if arena.semantics == RC else (n + 1) // 2
-    return play.block_start + play.block_scale * spans
-
-
 def resolve_interrupt(arena: Arena, play: TimedPlay, move: InterruptMove):
-    """Map an interrupt move at a block node to (position, arena edge)."""
+    """Map an interrupt move at a block node to (position, arena edge): the one time-to-position rule."""
     node = play.node
     t0, delta = play.block_start, play.block_scale
     t = Fraction(move.time)
@@ -106,14 +101,14 @@ def resolve_interrupt(arena: Arena, play: TimedPlay, move: InterruptMove):
         raise IllegalMove(f"unknown input letter {move.letter!r}")
     if move.letter == node.letter:
         raise IllegalMove("interrupts must change the input letter")
+    ratio = (t - t0) / delta
     if arena.semantics == RC:
         if move.kind:
             raise IllegalMove("interrupt kinds belong to the fv game")
-        n = math.ceil((t - t0) / delta)
+        n = math.ceil(ratio)
     elif move.kind == LEFT:
-        n = 2 * math.ceil((t - t0) / delta) - 1
+        n = 2 * math.ceil(ratio) - 1
     elif move.kind == RIGHT:
-        ratio = (t - t0) / delta
         if ratio.denominator != 1:
             raise IllegalMove("interrupts from the right are legal exactly at grid points")
         n = 2 * ratio.numerator
@@ -130,10 +125,10 @@ def _letter_edge(arena: Arena, node: ArenaNode, letter) -> ArenaEdge:
     raise IllegalMove(f"unknown input letter {letter!r}")
 
 
-def _take(play: TimedPlay, edge: ArenaEdge, missing_msg: str, text: str, time=None) -> TimedPlay:
+def _take(play: TimedPlay, edge: ArenaEdge, text: str, time=None) -> TimedPlay:
     """Move along an arena edge from the current node, at ``time`` if given, and record it."""
     if edge not in play.arena.outgoing(play.node):
-        raise IllegalMove(missing_msg)
+        raise IllegalMove("edge does not leave the current node")
     play.node = edge.dst
     if time is not None:
         play.now = time
@@ -155,17 +150,15 @@ def step(play: TimedPlay, move) -> TimedPlay:
     if isinstance(move, ArenaEdge):
         if node.kind == I_UP:
             raise IllegalMove("block nodes are left only by an interrupt or by accepting")
-        missing = "edge does not leave the current node"
         if node.kind in (FRESH, O_DAG):
             verb = "start" if node.kind == FRESH else "input"
-            return _take(play, move, missing, f"I {verb} a={move.dst.letter}")
+            return _take(play, move, f"I {verb} a={move.dst.letter}")
         if node.kind == O_PAIR and arena.semantics == FV:
-            return _take(play, move, missing, f"O point q={move.dst.state}")
-        scale = Fraction(1, 2**play.block_index)
-        _take(play, move, missing, f"O block u=u{move.dst.up} scale={scale}")
+            return _take(play, move, f"O point q={move.dst.state}")
+        scale = play.block_scale / 2
+        _take(play, move, f"O block u=u{move.dst.up} scale={scale}")
         play.block_start = play.now
         play.block_scale = scale
-        play.block_index += 1
         return play
 
     if isinstance(move, Accept):
@@ -181,10 +174,8 @@ def step(play: TimedPlay, move) -> TimedPlay:
         _, edge = resolve_interrupt(arena, play, move)
         kind_part = f" kind={edge.kind}" if arena.semantics == FV else ""
         t = Fraction(move.time)
-        _take(
-            play, edge, f"resolved edge missing from the arena: {edge}",
-            f"I interrupt t={t} letter={move.letter}{kind_part}", t,
-        )
+        # the resolved edge is an arena edge by construction
+        _take(play, edge, f"I interrupt t={t} letter={move.letter}{kind_part}", t)
         play.interrupt_count += 1
         return play
 
@@ -216,10 +207,9 @@ def adjudicate(play: TimedPlay) -> PlayOutcome:
     interrupts = [e for e in cycle if e.labeled]
     if interrupts and all(e.size == "small" for e in interrupts):
         return PlayOutcome("O", "zeno_O_win")
-    prios = [p for e in cycle if (p := effective_priority(arena, e)) is not None]
-    if not prios:
+    top = max(effective_priority(arena, e) for e in cycle)
+    if top < 0:
         raise UndecidedError("cycle carries no priorities; malformed play")
-    top = max(prios)
     if top % 2 == 0:
         return PlayOutcome("O", "parity_even")
     return PlayOutcome("I", "parity_odd")
@@ -242,28 +232,37 @@ class ChoiceController:
         return self.choice[node]
 
 
+def _positions(arena: Arena, play: TimedPlay, letter, first=1):
+    """(latest time, edge) of an interrupt to ``letter`` at each block position from ``first`` on.
+
+    Under fv two positions share a span of the scale.  Past the lag the edges
+    repeat with the period, twice the period under fv, where parity fixes the
+    kind: the scan ends one such window past the lag or ``first - 1``, whichever is later.
+    """
+    node = play.node
+    member = arena.member(node)
+    mult = 2 if arena.semantics == FV else 1
+    last = max(first - 1, len(member.lag)) + mult * len(member.period)
+    for n in range(first, last + 1):
+        time = play.block_start + play.block_scale * ((n + mult - 1) // mult)
+        yield time, arena.interrupt_edge(node, n, letter)
+
+
 def time_for_edge(arena: Arena, play: TimedPlay, edge: ArenaEdge, min_time=None):
     """An interrupt move realizing a labeled arena edge from the current block.
 
     Picks the earliest position whose edge it is, counting only positions
-    whose time is at least ``min_time`` if given (big edges only).  Past the
-    lag the edges repeat with the period, or with twice the period under fv,
-    where a position's parity fixes the kind, so the scan ends one such
-    window past the lag, or past the first allowed position if that is later.
+    whose time is at least ``min_time`` if given (big edges only): the first
+    of them is where an interrupt at ``min_time`` lands, from the left under fv.
     """
-    node = play.node
-    member = arena.member(node)
-    # fv positions advance the clock by delta per two positions
-    mult = 2 if arena.semantics == FV else 1
+    kind = edge.kind if arena.semantics == FV else ""
     first = 1
     if min_time is not None:
-        spans = math.ceil((min_time - play.block_start) / play.block_scale)
-        first = max(1, mult * spans - mult + 1)
-    last = max(first - 1, len(member.lag)) + mult * len(member.period)
-    for n in range(first, last + 1):
-        if arena.interrupt_edge(node, n, edge.dst.letter) == edge:
-            kind = edge.kind if arena.semantics == FV else ""
-            return InterruptMove(_position_time(arena, play, n), edge.dst.letter, kind)
+        probe = InterruptMove(min_time, edge.dst.letter, LEFT if kind else "")
+        first, _ = resolve_interrupt(arena, play, probe)
+    for time, found in _positions(arena, play, edge.dst.letter, first):
+        if found == edge:
+            return InterruptMove(time, edge.dst.letter, kind)
     raise PlayError(f"no position realizes {edge} at or after {min_time}")
 
 
@@ -338,7 +337,7 @@ class ViolationEnvironment:
         return time_for_edge(self.arena, play, edge, min_time)
 
 
-def run_play(arena: Arena, controller, environment, max_rounds=40):
+def run_play(arena: Arena, controller, environment, max_rounds):
     """Drive a play to acceptance or the round cap; returns the play."""
     play = new_play(arena)
     while not play.finished and play.interrupt_count < max_rounds:
@@ -373,12 +372,12 @@ HELP_TEXT = """commands:
 
 
 class PlaySession:
-    """Terminal loop: the human is the environment, the controller is scripted."""
+    """Terminal loop: a scripted controller against environment commands read from ``lines``."""
 
-    def __init__(self, arena: Arena, controller, reader, writer, max_rounds=50):
+    def __init__(self, arena: Arena, controller, lines, writer, max_rounds=ROUND_CAP):
         self.arena = arena
         self.controller = controller
-        self.reader = reader
+        self.lines = lines
         self.writer = writer
         self.max_rounds = max_rounds
 
@@ -405,17 +404,13 @@ class PlaySession:
         ``interrupt`` command; an fv kind other than 'right' picks 'left'
         positions.
         """
-        node = play.node
-        if node.kind != I_UP:
+        if play.node.kind != I_UP:
             raise IllegalMove("interrupts are only possible at block nodes")
         fits = "interrupt" if self.arena.semantics == RC else (RIGHT if kind == RIGHT else LEFT)
-        lag_len = len(self.arena.member(node).lag)
-        positions = range(lag_len, 0, -1) if size == "small" else (lag_len + 1, lag_len + 2)
-        for n in positions:
-            edge = self.arena.interrupt_edge(node, n, letter)
-            if (edge.kind, edge.size) == (fits, size):
-                return InterruptMove(_position_time(self.arena, play, n), letter, kind)
-        raise IllegalMove("no even lag position to interrupt at")
+        found = [t for t, e in _positions(self.arena, play, letter) if (e.kind, e.size) == (fits, size)]
+        if not found:
+            raise IllegalMove("no even lag position to interrupt at")
+        return InterruptMove(found[-1] if size == "small" else found[0], letter, kind)
 
     def _parse(self, play, line):
         parts = line.strip().split()
@@ -440,6 +435,7 @@ class PlaySession:
 
     def run(self):
         play = new_play(self.arena)
+        lines = iter(self.lines)
         quit_requested = False
         while not play.finished and play.interrupt_count < self.max_rounds:
             mover = self.arena.owner(play.node)
@@ -449,7 +445,7 @@ class PlaySession:
                 self.writer(play.steps[-1].text)
                 continue
             self._render(play)
-            line = self.reader()
+            line = next(lines, None)
             if line is None or line.strip().lower() == "quit":
                 quit_requested = True
                 break
@@ -474,11 +470,3 @@ class PlaySession:
                 raise
         return play, outcome
 
-
-def script_reader(lines):
-    it = iter(lines)
-
-    def read():
-        return next(it, None)
-
-    return read

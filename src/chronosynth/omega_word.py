@@ -41,30 +41,6 @@ class LassoWord:
         return format_lasso(self)
 
 
-def _primitive_root(v: tuple) -> tuple:
-    """Shortest w with v = w^k."""
-    n = len(v)
-    for d in range(1, n + 1):
-        if n % d == 0 and v == v[:d] * (n // d):
-            return v[:d]
-    return v
-
-
-def normalize(w: LassoWord) -> LassoWord:
-    """Minimal-period, minimal-prefix representative of the same omega-word.
-
-    Two lassos denote the same omega-word iff their normal forms are equal.
-    Rotating a primitive period keeps it primitive, so the period is
-    minimized once, before prefix absorption.
-    """
-    v = _primitive_root(w.period)
-    u = w.prefix
-    while u and u[-1] == v[-1]:
-        u = u[:-1]
-        v = (v[-1],) + v[:-1]
-    return LassoWord(u, v)
-
-
 def inf_set(w: LassoWord) -> frozenset:
     """Letters occurring infinitely often: exactly those of any period of w."""
     return frozenset(w.period)

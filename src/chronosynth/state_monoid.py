@@ -18,17 +18,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .omega_word import LassoWord
+MONOID_CAP = 200_000  # classes in a table, and (class, idempotent) pairs for `monoid`
 
 
 class MonoidError(Exception):
     pass
 
 
-class MonoidCapExceeded(MonoidError):
-    def __init__(self, count):
-        super().__init__(f"signature cap exceeded; {count} classes built so far")
-        self.count = count
+class ResourceCapError(Exception):
+    """A resource cap stopped a build or the search."""
+
+
+def _cap_exceeded(count) -> ResourceCapError:
+    return ResourceCapError(f"signature cap exceeded; {count} classes built so far")
 
 
 @dataclass(frozen=True)
@@ -121,7 +123,7 @@ class ClassTable:
         return len(self.witnesses)
 
 
-def build_class_table(ctx: MonoidContext, cap: int = 200_000, letter=None) -> ClassTable:
+def build_class_table(ctx: MonoidContext, cap: int = MONOID_CAP, letter=None) -> ClassTable:
     """Close length-1 generators under appending states, breadth-first.
 
     Witnesses are generated level by level in lexicographic order, so the
@@ -140,7 +142,7 @@ def build_class_table(ctx: MonoidContext, cap: int = 200_000, letter=None) -> Cl
             witnesses[sig] = (q,)
             level.append(((q,), sig))
     if len(witnesses) > cap:
-        raise MonoidCapExceeded(len(witnesses))
+        raise _cap_exceeded(len(witnesses))
     while level:
         next_level = []
         for witness, sig in level:
@@ -151,7 +153,7 @@ def build_class_table(ctx: MonoidContext, cap: int = 200_000, letter=None) -> Cl
                 if new_sig in witnesses:
                     continue
                 if len(witnesses) >= cap:
-                    raise MonoidCapExceeded(cap + 1)
+                    raise _cap_exceeded(cap + 1)
                 new_witness = witness + (q,)
                 witnesses[new_sig] = new_witness
                 next_level.append((new_witness, new_sig))
@@ -197,41 +199,3 @@ def build_UP(table: ClassTable) -> list:
             if absorbs(ctx, sig, e_sig, late):
                 members.append(UPMember(rep, table.witnesses[e_sig]))
     return members
-
-
-def ramsey_factorize(w: LassoWord, ctx: MonoidContext):
-    """Cut an ultimately periodic word into an absorbing head and idempotent blocks.
-
-    Returns (head, block, cut_positions) with w = head . block . block . ...,
-    the block's class idempotent, and appending the block leaving the head's
-    class unchanged.  Some power of the period has an idempotent signature
-    because the monoid is finite; multiplying the head by that power once
-    more makes it absorbing.
-    """
-    u, v = tuple(w.prefix), tuple(w.period)
-    sig_v = signature_of(v, ctx)
-    power = v
-    e_sig = sig_v
-    k = 1
-    seen = {e_sig: 1}
-    while not absorbs(ctx, e_sig, e_sig, late_states(e_sig)):
-        power = power + v
-        e_sig = product(ctx, e_sig, sig_v)
-        k += 1
-        if e_sig in seen and seen[e_sig] != k:
-            raise MonoidError("no idempotent power found (broken product)")
-        seen[e_sig] = k
-    block = power  # = v^k
-
-    j = 0 if u else 1
-    while True:
-        head = u + v * j
-        if head:
-            head_sig = signature_of(head, ctx)
-            if absorbs(ctx, head_sig, e_sig, late_states(head_sig)):
-                break
-        j += 1
-        if j > 2 * k + 1:
-            raise MonoidError("absorbing head not found (broken product)")
-    cuts = [len(head) + i * len(block) for i in range(3)]
-    return head, block, cuts

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from chronosynth.arena import O_PAIR, RC
 from chronosynth.continuous_synth import build_game_arena
-from chronosynth.game_sim import ChoiceController, PlaySession, script_reader
+from chronosynth.game_sim import ChoiceController, PlaySession
 
 
 def hold_then_flip(arena, settle_state):
@@ -38,7 +38,7 @@ def geometric_duel(spec, rounds, accept=True):
     if accept:
         script.append("accept")
     session = PlaySession(
-        arena, hold_then_flip(arena, "done"), script_reader(script), lambda line: None,
+        arena, hold_then_flip(arena, "done"), script, lambda line: None,
         max_rounds=rounds + 1 if accept else rounds,
     )
     return session.run()[0]

@@ -20,7 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from chronosynth.omega_word import LassoWord, normalize
+from chronosynth.omega_word import LassoWord
+
+from word_forms import normalize
 
 
 def frac_gcd(a: Fraction, b: Fraction) -> Fraction:

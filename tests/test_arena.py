@@ -20,8 +20,8 @@ from chronosynth.arena import (
     build_rc_arena,
     export_dot,
 )
-from chronosynth.automaton import MAX_EVEN, ParityAutomaton, convert_convention
-from chronosynth.continuous_synth import build_game_arena
+from chronosynth.automaton import MAX_EVEN, ParityAutomaton, convert_convention, dot_quote
+from chronosynth.continuous_synth import build_game_arena, effective_priority
 from chronosynth.state_monoid import (
     build_UP,
     build_class_table,
@@ -196,11 +196,11 @@ def test_fv_node_priorities_inherited():
     arena = build_fv_arena(a, up_for(a))
     for n in arena.nodes:
         if n.kind == "fresh":
-            assert arena.node_priority(n) is None
+            assert arena.node_priority(n) == -1
         else:
             assert arena.node_priority(n) == a.priority[n.state]
     rc = build_rc_arena(a, up_for(a))
-    assert all(rc.node_priority(n) is None for n in rc.nodes)
+    assert all(rc.node_priority(n) == -1 for n in rc.nodes)
 
 
 def test_dot_export_deterministic_and_parses_back():
@@ -352,3 +352,29 @@ def test_interrupt_edge_at_each_position_is_an_arena_edge(quotient_corpus):
                 assert positions == labelled, (arena.semantics, node, b)
                 checked += 1
     assert checked > 1000
+
+
+def test_effective_priority_and_exported_node_priorities(quotient_corpus):
+    # -1 stands for "no priority" on unlabeled edges, at the fresh node and
+    # at every rc node; the exports print a node priority exactly where one exists
+    arenas = [arena for _, _, arena in quotient_corpus]
+    for fixture in sorted(FIXTURES.glob("*.json")):
+        if not fixture.stem.endswith("_d"):
+            arenas += [build_game_arena(load_fixture(fixture.stem), s)[0] for s in (RC, FV)]
+    for arena in arenas:
+        priority = arena.automaton.priority
+        for e in arena.edges:
+            label = e.priority if e.labeled else -1
+            if arena.semantics == RC:
+                assert effective_priority(arena, e) == label, e
+            else:
+                source = -1 if e.src.kind == "fresh" else priority[e.src.state]
+                assert effective_priority(arena, e) == max(label, source), e
+        dot_nodes = export_dot(arena).splitlines()[2 : 2 + len(arena.nodes)]
+        json_nodes = arena_to_json(arena)["nodes"]
+        for node, line, entry in zip(arena.nodes, dot_nodes, json_nodes, strict=True):
+            p = arena.node_priority(node)
+            name = arena.names[node]
+            label = dot_quote(f"{name} p{p}" if p >= 0 else name)
+            assert line.startswith(f"  {dot_quote(name)} [") and f"label={label}" in line, line
+            assert entry.get("priority", -1) == p, (node, entry)

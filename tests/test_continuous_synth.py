@@ -63,7 +63,7 @@ def exhaustive_bad_walk(sg, max_len=None):
                 if walk[-1].dst != start:
                     continue
                 prios = [
-                    p for e in walk if (p := effective_priority(arena, e)) is not None
+                    p for e in walk if (p := effective_priority(arena, e)) >= 0
                 ]
                 if not prios:
                     continue
@@ -156,7 +156,7 @@ def test_violation_cycle_is_well_formed():
                 prios = [
                     p
                     for e in cyc
-                    if (p := effective_priority(arena, e)) is not None
+                    if (p := effective_priority(arena, e)) >= 0
                 ]
                 assert max(prios) == violation.priority
                 assert violation.priority % 2 == 1

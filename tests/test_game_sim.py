@@ -23,7 +23,6 @@ from chronosynth.game_sim import (
     new_play,
     resolve_interrupt,
     run_play,
-    script_reader,
     step,
     time_for_edge,
 )
@@ -113,7 +112,7 @@ def test_untimed_moves_are_arena_edges():
         now = F(5, 2)
         for node in arena.nodes:
             # the second block of a play, mid-way through it
-            play = TimedPlay(arena, node, now, block_index=1, block_start=F(2), block_scale=F(1))
+            play = TimedPlay(arena, node, now, block_start=F(2), block_scale=F(1))
             before = dataclasses.replace(play, steps=[])
             foreign = next(e for e in arena.edges if e.src != node)
             untimed = [foreign] + list(arena.outgoing(node) if node.kind == I_UP else ())
@@ -136,7 +135,7 @@ def test_untimed_moves_are_arena_edges():
                 else:
                     assert edge.dst.kind == I_UP and node.kind == (O_PAIR if semantics == RC else I_DAG)
                     text = f"O block u=u{edge.dst.up} scale=1/2"
-                    assert (play.block_index, play.block_start, play.block_scale) == (2, now, F(1, 2))
+                    assert (play.block_start, play.block_scale) == (now, F(1, 2))
                 assert play.node == edge.dst, (semantics, edge)
                 assert play.steps == [TraceStep(text, edge, now)], (semantics, edge)
                 assert play.now == now and play.interrupt_count == 0 and not play.finished
@@ -186,7 +185,7 @@ def test_block_i_runs_at_scale_two_to_the_minus_i():
             assert blocks
             for i, text in enumerate(blocks):
                 assert text.endswith(f" scale={F(1, 2**i)}"), (res.semantics, seed, i)
-            assert play.block_index == len(blocks)
+            assert play.block_scale == F(1, 2 ** (len(blocks) - 1))
             interrupts = [s for s in play.steps if s.text.startswith("I interrupt")]
             assert play.interrupt_count == len(interrupts), (res.semantics, seed)
 
@@ -288,6 +287,13 @@ def earliest_position(arena, play, edge, min_time):
     raise AssertionError(f"no position realizes {edge}")
 
 
+def late_and_big_positions(arena, play, letter, kind):
+    """Plain scan: the last lag position and the first position past the lag whose edge kind is ``kind``."""
+    lag = len(arena.member(play.node).lag)
+    fits = [n for n in range(1, lag + 3) if arena.interrupt_edge(play.node, n, letter).kind == kind]
+    return max(n for n in fits if n <= lag), min(n for n in fits if n > lag)
+
+
 def test_time_for_edge_realizes_each_arena_edge():
     for fixture in sorted(FIXTURES.glob("*.json")):
         if fixture.stem.endswith("_d"):
@@ -316,10 +322,15 @@ def test_time_for_edge_realizes_each_arena_edge():
                     if b == node.letter:
                         continue
                     for kind in kinds:
+                        last_small, first_big = late_and_big_positions(
+                            arena, play, b, kind.strip() or "interrupt"
+                        )
                         late = session._parse(play, f"late {b}{kind}")
-                        assert resolve_interrupt(arena, play, late)[1].size == "small"
+                        n, edge = resolve_interrupt(arena, play, late)
+                        assert (n, edge.size) == (last_small, "small")
                         big = session._parse(play, f"big {b}{kind}")
-                        assert resolve_interrupt(arena, play, big)[1].size == "big"
+                        n, edge = resolve_interrupt(arena, play, big)
+                        assert (n, edge.size) == (first_big, "big")
 
 
 def test_interactive_session_scripted_replay_is_deterministic():
@@ -331,7 +342,7 @@ def test_interactive_session_scripted_replay_is_deterministic():
         out = []
         play, outcome = PlaySession(
             res.arena, ChoiceController(res.arena, res.witness),
-            script_reader(script), out.append,
+            script, out.append,
         ).run()
         return play.transcript(), "\n".join(out), outcome
 
@@ -349,7 +360,7 @@ def test_interactive_session_rejects_bad_input_and_reprompts():
     out = []
     play, outcome = PlaySession(
         res.arena, ChoiceController(res.arena, res.witness),
-        script_reader(script), out.append,
+        script, out.append,
     ).run()
     text = "\n".join(out)
     assert text.count("illegal move") == 3
@@ -362,7 +373,7 @@ def test_interactive_session_rejects_bad_input_and_reprompts():
     out = []
     play, outcome = PlaySession(
         res.arena, ChoiceController(res.arena, res.witness),
-        script_reader(script), out.append,
+        script, out.append,
     ).run()
     rejected = [line for line in out if line.startswith("illegal move")]
     assert rejected == ["illegal move: interrupts are only possible at block nodes"] * 2
@@ -379,7 +390,7 @@ def test_interactive_session_rejects_bad_input_and_reprompts():
         out = []
         play, outcome = PlaySession(
             res.arena, ChoiceController(res.arena, res.witness),
-            script_reader(script), out.append,
+            script, out.append,
         ).run()
         rejected = [line for line in out if line.startswith("illegal move")]
         assert rejected == [f"illegal move: {reason}"] * 2
@@ -406,7 +417,7 @@ def test_interactive_session_quit_is_graceful():
     out = []
     play, outcome = PlaySession(
         res.arena, ChoiceController(res.arena, res.witness),
-        script_reader(["start 0", "quit"]), out.append,
+        ["start 0", "quit"], out.append,
     ).run()
     assert outcome is None
     assert "abandoned" in "\n".join(out)

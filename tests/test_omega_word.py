@@ -6,12 +6,12 @@ from chronosynth.omega_word import (
     LassoWord,
     format_lasso,
     inf_set,
-    normalize,
     parse_lasso,
     zip_lassos,
 )
 
 from oracles import omega_equivalent, pair_profile
+from word_forms import normalize
 
 
 def test_normalize_pure_period_stutter():
