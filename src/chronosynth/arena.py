@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
-from .automaton import MAX_EVEN, ParityAutomaton, dot_quote, state_name
+from .automaton import MAX_EVEN, ParityAutomaton, convert_convention, dot_quote, state_name
 from .state_monoid import UPMember
 
 RC = "rc"
@@ -53,10 +53,6 @@ OWNER = {FRESH: "I", O_PAIR: "O", O_DAG: "I", I_DAG: "O", I_UP: "I"}
 
 LEFT = "left"
 RIGHT = "right"
-
-
-class ArenaError(Exception):
-    pass
 
 
 class ArenaNode(NamedTuple):
@@ -126,14 +122,14 @@ class Arena:
         The target is (u(n), b), or (u(n), +, b) for a finite-variability
         point; rc edges have kind 'interrupt', fv odd positions 'left' and fv
         even positions 'right'.  The edge is small iff n is inside the lag,
-        and its priority is the max over positions 1..n, which is constant
-        past lag + period.
+        and its priority is the max over positions 1..n.  Absorption puts the
+        period's states inside the lag, so that is the max over the lag's
+        first n states.
         """
         member = self.member(node)
         dst, kind = _landing(self.semantics, member.letter(n), n, b)
         size = "small" if n <= len(member.lag) else "big"
-        last = min(n, len(member.lag) + len(member.period))
-        priority = max(self.automaton.priority[member.letter(i)] for i in range(1, last + 1))
+        priority = max(self.automaton.priority[q] for q in member.lag[:n])
         return ArenaEdge(node, dst, priority, size, kind)
 
     @cached_property
@@ -269,19 +265,15 @@ def _finish(a, semantics, members, final_up, nodes, edges):
     )
 
 
-def _require_max_even(a):
-    if a.convention != MAX_EVEN:
-        raise ArenaError("arena construction expects the max-even convention")
-
-
 def build_rc_arena(a: ParityAutomaton, up: dict) -> Arena:
     """Arena for the right-continuous game.
 
     fresh -> (q_init, a); (q, a) -> (q, a, u) for blocks u that are valid
     runs under a and start at a successor of q; interrupts from (q, a, u)
-    land on (u(n), b) for b != a.
+    land on (u(n), b) for b != a.  Priorities are read under the max-even
+    convention.
     """
-    _require_max_even(a)
+    a = convert_convention(a, MAX_EVEN)
     nodes, edges = set(), set()
     fresh = ArenaNode(FRESH)
     nodes.add(fresh)
@@ -300,9 +292,9 @@ def build_fv_arena(a: ParityAutomaton, up: dict) -> Arena:
     the next input; (q, +, a) -> (q, a, u) commits a block.  Interrupts at
     odd positions are discontinuities from the left and land on (u(n), b);
     even positions are discontinuities from the right and land on
-    (u(n), +, b).
+    (u(n), +, b).  Priorities are read under the max-even convention.
     """
-    _require_max_even(a)
+    a = convert_convention(a, MAX_EVEN)
     nodes, edges = set(), set()
     fresh = ArenaNode(FRESH)
     nodes.add(fresh)

@@ -171,13 +171,6 @@ def product_with_monitor(a: ParityAutomaton, m: SafetyMonitor) -> ParityAutomato
     Sink states receive the worst (losing-for-acceptance) priority, so a
     word that violates the monitored discipline is rejected.
     """
-    for q in m.states:
-        for ain in a.sigma_in:
-            for aout in a.sigma_out:
-                if (q, ain, aout) not in m.transition:
-                    raise AlphabetMismatchError(
-                        f"monitor does not cover letter ({ain!r}, {aout!r})"
-                    )
     sink_prio = _worst_priority(a.convention, (a.priority[q] for q in a.states))
     states = []
     transition = {}

@@ -21,13 +21,7 @@ import os
 import sys
 
 from .arena import FV, RC, arena_to_json, export_dot
-from .automaton import (
-    MAX_EVEN,
-    AlphabetMismatchError,
-    AutomatonError,
-    convert_convention,
-    load_automaton,
-)
+from .automaton import AlphabetMismatchError, AutomatonError, load_automaton
 from .continuous_synth import STRATEGY_CAP, build_game_arena, decide_continuous
 from .definable_synth import solve_definable
 from .discrete_game import machine_to_dot, machine_to_json, solve
@@ -175,8 +169,7 @@ def cmd_monoid(spec, args, out, err):
     if args.letter is not None and args.letter not in spec.sigma_in:
         letters = ", ".join(spec.sigma_in)
         raise UsageError(f"unknown input letter {args.letter!r}; the spec's letters are {letters}")
-    canonical = convert_convention(spec, MAX_EVEN)
-    ctx = context_from_automaton(canonical)
+    ctx = context_from_automaton(spec)
     table = build_class_table(ctx, cap=args.monoid_cap, letter=args.letter)
     # the cap bounds the (class, idempotent) pairs that could form members;
     # build_UP tries only the pairs that end in the same state

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .arena import FV, I_UP, RC, Arena, ArenaEdge, ArenaNode, build_fv_arena, build_rc_arena
-from .automaton import MAX_EVEN, ParityAutomaton, convert_convention
+from .automaton import ParityAutomaton
 from .state_monoid import (
     MONOID_CAP,
     ResourceCapError,
@@ -49,7 +49,9 @@ class StrategyGraph:
 
     arena: Arena
     nodes: frozenset
-    edges: tuple  # sorted
+    edges: tuple  # sorted: the lists of edges_from joined in node order
+    edges_from: dict  # each reached node -> its edges under the choice, sorted
+    pending: list  # sorted reachable controller nodes with moves the choice leaves open
 
 
 def effective_priority(arena: Arena, edge: ArenaEdge) -> int:
@@ -60,36 +62,31 @@ def effective_priority(arena: Arena, edge: ArenaEdge) -> int:
 def partial_strategy_graph(arena: Arena, choice: dict) -> StrategyGraph:
     """The restriction reachable from fresh under a choice that need not be total."""
     seen = {arena.fresh}
-    edges = []
+    edges_from, pending = {}, []
     frontier = [arena.fresh]
     while frontier:
         node = frontier.pop()
+        outs = arena.outgoing(node)
         if arena.owner(node) == "O":
-            outs = (choice[node],) if node in choice else ()
-        else:
-            outs = arena.outgoing(node)
+            if node in choice:
+                outs = (choice[node],)
+            elif outs:
+                pending.append(node)
+                outs = ()
+        edges_from[node] = outs
         for e in outs:
-            edges.append(e)
             if e.dst not in seen:
                 seen.add(e.dst)
                 frontier.append(e.dst)
-    return StrategyGraph(arena, frozenset(seen), tuple(sorted(edges)))
-
-
-def _pending(sg: StrategyGraph, choice: dict) -> list:
-    """Reachable controller nodes with moves that ``choice`` leaves open, sorted."""
-    arena = sg.arena
-    return sorted(
-        n for n in sg.nodes if arena.owner(n) == "O" and n not in choice and arena.outgoing(n)
-    )
+    edges = tuple(e for node in sorted(edges_from) for e in edges_from[node])
+    return StrategyGraph(arena, frozenset(seen), edges, edges_from, sorted(pending))
 
 
 def build_strategy_graph(arena: Arena, choice: dict) -> StrategyGraph:
     """The restriction under a choice that must be defined at every reachable controller node."""
     sg = partial_strategy_graph(arena, choice)
-    missing = _pending(sg, choice)
-    if missing:
-        raise SynthError(f"choice undefined at reachable controller node {missing[0]}")
+    if sg.pending:
+        raise SynthError(f"choice undefined at reachable controller node {sg.pending[0]}")
     return sg
 
 
@@ -173,14 +170,11 @@ def _bfs_path(edges_by_src, start, goal_nodes):
 def find_violation(sg: StrategyGraph):
     """First reason the environment beats the choice, or None."""
     arena = sg.arena
-    # sg.edges is sorted, so every per-source list and filtered list below is too
-    edges_by_src = {}
-    for e in sg.edges:
-        edges_by_src.setdefault(e.src, []).append(e)
-
+    # sg.edges and its per-source lists are sorted, so every filtered list below is too
+    edges_from = sg.edges_from
     bad_up = sorted(n for n in sg.nodes if n.kind == I_UP and n not in arena.final_up)
     if bad_up:
-        entry = _bfs_path(edges_by_src, arena.fresh, {bad_up[0]})
+        entry = _bfs_path(edges_from, arena.fresh, {bad_up[0]})
         return Violation(kind="A", node=bad_up[0], entry=entry)
 
     weighted = [(e, effective_priority(arena, e)) for e in sg.edges]
@@ -214,7 +208,7 @@ def find_violation(sg: StrategyGraph):
                 mid = _bfs_path(inner_by_src, e_p.dst, {e_b.src})
                 back = _bfs_path(inner_by_src, e_b.dst, {e_p.src})
                 cycle = (e_p,) + mid + (e_b,) + back
-            entry = _bfs_path(edges_by_src, arena.fresh, {e_p.src})
+            entry = _bfs_path(edges_from, arena.fresh, {e_p.src})
             return Violation(kind="B", priority=p, cycle=cycle, entry=entry)
     return None
 
@@ -258,7 +252,7 @@ def enumerate_choices(
 
     def explore(choice):
         sg = partial_strategy_graph(arena, choice)
-        pending = _pending(sg, choice)
+        pending = sg.pending
         violation = find_violation(sg)
         if violation is not None:
             stats.strategies_examined += 1
@@ -284,19 +278,18 @@ def enumerate_choices(
 def build_game_arena(spec: ParityAutomaton, semantics: str, monoid_cap: int = MONOID_CAP):
     """The arena for one semantics, and the sizes of the layers that built it.
 
-    Converts the spec to the max-even convention, builds one class table and
-    block vocabulary per distinct one-step relation (letters that share a
-    relation share them) and the arena over them.  Returns (arena, stats)
-    with the class counts, vocabulary sizes and d bound set.
+    Builds one class table and block vocabulary per distinct one-step
+    relation (letters that share a relation share them) and the arena over
+    them, the one layer that reads priorities.  Returns (arena, stats) with
+    the class counts, vocabulary sizes and d bound set.
     """
     if semantics not in (RC, FV):
         raise SynthError(f"semantics must be '{RC}' or '{FV}'")
-    canonical = convert_convention(spec, MAX_EVEN)
-    ctx = context_from_automaton(canonical)
+    ctx = context_from_automaton(spec)
     stats = SynthStats()
     solved = {}  # relation -> (class table, vocabulary) of its first letter
     up_by_letter = {}
-    for x in canonical.sigma_in:
+    for x in spec.sigma_in:
         if ctx.relations[x] not in solved:
             table = build_class_table(ctx, cap=monoid_cap, letter=x)
             solved[ctx.relations[x]] = table, build_UP(table)
@@ -305,7 +298,7 @@ def build_game_arena(spec: ParityAutomaton, semantics: str, monoid_cap: int = MO
         stats.d_bound = max(stats.d_bound, table.d_q)
         stats.up_sizes[x] = len(up_by_letter[x])
     builder = build_rc_arena if semantics == RC else build_fv_arena
-    arena = builder(canonical, up_by_letter)
+    arena = builder(spec, up_by_letter)
     stuck = [
         n for n in arena.nodes if arena.owner(n) == "O" and not arena.outgoing(n)
     ]

@@ -47,6 +47,7 @@ class GameGraph:
 
 
 def game_from_automaton(a: ParityAutomaton) -> GameGraph:
+    """The synthesis game of the spec, its priorities read under the max-even convention."""
     a = convert_convention(a, MAX_EVEN)
     owner, priority, succ = {}, {}, {}
     for q in a.states:
@@ -229,13 +230,12 @@ def solve(a: ParityAutomaton) -> SolveResult:
     every input word.  Input player wins: the Moore counter machine defeats
     every output word.  Exactly one side is returned.
     """
-    canonical = convert_convention(a, MAX_EVEN)
-    g = game_from_automaton(canonical)
+    g = game_from_automaton(a)
     w_o, w_i, s_o, s_i = zielonka(g)
 
     def walk(successors):
         """States reachable from the initial one; successors(q) records q's moves."""
-        seen, todo = {canonical.initial}, [canonical.initial]
+        seen, todo = {a.initial}, [a.initial]
         while todo:
             for q_next in successors(todo.pop()):
                 if q_next not in seen:
@@ -243,31 +243,27 @@ def solve(a: ParityAutomaton) -> SolveResult:
                     todo.append(q_next)
         return tuple(sorted(seen, key=repr))
 
-    if ("i", canonical.initial) in w_o:
+    if ("i", a.initial) in w_o:
         transition = {}
 
         def respond(q):
-            for x in canonical.sigma_in:
+            for x in a.sigma_in:
                 q_next = s_o[("o", q, x)][1]
-                b = min(
-                    b
-                    for b in canonical.sigma_out
-                    if canonical.transition[(q, x, b)] == q_next
-                )
+                b = min(b for b in a.sigma_out if a.transition[(q, x, b)] == q_next)
                 transition[(q, x)] = (q_next, b)
                 yield q_next
 
-        machine = MealyMachine(walk(respond), canonical.initial, transition)
+        machine = MealyMachine(walk(respond), a.initial, transition)
         return SolveResult("output", machine, None, frozenset(w_i))
     output, transition = {}, {}
 
     def challenge(q):
         x = output[q] = s_i[("i", q)][2]
-        for b in canonical.sigma_out:
-            q_next = transition[(q, b)] = canonical.transition[(q, x, b)]
+        for b in a.sigma_out:
+            q_next = transition[(q, b)] = a.transition[(q, x, b)]
             yield q_next
 
-    machine = MooreCounterMachine(walk(challenge), canonical.initial, output, transition)
+    machine = MooreCounterMachine(walk(challenge), a.initial, output, transition)
     return SolveResult("input", None, machine, frozenset(w_i))
 
 

@@ -13,14 +13,13 @@ from chronosynth.arena import (
     O_PAIR,
     RC,
     RIGHT,
-    ArenaError,
     ArenaNode,
     arena_to_json,
     build_fv_arena,
     build_rc_arena,
     export_dot,
 )
-from chronosynth.automaton import MAX_EVEN, ParityAutomaton, convert_convention, dot_quote
+from chronosynth.automaton import MAX_EVEN, MIN_EVEN, ParityAutomaton, convert_convention, dot_quote
 from chronosynth.continuous_synth import build_game_arena, effective_priority
 from chronosynth.state_monoid import (
     build_UP,
@@ -87,11 +86,21 @@ def test_rc_arena_singleton_input_has_no_interrupts():
     assert all(not e.labeled for e in arena.edges)
 
 
-def test_rc_arena_requires_max_even():
-    a = one_state_automaton()
-    bad = convert_convention(a, "min_even")
-    with pytest.raises(ArenaError):
-        build_rc_arena(bad, up_for(a))
+def test_arena_builders_convert_to_max_even():
+    rng = random.Random(4)
+    checked = 0
+    for _ in range(10):
+        spec = convert_convention(random_automaton(rng, 3), MIN_EVEN)
+        canonical = convert_convention(spec, MAX_EVEN)
+        if canonical.priority == spec.priority:
+            continue
+        up = up_for(spec)
+        for build in (build_rc_arena, build_fv_arena):
+            arena, expected = build(spec, up), build(canonical, up)
+            assert arena.edges == expected.edges
+            assert arena.final_up == expected.final_up
+        checked += 1
+    assert checked >= 5
 
 
 def test_big_edge_priority_is_member_max():

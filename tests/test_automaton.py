@@ -10,6 +10,7 @@ from chronosynth.automaton import (
     MAX_EVEN,
     MIN_EVEN,
     SINK,
+    AlphabetMismatchError,
     AutomatonError,
     InputDomainError,
     ParityAutomaton,
@@ -227,6 +228,14 @@ def test_product_with_letter_rejecting_monitor():
     a2 = convert_convention(one_state(0), MAX_EVEN)
     p2 = product_with_monitor(a2, mon)
     assert not accepts(p2, LassoWord((("1", "1"),), (("0", "0"),)))
+
+
+@pytest.mark.parametrize("state", ["ok", "dead"])
+def test_product_with_a_monitor_missing_a_transition_is_an_alphabet_mismatch(state):
+    monitor = accept_all_monitor(("0", "1"), ("0", "1"))
+    del monitor.transition[(state, "1", "0")]
+    with pytest.raises(AlphabetMismatchError, match=f"at \\('{state}', '1', '0'\\)"):
+        product_with_monitor(one_state(0), monitor)
 
 
 def test_json_roundtrip_and_sink_completion():

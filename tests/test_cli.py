@@ -10,7 +10,7 @@ import sys
 
 import pytest
 
-from chronosynth.automaton import load_automaton
+from chronosynth.automaton import MIN_EVEN, convert_convention, load_automaton
 from chronosynth.cli import EXIT_CAP, EXIT_OK, EXIT_UNDECIDED, EXIT_USAGE, main
 from chronosynth.continuous_synth import build_game_arena
 
@@ -350,6 +350,45 @@ def test_arena_export_matches_synth_stats(fixture, semantics):
     stats = json.loads(out)["stats"]
     assert len(arena["nodes"]) == stats["arena_nodes"]
     assert len(arena["edges"]) == stats["arena_edges"]
+
+
+def _min_even_twin(fixture, tmp_path):
+    """The fixture written under the min-even convention, with the priorities that keep its language."""
+    twin = convert_convention(load_automaton(fixture), MIN_EVEN)
+    data = {
+        "convention": twin.convention,
+        "states": list(twin.states),
+        "sigma_in": list(twin.sigma_in),
+        "sigma_out": list(twin.sigma_out),
+        "initial": twin.initial,
+        "priority": twin.priority,
+        "transitions": [
+            {"from": q, "in": a, "out": b, "to": t} for (q, a, b), t in twin.transition.items()
+        ],
+    }
+    path = tmp_path / fixture.name
+    path.write_text(json.dumps(data))
+    return path
+
+
+@pytest.mark.parametrize("fixture", sorted(FIXTURES.glob("*.json")), ids=lambda p: p.stem)
+def test_min_even_twin_prints_what_the_fixture_prints(fixture, tmp_path):
+    # every entry point reads the twin's priorities through the one conversion
+    twin = _min_even_twin(fixture, tmp_path)
+    # the monoid of four fixtures is over the cap, which a small cap finds sooner
+    commands = [["--monoid-cap", "5000", "monoid", "--full"], ["solve-discrete"]]
+    for semantics in ("rc", "fv"):
+        commands += [
+            ["synth", "--semantics", semantics, "--stats"],
+            ["arena", "--semantics", semantics],
+            ["arena", "--semantics", semantics, "--dot"],
+        ]
+    if fixture.stem.endswith("_d"):  # the squared fixtures
+        commands.append(["definable"])
+    for command in commands:
+        expected = run_cli(*command, str(fixture))
+        assert expected[0] == EXIT_OK or "monoid" in command
+        assert run_cli(*command, str(twin)) == expected, command
 
 
 def _bad_specs(tmp_path):

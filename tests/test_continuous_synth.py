@@ -12,6 +12,7 @@ from chronosynth.automaton import MAX_EVEN, ParityAutomaton
 from chronosynth.cli import _witness_json
 from chronosynth.continuous_synth import (
     ResourceCapError,
+    SynthError,
     build_game_arena,
     build_strategy_graph,
     decide_continuous,
@@ -366,3 +367,39 @@ def test_random_corpus_search_is_pinned():
                 _digest("".join(violations)),
             )
             assert got == CORPUS_TABLE[(i, sem)], (i, sem)
+
+
+def _scanned_pending(sg, choice):
+    """Reachable controller nodes with moves that ``choice`` leaves open, by a scan of the nodes."""
+    arena = sg.arena
+    return sorted(
+        n for n in sg.nodes if arena.owner(n) == "O" and n not in choice and arena.outgoing(n)
+    )
+
+
+def test_strategy_graph_walk_records_each_nodes_edges_and_the_open_nodes():
+    fixtures = sorted({name for name, _ in SEARCH_TABLE})
+    specs = [load_fixture(name) for name in fixtures] + _corpus_specs()
+    partial = 0
+    for spec in specs:
+        for sem in (RC, FV):
+            arena = arena_for(spec, sem)
+            # every choice the search meets, up to its verdict
+            for choice, violation in enumerate_choices(arena):
+                sg = partial_strategy_graph(arena, choice)
+                assert sg.pending == _scanned_pending(sg, choice)
+                assert list(sg.edges) == sorted(sg.edges)
+                by_src = {node: [] for node in sg.nodes}
+                for e in sg.edges:
+                    by_src[e.src].append(e)
+                assert {node: list(edges) for node, edges in sg.edges_from.items()} == by_src
+                if sg.pending:
+                    partial += 1
+                    with pytest.raises(SynthError) as exc:
+                        build_strategy_graph(arena, choice)
+                    assert str(exc.value).endswith(f"controller node {sg.pending[0]}")
+                else:
+                    assert build_strategy_graph(arena, choice).edges == sg.edges
+                if violation is None:
+                    break
+    assert partial > 0
