@@ -214,10 +214,10 @@ def automaton_from_json(data) -> ParityAutomaton:
     if isinstance(data, (str, bytes)):
         data = json.loads(data)
     names = {key: _array(data, key) for key in ("states", "sigma_in", "sigma_out")}
-    for q in names["states"]:
-        if not isinstance(q, str):
-            raise AutomatonError(f"state {q!r} is not a string")
     for key, values in names.items():
+        for name in values:
+            if not isinstance(name, str):
+                raise AutomatonError(f"{key} entry {name!r} is not a string")
         if len(set(values)) < len(values):
             raise AutomatonError(f"{key} repeats an entry: {list(values)!r}")
     states, sigma_in, sigma_out = list(names["states"]), names["sigma_in"], names["sigma_out"]

@@ -24,8 +24,9 @@ from .arena import FV, RC, arena_to_json, export_dot
 from .automaton import AlphabetMismatchError, AutomatonError, load_automaton
 from .continuous_synth import STRATEGY_CAP, build_game_arena, decide_continuous
 from .definable_synth import solve_definable
-from .discrete_game import machine_to_dot, machine_to_json, solve
+from .discrete_game import machine_to_dot, machine_to_json, run_counter_machine, run_machine, solve
 from .game_sim import ROUND_CAP, ChoiceController, PlaySession, UndecidedError
+from .omega_word import format_lasso, parse_lasso
 from .state_monoid import (
     MONOID_CAP,
     ResourceCapError,
@@ -96,15 +97,14 @@ def _witness_json(arena, choice):
 
 
 def cmd_solve_discrete(spec, args, out, err):
-    from .discrete_game import run_counter_machine, run_machine
-    from .omega_word import format_lasso, parse_lasso
-
     res = solve(spec)
-    payload = {"winner": res.winner}
-    machine = res.mealy if res.winner == "output" else res.counter
-    payload["machine"] = machine_to_json(machine)
+    # the winner's machine, and the losing side whose word --run gives the machine
+    if res.winner == "output":
+        machine, side, alphabet, runner = res.mealy, "input", spec.sigma_in, run_machine
+    else:
+        machine, side, alphabet, runner = res.counter, "output", spec.sigma_out, run_counter_machine
+    payload = {"winner": res.winner, "machine": machine_to_json(machine)}
     if args.run:
-        side, alphabet = ("input", spec.sigma_in) if res.winner == "output" else ("output", spec.sigma_out)
         try:
             word = parse_lasso(args.run, alphabet)
         except ValueError as exc:
@@ -112,20 +112,14 @@ def cmd_solve_discrete(spec, args, out, err):
         foreign = sorted(set(word.prefix + word.period) - set(alphabet))
         if foreign:
             raise UsageError(f"--run {args.run!r}: {foreign} not in the {side} alphabet {list(alphabet)}")
-        if res.winner == "output":
-            payload["run"] = {"input": args.run, "output": format_lasso(run_machine(machine, word))}
-        else:
-            payload["run"] = {"output": args.run, "input": format_lasso(run_counter_machine(machine, word))}
-    if not args.dot:
-        _emit(payload, out)
-        return EXIT_OK
-    try:
-        dot = open(args.dot, "w", encoding="utf-8")
-    except OSError as exc:
-        raise UsageError(f"cannot write {args.dot}: {type(exc).__name__}: {exc.strerror}") from exc
-    with dot:
-        _emit(payload, out)
-        dot.write(machine_to_dot(machine))
+        payload["run"] = {side: args.run, res.winner: format_lasso(runner(machine, word))}
+    if args.dot:
+        try:
+            with open(args.dot, "w", encoding="utf-8") as dot:
+                dot.write(machine_to_dot(machine))
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.dot}: {type(exc).__name__}: {exc.strerror}") from exc
+    _emit(payload, out)
     return EXIT_OK
 
 

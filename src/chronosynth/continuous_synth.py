@@ -48,8 +48,6 @@ class StrategyGraph:
     """One-player restriction of the arena under a positional choice."""
 
     arena: Arena
-    nodes: frozenset
-    edges: tuple  # sorted: the lists of edges_from joined in node order
     edges_from: dict  # each reached node -> its edges under the choice, sorted
     pending: list  # sorted reachable controller nodes with moves the choice leaves open
 
@@ -78,8 +76,7 @@ def partial_strategy_graph(arena: Arena, choice: dict) -> StrategyGraph:
             if e.dst not in seen:
                 seen.add(e.dst)
                 frontier.append(e.dst)
-    edges = tuple(e for node in sorted(edges_from) for e in edges_from[node])
-    return StrategyGraph(arena, frozenset(seen), edges, edges_from, sorted(pending))
+    return StrategyGraph(arena, edges_from, sorted(pending))
 
 
 def build_strategy_graph(arena: Arena, choice: dict) -> StrategyGraph:
@@ -90,49 +87,43 @@ def build_strategy_graph(arena: Arena, choice: dict) -> StrategyGraph:
     return sg
 
 
-def _sccs(nodes, succ):
-    """Iterative Tarjan; returns the list of strongly connected components."""
-    index, low = {}, {}
-    stack, on_stack, out = [], set(), []
-    counter = [0]
-    for root in sorted(nodes):
+def _sccs(roots, succ):
+    """Iterative Tarjan from each root in turn; maps each node to the number
+    of its strongly connected component, numbered in the order they close."""
+    index, low, comp_of = {}, {}, {}
+    stack, closed = [], 0
+    for root in roots:
         if root in index:
             continue
         work = [(root, iter(succ.get(root, ())))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
+        index[root] = low[root] = len(index)
         stack.append(root)
-        on_stack.add(root)
         while work:
             node, it = work[-1]
             advanced = False
             for w in it:
                 if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
+                    index[w] = low[w] = len(index)
                     stack.append(w)
-                    on_stack.add(w)
                     work.append((w, iter(succ.get(w, ()))))
                     advanced = True
                     break
-                if w in on_stack:
+                if w not in comp_of:  # still on the stack
                     low[node] = min(low[node], index[w])
             if advanced:
                 continue
             work.pop()
             if low[node] == index[node]:
-                comp = set()
                 while True:
                     w = stack.pop()
-                    on_stack.discard(w)
-                    comp.add(w)
+                    comp_of[w] = closed
                     if w == node:
                         break
-                out.append(frozenset(comp))
+                closed += 1
             if work:
                 parent = work[-1][0]
                 low[parent] = min(low[parent], low[node])
-    return out
+    return comp_of
 
 
 @dataclass(frozen=True)
@@ -169,30 +160,25 @@ def _bfs_path(edges_by_src, start, goal_nodes):
 
 def find_violation(sg: StrategyGraph):
     """First reason the environment beats the choice, or None."""
-    arena = sg.arena
-    # sg.edges and its per-source lists are sorted, so every filtered list below is too
-    edges_from = sg.edges_from
-    bad_up = sorted(n for n in sg.nodes if n.kind == I_UP and n not in arena.final_up)
-    if bad_up:
-        entry = _bfs_path(edges_from, arena.fresh, {bad_up[0]})
-        return Violation(kind="A", node=bad_up[0], entry=entry)
+    arena, edges_from = sg.arena, sg.edges_from
+    order = sorted(edges_from)
+    for node in order:
+        if node.kind == I_UP and node not in arena.final_up:
+            return Violation(kind="A", node=node, entry=_bfs_path(edges_from, arena.fresh, {node}))
 
-    weighted = [(e, effective_priority(arena, e)) for e in sg.edges]
-    prios = sorted({p for _, p in weighted if p >= 0}, reverse=True)
-    for p in prios:
-        if p % 2 == 0:
-            continue
+    # each list of edges_from is sorted, so weighted and every list filtered from it is too
+    weighted = [(e, effective_priority(arena, e)) for node in order for e in edges_from[node]]
+    for p in sorted({q for _, q in weighted if q > 0 and q % 2}, reverse=True):
         sub_edges = [(e, q) for e, q in weighted if q <= p]
         succ = {}
         for e, _ in sub_edges:
             succ.setdefault(e.src, []).append(e.dst)
-        comps = _sccs({e.src for e, _ in sub_edges} | {e.dst for e, _ in sub_edges}, succ)
-        comp_of = {v: i for i, comp in enumerate(comps) for v in comp}
-        inside_of = [[] for _ in comps]
+        comp_of = _sccs(order, succ)
+        inside_of = {}
         for e, q in sub_edges:
             if comp_of[e.src] == comp_of[e.dst]:
-                inside_of[comp_of[e.src]].append((e, q))
-        for inside in inside_of:
+                inside_of.setdefault(comp_of[e.src], []).append((e, q))
+        for _, inside in sorted(inside_of.items()):
             peak = [e for e, q in inside if q == p]
             big = [e for e, _ in inside if e.size == "big"]
             if not peak or not big:
@@ -254,15 +240,10 @@ def enumerate_choices(
         sg = partial_strategy_graph(arena, choice)
         pending = sg.pending
         violation = find_violation(sg)
-        if violation is not None:
+        if violation is not None or not pending:
             stats.strategies_examined += 1
-            if pending:
-                stats.pruned += 1
+            stats.pruned += bool(pending)  # a violated partial choice decides its completions
             yield dict(choice), violation
-            return
-        if not pending:
-            stats.strategies_examined += 1
-            yield dict(choice), None
             return
         if stats.strategies_examined > strategy_cap:
             raise ResourceCapError(f"strategy enumeration cap {strategy_cap} exceeded")

@@ -87,7 +87,7 @@ class DefinableResult:
     definable: bool
     witness: MealyMachine | None
     counter: MooreCounterMachine | None
-    losing_region: tuple = ()
+    losing_region: frozenset = frozenset()  # the product game's nodes the input player wins
 
 
 def _check_squared(spec: ParityAutomaton):
@@ -112,5 +112,4 @@ def solve_definable(spec: ParityAutomaton) -> DefinableResult:
     res = solve(product)
     if res.winner == "output":
         return DefinableResult(True, res.mealy, None)
-    losing = tuple(sorted(repr(v) for v in res.input_region))
-    return DefinableResult(False, None, res.counter, losing)
+    return DefinableResult(False, None, res.counter, res.input_region)

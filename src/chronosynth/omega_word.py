@@ -33,10 +33,6 @@ class LassoWord:
         """First n letters of the omega-word."""
         return tuple(self.letter_at(i) for i in range(n))
 
-    @property
-    def lag(self) -> int:
-        return len(self.prefix)
-
     def __str__(self):
         return format_lasso(self)
 

@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import re
 
 import pytest
 
@@ -303,6 +304,22 @@ def test_json_rejects_states_that_are_not_strings(state):
         "transitions": [{"from": "q", "in": "0", "out": "0", "to": "q"}],
     }
     with pytest.raises(AutomatonError, match="is not a string"):
+        automaton_from_json(json.dumps(data))
+
+
+@pytest.mark.parametrize("letter", [0, True, None], ids=["int", "bool", "null"])
+@pytest.mark.parametrize("field", ["sigma_in", "sigma_out"])
+def test_json_rejects_letters_that_are_not_strings(field, letter):
+    data = {
+        "states": ["q"],
+        "sigma_in": ["0"],
+        "sigma_out": ["0"],
+        "initial": "q",
+        "priority": {"q": 0},
+        "transitions": [],
+    }
+    data[field] = ["1", letter]
+    with pytest.raises(AutomatonError, match=re.escape(f"{field} entry {letter!r} is not a string")):
         automaton_from_json(json.dumps(data))
 
 

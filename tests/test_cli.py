@@ -153,6 +153,33 @@ def test_unwritable_dot_path_is_a_usage_error(tmp_path):
     assert not dot.exists()
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full on this host")
+def test_dot_file_whose_write_fails_is_a_usage_error():
+    # /dev/full opens, but a write to it fails with ENOSPC
+    code, out, err = run_cli("solve-discrete", str(FIXTURES / "one_state.json"), "--dot", "/dev/full")
+    _one_line_usage_error(code, out, err)
+    assert "/dev/full" in err
+
+
+def _integer_letters(tmp_path):
+    """psi_copy with its letters written as JSON integers."""
+    spec = json.loads((FIXTURES / "psi_copy.json").read_text())
+    spec["sigma_in"] = [int(x) for x in spec["sigma_in"]]
+    spec["sigma_out"] = [int(x) for x in spec["sigma_out"]]
+    for t in spec["transitions"]:
+        t["in"], t["out"] = int(t["in"]), int(t["out"])
+    path = tmp_path / "int_letters.json"
+    path.write_text(json.dumps(spec))
+    return path
+
+
+@pytest.mark.parametrize("command", [["solve-discrete", "--run", "0(1)^w"], ["monoid", "--letter", "0"]])
+def test_letters_that_are_not_strings_are_a_usage_error(command, tmp_path):
+    code, out, err = run_cli(command[0], str(_integer_letters(tmp_path)), *command[1:])
+    _one_line_usage_error(code, out, err)
+    assert "sigma_in entry 0 is not a string" in err
+
+
 QUOTED = re.compile(r'"(?:[^"\\]|\\.)*"')
 
 
@@ -455,13 +482,14 @@ def test_definable_needs_squared_alphabets(tmp_path):
     _one_line_usage_error(code, out, err)
     assert "squared" in err
     spec = json.loads((FIXTURES / "psi_copy_d.json").read_text())
-    for letters in (["0,1,0", "0,0", "1,0", "1,1"], [0, 1]):
+    # letters that are not strings are refused by the spec loader, before the squared check
+    for letters, detail in ((["0,1,0", "0,0", "1,0", "1,1"], "squared"), ([0, 1], "is not a string")):
         bad = dict(spec, sigma_in=letters, transitions=[])
         path = tmp_path / "bad_letters.json"
         path.write_text(json.dumps(bad))
         code, out, err = run_cli("definable", str(path))
         _one_line_usage_error(code, out, err)
-        assert "squared" in err
+        assert detail in err
 
 
 @pytest.mark.parametrize("alphabet", ["sigma_in", "sigma_out"])

@@ -43,12 +43,9 @@ def arena_for(a, semantics=RC):
 def exhaustive_bad_walk(sg, max_len=None):
     """Closed-walk oracle for the cycle clause, independent of the SCC path."""
     arena = sg.arena
-    edges_by_src = {}
-    for e in sg.edges:
-        edges_by_src.setdefault(e.src, []).append(e)
-    nodes = sg.nodes
+    edges_by_src = sg.edges_from
     if max_len is None:
-        max_len = 2 * len(nodes) + 2
+        max_len = 2 * len(edges_by_src) + 2
 
     def walks_from(node, length):
         if length == 0:
@@ -58,7 +55,7 @@ def exhaustive_bad_walk(sg, max_len=None):
             for rest in walks_from(e.dst, length - 1):
                 yield (e,) + rest
 
-    for start in sorted(nodes):
+    for start in sorted(edges_by_src):
         for length in range(1, max_len + 1):
             for walk in walks_from(start, length):
                 if walk[-1].dst != start:
@@ -94,7 +91,7 @@ def test_clause_a_example_direct():
         arena = arena_for(a)
         for choice, violation in enumerate_choices(arena):
             sg = partial_strategy_graph(arena, choice)
-            bad = [n for n in sg.nodes if n.kind == I_UP and n not in arena.final_up]
+            bad = [n for n in sg.edges_from if n.kind == I_UP and n not in arena.final_up]
             if bad:
                 assert violation is not None
                 assert violation.kind == "A" or violation.kind == "B"
@@ -110,7 +107,7 @@ def test_all_small_odd_cycle_is_won_by_controller():
     res = decide_continuous(load_fixture("psi_copy"), RC)
     sg = build_strategy_graph(res.arena, res.witness)
     assert find_violation(sg) is None
-    assert all(n in res.arena.final_up for n in sg.nodes if n.kind == I_UP)
+    assert all(n in res.arena.final_up for n in sg.edges_from if n.kind == I_UP)
 
 
 def test_scc_detection_matches_walk_enumeration():
@@ -123,10 +120,10 @@ def test_scc_detection_matches_walk_enumeration():
         for choice, violation in enumerate_choices(arena):
             sg = partial_strategy_graph(arena, choice)
             # the search chooses only at reachable nodes, and reachability only grows
-            assert set(choice) <= sg.nodes
-            if len(sg.edges) > 40:
+            assert set(choice) <= set(sg.edges_from)
+            if sum(map(len, sg.edges_from.values())) > 40:
                 break
-            bad_a = [n for n in sg.nodes if n.kind == I_UP and n not in arena.final_up]
+            bad_a = [n for n in sg.edges_from if n.kind == I_UP and n not in arena.final_up]
             if not bad_a:
                 walk = exhaustive_bad_walk(sg, max_len=8)
                 scc_verdict = violation is not None and violation.kind == "B"
@@ -202,7 +199,7 @@ def test_witness_total_on_reachable_controller_nodes():
     for spec, sem in ((load_fixture("psi_copy"), RC), (load_fixture("psi_jump_fv"), FV)):
         res = decide_continuous(spec, sem)
         sg = build_strategy_graph(res.arena, res.witness)
-        for node in sg.nodes:
+        for node in sg.edges_from:
             if res.arena.owner(node) == "O" and res.arena.outgoing(node):
                 assert node in res.witness
 
@@ -373,8 +370,25 @@ def _scanned_pending(sg, choice):
     """Reachable controller nodes with moves that ``choice`` leaves open, by a scan of the nodes."""
     arena = sg.arena
     return sorted(
-        n for n in sg.nodes if arena.owner(n) == "O" and n not in choice and arena.outgoing(n)
+        n for n in sg.edges_from if arena.owner(n) == "O" and n not in choice and arena.outgoing(n)
     )
+
+
+def _reachable(arena, choice):
+    """Nodes reachable from fresh when each controller node in ``choice`` takes its chosen edge
+    and every other controller node stops, by a breadth-first search."""
+    seen, frontier = {arena.fresh}, [arena.fresh]
+    while frontier:
+        layer, frontier = frontier, []
+        for node in layer:
+            outs = arena.outgoing(node)
+            if arena.owner(node) == "O":
+                outs = [choice[node]] if node in choice else []
+            for e in outs:
+                if e.dst not in seen:
+                    seen.add(e.dst)
+                    frontier.append(e.dst)
+    return seen
 
 
 def test_strategy_graph_walk_records_each_nodes_edges_and_the_open_nodes():
@@ -388,18 +402,17 @@ def test_strategy_graph_walk_records_each_nodes_edges_and_the_open_nodes():
             for choice, violation in enumerate_choices(arena):
                 sg = partial_strategy_graph(arena, choice)
                 assert sg.pending == _scanned_pending(sg, choice)
-                assert list(sg.edges) == sorted(sg.edges)
-                by_src = {node: [] for node in sg.nodes}
-                for e in sg.edges:
-                    by_src[e.src].append(e)
-                assert {node: list(edges) for node, edges in sg.edges_from.items()} == by_src
+                assert set(sg.edges_from) == _reachable(arena, choice)
+                for node, edges in sg.edges_from.items():
+                    assert list(edges) == sorted(edges)
+                    assert all(e.src == node for e in edges)
                 if sg.pending:
                     partial += 1
                     with pytest.raises(SynthError) as exc:
                         build_strategy_graph(arena, choice)
                     assert str(exc.value).endswith(f"controller node {sg.pending[0]}")
                 else:
-                    assert build_strategy_graph(arena, choice).edges == sg.edges
+                    assert build_strategy_graph(arena, choice).edges_from == sg.edges_from
                 if violation is None:
                     break
     assert partial > 0
