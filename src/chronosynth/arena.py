@@ -25,6 +25,8 @@ such behaviour, represented by the first-ranked member that has it.
 Nodes and edges are immutable named tuples, ordered, compared and hashed
 by their fields in declaration order; the sorted node and edge lists, and
 with them the search order, witnesses and exports, follow that order.
+Each node's outgoing edges are stored once, sorted; since edges compare by
+source first, the sorted edge list is these lists joined in node order.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 from .automaton import MAX_EVEN, ParityAutomaton, convert_convention, dot_quote, state_name
 from .state_monoid import UPMember
@@ -91,10 +93,9 @@ class Arena:
     automaton: ParityAutomaton
     members: tuple  # all UPMember objects referenced by i_up nodes
     nodes: tuple
-    edges: tuple
-    edges_from: dict
-    fresh: ArenaNode
+    edges_from: dict  # each node with moves -> its outgoing edges, sorted
     final_up: frozenset  # i_up nodes whose period's max priority is even
+    fresh: ClassVar[ArenaNode] = ArenaNode(FRESH)
 
     def owner(self, node: ArenaNode) -> str:
         return OWNER[node.kind]
@@ -110,6 +111,11 @@ class Arena:
 
     def outgoing(self, node: ArenaNode) -> tuple:
         return self.edges_from.get(node, ())
+
+    @cached_property
+    def edges(self) -> tuple:
+        """Every edge, sorted: edges compare by src first, so the outgoing lists in node order."""
+        return tuple(e for node in self.nodes for e in self.outgoing(node))
 
     @cached_property
     def lag_bound(self) -> int:
@@ -157,16 +163,17 @@ def _landing(semantics, q, n, b):
 def _interrupt_targets(a, semantics):
     """The interrupt targets of vocabulary members, from two halves cached for one arena build.
 
-    Returns targets(member, letter) -> (small, big), two frozensets of
-    (target, priority, size, kind), one per interrupt to a letter other than
-    letter at each position of the member, without repeats.  The small
-    targets land in the lag and carry the running maximum priority over it,
-    so they depend only on (lag, letter).  Absorption makes the period's
-    states a subset of the lag's, so past the lag the running maximum is the
-    constant M, the lag's top priority: the big targets depend only on
-    (period, M, letter), plus the parity of the lag length under fv, where a
-    position's parity fixes its edge kind.  One period lists every big
-    (target, kind) under rc, two periods under fv.
+    Returns targets(member, letter) -> (small, big, final): two frozensets
+    of (target, priority, size, kind), one per interrupt to a letter other
+    than letter at each position of the member, without repeats, and
+    whether the period's top priority is even, cached with the big half.
+    The small targets land in the lag and carry the running maximum priority
+    over it, so they depend only on (lag, letter).  Absorption makes the
+    period's states a subset of the lag's, so past the lag the running
+    maximum is the constant M, the lag's top priority: the big targets
+    depend only on (period, M, letter), plus the parity of the lag length
+    under fv, where a position's parity fixes its edge kind.  One period
+    lists every big (target, kind) under rc, two periods under fv.
     """
     small_half, big_half = {}, {}
     # (target, kind) of each interrupt to another letter, by (state, position parity, letter)
@@ -194,27 +201,30 @@ def _interrupt_targets(a, semantics):
                 (dst, top, "big", kind)
                 for n, q in enumerate(member.period * periods, start + 1)
                 for dst, kind in landings[q, n % 2, letter]
-            )
-        return small, big_half[key]
+            ), max(a.priority[q] for q in member.period) % 2 == 0
+        return (small, *big_half[key])
 
     return targets
 
 
-def _add_block_nodes(a, semantics, up, source_kind, nodes, edges):
-    """Add one block node per behaviour of (q, x), with its entry and interrupt edges.
+def _arena(a, semantics, up, source_kind, nodes, edges):
+    """The arena over a builder's (q, x) and dagger nodes and edges.
 
-    up[x] is the block vocabulary of input letter x, built over its path
-    classes, so every member is a run under x.  Entry edges leave the
-    source_kind node (q, x).  Members are ranked in first-use order over
+    Adds, under the max-even convention, the fresh node with an edge to
+    (q_init, x) per input letter, and one block node per behaviour of
+    (q, x), entered from the source_kind node (q, x).  up[x] is the block
+    vocabulary of input letter x, built over its path classes, so every
+    member is a run under x.  Members are ranked in first-use order over
     (letter, member, state), and the lowest-ranked member with a behaviour
     represents it, so the moves out of (q, x) keep their order over the
     whole vocabulary.  Only representatives are numbered, in rank order.
-    Returns them and the set of final block nodes.
     """
+    a = convert_convention(a, MAX_EVEN)
+    nodes.add(Arena.fresh)
+    edges.update(ArenaEdge(Arena.fresh, ArenaNode(O_PAIR, a.initial, x)) for x in a.sigma_in)
     rels = a.edge_relations()
     targets_of = _interrupt_targets(a, semantics)
     rank, best = {}, {}  # member -> first-use rank; behaviour -> (rank, representative)
-    final_of = {}  # period -> whether its top priority is even
     for x in a.sigma_in:
         sources_of = {
             q2: [q for q in a.states if (q, q2) in rels[x]] for q2 in a.states
@@ -224,13 +234,10 @@ def _add_block_nodes(a, semantics, up, source_kind, nodes, edges):
             if not sources:
                 continue
             r = rank.setdefault(member, len(rank))
-            period = member.period
-            if period not in final_of:
-                final_of[period] = max(a.priority[q] for q in period) % 2 == 0
             # small and big targets differ in size, so equal halves mean equal edge sets
-            small, big = targets_of(member, x)
+            small, big, final = targets_of(member, x)
             for q in sources:
-                key = (q, x, final_of[period], small, big)
+                key = (q, x, final, small, big)
                 if key not in best or r < best[key][0]:
                     best[key] = r, member
     members = [m for _, m in sorted(set(best.values()))]
@@ -243,24 +250,16 @@ def _add_block_nodes(a, semantics, up, source_kind, nodes, edges):
             final_up.add(up_node)
         edges.add(ArenaEdge(ArenaNode(source_kind, q, x), up_node))
         edges.update(ArenaEdge(up_node, *t) for t in small | big)
-    return members, final_up
-
-
-def _finish(a, semantics, members, final_up, nodes, edges):
-    edges = tuple(sorted(edges))
-    nodes = tuple(sorted(nodes))
     edges_from = {}
     for e in edges:
         edges_from.setdefault(e.src, []).append(e)
-    edges_from = {k: tuple(v) for k, v in edges_from.items()}
+    nodes = tuple(sorted(nodes))
     return Arena(
         semantics=semantics,
         automaton=a,
         members=tuple(members),
         nodes=nodes,
-        edges=edges,
-        edges_from=edges_from,
-        fresh=ArenaNode(FRESH),
+        edges_from={n: tuple(sorted(edges_from[n])) for n in nodes if n in edges_from},
         final_up=frozenset(final_up),
     )
 
@@ -273,16 +272,8 @@ def build_rc_arena(a: ParityAutomaton, up: dict) -> Arena:
     land on (u(n), b) for b != a.  Priorities are read under the max-even
     convention.
     """
-    a = convert_convention(a, MAX_EVEN)
-    nodes, edges = set(), set()
-    fresh = ArenaNode(FRESH)
-    nodes.add(fresh)
-    for x in a.sigma_in:
-        for q in a.states:
-            nodes.add(ArenaNode(O_PAIR, q, x))
-        edges.add(ArenaEdge(fresh, ArenaNode(O_PAIR, a.initial, x)))
-    members, final_up = _add_block_nodes(a, RC, up, O_PAIR, nodes, edges)
-    return _finish(a, RC, members, final_up, nodes, edges)
+    nodes = {ArenaNode(O_PAIR, q, x) for x in a.sigma_in for q in a.states}
+    return _arena(a, RC, up, O_PAIR, nodes, set())
 
 
 def build_fv_arena(a: ParityAutomaton, up: dict) -> Arena:
@@ -294,12 +285,7 @@ def build_fv_arena(a: ParityAutomaton, up: dict) -> Arena:
     even positions are discontinuities from the right and land on
     (u(n), +, b).  Priorities are read under the max-even convention.
     """
-    a = convert_convention(a, MAX_EVEN)
     nodes, edges = set(), set()
-    fresh = ArenaNode(FRESH)
-    nodes.add(fresh)
-    for x in a.sigma_in:
-        edges.add(ArenaEdge(fresh, ArenaNode(O_PAIR, a.initial, x)))
     for q in a.states:
         nodes.add(ArenaNode(O_DAG, q))
         for x in a.sigma_in:
@@ -309,8 +295,7 @@ def build_fv_arena(a: ParityAutomaton, up: dict) -> Arena:
             for b in a.sigma_out:
                 q2 = a.transition[(q, x, b)]
                 edges.add(ArenaEdge(ArenaNode(O_PAIR, q, x), ArenaNode(O_DAG, q2)))
-    members, final_up = _add_block_nodes(a, FV, up, I_DAG, nodes, edges)
-    return _finish(a, FV, members, final_up, nodes, edges)
+    return _arena(a, FV, up, I_DAG, nodes, edges)
 
 
 # -- inspection -------------------------------------------------------------

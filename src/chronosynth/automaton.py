@@ -218,6 +218,9 @@ def automaton_from_json(data) -> ParityAutomaton:
         for name in values:
             if not isinstance(name, str):
                 raise AutomatonError(f"{key} entry {name!r} is not a string")
+            # a letter is one word: lassos and play commands are split into letters
+            if key != "states" and name.split() != [name]:
+                raise AutomatonError(f"{key} entry {name!r} is empty or contains whitespace")
         if len(set(values)) < len(values):
             raise AutomatonError(f"{key} repeats an entry: {list(values)!r}")
     states, sigma_in, sigma_out = list(names["states"]), names["sigma_in"], names["sigma_out"]

@@ -142,7 +142,7 @@ def cmd_synth(spec, args, out, err):
     res = decide_continuous(
         spec, args.semantics, monoid_cap=args.monoid_cap, strategy_cap=args.strategy_cap
     )
-    payload = {"realizable": res.realizable, "semantics": res.semantics}
+    payload = {"realizable": res.realizable, "semantics": res.arena.semantics}
     if res.witness is not None:
         payload["witness"] = _witness_json(res.arena, res.witness)
     if args.stats:
@@ -180,7 +180,7 @@ def cmd_monoid(spec, args, out, err):
         "idempotents": len(table.idempotents),
         "up_members": len(up),
     }
-    if args.letter:
+    if args.letter is not None:
         payload["letter"] = args.letter
     if args.full:
         payload["representatives"] = ["".join(map(str, w)) for w in table.witnesses.values()]

@@ -214,7 +214,6 @@ class SynthStats:
 @dataclass
 class SynthResult:
     realizable: bool
-    semantics: str
     witness: dict | None
     arena: Arena
     stats: SynthStats
@@ -305,5 +304,5 @@ def decide_continuous(
     violation = None
     for choice, violation in enumerate_choices(arena, strategy_cap, stats):
         if violation is None:
-            return SynthResult(True, semantics, choice, arena, stats)
-    return SynthResult(False, semantics, None, arena, stats, violation=violation)
+            return SynthResult(True, choice, arena, stats)
+    return SynthResult(False, None, arena, stats, violation=violation)

@@ -1,5 +1,8 @@
 """Arena construction for both semantics."""
 
+import dataclasses
+import hashlib
+import json
 import random
 
 import pytest
@@ -13,6 +16,7 @@ from chronosynth.arena import (
     O_PAIR,
     RC,
     RIGHT,
+    Arena,
     ArenaNode,
     arena_to_json,
     build_fv_arena,
@@ -370,7 +374,16 @@ def test_effective_priority_and_exported_node_priorities(quotient_corpus):
     for fixture in sorted(FIXTURES.glob("*.json")):
         if not fixture.stem.endswith("_d"):
             arenas += [build_game_arena(load_fixture(fixture.stem), s)[0] for s in (RC, FV)]
+    # each edge is stored once, in its source's sorted list; the sorted edge
+    # list is those lists joined in node order
+    fields = {f.name for f in dataclasses.fields(Arena)}
+    assert fields == {"semantics", "automaton", "members", "nodes", "edges_from", "final_up"}
     for arena in arenas:
+        for node, outs in arena.edges_from.items():
+            assert outs and outs == tuple(sorted(outs)) and {e.src for e in outs} == {node}, node
+        assert arena.edges == tuple(sorted(arena.edges))
+        nodes = set(arena.nodes)
+        assert all(e.src in nodes and e.dst in nodes for e in arena.edges)
         priority = arena.automaton.priority
         for e in arena.edges:
             label = e.priority if e.labeled else -1
@@ -387,3 +400,45 @@ def test_effective_priority_and_exported_node_priorities(quotient_corpus):
             label = dot_quote(f"{name} p{p}" if p >= 0 else name)
             assert line.startswith(f"  {dot_quote(name)} [") and f"label={label}" in line, line
             assert entry.get("priority", -1) == p, (node, entry)
+
+
+# -- 3-state arenas are pinned -------------------------------------------------
+
+# (seed, semantics) -> (nodes, edges, DOT digest, JSON digest), each digest the
+# first 16 hex digits of a sha256, for random_automaton(Random(seed), 3)
+THREE_STATE_PINS = {
+    (0, RC): (28, 85, "64f5ea0eccf76f0a", "27da8c5827b1e635"),
+    (0, FV): (65, 327, "128a1955b8b49e88", "1abdfca102bdf119"),
+    (1, RC): (47, 192, "4910ce3c4687260c", "968b1093e31d88ed"),
+    (1, FV): (183, 1468, "aae12c4b15f69216", "181ccfd24809524a"),
+    (2, RC): (64, 297, "677f832b2c548509", "c2b41c75ef910ffd"),
+    (2, FV): (258, 2247, "6b955083859b780d", "4b3535272151527c"),
+    (3, RC): (65, 266, "3cd63c09904e94c5", "4de82d27bb300352"),
+    (3, FV): (248, 1746, "9675bc9b05c413fa", "2cb495cfa52fdb2c"),
+    (4, RC): (40, 173, "295077e82b8f0381", "fc51d1f0a079dd88"),
+    (4, FV): (99, 763, "1caa535ae5c906d4", "b3e11f87f3f07a55"),
+    (5, RC): (71, 419, "da1b15c9658a87d9", "4bc24a0fd957b4d2"),
+    (5, FV): (374, 3554, "30316619a2c3f869", "4521d33eacb501d4"),
+    (6, RC): (58, 277, "9b4045658b6734ad", "7e1d13c1c0310d99"),
+    (6, FV): (197, 1513, "c2481dc674e5db7c", "d7183f5bc7a5f4f0"),
+    (7, RC): (76, 398, "70323df620d258ae", "246fc14f17f51ad9"),
+    (7, FV): (499, 4457, "c0e678a671503e8a", "180255048d69cdc7"),
+}
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def test_three_state_arenas_are_pinned():
+    got = {}
+    for seed, semantics in THREE_STATE_PINS:
+        a = random_automaton(random.Random(seed), n_states=3)
+        arena = build_game_arena(a, semantics)[0]
+        got[seed, semantics] = (
+            len(arena.nodes),
+            len(arena.edges),
+            _digest(export_dot(arena)),
+            _digest(json.dumps(arena_to_json(arena), indent=2, sort_keys=True)),
+        )
+    assert got == THREE_STATE_PINS

@@ -307,9 +307,23 @@ def test_json_rejects_states_that_are_not_strings(state):
         automaton_from_json(json.dumps(data))
 
 
-@pytest.mark.parametrize("letter", [0, True, None], ids=["int", "bool", "null"])
+NOT_A_WORD = "is empty or contains whitespace"
+
+
+@pytest.mark.parametrize(
+    "letter, problem",
+    [
+        (0, "is not a string"),
+        (True, "is not a string"),
+        (None, "is not a string"),
+        ("", NOT_A_WORD),
+        (" 1", NOT_A_WORD),
+        ("a\tb", NOT_A_WORD),
+    ],
+    ids=["int", "bool", "null", "empty", "space", "tab"],
+)
 @pytest.mark.parametrize("field", ["sigma_in", "sigma_out"])
-def test_json_rejects_letters_that_are_not_strings(field, letter):
+def test_json_rejects_letters_that_are_not_strings(field, letter, problem):
     data = {
         "states": ["q"],
         "sigma_in": ["0"],
@@ -319,7 +333,7 @@ def test_json_rejects_letters_that_are_not_strings(field, letter):
         "transitions": [],
     }
     data[field] = ["1", letter]
-    with pytest.raises(AutomatonError, match=re.escape(f"{field} entry {letter!r} is not a string")):
+    with pytest.raises(AutomatonError, match=re.escape(f"{field} entry {letter!r} {problem}")):
         automaton_from_json(json.dumps(data))
 
 

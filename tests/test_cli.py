@@ -180,6 +180,20 @@ def test_letters_that_are_not_strings_are_a_usage_error(command, tmp_path):
     assert "sigma_in entry 0 is not a string" in err
 
 
+def test_empty_letter_is_a_usage_error(tmp_path):
+    # an empty letter would be read after each letter of a lasso, and the
+    # copy spec would answer (1)^w with 0(10)^w
+    spec = json.loads((FIXTURES / "psi_copy.json").read_text())
+    spec["sigma_in"] = ["" if x == "0" else x for x in spec["sigma_in"]]
+    for t in spec["transitions"]:
+        t["in"] = "" if t["in"] == "0" else t["in"]
+    path = tmp_path / "empty_letter.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli("solve-discrete", str(path), "--run", "(1)^w")
+    _one_line_usage_error(code, out, err)
+    assert "sigma_in entry '' is empty or contains whitespace" in err
+
+
 QUOTED = re.compile(r'"(?:[^"\\]|\\.)*"')
 
 

@@ -88,8 +88,9 @@ def test_cached_target_halves_match_position_scan(name, semantics, vocabularies)
         for i, member in enumerate(members):
             # full-table members run under no one letter: take the letters in turn
             x = a.sigma_in[i % len(a.sigma_in)] if letter is None else letter
-            small, big = targets(member, x)
+            small, big, final = targets(member, x)
             assert {t[2] for t in small} <= {"small"} and {t[2] for t in big} <= {"big"}
+            assert final == (max(a.priority[q] for q in member.period) % 2 == 0)
             assert small | big == reference_interrupt_targets(a, member, x, semantics), (
                 x, member.lag, member.period
             )

@@ -184,10 +184,10 @@ def test_block_i_runs_at_scale_two_to_the_minus_i():
             blocks = [s.text for s in play.steps if s.text.startswith("O block")]
             assert blocks
             for i, text in enumerate(blocks):
-                assert text.endswith(f" scale={F(1, 2**i)}"), (res.semantics, seed, i)
+                assert text.endswith(f" scale={F(1, 2**i)}"), (res.arena.semantics, seed, i)
             assert play.block_scale == F(1, 2 ** (len(blocks) - 1))
             interrupts = [s for s in play.steps if s.text.startswith("I interrupt")]
-            assert play.interrupt_count == len(interrupts), (res.semantics, seed)
+            assert play.interrupt_count == len(interrupts), (res.arena.semantics, seed)
 
 
 def test_witness_never_loses_random_plays():
@@ -199,7 +199,7 @@ def test_witness_never_loses_random_plays():
             )
             play = run_play(res.arena, controller, env, max_rounds=25)
             out = adjudicate(play)
-            assert out.winner == "O", (res.semantics, i, out)
+            assert out.winner == "O", (res.arena.semantics, i, out)
 
 
 def test_violation_environment_defeats_losing_choice():
