@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from .omega_word import LassoWord, inf_set, transduce
 
 SINK = "__sink__"
+LASSO_SYNTAX = frozenset("()^")
 
 MIN_EVEN = "min_even"
 MAX_EVEN = "max_even"
@@ -221,6 +222,9 @@ def automaton_from_json(data) -> ParityAutomaton:
             # a letter is one word: lassos and play commands are split into letters
             if key != "states" and name.split() != [name]:
                 raise AutomatonError(f"{key} entry {name!r} is empty or contains whitespace")
+            # and a lasso u(v)^w is split at its first '(' and its last ')^w'
+            if key != "states" and not LASSO_SYNTAX.isdisjoint(name):
+                raise AutomatonError(f"{key} entry {name!r} contains one of ( ) ^")
         if len(set(values)) < len(values):
             raise AutomatonError(f"{key} repeats an entry: {list(values)!r}")
     states, sigma_in, sigma_out = list(names["states"]), names["sigma_in"], names["sigma_out"]

@@ -16,9 +16,9 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import os
 import sys
+from json.encoder import encode_basestring_ascii as _quote
 
 from .arena import FV, RC, arena_to_json, export_dot
 from .automaton import AlphabetMismatchError, AutomatonError, load_automaton
@@ -73,8 +73,50 @@ def _stdin_lines():
         return
 
 
+def _json_parts(obj, parts, indent):
+    """Append obj as json.dumps(obj, indent=2, sort_keys=True) writes it.
+
+    Takes dicts with str keys, lists, str, int, bool and None; any other
+    value raises TypeError.
+    """
+    if isinstance(obj, str):
+        parts.append(_quote(obj))
+    elif obj is None or obj is True or obj is False:
+        parts.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        parts.append(int.__repr__(obj))
+    elif isinstance(obj, (dict, list)):
+        if not obj:
+            parts.append("{}" if isinstance(obj, dict) else "[]")
+            return
+        inner = indent + "  "
+        sep = "\n" + inner
+        if isinstance(obj, dict):
+            parts.append("{")
+            for key in sorted(obj):
+                if not isinstance(key, str):
+                    raise TypeError(f"key {key!r} is not a str")
+                parts += (sep, _quote(key), ": ")
+                _json_parts(obj[key], parts, inner)
+                sep = ",\n" + inner
+            parts.append("\n" + indent + "}")
+        else:
+            parts.append("[")
+            for value in obj:
+                parts.append(sep)
+                _json_parts(value, parts, inner)
+                sep = ",\n" + inner
+            parts.append("\n" + indent + "]")
+    else:
+        raise TypeError(f"{type(obj).__name__} is not emitted as JSON")
+
+
 def _emit(obj, out):
-    out.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    # json.dumps(indent=...) falls back to the pure-Python encoder; same bytes, faster
+    parts = []
+    _json_parts(obj, parts, "")
+    parts.append("\n")
+    out.write("".join(parts))
 
 
 def positive_int(text):

@@ -5,7 +5,8 @@ step: from position ('i', q) the input player picks a, from ('o', q, a) the
 output player answers b, and the automaton advances to d(q, (a, b)).  The
 output player wins a play iff the traversed state sequence is accepted.
 Solving is by attractor decomposition (Zielonka) on integer-numbered nodes,
-with positional strategy extraction.
+with positional strategy extraction; ``solve`` numbers the game of a spec
+directly, ``zielonka`` numbers a named ``GameGraph``.
 """
 
 from __future__ import annotations
@@ -46,45 +47,47 @@ class GameGraph:
                     raise GameError(f"successor {w!r} of node {v!r} is not a node")
 
 
-def game_from_automaton(a: ParityAutomaton) -> GameGraph:
-    """The synthesis game of the spec, its priorities read under the max-even convention."""
-    a = convert_convention(a, MAX_EVEN)
-    owner, priority, succ = {}, {}, {}
-    for q in a.states:
-        iv = ("i", q)
-        owner[iv] = "I"
-        priority[iv] = a.priority[q]
-        succ[iv] = tuple(("o", q, x) for x in a.sigma_in)
-        for x in a.sigma_in:
-            ov = ("o", q, x)
-            owner[ov] = "O"
-            priority[ov] = a.priority[q]
-            succ[ov] = tuple(("i", a.transition[(q, x, b)]) for b in a.sigma_out)
-    return GameGraph(owner, priority, succ)
-
-
 def zielonka(g: GameGraph):
     """Winning regions and positional strategies for both players.
 
-    Nodes are numbered by their rank in sorted order, so every sorted list of
-    numbers below visits nodes in sorted order, and every tie is broken as on
-    the nodes themselves.  A region is a sorted list of numbers together with
-    a bytearray marking its members.  Only the first recursive call of the
-    attractor decomposition recurses, on a subgame without the top priority,
-    so the depth is at most the number of distinct priorities plus one.
+    Nodes are numbered by their rank in sorted order and solved by
+    ``solve_indexed``, so every tie is broken as on the nodes themselves.
     """
     nodes = sorted(g.owner)
     index = {v: i for i, v in enumerate(nodes)}
-    # distinct successors in tuple order; pred[w] lists each predecessor once
+    # distinct successors in tuple order
     try:
         succ = [list(dict.fromkeys(map(index.__getitem__, g.succ[v]))) for v in nodes]
     except KeyError:
         succ = None
     if succ is None or not all(succ):
         g.check()  # names the node without a successor, or the one that is not a node
-    owner = [g.owner[v] for v in nodes]
-    priority = [g.priority[v] for v in nodes]
-    pred = [[] for _ in nodes]
+    w_o, w_i, s_o, s_i = solve_indexed(
+        succ, [g.owner[v] for v in nodes], [g.priority[v] for v in nodes]
+    )
+
+    def named(s):
+        return {nodes[v]: nodes[w] for v, w in s.items()}
+
+    return {nodes[v] for v in w_o}, {nodes[v] for v in w_i}, named(s_o), named(s_i)
+
+
+def solve_indexed(succ, owner, priority):
+    """Winning regions and positional strategies of the game on nodes 0..n-1.
+
+    ``succ[v]`` lists v's distinct successors (ties go to the first),
+    ``owner[v]`` is 'O' or 'I' and ``priority[v]`` its priority; 'O' wants
+    the top priority seen infinitely often even.  Returns the node lists of
+    'O' and 'I' and their strategies as node -> node dicts.  Every sorted
+    list of numbers below visits nodes in number order.  A region is a sorted
+    list of numbers together with a bytearray marking its members.  Only the
+    first recursive call of the attractor decomposition recurses, on a
+    subgame without the top priority, so the depth is at most the number of
+    distinct priorities plus one.
+    """
+    n = len(succ)
+    # pred[w] lists each predecessor once
+    pred = [[] for _ in range(n)]
     for v, ws in enumerate(succ):
         for w in ws:
             pred[w].append(v)
@@ -168,17 +171,8 @@ def zielonka(g: GameGraph):
 
     # each solve gives a player a move at every node it owns in its winning
     # region (from a subgame, an attractor or complete), so no final pass
-    win, strat = solve(bytearray(b"\x01") * len(nodes), list(range(len(nodes))))
-
-    def named(s):
-        return {nodes[v]: nodes[w] for v, w in s.items()}
-
-    return (
-        {nodes[v] for v in win["O"]},
-        {nodes[v] for v in win["I"]},
-        named(strat["O"]),
-        named(strat["I"]),
-    )
+    win, strat = solve(bytearray(b"\x01") * n, list(range(n)))
+    return win["O"], win["I"], strat["O"], strat["I"]
 
 
 @dataclass(frozen=True)
@@ -230,8 +224,33 @@ def solve(a: ParityAutomaton) -> SolveResult:
     every input word.  Input player wins: the Moore counter machine defeats
     every output word.  Exactly one side is returned.
     """
-    g = game_from_automaton(a)
-    w_o, w_i, s_o, s_i = zielonka(g)
+    priority = convert_convention(a, MAX_EVEN).priority
+    states, letters = sorted(a.states), sorted(a.sigma_in)
+    n, k = len(states), len(letters)
+    rank = {q: i for i, q in enumerate(states)}
+    x_rank = {x: i for i, x in enumerate(letters)}
+    # ('i', q) is node rank(q) and ('o', q, x) node n + rank(q)*k + rank(x),
+    # their ranks among all nodes in sorted order; successors follow the
+    # alphabets' order, as the named game lists them
+    in_order = [x_rank[x] for x in a.sigma_in]
+    succ = [[base + j for j in in_order] for base in range(n, n + n * k, k)]
+    for q in states:
+        for x in letters:
+            succ.append(list(dict.fromkeys([rank[a.transition[(q, x, b)]] for b in a.sigma_out])))
+    state_priority = [priority[q] for q in states]
+    w_o, w_i, s_o, s_i = solve_indexed(
+        succ,
+        ["I"] * n + ["O"] * (n * k),
+        state_priority + [p for p in state_priority for _ in range(k)],
+    )
+
+    def node(v):
+        if v < n:
+            return ("i", states[v])
+        r, j = divmod(v - n, k)
+        return ("o", states[r], letters[j])
+
+    input_region = frozenset(map(node, w_i))
 
     def walk(successors):
         """States reachable from the initial one; successors(q) records q's moves."""
@@ -243,28 +262,29 @@ def solve(a: ParityAutomaton) -> SolveResult:
                     todo.append(q_next)
         return tuple(sorted(seen, key=repr))
 
-    if ("i", a.initial) in w_o:
+    if rank[a.initial] in w_o:
         transition = {}
 
         def respond(q):
+            base = n + rank[q] * k
             for x in a.sigma_in:
-                q_next = s_o[("o", q, x)][1]
+                q_next = states[s_o[base + x_rank[x]]]
                 b = min(b for b in a.sigma_out if a.transition[(q, x, b)] == q_next)
                 transition[(q, x)] = (q_next, b)
                 yield q_next
 
         machine = MealyMachine(walk(respond), a.initial, transition)
-        return SolveResult("output", machine, None, frozenset(w_i))
+        return SolveResult("output", machine, None, input_region)
     output, transition = {}, {}
 
     def challenge(q):
-        x = output[q] = s_i[("i", q)][2]
+        x = output[q] = letters[s_i[rank[q]] - n - rank[q] * k]
         for b in a.sigma_out:
             q_next = transition[(q, b)] = a.transition[(q, x, b)]
             yield q_next
 
     machine = MooreCounterMachine(walk(challenge), a.initial, output, transition)
-    return SolveResult("input", None, machine, frozenset(w_i))
+    return SolveResult("input", None, machine, input_region)
 
 
 def run_machine(m: MealyMachine, word: LassoWord) -> LassoWord:

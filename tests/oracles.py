@@ -4,9 +4,12 @@
 oracle for ``discrete_game.zielonka``; ``reference_zielonka`` is that solver
 on node-keyed sets, with both recursive calls and predecessor lists rebuilt
 per attractor, and must return exactly what ``zielonka`` returns, strategies
-included; ``naive_equiv`` checks the defining conditions of the state-string
-congruence literally, as an oracle for ``state_monoid.signature_of`` and
-``product``; ``reference_build_UP`` builds the block vocabulary by testing
+included; ``reference_solve`` builds the synthesis game of a spec as a
+node-keyed ``GameGraph`` (``game_from_automaton``), solves it with
+``reference_zielonka`` and reads the machines off the named strategies, and
+must return exactly what ``discrete_game.solve`` returns; ``naive_equiv``
+checks the defining conditions of the state-string congruence literally, as
+an oracle for ``state_monoid.signature_of`` and ``product``; ``reference_build_UP`` builds the block vocabulary by testing
 every (class, idempotent) pair with ``product``, as an oracle for the
 closed-form absorption test of ``state_monoid.build_UP``, and must return the
 same members in the same order; ``reference_interrupt_targets`` scans every
@@ -18,7 +21,14 @@ from ``pair_profile`` and ``path_flags``, whose classes the tests check
 """
 
 from chronosynth.arena import FV, I_DAG, LEFT, O_PAIR, RC, RIGHT, ArenaNode
-from chronosynth.discrete_game import GameError, GameGraph
+from chronosynth.automaton import MAX_EVEN, ParityAutomaton, convert_convention
+from chronosynth.discrete_game import (
+    GameError,
+    GameGraph,
+    MealyMachine,
+    MooreCounterMachine,
+    SolveResult,
+)
 from chronosynth.omega_word import LassoWord, inf_set
 from chronosynth.state_monoid import MonoidContext, MonoidError, UPMember, product
 
@@ -132,6 +142,61 @@ def reference_zielonka(g: GameGraph):
     # region (from a subgame, an attractor or _complete), so no final pass
     win, strat = solve(set(g.nodes()))
     return win["O"], win["I"], strat["O"], strat["I"]
+
+
+def game_from_automaton(a: ParityAutomaton) -> GameGraph:
+    """The synthesis game of the spec, its priorities read under the max-even convention."""
+    a = convert_convention(a, MAX_EVEN)
+    owner, priority, succ = {}, {}, {}
+    for q in a.states:
+        iv = ("i", q)
+        owner[iv] = "I"
+        priority[iv] = a.priority[q]
+        succ[iv] = tuple(("o", q, x) for x in a.sigma_in)
+        for x in a.sigma_in:
+            ov = ("o", q, x)
+            owner[ov] = "O"
+            priority[ov] = a.priority[q]
+            succ[ov] = tuple(("i", a.transition[(q, x, b)]) for b in a.sigma_out)
+    return GameGraph(owner, priority, succ)
+
+
+def reference_solve(a: ParityAutomaton) -> SolveResult:
+    """``discrete_game.solve`` on the named game: the same winner, machines and region."""
+    w_o, w_i, s_o, s_i = reference_zielonka(game_from_automaton(a))
+
+    def walk(successors):
+        """States reachable from the initial one; successors(q) records q's moves."""
+        seen, todo = {a.initial}, [a.initial]
+        while todo:
+            for q_next in successors(todo.pop()):
+                if q_next not in seen:
+                    seen.add(q_next)
+                    todo.append(q_next)
+        return tuple(sorted(seen, key=repr))
+
+    if ("i", a.initial) in w_o:
+        transition = {}
+
+        def respond(q):
+            for x in a.sigma_in:
+                q_next = s_o[("o", q, x)][1]
+                b = min(b for b in a.sigma_out if a.transition[(q, x, b)] == q_next)
+                transition[(q, x)] = (q_next, b)
+                yield q_next
+
+        machine = MealyMachine(walk(respond), a.initial, transition)
+        return SolveResult("output", machine, None, frozenset(w_i))
+    output, transition = {}, {}
+
+    def challenge(q):
+        x = output[q] = s_i[("i", q)][2]
+        for b in a.sigma_out:
+            q_next = transition[(q, b)] = a.transition[(q, x, b)]
+            yield q_next
+
+    machine = MooreCounterMachine(walk(challenge), a.initial, output, transition)
+    return SolveResult("input", None, machine, frozenset(w_i))
 
 
 def naive_equiv(u, v, ctx: MonoidContext) -> bool:

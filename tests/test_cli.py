@@ -11,6 +11,7 @@ import sys
 import pytest
 
 from chronosynth.automaton import MIN_EVEN, convert_convention, load_automaton
+from chronosynth import cli
 from chronosynth.cli import EXIT_CAP, EXIT_OK, EXIT_UNDECIDED, EXIT_USAGE, main
 from chronosynth.continuous_synth import build_game_arena
 
@@ -192,6 +193,21 @@ def test_empty_letter_is_a_usage_error(tmp_path):
     code, out, err = run_cli("solve-discrete", str(path), "--run", "(1)^w")
     _one_line_usage_error(code, out, err)
     assert "sigma_in entry '' is empty or contains whitespace" in err
+
+
+@pytest.mark.parametrize("letter", ["(", ")", "^", "0^w"])
+def test_letter_with_lasso_syntax_is_a_usage_error(letter, tmp_path):
+    # parse_lasso splits at the first '(': with letter 0 renamed '(', the copy
+    # spec would answer ((1)^w, lag ( and period 1, with (01)^w
+    spec = json.loads((FIXTURES / "psi_copy.json").read_text())
+    spec["sigma_in"] = [letter if x == "0" else x for x in spec["sigma_in"]]
+    for t in spec["transitions"]:
+        t["in"] = letter if t["in"] == "0" else t["in"]
+    path = tmp_path / "lasso_letter.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_cli("solve-discrete", str(path), "--run", f"{letter}(1)^w")
+    _one_line_usage_error(code, out, err)
+    assert f"sigma_in entry {letter!r} contains one of ( ) ^" in err
 
 
 QUOTED = re.compile(r'"(?:[^"\\]|\\.)*"')
@@ -520,3 +536,70 @@ def test_empty_alphabet_is_a_usage_error(tmp_path, alphabet, command):
     _one_line_usage_error(code, out, err)
     assert "nonempty" in err
 
+
+
+def _emitted(obj):
+    out = io.StringIO()
+    cli._emit(obj, out)
+    return out.getvalue()
+
+
+PAYLOAD_COMMANDS = [
+    ["solve-discrete"],
+    ["definable"],
+    ["synth", "--semantics", "rc", "--stats"],
+    ["synth", "--semantics", "fv", "--stats"],
+    ["arena", "--semantics", "rc"],
+    ["arena", "--semantics", "fv"],
+    # the cap stops the class tables of the larger fixtures early (exit 3)
+    ["--monoid-cap", "20000", "monoid", "--full"],
+]
+
+
+@pytest.mark.parametrize("command", PAYLOAD_COMMANDS, ids=lambda c: " ".join(c))
+def test_emitter_writes_every_payload_as_json_dumps_does(command, monkeypatch):
+    payloads = []
+    emit = cli._emit
+
+    def recording_emit(obj, out):
+        payloads.append(obj)
+        emit(obj, out)
+
+    monkeypatch.setattr(cli, "_emit", recording_emit)
+    for path in sorted(FIXTURES.glob("*.json")):
+        code, out, _ = run_cli(*command, str(path))
+        if code != EXIT_OK:  # definable on a spec that is not squared, a monoid cap
+            continue
+        assert out == json.dumps(payloads[-1], indent=2, sort_keys=True) + "\n", path.name
+    assert payloads
+
+
+def test_emitter_matches_json_dumps_on_hand_made_values():
+    awkward = ['"quoted"', "back\\slash", "\x00\x1f\t\n\r\x7f", "é ü ∞", "\U0001d11e clef", "/"]
+    cases = [
+        {key: value for key, value in zip(awkward, reversed(awkward))},
+        awkward,
+        {},
+        [],
+        {"a": {}, "b": [], "c": [{}, [], [[]], {"d": {}}]},
+        [True, 1, False, 0, None, -7, 10**30],
+        {"true": True, "one": 1, "none": None},
+        "plain",
+        12,
+        None,
+        [[1, [2, [3, {"x": [4]}]]]],
+    ]
+    for value in cases:
+        assert _emitted(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "value",
+    [1.5, (1, 2), {1: "a"}, {"a": (1,)}, [{"a": 0.0}], {None: 1}, {"a": 1, 2: "b"}, {1, 2}],
+    ids=[
+        "float", "tuple", "int key", "nested tuple", "nested float", "None key", "mixed keys", "set",
+    ],
+)
+def test_emitter_refuses_values_outside_its_json_subset(value):
+    with pytest.raises(TypeError):
+        _emitted(value)

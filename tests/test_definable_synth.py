@@ -146,15 +146,15 @@ def test_copy_is_definable_with_identity_witness():
 
 def test_jump_is_not_definable(monkeypatch):
     calls = []
-    zielonka = discrete_game.zielonka
+    solve_indexed = discrete_game.solve_indexed
 
-    def counting_zielonka(g):
-        calls.append(g)
-        return zielonka(g)
+    def counting_solve(succ, owner, priority):
+        calls.append(succ)
+        return solve_indexed(succ, owner, priority)
 
-    monkeypatch.setattr(discrete_game, "zielonka", counting_zielonka)
+    monkeypatch.setattr(discrete_game, "solve_indexed", counting_solve)
     # also catch a direct import of the solver into definable_synth
-    monkeypatch.setattr(definable_synth, "zielonka", counting_zielonka, raising=False)
+    monkeypatch.setattr(definable_synth, "solve_indexed", counting_solve, raising=False)
     res = solve_definable(jump_spec_d())
     assert not res.definable
     assert res.counter is not None

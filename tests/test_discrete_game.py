@@ -15,8 +15,11 @@ from chronosynth.automaton import (
     CONVENTIONS,
     MAX_EVEN,
     MIN_EVEN,
+    SINK,
     ParityAutomaton,
     accepts,
+    automaton_from_json,
+    load_automaton,
     product_with_monitor,
 )
 from chronosynth.definable_synth import build_psi_star_monitor, solve_definable, square_alphabet
@@ -24,7 +27,6 @@ from chronosynth.discrete_game import (
     GameError,
     GameGraph,
     MealyMachine,
-    game_from_automaton,
     machine_to_dot,
     machine_to_json,
     run_counter_machine,
@@ -34,7 +36,8 @@ from chronosynth.discrete_game import (
 )
 from chronosynth.omega_word import LassoWord, zip_lassos
 
-from oracles import brute_force_solve, reference_zielonka
+from fixture_specs import FIXTURES
+from oracles import brute_force_solve, game_from_automaton, reference_solve, reference_zielonka
 
 
 def copy_spec():
@@ -365,6 +368,55 @@ def test_zielonka_depth_does_not_grow_with_peeled_regions():
     w_o, w_i, s_o, s_i = zielonka(GameGraph(owner, priority, succ))
     assert not w_o and w_i == set(owner)
     assert not s_o and not s_i
+
+
+def _differential_specs():
+    """Specs whose game numbering can go wrong: unsorted states and alphabets,
+    every letter count from 1 to 3, both conventions, tuple states with a
+    sink, specs the loader completes with SINK, and the fixtures."""
+    rng = random.Random(41)
+    for trial in range(300):
+        states = rng.sample(["b", "a2", "a10", "q", "Q", "z_", "m", "c"], rng.randint(1, 8))
+        sigma_in = tuple(rng.sample("10x", rng.randint(1, 3)))
+        sigma_out = tuple(rng.sample("ba0", rng.randint(1, 3)))
+        transition = {
+            (q, x, b): rng.choice(states) for q in states for x in sigma_in for b in sigma_out
+        }
+        priority = {q: rng.randint(0, 5) for q in states}
+        yield f"seeded {trial}", ParityAutomaton(
+            tuple(states), sigma_in, sigma_out, transition, rng.choice(states), priority,
+            CONVENTIONS[trial % 2],
+        )
+    squared = square_alphabet("01")
+    monitor = build_psi_star_monitor(squared, squared)
+    for trial in range(12):
+        spec = _seeded_spec(rng, rng.randint(1, 4), squared)
+        yield f"product {trial}", product_with_monitor(spec, monitor)
+    for trial in range(40):
+        spec = _seeded_spec(rng, rng.randint(1, 5), ("0", "1"))
+        kept = [t for t in spec.transition.items() if rng.random() < 0.7]
+        yield f"sink {trial}", automaton_from_json({
+            "states": list(spec.states),
+            "sigma_in": list(spec.sigma_in),
+            "sigma_out": list(spec.sigma_out),
+            "initial": spec.initial,
+            "priority": spec.priority,
+            "convention": spec.convention,
+            "transitions": [
+                {"from": q, "in": x, "out": b, "to": t} for (q, x, b), t in kept
+            ],
+        })
+    for path in sorted(FIXTURES.glob("*.json")):
+        yield path.name, load_automaton(path)
+
+
+def test_solve_matches_reference_solve():
+    sinks = products = 0
+    for name, a in _differential_specs():
+        assert solve(a) == reference_solve(a), name
+        sinks += SINK in a.states
+        products += isinstance(a.initial, tuple)
+    assert sinks >= 20 and products == 12
 
 
 def test_machine_serialization_roundtrip():
