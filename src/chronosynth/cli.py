@@ -140,11 +140,14 @@ def _witness_json(arena, choice):
 
 def cmd_solve_discrete(spec, args, out, err):
     res = solve(spec)
-    # the winner's machine, and the losing side whose word --run gives the machine
+    # the winner's machine, the losing side whose word --run gives the machine,
+    # that word's alphabet and the alphabet of the machine's reply
     if res.winner == "output":
-        machine, side, alphabet, runner = res.mealy, "input", spec.sigma_in, run_machine
+        machine, side, runner = res.mealy, "input", run_machine
+        alphabet, reply = spec.sigma_in, spec.sigma_out
     else:
-        machine, side, alphabet, runner = res.counter, "output", spec.sigma_out, run_counter_machine
+        machine, side, runner = res.counter, "output", run_counter_machine
+        alphabet, reply = spec.sigma_out, spec.sigma_in
     payload = {"winner": res.winner, "machine": machine_to_json(machine)}
     if args.run:
         try:
@@ -154,7 +157,7 @@ def cmd_solve_discrete(spec, args, out, err):
         foreign = sorted(set(word.prefix + word.period) - set(alphabet))
         if foreign:
             raise UsageError(f"--run {args.run!r}: {foreign} not in the {side} alphabet {list(alphabet)}")
-        payload["run"] = {side: args.run, res.winner: format_lasso(runner(machine, word))}
+        payload["run"] = {side: args.run, res.winner: format_lasso(runner(machine, word), reply)}
     if args.dot:
         try:
             with open(args.dot, "w", encoding="utf-8") as dot:

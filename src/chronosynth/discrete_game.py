@@ -4,9 +4,9 @@ The synthesis game alternates input and output letters inside one time
 step: from position ('i', q) the input player picks a, from ('o', q, a) the
 output player answers b, and the automaton advances to d(q, (a, b)).  The
 output player wins a play iff the traversed state sequence is accepted.
-Solving is by attractor decomposition (Zielonka) on integer-numbered nodes,
-with positional strategy extraction; ``solve`` numbers the game of a spec
-directly, ``zielonka`` numbers a named ``GameGraph``.
+``solve`` builds this game straight from the spec as integer lists and
+solves it with ``solve_indexed``, attractor decomposition (Zielonka) on nodes
+0..n-1 with positional strategy extraction, the package's one game solver.
 """
 
 from __future__ import annotations
@@ -21,63 +21,14 @@ class GameError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class GameGraph:
-    """Finite parity game: max priority seen infinitely often decides.
-
-    owner maps node -> 'O' | 'I'; the 'O' player wants the maximum
-    infinitely recurring priority even.  Successor tuples are ordered; all
-    tie-breaking follows that order.
-    """
-
-    owner: dict
-    priority: dict
-    succ: dict
-
-    def nodes(self):
-        return self.owner.keys()
-
-    def check(self):
-        """Every node has a successor, and every successor is a node."""
-        for v in self.owner:
-            if not self.succ.get(v):
-                raise GameError(f"node {v!r} has no successor (games must be total)")
-            for w in self.succ[v]:
-                if w not in self.owner:
-                    raise GameError(f"successor {w!r} of node {v!r} is not a node")
-
-
-def zielonka(g: GameGraph):
-    """Winning regions and positional strategies for both players.
-
-    Nodes are numbered by their rank in sorted order and solved by
-    ``solve_indexed``, so every tie is broken as on the nodes themselves.
-    """
-    nodes = sorted(g.owner)
-    index = {v: i for i, v in enumerate(nodes)}
-    # distinct successors in tuple order
-    try:
-        succ = [list(dict.fromkeys(map(index.__getitem__, g.succ[v]))) for v in nodes]
-    except KeyError:
-        succ = None
-    if succ is None or not all(succ):
-        g.check()  # names the node without a successor, or the one that is not a node
-    w_o, w_i, s_o, s_i = solve_indexed(
-        succ, [g.owner[v] for v in nodes], [g.priority[v] for v in nodes]
-    )
-
-    def named(s):
-        return {nodes[v]: nodes[w] for v, w in s.items()}
-
-    return {nodes[v] for v in w_o}, {nodes[v] for v in w_i}, named(s_o), named(s_i)
-
-
 def solve_indexed(succ, owner, priority):
     """Winning regions and positional strategies of the game on nodes 0..n-1.
 
-    ``succ[v]`` lists v's distinct successors (ties go to the first),
+    ``succ[v]`` lists v's successors (ties go to the first),
     ``owner[v]`` is 'O' or 'I' and ``priority[v]`` its priority; 'O' wants
-    the top priority seen infinitely often even.  Returns the node lists of
+    the top priority seen infinitely often even.  The caller must give every
+    node a successor, list each successor once and use only ids 0..n-1;
+    nothing here checks it.  Returns the node lists of
     'O' and 'I' and their strategies as node -> node dicts.  Every sorted
     list of numbers below visits nodes in number order.  A region is a sorted
     list of numbers together with a bytearray marking its members.  Only the

@@ -69,8 +69,7 @@ class TraceStep:
 class TimedPlay:
     arena: Arena
     node: ArenaNode
-    now: Fraction
-    block_start: Fraction = None
+    now: Fraction  # at a block node, the block's start: a block move keeps the time
     block_scale: Fraction = Fraction(2)  # each block move halves it, so block i runs at 2^-i
     interrupt_count: int = 0
     steps: list = field(default_factory=list)
@@ -93,7 +92,7 @@ def new_play(arena: Arena) -> TimedPlay:
 def resolve_interrupt(arena: Arena, play: TimedPlay, move: InterruptMove):
     """Map an interrupt move at a block node to (position, arena edge): the one time-to-position rule."""
     node = play.node
-    t0, delta = play.block_start, play.block_scale
+    t0, delta = play.now, play.block_scale
     t = Fraction(move.time)
     if t <= t0:
         raise IllegalMove(f"interrupt time {t} not after the block start {t0}")
@@ -157,7 +156,6 @@ def step(play: TimedPlay, move) -> TimedPlay:
             return _take(play, move, f"O point q={move.dst.state}")
         scale = play.block_scale / 2
         _take(play, move, f"O block u=u{move.dst.up} scale={scale}")
-        play.block_start = play.now
         play.block_scale = scale
         return play
 
@@ -244,7 +242,7 @@ def _positions(arena: Arena, play: TimedPlay, letter, first=1):
     mult = 2 if arena.semantics == FV else 1
     last = max(first - 1, len(member.lag)) + mult * len(member.period)
     for n in range(first, last + 1):
-        time = play.block_start + play.block_scale * ((n + mult - 1) // mult)
+        time = play.now + play.block_scale * ((n + mult - 1) // mult)
         yield time, arena.interrupt_edge(node, n, letter)
 
 

@@ -99,16 +99,11 @@ def parse_lasso(text: str, alphabet=()) -> LassoWord:
     return LassoWord(letters(u_part), letters(v_part))
 
 
-def format_lasso(w: LassoWord) -> str:
-    def chunk(letters):
-        parts = [str(x) for x in letters]
-        if any(len(p) != 1 for p in parts):
-            return ",".join(parts)
-        return "".join(parts)
+def format_lasso(w: LassoWord, alphabet=()) -> str:
+    """The text ``u(v)^w`` that ``parse_lasso`` reads back over ``alphabet``.
 
-    u, v = chunk(w.prefix), chunk(w.period)
-    # mixed single/multi-character letters force the comma form on both sides
-    if ("," in u) != ("," in v) and w.prefix and w.period:
-        u = ",".join(str(x) for x in w.prefix)
-        v = ",".join(str(x) for x in w.period)
-    return f"{u}({v})^w"
+    Letters are joined with commas iff some letter of ``w`` or of
+    ``alphabet`` is not one character long, and written side by side otherwise.
+    """
+    sep = "," if any(len(str(x)) != 1 for x in (*w.prefix, *w.period, *alphabet)) else ""
+    return f"{sep.join(map(str, w.prefix))}({sep.join(map(str, w.period))})^w"

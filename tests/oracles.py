@@ -1,11 +1,13 @@
 """Slow reference procedures that the tests check the library against.
 
-``brute_force_solve`` solves a parity game by naive nested fixpoints, as an
-oracle for ``discrete_game.zielonka``; ``reference_zielonka`` is that solver
-on node-keyed sets, with both recursive calls and predecessor lists rebuilt
-per attractor, and must return exactly what ``zielonka`` returns, strategies
-included; ``reference_solve`` builds the synthesis game of a spec as a
-node-keyed ``GameGraph`` (``game_from_automaton``), solves it with
+``GameGraph`` is a parity game keyed by node, and ``game_graph`` builds one
+from the integer lists that ``discrete_game.solve_indexed`` reads.
+``brute_force_solve`` solves a game by naive nested fixpoints, as an oracle
+for ``solve_indexed``; ``reference_zielonka`` is that solver on node-keyed
+sets, with both recursive calls and predecessor lists rebuilt per attractor,
+and must return exactly what ``solve_indexed`` returns, strategies included;
+``reference_solve`` builds the synthesis game of a spec as a node-keyed
+``GameGraph`` (``game_from_automaton``), solves it with
 ``reference_zielonka`` and reads the machines off the named strategies, and
 must return exactly what ``discrete_game.solve`` returns; ``naive_equiv``
 checks the defining conditions of the state-string congruence literally, as
@@ -20,17 +22,32 @@ from ``pair_profile`` and ``path_flags``, whose classes the tests check
 ``state_monoid.signature_of`` and the block vocabulary against.
 """
 
+from dataclasses import dataclass
+
 from chronosynth.arena import FV, I_DAG, LEFT, O_PAIR, RC, RIGHT, ArenaNode
 from chronosynth.automaton import MAX_EVEN, ParityAutomaton, convert_convention
-from chronosynth.discrete_game import (
-    GameError,
-    GameGraph,
-    MealyMachine,
-    MooreCounterMachine,
-    SolveResult,
-)
+from chronosynth.discrete_game import GameError, MealyMachine, MooreCounterMachine, SolveResult
 from chronosynth.omega_word import LassoWord, inf_set
 from chronosynth.state_monoid import MonoidContext, MonoidError, UPMember, product
+
+
+@dataclass(frozen=True)
+class GameGraph:
+    """Finite parity game: max priority seen infinitely often decides.
+
+    owner maps node -> 'O' | 'I'; the 'O' player wants the maximum
+    infinitely recurring priority even.  Successor sequences are ordered; all
+    tie-breaking follows that order.
+    """
+
+    owner: dict
+    priority: dict
+    succ: dict
+
+
+def game_graph(succ, owner, priority) -> GameGraph:
+    """The game that ``solve_indexed(succ, owner, priority)`` solves, keyed by node id."""
+    return GameGraph(dict(enumerate(owner)), dict(enumerate(priority)), dict(enumerate(succ)))
 
 
 def brute_force_solve(g: GameGraph, node_cap: int = 64):
@@ -40,7 +57,6 @@ def brute_force_solve(g: GameGraph, node_cap: int = 64):
     value, highest priority outermost (greatest fixpoint when even).  Used
     only as an oracle; exponential in alternations.
     """
-    g.check()
     if len(g.owner) > node_cap:
         raise GameError(f"brute force oracle capped at {node_cap} nodes")
     prios = sorted({g.priority[v] for v in g.owner}, reverse=True)
@@ -114,7 +130,6 @@ def _complete(g: GameGraph, player, strat, nodes, region):
 
 def reference_zielonka(g: GameGraph):
     """Winning regions and positional strategies for both players."""
-    g.check()
 
     def solve(region):
         """Per-player winning regions and strategies on the subgame region."""
@@ -140,7 +155,7 @@ def reference_zielonka(g: GameGraph):
 
     # each solve gives a player a move at every node it owns in its winning
     # region (from a subgame, an attractor or _complete), so no final pass
-    win, strat = solve(set(g.nodes()))
+    win, strat = solve(set(g.owner))
     return win["O"], win["I"], strat["O"], strat["I"]
 
 

@@ -377,6 +377,27 @@ def test_solve_discrete_run_reads_letters_of_the_spec(fixture, lasso, answer):
     assert json.loads(out)["run"] == {"input": lasso, "output": answer}
 
 
+@pytest.mark.parametrize("lasso", ["(1,0)^w", "1,0(1)^w", "10(1,10)^w"])
+def test_solve_discrete_run_prints_a_word_that_reads_back(lasso, tmp_path):
+    # over letters 0, 1 and 10, the reply to (1,0)^w must not read as (10)^w
+    letters = ["0", "1", "10"]
+    path = tmp_path / "copy_10.json"
+    path.write_text(json.dumps({
+        "states": ["ok", "bad"],
+        "sigma_in": letters,
+        "sigma_out": letters,
+        "initial": "ok",
+        "priority": {"ok": 0, "bad": 1},
+        "transitions": [
+            {"from": q, "in": a, "out": b, "to": "ok" if q == "ok" and a == b else "bad"}
+            for q in ("ok", "bad") for a in letters for b in letters
+        ],
+    }))
+    code, out, err = run_cli("solve-discrete", str(path), "--run", lasso)
+    assert code == EXIT_OK, err
+    assert json.loads(out)["run"] == {"input": lasso, "output": lasso}
+
+
 @pytest.mark.parametrize(
     "fixture, lasso, detail",
     [

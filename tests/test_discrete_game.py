@@ -9,8 +9,6 @@ import itertools
 import json
 import random
 
-import pytest
-
 from chronosynth.automaton import (
     CONVENTIONS,
     MAX_EVEN,
@@ -24,20 +22,24 @@ from chronosynth.automaton import (
 )
 from chronosynth.definable_synth import build_psi_star_monitor, solve_definable, square_alphabet
 from chronosynth.discrete_game import (
-    GameError,
-    GameGraph,
     MealyMachine,
     machine_to_dot,
     machine_to_json,
     run_counter_machine,
     run_machine,
     solve,
-    zielonka,
+    solve_indexed,
 )
 from chronosynth.omega_word import LassoWord, zip_lassos
 
 from fixture_specs import FIXTURES
-from oracles import brute_force_solve, game_from_automaton, reference_solve, reference_zielonka
+from oracles import (
+    brute_force_solve,
+    game_from_automaton,
+    game_graph,
+    reference_solve,
+    reference_zielonka,
+)
 
 
 def copy_spec():
@@ -68,13 +70,17 @@ def predict_next_spec():
 
 
 def random_game(rng, n=6, max_prio=3):
-    nodes = [f"v{i}" for i in range(n)]
-    owner = {v: rng.choice("OI") for v in nodes}
-    priority = {v: rng.randint(0, max_prio) for v in nodes}
-    succ = {
-        v: tuple(rng.sample(nodes, rng.randint(1, min(3, n)))) for v in nodes
-    }
-    return GameGraph(owner, priority, succ)
+    """(succ, owner, priority) lists of a game on nodes 0..n-1, as ``solve_indexed`` reads them."""
+    owner = [rng.choice("OI") for _ in range(n)]
+    priority = [rng.randint(0, max_prio) for _ in range(n)]
+    succ = [rng.sample(range(n), rng.randint(1, min(3, n))) for _ in range(n)]
+    return succ, owner, priority
+
+
+def solve_sets(game):
+    """``solve_indexed`` on the game, its regions as sets."""
+    w_o, w_i, s_o, s_i = solve_indexed(*game)
+    return set(w_o), set(w_i), s_o, s_i
 
 
 def random_automaton(rng, n_states=6):
@@ -94,43 +100,43 @@ def random_in_lasso(rng, letters=("0", "1"), max_len=4):
     return LassoWord(u, v)
 
 
-def enumeration_oracle(g: GameGraph):
+def enumeration_oracle(game):
     """Third opinion: enumerate O's positional strategies outright."""
+    succ, owner, priority = game
+    nodes = range(len(succ))
 
     def wins_with(sigma, start):
-        # in the one-player graph, I defeats sigma from start iff she can
+        # in the one-player graph, I defeats sigma from start iff it can
         # reach a cycle whose maximal priority is odd
-        succ = {
-            v: (sigma[v],) if g.owner[v] == "O" else g.succ[v] for v in g.owner
-        }
+        moves = [(sigma[v],) if owner[v] == "O" else succ[v] for v in nodes]
         reach = {start}
         frontier = [start]
         while frontier:
             v = frontier.pop()
-            for w in succ[v]:
+            for w in moves[v]:
                 if w not in reach:
                     reach.add(w)
                     frontier.append(w)
         # odd-dominated cycle inside the reachable part?
-        for p in sorted({g.priority[v] for v in reach} , reverse=True):
+        for p in sorted({priority[v] for v in reach}, reverse=True):
             if p % 2 == 0:
                 continue
-            sub = {v for v in reach if g.priority[v] <= p}
+            sub = {v for v in reach if priority[v] <= p}
             # cycle through a priority-p node within sub
-            for scc in _sccs(sub, succ):
-                if len(scc) > 1 or any(v in succ[v] for v in scc):
-                    if any(g.priority[v] == p for v in scc):
+            for scc in _sccs(sub, moves):
+                if len(scc) > 1 or any(v in moves[v] for v in scc):
+                    if any(priority[v] == p for v in scc):
                         return False
         return True
 
-    o_nodes = sorted(v for v in g.owner if g.owner[v] == "O")
+    o_nodes = [v for v in nodes if owner[v] == "O"]
     w_o = set()
-    for choice in itertools.product(*(g.succ[v] for v in o_nodes)):
+    for choice in itertools.product(*(succ[v] for v in o_nodes)):
         sigma = dict(zip(o_nodes, choice))
-        for start in g.owner:
+        for start in nodes:
             if start not in w_o and wins_with(sigma, start):
                 w_o.add(start)
-    return w_o, set(g.owner) - w_o
+    return w_o, set(nodes) - w_o
 
 
 def _sccs(nodes, succ):
@@ -183,55 +189,54 @@ def _sccs(nodes, succ):
 
 
 def test_brute_force_self_loops():
-    g_even = GameGraph({"v": "I"}, {"v": 0}, {"v": ("v",)})
-    w_o, w_i = brute_force_solve(g_even)
-    assert w_o == {"v"} and not w_i
-    g_odd = GameGraph({"v": "O"}, {"v": 1}, {"v": ("v",)})
-    w_o, w_i = brute_force_solve(g_odd)
-    assert w_i == {"v"} and not w_o
+    w_o, w_i = brute_force_solve(game_graph([[0]], ["I"], [0]))
+    assert w_o == {0} and not w_i
+    w_o, w_i = brute_force_solve(game_graph([[0]], ["O"], [1]))
+    assert w_i == {0} and not w_o
 
 
 def test_zielonka_agrees_with_brute_force_and_enumeration():
     rng = random.Random(3)
     for trial in range(100):
-        g = random_game(rng, n=rng.randint(2, 8))
-        zo, zi, so, si = zielonka(g)
-        bo, bi = brute_force_solve(g)
+        game = random_game(rng, n=rng.randint(2, 8))
+        zo, zi, so, si = solve_sets(game)
+        bo, bi = brute_force_solve(game_graph(*game))
         assert zo == bo, f"trial {trial}"
         assert zi == bi
         if trial < 25:
-            eo, ei = enumeration_oracle(g)
+            eo, ei = enumeration_oracle(game)
             assert eo == zo
-    # determinacy: regions partition the nodes
-        assert zo | zi == set(g.owner)
+        # determinacy: regions partition the nodes
+        assert zo | zi == set(range(len(game[0])))
         assert not (zo & zi)
 
 
-def _assert_strategy_wins(g, player, region, strat):
+def _assert_strategy_wins(game, player, region, strat):
     """player's strategy keeps every play from region inside it, and the
     opponent can reach no cycle whose top priority has the opponent's parity."""
+    succ, owner, priority = game
     for v in region:
-        if g.owner[v] == player:
+        if owner[v] == player:
             assert v in strat, f"{player} has no move at {v}"
-            assert strat[v] in g.succ[v] and strat[v] in region, f"{player} leaves its region at {v}"
-    succ = {v: (strat[v],) if v in strat else g.succ[v] for v in g.owner}
+            assert strat[v] in succ[v] and strat[v] in region, f"{player} leaves its region at {v}"
+    moves = [(strat[v],) if v in strat else succ[v] for v in range(len(succ))]
     reach = set(region)
     frontier = list(region)
     while frontier:
         v = frontier.pop()
-        for w in succ[v]:
+        for w in moves[v]:
             if w not in reach:
                 reach.add(w)
                 frontier.append(w)
     losing_parity = 1 if player == "O" else 0
-    for p in {g.priority[v] for v in reach}:
+    for p in {priority[v] for v in reach}:
         if p % 2 != losing_parity:
             continue
-        sub = {v for v in reach if g.priority[v] <= p}
-        for scc in _sccs(sub, succ):
-            if len(scc) > 1 or any(v in succ[v] for v in scc):
+        sub = {v for v in reach if priority[v] <= p}
+        for scc in _sccs(sub, moves):
+            if len(scc) > 1 or any(v in moves[v] for v in scc):
                 assert not any(
-                    g.priority[v] == p for v in scc
+                    priority[v] == p for v in scc
                 ), f"{player} strategy admits a cycle won by the opponent"
 
 
@@ -239,10 +244,10 @@ def test_zielonka_strategy_is_winning_in_own_region():
     # validate extracted strategies by adversarial search in the fixed graph
     rng = random.Random(13)
     for _ in range(60):
-        g = random_game(rng, n=rng.randint(2, 7))
-        zo, zi, so, si = zielonka(g)
-        _assert_strategy_wins(g, "O", zo, so)
-        _assert_strategy_wins(g, "I", zi, si)
+        game = random_game(rng, n=rng.randint(2, 7))
+        zo, zi, so, si = solve_sets(game)
+        _assert_strategy_wins(game, "O", zo, so)
+        _assert_strategy_wins(game, "I", zi, si)
 
 
 def test_solve_copy_spec_identity():
@@ -273,13 +278,10 @@ def test_solve_agrees_with_brute_force_on_random_specs():
     rng = random.Random(11)
     for trial in range(100):
         a = random_automaton(rng, n_states=rng.randint(1, 6))
-        g = game_from_automaton(a)
-        zo, zi, _, _ = zielonka(g)
-        bo, bi = brute_force_solve(g)
-        assert zo == bo and zi == bi
+        bo, bi = brute_force_solve(game_from_automaton(a))
         res = solve(a)
-        start = ("i", a.initial)
-        assert (res.winner == "output") == (start in bo)
+        assert res.input_region == bi, trial
+        assert (res.winner == "output") == (("i", a.initial) in bo)
 
 
 def test_solved_machines_win_random_lassos():
@@ -307,15 +309,6 @@ def test_run_machine_identity_and_constant():
     assert set(out.prefix + out.period) == {"1"}
 
 
-def test_game_requires_totality():
-    g = GameGraph({"v": "O"}, {"v": 0}, {"v": ()})
-    with pytest.raises(GameError):
-        zielonka(g)
-    dangling = GameGraph({"v": "O"}, {"v": 0}, {"v": ("w",)})
-    with pytest.raises(GameError, match="'w'"):
-        zielonka(dangling)
-
-
 def _family_spec(family, index, n_states, letters, max_priority):
     """The spec bench/workloads.random_spec draws as member index of a family."""
     rng = random.Random(f"{family}/{index}")
@@ -331,42 +324,41 @@ def _seeded_games():
     rng = random.Random(37)
     for trial in range(2000):
         n = rng.randint(1, 40)
-        if trial % 2:
-            names = [("i", k) if k % 3 else ("o", k // 3, "x") for k in range(n)]
-        else:
-            names = [f"v{k}" for k in range(n)]
-        # drawn with replacement, so successor tuples repeat nodes
-        yield GameGraph(
-            {v: rng.choice("OI") for v in names},
-            {v: rng.randint(0, 7) for v in names},
-            {v: tuple(rng.choices(names, k=rng.randint(1, 4))) for v in names},
-        )
+        owner = [rng.choice("OI") for _ in range(n)]
+        priority = [rng.randint(0, 7) for _ in range(n)]
+        # drawn with replacement, then each successor kept once in order
+        succ = [list(dict.fromkeys(rng.choices(range(n), k=rng.randint(1, 4)))) for _ in range(n)]
+        yield succ, owner, priority
+
+
+def _family_specs():
+    """Three specs each of the bench's large and squared (definable) families."""
     for i in range(3):
-        yield game_from_automaton(_family_spec("large", i, 300, ("0", "1"), 7))
+        yield f"large {i}", _family_spec("large", i, 300, ("0", "1"), 7)
     squared = square_alphabet("01")
+    monitor = build_psi_star_monitor(squared, squared)
     for i in range(3):
-        spec = _family_spec("squared", i, 40, squared, 5)
-        monitor = build_psi_star_monitor(squared, squared)
-        yield game_from_automaton(product_with_monitor(spec, monitor))
+        yield f"squared {i}", product_with_monitor(_family_spec("squared", i, 40, squared, 5), monitor)
 
 
 def test_zielonka_matches_reference_on_seeded_games():
-    for trial, g in enumerate(_seeded_games()):
-        assert zielonka(g) == reference_zielonka(g), trial
+    for trial, game in enumerate(_seeded_games()):
+        assert solve_sets(game) == reference_zielonka(game_graph(*game)), trial
+    for name, a in _family_specs():
+        assert solve(a) == reference_solve(a), name
 
 
 def test_zielonka_depth_does_not_grow_with_peeled_regions():
     # gadget j: t_j moves to y_j; y_j loops or moves to t_{j-1}.  Each pass
     # of the decomposition peels only the bottom gadget off for I.
+    # t_j is node 2j - 2 and y_j node 2j - 1
     k = 1500
-    owner, priority, succ = {}, {}, {}
+    succ = []
     for j in range(1, k + 1):
-        owner[f"t{j}"] = owner[f"y{j}"] = "O"
-        priority[f"t{j}"], priority[f"y{j}"] = 2, 1
-        succ[f"t{j}"] = (f"y{j}",)
-        succ[f"y{j}"] = (f"y{j}",) + ((f"t{j - 1}",) if j > 1 else ())
-    w_o, w_i, s_o, s_i = zielonka(GameGraph(owner, priority, succ))
-    assert not w_o and w_i == set(owner)
+        t, y = 2 * j - 2, 2 * j - 1
+        succ += [[y], [y] + ([t - 2] if j > 1 else [])]
+    w_o, w_i, s_o, s_i = solve_indexed(succ, ["O"] * (2 * k), [2, 1] * k)
+    assert not w_o and sorted(w_i) == list(range(2 * k))
     assert not s_o and not s_i
 
 

@@ -71,13 +71,13 @@ def test_interrupt_positions_and_labels():
     member = arena.member(play.node)
     lag = len(member.lag)
     # interrupt inside the lag: small edge, priority from the prefix
-    mv = InterruptMove(play.block_start + play.block_scale * 1, "1", "")
+    mv = InterruptMove(play.now + play.block_scale * 1, "1", "")
     n, edge = resolve_interrupt(arena, play, mv)
     assert n == 1 and edge.size == "small"
     pr = arena.automaton.priority
     assert edge.priority == max(pr[member.letter(i)] for i in (1,))
     # interrupt beyond the lag: big edge with the member's maximal priority
-    mv2 = InterruptMove(play.block_start + play.block_scale * (lag + 1), "1", "")
+    mv2 = InterruptMove(play.now + play.block_scale * (lag + 1), "1", "")
     n2, edge2 = resolve_interrupt(arena, play, mv2)
     assert n2 == lag + 1 and edge2.size == "big"
     states = set(member.lag) | set(member.period)
@@ -111,8 +111,8 @@ def test_untimed_moves_are_arena_edges():
         assert kinds == ({FRESH, O_PAIR, I_UP} if semantics == RC else {FRESH, O_PAIR, O_DAG, I_DAG, I_UP})
         now = F(5, 2)
         for node in arena.nodes:
-            # the second block of a play, mid-way through it
-            play = TimedPlay(arena, node, now, block_start=F(2), block_scale=F(1))
+            # a play at time 5/2 in its second block, whose scale is 1
+            play = TimedPlay(arena, node, now, block_scale=F(1))
             before = dataclasses.replace(play, steps=[])
             foreign = next(e for e in arena.edges if e.src != node)
             untimed = [foreign] + list(arena.outgoing(node) if node.kind == I_UP else ())
@@ -135,7 +135,7 @@ def test_untimed_moves_are_arena_edges():
                 else:
                     assert edge.dst.kind == I_UP and node.kind == (O_PAIR if semantics == RC else I_DAG)
                     text = f"O block u=u{edge.dst.up} scale=1/2"
-                    assert (play.block_start, play.block_scale) == (now, F(1, 2))
+                    assert play.block_scale == F(1, 2)
                 assert play.node == edge.dst, (semantics, edge)
                 assert play.steps == [TraceStep(text, edge, now)], (semantics, edge)
                 assert play.now == now and play.interrupt_count == 0 and not play.finished
@@ -150,8 +150,8 @@ def test_fv_right_interrupts_only_at_grid():
     while play.node.kind != I_UP:
         step(play, controller.move(play) if arena.owner(play.node) == "O" else letter_edge(play, "0"))
     with pytest.raises(IllegalMove):
-        step(play, InterruptMove(play.block_start + play.block_scale / 2, "1", "right"))
-    step(play, InterruptMove(play.block_start + play.block_scale, "1", "right"))
+        step(play, InterruptMove(play.now + play.block_scale / 2, "1", "right"))
+    step(play, InterruptMove(play.now + play.block_scale, "1", "right"))
     assert play.node.kind == "i_dag"
 
 
@@ -163,7 +163,7 @@ def test_fv_left_interrupt_lands_on_odd_position():
     step(play, letter_edge(play, "0"))
     while play.node.kind != I_UP:
         step(play, controller.move(play) if arena.owner(play.node) == "O" else letter_edge(play, "0"))
-    mv = InterruptMove(play.block_start + play.block_scale / 2, "1", "left")
+    mv = InterruptMove(play.now + play.block_scale / 2, "1", "left")
     n, edge = resolve_interrupt(arena, play, mv)
     assert n % 2 == 1
     assert edge.kind == "left"
@@ -281,7 +281,7 @@ def earliest_position(arena, play, edge, min_time):
     """Plain scan: the first position whose edge is ``edge`` and whose latest time is >= min_time."""
     for n in range(1, 10_000):
         spans = n if arena.semantics == RC else (n + 1) // 2
-        time = play.block_start + play.block_scale * spans
+        time = play.now + play.block_scale * spans
         if time >= min_time and arena.interrupt_edge(play.node, n, edge.dst.letter) == edge:
             return n
     raise AssertionError(f"no position realizes {edge}")
@@ -305,11 +305,11 @@ def test_time_for_edge_realizes_each_arena_edge():
             for node in arena.nodes:
                 if node.kind != I_UP:
                     continue
-                play = TimedPlay(arena, node, F(5, 2), block_start=F(5, 2), block_scale=F(1, 3))
+                play = TimedPlay(arena, node, F(5, 2), block_scale=F(1, 3))
                 for edge in arena.outgoing(node):
                     mv = time_for_edge(arena, play, edge)
                     assert resolve_interrupt(arena, play, mv) == (
-                        earliest_position(arena, play, edge, play.block_start), edge
+                        earliest_position(arena, play, edge, play.now), edge
                     )
                     if edge.size == "big":
                         for min_time in (play.now + F(5, 7), play.now + 5):

@@ -2,6 +2,7 @@
 
 import random
 
+from chronosynth.definable_synth import square_alphabet
 from chronosynth.omega_word import (
     LassoWord,
     format_lasso,
@@ -147,6 +148,16 @@ def test_parse_reads_the_letters_of_its_alphabet_whole():
     assert parse_lasso("01(10)^w", ("0", "1")) == bits
     # text that is no letter of the alphabet is read as before
     assert parse_lasso("0(1)^w", squared) == LassoWord(("0",), ("1",))
+
+
+def test_format_lasso_reads_back_over_its_alphabet():
+    rng = random.Random(19)
+    for alphabet in (("0", "1", "10"), ("a", "b", "ab", "ba"), ("0", "1"), square_alphabet("01")):
+        for _ in range(200):
+            w = LassoWord(
+                rng.choices(alphabet, k=rng.randint(0, 4)), rng.choices(alphabet, k=rng.randint(1, 4))
+            )
+            assert parse_lasso(format_lasso(w, alphabet), alphabet) == w, (alphabet, w)
 
 
 def test_zip_lassos_alignment():
