@@ -25,8 +25,8 @@ such behaviour, represented by the first-ranked member that has it.
 Nodes and edges are immutable named tuples, ordered, compared and hashed
 by their fields in declaration order; the sorted node and edge lists, and
 with them the search order, witnesses and exports, follow that order.
-Each node's outgoing edges are stored once, sorted; since edges compare by
-source first, the sorted edge list is these lists joined in node order.
+The arena maps each node, in sorted order, to its sorted moves; since edges
+compare by source first, the sorted edge list is these moves joined.
 """
 
 from __future__ import annotations
@@ -92,8 +92,7 @@ class Arena:
     semantics: str
     automaton: ParityAutomaton
     members: tuple  # all UPMember objects referenced by i_up nodes
-    nodes: tuple
-    edges_from: dict  # each node with moves -> its outgoing edges, sorted
+    edges_from: dict  # node -> its sorted moves, in node order; () only at blocks over one input letter
     final_up: frozenset  # i_up nodes whose period's max priority is even
     fresh: ClassVar[ArenaNode] = ArenaNode(FRESH)
 
@@ -106,16 +105,24 @@ class Arena:
             return -1
         return self.automaton.priority[node.state]
 
+    def effective_priority(self, edge: ArenaEdge) -> int:
+        """Edge label joined with the source node's inherited priority; -1 where neither has one."""
+        return max(edge.priority, self.node_priority(edge.src))
+
     def member(self, node: ArenaNode) -> UPMember:
         return self.members[node.up]
 
     def outgoing(self, node: ArenaNode) -> tuple:
-        return self.edges_from.get(node, ())
+        return self.edges_from[node]
+
+    @cached_property
+    def nodes(self) -> tuple:
+        return tuple(self.edges_from)
 
     @cached_property
     def edges(self) -> tuple:
         """Every edge, sorted: edges compare by src first, so the outgoing lists in node order."""
-        return tuple(e for node in self.nodes for e in self.outgoing(node))
+        return tuple(e for outs in self.edges_from.values() for e in outs)
 
     @cached_property
     def lag_bound(self) -> int:
@@ -207,21 +214,21 @@ def _interrupt_targets(a, semantics):
     return targets
 
 
-def _arena(a, semantics, up, source_kind, nodes, edges):
-    """The arena over a builder's (q, x) and dagger nodes and edges.
+def _arena(a, semantics, up, moves):
+    """The arena over a builder's map from its (q, x) and dagger nodes to their moves.
 
     Adds, under the max-even convention, the fresh node with an edge to
     (q_init, x) per input letter, and one block node per behaviour of
-    (q, x), entered from the source_kind node (q, x).  up[x] is the block
-    vocabulary of input letter x, built over its path classes, so every
-    member is a run under x.  Members are ranked in first-use order over
-    (letter, member, state), and the lowest-ranked member with a behaviour
-    represents it, so the moves out of (q, x) keep their order over the
-    whole vocabulary.  Only representatives are numbered, in rank order.
+    (q, x), entered from (q, x) under rc and (q, +, x) under fv.  up[x] is
+    the block vocabulary of input letter x, built over its path classes, so
+    every member is a run under x.  Members are ranked in first-use order
+    over (letter, member, state), and the lowest-ranked member with a
+    behaviour represents it, so the moves out of (q, x) keep their order
+    over the whole vocabulary.  Only representatives are numbered, in rank order.
     """
     a = convert_convention(a, MAX_EVEN)
-    nodes.add(Arena.fresh)
-    edges.update(ArenaEdge(Arena.fresh, ArenaNode(O_PAIR, a.initial, x)) for x in a.sigma_in)
+    moves[Arena.fresh] = {ArenaEdge(Arena.fresh, ArenaNode(O_PAIR, a.initial, x)) for x in a.sigma_in}
+    source_kind = O_PAIR if semantics == RC else I_DAG
     rels = a.edge_relations()
     targets_of = _interrupt_targets(a, semantics)
     rank, best = {}, {}  # member -> first-use rank; behaviour -> (rank, representative)
@@ -245,21 +252,16 @@ def _arena(a, semantics, up, source_kind, nodes, edges):
     final_up = set()
     for (q, x, final, small, big), (_, member) in best.items():
         up_node = ArenaNode(I_UP, q, x, index[member])
-        nodes.add(up_node)
         if final:
             final_up.add(up_node)
-        edges.add(ArenaEdge(ArenaNode(source_kind, q, x), up_node))
-        edges.update(ArenaEdge(up_node, *t) for t in small | big)
-    edges_from = {}
-    for e in edges:
-        edges_from.setdefault(e.src, []).append(e)
-    nodes = tuple(sorted(nodes))
+        source = ArenaNode(source_kind, q, x)
+        moves[source].add(ArenaEdge(source, up_node))
+        moves[up_node] = {ArenaEdge(up_node, *t) for t in small | big}
     return Arena(
         semantics=semantics,
         automaton=a,
         members=tuple(members),
-        nodes=nodes,
-        edges_from={n: tuple(sorted(edges_from[n])) for n in nodes if n in edges_from},
+        edges_from={n: tuple(sorted(es)) for n, es in sorted(moves.items())},
         final_up=frozenset(final_up),
     )
 
@@ -272,8 +274,7 @@ def build_rc_arena(a: ParityAutomaton, up: dict) -> Arena:
     land on (u(n), b) for b != a.  Priorities are read under the max-even
     convention.
     """
-    nodes = {ArenaNode(O_PAIR, q, x) for x in a.sigma_in for q in a.states}
-    return _arena(a, RC, up, O_PAIR, nodes, set())
+    return _arena(a, RC, up, {ArenaNode(O_PAIR, q, x): set() for x in a.sigma_in for q in a.states})
 
 
 def build_fv_arena(a: ParityAutomaton, up: dict) -> Arena:
@@ -285,17 +286,16 @@ def build_fv_arena(a: ParityAutomaton, up: dict) -> Arena:
     even positions are discontinuities from the right and land on
     (u(n), +, b).  Priorities are read under the max-even convention.
     """
-    nodes, edges = set(), set()
+    moves = {}
     for q in a.states:
-        nodes.add(ArenaNode(O_DAG, q))
+        dag = ArenaNode(O_DAG, q)
+        moves[dag] = {ArenaEdge(dag, ArenaNode(I_DAG, q, x)) for x in a.sigma_in}
         for x in a.sigma_in:
-            nodes.add(ArenaNode(O_PAIR, q, x))
-            nodes.add(ArenaNode(I_DAG, q, x))
-            edges.add(ArenaEdge(ArenaNode(O_DAG, q), ArenaNode(I_DAG, q, x)))
-            for b in a.sigma_out:
-                q2 = a.transition[(q, x, b)]
-                edges.add(ArenaEdge(ArenaNode(O_PAIR, q, x), ArenaNode(O_DAG, q2)))
-    return _arena(a, FV, up, I_DAG, nodes, edges)
+            pair = ArenaNode(O_PAIR, q, x)
+            # a set: several outputs can reach one state
+            moves[pair] = {ArenaEdge(pair, ArenaNode(O_DAG, a.transition[(q, x, b)])) for b in a.sigma_out}
+            moves[ArenaNode(I_DAG, q, x)] = set()
+    return _arena(a, FV, up, moves)
 
 
 # -- inspection -------------------------------------------------------------

@@ -40,10 +40,11 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 EXIT_UNDECIDED = 4
 
-# what reading a malformed spec or script file can raise; OverflowError is
-# int() of an Infinity that json reads as a priority
+# what reading a malformed spec or script file can raise; OverflowError is int() of a json
+# Infinity read as a priority, and RecursionError json nested too deep for the parser
 _BAD_INPUT = (
-    OSError, ValueError, KeyError, TypeError, AttributeError, OverflowError, AutomatonError,
+    OSError, ValueError, KeyError, TypeError, AttributeError, OverflowError, RecursionError,
+    AutomatonError,
 )
 
 

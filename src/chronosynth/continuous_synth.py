@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .arena import FV, I_UP, RC, Arena, ArenaEdge, ArenaNode, build_fv_arena, build_rc_arena
+from .arena import FV, I_UP, RC, Arena, ArenaNode, build_fv_arena, build_rc_arena
 from .automaton import ParityAutomaton
 from .state_monoid import (
     MONOID_CAP,
@@ -50,11 +50,6 @@ class StrategyGraph:
     arena: Arena
     edges_from: dict  # each reached node -> its edges under the choice, sorted
     pending: list  # sorted reachable controller nodes with moves the choice leaves open
-
-
-def effective_priority(arena: Arena, edge: ArenaEdge) -> int:
-    """Edge label joined with the source node's inherited priority; -1 where neither has one."""
-    return max(edge.priority, arena.node_priority(edge.src))
 
 
 def partial_strategy_graph(arena: Arena, choice: dict) -> StrategyGraph:
@@ -167,7 +162,7 @@ def find_violation(sg: StrategyGraph):
             return Violation(kind="A", node=node, entry=_bfs_path(edges_from, arena.fresh, {node}))
 
     # each list of edges_from is sorted, so weighted and every list filtered from it is too
-    weighted = [(e, effective_priority(arena, e)) for node in order for e in edges_from[node]]
+    weighted = [(e, arena.effective_priority(e)) for node in order for e in edges_from[node]]
     for p in sorted({q for _, q in weighted if q > 0 and q % 2}, reverse=True):
         sub_edges = [(e, q) for e, q in weighted if q <= p]
         succ = {}

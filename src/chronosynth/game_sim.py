@@ -26,7 +26,7 @@ from fractions import Fraction
 from .arena import (
     FRESH, FV, I_UP, LEFT, O_DAG, O_PAIR, RC, RIGHT, Arena, ArenaEdge, ArenaNode,
 )
-from .continuous_synth import Violation, effective_priority
+from .continuous_synth import Violation
 
 ROUND_CAP = 60  # interrupts before a session stops and adjudicates
 
@@ -205,7 +205,7 @@ def adjudicate(play: TimedPlay) -> PlayOutcome:
     interrupts = [e for e in cycle if e.labeled]
     if interrupts and all(e.size == "small" for e in interrupts):
         return PlayOutcome("O", "zeno_O_win")
-    top = max(effective_priority(arena, e) for e in cycle)
+    top = max(arena.effective_priority(e) for e in cycle)
     if top < 0:
         raise UndecidedError("cycle carries no priorities; malformed play")
     if top % 2 == 0:

@@ -24,7 +24,7 @@ from chronosynth.arena import (
     export_dot,
 )
 from chronosynth.automaton import MAX_EVEN, MIN_EVEN, ParityAutomaton, convert_convention, dot_quote
-from chronosynth.continuous_synth import build_game_arena, effective_priority
+from chronosynth.continuous_synth import build_game_arena
 from chronosynth.state_monoid import (
     build_UP,
     build_class_table,
@@ -42,14 +42,14 @@ def one_state_automaton(sigma_in=("0", "1"), priority=0):
     )
 
 
-def random_automaton(rng, n_states=2):
+def random_automaton(rng, n_states=2, sigma_in=("0", "1")):
     states = [f"q{i}" for i in range(n_states)]
     transition = {
-        (q, a, b): rng.choice(states) for q in states for a in "01" for b in "01"
+        (q, a, b): rng.choice(states) for q in states for a in sigma_in for b in "01"
     }
     priority = {q: rng.randint(0, 3) for q in states}
     return ParityAutomaton(
-        tuple(states), ("0", "1"), ("0", "1"), transition, states[0], priority, MAX_EVEN
+        tuple(states), tuple(sigma_in), ("0", "1"), transition, states[0], priority, MAX_EVEN
     )
 
 
@@ -374,13 +374,17 @@ def test_effective_priority_and_exported_node_priorities(quotient_corpus):
     for fixture in sorted(FIXTURES.glob("*.json")):
         if not fixture.stem.endswith("_d"):
             arenas += [build_game_arena(load_fixture(fixture.stem), s)[0] for s in (RC, FV)]
-    # each edge is stored once, in its source's sorted list; the sorted edge
-    # list is those lists joined in node order
+    # each edge is stored once, in its source's sorted list; the nodes are
+    # the map's sorted keys, and the sorted edge list is those lists joined
+    # in node order
     fields = {f.name for f in dataclasses.fields(Arena)}
-    assert fields == {"semantics", "automaton", "members", "nodes", "edges_from", "final_up"}
+    assert fields == {"semantics", "automaton", "members", "edges_from", "final_up"}
     for arena in arenas:
+        assert arena.nodes == tuple(arena.edges_from) == tuple(sorted(arena.edges_from))
         for node, outs in arena.edges_from.items():
-            assert outs and outs == tuple(sorted(outs)) and {e.src for e in outs} == {node}, node
+            assert outs == tuple(sorted(outs)) and all(e.src == node for e in outs), node
+            # only a block node over a one-letter input alphabet has no moves
+            assert outs or (node.kind == I_UP and len(arena.automaton.sigma_in) == 1), node
         assert arena.edges == tuple(sorted(arena.edges))
         nodes = set(arena.nodes)
         assert all(e.src in nodes and e.dst in nodes for e in arena.edges)
@@ -388,10 +392,10 @@ def test_effective_priority_and_exported_node_priorities(quotient_corpus):
         for e in arena.edges:
             label = e.priority if e.labeled else -1
             if arena.semantics == RC:
-                assert effective_priority(arena, e) == label, e
+                assert arena.effective_priority(e) == label, e
             else:
                 source = -1 if e.src.kind == "fresh" else priority[e.src.state]
-                assert effective_priority(arena, e) == max(label, source), e
+                assert arena.effective_priority(e) == max(label, source), e
         dot_nodes = export_dot(arena).splitlines()[2 : 2 + len(arena.nodes)]
         json_nodes = arena_to_json(arena)["nodes"]
         for node, line, entry in zip(arena.nodes, dot_nodes, json_nodes, strict=True):
@@ -404,25 +408,35 @@ def test_effective_priority_and_exported_node_priorities(quotient_corpus):
 
 # -- 3-state arenas are pinned -------------------------------------------------
 
-# (seed, semantics) -> (nodes, edges, DOT digest, JSON digest), each digest the
-# first 16 hex digits of a sha256, for random_automaton(Random(seed), 3)
+# (seed, semantics, input letters) -> (nodes, edges, DOT digest, JSON digest),
+# each digest the first 16 hex digits of a sha256, for
+# random_automaton(Random(seed), 3, input letters).  Over the one input letter
+# "0" the environment can only accept, so every block node has no moves.
 THREE_STATE_PINS = {
-    (0, RC): (28, 85, "64f5ea0eccf76f0a", "27da8c5827b1e635"),
-    (0, FV): (65, 327, "128a1955b8b49e88", "1abdfca102bdf119"),
-    (1, RC): (47, 192, "4910ce3c4687260c", "968b1093e31d88ed"),
-    (1, FV): (183, 1468, "aae12c4b15f69216", "181ccfd24809524a"),
-    (2, RC): (64, 297, "677f832b2c548509", "c2b41c75ef910ffd"),
-    (2, FV): (258, 2247, "6b955083859b780d", "4b3535272151527c"),
-    (3, RC): (65, 266, "3cd63c09904e94c5", "4de82d27bb300352"),
-    (3, FV): (248, 1746, "9675bc9b05c413fa", "2cb495cfa52fdb2c"),
-    (4, RC): (40, 173, "295077e82b8f0381", "fc51d1f0a079dd88"),
-    (4, FV): (99, 763, "1caa535ae5c906d4", "b3e11f87f3f07a55"),
-    (5, RC): (71, 419, "da1b15c9658a87d9", "4bc24a0fd957b4d2"),
-    (5, FV): (374, 3554, "30316619a2c3f869", "4521d33eacb501d4"),
-    (6, RC): (58, 277, "9b4045658b6734ad", "7e1d13c1c0310d99"),
-    (6, FV): (197, 1513, "c2481dc674e5db7c", "d7183f5bc7a5f4f0"),
-    (7, RC): (76, 398, "70323df620d258ae", "246fc14f17f51ad9"),
-    (7, FV): (499, 4457, "c0e678a671503e8a", "180255048d69cdc7"),
+    (0, RC, "01"): (28, 85, "64f5ea0eccf76f0a", "27da8c5827b1e635"),
+    (0, FV, "01"): (65, 327, "128a1955b8b49e88", "1abdfca102bdf119"),
+    (1, RC, "01"): (47, 192, "4910ce3c4687260c", "968b1093e31d88ed"),
+    (1, FV, "01"): (183, 1468, "aae12c4b15f69216", "181ccfd24809524a"),
+    (2, RC, "01"): (64, 297, "677f832b2c548509", "c2b41c75ef910ffd"),
+    (2, FV, "01"): (258, 2247, "6b955083859b780d", "4b3535272151527c"),
+    (3, RC, "01"): (65, 266, "3cd63c09904e94c5", "4de82d27bb300352"),
+    (3, FV, "01"): (248, 1746, "9675bc9b05c413fa", "2cb495cfa52fdb2c"),
+    (4, RC, "01"): (40, 173, "295077e82b8f0381", "fc51d1f0a079dd88"),
+    (4, FV, "01"): (99, 763, "1caa535ae5c906d4", "b3e11f87f3f07a55"),
+    (5, RC, "01"): (71, 419, "da1b15c9658a87d9", "4bc24a0fd957b4d2"),
+    (5, FV, "01"): (374, 3554, "30316619a2c3f869", "4521d33eacb501d4"),
+    (6, RC, "01"): (58, 277, "9b4045658b6734ad", "7e1d13c1c0310d99"),
+    (6, FV, "01"): (197, 1513, "c2481dc674e5db7c", "d7183f5bc7a5f4f0"),
+    (7, RC, "01"): (76, 398, "70323df620d258ae", "246fc14f17f51ad9"),
+    (7, FV, "01"): (499, 4457, "c0e678a671503e8a", "180255048d69cdc7"),
+    (0, RC, "0"): (10, 7, "2eb6db8b78f17edb", "7284c5b77bd0dd89"),
+    (0, FV, "0"): (16, 15, "e0b1888fb4ceaa42", "aa27aace704dd829"),
+    (1, RC, "0"): (7, 4, "c23895c36a5ea298", "9f99cb10493da126"),
+    (1, FV, "0"): (13, 13, "f655af8458f476cc", "a14b136743bfd20c"),
+    (2, RC, "0"): (8, 5, "c399a552443942bf", "04f530721dc6b44c"),
+    (2, FV, "0"): (14, 13, "20bb7e5707dc602f", "b1aa46bc51f674f4"),
+    (3, RC, "0"): (10, 7, "cdb69d3771c9f16b", "42ad93e4f8cf3f44"),
+    (3, FV, "0"): (16, 16, "704faf0bee1c5e2f", "a745a77b99dcd770"),
 }
 
 
@@ -432,10 +446,10 @@ def _digest(text):
 
 def test_three_state_arenas_are_pinned():
     got = {}
-    for seed, semantics in THREE_STATE_PINS:
-        a = random_automaton(random.Random(seed), n_states=3)
+    for seed, semantics, letters in THREE_STATE_PINS:
+        a = random_automaton(random.Random(seed), 3, tuple(letters))
         arena = build_game_arena(a, semantics)[0]
-        got[seed, semantics] = (
+        got[seed, semantics, letters] = (
             len(arena.nodes),
             len(arena.edges),
             _digest(export_dot(arena)),

@@ -25,6 +25,13 @@ def run_cli(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def src_env(**extra):
+    """The environment with src/ first on PYTHONPATH, for running the CLI as a module."""
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    return env
+
+
 def test_usage_error_exit_code():
     code, _, _ = run_cli("synth", str(FIXTURES / "psi_copy.json"))
     assert code == EXIT_USAGE
@@ -255,14 +262,10 @@ def test_play_scripted_replay(tmp_path):
 
 
 def test_play_reads_moves_from_stdin_until_eof():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, (str(ROOT / "src"), env.get("PYTHONPATH")))
-    )
     proc = subprocess.run(
         [sys.executable, "-m", "chronosynth.cli",
          "play", "--semantics", "rc", str(FIXTURES / "psi_copy.json")],
-        input="start 0\nlate 1\n", capture_output=True, text=True, env=env, timeout=120,
+        input="start 0\nlate 1\n", capture_output=True, text=True, env=src_env(), timeout=120,
     )
     assert proc.returncode == EXIT_OK, proc.stderr
     assert "I start a=0" in proc.stdout
@@ -272,17 +275,13 @@ def test_play_reads_moves_from_stdin_until_eof():
 
 def test_closed_stdout_exits_1_without_a_traceback():
     # a reader that stops early, as `| grep -q` does, closes the pipe first
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, (str(ROOT / "src"), env.get("PYTHONPATH")))
-    )
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "chronosynth.cli",
              "synth", "--semantics", "rc", str(FIXTURES / "psi_copy.json")],
-            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=src_env(), timeout=120,
         )
     finally:
         os.close(write_end)
@@ -348,9 +347,26 @@ def test_resource_cap_exit_code():
     assert out == "" and "240 pairs" in err
 
 
-def test_output_determinism():
-    args = ("synth", "--semantics", "fv", "--stats", str(FIXTURES / "psi_jump_fv.json"))
-    assert run_cli(*args) == run_cli(*args)
+def test_output_determinism(tmp_path):
+    # each invocation runs in two processes under different hash seeds, so a
+    # set's iteration order that leaks into the output shows as a difference
+    script = tmp_path / "moves.txt"
+    script.write_text("start 0\nlate 1\nlate 0\naccept\n")
+    for argv in (
+        ["synth", "--semantics", "fv", "--stats", str(FIXTURES / "psi_jump_fv.json")],
+        ["arena", "--semantics", "rc", str(FIXTURES / "psi_jump_rc.json")],
+        ["arena", "--semantics", "fv", "--dot", str(FIXTURES / "psi_jump_fv.json")],
+        ["play", "--semantics", "rc", "--script", str(script), str(FIXTURES / "psi_copy.json")],
+    ):
+        first, second = (
+            subprocess.run(
+                [sys.executable, "-m", "chronosynth.cli", *argv],
+                capture_output=True, env=src_env(PYTHONHASHSEED=seed), timeout=120,
+            )
+            for seed in ("0", "1")
+        )
+        assert first.returncode == second.returncode == EXIT_OK, first.stderr
+        assert first.stdout and first.stdout == second.stdout, argv
 
 
 def test_solve_discrete_run_lasso():
@@ -490,6 +506,10 @@ def _bad_specs(tmp_path):
     del spec["states"]
     bad.append(tmp_path / "no_states.json")
     bad[-1].write_text(json.dumps(spec))
+    # nesting too deep for the json parser, as arrays and as objects
+    for name, text in (("deep_list", "[" * 100_000), ("deep_dict", '{"a": ' * 100_000)):
+        bad.append(tmp_path / f"{name}.json")
+        bad[-1].write_text(text)
     return bad
 
 

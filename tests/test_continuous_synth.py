@@ -16,7 +16,6 @@ from chronosynth.continuous_synth import (
     build_game_arena,
     build_strategy_graph,
     decide_continuous,
-    effective_priority,
     enumerate_choices,
     find_violation,
     partial_strategy_graph,
@@ -61,7 +60,7 @@ def exhaustive_bad_walk(sg, max_len=None):
                 if walk[-1].dst != start:
                     continue
                 prios = [
-                    p for e in walk if (p := effective_priority(arena, e)) >= 0
+                    p for e in walk if (p := arena.effective_priority(e)) >= 0
                 ]
                 if not prios:
                     continue
@@ -154,7 +153,7 @@ def test_violation_cycle_is_well_formed():
                 prios = [
                     p
                     for e in cyc
-                    if (p := effective_priority(arena, e)) >= 0
+                    if (p := arena.effective_priority(e)) >= 0
                 ]
                 assert max(prios) == violation.priority
                 assert violation.priority % 2 == 1
