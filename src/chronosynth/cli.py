@@ -128,15 +128,8 @@ def positive_int(text):
 
 
 def _witness_json(arena, choice):
-    names, entries = arena.names, []
-    for node in sorted(choice):
-        e = choice[node]
-        entry = {"at": names[node], "to": names[e.dst]}
-        if e.labeled:
-            entry["priority"] = e.priority
-            entry["size"] = e.size
-        entries.append(entry)
-    return entries
+    names = arena.names
+    return [{"at": names[node], "to": names[choice[node].dst]} for node in sorted(choice)]
 
 
 def cmd_solve_discrete(spec, args, out, err):

@@ -26,7 +26,6 @@ from fractions import Fraction
 from .arena import (
     FRESH, FV, I_UP, LEFT, O_DAG, O_PAIR, RC, RIGHT, Arena, ArenaEdge, ArenaNode,
 )
-from .continuous_synth import Violation
 
 ROUND_CAP = 60  # interrupts before a session stops and adjudicates
 

@@ -318,6 +318,15 @@ def test_play_undecided_exit_code(tmp_path):
     )
     assert code == EXIT_UNDECIDED
     assert "undecided" in err
+    # eight interrupts inside the lag reach a round cap of 8 and form an
+    # all-small cycle, a Zeno win for the controller
+    script.write_text("start 0\n" + "late 1\nlate 0\n" * 4)
+    code, out, _ = run_cli(
+        "--round-cap", "8",
+        "play", "--semantics", "rc", "--script", str(script), str(FIXTURES / "psi_copy.json"),
+    )
+    assert code == EXIT_OK
+    assert "outcome: O wins (zeno_O_win)" in out
 
 
 def test_play_unrealizable_spec_reports():
@@ -345,6 +354,12 @@ def test_resource_cap_exit_code():
     code, out, err = run_cli("--monoid-cap", "100", "monoid", str(FIXTURES / "psi_copy.json"))
     assert code == EXIT_CAP
     assert out == "" and "240 pairs" in err
+    # the choice search exceeds a strategy cap of 1 on an unrealizable spec
+    code, out, err = run_cli(
+        "--strategy-cap", "1", "synth", "--semantics", "fv", str(FIXTURES / "psi_indet_fv.json")
+    )
+    assert code == EXIT_CAP
+    assert out == "" and "cap" in err
 
 
 def test_output_determinism(tmp_path):
@@ -447,21 +462,20 @@ def test_arena_export_matches_synth_stats(fixture, semantics):
 
 
 def _min_even_twin(fixture, tmp_path):
-    """The fixture written under the min-even convention, with the priorities that keep its language."""
-    twin = convert_convention(load_automaton(fixture), MIN_EVEN)
-    data = {
-        "convention": twin.convention,
-        "states": list(twin.states),
-        "sigma_in": list(twin.sigma_in),
-        "sigma_out": list(twin.sigma_out),
-        "initial": twin.initial,
-        "priority": twin.priority,
-        "transitions": [
-            {"from": q, "in": a, "out": b, "to": t} for (q, a, b), t in twin.transition.items()
-        ],
-    }
+    """The fixture written under the min-even convention, with the priorities that keep its language.
+
+    The priorities follow the formula p -> M - p, with M the top priority
+    rounded up to even, not the conversion under test, so a wrong M in
+    ``convert_convention`` shows as a mismatch here.
+    """
+    data = json.loads(fixture.read_text())
+    top = max(data["priority"].values())
+    top += top % 2
+    data["priority"] = {q: top - p for q, p in data["priority"].items()}
+    data["convention"] = MIN_EVEN
     path = tmp_path / fixture.name
     path.write_text(json.dumps(data))
+    assert load_automaton(path) == convert_convention(load_automaton(fixture), MIN_EVEN)
     return path
 
 
@@ -496,10 +510,12 @@ def _bad_specs(tmp_path):
     for i, state in enumerate([1, ["a"]]):  # states that are not JSON strings
         bad.append(tmp_path / f"state_{i}.json")
         bad[-1].write_text(json.dumps(dict(spec, states=[state, "q"])))
-    # names that are not JSON arrays, repeated names, and an undeclared priority key
+    # names that are not JSON arrays, repeated names, an undeclared priority
+    # key, and a repeated transition
     for i, names in enumerate([
         {"states": "q"}, {"sigma_in": "01"}, {"states": ["q", "q"]}, {"sigma_in": ["0", "1", "0"]},
         {"priority": {"q": 0, "zz": 9}, "transitions": spec["transitions"][1:]},
+        {"transitions": spec["transitions"] + spec["transitions"][:1]},
     ]):
         bad.append(tmp_path / f"names_{i}.json")
         bad[-1].write_text(json.dumps(dict(spec, **names)))
@@ -539,6 +555,10 @@ def test_monoid_unknown_letter_is_a_usage_error():
     assert out == ""
     assert err.count("\n") == 1 and "'0'" in err
     assert "Traceback" not in err
+    # a letter of the spec is named in the output
+    code, out, err = run_cli("monoid", "--letter", "0", str(FIXTURES / "psi_copy.json"))
+    assert code == EXIT_OK and err == ""
+    assert json.loads(out)["letter"] == "0"
 
 
 def _one_line_usage_error(code, out, err):

@@ -201,6 +201,8 @@ def test_witness_total_on_reachable_controller_nodes():
         for node in sg.edges_from:
             if res.arena.owner(node) == "O" and res.arena.outgoing(node):
                 assert node in res.witness
+                # only edges out of block nodes, which the environment owns, carry labels
+                assert not res.witness[node].labeled
 
 
 def test_uniform_priority_parity_forces_verdict():

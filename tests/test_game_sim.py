@@ -7,7 +7,14 @@ from fractions import Fraction
 import pytest
 
 from chronosynth.arena import FRESH, FV, I_DAG, I_UP, O_DAG, O_PAIR, RC
-from chronosynth.continuous_synth import build_game_arena, decide_continuous
+from chronosynth.continuous_synth import (
+    Violation,
+    _bfs_path,
+    _sccs,
+    build_game_arena,
+    build_strategy_graph,
+    decide_continuous,
+)
 from chronosynth.game_sim import (
     Accept,
     ChoiceController,
@@ -59,6 +66,8 @@ def test_accept_at_final_node_wins_for_controller():
     step(play, Accept())
     out = adjudicate(play)
     assert out.winner == "O" and out.reason == "accepted_final"
+    with pytest.raises(IllegalMove, match="the play has ended"):
+        step(play, Accept())
 
 
 def test_interrupt_positions_and_labels():
@@ -250,21 +259,52 @@ def test_adjudicate_zeno_on_capped_geometric_play():
 
 
 def test_adjudicate_divergent_odd_cycle():
-    # environment loops a big edge with unit gaps on a losing choice
+    # environment loops a big edge with unit gaps on a losing choice; the
+    # fixtures meet no clause-B violation, two specs of the random corpus do
     from chronosynth.continuous_synth import enumerate_choices
+    from test_continuous_synth import _corpus_specs
 
-    res = decide_continuous(load_fixture("psi_jump_rc"), RC)
+    replayed = 0
+    for spec in _corpus_specs():
+        for semantics in (RC, FV):
+            arena = build_game_arena(spec, semantics)[0]
+            for choice, violation in enumerate_choices(arena):
+                if violation is None:
+                    break
+                if violation.kind != "B":
+                    continue
+                path = violation.entry + violation.cycle
+                along = {e.src: e for e in path if arena.owner(e.src) == "O"}
+                for controller_choice in (choice, along):
+                    env = ViolationEnvironment(arena, violation)
+                    controller = ChoiceController(arena, controller_choice)
+                    play = run_play(arena, controller, env, max_rounds=24)
+                    out = adjudicate(play)
+                    assert (out.winner, out.reason) == ("I", "parity_odd")
+                    # unit gaps force divergence past any bound
+                    bigs = [s for s in play.steps if s.edge is not None and s.edge.size == "big"]
+                    assert play.now >= len(bigs) - 2
+                    replayed += 1
+    assert replayed > 0
+
+
+def test_adjudicate_divergent_even_cycle():
+    # the same replay on a cycle through a big edge of the winning choice
+    res = rc_setup()
     arena = res.arena
-    for choice, violation in enumerate_choices(arena):
-        if violation is not None and violation.kind == "B":
-            env = ViolationEnvironment(arena, violation)
-            controller = ChoiceController(arena, choice)
-            play = run_play(arena, controller, env, max_rounds=24)
-            out = adjudicate(play)
-            assert out.winner == "I" and out.reason == "parity_odd"
-            # unit gaps force divergence past any bound
-            assert play.now >= len([s for s in play.steps if s.edge is not None and s.edge.size == "big"]) - 2
-            break
+    sg = build_strategy_graph(arena, res.witness)
+    succ = {n: [e.dst for e in es] for n, es in sg.edges_from.items()}
+    comp_of = _sccs(sorted(sg.edges_from), succ)
+    big = next(
+        e for es in sg.edges_from.values() for e in es
+        if e.size == "big" and comp_of[e.src] == comp_of[e.dst]
+    )
+    cycle = (big,) + _bfs_path(sg.edges_from, big.dst, {big.src})
+    entry = _bfs_path(sg.edges_from, arena.fresh, {big.src})
+    env = ViolationEnvironment(arena, Violation("B", cycle=cycle, entry=entry))
+    play = run_play(arena, ChoiceController(arena, res.witness), env, max_rounds=24)
+    out = adjudicate(play)
+    assert (out.winner, out.reason) == ("O", "parity_even")
 
 
 def test_adjudicate_undecided_when_capped_too_early():
