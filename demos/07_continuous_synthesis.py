@@ -30,12 +30,12 @@ for name, spec, sem in jobs:
     res = decide_continuous(spec, sem)
     verdict = "REALIZABLE" if res.realizable else "UNREALIZABLE"
     print(f"== {name} ==")
-    print(f"  {verdict}  (examined {res.stats.strategies_examined} strategy assignments, "
-          f"arena: {len(res.arena.nodes)} nodes)")
+    print(f"  {verdict}  (arena: {len(res.arena.nodes)} nodes, {len(res.arena.edges)} edges; "
+          f"recursion calls: {res.stats.solve_calls}, on {res.stats.game_edges} edges)")
     if res.witness:
         picks = sorted(res.witness)
         print(f"  winning choice fixes {len(picks)} controller nodes, e.g. "
               f"{picks[0].pretty()} -> {res.witness[picks[0]].dst.pretty()}")
     elif res.violation is not None:
-        print(f"  last refutation: clause {res.violation.kind}")
+        print(f"  the first move at each controller node loses by clause {res.violation.kind}")
     print()

@@ -24,7 +24,7 @@ such behaviour, represented by the first-ranked member that has it.
 
 Nodes and edges are immutable named tuples, ordered, compared and hashed
 by their fields in declaration order; the sorted node and edge lists, and
-with them the search order, witnesses and exports, follow that order.
+with them the solver's node numbering, witnesses and exports, follow that order.
 The arena maps each node, in sorted order, to its sorted moves; since edges
 compare by source first, the sorted edge list is these moves joined.
 """

@@ -22,7 +22,7 @@ from json.encoder import encode_basestring_ascii as _quote
 
 from .arena import FV, RC, arena_to_json, export_dot
 from .automaton import AlphabetMismatchError, AutomatonError, load_automaton
-from .continuous_synth import STRATEGY_CAP, build_game_arena, decide_continuous
+from .continuous_synth import build_game_arena, decide_continuous
 from .definable_synth import solve_definable
 from .discrete_game import machine_to_dot, machine_to_json, run_counter_machine, run_machine, solve
 from .game_sim import ROUND_CAP, ChoiceController, PlaySession, UndecidedError
@@ -178,16 +178,15 @@ def cmd_definable(spec, args, out, err):
 
 
 def cmd_synth(spec, args, out, err):
-    res = decide_continuous(
-        spec, args.semantics, monoid_cap=args.monoid_cap, strategy_cap=args.strategy_cap
-    )
+    res = decide_continuous(spec, args.semantics, monoid_cap=args.monoid_cap)
     payload = {"realizable": res.realizable, "semantics": res.arena.semantics}
     if res.witness is not None:
         payload["witness"] = _witness_json(res.arena, res.witness)
     if args.stats:
         payload["stats"] = {
-            "strategies_examined": res.stats.strategies_examined,
-            "pruned": res.stats.pruned,
+            "solve_calls": res.stats.solve_calls,
+            "game_nodes": res.stats.game_nodes,
+            "game_edges": res.stats.game_edges,
             "class_counts": res.stats.class_counts,
             "up_sizes": res.stats.up_sizes,
             "d_bound": res.stats.d_bound,
@@ -203,15 +202,9 @@ def cmd_monoid(spec, args, out, err):
         letters = ", ".join(spec.sigma_in)
         raise UsageError(f"unknown input letter {args.letter!r}; the spec's letters are {letters}")
     ctx = context_from_automaton(spec)
-    table = build_class_table(ctx, cap=args.monoid_cap, letter=args.letter)
-    # the cap bounds the (class, idempotent) pairs that could form members;
+    # the cap also bounds the (class, idempotent) pairs that could form members;
     # build_UP tries only the pairs that end in the same state
-    pairs = table.class_count * len(table.idempotents)
-    if pairs > args.monoid_cap:
-        raise ResourceCapError(
-            f"{table.class_count} classes x {len(table.idempotents)} idempotents = "
-            f"{pairs} pairs, over --monoid-cap {args.monoid_cap}"
-        )
+    table = build_class_table(ctx, cap=args.monoid_cap, letter=args.letter, pair_cap=args.monoid_cap)
     up = build_UP(table)
     payload = {
         "classes": table.class_count,
@@ -222,7 +215,7 @@ def cmd_monoid(spec, args, out, err):
     if args.letter is not None:
         payload["letter"] = args.letter
     if args.full:
-        payload["representatives"] = ["".join(map(str, w)) for w in table.witnesses.values()]
+        payload["representatives"] = [list(w) for w in table.witnesses.values()]
         payload["up"] = [
             {"lag": list(m.lag), "period": list(m.period)} for m in up
         ]
@@ -240,9 +233,7 @@ def cmd_arena(spec, args, out, err):
 
 
 def cmd_play(spec, args, out, err):
-    res = decide_continuous(
-        spec, args.semantics, monoid_cap=args.monoid_cap, strategy_cap=args.strategy_cap
-    )
+    res = decide_continuous(spec, args.semantics, monoid_cap=args.monoid_cap)
     if not res.realizable:
         out.write("unrealizable: the environment wins; nothing to play against\n")
         return EXIT_OK
@@ -273,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="synthesis of causal controllers over discrete and continuous time",
     )
     parser.add_argument("--monoid-cap", type=positive_int, default=MONOID_CAP)
-    parser.add_argument("--strategy-cap", type=positive_int, default=STRATEGY_CAP)
     parser.add_argument("--round-cap", type=positive_int, default=ROUND_CAP)
     sub = parser.add_subparsers(dest="command", required=True)
 

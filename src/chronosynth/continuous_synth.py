@@ -1,42 +1,51 @@
 """Deciding the continuous-time synthesis problem on the finite arenas.
 
-A positional choice fixes one outgoing edge per controller node; the
-implicit timing plays the i-th block with duration scale 2^-i.  Against
-such a choice the environment wins iff the one-player restriction has
-(A) a reachable non-final block node (reach it and accept), or
-(B) a reachable cycle through a big-labeled edge whose maximal priority is
-odd (loop it with unit gaps on the big edge, forcing divergence).  Any
-other infinite play interrupts inside lags only, and the geometric scales
-make its total duration finite.
+The environment wins a play of the arena iff it accepts at a non-final
+block node (clause A), or the play is infinite, takes big edges infinitely
+often and the top effective priority it sees infinitely often is odd
+(clause B): looping with unit gaps on the big edges forces divergence.  Any
+other infinite play interrupts inside lags only from some point on, and the
+geometric scales (the i-th block runs at scale 2^-i) make its total
+duration finite.  The controller's condition, Fin(big) or even parity, is a
+Rabin condition, so the controller has a positional winning strategy
+whenever it wins (Emerson & Jutla, FOCS 1988).
 
-Cycle detection for (B): for each odd priority p, in the reachable
-subgraph of edges with effective priority at most p, some strongly
-connected component must contain both an edge of effective priority
-exactly p and a big edge; a closed walk through both then realizes the
-cycle.  Effective priority folds the source node's inherited priority into
-the edge label, which preserves the maximum over any closed walk.
+``solve_interrupt`` decides the game by the McNaughton-Zielonka recursion
+over the Zielonka tree of that condition (Zielonka, TCS 1998).  A colour is
+an edge's (effective priority, big?), kept on the edge as one bit of an
+integer mask.  A colour set the controller wins (no big colour, or even top
+priority) has at most one child, the one maximal subset the environment
+wins: {c : p(c) <= q}, where q is the largest odd priority with a big
+colour at or below it.  So the controller's side of the recursion needs no
+memory, and the strategy it returns is positional.  A colour set the
+environment wins has at most two children: its colours that are not big,
+and {c : p(c) <= e} for the largest even e present.  Before the recursion,
+the environment's attractor to the non-final block nodes settles clause A,
+and the controller's attractor to the final block nodes without moves
+(where the environment must accept) settles those.
 
-Enumeration is lazy: choices are extended only at controller nodes that
-are reachable under the partial assignment, and the two violations are
-monotone under extension, so a violated partial assignment prunes all its
-completions.
+``find_violation`` is the independent check of a positional choice: in
+the one-player restriction, clause A is a reachable non-final block node,
+and clause B, for some odd priority p, a strongly connected component of
+the reachable edges of effective priority at most p that contains an edge
+of priority exactly p and a big edge; a closed walk through both realizes
+the cycle.  Effective priority folds the source node's inherited priority
+into the edge label, which preserves the maximum over any closed walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
-from .arena import FV, I_UP, RC, Arena, ArenaNode, build_fv_arena, build_rc_arena
+from .arena import FRESH, FV, I_UP, OWNER, RC, Arena, ArenaNode, build_fv_arena, build_rc_arena
 from .automaton import ParityAutomaton
 from .state_monoid import (
     MONOID_CAP,
-    ResourceCapError,
     build_UP,
     build_class_table,
     context_from_automaton,
 )
-
-STRATEGY_CAP = 1_000_000  # choices examined before the search gives up
 
 
 class SynthError(Exception):
@@ -194,16 +203,17 @@ def find_violation(sg: StrategyGraph):
     return None
 
 
-# -- enumeration -------------------------------------------------------------
+# -- the recursion ------------------------------------------------------------
 
 
 @dataclass
 class SynthStats:
-    strategies_examined: int = 0
-    pruned: int = 0
     class_counts: dict = field(default_factory=dict)
     up_sizes: dict = field(default_factory=dict)
     d_bound: int = 1
+    solve_calls: int = 0  # calls of the recursion
+    game_nodes: int = 0  # nodes and edges left to the recursion by the two attractors
+    game_edges: int = 0
 
 
 @dataclass
@@ -212,42 +222,257 @@ class SynthResult:
     witness: dict | None
     arena: Arena
     stats: SynthStats
-    violation: Violation | None = None  # of the last choice the search enumerated
+
+    @cached_property
+    def violation(self) -> Violation | None:
+        """Why the first move at each reachable controller node loses; None if realizable.
+
+        No positional choice wins an unrealizable arena, so this one has a violation.
+        """
+        if self.realizable:
+            return None
+        arena = self.arena
+        first = {n: es[0] for n, es in arena.edges_from.items() if es and arena.owner(n) == "O"}
+        return find_violation(build_strategy_graph(arena, first))
 
 
-def enumerate_choices(
-    arena: Arena, strategy_cap: int = STRATEGY_CAP, stats: SynthStats | None = None
-):
-    """Depth-first search over reachable partial choices.
+def tree_node(colours: int, big_colours: int):
+    """(controller wins?, children): a node of the Zielonka tree of Fin(big) or even parity.
 
-    Yields (choice, violation-or-None) for every assignment whose verdict
-    is decided: completed winning/losing assignments, and violated partial
-    assignments (whose every completion loses, since reachability and both
-    violation clauses only grow under extension).  Every key of a yielded
-    choice is reachable under it: each is chosen while reachable, and
-    reachability only grows.  Order is deterministic.  Counts the choices
-    examined and pruned into ``stats`` if given.
+    A colour set is a mask of bits 2p + big, for priority p; ``big_colours``
+    has every big bit.  The controller wins the plays that see exactly the
+    colours in ``colours`` infinitely often iff none is big or the top
+    priority is even.  The children are the maximal nonempty subsets that
+    the other player wins.
+    """
+    big = colours & big_colours
+    if not big:
+        return True, []
+    top = (colours.bit_length() - 1) >> 1
+    if top % 2 == 0:
+        # the largest odd priority with a big colour at or below it
+        low = ((big & -big).bit_length() - 1) >> 1
+        q = next((q for q in range(top, low - 1, -1) if q % 2 and colours >> 2 * q & 3), -1)
+        return True, [colours & (1 << 2 * q + 2) - 1] if q >= 0 else []
+    small = colours & ~big_colours
+    e = next((e for e in range(top - 1, -1, -2) if colours >> 2 * e & 3), -1)
+    low = colours & (1 << 2 * e + 2) - 1 if e >= 0 else 0
+    # the maximal ones of the two, without the empty set
+    if not small & ~low:
+        children = [low]
+    elif not low & ~small:
+        children = [small]
+    else:
+        children = [small, low]
+    return False, [c for c in children if c]
+
+
+def solve_interrupt(arena: Arena, stats: SynthStats | None = None):
+    """(realizable, choice): who wins the arena, and the controller's positional winner.
+
+    The choice maps each controller node reachable from fresh under it to
+    its edge, or is None when the environment wins.  Every controller node
+    must have a move, as ``build_game_arena`` ensures.  Nodes are numbered
+    in arena order and every list below is in that order, so the choice is
+    deterministic.  Counts the recursion's calls and its game into
+    ``stats`` if given.
     """
     stats = stats if stats is not None else SynthStats()
+    nodes = arena.nodes
+    n = len(nodes)
+    index = {node: v for v, node in enumerate(nodes)}
+    rc, priority, final_up = arena.semantics == RC, arena.automaton.priority, arena.final_up
+    # a colour is bit 2p + big of a mask, for effective priority p (-1 read as 0);
+    # no label exceeds the top state priority
+    big_colours = int("10" * (max(priority.values()) + 1), 2)
+    # per node: successor ids, and each edge's colour bit (one for all, at a controller node)
+    succ, colour = [], []
+    pred = [[] for _ in range(n)]  # per node: (source id, colour bit) of each edge into it
+    is_o = bytearray(n)
+    accepts, stuck = [], []  # non-final block nodes; final block nodes without moves
+    for v, (node, outs) in enumerate(arena.edges_from.items()):
+        kind = node.kind
+        p = 0 if rc or kind == FRESH else priority[node.state]
+        if kind == I_UP:
+            if node not in final_up:
+                accepts.append(v)
+            elif not outs:
+                stuck.append(v)
+            ws, cs = [], []
+            for _, dst, q, size, _ in outs:
+                w, c = index[dst], 1 << (2 * (q if q > p else p) + (size == "big"))
+                ws.append(w)
+                cs.append(c)
+                pred[w].append((v, c))
+        else:
+            # unlabelled edges: one colour, that of the source, which a
+            # controller node keeps once
+            ws = [index[e.dst] for e in outs]
+            c = 1 << 2 * p
+            entry = (v, c)
+            for w in ws:
+                pred[w].append(entry)
+            if OWNER[kind] == "O":
+                is_o[v] = 1
+                cs = (c,)
+            else:
+                cs = [c] * len(ws)
+        succ.append(ws)
+        colour.append(cs)
 
-    def explore(choice):
-        sg = partial_strategy_graph(arena, choice)
-        pending = sg.pending
-        violation = find_violation(sg)
-        if violation is not None or not pending:
-            stats.strategies_examined += 1
-            stats.pruned += bool(pending)  # a violated partial choice decides its completions
-            yield dict(choice), violation
-            return
-        if stats.strategies_examined > strategy_cap:
-            raise ResourceCapError(f"strategy enumeration cap {strategy_cap} exceeded")
-        node = pending[0]
-        for edge in arena.outgoing(node):
-            choice[node] = edge
-            yield from explore(choice)
-            del choice[node]
+    def attract(inside, region, mask, goal, targets, to_o):
+        """The attractor of the controller (to_o) or the environment in a subgame.
 
-    yield from explore({})
+        The subgame has the nodes marked in ``inside``, listed in ``region``,
+        and the edges between them whose colour is in ``mask``.  Its targets
+        are the nodes ``targets`` and the edges with a colour in ``goal``.
+        Returns the membership of the region minus the attractor, the
+        attractor's nodes, and the controller's moves towards the targets
+        when the controller attracts.
+        """
+        rest = bytearray(inside)
+        attr, strategy, count = list(targets), {}, {}
+        for v in attr:
+            rest[v] = 0
+        if goal:
+            for v in region:
+                if not rest[v]:
+                    continue
+                if is_o[v]:
+                    # one colour: all or none of its edges are goal edges, and
+                    # with none its count is taken when the attractor reaches it
+                    if colour[v][0] & goal:
+                        rest[v] = 0
+                        attr.append(v)
+                        if to_o:
+                            strategy[v] = next(w for w in succ[v] if inside[w])
+                elif to_o:
+                    left = 0  # subgame edges that miss the goal colours
+                    for w, c in zip(succ[v], colour[v]):
+                        if inside[w] and c & mask and not c & goal:
+                            left += 1
+                    if left:
+                        count[v] = left
+                    else:
+                        rest[v] = 0
+                        attr.append(v)
+                else:
+                    for w, c in zip(succ[v], colour[v]):
+                        if c & goal and inside[w]:
+                            rest[v] = 0
+                            attr.append(v)
+                            break
+        i = 0
+        while i < len(attr):
+            w = attr[i]
+            i += 1
+            for v, c in pred[w]:
+                if not rest[v] or not c & mask or c & goal:
+                    continue
+                if is_o[v] == to_o:
+                    rest[v] = 0
+                    attr.append(v)
+                    strategy[v] = w
+                    continue
+                left = count.get(v)
+                if left is None:
+                    if is_o[v]:  # one colour, and this edge shows it is in the mask
+                        left = sum(map(inside.__getitem__, succ[v]))
+                    else:
+                        left = sum(1 for u, d in zip(succ[v], colour[v]) if inside[u] and d & mask)
+                if left == 1:
+                    rest[v] = 0
+                    attr.append(v)
+                else:
+                    count[v] = left - 1
+        return rest, attr, strategy if to_o else {}
+
+    def solve(inside, region, allowed):
+        """The controller's winning nodes and positional moves in a subgame.
+
+        The subgame has the nodes marked in ``inside``, listed in
+        ``region``, and the edges between them whose colour is in
+        ``allowed``; every node keeps a move.  Each pass solves the region
+        at the tree node of the colours present.  When the opponent of
+        that node's winner wins part of a child's subgame, the pass peels
+        that part's attractor off, and the next pass solves what is left.
+        """
+        stats.solve_calls += 1
+        win, strategy = [], {}
+        while region:
+            present = 0
+            for v in region:
+                if is_o[v]:
+                    present |= colour[v][0]
+                else:
+                    for w, c in zip(succ[v], colour[v]):
+                        if inside[w]:
+                            present |= c
+            present &= allowed
+            controller_wins, children = tree_node(present, big_colours)
+            for child in children:
+                # the winner's attractor to the colours outside the child
+                rest, _, reach = attract(inside, region, present, present & ~child, (), controller_wins)
+                sub = [v for v in region if rest[v]]
+                sub_win, sub_strategy = solve(rest, sub, child)
+                if controller_wins:
+                    if len(sub_win) == len(sub):
+                        strategy.update(reach)
+                        strategy.update(sub_strategy)
+                        return win + region, strategy
+                    mine = bytearray(n)
+                    for v in sub_win:
+                        mine[v] = 1
+                    lost = [v for v in sub if not mine[v]]
+                    inside, _, _ = attract(inside, region, present, 0, lost, False)
+                elif sub_win:
+                    inside, peeled, reach = attract(inside, region, present, 0, sub_win, True)
+                    win += peeled
+                    strategy.update(sub_strategy)
+                    strategy.update(reach)
+                else:
+                    continue
+                region = [v for v in region if inside[v]]
+                break
+            else:
+                if controller_wins:  # no child: every play of the region is won
+                    for v in region:
+                        if is_o[v]:
+                            strategy[v] = next(w for w in succ[v] if inside[w])
+                    return win + region, strategy
+                return win, strategy
+        return win, strategy
+
+    everything = bytearray(b"\x01") * n
+    fresh = index[arena.fresh]
+    inside, _, _ = attract(everything, range(n), -1, 0, accepts, False)
+    if not inside[fresh]:
+        return False, None
+    region = [v for v in range(n) if inside[v]]
+    inside, _, strategy = attract(inside, region, -1, 0, stuck, True)
+    if inside[fresh]:
+        region = [v for v in region if inside[v]]
+        stats.game_nodes = len(region)
+        stats.game_edges = sum(sum(map(inside.__getitem__, succ[v])) for v in region)
+        win, won = solve(inside, region, -1)
+        if fresh not in win:
+            return False, None
+        strategy.update(won)
+    choice, seen, todo = {}, {fresh}, [fresh]
+    while todo:
+        v = todo.pop()
+        if is_o[v]:
+            w = strategy[v]
+            node = nodes[v]
+            choice[node] = arena.edges_from[node][succ[v].index(w)]
+            nexts = (w,)
+        else:
+            nexts = succ[v]
+        for w in nexts:
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return True, choice
 
 
 def build_game_arena(spec: ParityAutomaton, semantics: str, monoid_cap: int = MONOID_CAP):
@@ -285,19 +510,13 @@ def build_game_arena(spec: ParityAutomaton, semantics: str, monoid_cap: int = MO
 
 
 def decide_continuous(
-    spec: ParityAutomaton,
-    semantics: str,
-    monoid_cap: int = MONOID_CAP,
-    strategy_cap: int = STRATEGY_CAP,
+    spec: ParityAutomaton, semantics: str, monoid_cap: int = MONOID_CAP
 ) -> SynthResult:
     """Top-level verdict: is the specification implementable in real time?
 
-    Builds the arena for the requested semantics and searches positional
-    choices; realizable iff some choice survives the winning check.
+    Builds the arena for the requested semantics and solves it with
+    ``solve_interrupt``; the witness is the controller's positional winner.
     """
     arena, stats = build_game_arena(spec, semantics, monoid_cap)
-    violation = None
-    for choice, violation in enumerate_choices(arena, strategy_cap, stats):
-        if violation is None:
-            return SynthResult(True, choice, arena, stats)
-    return SynthResult(False, None, arena, stats, violation=violation)
+    realizable, witness = solve_interrupt(arena, stats)
+    return SynthResult(realizable, witness, arena, stats)

@@ -26,7 +26,7 @@ class MonoidError(Exception):
 
 
 class ResourceCapError(Exception):
-    """A resource cap stopped a build or the search."""
+    """A resource cap stopped a build."""
 
 
 def _cap_exceeded(count) -> ResourceCapError:
@@ -123,23 +123,38 @@ class ClassTable:
         return len(self.witnesses)
 
 
-def build_class_table(ctx: MonoidContext, cap: int = MONOID_CAP, letter=None) -> ClassTable:
+def build_class_table(
+    ctx: MonoidContext, cap: int = MONOID_CAP, letter=None, pair_cap: int | None = None
+) -> ClassTable:
     """Close length-1 generators under appending states, breadth-first.
 
     Witnesses are generated level by level in lexicographic order, so the
     first witness found for a class is the canonical one.  With ``letter``
     given, only strings that are E_letter-paths are enumerated; the result
     is the table of path classes for that input letter (sufficient for the
-    per-letter arena vocabulary).
+    per-letter arena vocabulary).  Each class is tested for idempotence as
+    it is found; with ``pair_cap`` given, the build stops as soon as the
+    classes times the idempotents found so far exceed it.
     """
     if letter is not None and letter not in ctx.relations:
         raise MonoidError(f"unknown input letter {letter!r}")
-    witnesses = {}
+    witnesses, idem = {}, set()
+
+    def add(sig, witness):
+        witnesses[sig] = witness
+        if absorbs(ctx, sig, sig, late_states(sig)):
+            idem.add(sig)
+        if pair_cap is not None and len(witnesses) * len(idem) > pair_cap:
+            raise ResourceCapError(
+                f"{len(witnesses)} classes x {len(idem)} idempotents = "
+                f"{len(witnesses) * len(idem)} pairs so far, over the pair cap {pair_cap}"
+            )
+
     level = []  # (witness, signature) pairs of the current length
     generators = {q: signature_of((q,), ctx) for q in ctx.states}
     for q, sig in generators.items():
         if sig not in witnesses:
-            witnesses[sig] = (q,)
+            add(sig, (q,))
             level.append(((q,), sig))
     if len(witnesses) > cap:
         raise _cap_exceeded(len(witnesses))
@@ -155,12 +170,11 @@ def build_class_table(ctx: MonoidContext, cap: int = MONOID_CAP, letter=None) ->
                 if len(witnesses) >= cap:
                     raise _cap_exceeded(cap + 1)
                 new_witness = witness + (q,)
-                witnesses[new_sig] = new_witness
+                add(new_sig, new_witness)
                 next_level.append((new_witness, new_sig))
         level = next_level
-    idem = frozenset(s for s in witnesses if absorbs(ctx, s, s, late_states(s)))
     d_q = max(len(w) for w in witnesses.values())
-    return ClassTable(ctx, witnesses, idem, d_q)
+    return ClassTable(ctx, witnesses, frozenset(idem), d_q)
 
 
 class UPMember(NamedTuple):

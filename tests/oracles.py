@@ -19,13 +19,17 @@ interrupt position of a member's lag plus one period (two under fv), as an
 oracle for the two cached halves of ``arena._interrupt_targets``;
 ``omega_equivalent`` is the equivalence of omega-words over states, built
 from ``pair_profile`` and ``path_flags``, whose classes the tests check
-``state_monoid.signature_of`` and the block vocabulary against.
+``state_monoid.signature_of`` and the block vocabulary against;
+``enumerate_choices`` searches the controller's positional choices on an
+arena one by one, each checked by ``find_violation``, as an oracle for the
+verdict of ``continuous_synth.solve_interrupt``.
 """
 
 from dataclasses import dataclass
 
 from chronosynth.arena import FV, I_DAG, LEFT, O_PAIR, RC, RIGHT, ArenaNode
 from chronosynth.automaton import MAX_EVEN, ParityAutomaton, convert_convention
+from chronosynth.continuous_synth import find_violation, partial_strategy_graph
 from chronosynth.discrete_game import GameError, MealyMachine, MooreCounterMachine, SolveResult
 from chronosynth.omega_word import LassoWord, inf_set
 from chronosynth.state_monoid import MonoidContext, MonoidError, UPMember, product
@@ -281,6 +285,34 @@ def reference_interrupt_targets(a, member, letter, semantics):
                 kind = "interrupt" if semantics == RC else (LEFT if n % 2 else RIGHT)
                 targets.add((dst, running, size, kind))
     return frozenset(targets)
+
+
+def enumerate_choices(arena):
+    """Depth-first search over reachable partial choices.
+
+    Yields (choice, violation-or-None) for every assignment whose verdict
+    is decided: completed winning/losing assignments, and violated partial
+    assignments (whose every completion loses, since reachability and both
+    violation clauses only grow under extension).  Every key of a yielded
+    choice is reachable under it: each is chosen while reachable, and
+    reachability only grows.  Order is deterministic.  The controller wins
+    iff some yielded choice has no violation: it has a positional winner
+    whenever it wins.
+    """
+
+    def explore(choice):
+        sg = partial_strategy_graph(arena, choice)
+        violation = find_violation(sg)
+        if violation is not None or not sg.pending:
+            yield dict(choice), violation
+            return
+        node = sg.pending[0]
+        for edge in arena.outgoing(node):
+            choice[node] = edge
+            yield from explore(choice)
+            del choice[node]
+
+    yield from explore({})
 
 
 def pair_profile(w: LassoWord) -> frozenset:

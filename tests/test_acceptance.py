@@ -12,7 +12,7 @@ from fractions import Fraction
 from chronosynth.arena import FV, RC
 from chronosynth.automaton import MAX_EVEN, ParityAutomaton, accepts
 from chronosynth.cli import main as cli_main
-from chronosynth.continuous_synth import decide_continuous, enumerate_choices
+from chronosynth.continuous_synth import decide_continuous
 from chronosynth.discrete_game import run_counter_machine, run_machine, solve, solve_indexed
 from chronosynth.game_sim import (
     ChoiceController,
@@ -31,7 +31,15 @@ from chronosynth.state_monoid import (
 
 from duel import geometric_duel
 from fixture_specs import FIXTURES, load_fixture
-from oracles import brute_force_solve, game_graph, naive_equiv, omega_equivalent, pair_profile, path_flags
+from oracles import (
+    brute_force_solve,
+    enumerate_choices,
+    game_graph,
+    naive_equiv,
+    omega_equivalent,
+    pair_profile,
+    path_flags,
+)
 from signal_model import (
     ConstantTail,
     FVSignal,

@@ -7,6 +7,7 @@ import pathlib
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -91,10 +92,23 @@ def test_monoid_one_state_counts():
     assert data["up_members"] == 1
 
 
-def test_monoid_full_listing():
+def test_monoid_full_listing(tmp_path):
     code, out, _ = run_cli("monoid", "--full", str(FIXTURES / "one_state.json"))
     data = json.loads(out)
-    assert data["representatives"] == ["q", "qq"]
+    assert data["representatives"] == [["q"], ["q", "q"]]
+    # over states a and aa, the strings (a, a) and (aa) are told apart
+    spec = json.loads((FIXTURES / "one_state.json").read_text())
+    spec["states"], spec["initial"], spec["priority"] = ["a", "aa"], "a", {"a": 0, "aa": 1}
+    spec["transitions"] = [
+        {"from": q, "in": x, "out": y, "to": "aa" if y == "1" else "a"}
+        for q in ("a", "aa") for x in "01" for y in "01"
+    ]
+    path = tmp_path / "a_aa.json"
+    path.write_text(json.dumps(spec))
+    code, out, _ = run_cli("monoid", "--full", str(path))
+    reps = json.loads(out)["representatives"]
+    assert code == EXIT_OK and ["a", "a"] in reps and ["aa"] in reps
+    assert len({tuple(r) for r in reps}) == len(reps)
 
 
 def test_arena_dot_and_json():
@@ -350,16 +364,27 @@ def test_resource_cap_exit_code():
     )
     assert code == EXIT_USAGE
     assert out == "" and "--monoid-cap" in err  # argparse's message
-    # psi_copy's table has 24 classes and 10 idempotents: 240 (class, idempotent) pairs
+    # psi_copy's table has 24 classes and 10 idempotents, 240 (class, idempotent)
+    # pairs; the build stops at the 18th class, the first whose 6 idempotents
+    # so far make more than 100 pairs
     code, out, err = run_cli("--monoid-cap", "100", "monoid", str(FIXTURES / "psi_copy.json"))
     assert code == EXIT_CAP
-    assert out == "" and "240 pairs" in err
-    # the choice search exceeds a strategy cap of 1 on an unrealizable spec
+    assert out == "" and "18 classes x 6 idempotents = 108 pairs so far" in err
+    # the class table of an unrealizable spec exceeds a monoid cap of 1
     code, out, err = run_cli(
-        "--strategy-cap", "1", "synth", "--semantics", "fv", str(FIXTURES / "psi_indet_fv.json")
+        "--monoid-cap", "1", "synth", "--semantics", "fv", str(FIXTURES / "psi_indet_fv.json")
     )
     assert code == EXIT_CAP
     assert out == "" and "cap" in err
+
+
+def test_monoid_pair_cap_stops_the_class_table_early():
+    # the whole table has 53,312 classes; the default cap stops the build long before
+    start = time.perf_counter()
+    code, out, err = run_cli("monoid", str(FIXTURES / "predict_next.json"))
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_CAP
+    assert out == "" and "over the pair cap 200000" in err
 
 
 def test_output_determinism(tmp_path):

@@ -68,45 +68,45 @@ def _invocations():
 INVOCATIONS = list(_invocations())
 
 PINNED = {
-    "synth --semantics rc --stats one_state": "60f9729a9bf7a16ebe68d628c7043694400caf1ec8a030141ad7e0a1ec9bef7f",
+    "synth --semantics rc --stats one_state": "bc8a7d9dd18aa31af9b3b3b276ff7d0eb660e8265596732541f1639b3c0a687f",
     "arena --semantics rc one_state": "2efe6f1c1038124d032c992cfbf34a706158be72416c3e27e7ffe015c396acba",
     "arena --semantics rc --dot one_state": "8774308717795be51ce5f0c1b12886df43d6c6bd8937fef3fd630616b14dd3ee",
-    "synth --semantics fv --stats one_state": "315f26c0b28b6dd3cac2c467910b7e1fcda31fe610bca16187ffd6bf9e57d457",
+    "synth --semantics fv --stats one_state": "1f40788fd17c0394ed9b752b692a86a13da6b43803ff0b5ec8a3ce15583e0dac",
     "arena --semantics fv one_state": "d5cb62aa75c676e08cfe58d51af18940e0fc9b11ee9c593b0a3ef97d9a92f204",
     "arena --semantics fv --dot one_state": "db6f03ec79bd6451b0fd86683cc892fd0fe623016c48b7722295ec484b2f3be9",
-    "synth --semantics rc --stats predict_next": "97363ebd7565ba3ec46f0dbd1100c29ac3c8a146268d0abcffbda63d9fa1d622",
+    "synth --semantics rc --stats predict_next": "2b25e78695401d9d8f26e5236deb2a20f808a5ee1fd505b8b1013d9894317c41",
     "arena --semantics rc predict_next": "52ab01e78ef29c0141d8982f4e5960c09a77b46790230bb036accf03f585482e",
     "arena --semantics rc --dot predict_next": "aba8ac22ae4bc7e67738381c79a31cf05bc93cdca4c7fb164ec5b114c888c1b8",
-    "synth --semantics fv --stats predict_next": "b075541f6459ab4d4e4ca358c63b379e2ee3646fd15bfb940b78fc3d60aec0a0",
+    "synth --semantics fv --stats predict_next": "e1bf63429afd38a49c59f2d1e1620c92d626e911e365f8369f47ffb6e8c15d22",
     "arena --semantics fv predict_next": "d529c170d06060e08d9c4651d1307dad67cb14dbebb965ab16afe6555db5156a",
     "arena --semantics fv --dot predict_next": "12281a1b5034bc4b900195bd4f5fb7b19d109decc7096d61dae0cb2e12ac205b",
-    "synth --semantics rc --stats psi_copy": "a934c58ac94b8b098c291b3ce4008aa35f8e8e262f5137ed52605ad9b2fabdd1",
+    "synth --semantics rc --stats psi_copy": "006c1790e6b0e27bef9d24fbf5aa7e9cce542d183eaffdfb2444b1abca2195d7",
     "arena --semantics rc psi_copy": "90f3a5b648ca73c6f0a9517a01bc148687530450dfec5e68f470828a22a60b04",
     "arena --semantics rc --dot psi_copy": "289c3c1bcb777ee57d3f2204d922f58afac72129ad7b353bd20470424fb9743d",
-    "synth --semantics fv --stats psi_copy": "0a85c1de40d655c66aa9593dbf3a6059cf002c7534c4b66ac1926f74e8f49df5",
+    "synth --semantics fv --stats psi_copy": "46e58a0a23bc5aff95c5b6ed9cfa4d82f4eaa1fee870092174193e8f261c1d71",
     "arena --semantics fv psi_copy": "8bdac446bfb0a2b1ed08853047dfbc236c26d3692ed8d39c90a947477e881f33",
     "arena --semantics fv --dot psi_copy": "6dfb4d5c958f847304bdc293ca8acec11e24bf3cfdc5b9405040f61bfb6b9e3f",
-    "synth --semantics rc --stats psi_indet_fv": "5ac14418c643736cfd731c8c509cf331319ad7edf50bcfc344a949afa2b70ec2",
+    "synth --semantics rc --stats psi_indet_fv": "ca225eeaa0615952e128701eb206fd8e05fad8ab65d6119d28439b8bda451497",
     "arena --semantics rc psi_indet_fv": "0c377d9687b8cb44b4f9561a254bf272322d75b4a1431ad9ab82240838ca6418",
     "arena --semantics rc --dot psi_indet_fv": "fed3892bba16ef6fc168932a0088a2485e0648a45b3c1bc27c9440292691b694",
-    "synth --semantics fv --stats psi_indet_fv": "a3dc9a2976b9cdc652b4d7f903f68001de0d2065ca18f9daac800b0021268b13",
+    "synth --semantics fv --stats psi_indet_fv": "c21a2850146aec44466e1983a523aba4a6fa8c361d60a6d821526b5f6238989d",
     "arena --semantics fv psi_indet_fv": "3c902927335ce108b714fbb79a71d73255c07ad4b056c396653a5a3479f73842",
     "arena --semantics fv --dot psi_indet_fv": "89d41199203a426bde78617c2a5b67ec15afcf00f2db934d418cf3cc59992389",
-    "synth --semantics rc --stats psi_jump_fv": "7024ca90568c81f92dbde12075ae725b176515c1e0b7412989f4996f134cb288",
+    "synth --semantics rc --stats psi_jump_fv": "19fc3ca6e66112cfb870fa5e5247922c4ece406aa7b753dce2c4462e8b858fa9",
     "arena --semantics rc psi_jump_fv": "b31bb5349775df59196339c61d006fbf5aac9eff0fe888b08eb3a66e89511966",
     "arena --semantics rc --dot psi_jump_fv": "2bb989ddb12769351592eb1fa8e81519499e1ed748e3e2fe44b5b3fa4aa903e4",
-    "synth --semantics fv --stats psi_jump_fv": "60b4457ee5f76757dfc017df619060387e7785a3d1d935a05146d9c28844bf5e",
+    "synth --semantics fv --stats psi_jump_fv": "b65f0a15c9691fcbd9c516d829c1b41e541ffe0bc88577eaed8aeed3c7a2099c",
     "arena --semantics fv psi_jump_fv": "306bac6f2dda672a18ed5e35c062272e3af9d3af47f82e1612f8b847cf1cbfc7",
     "arena --semantics fv --dot psi_jump_fv": "c83dec78cdb5bf6b2fadafb7ebaac8c4a94e64ff0734f61babe3c088f82cb273",
-    "synth --semantics rc --stats psi_jump_rc": "006080c57809e9977dd97eae92145206bbf5a08a76bcbb0205c6eaafd7ffef96",
+    "synth --semantics rc --stats psi_jump_rc": "381eae2f5f82eb37599acba91c790e2a94b1476a8812d9151813d94405cd8e5f",
     "arena --semantics rc psi_jump_rc": "8d05a5bc1bdcbdd0b6003040c8ee61ebfa0d69694dcacb170e22fa84055229db",
     "arena --semantics rc --dot psi_jump_rc": "0043faf65fe6481152b5736e1e94936ddc287812936225f9d95117c83ca77798",
-    "synth --semantics fv --stats psi_jump_rc": "7f0040f666b38327b169255713cac6371a3c586a97f09a9fc77ff5a0913ae03f",
+    "synth --semantics fv --stats psi_jump_rc": "9a2d344a7aa7c7795080461a69fa9e7f37a09b877bb84c76cc9c0e74200fe843",
     "arena --semantics fv psi_jump_rc": "095405c7705db0685c28113a5fd3eaec73c0993b409c4203d7f3edde4ecfb1dd",
     "arena --semantics fv --dot psi_jump_rc": "2db304cbb78d9014808e875933c5fb55e9e56b3e1207e93540bf5d648f403116",
-    "monoid --full one_state": "b2a60ccad548971d8193826b7870baa111364229b6cdf139acf80826ba0688dd",
-    "monoid --full psi_copy": "760c898180385c4a956aa282c0992c6047fdb616367ce3c728277c638ddf4c9e",
-    "monoid --full psi_copy_d": "760c898180385c4a956aa282c0992c6047fdb616367ce3c728277c638ddf4c9e",
+    "monoid --full one_state": "2f5e966d552a48a0c92ed3fa80d5dad6903a06468983889b967f624fa735b979",
+    "monoid --full psi_copy": "0a0b7bc100980e6b011fca1948cc45a262f63b753470c276a9c92dbec323b9e5",
+    "monoid --full psi_copy_d": "0a0b7bc100980e6b011fca1948cc45a262f63b753470c276a9c92dbec323b9e5",
     "solve-discrete one_state": "3e3910b9d19f0dad7b9d1b4bcd56dbb7b16bc7d09064e3eb73f0da9511a12633",
     "solve-discrete predict_next": "29ced89d1e6250189fd919b079b3859f4ac25651b95931c09ed9381a720a0384",
     "solve-discrete psi_copy": "08d1d24d411715059e58e2a03359482a062f756e1e9e75c464e39fbad028207d",

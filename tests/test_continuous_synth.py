@@ -1,4 +1,4 @@
-"""Winning-check clauses, enumeration, and end-to-end verdicts."""
+"""Winning-check clauses, the choice oracle, and end-to-end verdicts."""
 
 import hashlib
 import json
@@ -11,17 +11,17 @@ from chronosynth.arena import FV, I_UP, RC
 from chronosynth.automaton import MAX_EVEN, ParityAutomaton
 from chronosynth.cli import _witness_json
 from chronosynth.continuous_synth import (
-    ResourceCapError,
     SynthError,
     build_game_arena,
     build_strategy_graph,
     decide_continuous,
-    enumerate_choices,
     find_violation,
     partial_strategy_graph,
 )
+from chronosynth.state_monoid import ResourceCapError
 
 from fixture_specs import load_fixture
+from oracles import enumerate_choices
 
 
 def random_automaton(rng, n_states=2, max_prio=3):
@@ -67,12 +67,6 @@ def exhaustive_bad_walk(sg, max_len=None):
                 if max(prios) % 2 == 1 and any(e.size == "big" for e in walk):
                     return walk
     return None
-
-
-def first_complete_choice(arena):
-    for choice, violation in enumerate_choices(arena):
-        return choice, violation
-    raise AssertionError("no choice enumerated")
 
 
 def test_clause_a_detects_nonfinal_block_node():
@@ -225,15 +219,16 @@ def test_uniform_priority_parity_forces_verdict():
                 assert decide_continuous(spec, sem).realizable is expected
 
 
-def test_strategy_cap_raises():
+def test_monoid_cap_raises():
     spec = load_fixture("psi_indet_fv")
     with pytest.raises(ResourceCapError):
-        decide_continuous(spec, FV, strategy_cap=3)
+        decide_continuous(spec, FV, monoid_cap=1)
 
 
 def test_stats_reported():
     res = decide_continuous(load_fixture("psi_copy"), RC)
-    assert res.stats.strategies_examined >= 1
+    assert res.stats.solve_calls >= 1
+    assert 0 < res.stats.game_edges <= len(res.arena.edges)
     assert res.stats.up_sizes
     assert res.stats.d_bound >= 1
 
@@ -260,79 +255,79 @@ def test_letters_with_one_relation_share_one_class_table(
     assert stats.up_sizes == {"0": members, "1": members}
 
 
-# (realizable, strategies_examined, pruned) per continuous fixture and
-# semantics, recorded on the arena with one block node per vocabulary
-# member: building block nodes over behaviours must not change the search
+# (realizable, solve_calls, game_nodes, game_edges) per continuous fixture
+# and semantics: the recursion's calls, and the nodes and edges left to it
+# by the clause-A and stuck-block attractors (none when the environment
+# wins from fresh by clause A alone)
 SEARCH_TABLE = {
-    ("one_state", RC): (True, 1, 0),
-    ("one_state", FV): (True, 1, 0),
-    ("predict_next", RC): (False, 3, 3),
-    ("predict_next", FV): (False, 5, 5),
-    ("psi_copy", RC): (True, 3, 2),
-    ("psi_copy", FV): (True, 5, 4),
-    ("psi_indet_fv", RC): (False, 8, 8),
-    ("psi_indet_fv", FV): (False, 36, 36),
-    ("psi_jump_fv", RC): (True, 9, 8),
-    ("psi_jump_fv", FV): (True, 5, 4),
-    ("psi_jump_rc", RC): (True, 5, 4),
-    ("psi_jump_rc", FV): (True, 1, 0),
+    ("one_state", RC): (True, 1, 5, 8),
+    ("one_state", FV): (True, 1, 8, 16),
+    ("predict_next", RC): (False, 0, 0, 0),
+    ("predict_next", FV): (False, 0, 0, 0),
+    ("psi_copy", RC): (True, 1, 5, 8),
+    ("psi_copy", FV): (True, 1, 8, 16),
+    ("psi_indet_fv", RC): (False, 0, 0, 0),
+    ("psi_indet_fv", FV): (False, 0, 0, 0),
+    ("psi_jump_fv", RC): (True, 1, 29, 72),
+    ("psi_jump_fv", FV): (True, 1, 56, 222),
+    ("psi_jump_rc", RC): (True, 1, 23, 52),
+    ("psi_jump_rc", FV): (True, 1, 43, 158),
 }
 
 
 @pytest.mark.parametrize("fixture,semantics", sorted(SEARCH_TABLE))
 def test_fixture_search_is_pinned(fixture, semantics):
     res = decide_continuous(load_fixture(fixture), semantics)
-    got = (res.realizable, res.stats.strategies_examined, res.stats.pruned)
+    got = (res.realizable, res.stats.solve_calls, res.stats.game_nodes, res.stats.game_edges)
     assert got == SEARCH_TABLE[(fixture, semantics)]
 
 
 # per (spec index, semantics) of a seeded corpus of 2-state specs:
-# (realizable, strategies_examined, pruned, arena nodes, arena edges, and the
-# first 16 hex digits of the sha256 of the witness JSON and of the reprs of
-# every violation the search meets before its verdict), recorded with
-# dataclass arena nodes, edges and signatures.  Their order decides the
-# search order, the witness and each violation's cycle and entry path.
+# (realizable, solve_calls, game_nodes, game_edges, arena nodes, arena edges,
+# and the first 16 hex digits of the sha256 of the witness JSON and of the
+# repr of the verdict's violation).  The arena's node order decides the
+# solver's order, the witness and the violation's cycle and entry path.
 CORPUS_TABLE = {
-    (0, RC): (True, 1, 0, 27, 93, "1ca1dcbe31166e1d", "e3b0c44298fc1c14"),
-    (0, FV): (True, 1, 0, 80, 479, "af619c3ff0ec5f8c", "e3b0c44298fc1c14"),
-    (1, RC): (False, 3, 3, 11, 26, "74234e98afe7498f", "cfed42d299f6980c"),
-    (1, FV): (False, 5, 5, 18, 50, "74234e98afe7498f", "929898f635ffa33f"),
-    (2, RC): (True, 1, 0, 15, 50, "798b71db6af6f422", "e3b0c44298fc1c14"),
-    (2, FV): (True, 1, 0, 41, 232, "86d21b0516a231dd", "e3b0c44298fc1c14"),
-    (3, RC): (True, 1, 0, 11, 21, "1ca1dcbe31166e1d", "e3b0c44298fc1c14"),
-    (3, FV): (True, 1, 0, 18, 49, "af619c3ff0ec5f8c", "e3b0c44298fc1c14"),
-    (4, RC): (False, 3, 3, 13, 28, "74234e98afe7498f", "38164f6f264a43d2"),
-    (4, FV): (False, 5, 5, 21, 68, "74234e98afe7498f", "4cdbd077a8890493"),
-    (5, RC): (True, 1, 0, 21, 76, "7f95ce4a253b3e47", "e3b0c44298fc1c14"),
-    (5, FV): (True, 19, 18, 61, 354, "ab213b4496981480", "ac13ed94f7773fa6"),
-    (6, RC): (True, 1, 0, 25, 86, "7f95ce4a253b3e47", "e3b0c44298fc1c14"),
-    (6, FV): (True, 2, 0, 77, 460, "a11fed50f2618373", "a5aad98e71b735f3"),
-    (7, RC): (True, 1, 0, 11, 21, "1ca1dcbe31166e1d", "e3b0c44298fc1c14"),
-    (7, FV): (True, 1, 0, 18, 49, "af619c3ff0ec5f8c", "e3b0c44298fc1c14"),
-    (8, RC): (False, 1, 1, 27, 93, "74234e98afe7498f", "421ab0403053329c"),
-    (8, FV): (False, 1, 1, 80, 479, "74234e98afe7498f", "da4d2f84ec13b53c"),
-    (9, RC): (True, 1, 0, 11, 21, "1ca1dcbe31166e1d", "e3b0c44298fc1c14"),
-    (9, FV): (True, 1, 0, 18, 49, "af619c3ff0ec5f8c", "e3b0c44298fc1c14"),
-    (10, RC): (True, 1, 0, 15, 45, "1ca1dcbe31166e1d", "e3b0c44298fc1c14"),
-    (10, FV): (True, 1, 0, 38, 192, "af619c3ff0ec5f8c", "e3b0c44298fc1c14"),
-    (11, RC): (False, 15, 15, 32, 119, "74234e98afe7498f", "934e8ba05decd203"),
-    (11, FV): (False, 194, 194, 118, 766, "74234e98afe7498f", "44b246c6743c5cf5"),
-    (12, RC): (False, 9, 9, 27, 93, "74234e98afe7498f", "26ceb41ea7badba3"),
-    (12, FV): (False, 268, 268, 80, 479, "74234e98afe7498f", "2e0cfd1da76fca67"),
-    (13, RC): (True, 1, 0, 11, 21, "7f95ce4a253b3e47", "e3b0c44298fc1c14"),
-    (13, FV): (True, 1, 0, 18, 49, "a11fed50f2618373", "e3b0c44298fc1c14"),
-    (14, RC): (False, 1, 1, 15, 45, "74234e98afe7498f", "421ab0403053329c"),
-    (14, FV): (False, 1, 1, 38, 192, "74234e98afe7498f", "da4d2f84ec13b53c"),
-    (15, RC): (True, 1, 0, 13, 28, "1ca1dcbe31166e1d", "e3b0c44298fc1c14"),
-    (15, FV): (True, 1, 0, 21, 68, "af619c3ff0ec5f8c", "e3b0c44298fc1c14"),
-    (16, RC): (False, 1, 1, 15, 50, "74234e98afe7498f", "57549412d7b45a1f"),
-    (16, FV): (False, 1, 1, 49, 291, "74234e98afe7498f", "af8b404fa4a9bae4"),
-    (17, RC): (True, 1, 0, 9, 14, "1ca1dcbe31166e1d", "e3b0c44298fc1c14"),
-    (17, FV): (True, 1, 0, 15, 30, "af619c3ff0ec5f8c", "e3b0c44298fc1c14"),
-    (18, RC): (True, 3, 2, 32, 119, "65e4d8351ebcadff", "a1238da7ae4e28e6"),
-    (18, FV): (True, 3, 2, 118, 766, "653e1832d6372f73", "6d37f48f0b280320"),
-    (19, RC): (True, 1, 0, 27, 93, "1ca1dcbe31166e1d", "e3b0c44298fc1c14"),
-    (19, FV): (True, 1, 0, 80, 479, "af619c3ff0ec5f8c", "e3b0c44298fc1c14"),
+    (0, RC): (True, 1, 27, 93, 27, 93, "1ca1dcbe31166e1d", "dc937b59892604f5"),
+    (0, FV): (True, 1, 80, 479, 80, 479, "af619c3ff0ec5f8c", "dc937b59892604f5"),
+    (1, RC): (False, 0, 0, 0, 11, 26, "74234e98afe7498f", "1c27151ed7444657"),
+    (1, FV): (False, 0, 0, 0, 18, 50, "74234e98afe7498f", "7a7d42e71296d2f6"),
+    (2, RC): (True, 1, 10, 30, 15, 50, "798b71db6af6f422", "dc937b59892604f5"),
+    (2, FV): (True, 1, 31, 165, 41, 232, "86d21b0516a231dd", "dc937b59892604f5"),
+    (3, RC): (True, 1, 5, 8, 11, 21, "1ca1dcbe31166e1d", "dc937b59892604f5"),
+    (3, FV): (True, 1, 8, 16, 18, 49, "af619c3ff0ec5f8c", "dc937b59892604f5"),
+    (4, RC): (False, 0, 0, 0, 13, 28, "74234e98afe7498f", "421ab0403053329c"),
+    (4, FV): (False, 0, 0, 0, 21, 68, "74234e98afe7498f", "da4d2f84ec13b53c"),
+    (5, RC): (True, 3, 15, 42, 21, 76, "7f95ce4a253b3e47", "dc937b59892604f5"),
+    (5, FV): (True, 3, 27, 106, 61, 354, "ab213b4496981480", "dc937b59892604f5"),
+    (6, RC): (True, 3, 13, 32, 25, 86, "7f95ce4a253b3e47", "dc937b59892604f5"),
+    (6, FV): (True, 3, 31, 136, 77, 460, "ab213b4496981480", "dc937b59892604f5"),
+    (7, RC): (True, 1, 10, 18, 11, 21, "1ca1dcbe31166e1d", "dc937b59892604f5"),
+    (7, FV): (True, 1, 17, 44, 18, 49, "af619c3ff0ec5f8c", "dc937b59892604f5"),
+    (8, RC): (False, 0, 0, 0, 27, 93, "74234e98afe7498f", "421ab0403053329c"),
+    (8, FV): (False, 0, 0, 0, 80, 479, "74234e98afe7498f", "da4d2f84ec13b53c"),
+    (9, RC): (True, 1, 10, 18, 11, 21, "1ca1dcbe31166e1d", "dc937b59892604f5"),
+    (9, FV): (True, 1, 17, 44, 18, 49, "af619c3ff0ec5f8c", "dc937b59892604f5"),
+    (10, RC): (True, 1, 15, 45, 15, 45, "1ca1dcbe31166e1d", "dc937b59892604f5"),
+    (10, FV): (True, 1, 38, 192, 38, 192, "af619c3ff0ec5f8c", "dc937b59892604f5"),
+    (11, RC): (False, 0, 0, 0, 32, 119, "74234e98afe7498f", "2df02f8433b2073a"),
+    (11, FV): (False, 0, 0, 0, 118, 766, "74234e98afe7498f", "dae14dbc864bb34c"),
+    (12, RC): (False, 0, 0, 0, 27, 93, "74234e98afe7498f", "421ab0403053329c"),
+    (12, FV): (False, 0, 0, 0, 80, 479, "74234e98afe7498f", "da4d2f84ec13b53c"),
+    (13, RC): (True, 3, 10, 18, 11, 21, "7f95ce4a253b3e47", "dc937b59892604f5"),
+    (13, FV): (True, 3, 17, 44, 18, 49, "ab213b4496981480", "dc937b59892604f5"),
+    (14, RC): (False, 0, 0, 0, 15, 45, "74234e98afe7498f", "421ab0403053329c"),
+    (14, FV): (False, 0, 0, 0, 38, 192, "74234e98afe7498f", "da4d2f84ec13b53c"),
+    (15, RC): (True, 1, 11, 22, 13, 28, "1ca1dcbe31166e1d", "dc937b59892604f5"),
+    (15, FV): (True, 1, 19, 58, 21, 68, "af619c3ff0ec5f8c", "dc937b59892604f5"),
+    (16, RC): (False, 0, 0, 0, 15, 50, "74234e98afe7498f", "57549412d7b45a1f"),
+    (16, FV): (False, 0, 0, 0, 49, 291, "74234e98afe7498f", "af8b404fa4a9bae4"),
+    (17, RC): (True, 1, 9, 14, 9, 14, "1ca1dcbe31166e1d", "dc937b59892604f5"),
+    (17, FV): (True, 3, 15, 30, 15, 30, "af619c3ff0ec5f8c", "dc937b59892604f5"),
+    (18, RC): (True, 1, 26, 95, 32, 119, "65e4d8351ebcadff", "dc937b59892604f5"),
+    (18, FV): (True, 1, 104, 670, 118, 766, "653e1832d6372f73", "dc937b59892604f5"),
+    (19, RC): (True, 1, 27, 93, 27, 93, "1ca1dcbe31166e1d", "dc937b59892604f5"),
+    (19, FV): (True, 1, 80, 479, 80, 479, "af619c3ff0ec5f8c", "dc937b59892604f5"),
 }
 
 
@@ -350,19 +345,15 @@ def test_random_corpus_search_is_pinned():
         for sem in (RC, FV):
             res = decide_continuous(spec, sem)
             witness = None if res.witness is None else _witness_json(res.arena, res.witness)
-            violations = []
-            for _, violation in enumerate_choices(res.arena):
-                if violation is None:
-                    break
-                violations.append(repr(violation))
             got = (
                 res.realizable,
-                res.stats.strategies_examined,
-                res.stats.pruned,
+                res.stats.solve_calls,
+                res.stats.game_nodes,
+                res.stats.game_edges,
                 len(res.arena.nodes),
                 len(res.arena.edges),
                 _digest(json.dumps(witness, sort_keys=True)),
-                _digest("".join(violations)),
+                _digest(repr(res.violation)),
             )
             assert got == CORPUS_TABLE[(i, sem)], (i, sem)
 

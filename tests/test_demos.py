@@ -23,7 +23,7 @@ PINNED = {
     "04_discrete_synthesis": "f26f248c626c345c63b722ebde80cc3032df7b3d4e772862c7e30e4837e69f9f",
     "05_finite_state_gap": "3b829d17d0cf68cd53c751d30f04ac440b548ce515e7c3373e376429019df1a2",
     "06_arena_tour": "b8355babb0ec726427728a0e5b5960f11aa9533613e016650d1f601763415b77",
-    "07_continuous_synthesis": "25708b64ebb1354632adacec3e3ed6bafa9c268d623cf0d0593b7123988b8126",
+    "07_continuous_synthesis": "79e1b9c52a07bd4632d99496835cd69049cb6d7dceefef747ad4d42f9dd36a44",
     "08_zeno_duel": "82e9e9c96cc21ae58c9994b19071107eedc16a7238e762520ec5689b46cd95ae",
 }
 

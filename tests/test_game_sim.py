@@ -212,7 +212,7 @@ def test_witness_never_loses_random_plays():
 
 
 def test_violation_environment_defeats_losing_choice():
-    from chronosynth.continuous_synth import enumerate_choices
+    from oracles import enumerate_choices
 
     res = rc_setup()
     arena = res.arena
@@ -261,7 +261,7 @@ def test_adjudicate_zeno_on_capped_geometric_play():
 def test_adjudicate_divergent_odd_cycle():
     # environment loops a big edge with unit gaps on a losing choice; the
     # fixtures meet no clause-B violation, two specs of the random corpus do
-    from chronosynth.continuous_synth import enumerate_choices
+    from oracles import enumerate_choices
     from test_continuous_synth import _corpus_specs
 
     replayed = 0

@@ -1,0 +1,149 @@
+"""The recursive solver against the choice search, and its certificates.
+
+``solve_interrupt`` must give the verdict of ``oracles.enumerate_choices``
+on every arena here, its positional choice must pass ``find_violation``,
+and every unrealizable verdict's violation, replayed by
+``ViolationEnvironment`` against the choices along it, must go to the
+environment: the checks that ``bench/certify.py`` makes.
+"""
+
+import dataclasses
+import random
+
+import pytest
+
+from chronosynth.arena import FV, RC
+from chronosynth.continuous_synth import (
+    SynthStats,
+    build_game_arena,
+    build_strategy_graph,
+    decide_continuous,
+    find_violation,
+    solve_interrupt,
+    tree_node,
+)
+from chronosynth.game_sim import ChoiceController, ViolationEnvironment, adjudicate, run_play
+
+from fixture_specs import load_fixture
+from oracles import enumerate_choices
+from test_continuous_synth import _corpus_specs
+from test_discrete_game import _family_spec
+
+FIXTURES = ("one_state", "predict_next", "psi_copy", "psi_indet_fv", "psi_jump_fv", "psi_jump_rc")
+
+
+def _specs():
+    """The continuous fixtures, the 2-state corpus and 12 specs of the deep/3 family."""
+    specs = [(name, load_fixture(name)) for name in FIXTURES]
+    specs += [(f"corpus {i}", spec) for i, spec in enumerate(_corpus_specs())]
+    specs += [(f"deep/3/{i}", _family_spec("deep", i, 3, ("0", "1"), 4)) for i in range(12)]
+    return specs
+
+
+JOBS = [(name, spec, sem) for name, spec in _specs() for sem in (RC, FV)]
+
+
+def _search_verdict(arena):
+    """(whether a choice the search meets survives ``find_violation``, the choices it met)."""
+    met = 0
+    for _, violation in enumerate_choices(arena):
+        met += 1
+        if violation is None:
+            return True, met
+    return False, met
+
+
+@pytest.mark.parametrize("name,spec,semantics", JOBS, ids=[f"{n}-{s}" for n, _, s in JOBS])
+def test_solver_agrees_with_the_choice_search(name, spec, semantics):
+    arena = build_game_arena(spec, semantics)[0]
+    realizable, choice = solve_interrupt(arena)
+    assert realizable == _search_verdict(arena)[0]
+    if not realizable:
+        assert choice is None
+        return
+    graph = build_strategy_graph(arena, choice)
+    assert find_violation(graph) is None
+    # the choice covers exactly the controller nodes reachable under it
+    assert set(choice) == {n for n in graph.edges_from if arena.owner(n) == "O"}
+    assert all(edge in arena.outgoing(node) for node, edge in choice.items())
+
+
+def test_priorities_past_the_colour_mask_width_keep_every_verdict():
+    # colours are bits 2p + big of one integer, so a priority of 100 sets bit 200
+    for i, spec in enumerate(_corpus_specs()):
+        high = dataclasses.replace(spec, priority={q: p + 100 for q, p in spec.priority.items()})
+        for semantics in (RC, FV):
+            res = decide_continuous(high, semantics)
+            assert res.realizable == decide_continuous(spec, semantics).realizable, (i, semantics)
+            if res.realizable:
+                assert find_violation(build_strategy_graph(res.arena, res.witness)) is None
+
+
+def test_unrealizable_violations_replay_to_the_environment():
+    rng = random.Random(5)
+    replayed = 0
+    for name, spec, semantics in JOBS:
+        res = decide_continuous(spec, semantics)
+        if res.realizable:
+            assert res.violation is None
+            continue
+        violation = res.violation
+        assert violation is not None, (name, semantics)
+        path = violation.entry + violation.cycle
+        choice = {e.src: e for e in path if res.arena.owner(e.src) == "O"}
+        interrupts = sum(1 for e in path if e.labeled)
+        env = ViolationEnvironment(res.arena, violation, rng=random.Random(rng.getrandbits(32)))
+        play = run_play(
+            res.arena, ChoiceController(res.arena, choice), env, max_rounds=4 * interrupts + 4
+        )
+        assert adjudicate(play).winner == "I", (name, semantics, violation.kind)
+        replayed += 1
+    assert replayed > 10
+
+
+def test_search_heavy_specs_decide_without_a_choice_cap():
+    # the bench's arena-13 spec under fv: the search meets 268 choices, and
+    # the clause-A attractor alone decides it before any recursion call
+    arena = build_game_arena(_family_spec("arena", 13, 2, ("0", "1"), 3), FV)[0]
+    stats = SynthStats()
+    assert solve_interrupt(arena, stats)[0] is False
+    assert (stats.solve_calls, stats.game_edges) == (0, 0)
+    assert _search_verdict(arena) == (False, 268)
+    # deep/4/0 under fv: the search meets 5,639 choices (about a second);
+    # the recursion decides it in 4 calls on 358 of the 1,282 edges
+    res = decide_continuous(_family_spec("deep", 0, 4, ("0", "1"), 4), FV)
+    assert res.realizable is False
+    assert (res.stats.solve_calls, res.stats.game_edges, len(res.arena.edges)) == (4, 358, 1282)
+    assert res.violation is not None
+
+
+def _controller_wins(colours, big_colours):
+    big = colours & big_colours
+    return not big or ((colours.bit_length() - 1) >> 1) % 2 == 0
+
+
+def _reference_children(colours, big_colours):
+    """The maximal nonempty subsets of ``colours`` that its loser wins, by trying every subset."""
+    bits = [1 << i for i in range(colours.bit_length()) if colours >> i & 1]
+    winner = _controller_wins(colours, big_colours)
+    subsets = [
+        sum(b for j, b in enumerate(bits) if k >> j & 1) for k in range(1, 2 ** len(bits) - 1)
+    ]
+    lost = [s for s in subsets if _controller_wins(s, big_colours) != winner]
+    # largest first: a subset that is not maximal lies inside one kept before it
+    maximal = []
+    for s in sorted(lost, key=lambda s: -bin(s).count("1")):
+        if not any(not s & ~t for t in maximal):
+            maximal.append(s)
+    return sorted(maximal)
+
+
+def test_tree_node_children_are_the_maximal_subsets_the_loser_wins():
+    # every colour set over priorities 0..4, small and big: 2^10 - 1 sets
+    big_colours = int("10" * 5, 2)
+    for colours in range(1, 1 << 10):
+        winner, children = tree_node(colours, big_colours)
+        assert winner == _controller_wins(colours, big_colours), bin(colours)
+        assert sorted(children) == _reference_children(colours, big_colours), bin(colours)
+        if winner:
+            assert len(children) <= 1  # so the controller's strategies are positional
