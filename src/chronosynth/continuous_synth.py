@@ -10,19 +10,11 @@ duration finite.  The controller's condition, Fin(big) or even parity, is a
 Rabin condition, so the controller has a positional winning strategy
 whenever it wins (Emerson & Jutla, FOCS 1988).
 
-``solve_interrupt`` decides the game by the McNaughton-Zielonka recursion
-over the Zielonka tree of that condition (Zielonka, TCS 1998).  A colour is
-an edge's (effective priority, big?), kept on the edge as one bit of an
-integer mask.  A colour set the controller wins (no big colour, or even top
-priority) has at most one child, the one maximal subset the environment
-wins: {c : p(c) <= q}, where q is the largest odd priority with a big
-colour at or below it.  So the controller's side of the recursion needs no
-memory, and the strategy it returns is positional.  A colour set the
-environment wins has at most two children: its colours that are not big,
-and {c : p(c) <= e} for the largest even e present.  Before the recursion,
-the environment's attractor to the non-final block nodes settles clause A,
-and the controller's attractor to the final block nodes without moves
-(where the environment must accept) settles those.
+``solve_interrupt`` decides the game with ``discrete_game.Game``, whose
+recursion runs over the Zielonka tree of that condition (``tree_node``) on
+edges coloured (effective priority, big?).  Two attractors first settle
+clause A and the final block nodes without moves, where the environment
+must accept.
 
 ``find_violation`` is the independent check of a positional choice: in
 the one-player restriction, clause A is a reachable non-final block node,
@@ -40,6 +32,7 @@ from functools import cached_property
 
 from .arena import FRESH, FV, I_UP, OWNER, RC, Arena, ArenaNode, build_fv_arena, build_rc_arena
 from .automaton import ParityAutomaton
+from .discrete_game import Game, dense_ranks
 from .state_monoid import (
     MONOID_CAP,
     build_UP,
@@ -239,11 +232,11 @@ class SynthResult:
 def tree_node(colours: int, big_colours: int):
     """(controller wins?, children): a node of the Zielonka tree of Fin(big) or even parity.
 
-    A colour set is a mask of bits 2p + big, for priority p; ``big_colours``
-    has every big bit.  The controller wins the plays that see exactly the
-    colours in ``colours`` infinitely often iff none is big or the top
-    priority is even.  The children are the maximal nonempty subsets that
-    the other player wins.
+    A colour set is a mask of bits 2r + big, r a priority's rank
+    (``discrete_game.dense_ranks``); ``big_colours`` has every big bit.  The
+    controller wins the plays that see exactly the colours in ``colours``
+    infinitely often iff none is big or the top priority is even.  The
+    children are the maximal nonempty subsets that the other player wins.
     """
     big = colours & big_colours
     if not big:
@@ -282,17 +275,17 @@ def solve_interrupt(arena: Arena, stats: SynthStats | None = None):
     n = len(nodes)
     index = {node: v for v, node in enumerate(nodes)}
     rc, priority, final_up = arena.semantics == RC, arena.automaton.priority, arena.final_up
-    # a colour is bit 2p + big of a mask, for effective priority p (-1 read as 0);
-    # no label exceeds the top state priority
-    big_colours = int("10" * (max(priority.values()) + 1), 2)
-    # per node: successor ids, and each edge's colour bit (one for all, at a controller node)
-    succ, colour = [], []
-    pred = [[] for _ in range(n)]  # per node: (source id, colour bit) of each edge into it
-    is_o = bytearray(n)
+    # a colour is bit 2r + big of a mask, for the rank r of the effective
+    # priority (-1 read as 0); no label exceeds the top state priority
+    rank = dense_ranks([0, *priority.values()])
+    small = {p: 1 << 2 * r for p, r in rank.items()}
+    big_colours = int("10" * (max(rank.values()) + 1), 2)
+    succ, owner, colour, edge_colour = [], [], [], {}
     accepts, stuck = [], []  # non-final block nodes; final block nodes without moves
     for v, (node, outs) in enumerate(arena.edges_from.items()):
         kind = node.kind
         p = 0 if rc or kind == FRESH else priority[node.state]
+        owner.append(OWNER[kind])
         if kind == I_UP:
             if node not in final_up:
                 accepts.append(v)
@@ -300,168 +293,34 @@ def solve_interrupt(arena: Arena, stats: SynthStats | None = None):
                 stuck.append(v)
             ws, cs = [], []
             for _, dst, q, size, _ in outs:
-                w, c = index[dst], 1 << (2 * (q if q > p else p) + (size == "big"))
-                ws.append(w)
-                cs.append(c)
-                pred[w].append((v, c))
+                ws.append(index[dst])
+                cs.append(small[q if q > p else p] << (size == "big"))
+            succ.append(ws)
+            colour.append(0)
+            edge_colour[v] = cs
         else:
-            # unlabelled edges: one colour, that of the source, which a
-            # controller node keeps once
-            ws = [index[e.dst] for e in outs]
-            c = 1 << 2 * p
-            entry = (v, c)
-            for w in ws:
-                pred[w].append(entry)
-            if OWNER[kind] == "O":
-                is_o[v] = 1
-                cs = (c,)
-            else:
-                cs = [c] * len(ws)
-        succ.append(ws)
-        colour.append(cs)
+            succ.append([index[e.dst] for e in outs])
+            colour.append(small[p])  # unlabelled edges: the source's colour
 
-    def attract(inside, region, mask, goal, targets, to_o):
-        """The attractor of the controller (to_o) or the environment in a subgame.
-
-        The subgame has the nodes marked in ``inside``, listed in ``region``,
-        and the edges between them whose colour is in ``mask``.  Its targets
-        are the nodes ``targets`` and the edges with a colour in ``goal``.
-        Returns the membership of the region minus the attractor, the
-        attractor's nodes, and the controller's moves towards the targets
-        when the controller attracts.
-        """
-        rest = bytearray(inside)
-        attr, strategy, count = list(targets), {}, {}
-        for v in attr:
-            rest[v] = 0
-        if goal:
-            for v in region:
-                if not rest[v]:
-                    continue
-                if is_o[v]:
-                    # one colour: all or none of its edges are goal edges, and
-                    # with none its count is taken when the attractor reaches it
-                    if colour[v][0] & goal:
-                        rest[v] = 0
-                        attr.append(v)
-                        if to_o:
-                            strategy[v] = next(w for w in succ[v] if inside[w])
-                elif to_o:
-                    left = 0  # subgame edges that miss the goal colours
-                    for w, c in zip(succ[v], colour[v]):
-                        if inside[w] and c & mask and not c & goal:
-                            left += 1
-                    if left:
-                        count[v] = left
-                    else:
-                        rest[v] = 0
-                        attr.append(v)
-                else:
-                    for w, c in zip(succ[v], colour[v]):
-                        if c & goal and inside[w]:
-                            rest[v] = 0
-                            attr.append(v)
-                            break
-        i = 0
-        while i < len(attr):
-            w = attr[i]
-            i += 1
-            for v, c in pred[w]:
-                if not rest[v] or not c & mask or c & goal:
-                    continue
-                if is_o[v] == to_o:
-                    rest[v] = 0
-                    attr.append(v)
-                    strategy[v] = w
-                    continue
-                left = count.get(v)
-                if left is None:
-                    if is_o[v]:  # one colour, and this edge shows it is in the mask
-                        left = sum(map(inside.__getitem__, succ[v]))
-                    else:
-                        left = sum(1 for u, d in zip(succ[v], colour[v]) if inside[u] and d & mask)
-                if left == 1:
-                    rest[v] = 0
-                    attr.append(v)
-                else:
-                    count[v] = left - 1
-        return rest, attr, strategy if to_o else {}
-
-    def solve(inside, region, allowed):
-        """The controller's winning nodes and positional moves in a subgame.
-
-        The subgame has the nodes marked in ``inside``, listed in
-        ``region``, and the edges between them whose colour is in
-        ``allowed``; every node keeps a move.  Each pass solves the region
-        at the tree node of the colours present.  When the opponent of
-        that node's winner wins part of a child's subgame, the pass peels
-        that part's attractor off, and the next pass solves what is left.
-        """
-        stats.solve_calls += 1
-        win, strategy = [], {}
-        while region:
-            present = 0
-            for v in region:
-                if is_o[v]:
-                    present |= colour[v][0]
-                else:
-                    for w, c in zip(succ[v], colour[v]):
-                        if inside[w]:
-                            present |= c
-            present &= allowed
-            controller_wins, children = tree_node(present, big_colours)
-            for child in children:
-                # the winner's attractor to the colours outside the child
-                rest, _, reach = attract(inside, region, present, present & ~child, (), controller_wins)
-                sub = [v for v in region if rest[v]]
-                sub_win, sub_strategy = solve(rest, sub, child)
-                if controller_wins:
-                    if len(sub_win) == len(sub):
-                        strategy.update(reach)
-                        strategy.update(sub_strategy)
-                        return win + region, strategy
-                    mine = bytearray(n)
-                    for v in sub_win:
-                        mine[v] = 1
-                    lost = [v for v in sub if not mine[v]]
-                    inside, _, _ = attract(inside, region, present, 0, lost, False)
-                elif sub_win:
-                    inside, peeled, reach = attract(inside, region, present, 0, sub_win, True)
-                    win += peeled
-                    strategy.update(sub_strategy)
-                    strategy.update(reach)
-                else:
-                    continue
-                region = [v for v in region if inside[v]]
-                break
-            else:
-                if controller_wins:  # no child: every play of the region is won
-                    for v in region:
-                        if is_o[v]:
-                            strategy[v] = next(w for w in succ[v] if inside[w])
-                    return win + region, strategy
-                return win, strategy
-        return win, strategy
-
-    everything = bytearray(b"\x01") * n
+    game = Game(succ, owner, colour, edge_colour)
     fresh = index[arena.fresh]
-    inside, _, _ = attract(everything, range(n), -1, 0, accepts, False)
+    inside = game.attractor(bytearray(b"\x01") * n, accepts, "I")[0]
     if not inside[fresh]:
         return False, None
-    region = [v for v in range(n) if inside[v]]
-    inside, _, strategy = attract(inside, region, -1, 0, stuck, True)
+    inside, _, strategy = game.attractor(inside, stuck, "O")
     if inside[fresh]:
-        region = [v for v in region if inside[v]]
+        region = [v for v in range(n) if inside[v]]
         stats.game_nodes = len(region)
         stats.game_edges = sum(sum(map(inside.__getitem__, succ[v])) for v in region)
-        win, won = solve(inside, region, -1)
-        if fresh not in win:
+        win, strat = game.solve(lambda colours: tree_node(colours, big_colours), inside, region)
+        stats.solve_calls += game.calls
+        if fresh not in win["O"]:
             return False, None
-        strategy.update(won)
+        strategy.update(strat["O"])
     choice, seen, todo = {}, {fresh}, [fresh]
     while todo:
         v = todo.pop()
-        if is_o[v]:
+        if owner[v] == "O":
             w = strategy[v]
             node = nodes[v]
             choice[node] = arena.edges_from[node][succ[v].index(w)]

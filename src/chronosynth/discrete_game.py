@@ -1,17 +1,24 @@
-"""Discrete-time synthesis on parity automata.
+"""Discrete-time synthesis on parity automata, and the package's one game solver.
 
 The synthesis game alternates input and output letters inside one time
 step: from position ('i', q) the input player picks a, from ('o', q, a) the
 output player answers b, and the automaton advances to d(q, (a, b)).  The
 output player wins a play iff the traversed state sequence is accepted.
 ``solve`` builds this game straight from the spec as integer lists and
-solves it with ``solve_indexed``, attractor decomposition (Zielonka) on nodes
-0..n-1 with positional strategy extraction, the package's one game solver.
+solves it with ``solve_indexed``.
+
+``Game`` holds the one attractor and the one McNaughton-Zielonka recursion
+(Zielonka, TCS 1998) of the package, over coloured edges and a rule for the
+condition's Zielonka tree.  Parity is the chain case of that tree, which
+``solve_indexed`` passes; ``continuous_synth.solve_interrupt`` passes the
+interrupt arena with the tree of Fin(big) or even parity.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
 from .automaton import MAX_EVEN, ParityAutomaton, convert_convention, dot_quote, state_name
 from .omega_word import LassoWord, transduce
@@ -21,43 +28,94 @@ class GameError(Exception):
     pass
 
 
-def solve_indexed(succ, owner, priority):
-    """Winning regions and positional strategies of the game on nodes 0..n-1.
+def dense_ranks(values):
+    """Each distinct value's rank, order and parity kept, one or two above the last rank.
 
-    ``succ[v]`` lists v's successors (ties go to the first),
-    ``owner[v]`` is 'O' or 'I' and ``priority[v]`` its priority; 'O' wants
-    the top priority seen infinitely often even.  The caller must give every
-    node a successor, list each successor once and use only ids 0..n-1;
-    nothing here checks it.  Returns the node lists of
-    'O' and 'I' and their strategies as node -> node dicts.  Every sorted
-    list of numbers below visits nodes in number order.  A region is a sorted
-    list of numbers together with a bytearray marking its members.  Only the
-    first recursive call of the attractor decomposition recurses, on a
-    subgame without the top priority, so the depth is at most the number of
-    distinct priorities plus one.
+    Colour bits are numbered by rank, so a mask grows with the number of
+    distinct priorities, not with their size.
     """
-    n = len(succ)
-    # pred[w] lists each predecessor once
-    pred = [[] for _ in range(n)]
-    for v, ws in enumerate(succ):
-        for w in ws:
-            pred[w].append(v)
+    rank, r = {}, -1
+    for p in sorted(set(values)):
+        r += 1 + (r + 1 + p) % 2
+        rank[p] = r
+    return rank
 
-    def attractor(inside, target, player):
-        """player-forced reachability of target (sorted, inside the region).
 
-        Returns the membership of the region minus the attractor, the
-        attractor's nodes and player's moves towards target.
+def parity_node(colours):
+    """The parity rule on ranked priorities: the top's player wins; one child, the rest."""
+    top = colours.bit_length() - 1
+    return top % 2 == 0, [colours ^ 1 << top]
+
+
+class Game:
+    """A game on nodes 0..n-1 won on the set of colours a play sees infinitely often.
+
+    ``succ[v]`` lists v's successors (ties go to the first) and ``owner[v]``
+    is 'O' for the controller or 'I' for the environment.  A colour is one
+    bit of an integer mask.  Every edge out of v has colour ``colour[v]``,
+    except at a node whose edges differ: its colour is 0 and
+    ``edge_colour[v]`` lists its edges' colours in ``succ[v]``'s order.
+    Predecessor lists are built once here; nothing checks the lists.
+    """
+
+    def __init__(self, succ, owner, colour, edge_colour=None):
+        self.succ, self.owner, self.colour = succ, owner, colour
+        self.edge_colour = edge_colour = edge_colour or {}
+        self.union = {v: reduce(or_, cs, 0) for v, cs in edge_colour.items()}
+        self.calls = 0  # calls of the recursion
+        # pred[w] lists the one-colour source of each edge into w, and
+        # edge_pred[w] the source and colour of each other edge into w
+        self.pred = pred = [[] for _ in succ]
+        self.edge_pred = edge_pred = [[] for _ in succ] if edge_colour else None
+        for v, ws in enumerate(succ):
+            if colour[v]:
+                for w in ws:
+                    pred[w].append(v)
+            else:
+                for w, c in zip(ws, edge_colour[v]):
+                    edge_pred[w].append((v, c))
+
+    def attractor(self, inside, targets, player, goal=0, mask=-1, mixed=()):
+        """player-forced reachability of targets and of the edges with a colour in goal.
+
+        The subgame has the nodes marked in ``inside`` and the edges between
+        them with a colour in ``mask``, which must hold every one-colour
+        node's colour.  ``targets`` must list, sorted, each one-colour node of
+        the subgame with a colour in ``goal``, and ``mixed`` each node of the
+        subgame with an edge whose colour is in ``goal`` or not in ``mask``.
+        Each level is visited sorted.  Returns the membership of the subgame
+        minus the attractor, the attractor's nodes and player's moves at the
+        nodes it attracts by an edge into it.
         """
+        succ, owner, pred, edge_pred = self.succ, self.owner, self.pred, self.edge_pred
         rest = bytearray(inside)
-        for v in target:
+        for v in targets:
             rest[v] = 0
-        attr, strategy, count = list(target), {}, {}
-        frontier = target
+        strategy, count, seeds = {}, {}, []
+        edge_colour, union = self.edge_colour, self.union
+        for v in mixed:
+            if not rest[v] or not union[v] & (goal | ~mask):
+                continue  # counted below as if it had one colour
+            cs = edge_colour[v]
+            if owner[v] == player:
+                seed = any(c & goal and inside[w] for w, c in zip(succ[v], cs))
+            else:  # the subgame edges that miss the goal colours
+                count[v] = sum(1 for w, c in zip(succ[v], cs) if inside[w] and c & mask and not c & goal)
+                seed = not count[v]
+            if seed:
+                rest[v] = 0
+                seeds.append(v)
+        if seeds:
+            targets = sorted(targets + seeds)
+        attr = list(targets)
+        frontier = targets
         while frontier:
             new_frontier = []
             for w in frontier:
-                for v in pred[w]:
+                sources = pred[w]
+                if edge_pred and edge_pred[w]:
+                    sources = sources + [v for v, c in edge_pred[w] if c & mask and not c & goal]
+                for v in sources:
                     if not rest[v]:
                         continue
                     if owner[v] == player:
@@ -78,51 +136,91 @@ def solve_indexed(succ, owner, priority):
             frontier = new_frontier
         return rest, attr, strategy
 
-    def complete(player, strat, region_nodes, inside):
-        """Give each of player's nodes without a move its first successor in the region."""
-        for v in sorted(region_nodes):
-            if owner[v] == player and v not in strat:
-                for w in succ[v]:
-                    if inside[w]:
-                        strat[v] = w
-                        break
+    def solve(self, rule, inside, region):
+        """Both players' winning regions and strategies, each a dict keyed by owner.
 
-    def solve(inside, region):
-        """Per-player winning regions and strategies on the subgame region.
-
-        Each pass that the opponent of the top priority's player wins part
-        of peels that part's attractor off and goes on with the rest; the
-        peeled parts join the opponent's region and strategy on the way out.
+        Solves the subgame on the nodes marked in ``inside`` and listed,
+        sorted, in ``region``, each with a move there.  ``rule(colours)``
+        gives the tree node of a colour set: whether the controller wins the
+        plays that see exactly those colours infinitely often, and children,
+        subsets such that that winner wins every subset inside none of them.
+        Each pass solves the region at the tree node of its colours; when the
+        winner's opponent wins part of a child's subgame, the pass peels that
+        part's attractor off for the opponent and the next pass solves the
+        rest.  Only the recursion on a child nests.  A player's strategy is
+        positional, and winning, where each of its tree nodes has at most one
+        child.
         """
-        peeled = []
-        while True:
-            if not region:
-                win, strat = {"O": [], "I": []}, {"O": {}, "I": {}}
-                break
-            p = max(priority[v] for v in region)
-            player = "O" if p % 2 == 0 else "I"
-            other = "I" if player == "O" else "O"
-            top = [v for v in region if priority[v] == p]
-            rest, attr, attr_strat = attractor(inside, top, player)
-            win, strat = solve(rest, [v for v in region if rest[v]])
-            if not win[other]:
-                # player wins everywhere: attractor strategy on attr, plus an
-                # arbitrary region-internal edge on top nodes owned by player
-                mine = {**strat[player], **attr_strat}
-                complete(player, mine, attr, inside)
-                win, strat = {player: region, other: []}, {player: mine, other: {}}
-                break
-            rest, b, b_strat = attractor(inside, sorted(win[other]), other)
-            peeled.append((other, b, strat[other], b_strat))
-            inside, region = rest, [v for v in region if rest[v]]
-        for other, b, s, b_strat in reversed(peeled):
-            win[other] = win[other] + b
-            strat[other] = {**strat[other], **s, **b_strat}
-        return win, strat
+        succ, owner, colour, edge_colour = self.succ, self.owner, self.colour, self.edge_colour
+        attractor, union = self.attractor, self.union
 
-    # each solve gives a player a move at every node it owns in its winning
-    # region (from a subgame, an attractor or complete), so no final pass
-    win, strat = solve(bytearray(b"\x01") * n, list(range(n)))
+        def solve(inside, region, allowed):
+            self.calls += 1
+            peeled = []
+            while True:
+                if not region:
+                    win, strat = {"O": [], "I": []}, {"O": {}, "I": {}}
+                    break
+                # a one-colour node of a subgame has its colour in allowed
+                present = reduce(or_, map(colour.__getitem__, region))
+                mixed = [v for v in region if not colour[v]] if edge_colour else ()
+                for v in mixed:
+                    if union[v] & allowed & ~present:
+                        for w, c in zip(succ[v], edge_colour[v]):
+                            if inside[w]:
+                                present |= c & allowed
+                controller_wins, children = rule(present)
+                player, other = ("O", "I") if controller_wins else ("I", "O")
+                # without a child, the winner's moves are any subgame edges
+                attr, attr_strat, goal, strat = region, {}, present, {player: {}}
+                for child in children:
+                    # the winner's attractor to the colours outside the child
+                    goal = present & ~child
+                    rest, attr, attr_strat = attractor(
+                        inside, [v for v in region if colour[v] & goal], player, goal, present, mixed
+                    )
+                    win, strat = solve(rest, [v for v in region if rest[v]], child)
+                    if win[other]:
+                        inside, b, b_strat = attractor(inside, sorted(win[other]), other, 0, present, mixed)
+                        peeled.append((other, b, strat[other], b_strat))
+                        region = [v for v in region if inside[v]]
+                        break
+                else:
+                    # the winner wins everywhere: attractor moves on attr, and
+                    # the first subgame edge with a goal colour at the rest
+                    mine = {**strat[player], **attr_strat}
+                    for v in sorted(attr):
+                        if owner[v] == player and v not in mine:
+                            if colour[v]:
+                                mine[v] = next(w for w in succ[v] if inside[w])
+                            else:
+                                cs = edge_colour[v]
+                                mine[v] = next(w for w, c in zip(succ[v], cs) if inside[w] and c & goal)
+                    win, strat = {player: region, other: []}, {player: mine, other: {}}
+                    break
+            for other, b, s, b_strat in reversed(peeled):
+                win[other] = win[other] + b
+                strat[other] = {**strat[other], **s, **b_strat}
+            return win, strat
+
+        # each solve gives a player a move at every node it owns in its winning
+        # region (a subgame's, an attractor's or a first one), so no final pass
+        return solve(inside, region, -1)
+
+
+def solve_indexed(succ, owner, priority):
+    """Winning regions and positional strategies of the parity game on nodes 0..n-1.
+
+    ``succ[v]`` lists v's successors (ties go to the first), ``owner[v]`` is
+    'O' or 'I' and ``priority[v]`` its priority; 'O' wants the top priority
+    seen infinitely often even.  The caller must give every node a successor
+    and list each once; nothing checks it.  Returns the node lists of 'O' and
+    'I' and their strategies as node -> node dicts.  Parity is the chain case
+    of ``Game.solve``: a node's edges have one colour, its priority's rank.
+    """
+    bit, n = {p: 1 << r for p, r in dense_ranks(priority).items()}, len(succ)
+    game = Game(succ, owner, list(map(bit.__getitem__, priority)))
+    win, strat = game.solve(parity_node, bytearray(b"\x01") * n, list(range(n)))
     return win["O"], win["I"], strat["O"], strat["I"]
 
 

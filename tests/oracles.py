@@ -3,9 +3,11 @@
 ``GameGraph`` is a parity game keyed by node, and ``game_graph`` builds one
 from the integer lists that ``discrete_game.solve_indexed`` reads.
 ``brute_force_solve`` solves a game by naive nested fixpoints, as an oracle
-for ``solve_indexed``; ``reference_zielonka`` is that solver on node-keyed
-sets, with both recursive calls and predecessor lists rebuilt per attractor,
-and must return exactly what ``solve_indexed`` returns, strategies included;
+for ``solve_indexed``; ``reference_zielonka`` is the parity case of
+``discrete_game.Game.solve`` on node-keyed sets, with both recursive calls
+and predecessor lists rebuilt per attractor, and must return exactly what
+``solve_indexed`` returns, and what ``Game.solve`` returns when some nodes
+list their colour per edge, strategies included;
 ``reference_solve`` builds the synthesis game of a spec as a node-keyed
 ``GameGraph`` (``game_from_automaton``), solves it with
 ``reference_zielonka`` and reads the machines off the named strategies, and
@@ -22,7 +24,8 @@ from ``pair_profile`` and ``path_flags``, whose classes the tests check
 ``state_monoid.signature_of`` and the block vocabulary against;
 ``enumerate_choices`` searches the controller's positional choices on an
 arena one by one, each checked by ``find_violation``, as an oracle for the
-verdict of ``continuous_synth.solve_interrupt``.
+verdict of ``continuous_synth.solve_interrupt``, which runs ``Game.solve``
+over the Zielonka tree of the interrupt arena's condition.
 """
 
 from dataclasses import dataclass

@@ -22,9 +22,12 @@ from chronosynth.automaton import (
 )
 from chronosynth.definable_synth import build_psi_star_monitor, solve_definable, square_alphabet
 from chronosynth.discrete_game import (
+    Game,
     MealyMachine,
+    dense_ranks,
     machine_to_dot,
     machine_to_json,
+    parity_node,
     run_counter_machine,
     run_machine,
     solve,
@@ -348,6 +351,33 @@ def test_zielonka_matches_reference_on_seeded_games():
         assert solve(a) == reference_solve(a), name
 
 
+def solve_per_edge(game, per_edge):
+    """``Game.solve`` on the parity game, the nodes in ``per_edge`` listing their colour per edge.
+
+    Returns what ``solve_sets`` returns.
+    """
+    succ, owner, priority = game
+    rank, n = dense_ranks(priority), len(succ)
+    colour = [1 << rank[p] for p in priority]
+    edge_colour = {v: [colour[v]] * len(succ[v]) for v in sorted(per_edge)}
+    for v in edge_colour:
+        colour[v] = 0
+    win, strat = Game(succ, owner, colour, edge_colour).solve(
+        parity_node, bytearray(b"\x01") * n, list(range(n))
+    )
+    return set(win["O"]), set(win["I"]), strat["O"], strat["I"]
+
+
+def test_per_edge_colours_match_reference_on_seeded_games():
+    # the same games with a seeded subset of nodes taking the path of a
+    # block node of the interrupt arena: colours per edge, counted up front
+    rng = random.Random(43)
+    for trial, game in enumerate(_seeded_games()):
+        n = len(game[0])
+        per_edge = rng.sample(range(n), rng.randint(0, n))
+        assert solve_per_edge(game, per_edge) == reference_zielonka(game_graph(*game)), trial
+
+
 def test_zielonka_depth_does_not_grow_with_peeled_regions():
     # gadget j: t_j moves to y_j; y_j loops or moves to t_{j-1}.  Each pass
     # of the decomposition peels only the bottom gadget off for I.
@@ -357,9 +387,12 @@ def test_zielonka_depth_does_not_grow_with_peeled_regions():
     for j in range(1, k + 1):
         t, y = 2 * j - 2, 2 * j - 1
         succ += [[y], [y] + ([t - 2] if j > 1 else [])]
-    w_o, w_i, s_o, s_i = solve_indexed(succ, ["O"] * (2 * k), [2, 1] * k)
+    game = (succ, ["O"] * (2 * k), [2, 1] * k)
+    w_o, w_i, s_o, s_i = solve_indexed(*game)
     assert not w_o and sorted(w_i) == list(range(2 * k))
     assert not s_o and not s_i
+    # the same through the per-edge path, every y_j listing its colour per edge
+    assert solve_per_edge(game, range(1, 2 * k, 2)) == (set(), set(range(2 * k)), {}, {})
 
 
 def _differential_specs():

@@ -8,11 +8,15 @@ environment: the checks that ``bench/certify.py`` makes.
 """
 
 import dataclasses
+import io
+import json
 import random
+import time
 
 import pytest
 
 from chronosynth.arena import FV, RC
+from chronosynth.cli import main
 from chronosynth.continuous_synth import (
     SynthStats,
     build_game_arena,
@@ -22,8 +26,10 @@ from chronosynth.continuous_synth import (
     solve_interrupt,
     tree_node,
 )
+from chronosynth.discrete_game import parity_node
 from chronosynth.game_sim import ChoiceController, ViolationEnvironment, adjudicate, run_play
 
+from fixture_specs import FIXTURES as FIXTURE_DIR
 from fixture_specs import load_fixture
 from oracles import enumerate_choices
 from test_continuous_synth import _corpus_specs
@@ -69,7 +75,8 @@ def test_solver_agrees_with_the_choice_search(name, spec, semantics):
 
 
 def test_priorities_past_the_colour_mask_width_keep_every_verdict():
-    # colours are bits 2p + big of one integer, so a priority of 100 sets bit 200
+    # colour bits are numbered by rank, so priorities of 100 and more must map
+    # to the same low bits and verdicts as the unshifted ones
     for i, spec in enumerate(_corpus_specs()):
         high = dataclasses.replace(spec, priority={q: p + 100 for q, p in spec.priority.items()})
         for semantics in (RC, FV):
@@ -77,6 +84,31 @@ def test_priorities_past_the_colour_mask_width_keep_every_verdict():
             assert res.realizable == decide_continuous(spec, semantics).realizable, (i, semantics)
             if res.realizable:
                 assert find_violation(build_strategy_graph(res.arena, res.witness)) is None
+
+
+def _cli_output(*argv):
+    out = io.StringIO()
+    code = main(list(map(str, argv)), out, io.StringIO())
+    return code, out.getvalue()
+
+
+def test_priorities_shifted_by_an_even_2e7_keep_the_output_and_the_speed(tmp_path):
+    # colour bits are numbered by the priorities' ranks, so a mask grows with
+    # their number, not their size; with bits 2p + big, psi_indet_fv's fv
+    # synth took seconds and 2.1 GB
+    for name in FIXTURES:
+        path = FIXTURE_DIR / f"{name}.json"
+        data = json.loads(path.read_text())
+        data["priority"] = {q: p + 20_000_000 for q, p in data["priority"].items()}
+        shifted = tmp_path / f"{name}.json"
+        shifted.write_text(json.dumps(data))
+        synth = ("synth", "--stats", "--semantics")
+        for argv in (synth + (RC,), synth + (FV,), ("solve-discrete",)):
+            start = time.perf_counter()
+            got = _cli_output(*argv, shifted)
+            elapsed = time.perf_counter() - start
+            assert got[0] == 0 and got == _cli_output(*argv, path), (name, argv)
+            assert elapsed < 1, (name, argv, elapsed)
 
 
 def test_unrealizable_violations_replay_to_the_environment():
@@ -138,6 +170,26 @@ def _reference_children(colours, big_colours):
     return sorted(maximal)
 
 
+def _subsets(colours):
+    """Every nonempty subset of the colour set ``colours``."""
+    s = colours
+    while s:
+        yield s
+        s = (s - 1) & colours
+
+
+def _keeps_the_rule_contract(colours, rule, wins):
+    """Whether ``rule``'s winner at ``colours`` wins every subset that lies inside no child.
+
+    ``Game.solve`` gives a region to the winner once the opponent wins
+    nothing inside any child, so a rule that broke this would be wrong.
+    """
+    winner, children = rule(colours)
+    return all(
+        wins(s) == winner for s in _subsets(colours) if all(s & ~child for child in children)
+    )
+
+
 def test_tree_node_children_are_the_maximal_subsets_the_loser_wins():
     # every colour set over priorities 0..4, small and big: 2^10 - 1 sets
     big_colours = int("10" * 5, 2)
@@ -147,3 +199,18 @@ def test_tree_node_children_are_the_maximal_subsets_the_loser_wins():
         assert sorted(children) == _reference_children(colours, big_colours), bin(colours)
         if winner:
             assert len(children) <= 1  # so the controller's strategies are positional
+        assert _keeps_the_rule_contract(
+            colours,
+            lambda c: tree_node(c, big_colours),
+            lambda c: _controller_wins(c, big_colours),
+        ), bin(colours)
+
+
+def test_parity_rule_keeps_the_rule_contract():
+    # every colour set over priorities 0..4, each its own rank: 2^5 - 1 sets
+    for colours in range(1, 1 << 5):
+        _, children = parity_node(colours)
+        assert children == [colours & ~(1 << colours.bit_length() - 1)]  # one child
+        assert _keeps_the_rule_contract(
+            colours, parity_node, lambda c: (c.bit_length() - 1) % 2 == 0
+        ), bin(colours)
