@@ -4,12 +4,19 @@ States are hashable values (strings when read from files).  A word letter is
 a pair ``(in_letter, out_letter)``.  Two acceptance conventions coexist:
 ``min_even`` (minimum priority seen infinitely often is even) and
 ``max_even``; the game pipeline normalizes to ``max_even`` at ingestion.
+
+The pass that validates an automaton also builds its integer ``table``; the
+product with a safety monitor is composed from two tables and names its
+transitions only when they are read.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
+from operator import add, itemgetter
 from .omega_word import LassoWord, inf_set, transduce
 
 SINK = "__sink__"
@@ -34,7 +41,11 @@ class AlphabetMismatchError(AutomatonError):
 
 @dataclass(frozen=True, eq=True)
 class ParityAutomaton:
-    """Complete deterministic parity automaton over Sigma_in x Sigma_out."""
+    """Complete deterministic parity automaton over Sigma_in x Sigma_out.
+
+    ``table[(i * len(sigma_in) + x) * len(sigma_out) + y]`` is the index in
+    ``states`` of the target of (states[i], sigma_in[x], sigma_out[y]).
+    """
 
     states: tuple
     sigma_in: tuple
@@ -54,19 +65,33 @@ class ParityAutomaton:
             raise AutomatonError(f"unknown convention {self.convention!r}")
         if self.initial not in self.states:
             raise AutomatonError("initial state not among states")
-        state_set = set(self.states)
-        for q in self.states:
-            if q not in self.priority:
-                raise AutomatonError(f"priority missing for state {q!r}")
-            if self.priority[q] < 0:
-                raise AutomatonError("priorities must be nonnegative")
-            for a in self.sigma_in:
-                for b in self.sigma_out:
-                    tgt = self.transition.get((q, a, b))
-                    if tgt is None:
-                        raise AutomatonError(f"transition missing at ({q!r}, {a!r}, {b!r})")
-                    if tgt not in state_set:
-                        raise AutomatonError(f"transition target {tgt!r} not a state")
+        try:
+            index = {q: i for i, q in enumerate(self.states)}
+            keys = itertools.product(self.states, self.sigma_in, self.sigma_out)
+            table = list(map(index.__getitem__, map(self.transition.__getitem__, keys)))
+            faulty = min(map(self.priority.__getitem__, self.states)) < 0
+        except (KeyError, TypeError):
+            faulty = True
+        if faulty:  # the checks in their order raise at the first fault
+            state_set = set(self.states)
+            for q in self.states:
+                if q not in self.priority:
+                    raise AutomatonError(f"priority missing for state {q!r}")
+                if self.priority[q] < 0:
+                    raise AutomatonError("priorities must be nonnegative")
+                for a in self.sigma_in:
+                    for b in self.sigma_out:
+                        tgt = self.transition.get((q, a, b))
+                        if tgt is None:
+                            raise AutomatonError(f"transition missing at ({q!r}, {a!r}, {b!r})")
+                        if tgt not in state_set:
+                            raise AutomatonError(f"transition target {tgt!r} not a state")
+        if len(self.transition) != len(table):  # keys beyond the triples, or a triple listed twice
+            triples = set(itertools.product(self.states, self.sigma_in, self.sigma_out))
+            extra = [key for key in self.transition if key not in triples]
+            raise AutomatonError(f"transition key {extra[0]!r} outside states x sigma_in x sigma_out"
+                                 if extra else "states, sigma_in or sigma_out repeats an entry")
+        object.__setattr__(self, "table", table)
 
     def step(self, q, a, b):
         try:
@@ -116,28 +141,27 @@ def accepts(a: ParityAutomaton, word: LassoWord) -> bool:
     return max(prios) % 2 == 0
 
 
-def convert_convention(a: ParityAutomaton, target: str) -> ParityAutomaton:
-    """Language-preserving priority remap between min-even and max-even.
+def mirrored_priority(a: ParityAutomaton) -> dict:
+    """M - p for each state's p, M the top priority rounded up to even: the
+    same language under the other convention (min and max swap, parity kept)."""
+    m = a.max_priority()
+    m += m % 2
+    return {q: m - a.priority[q] for q in a.states}
 
-    Remaps p to M - p where M is the maximum priority rounded up to even,
-    which swaps the roles of min and max while preserving parity of the
-    extremal value.
-    """
+
+def convert_convention(a: ParityAutomaton, target: str) -> ParityAutomaton:
+    """Language-preserving priority remap between min-even and max-even."""
     if target not in CONVENTIONS:
         raise AutomatonError(f"unknown convention {target!r}")
     if a.convention == target:
         return a
-    m = a.max_priority()
-    if m % 2 == 1:
-        m += 1
-    new_priority = {q: m - a.priority[q] for q in a.states}
     return ParityAutomaton(
         states=a.states,
         sigma_in=a.sigma_in,
         sigma_out=a.sigma_out,
         transition=dict(a.transition),
         initial=a.initial,
-        priority=new_priority,
+        priority=mirrored_priority(a),
         convention=target,
     )
 
@@ -166,36 +190,57 @@ def _worst_priority(convention, priorities) -> int:
     return m if m % 2 == 1 else m + 1
 
 
+class MonitorProduct(ParityAutomaton):
+    """A spec times a safety monitor: state (spec.states[i], monitor.states[j]) is number
+    i * len(monitor.states) + j; ``step`` pairs the components' steps, and
+    ``transition`` is named on first read."""
+
+    def __init__(self, spec, monitor, states, priority, table):
+        self.__dict__.update(  # frozen, so set past __setattr__
+            spec=spec, monitor=monitor, states=states, sigma_in=spec.sigma_in, sigma_out=spec.sigma_out,
+            initial=(spec.initial, monitor.initial), priority=priority, convention=spec.convention, table=table,
+        )
+
+    @cached_property
+    def transition(self):
+        keys = itertools.product(self.states, self.sigma_in, self.sigma_out)
+        return dict(zip(keys, map(self.states.__getitem__, self.table)))
+
+    def step(self, q, a, b):
+        try:
+            qa, qm = q
+            return self.spec.transition[(qa, a, b)], self.monitor.transition[(qm, a, b)]
+        except (KeyError, TypeError, ValueError):
+            raise InputDomainError(f"letter ({a!r}, {b!r}) outside alphabet at state {q!r}")
+
+
 def product_with_monitor(a: ParityAutomaton, m: SafetyMonitor) -> ParityAutomaton:
     """Product automaton; entering the monitor sink fixes the verdict.
 
     Sink states receive the worst (losing-for-acceptance) priority, so a
-    word that violates the monitored discipline is rejected.
+    word that violates the monitored discipline is rejected.  A faulty
+    monitor raises what the named product's constructor would.
     """
+    keys = list(itertools.product(m.states, a.sigma_in, a.sigma_out))
+    targets = list(itertools.starmap(m.step, keys))
+    if m.initial not in m.states:
+        raise AutomatonError("initial state not among states")
+    index = {q: j for j, q in enumerate(m.states)}
+    for (_, x, y), tgt in zip(keys, targets):
+        if tgt not in index:
+            raise AutomatonError(f"transition target {(a.transition[(a.states[0], x, y)], tgt)!r} not a state")
+    m_table = list(map(index.__getitem__, targets))
+    size, width = len(m.states), len(a.sigma_in) * len(a.sigma_out)
+    m_rows = [m_table[j * width:(j + 1) * width] for j in range(size)]
+    table = []
+    for i in range(len(a.states)):
+        row = [t * size for t in a.table[i * width:(i + 1) * width]]
+        for m_row in m_rows:
+            table += map(add, row, m_row)
     sink_prio = _worst_priority(a.convention, (a.priority[q] for q in a.states))
-    states = []
-    transition = {}
-    priority = {}
-    for qa in a.states:
-        for qm in m.states:
-            q = (qa, qm)
-            states.append(q)
-            priority[q] = sink_prio if qm == m.sink else a.priority[qa]
-            for ain in a.sigma_in:
-                for aout in a.sigma_out:
-                    transition[(q, ain, aout)] = (
-                        a.transition[(qa, ain, aout)],
-                        m.step(qm, ain, aout),
-                    )
-    return ParityAutomaton(
-        states=tuple(states),
-        sigma_in=a.sigma_in,
-        sigma_out=a.sigma_out,
-        transition=transition,
-        initial=(a.initial, m.initial),
-        priority=priority,
-        convention=a.convention,
-    )
+    states = tuple(itertools.product(a.states, m.states))
+    priority = {q: sink_prio if q[1] == m.sink else a.priority[q[0]] for q in states}
+    return MonitorProduct(a, m, states, priority, table)
 
 
 def _array(data, key) -> tuple:
@@ -241,34 +286,40 @@ def automaton_from_json(data) -> ParityAutomaton:
     def declared(q):
         return isinstance(q, str) and q in known
 
-    transition = {}
-    for entry in data["transitions"]:
-        q, ain, aout, tgt = entry["from"], entry["in"], entry["out"], entry["to"]
-        if not declared(q):
-            raise AutomatonError(f"transition from undeclared state {q!r}")
-        if ain not in sigma_in or aout not in sigma_out:
-            raise AutomatonError(f"transition letter ({ain!r}, {aout!r}) undeclared")
-        key = (q, ain, aout)
-        if key in transition:
-            raise AutomatonError(f"duplicate transition at {key!r}")
-        transition[key] = tgt
+    entries = data["transitions"]
+    try:
+        keys = list(map(itemgetter("from", "in", "out"), entries))
+        transition = dict(zip(keys, map(itemgetter("to"), entries)))
+        # every key a distinct declared triple, every target a state or the sink
+        valid = len(transition) == len(keys) and known.union((SINK,)).issuperset(transition.values())
+        for i, allowed in enumerate((known, sigma_in, sigma_out)):
+            valid = valid and set(allowed).issuperset(map(itemgetter(i), keys))
+    except (KeyError, TypeError):
+        valid = False
+    if not valid:  # entry by entry, to name the first bad one
+        transition = {}
+        for entry in entries:
+            q, ain, aout, tgt = entry["from"], entry["in"], entry["out"], entry["to"]
+            if not declared(q):
+                raise AutomatonError(f"transition from undeclared state {q!r}")
+            if ain not in sigma_in or aout not in sigma_out:
+                raise AutomatonError(f"transition letter ({ain!r}, {aout!r}) undeclared")
+            key = (q, ain, aout)
+            if key in transition:
+                raise AutomatonError(f"duplicate transition at {key!r}")
+            transition[key] = tgt
+        for tgt in transition.values():
+            if not (declared(tgt) or tgt == SINK):
+                raise AutomatonError(f"transition target {tgt!r} undeclared")
 
-    referenced_sink = any(t == SINK for t in transition.values()) and SINK not in known
-    incomplete = any(
-        (q, a, b) not in transition for q in states for a in sigma_in for b in sigma_out
-    )
-    if referenced_sink or incomplete:
+    # the keys are distinct declared triples, so the count tells completeness
+    incomplete = len(transition) < len(states) * len(sigma_in) * len(sigma_out)
+    if incomplete or (SINK not in known and SINK in transition.values()):
         if SINK not in known:
             states.append(SINK)
-            known.add(SINK)
             priority[SINK] = _worst_priority(convention, priority.values())
-        for q in states:
-            for a in sigma_in:
-                for b in sigma_out:
-                    transition.setdefault((q, a, b), SINK)
-    for tgt in transition.values():
-        if not declared(tgt):
-            raise AutomatonError(f"transition target {tgt!r} undeclared")
+        for key in itertools.product(states, sigma_in, sigma_out):
+            transition.setdefault(key, SINK)
     return ParityAutomaton(
         states=tuple(states),
         sigma_in=sigma_in,

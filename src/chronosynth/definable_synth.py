@@ -4,8 +4,8 @@ Specifications enter as parity automata over the squared alphabet: an input
 letter encodes (value at the sample point, value on the following open
 interval), and likewise for output letters.  A finite-state operator's
 output can only jump where its input jumps, so the decision composes the
-specification with a safety monitor enforcing exactly that discipline and
-hands the product to the discrete solver.
+specification's transition table with that of a safety monitor enforcing
+exactly that discipline and hands the product to the discrete solver.
 
 Positive answers return a machine to be run on stuttering-free encodings;
 negative answers carry the losing region and the counter machine as a

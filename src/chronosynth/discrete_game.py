@@ -4,8 +4,9 @@ The synthesis game alternates input and output letters inside one time
 step: from position ('i', q) the input player picks a, from ('o', q, a) the
 output player answers b, and the automaton advances to d(q, (a, b)).  The
 output player wins a play iff the traversed state sequence is accepted.
-``solve`` builds this game straight from the spec as integer lists and
-solves it with ``solve_indexed``.
+``solve`` builds this game as integer lists from the spec's transition
+table and solves it with ``solve_indexed``; only the winning machine's
+states and the input player's region are named.
 
 ``Game`` holds the one attractor and the one McNaughton-Zielonka recursion
 (Zielonka, TCS 1998) of the package, over coloured edges and a rule for the
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from functools import reduce
 from operator import or_
 
-from .automaton import MAX_EVEN, ParityAutomaton, convert_convention, dot_quote, state_name
+from .automaton import MAX_EVEN, ParityAutomaton, dot_quote, mirrored_priority, state_name
 from .omega_word import LassoWord, transduce
 
 
@@ -273,19 +274,24 @@ def solve(a: ParityAutomaton) -> SolveResult:
     every input word.  Input player wins: the Moore counter machine defeats
     every output word.  Exactly one side is returned.
     """
-    priority = convert_convention(a, MAX_EVEN).priority
-    states, letters = sorted(a.states), sorted(a.sigma_in)
-    n, k = len(states), len(letters)
-    rank = {q: i for i, q in enumerate(states)}
+    priority = a.priority if a.convention == MAX_EVEN else mirrored_priority(a)
+    order = sorted(range(len(a.states)), key=a.states.__getitem__)
+    states, letters = [a.states[i] for i in order], sorted(a.sigma_in)
+    n, k, width = len(states), len(letters), len(a.sigma_out)
+    rank = sorted(range(n), key=order.__getitem__)  # states[rank[i]] is a.states[i]
+    # rows[r] lists the ranks of the targets of states[r], in the table's order
+    ranked = list(map(rank.__getitem__, a.table))
+    rows = [ranked[i * k * width:(i + 1) * k * width] for i in order]
     x_rank = {x: i for i, x in enumerate(letters)}
+    x_pos = [a.sigma_in.index(x) * width for x in letters]  # each sorted letter's cell in a row
     # ('i', q) is node rank(q) and ('o', q, x) node n + rank(q)*k + rank(x),
     # their ranks among all nodes in sorted order; successors follow the
     # alphabets' order, as the named game lists them
     in_order = [x_rank[x] for x in a.sigma_in]
     succ = [[base + j for j in in_order] for base in range(n, n + n * k, k)]
-    for q in states:
-        for x in letters:
-            succ.append(list(dict.fromkeys([rank[a.transition[(q, x, b)]] for b in a.sigma_out])))
+    for row in rows:
+        for c in x_pos:
+            succ.append(list(dict.fromkeys(row[c:c + width])))
     state_priority = [priority[q] for q in states]
     w_o, w_i, s_o, s_i = solve_indexed(
         succ,
@@ -300,37 +306,40 @@ def solve(a: ParityAutomaton) -> SolveResult:
         return ("o", states[r], letters[j])
 
     input_region = frozenset(map(node, w_i))
+    initial = rank[a.states.index(a.initial)]
 
     def walk(successors):
-        """States reachable from the initial one; successors(q) records q's moves."""
-        seen, todo = {a.initial}, [a.initial]
+        """States reachable from the initial one; successors(r) records states[r]'s moves."""
+        seen, todo = {initial}, [initial]
         while todo:
-            for q_next in successors(todo.pop()):
-                if q_next not in seen:
-                    seen.add(q_next)
-                    todo.append(q_next)
-        return tuple(sorted(seen, key=repr))
+            for r_next in successors(todo.pop()):
+                if r_next not in seen:
+                    seen.add(r_next)
+                    todo.append(r_next)
+        return tuple(sorted((states[r] for r in seen), key=repr))
 
-    if rank[a.initial] in w_o:
+    if initial in w_o:
         transition = {}
 
-        def respond(q):
-            base = n + rank[q] * k
+        def respond(r):
             for x in a.sigma_in:
-                q_next = states[s_o[base + x_rank[x]]]
-                b = min(b for b in a.sigma_out if a.transition[(q, x, b)] == q_next)
-                transition[(q, x)] = (q_next, b)
-                yield q_next
+                j = x_rank[x]
+                r_next = s_o[n + r * k + j]
+                cell = rows[r][x_pos[j]:x_pos[j] + width]
+                b = min(b for b, t in zip(a.sigma_out, cell) if t == r_next)
+                transition[(states[r], x)] = (states[r_next], b)
+                yield r_next
 
         machine = MealyMachine(walk(respond), a.initial, transition)
         return SolveResult("output", machine, None, input_region)
     output, transition = {}, {}
 
-    def challenge(q):
-        x = output[q] = letters[s_i[rank[q]] - n - rank[q] * k]
-        for b in a.sigma_out:
-            q_next = transition[(q, b)] = a.transition[(q, x, b)]
-            yield q_next
+    def challenge(r):
+        j = s_i[r] - n - r * k
+        output[states[r]] = letters[j]
+        for b, r_next in zip(a.sigma_out, rows[r][x_pos[j]:x_pos[j] + width]):
+            transition[(states[r], b)] = states[r_next]
+            yield r_next
 
     machine = MooreCounterMachine(walk(challenge), a.initial, output, transition)
     return SolveResult("input", None, machine, input_region)

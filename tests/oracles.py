@@ -11,7 +11,11 @@ list their colour per edge, strategies included;
 ``reference_solve`` builds the synthesis game of a spec as a node-keyed
 ``GameGraph`` (``game_from_automaton``), solves it with
 ``reference_zielonka`` and reads the machines off the named strategies, and
-must return exactly what ``discrete_game.solve`` returns; ``naive_equiv``
+must return exactly what ``discrete_game.solve`` returns;
+``reference_product`` tabulates the product of a spec and a safety monitor
+by name, transition by transition, as an oracle for the product that
+``automaton.product_with_monitor`` composes from the two transition tables;
+``naive_equiv``
 checks the defining conditions of the state-string congruence literally, as
 an oracle for ``state_monoid.signature_of`` and ``product``; ``reference_build_UP`` builds the block vocabulary by testing
 every (class, idempotent) pair with ``product``, as an oracle for the
@@ -31,7 +35,13 @@ over the Zielonka tree of the interrupt arena's condition.
 from dataclasses import dataclass
 
 from chronosynth.arena import FV, I_DAG, LEFT, O_PAIR, RC, RIGHT, ArenaNode
-from chronosynth.automaton import MAX_EVEN, ParityAutomaton, convert_convention
+from chronosynth.automaton import (
+    MAX_EVEN,
+    ParityAutomaton,
+    SafetyMonitor,
+    _worst_priority,
+    convert_convention,
+)
 from chronosynth.continuous_synth import find_violation, partial_strategy_graph
 from chronosynth.discrete_game import GameError, MealyMachine, MooreCounterMachine, SolveResult
 from chronosynth.omega_word import LassoWord, inf_set
@@ -219,6 +229,34 @@ def reference_solve(a: ParityAutomaton) -> SolveResult:
 
     machine = MooreCounterMachine(walk(challenge), a.initial, output, transition)
     return SolveResult("input", None, machine, frozenset(w_i))
+
+
+def reference_product(a: ParityAutomaton, m: SafetyMonitor) -> ParityAutomaton:
+    """The product automaton, named state by state; entering the monitor sink fixes the verdict."""
+    sink_prio = _worst_priority(a.convention, (a.priority[q] for q in a.states))
+    states = []
+    transition = {}
+    priority = {}
+    for qa in a.states:
+        for qm in m.states:
+            q = (qa, qm)
+            states.append(q)
+            priority[q] = sink_prio if qm == m.sink else a.priority[qa]
+            for ain in a.sigma_in:
+                for aout in a.sigma_out:
+                    transition[(q, ain, aout)] = (
+                        a.transition[(qa, ain, aout)],
+                        m.step(qm, ain, aout),
+                    )
+    return ParityAutomaton(
+        states=tuple(states),
+        sigma_in=a.sigma_in,
+        sigma_out=a.sigma_out,
+        transition=transition,
+        initial=(a.initial, m.initial),
+        priority=priority,
+        convention=a.convention,
+    )
 
 
 def naive_equiv(u, v, ctx: MonoidContext) -> bool:

@@ -1,5 +1,6 @@
 """Parity automaton runs, acceptance, conventions, and monitor products."""
 
+import dataclasses
 import itertools
 import json
 import random
@@ -23,6 +24,8 @@ from chronosynth.automaton import (
     run_over,
 )
 from chronosynth.omega_word import LassoWord, inf_set
+
+from oracles import reference_product
 
 
 def build(states, sigma_in, sigma_out, step, initial, priority, convention=MIN_EVEN):
@@ -237,6 +240,54 @@ def test_product_with_a_monitor_missing_a_transition_is_an_alphabet_mismatch(sta
     del monitor.transition[(state, "1", "0")]
     with pytest.raises(AlphabetMismatchError, match=f"at \\('{state}', '1', '0'\\)"):
         product_with_monitor(one_state(0), monitor)
+
+
+# each fault set raises what the named product's constructor raised, in
+# its order: a missing monitor transition (while the product is tabulated),
+# then the monitor's initial state, then the first bad target
+MONITOR_FAULTS = {
+    ("missing",): (AlphabetMismatchError, "monitor has no transition at ('dead', '1', '0')"),
+    ("target",): (AutomatonError, "transition target ('s', 'nowhere') not a state"),
+    ("initial",): (AutomatonError, "initial state not among states"),
+    ("missing", "target", "initial"): (
+        AlphabetMismatchError, "monitor has no transition at ('dead', '1', '0')"
+    ),
+    ("target", "initial"): (AutomatonError, "initial state not among states"),
+}
+
+
+@pytest.mark.parametrize("faults", sorted(MONITOR_FAULTS), ids="+".join)
+def test_monitor_faults_raise_what_the_named_product_raises(faults):
+    monitor = accept_all_monitor(("0", "1"), ("0", "1"))
+    if "missing" in faults:
+        del monitor.transition[("dead", "1", "0")]
+    if "target" in faults:
+        # the first bad target met: the 'ok' row comes first, '0' before '1'
+        monitor.transition[("ok", "1", "1")] = "nowhere"
+        monitor.transition[("ok", "1", "0")] = "nowhere"
+    if "initial" in faults:
+        monitor = dataclasses.replace(monitor, initial="nowhere")
+    error, message = MONITOR_FAULTS[faults]
+    for build_product in (product_with_monitor, reference_product):
+        with pytest.raises(error) as info:
+            build_product(toggler(), monitor)
+        assert type(info.value) is error and str(info.value) == message
+
+
+def test_transition_keys_outside_the_triples_are_rejected():
+    transition = {(q, x, y): q for q in "pq" for x in "01" for y in "01"}
+    transition[("zz", "0", "0")] = "p"
+    transition[("p", "9", "0")] = "nowhere"
+    with pytest.raises(AutomatonError) as info:
+        ParityAutomaton(("p", "q"), ("0", "1"), ("0", "1"), transition, "p", {"p": 0, "q": 1})
+    assert str(info.value) == "transition key ('zz', '0', '0') outside states x sigma_in x sigma_out"
+
+
+@pytest.mark.parametrize("states, sigma_in", [(("p", "q", "p"), ("0", "1")), (("p", "q"), ("0", "1", "0"))])
+def test_repeated_states_or_letters_are_rejected(states, sigma_in):
+    transition = {(q, x, y): q for q in "pq" for x in "01" for y in "01"}
+    with pytest.raises(AutomatonError, match="^states, sigma_in or sigma_out repeats an entry$"):
+        ParityAutomaton(states, sigma_in, ("0", "1"), transition, "p", {"p": 0, "q": 1})
 
 
 def test_json_roundtrip_and_sink_completion():

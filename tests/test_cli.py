@@ -470,6 +470,58 @@ def test_solve_discrete_bad_run_lasso_is_a_usage_error(fixture, lasso, detail):
     assert detail in err
 
 
+# a malformed last entry of a long valid transition list, and its message
+BAD_LAST_ENTRY = {
+    "duplicate": (
+        lambda e: dict(e, **{"from": "q0", "in": "0", "out": "0"}),
+        "AutomatonError: duplicate transition at ('q0', '0', '0')",
+    ),
+    "undeclared_from": (
+        lambda e: dict(e, **{"from": "zz"}), "AutomatonError: transition from undeclared state 'zz'"
+    ),
+    "undeclared_letter": (
+        lambda e: dict(e, out="2"), "AutomatonError: transition letter ('1', '2') undeclared"
+    ),
+    "undeclared_to": (lambda e: dict(e, to="zz"), "AutomatonError: transition target 'zz' undeclared"),
+    "missing_to": (lambda e: {k: v for k, v in e.items() if k != "to"}, "KeyError: 'to'"),
+    "not_an_object": (
+        lambda e: list(e.values()), "TypeError: list indices must be integers or slices, not str"
+    ),
+    "list_from": (
+        lambda e: dict(e, **{"from": [e["from"]]}),
+        "AutomatonError: transition from undeclared state ['q99']",
+    ),
+    "list_in": (
+        lambda e: dict(e, **{"in": [e["in"]]}),
+        "AutomatonError: transition letter (['1'], '1') undeclared",
+    ),
+    "list_to": (lambda e: dict(e, to=[e["to"]]), "AutomatonError: transition target ['q0'] undeclared"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(BAD_LAST_ENTRY))
+def test_a_bad_last_transition_entry_is_named(tmp_path, fault):
+    # the loader checks the whole list at once, then entry by entry on a fault
+    states = [f"q{i}" for i in range(100)]
+    entries = [
+        {"from": q, "in": x, "out": y, "to": states[(i + 1) % 100]}
+        for i, q in enumerate(states) for x in "01" for y in "01"
+    ]
+    change, message = BAD_LAST_ENTRY[fault]
+    entries[-1] = change(entries[-1])
+    path = tmp_path / "bad_entry.json"
+    path.write_text(json.dumps({
+        "states": states,
+        "sigma_in": ["0", "1"],
+        "sigma_out": ["0", "1"],
+        "initial": "q0",
+        "priority": {q: i % 3 for i, q in enumerate(states)},
+        "transitions": entries,
+    }))
+    code, out, err = run_cli("solve-discrete", str(path))
+    assert (code, out, err) == (EXIT_USAGE, "", f"cannot read {path}: {message}\n")
+
+
 CONTINUOUS_FIXTURES = sorted(p for p in FIXTURES.glob("*.json") if not p.stem.endswith("_d"))
 
 

@@ -6,9 +6,12 @@ from fractions import Fraction
 import pytest
 
 from chronosynth.automaton import (
+    CONVENTIONS,
+    MIN_EVEN,
     AlphabetMismatchError,
     ParityAutomaton,
     accepts,
+    convert_convention,
     product_with_monitor,
 )
 from chronosynth.definable_synth import (
@@ -20,10 +23,12 @@ from chronosynth.definable_synth import (
     square_alphabet,
 )
 from chronosynth import definable_synth, discrete_game
-from chronosynth.discrete_game import run_machine
+from chronosynth.discrete_game import run_machine, solve
 from chronosynth.omega_word import LassoWord, zip_lassos
 
 from fixture_specs import load_fixture
+from oracles import reference_product
+from test_discrete_game import _seeded_spec
 from signal_model import (
     delta_signal,
     encode_D,
@@ -214,3 +219,33 @@ def test_witness_answers_indicator_prefixes_alike_until_they_diverge():
             q1, b1 = m.react(q1, pair_letter(*w1.letter_at(i)))
             q2, b2 = m.react(q2, pair_letter(*w2.letter_at(i)))
             assert b1 == b2, (t, i)
+
+
+def _product_specs():
+    """psi_copy_d and psi_jump_d under both conventions, and the seeded specs of DEFINABLE_TABLE."""
+    for name in ("psi_copy_d", "psi_jump_d"):
+        spec = load_fixture(name)
+        yield name, spec
+        yield f"{name} min-even", convert_convention(spec, MIN_EVEN)
+    rng = random.Random(31)  # as test_discrete_game._pinned_definable_rows draws them
+    for i in range(10):
+        yield f"seeded {i}", _seeded_spec(rng, rng.randint(2, 8), SQ)
+
+
+def test_product_matches_reference_product():
+    rng = random.Random(13)
+    conventions = set()
+    for name, spec in _product_specs():
+        monitor = build_psi_star_monitor(spec.sigma_in, spec.sigma_out)
+        product, reference = product_with_monitor(spec, monitor), reference_product(spec, monitor)
+        for field in ("states", "sigma_in", "sigma_out", "initial", "priority", "convention"):
+            assert getattr(product, field) == getattr(reference, field), (name, field)
+        assert list(product.transition.items()) == list(reference.transition.items()), name
+        assert solve(product) == solve(reference), name
+        for _ in range(40):
+            u = tuple((rng.choice(SQ), rng.choice(SQ)) for _ in range(rng.randint(0, 3)))
+            v = tuple((rng.choice(SQ), rng.choice(SQ)) for _ in range(rng.randint(1, 3)))
+            word = LassoWord(u, v)
+            assert accepts(product, word) == accepts(reference, word), (name, word)
+        conventions.add(spec.convention)
+    assert conventions == set(CONVENTIONS)

@@ -17,6 +17,7 @@ from chronosynth.automaton import (
     ParityAutomaton,
     accepts,
     automaton_from_json,
+    MonitorProduct,
     load_automaton,
     product_with_monitor,
 )
@@ -40,6 +41,7 @@ from oracles import (
     brute_force_solve,
     game_from_automaton,
     game_graph,
+    reference_product,
     reference_solve,
     reference_zielonka,
 )
@@ -442,6 +444,14 @@ def test_solve_matches_reference_solve():
         sinks += SINK in a.states
         products += isinstance(a.initial, tuple)
     assert sinks >= 20 and products == 12
+
+
+def test_table_lists_each_transition_target_by_index():
+    for name, a in _differential_specs():
+        # a product names its transitions from its table, so check it against the oracle's
+        named = reference_product(a.spec, a.monitor) if isinstance(a, MonitorProduct) else a
+        keys = itertools.product(a.states, a.sigma_in, a.sigma_out)
+        assert [a.states[t] for t in a.table] == [named.transition[key] for key in keys], name
 
 
 def test_machine_serialization_roundtrip():
