@@ -16,7 +16,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add, itemgetter
+from operator import add
 from .omega_word import LassoWord, inf_set, transduce
 
 SINK = "__sink__"
@@ -65,32 +65,28 @@ class ParityAutomaton:
             raise AutomatonError(f"unknown convention {self.convention!r}")
         if self.initial not in self.states:
             raise AutomatonError("initial state not among states")
-        try:
-            index = {q: i for i, q in enumerate(self.states)}
-            keys = itertools.product(self.states, self.sigma_in, self.sigma_out)
-            table = list(map(index.__getitem__, map(self.transition.__getitem__, keys)))
-            faulty = min(map(self.priority.__getitem__, self.states)) < 0
-        except (KeyError, TypeError):
-            faulty = True
-        if faulty:  # the checks in their order raise at the first fault
-            state_set = set(self.states)
-            for q in self.states:
-                if q not in self.priority:
-                    raise AutomatonError(f"priority missing for state {q!r}")
-                if self.priority[q] < 0:
-                    raise AutomatonError("priorities must be nonnegative")
-                for a in self.sigma_in:
-                    for b in self.sigma_out:
-                        tgt = self.transition.get((q, a, b))
-                        if tgt is None:
-                            raise AutomatonError(f"transition missing at ({q!r}, {a!r}, {b!r})")
-                        if tgt not in state_set:
-                            raise AutomatonError(f"transition target {tgt!r} not a state")
-        if len(self.transition) != len(table):  # keys beyond the triples, or a triple listed twice
+        index = {q: i for i, q in enumerate(self.states)}
+        table = []
+        for q in self.states:
+            if q not in self.priority:
+                raise AutomatonError(f"priority missing for state {q!r}")
+            if self.priority[q] < 0:
+                raise AutomatonError("priorities must be nonnegative")
+            for a in self.sigma_in:
+                for b in self.sigma_out:
+                    tgt = self.transition.get((q, a, b))
+                    if tgt is None:
+                        raise AutomatonError(f"transition missing at ({q!r}, {a!r}, {b!r})")
+                    if tgt not in index:
+                        raise AutomatonError(f"transition target {tgt!r} not a state")
+                    table.append(index[tgt])
+        if len(index) < len(self.states) or len(set(self.sigma_in)) < len(self.sigma_in) \
+                or len(set(self.sigma_out)) < len(self.sigma_out):
+            raise AutomatonError("states, sigma_in or sigma_out repeats an entry")
+        if len(self.transition) > len(table):  # every triple is a key, so the rest lie outside
             triples = set(itertools.product(self.states, self.sigma_in, self.sigma_out))
-            extra = [key for key in self.transition if key not in triples]
-            raise AutomatonError(f"transition key {extra[0]!r} outside states x sigma_in x sigma_out"
-                                 if extra else "states, sigma_in or sigma_out repeats an entry")
+            extra = next(key for key in self.transition if key not in triples)
+            raise AutomatonError(f"transition key {extra!r} outside states x sigma_in x sigma_out")
         object.__setattr__(self, "table", table)
 
     def step(self, q, a, b):
@@ -286,40 +282,34 @@ def automaton_from_json(data) -> ParityAutomaton:
     def declared(q):
         return isinstance(q, str) and q in known
 
-    entries = data["transitions"]
-    try:
-        keys = list(map(itemgetter("from", "in", "out"), entries))
-        transition = dict(zip(keys, map(itemgetter("to"), entries)))
-        # every key a distinct declared triple, every target a state or the sink
-        valid = len(transition) == len(keys) and known.union((SINK,)).issuperset(transition.values())
-        for i, allowed in enumerate((known, sigma_in, sigma_out)):
-            valid = valid and set(allowed).issuperset(map(itemgetter(i), keys))
-    except (KeyError, TypeError):
-        valid = False
-    if not valid:  # entry by entry, to name the first bad one
-        transition = {}
-        for entry in entries:
-            q, ain, aout, tgt = entry["from"], entry["in"], entry["out"], entry["to"]
-            if not declared(q):
-                raise AutomatonError(f"transition from undeclared state {q!r}")
-            if ain not in sigma_in or aout not in sigma_out:
-                raise AutomatonError(f"transition letter ({ain!r}, {aout!r}) undeclared")
-            key = (q, ain, aout)
-            if key in transition:
-                raise AutomatonError(f"duplicate transition at {key!r}")
-            transition[key] = tgt
-        for tgt in transition.values():
-            if not (declared(tgt) or tgt == SINK):
-                raise AutomatonError(f"transition target {tgt!r} undeclared")
+    transition = {}
+    for entry in data["transitions"]:
+        q, ain, aout, tgt = entry["from"], entry["in"], entry["out"], entry["to"]
+        if not declared(q):
+            raise AutomatonError(f"transition from undeclared state {q!r}")
+        if ain not in sigma_in or aout not in sigma_out:
+            raise AutomatonError(f"transition letter ({ain!r}, {aout!r}) undeclared")
+        key = (q, ain, aout)
+        if key in transition:
+            raise AutomatonError(f"duplicate transition at {key!r}")
+        transition[key] = tgt
 
-    # the keys are distinct declared triples, so the count tells completeness
-    incomplete = len(transition) < len(states) * len(sigma_in) * len(sigma_out)
-    if incomplete or (SINK not in known and SINK in transition.values()):
+    referenced_sink = any(t == SINK for t in transition.values()) and SINK not in known
+    incomplete = any(
+        (q, a, b) not in transition for q in states for a in sigma_in for b in sigma_out
+    )
+    if referenced_sink or incomplete:
         if SINK not in known:
             states.append(SINK)
+            known.add(SINK)
             priority[SINK] = _worst_priority(convention, priority.values())
-        for key in itertools.product(states, sigma_in, sigma_out):
-            transition.setdefault(key, SINK)
+        for q in states:
+            for a in sigma_in:
+                for b in sigma_out:
+                    transition.setdefault((q, a, b), SINK)
+    for tgt in transition.values():
+        if not declared(tgt):
+            raise AutomatonError(f"transition target {tgt!r} undeclared")
     return ParityAutomaton(
         states=tuple(states),
         sigma_in=sigma_in,

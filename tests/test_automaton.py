@@ -284,10 +284,29 @@ def test_transition_keys_outside_the_triples_are_rejected():
 
 
 @pytest.mark.parametrize("states, sigma_in", [(("p", "q", "p"), ("0", "1")), (("p", "q"), ("0", "1", "0"))])
-def test_repeated_states_or_letters_are_rejected(states, sigma_in):
+@pytest.mark.parametrize("outside", [0, 4])
+def test_repeated_states_or_letters_are_rejected(states, sigma_in, outside):
     transition = {(q, x, y): q for q in "pq" for x in "01" for y in "01"}
+    # with 4 keys outside the triples the key count equals the count of listed triples
+    transition.update({("zz", str(i), "0"): "p" for i in range(outside)})
     with pytest.raises(AutomatonError, match="^states, sigma_in or sigma_out repeats an entry$"):
         ParityAutomaton(states, sigma_in, ("0", "1"), transition, "p", {"p": 0, "q": 1})
+
+
+@pytest.mark.parametrize("kind", [list, tuple, iter])
+def test_json_transitions_may_be_any_iterable(kind):
+    data = {
+        "states": ["a", "b"],
+        "sigma_in": ["0", "1"],
+        "sigma_out": ["0"],
+        "initial": "a",
+        "priority": {"a": 0, "b": 1},
+        "transitions": [{"from": q, "in": x, "out": "0", "to": "b"} for q in "ab" for x in "01"],
+    }
+    expected = automaton_from_json(data)
+    data["transitions"] = kind(data["transitions"])
+    a = automaton_from_json(data)
+    assert a == expected and SINK not in a.states
 
 
 def test_json_roundtrip_and_sink_completion():

@@ -501,7 +501,7 @@ BAD_LAST_ENTRY = {
 
 @pytest.mark.parametrize("fault", sorted(BAD_LAST_ENTRY))
 def test_a_bad_last_transition_entry_is_named(tmp_path, fault):
-    # the loader checks the whole list at once, then entry by entry on a fault
+    # the first bad entry is named even when 399 valid ones come before it
     states = [f"q{i}" for i in range(100)]
     entries = [
         {"from": q, "in": x, "out": y, "to": states[(i + 1) % 100]}
