@@ -249,19 +249,24 @@ def _arena(a, semantics, up, moves):
                     best[key] = r, member
     members = [m for _, m in sorted(set(best.values()))]
     index = {m: i for i, m in enumerate(members)}
-    final_up = set()
+    final_up, edges_from = set(), {}
+    labels = {}  # (small, big) -> the labels of both halves, sorted
     for (q, x, final, small, big), (_, member) in best.items():
         up_node = ArenaNode(I_UP, q, x, index[member])
         if final:
             final_up.add(up_node)
         source = ArenaNode(source_kind, q, x)
         moves[source].add(ArenaEdge(source, up_node))
-        moves[up_node] = {ArenaEdge(up_node, *t) for t in small | big}
+        if (small, big) not in labels:
+            labels[small, big] = sorted(small | big)
+        # edges out of one node compare by their labels
+        edges_from[up_node] = tuple(ArenaEdge(up_node, *t) for t in labels[small, big])
+    edges_from.update((n, tuple(sorted(es))) for n, es in moves.items())
     return Arena(
         semantics=semantics,
         automaton=a,
         members=tuple(members),
-        edges_from={n: tuple(sorted(es)) for n, es in sorted(moves.items())},
+        edges_from=dict(sorted(edges_from.items())),
         final_up=frozenset(final_up),
     )
 

@@ -17,6 +17,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from operator import add
+from typing import NamedTuple
 from .omega_word import LassoWord, inf_set, transduce
 
 SINK = "__sink__"
@@ -162,8 +163,7 @@ def convert_convention(a: ParityAutomaton, target: str) -> ParityAutomaton:
     )
 
 
-@dataclass(frozen=True)
-class SafetyMonitor:
+class SafetyMonitor(NamedTuple):
     """Deterministic safety automaton with an absorbing rejecting sink."""
 
     states: tuple

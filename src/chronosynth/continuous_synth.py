@@ -27,8 +27,8 @@ into the edge label, which preserves the maximum over any closed walk.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 from .arena import FRESH, FV, I_UP, OWNER, RC, Arena, ArenaNode, build_fv_arena, build_rc_arena
 from .automaton import ParityAutomaton
@@ -45,8 +45,7 @@ class SynthError(Exception):
     pass
 
 
-@dataclass
-class StrategyGraph:
+class StrategyGraph(NamedTuple):
     """One-player restriction of the arena under a positional choice."""
 
     arena: Arena
@@ -123,8 +122,7 @@ def _sccs(roots, succ):
     return comp_of
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     kind: str  # 'A' | 'B'
     node: ArenaNode = None  # the non-final block node, for 'A'
     priority: int = -1  # the odd dominating priority, for 'B'
@@ -199,22 +197,28 @@ def find_violation(sg: StrategyGraph):
 # -- the recursion ------------------------------------------------------------
 
 
-@dataclass
 class SynthStats:
-    class_counts: dict = field(default_factory=dict)
-    up_sizes: dict = field(default_factory=dict)
-    d_bound: int = 1
-    solve_calls: int = 0  # calls of the recursion
-    game_nodes: int = 0  # nodes and edges left to the recursion by the two attractors
-    game_edges: int = 0
+    """Counters of one decision, filled in as it runs; ``synth --stats`` prints them."""
+
+    def __init__(
+        self, class_counts=None, up_sizes=None, d_bound=1, solve_calls=0, game_nodes=0, game_edges=0
+    ):
+        self.class_counts = {} if class_counts is None else class_counts  # input letter -> classes
+        self.up_sizes = {} if up_sizes is None else up_sizes  # input letter -> vocabulary size
+        self.d_bound = d_bound
+        self.solve_calls = solve_calls  # calls of the recursion
+        self.game_nodes = game_nodes  # nodes and edges left to the recursion by the two attractors
+        self.game_edges = game_edges
 
 
-@dataclass
 class SynthResult:
-    realizable: bool
-    witness: dict | None
-    arena: Arena
-    stats: SynthStats
+    """The decision, the controller's positional choice if it wins, the arena and the counters."""
+
+    def __init__(self, realizable: bool, witness: dict | None, arena: Arena, stats: SynthStats):
+        self.realizable = realizable
+        self.witness = witness
+        self.arena = arena
+        self.stats = stats
 
     @cached_property
     def violation(self) -> Violation | None:

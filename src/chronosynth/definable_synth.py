@@ -14,7 +14,7 @@ machine-checkable certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .automaton import (
     AlphabetMismatchError,
@@ -82,8 +82,7 @@ def build_psi_star_monitor(sigma_in, sigma_out) -> SafetyMonitor:
     return SafetyMonitor(tuple(states), "start", "dead", transition)
 
 
-@dataclass(frozen=True)
-class DefinableResult:
+class DefinableResult(NamedTuple):
     definable: bool
     witness: MealyMachine | None
     counter: MooreCounterMachine | None

@@ -17,9 +17,9 @@ interrupt arena with the tree of Fin(big) or even parity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from operator import or_
+from typing import NamedTuple
 
 from .automaton import MAX_EVEN, ParityAutomaton, dot_quote, mirrored_priority, state_name
 from .omega_word import LassoWord, transduce
@@ -225,8 +225,7 @@ def solve_indexed(succ, owner, priority):
     return win["O"], win["I"], strat["O"], strat["I"]
 
 
-@dataclass(frozen=True)
-class MealyMachine:
+class MealyMachine(NamedTuple):
     """Finite-state causal implementation: reads a, emits b, steps."""
 
     states: tuple
@@ -240,8 +239,7 @@ class MealyMachine:
             raise GameError(f"mealy machine has no move at ({q!r}, {a!r})")
 
 
-@dataclass(frozen=True)
-class MooreCounterMachine:
+class MooreCounterMachine(NamedTuple):
     """Strongly causal counter: emits an input letter before reading."""
 
     states: tuple
@@ -259,8 +257,7 @@ class MooreCounterMachine:
             raise GameError(f"counter machine has no move at ({q!r}, {b!r})")
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     winner: str  # 'output' | 'input'
     mealy: MealyMachine | None
     counter: MooreCounterMachine | None

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arena import (
     FRESH, FV, I_UP, LEFT, O_DAG, O_PAIR, RC, RIGHT, Arena, ArenaEdge, ArenaNode,
@@ -45,20 +46,17 @@ class UndecidedError(PlayError):
 # -- moves -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Accept:
+class Accept(NamedTuple):
     pass
 
 
-@dataclass(frozen=True)
-class InterruptMove:
+class InterruptMove(NamedTuple):
     time: Fraction
     letter: str
     kind: str = ""  # '' for rc; 'left' | 'right' for fv
 
 
-@dataclass(frozen=True)
-class TraceStep:
+class TraceStep(NamedTuple):
     text: str
     edge: ArenaEdge
     time: Fraction
@@ -78,8 +76,7 @@ class TimedPlay:
         return "\n".join(s.text for s in self.steps) + ("\n" if self.steps else "")
 
 
-@dataclass(frozen=True)
-class PlayOutcome:
+class PlayOutcome(NamedTuple):
     winner: str  # 'O' | 'I'
     reason: str  # accepted_final | rejected_final | zeno_O_win | parity_even | parity_odd
 

@@ -15,7 +15,6 @@ absorbing representative and an idempotent period representative.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 MONOID_CAP = 200_000  # classes in a table, and (class, idempotent) pairs for `monoid`
@@ -33,18 +32,21 @@ def _cap_exceeded(count) -> ResourceCapError:
     return ResourceCapError(f"signature cap exceeded; {count} classes built so far")
 
 
-@dataclass(frozen=True)
 class MonoidContext:
-    """State universe plus, per input letter, the one-step relation E_a."""
+    """State universe plus, per input letter, the one-step relation E_a; read-only."""
 
-    states: tuple
-    relations: dict  # letter -> frozenset of (q, q') pairs
+    __slots__ = ("states", "relations")
 
-    def __post_init__(self):
-        object.__setattr__(self, "states", tuple(sorted(self.states)))
-        object.__setattr__(
-            self, "relations", {a: frozenset(r) for a, r in self.relations.items()}
-        )
+    def __init__(self, states, relations):
+        object.__setattr__(self, "states", tuple(sorted(states)))
+        # letter -> frozenset of (q, q') pairs
+        object.__setattr__(self, "relations", {a: frozenset(r) for a, r in relations.items()})
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r} of a MonoidContext")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r} of a MonoidContext")
 
     def has_edge(self, a, q, q2) -> bool:
         return (q, q2) in self.relations[a]
@@ -109,8 +111,7 @@ def absorbs(ctx: MonoidContext, s: StateSignature, e: StateSignature, late: froz
     return all(a in e.flags and ctx.has_edge(a, s.last, e.first) for a in s.flags)
 
 
-@dataclass
-class ClassTable:
+class ClassTable(NamedTuple):
     """All signature classes with shortest witnesses, ordered by discovery."""
 
     ctx: MonoidContext

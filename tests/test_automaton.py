@@ -1,6 +1,5 @@
 """Parity automaton runs, acceptance, conventions, and monitor products."""
 
-import dataclasses
 import itertools
 import json
 import random
@@ -266,7 +265,7 @@ def test_monitor_faults_raise_what_the_named_product_raises(faults):
         monitor.transition[("ok", "1", "1")] = "nowhere"
         monitor.transition[("ok", "1", "0")] = "nowhere"
     if "initial" in faults:
-        monitor = dataclasses.replace(monitor, initial="nowhere")
+        monitor = monitor._replace(initial="nowhere")
     error, message = MONITOR_FAULTS[faults]
     for build_product in (product_with_monitor, reference_product):
         with pytest.raises(error) as info:
