@@ -23,18 +23,22 @@ all four are interchangeable moves, so (q, x) gets one block node per
 such behaviour, represented by the first-ranked member that has it.
 
 Nodes and edges are immutable named tuples, ordered, compared and hashed
-by their fields in declaration order; the sorted node and edge lists, and
-with them the solver's node numbering, witnesses and exports, follow that order.
-The arena maps each node, in sorted order, to its sorted moves; since edges
-compare by source first, the sorted edge list is these moves joined.
+by their fields in declaration order; the sorted node list, and with it the
+solver's node numbering, witnesses and exports, follows that order.
+The arena is factored: each node other than a block node keeps its sorted
+moves, and each block node keeps only the id of its (small, big) half pair,
+whose sorted labels (dst, priority, size, kind) are stored once for every
+block node that shares them.  ``Arena.outgoing`` builds a block node's
+edges from those labels on first read; since edges out of one node compare
+by their labels and edges compare by source first, the sorted edge list is
+every node's moves joined in node order.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property
-from typing import ClassVar, NamedTuple
+from typing import NamedTuple
 
 from .automaton import MAX_EVEN, ParityAutomaton, convert_convention, dot_quote, state_name
 from .state_monoid import UPMember
@@ -87,14 +91,21 @@ class ArenaEdge(NamedTuple):
         return self.size != ""
 
 
-@dataclass
 class Arena:
-    semantics: str
-    automaton: ParityAutomaton
-    members: tuple  # all UPMember objects referenced by i_up nodes
-    edges_from: dict  # node -> its sorted moves, in node order; () only at blocks over one input letter
-    final_up: frozenset  # i_up nodes whose period's max priority is even
-    fresh: ClassVar[ArenaNode] = ArenaNode(FRESH)
+    """The factored arena; ``outgoing``, ``edges_from``, ``edges`` and ``names`` are the readers' view."""
+
+    fresh = ArenaNode(FRESH)
+
+    def __init__(self, semantics, automaton, members, nodes, moves, blocks, pairs, final_up):
+        self.semantics = semantics
+        self.automaton = automaton
+        self.members = members  # all UPMember objects referenced by i_up nodes
+        self.nodes = nodes  # every node, sorted
+        self.moves = moves  # each node but the block nodes -> its sorted moves, in node order
+        self.blocks = blocks  # each block node -> the id of its half pair
+        self.pairs = pairs  # pair id -> its sorted labels; () only over one input letter
+        self.final_up = final_up  # i_up nodes whose period's max priority is even
+        self._expanded = {}  # block node -> its edges, built on first read
 
     def owner(self, node: ArenaNode) -> str:
         return OWNER[node.kind]
@@ -113,11 +124,24 @@ class Arena:
         return self.members[node.up]
 
     def outgoing(self, node: ArenaNode) -> tuple:
-        return self.edges_from[node]
+        """The node's sorted moves; a block node's are built from its pair's labels once."""
+        outs = self.moves.get(node)
+        if outs is None:
+            outs = self._expanded.get(node)
+            if outs is None:
+                outs = self._expanded[node] = tuple(ArenaEdge(node, *t) for t in self.pairs[self.blocks[node]])
+        return outs
+
+    @property
+    def edge_count(self) -> int:
+        """The number of edges, summed over the table without building a block edge."""
+        pairs = self.pairs
+        return sum(map(len, self.moves.values())) + sum(len(pairs[i]) for i in self.blocks.values())
 
     @cached_property
-    def nodes(self) -> tuple:
-        return tuple(self.edges_from)
+    def edges_from(self) -> dict:
+        """Each node, in sorted order, to its sorted moves."""
+        return {node: self.outgoing(node) for node in self.nodes}
 
     @cached_property
     def edges(self) -> tuple:
@@ -190,26 +214,35 @@ def _interrupt_targets(a, semantics):
         for parity in (0, 1)
         for x in a.sigma_in
     }
-    periods = 2 if semantics == FV else 1
+    priority, fv = a.priority, semantics == FV
+    periods = 2 if fv else 1
 
+    # plain loops: a generator and max() per position cost twice as much; a
+    # frozenset copied from a set is smaller than one built from a list
     def targets(member, letter):
-        key = (member.lag, letter)
-        if key not in small_half:
-            found, running = set(), -1
-            for n, q in enumerate(member.lag, 1):
-                running = max(running, a.priority[q])
-                found.update((dst, running, "small", kind) for dst, kind in landings[q, n % 2, letter])
-            small_half[key] = frozenset(found), running
-        small, top = small_half[key]
-        start = len(member.lag) % 2 if semantics == FV else 0
+        lag = member.lag
+        key = (lag, letter)
+        small = small_half.get(key)
+        if small is None:
+            found, top = set(), -1
+            for n, q in enumerate(lag, 1):
+                if priority[q] > top:
+                    top = priority[q]
+                for dst, kind in landings[q, n % 2, letter]:
+                    found.add((dst, top, "small", kind))
+            small = small_half[key] = frozenset(found), top
+        top = small[1]
+        start = len(lag) % 2 if fv else 0
         key = (member.period, top, letter, start)
-        if key not in big_half:
-            big_half[key] = frozenset(
-                (dst, top, "big", kind)
-                for n, q in enumerate(member.period * periods, start + 1)
-                for dst, kind in landings[q, n % 2, letter]
-            ), max(a.priority[q] for q in member.period) % 2 == 0
-        return (small, *big_half[key])
+        big = big_half.get(key)
+        if big is None:
+            found = set()
+            for n, q in enumerate(member.period * periods, start + 1):
+                for dst, kind in landings[q, n % 2, letter]:
+                    found.add((dst, top, "big", kind))
+            final = max(map(priority.__getitem__, member.period)) % 2 == 0
+            big = big_half[key] = frozenset(found), final
+        return small[0], *big
 
     return targets
 
@@ -245,28 +278,33 @@ def _arena(a, semantics, up, moves):
             small, big, final = targets_of(member, x)
             for q in sources:
                 key = (q, x, final, small, big)
-                if key not in best or r < best[key][0]:
+                kept = best.get(key)
+                if kept is None or r < kept[0]:
                     best[key] = r, member
-    members = [m for _, m in sorted(set(best.values()))]
-    index = {m: i for i, m in enumerate(members)}
-    final_up, edges_from = set(), {}
-    labels = {}  # (small, big) -> the labels of both halves, sorted
-    for (q, x, final, small, big), (_, member) in best.items():
-        up_node = ArenaNode(I_UP, q, x, index[member])
+    representative = dict(best.values())  # rank -> member
+    number = {r: i for i, r in enumerate(sorted(representative))}
+    final_up, blocks = set(), {}
+    pair_ids, pairs = {}, []  # (small, big) -> its id; id -> the labels of both halves, sorted
+    for (q, x, final, small, big), (r, _) in best.items():
+        up_node = ArenaNode(I_UP, q, x, number[r])
         if final:
             final_up.add(up_node)
         source = ArenaNode(source_kind, q, x)
         moves[source].add(ArenaEdge(source, up_node))
-        if (small, big) not in labels:
-            labels[small, big] = sorted(small | big)
-        # edges out of one node compare by their labels
-        edges_from[up_node] = tuple(ArenaEdge(up_node, *t) for t in labels[small, big])
-    edges_from.update((n, tuple(sorted(es))) for n, es in moves.items())
+        pair = pair_ids.get((small, big))
+        if pair is None:
+            pair = pair_ids[small, big] = len(pairs)
+            # edges out of one node compare by their labels
+            pairs.append(tuple(sorted(small | big)))
+        blocks[up_node] = pair
     return Arena(
         semantics=semantics,
         automaton=a,
-        members=tuple(members),
-        edges_from=dict(sorted(edges_from.items())),
+        members=tuple(representative[r] for r in number),
+        nodes=tuple(sorted([*moves, *blocks])),
+        moves={n: tuple(sorted(es)) for n, es in sorted(moves.items())},
+        blocks=blocks,
+        pairs=pairs,
         final_up=frozenset(final_up),
     )
 

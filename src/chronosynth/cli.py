@@ -191,7 +191,7 @@ def cmd_synth(spec, args, out, err):
             "up_sizes": res.stats.up_sizes,
             "d_bound": res.stats.d_bound,
             "arena_nodes": len(res.arena.nodes),
-            "arena_edges": len(res.arena.edges),
+            "arena_edges": res.arena.edge_count,
         }
     _emit(payload, out)
     return EXIT_OK

@@ -229,7 +229,7 @@ class SynthResult:
         if self.realizable:
             return None
         arena = self.arena
-        first = {n: es[0] for n, es in arena.edges_from.items() if es and arena.owner(n) == "O"}
+        first = {n: es[0] for n, es in arena.moves.items() if es and arena.owner(n) == "O"}
         return find_violation(build_strategy_graph(arena, first))
 
 
@@ -271,8 +271,11 @@ def solve_interrupt(arena: Arena, stats: SynthStats | None = None):
     its edge, or is None when the environment wins.  Every controller node
     must have a move, as ``build_game_arena`` ensures.  Nodes are numbered
     in arena order and every list below is in that order, so the choice is
-    deterministic.  Counts the recursion's calls and its game into
-    ``stats`` if given.
+    deterministic.  The game is read off the factored arena: block nodes
+    with one half pair and one inherited priority share one successor list
+    and one colour list, which ``Game`` only reads, and no block edge is
+    built.  Counts the recursion's calls and its game into ``stats`` if
+    given.
     """
     stats = stats if stats is not None else SynthStats()
     nodes = arena.nodes
@@ -284,26 +287,31 @@ def solve_interrupt(arena: Arena, stats: SynthStats | None = None):
     rank = dense_ranks([0, *priority.values()])
     small = {p: 1 << 2 * r for p, r in rank.items()}
     big_colours = int("10" * (max(rank.values()) + 1), 2)
+    moves, blocks, pairs = arena.moves, arena.blocks, arena.pairs
     succ, owner, colour, edge_colour = [], [], [], {}
     accepts, stuck = [], []  # non-final block nodes; final block nodes without moves
-    for v, (node, outs) in enumerate(arena.edges_from.items()):
+    shared = {}  # (pair id, node priority) -> the successors and colours of its block nodes
+    for v, node in enumerate(nodes):
         kind = node.kind
         p = 0 if rc or kind == FRESH else priority[node.state]
         owner.append(OWNER[kind])
         if kind == I_UP:
+            key = blocks[node], p
+            if key not in shared:
+                labels = pairs[key[0]]
+                shared[key] = (
+                    [index[dst] for dst, _, _, _ in labels],
+                    [small[q if q > p else p] << (size == "big") for _, q, size, _ in labels],
+                )
+            ws, edge_colour[v] = shared[key]
             if node not in final_up:
                 accepts.append(v)
-            elif not outs:
+            elif not ws:
                 stuck.append(v)
-            ws, cs = [], []
-            for _, dst, q, size, _ in outs:
-                ws.append(index[dst])
-                cs.append(small[q if q > p else p] << (size == "big"))
             succ.append(ws)
             colour.append(0)
-            edge_colour[v] = cs
         else:
-            succ.append([index[e.dst] for e in outs])
+            succ.append([index[e.dst] for e in moves[node]])
             colour.append(small[p])  # unlabelled edges: the source's colour
 
     game = Game(succ, owner, colour, edge_colour)
@@ -327,7 +335,7 @@ def solve_interrupt(arena: Arena, stats: SynthStats | None = None):
         if owner[v] == "O":
             w = strategy[v]
             node = nodes[v]
-            choice[node] = arena.edges_from[node][succ[v].index(w)]
+            choice[node] = moves[node][succ[v].index(w)]
             nexts = (w,)
         else:
             nexts = succ[v]
@@ -362,9 +370,7 @@ def build_game_arena(spec: ParityAutomaton, semantics: str, monoid_cap: int = MO
         stats.up_sizes[x] = len(up_by_letter[x])
     builder = build_rc_arena if semantics == RC else build_fv_arena
     arena = builder(spec, up_by_letter)
-    stuck = [
-        n for n in arena.nodes if arena.owner(n) == "O" and not arena.outgoing(n)
-    ]
+    stuck = [n for n, outs in arena.moves.items() if arena.owner(n) == "O" and not outs]
     if stuck:
         # cannot happen with a complete per-letter vocabulary over a total
         # automaton; a bare block vocabulary would silently skew the game

@@ -56,7 +56,8 @@ class Game:
     bit of an integer mask.  Every edge out of v has colour ``colour[v]``,
     except at a node whose edges differ: its colour is 0 and
     ``edge_colour[v]`` lists its edges' colours in ``succ[v]``'s order.
-    Predecessor lists are built once here; nothing checks the lists.
+    Predecessor lists are built once here; nothing checks or changes the
+    lists, so nodes may share a successor or colour list.
     """
 
     def __init__(self, succ, owner, colour, edge_colour=None):

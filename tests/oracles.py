@@ -23,6 +23,11 @@ closed-form absorption test of ``state_monoid.build_UP``, and must return the
 same members in the same order; ``reference_interrupt_targets`` scans every
 interrupt position of a member's lag plus one period (two under fv), as an
 oracle for the two cached halves of ``arena._interrupt_targets``;
+``reference_arena`` builds the flat arena, every block node with its own
+sorted ``ArenaEdge`` tuple read off ``reference_interrupt_targets``, as an
+oracle for the factored arena that ``arena.build_rc_arena`` and
+``build_fv_arena`` return, whose block nodes share the labels of one half
+pair;
 ``omega_equivalent`` is the equivalence of omega-words over states, built
 from ``pair_profile`` and ``path_flags``, whose classes the tests check
 ``state_monoid.signature_of`` and the block vocabulary against;
@@ -32,9 +37,10 @@ verdict of ``continuous_synth.solve_interrupt``, which runs ``Game.solve``
 over the Zielonka tree of the interrupt arena's condition.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 
-from chronosynth.arena import FV, I_DAG, LEFT, O_PAIR, RC, RIGHT, ArenaNode
+from chronosynth.arena import FRESH, FV, I_DAG, I_UP, LEFT, O_DAG, O_PAIR, RC, RIGHT, ArenaEdge, ArenaNode
 from chronosynth.automaton import (
     MAX_EVEN,
     ParityAutomaton,
@@ -326,6 +332,72 @@ def reference_interrupt_targets(a, member, letter, semantics):
                 kind = "interrupt" if semantics == RC else (LEFT if n % 2 else RIGHT)
                 targets.add((dst, running, size, kind))
     return frozenset(targets)
+
+
+class FlatArena:
+    """An arena that keeps every node's sorted moves, block nodes' included."""
+
+    def __init__(self, semantics, automaton, members, edges_from, final_up):
+        self.semantics = semantics
+        self.automaton = automaton
+        self.members = members
+        self.edges_from = edges_from  # node -> its sorted moves, in node order
+        self.final_up = final_up
+        self.nodes = tuple(edges_from)
+        self.edges = tuple(e for outs in edges_from.values() for e in outs)
+        names = {node: node.pretty() for node in self.nodes}
+        shared = Counter(names.values())
+        self.names = {node: repr(node) if shared[name] > 1 else name for node, name in names.items()}
+
+
+def reference_arena(a: ParityAutomaton, semantics, up) -> FlatArena:
+    """The arena over the vocabularies ``up``, each block node's edges built for it alone.
+
+    A block node (q, x, u) exists for each behaviour (q, x, final, labelled
+    edges) of the members u of ``up[x]`` that start at a successor of q under
+    x, represented by the member of that behaviour used first over (letter,
+    member); members are numbered by first use.
+    """
+    a = convert_convention(a, MAX_EVEN)
+    fresh = ArenaNode(FRESH)
+    moves = {fresh: {ArenaEdge(fresh, ArenaNode(O_PAIR, a.initial, x)) for x in a.sigma_in}}
+    for q in a.states:
+        for x in a.sigma_in:
+            pair = ArenaNode(O_PAIR, q, x)
+            moves[pair] = set()
+            if semantics == FV:
+                moves[pair] = {ArenaEdge(pair, ArenaNode(O_DAG, a.transition[q, x, b])) for b in a.sigma_out}
+                moves[ArenaNode(I_DAG, q, x)] = set()
+        if semantics == FV:
+            dag = ArenaNode(O_DAG, q)
+            moves[dag] = {ArenaEdge(dag, ArenaNode(I_DAG, q, x)) for x in a.sigma_in}
+    source_kind = O_PAIR if semantics == RC else I_DAG
+    rels = a.edge_relations()
+    rank, best = {}, {}
+    for x in a.sigma_in:
+        for member in up[x]:
+            sources = [q for q in a.states if (q, member.lag[0]) in rels[x]]
+            if not sources:
+                continue
+            r = rank.setdefault(member, len(rank))
+            labels = reference_interrupt_targets(a, member, x, semantics)
+            final = max(a.priority[q] for q in member.period) % 2 == 0
+            for q in sources:
+                key = (q, x, final, labels)
+                if key not in best or r < best[key][0]:
+                    best[key] = r, member
+    members = [m for _, m in sorted(set(best.values()))]
+    index = {m: i for i, m in enumerate(members)}
+    final_up, edges_from = set(), {}
+    for (q, x, final, labels), (_, member) in best.items():
+        node = ArenaNode(I_UP, q, x, index[member])
+        if final:
+            final_up.add(node)
+        source = ArenaNode(source_kind, q, x)
+        moves[source].add(ArenaEdge(source, node))
+        edges_from[node] = tuple(sorted(ArenaEdge(node, *label) for label in labels))
+    edges_from.update((node, tuple(sorted(es))) for node, es in moves.items())
+    return FlatArena(semantics, a, tuple(members), dict(sorted(edges_from.items())), frozenset(final_up))
 
 
 def enumerate_choices(arena):

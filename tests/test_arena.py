@@ -1,7 +1,8 @@
 """Arena construction for both semantics."""
 
-import dataclasses
 import hashlib
+import inspect
+import io
 import json
 import random
 
@@ -24,7 +25,8 @@ from chronosynth.arena import (
     export_dot,
 )
 from chronosynth.automaton import MAX_EVEN, MIN_EVEN, ParityAutomaton, convert_convention, dot_quote
-from chronosynth.continuous_synth import build_game_arena
+from chronosynth.cli import main
+from chronosynth.continuous_synth import build_game_arena, decide_continuous
 from chronosynth.state_monoid import (
     build_UP,
     build_class_table,
@@ -33,6 +35,7 @@ from chronosynth.state_monoid import (
 )
 
 from fixture_specs import FIXTURES, load_fixture
+from oracles import reference_arena
 
 
 def one_state_automaton(sigma_in=("0", "1"), priority=0):
@@ -374,11 +377,12 @@ def test_effective_priority_and_exported_node_priorities(quotient_corpus):
     for fixture in sorted(FIXTURES.glob("*.json")):
         if not fixture.stem.endswith("_d"):
             arenas += [build_game_arena(load_fixture(fixture.stem), s)[0] for s in (RC, FV)]
-    # each edge is stored once, in its source's sorted list; the nodes are
-    # the map's sorted keys, and the sorted edge list is those lists joined
+    # the arena stores the sorted nodes, each other node's sorted moves and
+    # each block node's half pair; in the readers' view every edge is in its
+    # source's sorted list, and the sorted edge list is those lists joined
     # in node order
-    fields = {f.name for f in dataclasses.fields(Arena)}
-    assert fields == {"semantics", "automaton", "members", "edges_from", "final_up"}
+    fields = set(inspect.signature(Arena).parameters)
+    assert fields == {"semantics", "automaton", "members", "nodes", "moves", "blocks", "pairs", "final_up"}
     for arena in arenas:
         assert arena.nodes == tuple(arena.edges_from) == tuple(sorted(arena.edges_from))
         for node, outs in arena.edges_from.items():
@@ -404,6 +408,57 @@ def test_effective_priority_and_exported_node_priorities(quotient_corpus):
             label = dot_quote(f"{name} p{p}" if p >= 0 else name)
             assert line.startswith(f"  {dot_quote(name)} [") and f"label={label}" in line, line
             assert entry.get("priority", -1) == p, (node, entry)
+
+
+# -- the factored arena against the flat one ---------------------------------
+
+
+def _continuous_fixtures():
+    return [load_fixture(f.stem) for f in sorted(FIXTURES.glob("*.json")) if not f.stem.endswith("_d")]
+
+
+def test_factored_arena_matches_flat_reference(quotient_corpus):
+    specs = [a for a, semantics, _ in quotient_corpus if semantics == RC] + _continuous_fixtures()
+    specs += [random_automaton(random.Random(seed), 3) for seed in range(8)]
+    blocks = 0
+    for a in specs:
+        up = up_for(a)
+        for semantics, build in ((RC, build_rc_arena), (FV, build_fv_arena)):
+            arena, flat = build(a, up), reference_arena(a, semantics, up)
+            count = arena.edge_count  # read off the table, before any edge is built
+            assert arena.nodes == flat.nodes, semantics
+            assert arena.edges_from == flat.edges_from, semantics
+            assert arena.edges == flat.edges, semantics
+            assert arena.final_up == flat.final_up, semantics
+            assert arena.members == flat.members, semantics
+            assert arena.names == flat.names, semantics
+            assert count == len(arena.edges), semantics
+            # block nodes share the labels of a half pair, each pair stored once
+            assert len(set(arena.pairs)) == len(arena.pairs) <= len(arena.blocks)
+            blocks += len(arena.blocks)
+    assert blocks > 1000
+
+
+def test_synth_builds_no_block_edge(monkeypatch):
+    # the decision reads the arena's tables: no block node is expanded into edges
+    for a in _continuous_fixtures():
+        for semantics in (RC, FV):
+            arena = decide_continuous(a, semantics).arena
+            assert arena.blocks and not arena._expanded, semantics
+    expanded = []
+    outgoing = Arena.outgoing
+
+    def recording(arena, node):
+        if node.kind == I_UP:
+            expanded.append(node)
+        return outgoing(arena, node)
+
+    monkeypatch.setattr(Arena, "outgoing", recording)
+    for fixture in ("psi_copy", "psi_indet_fv", "psi_jump_fv"):
+        for semantics in (RC, FV):
+            argv = ["synth", "--semantics", semantics, "--stats", str(FIXTURES / f"{fixture}.json")]
+            assert main(argv, out=io.StringIO(), err=io.StringIO()) == 0
+    assert expanded == []
 
 
 # -- 3-state arenas are pinned -------------------------------------------------

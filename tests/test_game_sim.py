@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from chronosynth.arena import FRESH, FV, I_DAG, I_UP, O_DAG, O_PAIR, RC
+from chronosynth.arena import FRESH, FV, I_DAG, I_UP, O_DAG, O_PAIR, RC, Arena
 from chronosynth.continuous_synth import (
     Violation,
     _bfs_path,
@@ -447,7 +447,10 @@ def test_interactive_session_rejects_bad_input_and_reprompts():
     member = res.arena.member(play.node)
     members = list(res.arena.members)
     members[play.node.up] = member._replace(lag=member.lag[:1])
-    arena = dataclasses.replace(res.arena, members=tuple(members))
+    arena = Arena(
+        res.arena.semantics, res.arena.automaton, tuple(members), res.arena.nodes,
+        res.arena.moves, res.arena.blocks, res.arena.pairs, res.arena.final_up,
+    )
     with pytest.raises(IllegalMove, match="no even lag position to interrupt at"):
         PlaySession(arena, None, None, None)._parse(play, "late 1 right")
 

@@ -21,8 +21,8 @@ from chronosynth.state_monoid import MonoidContext
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 # the records that stay dataclasses; tests call dataclasses.replace or
-# dataclasses.fields on Arena, TimedPlay and ParityAutomaton
-KEPT_DATACLASSES = {"Arena", "LassoWord", "ParityAutomaton", "TimedPlay"}
+# dataclasses.fields on TimedPlay and ParityAutomaton
+KEPT_DATACLASSES = {"LassoWord", "ParityAutomaton", "TimedPlay"}
 MODULES = {
     "chronosynth",
     "chronosynth.arena",
