@@ -25,12 +25,12 @@ such behaviour, represented by the first-ranked member that has it.
 Nodes and edges are immutable named tuples, ordered, compared and hashed
 by their fields in declaration order; the sorted node list, and with it the
 solver's node numbering, witnesses and exports, follows that order.
-The arena is factored: each node other than a block node keeps its sorted
-moves, and each block node keeps only the id of its (small, big) half pair,
-whose sorted labels (dst, priority, size, kind) are stored once for every
-block node that shares them.  ``Arena.outgoing`` builds a block node's
-edges from those labels on first read; since edges out of one node compare
-by their labels and edges compare by source first, the sorted edge list is
+The arena is one move table: every node keeps the id of its row, a sorted
+tuple of labels (dst, priority, size, kind).  Block nodes with one (small,
+big) half pair share one row; every other node has a row of its own, of
+plain labels (dst, -1, "", "plain").  ``Arena.outgoing`` builds a node's
+edges from its row on first read; since edges out of one node compare by
+their labels and edges compare by source first, the sorted edge list is
 every node's moves joined in node order.
 """
 
@@ -92,20 +92,19 @@ class ArenaEdge(NamedTuple):
 
 
 class Arena:
-    """The factored arena; ``outgoing``, ``edges_from``, ``edges`` and ``names`` are the readers' view."""
+    """The arena as one move table; ``outgoing``, ``edges`` and ``names`` are the readers' view."""
 
     fresh = ArenaNode(FRESH)
 
-    def __init__(self, semantics, automaton, members, nodes, moves, blocks, pairs, final_up):
+    def __init__(self, semantics, automaton, members, nodes, rows, labels, final_up):
         self.semantics = semantics
         self.automaton = automaton
         self.members = members  # all UPMember objects referenced by i_up nodes
         self.nodes = nodes  # every node, sorted
-        self.moves = moves  # each node but the block nodes -> its sorted moves, in node order
-        self.blocks = blocks  # each block node -> the id of its half pair
-        self.pairs = pairs  # pair id -> its sorted labels; () only over one input letter
+        self.rows = rows  # each node -> the id of its row of labels
+        self.labels = labels  # row id -> its sorted labels; () only at a block node over one input letter
         self.final_up = final_up  # i_up nodes whose period's max priority is even
-        self._expanded = {}  # block node -> its edges, built on first read
+        self._edges = {}  # node -> its edges, built on first read
 
     def owner(self, node: ArenaNode) -> str:
         return OWNER[node.kind]
@@ -124,29 +123,22 @@ class Arena:
         return self.members[node.up]
 
     def outgoing(self, node: ArenaNode) -> tuple:
-        """The node's sorted moves; a block node's are built from its pair's labels once."""
-        outs = self.moves.get(node)
+        """The node's sorted moves, built from its row of labels once."""
+        outs = self._edges.get(node)
         if outs is None:
-            outs = self._expanded.get(node)
-            if outs is None:
-                outs = self._expanded[node] = tuple(ArenaEdge(node, *t) for t in self.pairs[self.blocks[node]])
+            outs = self._edges[node] = tuple(ArenaEdge(node, *t) for t in self.labels[self.rows[node]])
         return outs
 
     @property
     def edge_count(self) -> int:
-        """The number of edges, summed over the table without building a block edge."""
-        pairs = self.pairs
-        return sum(map(len, self.moves.values())) + sum(len(pairs[i]) for i in self.blocks.values())
-
-    @cached_property
-    def edges_from(self) -> dict:
-        """Each node, in sorted order, to its sorted moves."""
-        return {node: self.outgoing(node) for node in self.nodes}
+        """The number of edges, summed over the table without building an edge."""
+        labels = self.labels
+        return sum(len(labels[i]) for i in self.rows.values())
 
     @cached_property
     def edges(self) -> tuple:
         """Every edge, sorted: edges compare by src first, so the outgoing lists in node order."""
-        return tuple(e for outs in self.edges_from.values() for e in outs)
+        return tuple(e for node in self.nodes for e in self.outgoing(node))
 
     @cached_property
     def lag_bound(self) -> int:
@@ -248,7 +240,7 @@ def _interrupt_targets(a, semantics):
 
 
 def _arena(a, semantics, up, moves):
-    """The arena over a builder's map from its (q, x) and dagger nodes to their moves.
+    """The arena over a builder's map from its (q, x) and dagger nodes to their successors.
 
     Adds, under the max-even convention, the fresh node with an edge to
     (q_init, x) per input letter, and one block node per behaviour of
@@ -260,7 +252,7 @@ def _arena(a, semantics, up, moves):
     over the whole vocabulary.  Only representatives are numbered, in rank order.
     """
     a = convert_convention(a, MAX_EVEN)
-    moves[Arena.fresh] = {ArenaEdge(Arena.fresh, ArenaNode(O_PAIR, a.initial, x)) for x in a.sigma_in}
+    moves[Arena.fresh] = {ArenaNode(O_PAIR, a.initial, x) for x in a.sigma_in}
     source_kind = O_PAIR if semantics == RC else I_DAG
     rels = a.edge_relations()
     targets_of = _interrupt_targets(a, semantics)
@@ -283,28 +275,29 @@ def _arena(a, semantics, up, moves):
                     best[key] = r, member
     representative = dict(best.values())  # rank -> member
     number = {r: i for i, r in enumerate(sorted(representative))}
-    final_up, blocks = set(), {}
-    pair_ids, pairs = {}, []  # (small, big) -> its id; id -> the labels of both halves, sorted
+    final_up, rows = set(), {}
+    pair_rows, labels = {}, []  # (small, big) -> its row id; row id -> its labels, sorted
     for (q, x, final, small, big), (r, _) in best.items():
         up_node = ArenaNode(I_UP, q, x, number[r])
         if final:
             final_up.add(up_node)
-        source = ArenaNode(source_kind, q, x)
-        moves[source].add(ArenaEdge(source, up_node))
-        pair = pair_ids.get((small, big))
-        if pair is None:
-            pair = pair_ids[small, big] = len(pairs)
+        moves[ArenaNode(source_kind, q, x)].add(up_node)
+        row = pair_rows.get((small, big))
+        if row is None:
+            row = pair_rows[small, big] = len(labels)
             # edges out of one node compare by their labels
-            pairs.append(tuple(sorted(small | big)))
-        blocks[up_node] = pair
+            labels.append(tuple(sorted(small | big)))
+        rows[up_node] = row
+    for node, dsts in moves.items():
+        rows[node] = len(labels)
+        labels.append(tuple((dst, -1, "", "plain") for dst in sorted(dsts)))
     return Arena(
         semantics=semantics,
         automaton=a,
         members=tuple(representative[r] for r in number),
-        nodes=tuple(sorted([*moves, *blocks])),
-        moves={n: tuple(sorted(es)) for n, es in sorted(moves.items())},
-        blocks=blocks,
-        pairs=pairs,
+        nodes=tuple(sorted(rows)),
+        rows=rows,
+        labels=labels,
         final_up=frozenset(final_up),
     )
 
@@ -331,12 +324,10 @@ def build_fv_arena(a: ParityAutomaton, up: dict) -> Arena:
     """
     moves = {}
     for q in a.states:
-        dag = ArenaNode(O_DAG, q)
-        moves[dag] = {ArenaEdge(dag, ArenaNode(I_DAG, q, x)) for x in a.sigma_in}
+        moves[ArenaNode(O_DAG, q)] = {ArenaNode(I_DAG, q, x) for x in a.sigma_in}
         for x in a.sigma_in:
-            pair = ArenaNode(O_PAIR, q, x)
             # a set: several outputs can reach one state
-            moves[pair] = {ArenaEdge(pair, ArenaNode(O_DAG, a.transition[(q, x, b)])) for b in a.sigma_out}
+            moves[ArenaNode(O_PAIR, q, x)] = {ArenaNode(O_DAG, a.transition[(q, x, b)]) for b in a.sigma_out}
             moves[ArenaNode(I_DAG, q, x)] = set()
     return _arena(a, FV, up, moves)
 

@@ -200,15 +200,13 @@ def find_violation(sg: StrategyGraph):
 class SynthStats:
     """Counters of one decision, filled in as it runs; ``synth --stats`` prints them."""
 
-    def __init__(
-        self, class_counts=None, up_sizes=None, d_bound=1, solve_calls=0, game_nodes=0, game_edges=0
-    ):
-        self.class_counts = {} if class_counts is None else class_counts  # input letter -> classes
-        self.up_sizes = {} if up_sizes is None else up_sizes  # input letter -> vocabulary size
-        self.d_bound = d_bound
-        self.solve_calls = solve_calls  # calls of the recursion
-        self.game_nodes = game_nodes  # nodes and edges left to the recursion by the two attractors
-        self.game_edges = game_edges
+    def __init__(self):
+        self.class_counts = {}  # input letter -> classes
+        self.up_sizes = {}  # input letter -> vocabulary size
+        self.d_bound = 1
+        self.solve_calls = 0  # calls of the recursion
+        self.game_nodes = 0  # nodes and edges left to the recursion by the two attractors
+        self.game_edges = 0
 
 
 class SynthResult:
@@ -229,7 +227,7 @@ class SynthResult:
         if self.realizable:
             return None
         arena = self.arena
-        first = {n: es[0] for n, es in arena.moves.items() if es and arena.owner(n) == "O"}
+        first = {n: arena.outgoing(n)[0] for n in arena.nodes if arena.owner(n) == "O" and arena.outgoing(n)}
         return find_violation(build_strategy_graph(arena, first))
 
 
@@ -271,11 +269,12 @@ def solve_interrupt(arena: Arena, stats: SynthStats | None = None):
     its edge, or is None when the environment wins.  Every controller node
     must have a move, as ``build_game_arena`` ensures.  Nodes are numbered
     in arena order and every list below is in that order, so the choice is
-    deterministic.  The game is read off the factored arena: block nodes
-    with one half pair and one inherited priority share one successor list
-    and one colour list, which ``Game`` only reads, and no block edge is
-    built.  Counts the recursion's calls and its game into ``stats`` if
-    given.
+    deterministic.  The game is read off the arena's move table: nodes with
+    one row and one inherited priority share one successor list and one
+    colour list, which ``Game`` only reads, and the only edges built are the
+    chosen ones.  Block nodes colour each edge; every other node has the
+    one colour of its inherited priority.  Counts the recursion's calls and
+    its game into ``stats`` if given.
     """
     stats = stats if stats is not None else SynthStats()
     nodes = arena.nodes
@@ -287,31 +286,31 @@ def solve_interrupt(arena: Arena, stats: SynthStats | None = None):
     rank = dense_ranks([0, *priority.values()])
     small = {p: 1 << 2 * r for p, r in rank.items()}
     big_colours = int("10" * (max(rank.values()) + 1), 2)
-    moves, blocks, pairs = arena.moves, arena.blocks, arena.pairs
+    rows, labels = arena.rows, arena.labels
     succ, owner, colour, edge_colour = [], [], [], {}
     accepts, stuck = [], []  # non-final block nodes; final block nodes without moves
-    shared = {}  # (pair id, node priority) -> the successors and colours of its block nodes
+    shared = {}  # (row id, node priority) -> the successors and edge colours of its nodes
     for v, node in enumerate(nodes):
         kind = node.kind
         p = 0 if rc or kind == FRESH else priority[node.state]
         owner.append(OWNER[kind])
+        key = rows[node], p
+        if key not in shared:
+            row = labels[key[0]]
+            shared[key] = (
+                [index[dst] for dst, _, _, _ in row],
+                [small[q if q > p else p] << (size == "big") for _, q, size, _ in row],
+            )
+        ws, colours = shared[key]
+        succ.append(ws)
         if kind == I_UP:
-            key = blocks[node], p
-            if key not in shared:
-                labels = pairs[key[0]]
-                shared[key] = (
-                    [index[dst] for dst, _, _, _ in labels],
-                    [small[q if q > p else p] << (size == "big") for _, q, size, _ in labels],
-                )
-            ws, edge_colour[v] = shared[key]
+            edge_colour[v] = colours
             if node not in final_up:
                 accepts.append(v)
             elif not ws:
                 stuck.append(v)
-            succ.append(ws)
             colour.append(0)
         else:
-            succ.append([index[e.dst] for e in moves[node]])
             colour.append(small[p])  # unlabelled edges: the source's colour
 
     game = Game(succ, owner, colour, edge_colour)
@@ -334,8 +333,7 @@ def solve_interrupt(arena: Arena, stats: SynthStats | None = None):
         v = todo.pop()
         if owner[v] == "O":
             w = strategy[v]
-            node = nodes[v]
-            choice[node] = moves[node][succ[v].index(w)]
+            choice[nodes[v]] = arena.outgoing(nodes[v])[succ[v].index(w)]
             nexts = (w,)
         else:
             nexts = succ[v]
@@ -370,7 +368,7 @@ def build_game_arena(spec: ParityAutomaton, semantics: str, monoid_cap: int = MO
         stats.up_sizes[x] = len(up_by_letter[x])
     builder = build_rc_arena if semantics == RC else build_fv_arena
     arena = builder(spec, up_by_letter)
-    stuck = [n for n, outs in arena.moves.items() if arena.owner(n) == "O" and not outs]
+    stuck = [n for n in arena.nodes if arena.owner(n) == "O" and not arena.outgoing(n)]
     if stuck:
         # cannot happen with a complete per-letter vocabulary over a total
         # automaton; a bare block vocabulary would silently skew the game

@@ -27,6 +27,7 @@ from typing import NamedTuple
 from .arena import (
     FRESH, FV, I_UP, LEFT, O_DAG, O_PAIR, RC, RIGHT, Arena, ArenaEdge, ArenaNode,
 )
+from .continuous_synth import Violation
 
 ROUND_CAP = 60  # interrupts before a session stops and adjudicates
 

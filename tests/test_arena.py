@@ -377,15 +377,15 @@ def test_effective_priority_and_exported_node_priorities(quotient_corpus):
     for fixture in sorted(FIXTURES.glob("*.json")):
         if not fixture.stem.endswith("_d"):
             arenas += [build_game_arena(load_fixture(fixture.stem), s)[0] for s in (RC, FV)]
-    # the arena stores the sorted nodes, each other node's sorted moves and
-    # each block node's half pair; in the readers' view every edge is in its
-    # source's sorted list, and the sorted edge list is those lists joined
-    # in node order
+    # the arena stores the sorted nodes, each node's row id and each row's
+    # sorted labels; in the readers' view every edge is in its source's
+    # sorted list, and the sorted edge list is those lists joined in node order
     fields = set(inspect.signature(Arena).parameters)
-    assert fields == {"semantics", "automaton", "members", "nodes", "moves", "blocks", "pairs", "final_up"}
+    assert fields == {"semantics", "automaton", "members", "nodes", "rows", "labels", "final_up"}
     for arena in arenas:
-        assert arena.nodes == tuple(arena.edges_from) == tuple(sorted(arena.edges_from))
-        for node, outs in arena.edges_from.items():
+        assert arena.nodes == tuple(sorted(arena.rows))
+        for node in arena.nodes:
+            outs = arena.outgoing(node)
             assert outs == tuple(sorted(outs)) and all(e.src == node for e in outs), node
             # only a block node over a one-letter input alphabet has no moves
             assert outs or (node.kind == I_UP and len(arena.automaton.sigma_in) == 1), node
@@ -427,15 +427,17 @@ def test_factored_arena_matches_flat_reference(quotient_corpus):
             arena, flat = build(a, up), reference_arena(a, semantics, up)
             count = arena.edge_count  # read off the table, before any edge is built
             assert arena.nodes == flat.nodes, semantics
-            assert arena.edges_from == flat.edges_from, semantics
+            assert {n: arena.outgoing(n) for n in arena.nodes} == flat.edges_from, semantics
             assert arena.edges == flat.edges, semantics
             assert arena.final_up == flat.final_up, semantics
             assert arena.members == flat.members, semantics
             assert arena.names == flat.names, semantics
             assert count == len(arena.edges), semantics
-            # block nodes share the labels of a half pair, each pair stored once
-            assert len(set(arena.pairs)) == len(arena.pairs) <= len(arena.blocks)
-            blocks += len(arena.blocks)
+            # block nodes share the row of a half pair, each pair's labels stored once
+            block_nodes = [n for n in arena.nodes if n.kind == I_UP]
+            block_rows = {arena.rows[n] for n in block_nodes}
+            assert len({arena.labels[i] for i in block_rows}) == len(block_rows) <= len(block_nodes)
+            blocks += len(block_nodes)
     assert blocks > 1000
 
 
@@ -444,7 +446,8 @@ def test_synth_builds_no_block_edge(monkeypatch):
     for a in _continuous_fixtures():
         for semantics in (RC, FV):
             arena = decide_continuous(a, semantics).arena
-            assert arena.blocks and not arena._expanded, semantics
+            built = [n for n in arena._edges if n.kind == I_UP]
+            assert any(n.kind == I_UP for n in arena.nodes) and not built, semantics
     expanded = []
     outgoing = Arena.outgoing
 

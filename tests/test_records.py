@@ -2,10 +2,14 @@
 and an import of the CLI that generates no code for them."""
 
 import dataclasses
+import functools
+import importlib
+import inspect
 import json
 import pathlib
 import subprocess
 import sys
+import typing
 from fractions import Fraction
 
 import pytest
@@ -112,3 +116,35 @@ def test_cli_import_builds_at_most_the_kept_dataclasses():
     assert set(names) <= KEPT_DATACLASSES and len(names) <= len(KEPT_DATACLASSES), names
     # no module is left to a first use
     assert set(modules) == MODULES
+
+
+def _annotated(module):
+    """Every function and class the module defines, and every method of each class."""
+    for obj in vars(module).values():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield obj
+        elif inspect.isclass(obj):
+            yield obj
+            for member in vars(obj).values():
+                if isinstance(member, (staticmethod, classmethod)):
+                    member = member.__func__
+                elif isinstance(member, property):
+                    member = member.fget
+                elif isinstance(member, functools.cached_property):
+                    member = member.func
+                if inspect.isfunction(member):
+                    yield member
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_every_annotation_resolves(name):
+    # annotations are strings under "from __future__ import annotations";
+    # each must name something its module can see
+    module = importlib.import_module(name)
+    for obj in _annotated(module):
+        try:
+            typing.get_type_hints(obj)
+        except NameError as exc:
+            pytest.fail(f"{name}.{obj.__qualname__}: {exc}")
