@@ -25,9 +25,9 @@ interrupt position of a member's lag plus one period (two under fv), as an
 oracle for the two cached halves of ``arena._interrupt_targets``;
 ``reference_arena`` builds the flat arena, every block node with its own
 sorted ``ArenaEdge`` tuple read off ``reference_interrupt_targets``, as an
-oracle for the factored arena that ``arena.build_rc_arena`` and
-``build_fv_arena`` return, whose block nodes share the labels of one half
-pair;
+oracle for the move table that ``arena.build_rc_arena`` and
+``build_fv_arena`` return, whose block nodes share one row of labels per
+half pair;
 ``omega_equivalent`` is the equivalence of omega-words over states, built
 from ``pair_profile`` and ``path_flags``, whose classes the tests check
 ``state_monoid.signature_of`` and the block vocabulary against;
