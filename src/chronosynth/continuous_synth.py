@@ -11,10 +11,11 @@ Rabin condition, so the controller has a positional winning strategy
 whenever it wins (Emerson & Jutla, FOCS 1988).
 
 ``solve_interrupt`` decides the game with ``discrete_game.Game``, whose
-recursion runs over the Zielonka tree of that condition (``tree_node``) on
-edges coloured (effective priority, big?).  Two attractors first settle
-clause A and the final block nodes without moves, where the environment
-must accept.
+recursion runs over the Zielonka tree of that condition (``tree_node``).
+Each node has one colour, (effective priority, big?): a block node's edges
+pass through hop nodes that carry their labels' colours.  Two attractors
+first settle clause A and the final block nodes without moves, where the
+environment must accept.
 
 ``find_violation`` is the independent check of a positional choice: in
 the one-player restriction, clause A is a reachable non-final block node,
@@ -270,11 +271,14 @@ def solve_interrupt(arena: Arena, stats: SynthStats | None = None):
     must have a move, as ``build_game_arena`` ensures.  Nodes are numbered
     in arena order and every list below is in that order, so the choice is
     deterministic.  The game is read off the arena's move table: nodes with
-    one row and one inherited priority share one successor list and one
-    colour list, which ``Game`` only reads, and the only edges built are the
-    chosen ones.  Block nodes colour each edge; every other node has the
-    one colour of its inherited priority.  Counts the recursion's calls and
-    its game into ``stats`` if given.
+    one row and one inherited priority share one successor list, which
+    ``Game`` only reads, and the only edges built are the chosen ones.  A
+    node other than a block node has the one colour of its inherited
+    priority.  A block node has none: each of its labelled edges passes
+    through the hop node of its target and colour, an environment node
+    numbered after the arena's nodes and shared by the whole arena.  Counts
+    the recursion's calls and its game's arena nodes and edges into
+    ``stats`` if given.
     """
     stats = stats if stats is not None else SynthStats()
     nodes = arena.nodes
@@ -287,9 +291,10 @@ def solve_interrupt(arena: Arena, stats: SynthStats | None = None):
     small = {p: 1 << 2 * r for p, r in rank.items()}
     big_colours = int("10" * (max(rank.values()) + 1), 2)
     rows, labels = arena.rows, arena.labels
-    succ, owner, colour, edge_colour = [], [], [], {}
+    succ, owner, colour = [], [], []
     accepts, stuck = [], []  # non-final block nodes; final block nodes without moves
-    shared = {}  # (row id, node priority) -> the successors and edge colours of its nodes
+    shared = {}  # (row id, node priority) -> the successors of its nodes
+    hops = {}  # (target, colour) -> hop node
     for v, node in enumerate(nodes):
         kind = node.kind
         p = 0 if rc or kind == FRESH else priority[node.state]
@@ -297,14 +302,16 @@ def solve_interrupt(arena: Arena, stats: SynthStats | None = None):
         key = rows[node], p
         if key not in shared:
             row = labels[key[0]]
-            shared[key] = (
-                [index[dst] for dst, _, _, _ in row],
-                [small[q if q > p else p] << (size == "big") for _, q, size, _ in row],
-            )
-        ws, colours = shared[key]
+            if kind == I_UP:
+                shared[key] = [
+                    hops.setdefault((index[dst], small[q if q > p else p] << (size == "big")), n + len(hops))
+                    for dst, q, size, _ in row
+                ]
+            else:
+                shared[key] = [index[dst] for dst, _, _, _ in row]
+        ws = shared[key]
         succ.append(ws)
         if kind == I_UP:
-            edge_colour[v] = colours
             if node not in final_up:
                 accepts.append(v)
             elif not ws:
@@ -312,17 +319,30 @@ def solve_interrupt(arena: Arena, stats: SynthStats | None = None):
             colour.append(0)
         else:
             colour.append(small[p])  # unlabelled edges: the source's colour
+    for w, c in hops:
+        succ.append([w])
+        owner.append("I")
+        colour.append(c)
 
-    game = Game(succ, owner, colour, edge_colour)
+    game = Game(succ, owner, colour)
     fresh = index[arena.fresh]
-    inside = game.attractor(bytearray(b"\x01") * n, accepts, "I")[0]
+    inside = game.attractor(bytearray(b"\x01") * len(succ), accepts, "I")[0]
     if not inside[fresh]:
         return False, None
     inside, _, strategy = game.attractor(inside, stuck, "O")
     if inside[fresh]:
+        # a hop is inside iff its target is, so a block node's hops inside
+        # are its edges inside
         region = [v for v in range(n) if inside[v]]
         stats.game_nodes = len(region)
         stats.game_edges = sum(sum(map(inside.__getitem__, succ[v])) for v in region)
+        # a hop without a source inside stands for an edge of a settled node,
+        # and its colour must not count
+        for h in range(n, len(succ)):
+            if inside[h] and any(map(inside.__getitem__, game.pred[h])):
+                region.append(h)
+            else:
+                inside[h] = 0
         win, strat = game.solve(lambda colours: tree_node(colours, big_colours), inside, region)
         stats.solve_calls += game.calls
         if fresh not in win["O"]:
@@ -368,7 +388,7 @@ def build_game_arena(spec: ParityAutomaton, semantics: str, monoid_cap: int = MO
         stats.up_sizes[x] = len(up_by_letter[x])
     builder = build_rc_arena if semantics == RC else build_fv_arena
     arena = builder(spec, up_by_letter)
-    stuck = [n for n in arena.nodes if arena.owner(n) == "O" and not arena.outgoing(n)]
+    stuck = [n for n in arena.nodes if arena.owner(n) == "O" and not arena.labels[arena.rows[n]]]
     if stuck:
         # cannot happen with a complete per-letter vocabulary over a total
         # automaton; a bare block vocabulary would silently skew the game

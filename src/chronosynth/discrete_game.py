@@ -9,10 +9,11 @@ table and solves it with ``solve_indexed``; only the winning machine's
 states and the input player's region are named.
 
 ``Game`` holds the one attractor and the one McNaughton-Zielonka recursion
-(Zielonka, TCS 1998) of the package, over coloured edges and a rule for the
-condition's Zielonka tree.  Parity is the chain case of that tree, which
-``solve_indexed`` passes; ``continuous_synth.solve_interrupt`` passes the
-interrupt arena with the tree of Fin(big) or even parity.
+(Zielonka, TCS 1998) of the package, over nodes with one colour each and a
+rule for the condition's Zielonka tree.  Parity is the chain case of that
+tree, which ``solve_indexed`` passes; ``continuous_synth.solve_interrupt``
+passes the interrupt arena, its labelled edges routed through coloured hop
+nodes, with the tree of Fin(big) or even parity.
 """
 
 from __future__ import annotations
@@ -53,71 +54,39 @@ class Game:
 
     ``succ[v]`` lists v's successors (ties go to the first) and ``owner[v]``
     is 'O' for the controller or 'I' for the environment.  A colour is one
-    bit of an integer mask.  Every edge out of v has colour ``colour[v]``,
-    except at a node whose edges differ: its colour is 0 and
-    ``edge_colour[v]`` lists its edges' colours in ``succ[v]``'s order.
-    Predecessor lists are built once here; nothing checks or changes the
-    lists, so nodes may share a successor or colour list.
+    bit of an integer mask, and ``colour[v]`` colours every edge out of v.
+    Colour 0 means none, allowed only where every cycle through v passes a
+    coloured node.  Predecessor lists are built once here; nothing checks or
+    changes the lists, so nodes may share a successor list, and a successor
+    listed twice counts as two edges.
     """
 
-    def __init__(self, succ, owner, colour, edge_colour=None):
+    def __init__(self, succ, owner, colour):
         self.succ, self.owner, self.colour = succ, owner, colour
-        self.edge_colour = edge_colour = edge_colour or {}
-        self.union = {v: reduce(or_, cs, 0) for v, cs in edge_colour.items()}
         self.calls = 0  # calls of the recursion
-        # pred[w] lists the one-colour source of each edge into w, and
-        # edge_pred[w] the source and colour of each other edge into w
         self.pred = pred = [[] for _ in succ]
-        self.edge_pred = edge_pred = [[] for _ in succ] if edge_colour else None
         for v, ws in enumerate(succ):
-            if colour[v]:
-                for w in ws:
-                    pred[w].append(v)
-            else:
-                for w, c in zip(ws, edge_colour[v]):
-                    edge_pred[w].append((v, c))
+            for w in ws:
+                pred[w].append(v)
 
-    def attractor(self, inside, targets, player, goal=0, mask=-1, mixed=()):
-        """player-forced reachability of targets and of the edges with a colour in goal.
+    def attractor(self, inside, targets, player):
+        """player-forced reachability of targets in the subgame on the nodes marked in ``inside``.
 
-        The subgame has the nodes marked in ``inside`` and the edges between
-        them with a colour in ``mask``, which must hold every one-colour
-        node's colour.  ``targets`` must list, sorted, each one-colour node of
-        the subgame with a colour in ``goal``, and ``mixed`` each node of the
-        subgame with an edge whose colour is in ``goal`` or not in ``mask``.
-        Each level is visited sorted.  Returns the membership of the subgame
-        minus the attractor, the attractor's nodes and player's moves at the
-        nodes it attracts by an edge into it.
+        ``targets`` lists nodes of the subgame, sorted; each level is visited
+        sorted.  Returns the membership of the subgame minus the attractor,
+        the attractor's nodes and player's moves at its nodes that it attracts.
         """
-        succ, owner, pred, edge_pred = self.succ, self.owner, self.pred, self.edge_pred
+        succ, owner, pred = self.succ, self.owner, self.pred
         rest = bytearray(inside)
         for v in targets:
             rest[v] = 0
-        strategy, count, seeds = {}, {}, []
-        edge_colour, union = self.edge_colour, self.union
-        for v in mixed:
-            if not rest[v] or not union[v] & (goal | ~mask):
-                continue  # counted below as if it had one colour
-            cs = edge_colour[v]
-            if owner[v] == player:
-                seed = any(c & goal and inside[w] for w, c in zip(succ[v], cs))
-            else:  # the subgame edges that miss the goal colours
-                count[v] = sum(1 for w, c in zip(succ[v], cs) if inside[w] and c & mask and not c & goal)
-                seed = not count[v]
-            if seed:
-                rest[v] = 0
-                seeds.append(v)
-        if seeds:
-            targets = sorted(targets + seeds)
+        strategy, count = {}, {}
         attr = list(targets)
         frontier = targets
         while frontier:
             new_frontier = []
             for w in frontier:
-                sources = pred[w]
-                if edge_pred and edge_pred[w]:
-                    sources = sources + [v for v, c in edge_pred[w] if c & mask and not c & goal]
-                for v in sources:
+                for v in pred[w]:
                     if not rest[v]:
                         continue
                     if owner[v] == player:
@@ -153,51 +122,37 @@ class Game:
         positional, and winning, where each of its tree nodes has at most one
         child.
         """
-        succ, owner, colour, edge_colour = self.succ, self.owner, self.colour, self.edge_colour
-        attractor, union = self.attractor, self.union
+        succ, owner, colour, attractor = self.succ, self.owner, self.colour, self.attractor
 
-        def solve(inside, region, allowed):
+        def solve(inside, region):
             self.calls += 1
             peeled = []
             while True:
                 if not region:
                     win, strat = {"O": [], "I": []}, {"O": {}, "I": {}}
                     break
-                # a one-colour node of a subgame has its colour in allowed
                 present = reduce(or_, map(colour.__getitem__, region))
-                mixed = [v for v in region if not colour[v]] if edge_colour else ()
-                for v in mixed:
-                    if union[v] & allowed & ~present:
-                        for w, c in zip(succ[v], edge_colour[v]):
-                            if inside[w]:
-                                present |= c & allowed
                 controller_wins, children = rule(present)
                 player, other = ("O", "I") if controller_wins else ("I", "O")
                 # without a child, the winner's moves are any subgame edges
-                attr, attr_strat, goal, strat = region, {}, present, {player: {}}
+                attr, attr_strat, strat = region, {}, {player: {}}
                 for child in children:
                     # the winner's attractor to the colours outside the child
                     goal = present & ~child
-                    rest, attr, attr_strat = attractor(
-                        inside, [v for v in region if colour[v] & goal], player, goal, present, mixed
-                    )
-                    win, strat = solve(rest, [v for v in region if rest[v]], child)
+                    rest, attr, attr_strat = attractor(inside, [v for v in region if colour[v] & goal], player)
+                    win, strat = solve(rest, [v for v in region if rest[v]])
                     if win[other]:
-                        inside, b, b_strat = attractor(inside, sorted(win[other]), other, 0, present, mixed)
+                        inside, b, b_strat = attractor(inside, sorted(win[other]), other)
                         peeled.append((other, b, strat[other], b_strat))
                         region = [v for v in region if inside[v]]
                         break
                 else:
                     # the winner wins everywhere: attractor moves on attr, and
-                    # the first subgame edge with a goal colour at the rest
+                    # the first subgame edge at the rest
                     mine = {**strat[player], **attr_strat}
                     for v in sorted(attr):
                         if owner[v] == player and v not in mine:
-                            if colour[v]:
-                                mine[v] = next(w for w in succ[v] if inside[w])
-                            else:
-                                cs = edge_colour[v]
-                                mine[v] = next(w for w, c in zip(succ[v], cs) if inside[w] and c & goal)
+                            mine[v] = next(w for w in succ[v] if inside[w])
                     win, strat = {player: region, other: []}, {player: mine, other: {}}
                     break
             for other, b, s, b_strat in reversed(peeled):
@@ -207,7 +162,7 @@ class Game:
 
         # each solve gives a player a move at every node it owns in its winning
         # region (a subgame's, an attractor's or a first one), so no final pass
-        return solve(inside, region, -1)
+        return solve(inside, region)
 
 
 def solve_indexed(succ, owner, priority):

@@ -6,8 +6,8 @@ from the integer lists that ``discrete_game.solve_indexed`` reads.
 for ``solve_indexed``; ``reference_zielonka`` is the parity case of
 ``discrete_game.Game.solve`` on node-keyed sets, with both recursive calls
 and predecessor lists rebuilt per attractor, and must return exactly what
-``solve_indexed`` returns, and what ``Game.solve`` returns when some nodes
-list their colour per edge, strategies included;
+``solve_indexed`` returns, strategies included, and the regions that
+``Game.solve`` returns when some nodes' edges pass through hop nodes;
 ``reference_solve`` builds the synthesis game of a spec as a node-keyed
 ``GameGraph`` (``game_from_automaton``), solves it with
 ``reference_zielonka`` and reads the machines off the named strategies, and

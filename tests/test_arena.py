@@ -26,7 +26,8 @@ from chronosynth.arena import (
 )
 from chronosynth.automaton import MAX_EVEN, MIN_EVEN, ParityAutomaton, convert_convention, dot_quote
 from chronosynth.cli import main
-from chronosynth.continuous_synth import build_game_arena, decide_continuous
+from chronosynth import continuous_synth
+from chronosynth.continuous_synth import SynthError, build_game_arena, decide_continuous
 from chronosynth.state_monoid import (
     build_UP,
     build_class_table,
@@ -462,6 +463,19 @@ def test_synth_builds_no_block_edge(monkeypatch):
             argv = ["synth", "--semantics", semantics, "--stats", str(FIXTURES / f"{fixture}.json")]
             assert main(argv, out=io.StringIO(), err=io.StringIO()) == 0
     assert expanded == []
+
+
+def test_build_game_arena_builds_no_edge(monkeypatch):
+    # the stuck-controller check reads each controller node's row of labels
+    for a in _continuous_fixtures():
+        for semantics in (RC, FV):
+            assert build_game_arena(a, semantics)[0]._edges == {}, semantics
+    # and still refuses a controller node without moves: an empty vocabulary
+    # leaves each (q, +, x) node none
+    monkeypatch.setattr(continuous_synth, "build_UP", lambda table: ())
+    for semantics in (RC, FV):
+        with pytest.raises(SynthError, match="controller node without moves"):
+            build_game_arena(load_fixture("psi_copy"), semantics)
 
 
 # -- 3-state arenas are pinned -------------------------------------------------
