@@ -1,11 +1,16 @@
 """The congruence of finite state-strings as a finite monoid of signatures.
 
 Two nonempty strings over automaton states are identified when they share
-first and last states, the same set of (letter, letters-strictly-before)
-pairs in both directions, and the same per-input-letter path validity.
-The signature below is a computable normal form for that relation: pair-set
-equality captures the two quantifier conditions exactly, and the explicit
-occurrence set makes concatenation computable on signatures alone.
+first and last states, the same set of (state, states-strictly-before)
+pairs, and the same per-input-letter path validity.  A signature is the
+normal form of that relation, five ints over state numbers (positions in the
+sorted ``ctx.states``) and letter numbers (positions in ``ctx.relations``):
+the ``first`` and ``last`` state, the mask ``occ`` of states that occur,
+``levels`` with bit ``j*n + q`` set iff q occurs with exactly j distinct
+states before it, and the mask ``flags`` of letters a for which the string
+is an E_a-path.  The sets before each position form a chain, so j names one
+of them and ``levels`` holds the pair set exactly.  Appending a state adds
+the one pair at level ``|occ|``: the class table and absorption run on bits.
 
 The class table closes the length-1 generators under right multiplication,
 keeps shortest (lexicographically least) witnesses, and yields the move
@@ -33,14 +38,28 @@ def _cap_exceeded(count) -> ResourceCapError:
 
 
 class MonoidContext:
-    """State universe plus, per input letter, the one-step relation E_a; read-only."""
+    """State universe plus, per input letter, the one-step relation E_a; read-only.
 
-    __slots__ = ("states", "relations")
+    ``index`` numbers the states, and ``steps[p][q]`` is the mask of the
+    letters a with (p, q) in E_a, over state numbers.
+    """
+
+    __slots__ = ("states", "relations", "index", "steps")
 
     def __init__(self, states, relations):
-        object.__setattr__(self, "states", tuple(sorted(states)))
-        # letter -> frozenset of (q, q') pairs
-        object.__setattr__(self, "relations", {a: frozenset(r) for a, r in relations.items()})
+        states = tuple(sorted(set(states)))
+        index = {q: i for i, q in enumerate(states)}
+        relations = {a: frozenset(r) for a, r in relations.items()}
+        steps = [[0] * len(states) for _ in states]
+        for bit, pairs in enumerate(relations.values()):
+            for p, q in pairs:
+                if p not in index or q not in index:
+                    raise MonoidError(f"relation edge {(p, q)!r} leaves the states")
+                steps[index[p]][index[q]] |= 1 << bit
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "relations", relations)  # letter -> frozenset of (q, q') pairs
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "steps", tuple(map(tuple, steps)))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to {name!r} of a MonoidContext")
@@ -56,66 +75,45 @@ def context_from_automaton(a) -> MonoidContext:
     return MonoidContext(states=tuple(a.states), relations=a.edge_relations())
 
 
-class StateSignature(NamedTuple):
-    """Immutable normal form of a state-string class; hashed and compared as a tuple."""
-
-    first: object
-    last: object
-    occ: frozenset
-    pairs: frozenset  # of (state, frozenset of states strictly before)
-    flags: frozenset  # letters a for which the string is an E_a-path
-
-
-def signature_of(u, ctx: MonoidContext) -> StateSignature:
+def signature_of(u, ctx: MonoidContext) -> tuple:
     """Direct computation of the invariant; u must be nonempty."""
-    u = tuple(u)
     if not u:
         raise MonoidError("signatures are defined for nonempty strings only")
-    seen = set()
-    pairs = set()
-    for q in u:
-        pairs.add((q, frozenset(seen)))
-        seen.add(q)
-    flags = frozenset(
-        a for a in ctx.relations
-        if all(ctx.has_edge(a, u[i], u[i + 1]) for i in range(len(u) - 1))
-    )
-    return StateSignature(u[0], u[-1], frozenset(seen), frozenset(pairs), flags)
+    try:
+        first, *rest = (ctx.index[q] for q in u)
+    except KeyError as exc:
+        raise MonoidError(f"unknown state {exc.args[0]!r}") from None
+    n, steps = len(ctx.states), ctx.steps
+    last, occ, levels, flags = first, 1 << first, 1 << first, (1 << len(ctx.relations)) - 1
+    for q in rest:  # appending q adds the pair (q, the states so far)
+        last, occ, levels, flags = (
+            q, occ | 1 << q, levels | 1 << (occ.bit_count() * n + q), flags & steps[last][q]
+        )
+    return first, last, occ, levels, flags
 
 
-def product(ctx: MonoidContext, s1: StateSignature, s2: StateSignature) -> StateSignature:
-    """Signature of any concatenation u1 u2 with signature_of(u_i) = s_i."""
-    pairs = set(s1.pairs)
-    for q, before in s2.pairs:
-        pairs.add((q, s1.occ | before))
-    flags = frozenset(a for a in s1.flags & s2.flags if ctx.has_edge(a, s1.last, s2.first))
-    return StateSignature(s1.first, s2.last, s1.occ | s2.occ, frozenset(pairs), flags)
+def late_states(ctx: MonoidContext, s: tuple) -> int:
+    """Mask of the states that occur again after every state of s has occurred."""
+    n = len(ctx.states)
+    return s[3] >> (s[2].bit_count() * n) & ((1 << n) - 1)
 
 
-def late_states(s: StateSignature) -> frozenset:
-    """States that occur again after every state of s has occurred: {q : (q, s.occ) in s.pairs}."""
-    return frozenset(q for q, before in s.pairs if before == s.occ)
+def absorbs(ctx: MonoidContext, s: tuple, e: tuple) -> bool:
+    """Whether appending a string of class e to one of class s stays in class s.
 
-
-def absorbs(ctx: MonoidContext, s: StateSignature, e: StateSignature, late: frozenset) -> bool:
-    """Whether product(ctx, s, e) == s, read off the signatures; late is late_states(s).
-
-    Appending e keeps s's last state iff e.last == s.last.  Each state q of
-    e then occurs with all of s.occ before it, so the product has no pair
-    that s lacks iff every such (q, s.occ) is already in s, that is iff
-    e.occ is inside late.  It keeps s.flags iff every letter in them is also
-    in e.flags and has an edge from s.last to e.first.
+    The last state must stay.  Every state of e then occurs after all of s's
+    states, which adds no pair iff it is late in s; and every letter of s's
+    flags must be in e's and step from s's last state to e's first.
     """
-    if e.last != s.last or not e.occ <= late:
-        return False
-    return all(a in e.flags and ctx.has_edge(a, s.last, e.first) for a in s.flags)
+    late, last = late_states(ctx, s), s[1]
+    return e[1] == last and not e[2] & ~late and not s[4] & ~(e[4] & ctx.steps[last][e[0]])
 
 
 class ClassTable(NamedTuple):
     """All signature classes with shortest witnesses, ordered by discovery."""
 
     ctx: MonoidContext
-    witnesses: dict  # StateSignature -> tuple (shortest, lex least), in (length, lex) order
+    witnesses: dict  # signature -> tuple (shortest, lex least), in (length, lex) order
     idempotents: frozenset
     d_q: int
 
@@ -131,19 +129,22 @@ def build_class_table(
 
     Witnesses are generated level by level in lexicographic order, so the
     first witness found for a class is the canonical one.  With ``letter``
-    given, only strings that are E_letter-paths are enumerated; the result
-    is the table of path classes for that input letter (sufficient for the
-    per-letter arena vocabulary).  Each class is tested for idempotence as
-    it is found; with ``pair_cap`` given, the build stops as soon as the
-    classes times the idempotents found so far exceed it.
+    given, only strings that are E_letter-paths are enumerated, which gives
+    the path classes of that input letter.  Each class is tested for
+    idempotence as it is found; with ``pair_cap`` given, the build stops as
+    soon as the classes times the idempotents found so far exceed it.
     """
     if letter is not None and letter not in ctx.relations:
         raise MonoidError(f"unknown input letter {letter!r}")
+    states, steps, n = ctx.states, ctx.steps, len(ctx.states)
+    bit = 1 << list(ctx.relations).index(letter) if letter is not None else 0
+    # the states that may follow each last state, in lexicographic order
+    nexts = [[q for q in range(n) if not bit or steps[p][q] & bit] for p in range(n)]
     witnesses, idem = {}, set()
 
     def add(sig, witness):
         witnesses[sig] = witness
-        if absorbs(ctx, sig, sig, late_states(sig)):
+        if absorbs(ctx, sig, sig):
             idem.add(sig)
         if pair_cap is not None and len(witnesses) * len(idem) > pair_cap:
             raise ResourceCapError(
@@ -151,31 +152,26 @@ def build_class_table(
                 f"{len(witnesses) * len(idem)} pairs so far, over the pair cap {pair_cap}"
             )
 
-    level = []  # (witness, signature) pairs of the current length
-    generators = {q: signature_of((q,), ctx) for q in ctx.states}
-    for q, sig in generators.items():
-        if sig not in witnesses:
-            add(sig, (q,))
-            level.append(((q,), sig))
+    level = [((q,), signature_of((q,), ctx)) for q in states]  # (witness, signature) of one length
+    for witness, sig in level:
+        add(sig, witness)
     if len(witnesses) > cap:
         raise _cap_exceeded(len(witnesses))
     while level:
         next_level = []
-        for witness, sig in level:
-            for q in ctx.states:
-                if letter is not None and not ctx.has_edge(letter, witness[-1], q):
-                    continue
-                new_sig = product(ctx, sig, generators[q])
+        for witness, (first, last, occ, levels, flags) in level:
+            shift, row = occ.bit_count() * n, steps[last]
+            for q in nexts[last]:
+                new_sig = (first, q, occ | 1 << q, levels | 1 << (shift + q), flags & row[q])
                 if new_sig in witnesses:
                     continue
                 if len(witnesses) >= cap:
                     raise _cap_exceeded(cap + 1)
-                new_witness = witness + (q,)
+                new_witness = witness + (states[q],)
                 add(new_sig, new_witness)
                 next_level.append((new_witness, new_sig))
         level = next_level
-    d_q = max(len(w) for w in witnesses.values())
-    return ClassTable(ctx, witnesses, frozenset(idem), d_q)
+    return ClassTable(ctx, witnesses, frozenset(idem), max(map(len, witnesses.values())))
 
 
 class UPMember(NamedTuple):
@@ -198,19 +194,22 @@ def build_UP(table: ClassTable) -> list:
 
     A pair of representatives (r, e) qualifies when e's class is idempotent
     and appending e does not change r's class, which ``absorbs`` decides in
-    closed form.  Only idempotents ending where r's class ends can qualify,
-    so each class is tried against that bucket alone.  Members come out in
-    (class order, idempotent order).
+    closed form, inlined below.  Only idempotents ending where r's class
+    ends can qualify, so each class is tried against that bucket alone.  An
+    idempotent's flags all step from its last state to its first (squaring
+    it keeps them), so the flag test needs no step mask.  Members come out
+    in (class order, idempotent order).
     """
-    ctx = table.ctx
-    by_last = {}
-    for e_sig in table.witnesses:
-        if e_sig in table.idempotents:
-            by_last.setdefault(e_sig.last, []).append(e_sig)
+    n = len(table.ctx.states)
+    full = (1 << n) - 1
+    by_last = [[] for _ in range(n)]
+    for e, period in table.witnesses.items():
+        if e in table.idempotents:
+            by_last[e[1]].append((e[2], e[4], period))
     members = []
-    for sig, rep in table.witnesses.items():
-        late = late_states(sig)
-        for e_sig in by_last.get(sig.last, ()):
-            if absorbs(ctx, sig, e_sig, late):
-                members.append(UPMember(rep, table.witnesses[e_sig]))
+    for (_, last, occ, levels, flags), rep in table.witnesses.items():
+        late = levels >> (occ.bit_count() * n) & full
+        for e_occ, e_flags, period in by_last[last]:
+            if not e_occ & ~late and not flags & ~e_flags:
+                members.append(UPMember(rep, period))
     return members

@@ -15,10 +15,18 @@ must return exactly what ``discrete_game.solve`` returns;
 ``reference_product`` tabulates the product of a spec and a safety monitor
 by name, transition by transition, as an oracle for the product that
 ``automaton.product_with_monitor`` composes from the two transition tables;
-``naive_equiv``
-checks the defining conditions of the state-string congruence literally, as
-an oracle for ``state_monoid.signature_of`` and ``product``; ``reference_build_UP`` builds the block vocabulary by testing
-every (class, idempotent) pair with ``product``, as an oracle for the
+``reference_signature`` is the named normal form of the state-string
+congruence (first and last state, occurrence set, the set of (state,
+states strictly before) pairs and the path letters, as frozensets), and
+``reference_signature_product`` concatenates two of them; the integer
+signatures of ``state_monoid`` must be equal exactly when these are.
+``naive_equiv`` checks the defining conditions of the congruence literally,
+as an oracle for both; ``reference_class_table`` closes the generators
+breadth-first over named signatures, as an oracle for the witness order,
+idempotents and d_q of ``state_monoid.build_class_table``;
+``reference_build_UP`` recomputes each class's named signature from its
+witness and builds the block vocabulary by testing every (class,
+idempotent) pair with ``reference_signature_product``, as an oracle for the
 closed-form absorption test of ``state_monoid.build_UP``, and must return the
 same members in the same order; ``reference_interrupt_targets`` scans every
 interrupt position of a member's lag plus one period (two under fv), as an
@@ -39,6 +47,7 @@ over the Zielonka tree of the interrupt arena's condition.
 
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from chronosynth.arena import FRESH, FV, I_DAG, I_UP, LEFT, O_DAG, O_PAIR, RC, RIGHT, ArenaEdge, ArenaNode
 from chronosynth.automaton import (
@@ -51,7 +60,7 @@ from chronosynth.automaton import (
 from chronosynth.continuous_synth import find_violation, partial_strategy_graph
 from chronosynth.discrete_game import GameError, MealyMachine, MooreCounterMachine, SolveResult
 from chronosynth.omega_word import LassoWord, inf_set
-from chronosynth.state_monoid import MonoidContext, MonoidError, UPMember, product
+from chronosynth.state_monoid import MonoidContext, MonoidError, UPMember
 
 
 @dataclass(frozen=True)
@@ -295,16 +304,86 @@ def naive_equiv(u, v, ctx: MonoidContext) -> bool:
     return True
 
 
+class ReferenceSignature(NamedTuple):
+    """Named normal form of a state-string class; hashed and compared as a tuple."""
+
+    first: object
+    last: object
+    occ: frozenset
+    pairs: frozenset  # of (state, frozenset of states strictly before)
+    flags: frozenset  # letters a for which the string is an E_a-path
+
+
+def reference_signature(u, ctx: MonoidContext) -> ReferenceSignature:
+    """The named signature of a nonempty state string, read off position by position."""
+    u = tuple(u)
+    if not u:
+        raise MonoidError("signatures are defined for nonempty strings only")
+    seen = set()
+    pairs = set()
+    for q in u:
+        pairs.add((q, frozenset(seen)))
+        seen.add(q)
+    flags = frozenset(
+        a for a in ctx.relations
+        if all(ctx.has_edge(a, u[i], u[i + 1]) for i in range(len(u) - 1))
+    )
+    return ReferenceSignature(u[0], u[-1], frozenset(seen), frozenset(pairs), flags)
+
+
+def reference_signature_product(ctx: MonoidContext, s1, s2) -> ReferenceSignature:
+    """Named signature of any concatenation u1 u2 with reference_signature(u_i) = s_i."""
+    pairs = set(s1.pairs)
+    for q, before in s2.pairs:
+        pairs.add((q, s1.occ | before))
+    flags = frozenset(a for a in s1.flags & s2.flags if ctx.has_edge(a, s1.last, s2.first))
+    return ReferenceSignature(s1.first, s2.last, s1.occ | s2.occ, frozenset(pairs), flags)
+
+
+def reference_class_table(ctx: MonoidContext, letter=None):
+    """(witnesses in discovery order, idempotent witnesses, d_q) over named signatures.
+
+    Closes the length-1 strings breadth-first under appending states in
+    sorted order, restricted to E_letter-paths when a letter is given, and
+    keeps the first string met in each class.
+    """
+    witnesses = {}
+    level = []
+    for q in ctx.states:
+        witnesses[reference_signature((q,), ctx)] = (q,)
+        level.append((q,))
+    while level:
+        next_level = []
+        for w in level:
+            for q in ctx.states:
+                if letter is not None and not ctx.has_edge(letter, w[-1], q):
+                    continue
+                sig = reference_signature(w + (q,), ctx)
+                if sig not in witnesses:
+                    witnesses[sig] = w + (q,)
+                    next_level.append(w + (q,))
+        level = next_level
+    idempotents = [
+        w for sig, w in witnesses.items() if reference_signature_product(ctx, sig, sig) == sig
+    ]
+    return list(witnesses.values()), idempotents, max(map(len, witnesses.values()))
+
+
 def reference_build_UP(table):
-    """Block vocabulary by trying every (class, idempotent) pair with ``product``."""
+    """Block vocabulary by trying every (class, idempotent) pair on named signatures.
+
+    The named signatures are recomputed from the table's witnesses, and the
+    idempotents found by squaring them, so nothing is read off the table's
+    keys.
+    """
     ctx = table.ctx
+    named = [(reference_signature(w, ctx), w) for w in table.witnesses.values()]
+    idempotents = [(e, w) for e, w in named if reference_signature_product(ctx, e, e) == e]
     members = []
-    idem_list = [s for s in table.witnesses if s in table.idempotents]
-    for sig, rep in table.witnesses.items():
-        for e_sig in idem_list:
-            if product(ctx, sig, e_sig) != sig:
-                continue
-            members.append(UPMember(rep, table.witnesses[e_sig]))
+    for sig, rep in named:
+        for e_sig, period in idempotents:
+            if reference_signature_product(ctx, sig, e_sig) == sig:
+                members.append(UPMember(rep, period))
     return members
 
 

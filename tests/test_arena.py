@@ -60,7 +60,7 @@ def random_automaton(rng, n_states=2, sigma_in=("0", "1")):
 def is_path_for(member, a, ctx):
     # absorption (lag . period ~ lag) plus idempotence make the lag's flag
     # alone decide path validity of the whole omega-word
-    return a in signature_of(member.lag, ctx).flags
+    return bool(signature_of(member.lag, ctx)[4] >> list(ctx.relations).index(a) & 1)
 
 
 def up_for(a):

@@ -387,6 +387,34 @@ def test_monoid_pair_cap_stops_the_class_table_early():
     assert out == "" and "over the pair cap 200000" in err
 
 
+# where a capped build stops depends on the order the classes are found in,
+# so these messages pin that order at the stop
+CAP_STOPS = [
+    (
+        ["--monoid-cap", "5", "monoid", "predict_next.json"],
+        "signature cap exceeded; 6 classes built so far",
+    ),
+    (
+        ["--monoid-cap", "1000", "monoid", "predict_next.json"],
+        "123 classes x 9 idempotents = 1107 pairs so far, over the pair cap 1000",
+    ),
+    (
+        ["--monoid-cap", "20000", "monoid", "predict_next.json"],
+        "537 classes x 38 idempotents = 20406 pairs so far, over the pair cap 20000",
+    ),
+    (
+        ["--monoid-cap", "1", "synth", "--semantics", "fv", "psi_indet_fv.json"],
+        "signature cap exceeded; 12 classes built so far",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,message", CAP_STOPS, ids=["monoid-5", "monoid-1000", "monoid-20000", "synth-1"])
+def test_cap_stop_points_are_pinned(argv, message):
+    code, out, err = run_cli(*argv[:-1], str(FIXTURES / argv[-1]))
+    assert (code, out, err) == (EXIT_CAP, "", f"resource cap exceeded: {message}\n")
+
+
 def test_output_determinism(tmp_path):
     # each invocation runs in two processes under different hash seeds, so a
     # set's iteration order that leaks into the output shows as a difference

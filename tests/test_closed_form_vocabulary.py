@@ -1,6 +1,6 @@
 """The closed-form block vocabulary and the cached interrupt-target halves, against their references.
 
-``build_UP`` decides absorption from three set conditions and ``build_class_table``
+``build_UP`` decides absorption from three mask conditions and ``build_class_table``
 decides idempotence the same way; ``arena._interrupt_targets`` assembles a
 member's interrupt targets from a small half cached by lag and a big half
 cached by period.  Each is compared with the literal procedure it replaces,
@@ -13,7 +13,7 @@ import pytest
 
 from chronosynth.arena import FV, RC, _interrupt_targets
 from chronosynth.automaton import MAX_EVEN, ParityAutomaton, convert_convention, load_automaton
-from chronosynth.state_monoid import build_UP, build_class_table, context_from_automaton, product
+from chronosynth.state_monoid import build_UP, build_class_table, context_from_automaton, signature_of
 
 from fixture_specs import FIXTURES
 from oracles import reference_build_UP, reference_interrupt_targets
@@ -70,8 +70,8 @@ def test_closed_form_vocabulary_matches_product_reference(name, vocabularies):
     full_tables = 0
     for letter, table, members in vocabularies[name]:
         ctx = table.ctx
-        for s in table.witnesses:
-            assert (s in table.idempotents) == (product(ctx, s, s) == s), (letter, s)
+        for s, w in table.witnesses.items():
+            assert (s in table.idempotents) == (signature_of(w + w, ctx) == s), (letter, w)
         assert members == reference_build_UP(table), letter
         full_tables += letter is None
     if name.startswith("seeded/") or name in ("one_state", "psi_copy", "psi_copy_d"):

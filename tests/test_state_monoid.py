@@ -11,15 +11,25 @@ from chronosynth.state_monoid import (
     MonoidError,
     ResourceCapError,
     UPMember,
+    absorbs,
     build_UP,
     build_class_table,
     context_from_automaton,
-    product,
+    late_states,
     signature_of,
 )
 
-from fixture_specs import load_fixture
-from oracles import naive_equiv, omega_equivalent
+from fixture_specs import FIXTURES, load_fixture
+from oracles import (
+    naive_equiv,
+    omega_equivalent,
+    reference_build_UP,
+    reference_class_table,
+    reference_signature,
+    reference_signature_product,
+)
+from test_arena import corpus_automaton
+from test_discrete_game import _family_spec
 from word_forms import ramsey_factorize
 
 
@@ -40,12 +50,14 @@ def random_ctx(rng, states, letters=("x", "y")):
 def is_path_for(member, a, ctx):
     # absorption (lag . period ~ lag) plus idempotence make the lag's flag
     # alone decide path validity of the whole omega-word
-    return a in signature_of(member.lag, ctx).flags
+    return bool(signature_of(member.lag, ctx)[4] >> list(ctx.relations).index(a) & 1)
 
 
 def test_signature_single_state():
     ctx = total_ctx(("q",))
-    sig = signature_of(("q",), ctx)
+    # (first, last, occ, levels, flags): q is state 0, at level 0, and x is letter 0
+    assert signature_of(("q",), ctx) == (0, 0, 0b1, 0b1, 0b1)
+    sig = reference_signature(("q",), ctx)
     assert sig.first == sig.last == "q"
     assert sig.pairs == frozenset({("q", frozenset())})
     assert sig.occ == frozenset({"q"})
@@ -55,15 +67,33 @@ def test_signature_single_state():
 def test_signature_qq_differs_from_q():
     ctx = total_ctx(("q",))
     assert signature_of(("q",), ctx) != signature_of(("q", "q"), ctx)
-    assert signature_of(("q", "q"), ctx).pairs == frozenset(
+    # q occurs with no state before it (bit 0) and with one (bit 1 * 1 + 0)
+    assert signature_of(("q", "q"), ctx)[3] == 0b11
+    assert reference_signature(("q", "q"), ctx).pairs == frozenset(
         {("q", frozenset()), ("q", frozenset({"q"}))}
     )
+
+
+def test_signature_levels_spell_the_pair_set():
+    # states p, q, r are 0, 1, 2; bit j * 3 + q is q after j distinct states
+    ctx = total_ctx(("p", "q", "r"))
+    first, last, occ, levels, _ = signature_of(("q", "q", "p", "q", "r", "p"), ctx)
+    assert (first, last, occ) == (1, 0, 0b111)
+    assert levels == 1 << 1 | 1 << 3 + 1 | 1 << 3 + 0 | 1 << 6 + 1 | 1 << 6 + 2 | 1 << 9 + 0
 
 
 def test_empty_string_rejected():
     ctx = total_ctx(("q",))
     with pytest.raises(MonoidError):
         signature_of((), ctx)
+
+
+def test_states_outside_the_context_rejected():
+    ctx = total_ctx(("p", "q"))
+    with pytest.raises(MonoidError, match="unknown state 'r'"):
+        signature_of(("p", "r"), ctx)
+    with pytest.raises(MonoidError, match="leaves the states"):
+        MonoidContext(("p", "q"), {"x": {("p", "r")}})
 
 
 def test_product_is_concatenation_exhaustive_two_states():
@@ -74,9 +104,11 @@ def test_product_is_concatenation_exhaustive_two_states():
         for s in itertools.product(("p", "q"), repeat=n)
     ]
     for u in strings:
-        su = signature_of(u, ctx)
+        su = reference_signature(u, ctx)
         for v in strings:
-            assert product(ctx, su, signature_of(v, ctx)) == signature_of(u + v, ctx)
+            assert reference_signature_product(ctx, su, reference_signature(v, ctx)) == (
+                reference_signature(u + v, ctx)
+            )
 
 
 def test_product_is_concatenation_random_contexts():
@@ -85,9 +117,9 @@ def test_product_is_concatenation_random_contexts():
         ctx = random_ctx(rng, ("a", "b", "c"))
         u = tuple(rng.choice("abc") for _ in range(rng.randint(1, 4)))
         v = tuple(rng.choice("abc") for _ in range(rng.randint(1, 4)))
-        assert product(ctx, signature_of(u, ctx), signature_of(v, ctx)) == signature_of(
-            u + v, ctx
-        )
+        assert reference_signature_product(
+            ctx, reference_signature(u, ctx), reference_signature(v, ctx)
+        ) == reference_signature(u + v, ctx)
 
 
 def test_product_flags_are_the_path_letters_of_the_concatenation():
@@ -98,12 +130,16 @@ def test_product_flags_are_the_path_letters_of_the_concatenation():
         ctx = random_ctx(rng, ("a", "b", "c"), letters=("z", "x", "y"))
         u = tuple(rng.choice("abc") for _ in range(rng.randint(1, 4)))
         v = tuple(rng.choice("abc") for _ in range(rng.randint(1, 4)))
-        joined = product(ctx, signature_of(u, ctx), signature_of(v, ctx))
-        assert joined == signature_of(u + v, ctx)
+        joined = reference_signature_product(
+            ctx, reference_signature(u, ctx), reference_signature(v, ctx)
+        )
+        assert joined == reference_signature(u + v, ctx)
         w = u + v
-        for a in ("z", "x", "y"):
+        flags = signature_of(w, ctx)[4]
+        for bit, a in enumerate(("z", "x", "y")):
             path = all((w[i], w[i + 1]) in ctx.relations[a] for i in range(len(w) - 1))
             assert (a in joined.flags) is path
+            assert bool(flags >> bit & 1) is path
 
 
 def test_product_associative_random():
@@ -111,11 +147,15 @@ def test_product_associative_random():
     ctx = random_ctx(rng, ("a", "b"))
     for _ in range(60):
         sigs = [
-            signature_of(tuple(rng.choice("ab") for _ in range(rng.randint(1, 3))), ctx)
+            reference_signature(tuple(rng.choice("ab") for _ in range(rng.randint(1, 3))), ctx)
             for _ in range(3)
         ]
-        left = product(ctx, product(ctx, sigs[0], sigs[1]), sigs[2])
-        right = product(ctx, sigs[0], product(ctx, sigs[1], sigs[2]))
+        left = reference_signature_product(
+            ctx, reference_signature_product(ctx, sigs[0], sigs[1]), sigs[2]
+        )
+        right = reference_signature_product(
+            ctx, sigs[0], reference_signature_product(ctx, sigs[1], sigs[2])
+        )
         assert left == right
 
 
@@ -182,9 +222,9 @@ def test_class_table_cap_counts_each_class_once():
 
 def test_empty_relation_kills_flags():
     ctx = MonoidContext(("p", "q"), {"x": frozenset()})
-    sig = signature_of(("p", "q"), ctx)
-    assert "x" not in sig.flags
-    assert "x" in signature_of(("p",), ctx).flags
+    assert signature_of(("p", "q"), ctx)[4] == 0
+    assert signature_of(("p",), ctx)[4] == 0b1
+    assert "x" not in reference_signature(("p", "q"), ctx).flags
 
 
 def test_class_count_monotone_in_states():
@@ -312,7 +352,7 @@ def test_member_path_flags_match_unfolded_check():
             UPMember(table.witnesses[sig], table.witnesses[e])
             for sig in draw.sample(list(table.witnesses), min(40, table.class_count))
             for e in idem
-            if product(ctx, sig, e) == sig
+            if signature_of(table.witnesses[sig] + table.witnesses[e], ctx) == sig
         ]
         assert members
         for m in members:
@@ -356,9 +396,9 @@ def test_ramsey_two_cycle():
     w = LassoWord((), ("p", "q"))
     head, block, cuts = ramsey_factorize(w, ctx)
     sig_b = signature_of(block, ctx)
-    assert product(ctx, sig_b, sig_b) == sig_b
+    assert signature_of(block + block, ctx) == sig_b
     sig_h = signature_of(head, ctx)
-    assert product(ctx, sig_h, sig_b) == sig_h
+    assert signature_of(head + block, ctx) == sig_h
     # the factorization reassembles the original word
     flat = list(head) + list(block) * 4
     assert tuple(flat[: len(flat)]) == w.unfold(len(flat))
@@ -374,8 +414,60 @@ def test_ramsey_random_words():
         head, block, cuts = ramsey_factorize(w, ctx)
         sig_b = signature_of(block, ctx)
         sig_h = signature_of(head, ctx)
-        assert product(ctx, sig_b, sig_b) == sig_b
-        assert product(ctx, sig_h, sig_b) == sig_h
+        assert signature_of(block + block, ctx) == sig_b
+        assert signature_of(head + block, ctx) == sig_h
         flat = list(head) + list(block) * 3
         assert tuple(flat) == w.unfold(len(flat))
         assert cuts[1] - cuts[0] == len(block)
+
+
+def differential_contexts():
+    """Seeded contexts of 2-4 states and 1-3 letters, with the longest string length checked."""
+    rng = random.Random(2311)
+    for n_states, length in ((2, 6), (3, 4), (4, 4)):
+        for letters in (("x",), ("y", "x"), ("x", "z", "y")):
+            yield random_ctx(rng, tuple("abcd"[:n_states]), letters), length
+
+
+@pytest.mark.parametrize("ctx,length", differential_contexts())
+def test_integer_signatures_match_named_reference(ctx, length):
+    strings = [u for n in range(1, length + 1) for u in itertools.product(ctx.states, repeat=n)]
+    named, classes = {}, {}  # integer -> named signature, and named -> integer
+    for u in strings:
+        sig, ref = signature_of(u, ctx), reference_signature(u, ctx)
+        assert named.setdefault(sig, ref) == ref, u
+        assert classes.setdefault(ref, sig) == sig, u
+    number = {q: i for i, q in enumerate(ctx.states)}
+    for sig, ref in named.items():
+        late = {q for q, before in ref.pairs if before == ref.occ}
+        assert late_states(ctx, sig) == sum(1 << number[q] for q in late), ref
+        for e, e_ref in named.items():
+            absorbed = reference_signature_product(ctx, ref, e_ref) == ref
+            assert absorbs(ctx, sig, e) is absorbed, (ref, e_ref)
+
+
+def table_specs():
+    """The fixtures, the arena tests' quotient corpus, and deep/4/0-11."""
+    specs = [(path.stem, load_fixture(path.stem)) for path in sorted(FIXTURES.glob("*.json"))]
+    rng = random.Random(2024)  # draws the specs of test_arena's quotient_corpus
+    for sigma_in in (("0",), ("0", "1"), ("a", "b", "c")):
+        for n_states in (1, 2, 2, 3, 3):
+            specs.append((f"quotient/{len(specs)}", corpus_automaton(rng, n_states, sigma_in)))
+    specs += [(f"deep/4/{i}", _family_spec("deep", i, 4, ("0", "1"), 4)) for i in range(12)]
+    return specs
+
+
+TABLE_SPECS = table_specs()
+
+
+@pytest.mark.parametrize("name,spec", TABLE_SPECS, ids=[name for name, _ in TABLE_SPECS])
+def test_class_tables_and_vocabulary_match_named_reference(name, spec):
+    ctx = context_from_automaton(spec)
+    # the full tables of 4 or more states have 53,312 classes or more, too many to rebuild by name
+    letters = list(spec.sigma_in) + ([None] if len(ctx.states) <= 3 else [])
+    for letter in letters:
+        table = build_class_table(ctx, letter=letter)
+        witnesses = list(table.witnesses.values())
+        idempotents = [w for sig, w in table.witnesses.items() if sig in table.idempotents]
+        assert (witnesses, idempotents, table.d_q) == reference_class_table(ctx, letter), letter
+        assert build_UP(table) == reference_build_UP(table), letter

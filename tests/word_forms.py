@@ -7,14 +7,7 @@ head and idempotent blocks of the state-string congruence.
 """
 
 from chronosynth.omega_word import LassoWord
-from chronosynth.state_monoid import (
-    MonoidContext,
-    MonoidError,
-    absorbs,
-    late_states,
-    product,
-    signature_of,
-)
+from chronosynth.state_monoid import MonoidContext, MonoidError, absorbs, signature_of
 
 
 def _primitive_root(v: tuple) -> tuple:
@@ -51,17 +44,16 @@ def ramsey_factorize(w: LassoWord, ctx: MonoidContext):
     more makes it absorbing.
     """
     u, v = tuple(w.prefix), tuple(w.period)
-    sig_v = signature_of(v, ctx)
     power = v
-    e_sig = sig_v
+    e_sig = signature_of(v, ctx)
     k = 1
     seen = {e_sig: 1}
-    while not absorbs(ctx, e_sig, e_sig, late_states(e_sig)):
+    while not absorbs(ctx, e_sig, e_sig):
         power = power + v
-        e_sig = product(ctx, e_sig, sig_v)
+        e_sig = signature_of(power, ctx)
         k += 1
         if e_sig in seen and seen[e_sig] != k:
-            raise MonoidError("no idempotent power found (broken product)")
+            raise MonoidError("no idempotent power found (broken signatures)")
         seen[e_sig] = k
     block = power  # = v^k
 
@@ -70,10 +62,10 @@ def ramsey_factorize(w: LassoWord, ctx: MonoidContext):
         head = u + v * j
         if head:
             head_sig = signature_of(head, ctx)
-            if absorbs(ctx, head_sig, e_sig, late_states(head_sig)):
+            if absorbs(ctx, head_sig, e_sig):
                 break
         j += 1
         if j > 2 * k + 1:
-            raise MonoidError("absorbing head not found (broken product)")
+            raise MonoidError("absorbing head not found (broken signatures)")
     cuts = [len(head) + i * len(block) for i in range(3)]
     return head, block, cuts
