@@ -12,10 +12,12 @@ whenever it wins (Emerson & Jutla, FOCS 1988).
 
 ``solve_interrupt`` decides the game with ``discrete_game.Game``, whose
 recursion runs over the Zielonka tree of that condition (``tree_node``).
-Each node has one colour, (effective priority, big?): a block node's edges
-pass through hop nodes that carry their labels' colours.  Two attractors
-first settle clause A and the final block nodes without moves, where the
-environment must accept.
+Each node has one colour, (priority, big?): an arena node has that of its
+inherited priority, and each labelled edge of a block node passes through
+a hop node that has that of the edge's label.  A cycle sees the top
+effective priority and the big edges it would see on the arena.  Two
+attractors first settle clause A and the final block nodes without moves,
+where the environment must accept.
 
 ``find_violation`` is the independent check of a positional choice: in
 the one-player restriction, clause A is a reachable non-final block node,
@@ -31,7 +33,7 @@ from __future__ import annotations
 from functools import cached_property
 from typing import NamedTuple
 
-from .arena import FRESH, FV, I_UP, OWNER, RC, Arena, ArenaNode, build_fv_arena, build_rc_arena
+from .arena import FV, I_UP, OWNER, RC, Arena, ArenaNode, build_fv_arena, build_rc_arena
 from .automaton import ParityAutomaton
 from .discrete_game import Game, dense_ranks
 from .state_monoid import (
@@ -270,55 +272,49 @@ def solve_interrupt(arena: Arena, stats: SynthStats | None = None):
     its edge, or is None when the environment wins.  Every controller node
     must have a move, as ``build_game_arena`` ensures.  Nodes are numbered
     in arena order and every list below is in that order, so the choice is
-    deterministic.  The game is read off the arena's move table: nodes with
-    one row and one inherited priority share one successor list, which
-    ``Game`` only reads, and the only edges built are the chosen ones.  A
-    node other than a block node has the one colour of its inherited
-    priority.  A block node has none: each of its labelled edges passes
-    through the hop node of its target and colour, an environment node
-    numbered after the arena's nodes and shared by the whole arena.  Counts
-    the recursion's calls and its game's arena nodes and edges into
-    ``stats`` if given.
+    deterministic.  The game is read off the arena's move table, and the
+    only edges built are the chosen ones.  Every arena node has the one
+    colour of its inherited priority (``Arena.node_priority``, -1 read as
+    0).  Each labelled edge of a block node passes through the hop node of
+    its target and label colour, an environment node numbered after the
+    arena's nodes and shared by the whole arena, so the block nodes of one
+    row share one successor list, which ``Game`` only reads.  Counts the
+    recursion's calls and its game's arena nodes and edges into ``stats``
+    if given.
     """
     stats = stats if stats is not None else SynthStats()
     nodes = arena.nodes
     n = len(nodes)
     index = {node: v for v, node in enumerate(nodes)}
-    rc, priority, final_up = arena.semantics == RC, arena.automaton.priority, arena.final_up
-    # a colour is bit 2r + big of a mask, for the rank r of the effective
-    # priority (-1 read as 0); no label exceeds the top state priority
+    final_up, priority = arena.final_up, arena.automaton.priority
+    # a colour is bit 2r + big of a mask, for the rank r of a priority (-1
+    # read as 0); no label exceeds the top state priority
     rank = dense_ranks([0, *priority.values()])
     small = {p: 1 << 2 * r for p, r in rank.items()}
     big_colours = int("10" * (max(rank.values()) + 1), 2)
     rows, labels = arena.rows, arena.labels
     succ, owner, colour = [], [], []
     accepts, stuck = [], []  # non-final block nodes; final block nodes without moves
-    shared = {}  # (row id, node priority) -> the successors of its nodes
-    hops = {}  # (target, colour) -> hop node
+    shared = {}  # block row id -> the successors of its nodes
+    hops = {}  # (target, label colour) -> hop node
     for v, node in enumerate(nodes):
-        kind = node.kind
-        p = 0 if rc or kind == FRESH else priority[node.state]
-        owner.append(OWNER[kind])
-        key = rows[node], p
-        if key not in shared:
-            row = labels[key[0]]
-            if kind == I_UP:
-                shared[key] = [
-                    hops.setdefault((index[dst], small[q if q > p else p] << (size == "big")), n + len(hops))
-                    for dst, q, size, _ in row
+        owner.append(OWNER[node.kind])
+        colour.append(small[max(arena.node_priority(node), 0)])
+        row = rows[node]
+        if node.kind == I_UP:
+            ws = shared.get(row)
+            if ws is None:
+                ws = shared[row] = [
+                    hops.setdefault((index[dst], small[q] << (size == "big")), n + len(hops))
+                    for dst, q, size, _ in labels[row]
                 ]
-            else:
-                shared[key] = [index[dst] for dst, _, _, _ in row]
-        ws = shared[key]
-        succ.append(ws)
-        if kind == I_UP:
             if node not in final_up:
                 accepts.append(v)
             elif not ws:
                 stuck.append(v)
-            colour.append(0)
         else:
-            colour.append(small[p])  # unlabelled edges: the source's colour
+            ws = [index[dst] for dst, _, _, _ in labels[row]]
+        succ.append(ws)
     for w, c in hops:
         succ.append([w])
         owner.append("I")
@@ -339,11 +335,9 @@ def solve_interrupt(arena: Arena, stats: SynthStats | None = None):
         # a hop without a source inside stands for an edge of a settled node,
         # and its colour must not count
         for h in range(n, len(succ)):
-            if inside[h] and any(map(inside.__getitem__, game.pred[h])):
-                region.append(h)
-            else:
+            if not any(map(inside.__getitem__, game.pred[h])):
                 inside[h] = 0
-        win, strat = game.solve(lambda colours: tree_node(colours, big_colours), inside, region)
+        win, strat = game.solve(lambda colours: tree_node(colours, big_colours), inside)
         stats.solve_calls += game.calls
         if fresh not in win["O"]:
             return False, None

@@ -107,20 +107,19 @@ class Game:
             frontier = new_frontier
         return rest, attr, strategy
 
-    def solve(self, rule, inside, region):
+    def solve(self, rule, inside):
         """Both players' winning regions and strategies, each a dict keyed by owner.
 
-        Solves the subgame on the nodes marked in ``inside`` and listed,
-        sorted, in ``region``, each with a move there.  ``rule(colours)``
-        gives the tree node of a colour set: whether the controller wins the
-        plays that see exactly those colours infinitely often, and children,
-        subsets such that that winner wins every subset inside none of them.
-        Each pass solves the region at the tree node of its colours; when the
-        winner's opponent wins part of a child's subgame, the pass peels that
-        part's attractor off for the opponent and the next pass solves the
-        rest.  Only the recursion on a child nests.  A player's strategy is
-        positional, and winning, where each of its tree nodes has at most one
-        child.
+        Solves the subgame on the nodes marked in ``inside`` (its region),
+        each with a move there.  ``rule(colours)`` gives the tree node of a
+        colour set: whether the controller wins the plays that see exactly
+        those colours infinitely often, and children, subsets such that that
+        winner wins every subset inside none of them.  Each pass solves the
+        region at the tree node of its colours; when the winner's opponent
+        wins part of a child's subgame, the pass peels that part's attractor
+        off for the opponent and the next pass solves the rest.  Only the
+        recursion on a child nests.  A player's strategy is positional, and
+        winning, where each of its tree nodes has at most one child.
         """
         succ, owner, colour, attractor = self.succ, self.owner, self.colour, self.attractor
 
@@ -162,7 +161,7 @@ class Game:
 
         # each solve gives a player a move at every node it owns in its winning
         # region (a subgame's, an attractor's or a first one), so no final pass
-        return solve(inside, region)
+        return solve(inside, [v for v, marked in enumerate(inside) if marked])
 
 
 def solve_indexed(succ, owner, priority):
@@ -177,7 +176,7 @@ def solve_indexed(succ, owner, priority):
     """
     bit, n = {p: 1 << r for p, r in dense_ranks(priority).items()}, len(succ)
     game = Game(succ, owner, list(map(bit.__getitem__, priority)))
-    win, strat = game.solve(parity_node, bytearray(b"\x01") * n, list(range(n)))
+    win, strat = game.solve(parity_node, bytearray(b"\x01") * n)
     return win["O"], win["I"], strat["O"], strat["I"]
 
 

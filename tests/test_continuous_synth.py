@@ -22,6 +22,7 @@ from chronosynth.state_monoid import ResourceCapError
 
 from fixture_specs import load_fixture
 from oracles import enumerate_choices
+from test_discrete_game import _family_spec
 
 
 def random_automaton(rng, n_states=2, max_prio=3):
@@ -282,11 +283,12 @@ def test_fixture_search_is_pinned(fixture, semantics):
     assert got == SEARCH_TABLE[(fixture, semantics)]
 
 
-# per (spec index, semantics) of a seeded corpus of 2-state specs:
-# (realizable, solve_calls, game_nodes, game_edges, arena nodes, arena edges,
-# and the first 16 hex digits of the sha256 of the witness JSON and of the
-# repr of the verdict's violation).  The arena's node order decides the
-# solver's order, the witness and the violation's cycle and entry path.
+# per (spec, semantics), for the specs of ``_pinned_specs``: (realizable,
+# solve_calls, game_nodes, game_edges, arena nodes, arena edges, and the
+# first 16 hex digits of the sha256 of the witness JSON and of the repr of
+# the verdict's violation).  The arena's node order decides the solver's
+# order, the witness and the violation's cycle and entry path; the 4-state
+# and 3-letter arenas are large enough to show a change of tie order.
 CORPUS_TABLE = {
     (0, RC): (True, 1, 27, 93, 27, 93, "1ca1dcbe31166e1d", "dc937b59892604f5"),
     (0, FV): (True, 1, 80, 479, 80, 479, "af619c3ff0ec5f8c", "dc937b59892604f5"),
@@ -328,6 +330,54 @@ CORPUS_TABLE = {
     (18, FV): (True, 1, 104, 670, 118, 766, "653e1832d6372f73", "dc937b59892604f5"),
     (19, RC): (True, 1, 27, 93, 27, 93, "1ca1dcbe31166e1d", "dc937b59892604f5"),
     (19, FV): (True, 1, 80, 479, 80, 479, "af619c3ff0ec5f8c", "dc937b59892604f5"),
+    ("deep/4/0", RC): (False, 4, 31, 125, 51, 276, "74234e98afe7498f", "a8526f378f828c24"),
+    ("deep/4/0", FV): (False, 4, 63, 358, 147, 1282, "74234e98afe7498f", "413cd2a2132cfa56"),
+    ("deep/4/1", RC): (False, 0, 0, 0, 207, 1418, "74234e98afe7498f", "421ab0403053329c"),
+    ("deep/4/1", FV): (False, 0, 0, 0, 1599, 19685, "74234e98afe7498f", "ab65064682fdc870"),
+    ("deep/4/2", RC): (True, 2, 60, 318, 83, 429, "918465b9716f4802", "dc937b59892604f5"),
+    ("deep/4/2", FV): (True, 2, 518, 4778, 594, 5340, "7bfb4537eccf5143", "dc937b59892604f5"),
+    ("deep/4/3", RC): (True, 1, 151, 826, 151, 826, "d13285ebdde49d2c", "dc937b59892604f5"),
+    ("deep/4/3", FV): (True, 1, 2159, 25152, 2159, 25152, "c8bdd3e8d8dbf4aa", "dc937b59892604f5"),
+    ("deep/4/4", RC): (True, 3, 70, 346, 176, 1237, "7f95ce4a253b3e47", "dc937b59892604f5"),
+    ("deep/4/4", FV): (True, 3, 428, 3933, 2924, 38149, "ab213b4496981480", "dc937b59892604f5"),
+    ("deep/4/5", RC): (True, 1, 183, 1430, 270, 2045, "6ffb20581beaa079", "dc937b59892604f5"),
+    ("deep/4/5", FV): (True, 1, 2652, 32446, 3093, 37433, "9bd3bf6e028b9387", "dc937b59892604f5"),
+    ("deep/4/6", RC): (True, 2, 50, 179, 53, 188, "1ca1dcbe31166e1d", "dc937b59892604f5"),
+    ("deep/4/6", FV): (True, 2, 160, 1041, 163, 1056, "af619c3ff0ec5f8c", "dc937b59892604f5"),
+    ("deep/4/7", RC): (False, 0, 0, 0, 65, 322, "74234e98afe7498f", "421ab0403053329c"),
+    ("deep/4/7", FV): (False, 0, 0, 0, 273, 2472, "74234e98afe7498f", "da4d2f84ec13b53c"),
+    ("deep/4/8", RC): (True, 1, 82, 436, 93, 491, "e582ab84bb1aa395", "dc937b59892604f5"),
+    ("deep/4/8", FV): (True, 1, 315, 2923, 369, 3385, "a9e50ec0c0f052f5", "dc937b59892604f5"),
+    ("deep/4/9", RC): (True, 2, 47, 224, 69, 335, "34d79eba8fb08d34", "dc937b59892604f5"),
+    ("deep/4/9", FV): (True, 2, 139, 1116, 234, 1877, "fd7505e521d9a34b", "dc937b59892604f5"),
+    ("deep/4/10", RC): (True, 5, 110, 739, 183, 1240, "1ca1dcbe31166e1d", "dc937b59892604f5"),
+    ("deep/4/10", FV): (True, 5, 1383, 17828, 1728, 21267, "af619c3ff0ec5f8c", "dc937b59892604f5"),
+    ("deep/4/11", RC): (False, 0, 0, 0, 98, 652, "74234e98afe7498f", "a8212684c367846e"),
+    ("deep/4/11", FV): (False, 0, 0, 0, 422, 4996, "74234e98afe7498f", "2542d3a4dab8e504"),
+    ("x2/0", RC): (True, 1, 11, 28, 21, 101, "77033231c05826ff", "dc937b59892604f5"),
+    ("x2/0", FV): (True, 3, 17, 56, 47, 403, "00d47e7774ca436f", "dc937b59892604f5"),
+    ("x2/1", RC): (True, 1, 43, 291, 61, 417, "3d29142ee93b144b", "dc937b59892604f5"),
+    ("x2/1", FV): (True, 1, 153, 1827, 207, 2457, "0de4d996445a66f3", "dc937b59892604f5"),
+    ("x2/2", RC): (True, 3, 25, 129, 61, 417, "3d29142ee93b144b", "dc937b59892604f5"),
+    ("x2/2", FV): (True, 3, 69, 651, 207, 2457, "1d1783856ef4f069", "dc937b59892604f5"),
+    ("x2/3", RC): (True, 1, 43, 291, 61, 417, "77033231c05826ff", "dc937b59892604f5"),
+    ("x2/3", FV): (True, 1, 153, 1827, 207, 2457, "00d47e7774ca436f", "dc937b59892604f5"),
+    ("x2/4", RC): (True, 1, 37, 201, 37, 201, "77033231c05826ff", "dc937b59892604f5"),
+    ("x2/4", FV): (True, 1, 153, 1599, 153, 1599, "00d47e7774ca436f", "dc937b59892604f5"),
+    ("x2/5", RC): (False, 0, 0, 0, 38, 232, "74234e98afe7498f", "421ab0403053329c"),
+    ("x2/5", FV): (False, 0, 0, 0, 127, 1469, "74234e98afe7498f", "f5d6caa6ca36a875"),
+    ("x2/6", RC): (True, 1, 40, 264, 52, 348, "03a7781d1e389e73", "dc937b59892604f5"),
+    ("x2/6", FV): (True, 1, 176, 2169, 204, 2525, "796526e3a906568f", "dc937b59892604f5"),
+    ("x2/7", RC): (True, 1, 37, 229, 37, 229, "6f6d837e6414654f", "dc937b59892604f5"),
+    ("x2/7", FV): (True, 1, 123, 1409, 123, 1409, "e36870ee6ac664a5", "dc937b59892604f5"),
+    ("x2/8", RC): (False, 0, 0, 0, 47, 301, "74234e98afe7498f", "421ab0403053329c"),
+    ("x2/8", FV): (False, 0, 0, 0, 148, 1695, "74234e98afe7498f", "da4d2f84ec13b53c"),
+    ("x2/9", RC): (False, 0, 0, 0, 61, 417, "74234e98afe7498f", "421ab0403053329c"),
+    ("x2/9", FV): (False, 0, 0, 0, 207, 2457, "74234e98afe7498f", "da4d2f84ec13b53c"),
+    ("x2/10", RC): (False, 0, 0, 0, 38, 232, "74234e98afe7498f", "421ab0403053329c"),
+    ("x2/10", FV): (False, 0, 0, 0, 131, 1521, "74234e98afe7498f", "da4d2f84ec13b53c"),
+    ("x2/11", RC): (True, 1, 51, 345, 51, 345, "77033231c05826ff", "dc937b59892604f5"),
+    ("x2/11", FV): (True, 1, 212, 2637, 212, 2637, "00d47e7774ca436f", "dc937b59892604f5"),
 }
 
 
@@ -336,12 +386,20 @@ def _corpus_specs():
     return [random_automaton(rng, max_prio=5) for _ in range(20)]
 
 
+def _pinned_specs():
+    """The 2-state corpus by index, deep/4/0-11 and 12 specs of the 3-letter x2 family by name."""
+    specs = list(enumerate(_corpus_specs()))
+    specs += [(f"deep/4/{i}", _family_spec("deep", i, 4, ("0", "1"), 4)) for i in range(12)]
+    specs += [(f"x2/{i}", _family_spec("x2", i, 2, ("0", "1", "2"), 6)) for i in range(12)]
+    return specs
+
+
 def _digest(text):
     return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def test_random_corpus_search_is_pinned():
-    for i, spec in enumerate(_corpus_specs()):
+    for key, spec in _pinned_specs():
         for sem in (RC, FV):
             res = decide_continuous(spec, sem)
             witness = None if res.witness is None else _witness_json(res.arena, res.witness)
@@ -355,7 +413,7 @@ def test_random_corpus_search_is_pinned():
                 _digest(json.dumps(witness, sort_keys=True)),
                 _digest(repr(res.violation)),
             )
-            assert got == CORPUS_TABLE[(i, sem)], (i, sem)
+            assert got == CORPUS_TABLE[(key, sem)], (key, sem)
 
 
 def _scanned_pending(sg, choice):

@@ -356,10 +356,11 @@ def test_zielonka_matches_reference_on_seeded_games():
 def solve_through_hops(game, routed):
     """``Game.solve`` on the parity game, the edges of the nodes in ``routed`` passing through hops.
 
-    A routed node has colour 0, and its edge to w passes through the hop
-    node of (w, the node's colour): an environment node of that colour whose
-    one successor is w.  As in ``continuous_synth.solve_interrupt``, hops
-    are shared by all routed nodes and numbered after the game's nodes.
+    A routed node has colour 0, which ``Game`` allows because every cycle
+    through it passes a hop: its edge to w passes through the hop node of
+    (w, the node's colour), an environment node of that colour whose one
+    successor is w.  Hops are shared by all routed nodes and numbered after
+    the game's nodes, as the hops of ``continuous_synth.solve_interrupt``.
     Returns what ``solve_sets`` returns on the game's nodes, a move into a
     hop read as a move to its target.
     """
@@ -374,9 +375,7 @@ def solve_through_hops(game, routed):
         succ.append([w])
         owner.append("I")
         colour.append(c)
-    win, strat = Game(succ, owner, colour).solve(
-        parity_node, bytearray(b"\x01") * len(succ), list(range(len(succ)))
-    )
+    win, strat = Game(succ, owner, colour).solve(parity_node, bytearray(b"\x01") * len(succ))
     target = list(range(n)) + [w for w, _ in hops]
     return (
         {v for v in win["O"] if v < n},
@@ -400,8 +399,8 @@ def _opponent_wins_none_against(game, player, region, strat):
 
 
 def test_hop_nodes_match_reference_on_seeded_games():
-    # the same games with a seeded subset of nodes taking the path of a
-    # block node of the interrupt arena: colour 0, each edge through a hop
+    # the same games with a seeded subset of nodes uncoloured, each of
+    # their edges through a hop
     rng = random.Random(43)
     for trial, game in enumerate(_seeded_games()):
         n = len(game[0])
