@@ -19,8 +19,15 @@ builders read the same labels off two cached halves per member.
 Block nodes are built over behaviours, not vocabulary members: a block
 node (q, x, u) is determined, as a game position, by q, x, whether u is
 final, and its set of labelled interrupt edges.  Members that agree on
-all four are interchangeable moves, so (q, x) gets one block node per
-such behaviour, represented by the first-ranked member that has it.
+all four are interchangeable moves.  A behaviour A of (q, x) dominates
+another, B, when A is final whenever B is and A's labels are a subset of
+B's: every interrupt open at A is open at B, and accepting at A loses for
+the environment wherever it does at B, so B is never the better move for
+the controller and dropping it leaves every node's winner as it is.
+Labels carry their size, so the subset test splits into the small and the
+big half.  (q, x) gets one block node per undominated behaviour,
+represented by the first-ranked member that has it; this is the antichain
+of minimal behaviours (De Wulf, Doyen, Henzinger & Raskin, CAV 2006).
 
 Nodes and edges are immutable named tuples, ordered, compared and hashed
 by their fields in declaration order; the sorted node list, and with it the
@@ -243,13 +250,16 @@ def _arena(a, semantics, up, moves):
     """The arena over a builder's map from its (q, x) and dagger nodes to their successors.
 
     Adds, under the max-even convention, the fresh node with an edge to
-    (q_init, x) per input letter, and one block node per behaviour of
-    (q, x), entered from (q, x) under rc and (q, +, x) under fv.  up[x] is
-    the block vocabulary of input letter x, built over its path classes, so
-    every member is a run under x.  Members are ranked in first-use order
-    over (letter, member, state), and the lowest-ranked member with a
-    behaviour represents it, so the moves out of (q, x) keep their order
-    over the whole vocabulary.  Only representatives are numbered, in rank order.
+    (q_init, x) per input letter, and one block node per undominated
+    behaviour of (q, x), entered from (q, x) under rc and (q, +, x) under
+    fv.  up[x] is the block vocabulary of input letter x, built over its
+    path classes, so every member is a run under x.  Members are ranked in
+    first-use order over (letter, member, state), and the lowest-ranked
+    member with a behaviour represents it, so the moves out of (q, x) keep
+    their order over the whole vocabulary.  A behaviour B of (q, x) is
+    dropped when another, A, dominates it: (final_A or not final_B) and
+    small_A <= small_B and big_A <= big_B.  Only the kept representatives
+    are numbered, in rank order.
     """
     a = convert_convention(a, MAX_EVEN)
     moves[Arena.fresh] = {ArenaNode(O_PAIR, a.initial, x) for x in a.sigma_in}
@@ -273,6 +283,16 @@ def _arena(a, semantics, up, moves):
                 kept = best.get(key)
                 if kept is None or r < kept[0]:
                     best[key] = r, member
+    # every dominator of a key sorts before it: finals come first, and a
+    # dominator as final as the key has fewer labels; a key dominated by a
+    # dropped key is dominated by what dropped that one
+    antichains = {}  # (q, x) -> its undominated keys so far
+    for key in sorted(best, key=lambda k: (not k[2], len(k[3]) + len(k[4]))):
+        q, x, final, small, big = key
+        antichain = antichains.setdefault((q, x), [])
+        if not any((f or not final) and s <= small and b <= big for _, _, f, s, b in antichain):
+            antichain.append(key)
+    best = {key: best[key] for keys in antichains.values() for key in keys}
     representative = dict(best.values())  # rank -> member
     number = {r: i for i, r in enumerate(sorted(representative))}
     final_up, rows = set(), {}
@@ -366,7 +386,7 @@ def arena_to_json(arena: Arena) -> dict:
     names = arena.names
 
     def node_dict(n):
-        d = {"kind": n.kind, "owner": arena.owner(n)}
+        d = {"name": names[n], "kind": n.kind, "owner": arena.owner(n)}
         if n.state is not None:
             d["state"] = state_name(n.state)
         if n.letter is not None:

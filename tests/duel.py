@@ -9,8 +9,9 @@ Block i starts at 2 - 2^-(i-1) and runs at scale 2^-i, so that instant is
 from fractions import Fraction
 
 from chronosynth.arena import O_PAIR, RC
-from chronosynth.continuous_synth import build_game_arena
 from chronosynth.game_sim import ChoiceController, PlaySession
+
+from oracles import full_arena
 
 
 def hold_then_flip(arena, settle_state):
@@ -26,12 +27,14 @@ def hold_then_flip(arena, settle_state):
 
 
 def geometric_duel(spec, rounds, accept=True):
-    """Play the duel on the rc arena of ``spec`` (the output-must-jump spec,
-    settling in ``done``): ``rounds`` last-instant interrupts, then accept.
+    """Play the duel on the full rc arena of ``spec`` (the output-must-jump
+    spec, settling in ``done``): ``rounds`` last-instant interrupts, then
+    accept.  The hold-then-flip block is dominated, so the arena that
+    ``synth`` solves has no node for it.
 
     Without ``accept`` the play stops at the round cap.  Returns the play.
     """
-    arena, _ = build_game_arena(spec, RC)
+    arena = full_arena(spec, RC)
     a, b = arena.automaton.sigma_in
     script = [f"start {a}"]
     script += [f"interrupt {2 - Fraction(1, 2**i)} {b if i % 2 == 0 else a}" for i in range(rounds)]

@@ -35,7 +35,12 @@ oracle for the two cached halves of ``arena._interrupt_targets``;
 sorted ``ArenaEdge`` tuple read off ``reference_interrupt_targets``, as an
 oracle for the move table that ``arena.build_rc_arena`` and
 ``build_fv_arena`` return, whose block nodes share one row of labels per
-half pair;
+half pair, once ``reference_antichain`` has dropped every block node that
+another block node of its (q, x) dominates, by comparing every pair;
+``full_arena`` is the flat arena of a spec as an ``Arena``, dominated
+block nodes included, on which the tests check the witnesses found on the
+pruned arena and play the geometric duel, whose controller picks a
+dominated block;
 ``omega_equivalent`` is the equivalence of omega-words over states, built
 from ``pair_profile`` and ``path_flags``, whose classes the tests check
 ``state_monoid.signature_of`` and the block vocabulary against;
@@ -49,7 +54,20 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from chronosynth.arena import FRESH, FV, I_DAG, I_UP, LEFT, O_DAG, O_PAIR, RC, RIGHT, ArenaEdge, ArenaNode
+from chronosynth.arena import (
+    FRESH,
+    FV,
+    I_DAG,
+    I_UP,
+    LEFT,
+    O_DAG,
+    O_PAIR,
+    RC,
+    RIGHT,
+    Arena,
+    ArenaEdge,
+    ArenaNode,
+)
 from chronosynth.automaton import (
     MAX_EVEN,
     ParityAutomaton,
@@ -60,7 +78,14 @@ from chronosynth.automaton import (
 from chronosynth.continuous_synth import find_violation, partial_strategy_graph
 from chronosynth.discrete_game import GameError, MealyMachine, MooreCounterMachine, SolveResult
 from chronosynth.omega_word import LassoWord, inf_set
-from chronosynth.state_monoid import MonoidContext, MonoidError, UPMember
+from chronosynth.state_monoid import (
+    MonoidContext,
+    MonoidError,
+    UPMember,
+    build_class_table,
+    build_UP,
+    context_from_automaton,
+)
 
 
 @dataclass(frozen=True)
@@ -428,6 +453,9 @@ class FlatArena:
         shared = Counter(names.values())
         self.names = {node: repr(node) if shared[name] > 1 else name for node, name in names.items()}
 
+    def outgoing(self, node):
+        return self.edges_from[node]
+
 
 def reference_arena(a: ParityAutomaton, semantics, up) -> FlatArena:
     """The arena over the vocabularies ``up``, each block node's edges built for it alone.
@@ -477,6 +505,66 @@ def reference_arena(a: ParityAutomaton, semantics, up) -> FlatArena:
         edges_from[node] = tuple(sorted(ArenaEdge(node, *label) for label in labels))
     edges_from.update((node, tuple(sorted(es))) for node, es in moves.items())
     return FlatArena(semantics, a, tuple(members), dict(sorted(edges_from.items())), frozenset(final_up))
+
+
+def reference_antichain(arena) -> FlatArena:
+    """The arena without its dominated block nodes, every pair of one (q, x)'s block nodes compared.
+
+    Reads ``nodes``, ``outgoing``, ``final_up`` and ``members`` of a
+    ``FlatArena`` or an ``Arena``.  A block node A dominates a block node B
+    of the same (q, x) when A is final whenever B is and A's labels are a
+    subset of B's.  Distinct block nodes of one (q, x) differ in behaviour,
+    so no two dominate each other, and B is dropped iff some other block
+    node dominates it.  The kept members are renumbered in their order.
+    """
+    blocks = {}  # (q, x) -> its block nodes and their label sets
+    for node in arena.nodes:
+        if node.kind == I_UP:
+            labels = {e[1:] for e in arena.outgoing(node)}
+            blocks.setdefault((node.state, node.letter), []).append((node, labels))
+    final_up = arena.final_up
+    kept = [
+        b
+        for group in blocks.values()
+        for b, b_labels in group
+        if not any(
+            a != b and (a in final_up or b not in final_up) and a_labels <= b_labels for a, a_labels in group
+        )
+    ]
+    ups = sorted({n.up for n in kept})
+    number = {up: i for i, up in enumerate(ups)}
+    renamed = {n: n._replace(up=number[n.up]) for n in kept}
+    edges_from = {}
+    for node in arena.nodes:
+        outs = arena.outgoing(node)
+        if node.kind != I_UP:
+            edges_from[node] = tuple(
+                e._replace(dst=renamed.get(e.dst, e.dst)) for e in outs if e.dst.kind != I_UP or e.dst in renamed
+            )
+        elif node in renamed:
+            edges_from[renamed[node]] = tuple(e._replace(src=renamed[node]) for e in outs)
+    return FlatArena(
+        arena.semantics,
+        arena.automaton,
+        tuple(arena.members[up] for up in ups),
+        dict(sorted(edges_from.items())),
+        frozenset(renamed[n] for n in kept if n in final_up),
+    )
+
+
+def full_arena(spec: ParityAutomaton, semantics) -> Arena:
+    """The arena of ``spec`` with a block node for every behaviour, dominated ones included.
+
+    Builds the vocabulary of each input letter over its own class table,
+    and gives each node of ``reference_arena`` a row of its own.  The
+    dominated block nodes are moves that ``build_game_arena`` drops.
+    """
+    ctx = context_from_automaton(spec)
+    up = {x: build_UP(build_class_table(ctx, letter=x)) for x in spec.sigma_in}
+    flat = reference_arena(spec, semantics, up)
+    rows = {node: i for i, node in enumerate(flat.nodes)}
+    labels = [tuple(e[1:] for e in flat.edges_from[node]) for node in flat.nodes]
+    return Arena(semantics, flat.automaton, flat.members, flat.nodes, rows, labels, flat.final_up)
 
 
 def enumerate_choices(arena):

@@ -36,7 +36,7 @@ from chronosynth.state_monoid import (
 )
 
 from fixture_specs import FIXTURES, load_fixture
-from oracles import reference_arena
+from oracles import full_arena, reference_antichain, reference_arena
 
 
 def one_state_automaton(sigma_in=("0", "1"), priority=0):
@@ -303,12 +303,18 @@ def quotient_corpus():
 
 
 def test_every_usable_member_has_exactly_one_block_node(quotient_corpus):
+    # exactly one in the full arena, and in the arena built, exactly one if
+    # the reference antichain keeps that behaviour of (q, x) and none if not
     checked = 0
     for a, semantics, arena in quotient_corpus:
         ctx = context_from_automaton(a)
         rels = a.edge_relations()
         source_kind = O_PAIR if semantics == RC else I_DAG
+        full = full_arena(a, semantics)
+        kept = reference_antichain(full)
         behaviour = {n: node_behaviour(arena, n) for n in arena.nodes if n.kind == I_UP}
+        full_behaviour = {n: node_behaviour(full, n) for n in full.nodes if n.kind == I_UP}
+        kept_behaviour = {(n.state, n.letter, node_behaviour(kept, n)) for n in kept.nodes if n.kind == I_UP}
         rank, first = {}, {}  # member -> first-use rank; block node -> lowest-ranked member
         for x in a.sigma_in:
             for member in build_UP(build_class_table(ctx, letter=x)):
@@ -318,13 +324,16 @@ def test_every_usable_member_has_exactly_one_block_node(quotient_corpus):
                 rank.setdefault(member, len(rank))
                 want = member_behaviour(a, semantics, member, x)
                 for q in sources:
-                    blocks = [e.dst for e in arena.outgoing(ArenaNode(source_kind, q, x))]
-                    matches = [n for n in blocks if behaviour[n] == want]
-                    assert len(matches) == 1, (semantics, q, x, member)
+                    source = ArenaNode(source_kind, q, x)
+                    assert len([e for e in full.outgoing(source) if full_behaviour[e.dst] == want]) == 1, member
+                    matches = [e.dst for e in arena.outgoing(source) if behaviour[e.dst] == want]
+                    assert len(matches) == ((q, x, want) in kept_behaviour), (semantics, q, x, member)
+                    checked += 1
+                    if not matches:
+                        continue
                     best = first.setdefault(matches[0], member)
                     if rank[member] < rank[best]:
                         first[matches[0]] = member
-                    checked += 1
         # the lowest-ranked member represents each node, numbered in rank order
         assert first == {n: arena.member(n) for n in arena.nodes if n.kind == I_UP}
         assert [rank[m] for m in arena.members] == sorted(rank[m] for m in arena.members)
@@ -348,11 +357,10 @@ def test_block_nodes_out_of_one_controller_node_differ_in_behaviour(quotient_cor
 def test_interrupt_edge_at_each_position_is_an_arena_edge(quotient_corpus):
     # the play engine resolves interrupts through interrupt_edge, the builders
     # through the cached halves: over the lag and one repeat window past it
-    # (two periods under fv, where parity fixes the kind) both give the same edges
-    arenas = [arena for _, _, arena in quotient_corpus]
-    for fixture in sorted(FIXTURES.glob("*.json")):
-        if not fixture.stem.endswith("_d"):
-            arenas += [build_game_arena(load_fixture(fixture.stem), s)[0] for s in (RC, FV)]
+    # (two periods under fv, where parity fixes the kind) both give the same
+    # edges; checked on the full arenas, whose dominated blocks play can reach
+    arenas = [full_arena(a, semantics) for a, semantics, _ in quotient_corpus]
+    arenas += [full_arena(a, s) for a in _continuous_fixtures() for s in (RC, FV)]
     checked = 0
     for arena in arenas:
         mult = 2 if arena.semantics == FV else 1
@@ -408,7 +416,7 @@ def test_effective_priority_and_exported_node_priorities(quotient_corpus):
             name = arena.names[node]
             label = dot_quote(f"{name} p{p}" if p >= 0 else name)
             assert line.startswith(f"  {dot_quote(name)} [") and f"label={label}" in line, line
-            assert entry.get("priority", -1) == p, (node, entry)
+            assert entry["name"] == name and entry.get("priority", -1) == p, (node, entry)
 
 
 # -- the factored arena against the flat one ---------------------------------
@@ -425,7 +433,7 @@ def test_factored_arena_matches_flat_reference(quotient_corpus):
     for a in specs:
         up = up_for(a)
         for semantics, build in ((RC, build_rc_arena), (FV, build_fv_arena)):
-            arena, flat = build(a, up), reference_arena(a, semantics, up)
+            arena, flat = build(a, up), reference_antichain(reference_arena(a, semantics, up))
             count = arena.edge_count  # read off the table, before any edge is built
             assert arena.nodes == flat.nodes, semantics
             assert {n: arena.outgoing(n) for n in arena.nodes} == flat.edges_from, semantics
@@ -485,30 +493,30 @@ def test_build_game_arena_builds_no_edge(monkeypatch):
 # random_automaton(Random(seed), 3, input letters).  Over the one input letter
 # "0" the environment can only accept, so every block node has no moves.
 THREE_STATE_PINS = {
-    (0, RC, "01"): (28, 85, "64f5ea0eccf76f0a", "27da8c5827b1e635"),
-    (0, FV, "01"): (65, 327, "128a1955b8b49e88", "1abdfca102bdf119"),
-    (1, RC, "01"): (47, 192, "4910ce3c4687260c", "968b1093e31d88ed"),
-    (1, FV, "01"): (183, 1468, "aae12c4b15f69216", "181ccfd24809524a"),
-    (2, RC, "01"): (64, 297, "677f832b2c548509", "c2b41c75ef910ffd"),
-    (2, FV, "01"): (258, 2247, "6b955083859b780d", "4b3535272151527c"),
-    (3, RC, "01"): (65, 266, "3cd63c09904e94c5", "4de82d27bb300352"),
-    (3, FV, "01"): (248, 1746, "9675bc9b05c413fa", "2cb495cfa52fdb2c"),
-    (4, RC, "01"): (40, 173, "295077e82b8f0381", "fc51d1f0a079dd88"),
-    (4, FV, "01"): (99, 763, "1caa535ae5c906d4", "b3e11f87f3f07a55"),
-    (5, RC, "01"): (71, 419, "da1b15c9658a87d9", "4bc24a0fd957b4d2"),
-    (5, FV, "01"): (374, 3554, "30316619a2c3f869", "4521d33eacb501d4"),
-    (6, RC, "01"): (58, 277, "9b4045658b6734ad", "7e1d13c1c0310d99"),
-    (6, FV, "01"): (197, 1513, "c2481dc674e5db7c", "d7183f5bc7a5f4f0"),
-    (7, RC, "01"): (76, 398, "70323df620d258ae", "246fc14f17f51ad9"),
-    (7, FV, "01"): (499, 4457, "c0e678a671503e8a", "180255048d69cdc7"),
-    (0, RC, "0"): (10, 7, "2eb6db8b78f17edb", "7284c5b77bd0dd89"),
-    (0, FV, "0"): (16, 15, "e0b1888fb4ceaa42", "aa27aace704dd829"),
-    (1, RC, "0"): (7, 4, "c23895c36a5ea298", "9f99cb10493da126"),
-    (1, FV, "0"): (13, 13, "f655af8458f476cc", "a14b136743bfd20c"),
-    (2, RC, "0"): (8, 5, "c399a552443942bf", "04f530721dc6b44c"),
-    (2, FV, "0"): (14, 13, "20bb7e5707dc602f", "b1aa46bc51f674f4"),
-    (3, RC, "0"): (10, 7, "cdb69d3771c9f16b", "42ad93e4f8cf3f44"),
-    (3, FV, "0"): (16, 16, "704faf0bee1c5e2f", "a745a77b99dcd770"),
+    (0, RC, "01"): (16, 30, "20b02b16e23531e2", "df43d4f7c15b60cb"),
+    (0, FV, "01"): (37, 130, "be429f0c73c5098a", "4bafb73db4c6d20e"),
+    (1, RC, "01"): (25, 66, "fe20029296df363e", "cb2e62dec05e9a77"),
+    (1, FV, "01"): (66, 361, "ffd0fab74ecd038c", "46a9b9c8eba87b23"),
+    (2, RC, "01"): (28, 83, "18c02524f2aca81e", "5a7f2fef0e33ecd2"),
+    (2, FV, "01"): (90, 545, "da80ab2cea9636f6", "1aa44baa92a40b89"),
+    (3, RC, "01"): (33, 102, "a5bc3b9e85e8749e", "120ce72bdfc362d3"),
+    (3, FV, "01"): (110, 626, "07a65b2a7f3e05ad", "cf295e6366a6d6c3"),
+    (4, RC, "01"): (23, 62, "dd74d77d8a7875be", "5ecda8a85ccbb04d"),
+    (4, FV, "01"): (43, 195, "5e1fa573fdfae253", "2d273c61033e0bc4"),
+    (5, RC, "01"): (22, 76, "8d92bb5b37140d07", "89b9202c0c6372c7"),
+    (5, FV, "01"): (81, 494, "19fc32078dbb9344", "6c0c73e916573b87"),
+    (6, RC, "01"): (21, 60, "0ed9e2756d94ee2d", "1979c46f8299e005"),
+    (6, FV, "01"): (50, 225, "86b04c1d2d194dc4", "73fbedde601cf028"),
+    (7, RC, "01"): (22, 64, "02e1803cea0cd2a8", "3fcf4ce804c077a3"),
+    (7, FV, "01"): (102, 614, "e9c2776995eca110", "26ced9cd794f6119"),
+    (0, RC, "0"): (7, 4, "f47ce82c409e267a", "7a55898ebfa4b3f8"),
+    (0, FV, "0"): (13, 12, "41530b1f4d067b4c", "5afd906194b10bcd"),
+    (1, RC, "0"): (7, 4, "c23895c36a5ea298", "eac82c5ff23a9540"),
+    (1, FV, "0"): (13, 13, "f655af8458f476cc", "a0ad5bdac30e4ea2"),
+    (2, RC, "0"): (7, 4, "f47ce82c409e267a", "c59702819b077912"),
+    (2, FV, "0"): (13, 12, "28b18a8e6dc24c61", "e1ad57de9ac63efd"),
+    (3, RC, "0"): (7, 4, "f47ce82c409e267a", "15ab337af1c3b4a0"),
+    (3, FV, "0"): (13, 13, "0e14ee0184384ae6", "d316dc53020d9c15"),
 }
 
 

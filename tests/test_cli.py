@@ -132,19 +132,23 @@ def test_exported_names_tell_distinct_arena_nodes_apart(tmp_path):
     path.write_text(json.dumps(spec))
     arena, _ = build_game_arena(load_automaton(path), "fv")
 
-    quoted = QUOTED.pattern
-    code, dot, _ = run_cli("arena", "--semantics", "fv", "--dot", str(path))
+    # each JSON node entry carries the name its edges and the DOT ids use
+    code, out, _ = run_cli("arena", "--semantics", "fv", str(path))
     assert code == EXIT_OK
-    ids = re.findall(rf"^  ({quoted}) \[shape=", dot, re.M)
-    assert len(set(ids)) == len(ids) == len(arena.nodes)
-    node_of = {json.loads(i): n for i, n in zip(ids, arena.nodes)}
-    dot_edges = re.findall(rf"^  ({quoted}) -> ({quoted})", dot, re.M)
-    assert [(node_of[json.loads(s)], node_of[json.loads(d)]) for s, d in dot_edges] == [
+    data = json.loads(out)
+    names = [entry["name"] for entry in data["nodes"]]
+    assert len(set(names)) == len(names) == len(arena.nodes)
+    node_of = dict(zip(names, arena.nodes))
+    assert [(node_of[e["from"]], node_of[e["to"]]) for e in data["edges"]] == [
         (e.src, e.dst) for e in arena.edges
     ]
 
-    code, out, _ = run_cli("arena", "--semantics", "fv", str(path))
-    assert [(node_of[e["from"]], node_of[e["to"]]) for e in json.loads(out)["edges"]] == [
+    quoted = QUOTED.pattern
+    code, dot, _ = run_cli("arena", "--semantics", "fv", "--dot", str(path))
+    assert code == EXIT_OK
+    assert [json.loads(i) for i in re.findall(rf"^  ({quoted}) \[shape=", dot, re.M)] == names
+    dot_edges = re.findall(rf"^  ({quoted}) -> ({quoted})", dot, re.M)
+    assert [(node_of[json.loads(s)], node_of[json.loads(d)]) for s, d in dot_edges] == [
         (e.src, e.dst) for e in arena.edges
     ]
 

@@ -69,41 +69,41 @@ INVOCATIONS = list(_invocations())
 
 PINNED = {
     "synth --semantics rc --stats one_state": "bc8a7d9dd18aa31af9b3b3b276ff7d0eb660e8265596732541f1639b3c0a687f",
-    "arena --semantics rc one_state": "2efe6f1c1038124d032c992cfbf34a706158be72416c3e27e7ffe015c396acba",
+    "arena --semantics rc one_state": "98c04d3b2b9b388e286cf98a8da3ed9660a39d514df4e468bcb4c789fdb11006",
     "arena --semantics rc --dot one_state": "8774308717795be51ce5f0c1b12886df43d6c6bd8937fef3fd630616b14dd3ee",
     "synth --semantics fv --stats one_state": "1f40788fd17c0394ed9b752b692a86a13da6b43803ff0b5ec8a3ce15583e0dac",
-    "arena --semantics fv one_state": "d5cb62aa75c676e08cfe58d51af18940e0fc9b11ee9c593b0a3ef97d9a92f204",
+    "arena --semantics fv one_state": "e03ac64ea05e8120d2c3785630ad9fdf77064ed6c0c4fff9d8eb9101dc450c48",
     "arena --semantics fv --dot one_state": "db6f03ec79bd6451b0fd86683cc892fd0fe623016c48b7722295ec484b2f3be9",
-    "synth --semantics rc --stats predict_next": "2b25e78695401d9d8f26e5236deb2a20f808a5ee1fd505b8b1013d9894317c41",
-    "arena --semantics rc predict_next": "52ab01e78ef29c0141d8982f4e5960c09a77b46790230bb036accf03f585482e",
-    "arena --semantics rc --dot predict_next": "aba8ac22ae4bc7e67738381c79a31cf05bc93cdca4c7fb164ec5b114c888c1b8",
-    "synth --semantics fv --stats predict_next": "e1bf63429afd38a49c59f2d1e1620c92d626e911e365f8369f47ffb6e8c15d22",
-    "arena --semantics fv predict_next": "d529c170d06060e08d9c4651d1307dad67cb14dbebb965ab16afe6555db5156a",
-    "arena --semantics fv --dot predict_next": "12281a1b5034bc4b900195bd4f5fb7b19d109decc7096d61dae0cb2e12ac205b",
-    "synth --semantics rc --stats psi_copy": "006c1790e6b0e27bef9d24fbf5aa7e9cce542d183eaffdfb2444b1abca2195d7",
-    "arena --semantics rc psi_copy": "90f3a5b648ca73c6f0a9517a01bc148687530450dfec5e68f470828a22a60b04",
-    "arena --semantics rc --dot psi_copy": "289c3c1bcb777ee57d3f2204d922f58afac72129ad7b353bd20470424fb9743d",
-    "synth --semantics fv --stats psi_copy": "46e58a0a23bc5aff95c5b6ed9cfa4d82f4eaa1fee870092174193e8f261c1d71",
-    "arena --semantics fv psi_copy": "8bdac446bfb0a2b1ed08853047dfbc236c26d3692ed8d39c90a947477e881f33",
-    "arena --semantics fv --dot psi_copy": "6dfb4d5c958f847304bdc293ca8acec11e24bf3cfdc5b9405040f61bfb6b9e3f",
-    "synth --semantics rc --stats psi_indet_fv": "ca225eeaa0615952e128701eb206fd8e05fad8ab65d6119d28439b8bda451497",
-    "arena --semantics rc psi_indet_fv": "0c377d9687b8cb44b4f9561a254bf272322d75b4a1431ad9ab82240838ca6418",
-    "arena --semantics rc --dot psi_indet_fv": "fed3892bba16ef6fc168932a0088a2485e0648a45b3c1bc27c9440292691b694",
-    "synth --semantics fv --stats psi_indet_fv": "c21a2850146aec44466e1983a523aba4a6fa8c361d60a6d821526b5f6238989d",
-    "arena --semantics fv psi_indet_fv": "3c902927335ce108b714fbb79a71d73255c07ad4b056c396653a5a3479f73842",
-    "arena --semantics fv --dot psi_indet_fv": "89d41199203a426bde78617c2a5b67ec15afcf00f2db934d418cf3cc59992389",
-    "synth --semantics rc --stats psi_jump_fv": "19fc3ca6e66112cfb870fa5e5247922c4ece406aa7b753dce2c4462e8b858fa9",
-    "arena --semantics rc psi_jump_fv": "b31bb5349775df59196339c61d006fbf5aac9eff0fe888b08eb3a66e89511966",
-    "arena --semantics rc --dot psi_jump_fv": "2bb989ddb12769351592eb1fa8e81519499e1ed748e3e2fe44b5b3fa4aa903e4",
-    "synth --semantics fv --stats psi_jump_fv": "b65f0a15c9691fcbd9c516d829c1b41e541ffe0bc88577eaed8aeed3c7a2099c",
-    "arena --semantics fv psi_jump_fv": "306bac6f2dda672a18ed5e35c062272e3af9d3af47f82e1612f8b847cf1cbfc7",
-    "arena --semantics fv --dot psi_jump_fv": "c83dec78cdb5bf6b2fadafb7ebaac8c4a94e64ff0734f61babe3c088f82cb273",
-    "synth --semantics rc --stats psi_jump_rc": "381eae2f5f82eb37599acba91c790e2a94b1476a8812d9151813d94405cd8e5f",
-    "arena --semantics rc psi_jump_rc": "8d05a5bc1bdcbdd0b6003040c8ee61ebfa0d69694dcacb170e22fa84055229db",
-    "arena --semantics rc --dot psi_jump_rc": "0043faf65fe6481152b5736e1e94936ddc287812936225f9d95117c83ca77798",
-    "synth --semantics fv --stats psi_jump_rc": "9a2d344a7aa7c7795080461a69fa9e7f37a09b877bb84c76cc9c0e74200fe843",
-    "arena --semantics fv psi_jump_rc": "095405c7705db0685c28113a5fd3eaec73c0993b409c4203d7f3edde4ecfb1dd",
-    "arena --semantics fv --dot psi_jump_rc": "2db304cbb78d9014808e875933c5fb55e9e56b3e1207e93540bf5d648f403116",
+    "synth --semantics rc --stats predict_next": "46f94fa1fc7d76c2906d52b57ecfd868848936d50e137f43913a75b2284fa35d",
+    "arena --semantics rc predict_next": "f94b983ce52fe5beb6245185a741bba42b9b5cbcf9e3cfada68ed9a44b327bf0",
+    "arena --semantics rc --dot predict_next": "801ab51ed4e1071991b1e0ff95331064265b95b2862559c1f2cb3a8a4da0101c",
+    "synth --semantics fv --stats predict_next": "c9115dfed518e5197876de0373e9155243cc2a4f2840663e559c7078b1c2dcdd",
+    "arena --semantics fv predict_next": "275cd9ca3b5385f4262abaf8c749e56e5d03eb36614779cb9368ec339d55076d",
+    "arena --semantics fv --dot predict_next": "5b58a68db62e1089170fcf80f5aeffec4fb99df96226673bb33b3c214312c546",
+    "synth --semantics rc --stats psi_copy": "8b6761aca09d456b496586ccacc3589995fb2bf8deb861dd7989814eb44a4700",
+    "arena --semantics rc psi_copy": "e30d9fab841c0adff79be547c6091f747434cb57f327891202ebb55b0b8b9295",
+    "arena --semantics rc --dot psi_copy": "3eb9c8ea7d6429aa420b89dfed29ca2c621ee365f6dcded8b85474f06d0a138e",
+    "synth --semantics fv --stats psi_copy": "2c6f09a716603a58a9f13ad76ce520a17f0ac6371c8153ba53127aa9b42e6f56",
+    "arena --semantics fv psi_copy": "fe3c535414c3e2f9b430c21f0d0bf4b39da28bcf81ba69f0497fb6b6c56022a3",
+    "arena --semantics fv --dot psi_copy": "3f14bab88da4a54a35f9521f27fd098ae0425a896118f84ddd6c12c72cc8c84d",
+    "synth --semantics rc --stats psi_indet_fv": "f82c67823bb6229013db8d0dd1bc8a0a9b5a0ebd39c15a75fd92069953b97b34",
+    "arena --semantics rc psi_indet_fv": "8ed3bd8a5501e538221cdddb0b77ae88433d2c9a70600bb0c2b332266d07408e",
+    "arena --semantics rc --dot psi_indet_fv": "06daadd64258b40fa0a56305337e0d1a7803164d398dd16a6e5d3de9b8fa06d5",
+    "synth --semantics fv --stats psi_indet_fv": "d9d4e4731519398a4429a6585982ae91769d77cad5f05892caeb7b4821a436c3",
+    "arena --semantics fv psi_indet_fv": "95c142837b658ca5d9e4d2dd537bd708b3393df147280290191ffbc0ca8aec11",
+    "arena --semantics fv --dot psi_indet_fv": "826a6687609b9866191583373986c43dfc004d5a5daeab8e8bcb3b3737b3ee13",
+    "synth --semantics rc --stats psi_jump_fv": "045214166de460d6165199bee444de29cf97675f7e7a14ffaca564d575c43ec2",
+    "arena --semantics rc psi_jump_fv": "886487b512b65a4242cf0c495719af65b47f86a5af64c2b58bb25307000b5db0",
+    "arena --semantics rc --dot psi_jump_fv": "9b55e16ec68fa389ff5532f412a7bce413d3ec8023d7cdbf28ce8f974b978db7",
+    "synth --semantics fv --stats psi_jump_fv": "21028e1a0dee461591287bc06b5b2130a39f16d8e7e1809b2eabdf8fd66dee9f",
+    "arena --semantics fv psi_jump_fv": "0ef04ca2ce673294d548128251ad9492d8801a137f5c5f52701a45c71f3fe4d0",
+    "arena --semantics fv --dot psi_jump_fv": "04cc9c5e9e7ee9314696f03f0693aba7d579a7db9f0c53b075b4cda6c81f225c",
+    "synth --semantics rc --stats psi_jump_rc": "090f86383cc72c853018dca05a99bbae61f7a5ddf9997181421f0b7dd46c6e3c",
+    "arena --semantics rc psi_jump_rc": "708ebdf54aad297384d3c45bc3f66baada3f878d57a36f99b5d5c8f7c14f6e98",
+    "arena --semantics rc --dot psi_jump_rc": "2286cc5f93201ece8ddec1d6f51443eb57a884842a0df6c24b1fffa6682170ac",
+    "synth --semantics fv --stats psi_jump_rc": "cf603536f8a2290bfcedb8a9e22fd3889ab19988f0a010b6d961c2996e946c84",
+    "arena --semantics fv psi_jump_rc": "885d87124a402788a894a131acf474d7f8bab52464d5dd83116cb0752b74ed05",
+    "arena --semantics fv --dot psi_jump_rc": "b8f1a336b8ae28890b5a7b8f6d20f9031fee6f15625e48015eb3665c097a719e",
     "monoid --full one_state": "2f5e966d552a48a0c92ed3fa80d5dad6903a06468983889b967f624fa735b979",
     "monoid --full psi_copy": "0a0b7bc100980e6b011fca1948cc45a262f63b753470c276a9c92dbec323b9e5",
     "monoid --full psi_copy_d": "0a0b7bc100980e6b011fca1948cc45a262f63b753470c276a9c92dbec323b9e5",
@@ -119,16 +119,16 @@ PINNED = {
     "definable psi_jump_d": "dd3a50779c5f48c43417daa71f483b691a68d787b8c1a0736ad14bb31b3d5ed4",
     "play --semantics rc --script script-rc one_state": "b4c0ada3d99a70c25a400a716312f7770082953f2661fa390ab642dd5430be7e",
     "play --semantics fv --script script-fv one_state": "324487dedc70e0fb8ba791ccf4e90aa5ce0996c32952abdae83e518826bf53dd",
-    "play --semantics rc --script script-rc psi_copy": "d2a4ae7ef3abab3fbe28175396c8f832091357788d3ea7d9c749ae26367758b8",
-    "play --semantics fv --script script-fv psi_copy": "71a781c7decc288d8696c862132c3d33ede460131dec362ec142f97e2163a6a5",
+    "play --semantics rc --script script-rc psi_copy": "024a21faff7fd55f5544958bbd52584bafb393018fe18a301e2756862c1bb30b",
+    "play --semantics fv --script script-fv psi_copy": "f2492723e853522948620e13d3da9316ba190475fc8f9e34c69e3394f52a56ed",
     "play --semantics rc --script script-rc psi_jump_fv": "7c5daa61a0a33df3ac7bb1935ab5ac27381487b12b9406dfdc314ffbdee3285d",
-    "play --semantics fv --script script-fv psi_jump_fv": "414c701e76f7de74bb6a9065cff63cd76b9ec07abdd030a2d28886569ba86444",
+    "play --semantics fv --script script-fv psi_jump_fv": "c40e9e4c95d8362ae185c941f4973aa0408df8c21ae1afe75ca6e71043c487ba",
     "play --semantics rc --script script-rc psi_jump_rc": "a8f7e7572be6b13b2cab87ab458b4f0be2f855401fa4e20268268f8870311d66",
-    "play --semantics fv --script script-fv psi_jump_rc": "9d12facd91881308a3998ca699b1c1262e47e288015e2c85f53dd7b6e4c5a04b",
-    "play --semantics rc --script script-illegal-rc psi_copy": "6ff0eea3980d624811985865ec9e8cb76e42a6fc7e8f4acffd9a1d909f682437",
-    "play --semantics rc stdin-illegal-rc psi_copy": "4deb8955478f797925d0c17837f807521841d4f7db6f68998356c565ed7b5630",
-    "play --semantics fv --script script-illegal-fv psi_copy": "b4db68c14efb5fc6d5839270edc57ffa7ed0fe906921a9e0ff64dcacedfb6d00",
-    "play --semantics fv stdin-illegal-fv psi_copy": "501e127bc76b13f95102e6d2145e2bdb2120e14ea5c55c096c895e7c0dfcfdbf",
+    "play --semantics fv --script script-fv psi_jump_rc": "d467ba7c907b2db163c6703e842502cbf9fb2cf38a6ca27b0b4d66fe6554634a",
+    "play --semantics rc --script script-illegal-rc psi_copy": "70adff91510b5278cf44aeef5fb18ebb2354536e6bbd78fd478d39d3383bbee9",
+    "play --semantics rc stdin-illegal-rc psi_copy": "61dbdf3128d206c42ece02d34fc795aba49d3c6452d3421de0c3ede7ca844e54",
+    "play --semantics fv --script script-illegal-fv psi_copy": "c4f9f40d41330168ed0f87e0784c20a4d180de51e64c256c21c5f86cc52d8695",
+    "play --semantics fv stdin-illegal-fv psi_copy": "a648c728eafc80c14d040e986e5148c5e66e792b62c2c00c0417a583735f7c15",
 }
 
 

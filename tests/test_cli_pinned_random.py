@@ -34,54 +34,54 @@ def _invocations():
 INVOCATIONS = list(_invocations())
 
 PINNED = {
-    "synth --semantics rc --stats pin-0-2": "6a979c7e8df666e7491d220a181a52e3b9b145c289cf80ae520049923b744fd4",
-    "arena --semantics rc pin-0-2": "6432e2ad7d79aeb9478fd396a5de1bfe7e9e57e203540175c97568a538f0ead1",
-    "arena --semantics rc --dot pin-0-2": "a53d75a53916a9b615741c0a0fef30f7326e850a698470d224763cd278971e27",
-    "synth --semantics fv --stats pin-0-2": "24f21bc38ddbeb31258afa2a1589794108ee9fdd30cfa6cc0ff295164dadce1e",
-    "arena --semantics fv pin-0-2": "c64e890f4b7e267799049c5d1c4de95c7d4c8a049d145ebfccfbde2b1b79d6a5",
-    "arena --semantics fv --dot pin-0-2": "c9fdbd9a762665cd4a8ce520a6a551dc49475848c58f8e16b846e6eef5cf9725",
-    "synth --semantics rc --stats pin-1-2": "8ca5f85e9460f8cc9d7e41655b77bd36335060c9a72cbb4afc0a65f2c8b61840",
-    "arena --semantics rc pin-1-2": "23e63642fe251ca862eb6fac9a94db5b8cbd009776fc3f26f7f5c91e1a704fa8",
-    "arena --semantics rc --dot pin-1-2": "0e9ae03235ccb12763906ea3f71a7296fb566d6cd8b1fa7025721f657d8af36f",
-    "synth --semantics fv --stats pin-1-2": "76494068fb9e78f00cfe9a5b2e617bd5769eac5d18396166ccf03b9d34ea3235",
-    "arena --semantics fv pin-1-2": "aaf54565b68a8d85a76b69c72ae8172228a52d2ddc8c90122fa6084d518b7862",
-    "arena --semantics fv --dot pin-1-2": "715ba130bfa2d9bb7d641ec269d462bf23782d500fe57e3eb08c965440e25c6a",
-    "synth --semantics rc --stats pin-2-2": "92e3ecf0108dabad20d24ce62e8c4c9ba06b1edc392c8ba6b080efaa2a07d856",
-    "arena --semantics rc pin-2-2": "b0f05040df68847bf45c297109b36c48c1bfe45474c5295fbd6edb54fe258da3",
-    "arena --semantics rc --dot pin-2-2": "e6e3801f84e1fb08b5d07d4b3e2f2b8fbc793da13d2fdfa90b6d277441546b25",
-    "synth --semantics fv --stats pin-2-2": "bb1cc49d67a4769bed1a015e62f2b328a712d35f9cc1f0402067d782c04928c5",
-    "arena --semantics fv pin-2-2": "be46a9a79cd84e382fb8e470042a20e90ed7463cea93a53492ea5b8d1cc43b2e",
-    "arena --semantics fv --dot pin-2-2": "251144684fc05720ecdae393d2e8e527a4d08789f8f03ce31455173b04538d4b",
-    "synth --semantics rc --stats pin-3-2": "abac114ae6f558aefd24da623a9b21a0c619bca2647c9cbd971a730c4c90ede4",
-    "arena --semantics rc pin-3-2": "ac56aaa3f5f2cb348e76855c2d3d275d36a837ad35c71bf88e9f786f91c03104",
-    "arena --semantics rc --dot pin-3-2": "b98c0d01cb161dd245b45a21c662be1538f5494f08bcbb2fa916cbd562bfd783",
-    "synth --semantics fv --stats pin-3-2": "2b741840b3043fa99eeb9a3a6b88061cfd3e9f237c17884c6d5ec622dadeeb16",
-    "arena --semantics fv pin-3-2": "e6f0deb117208b49cd70e4090e4e86d03e8ba3fddba5ff9a2f00b9ecc2b68497",
-    "arena --semantics fv --dot pin-3-2": "61bfa4a9b92ad11626c0a36c0fe32ca80a4e8af17076d3e6eb226802280978bd",
-    "synth --semantics rc --stats pin-4-3": "6e7064509822af593b39f4a0dab883a11b752dfc2cf34b698aa245dec2f73d65",
-    "arena --semantics rc pin-4-3": "b8d29b2b0d34ebb5501924efb09e83c4994ae5305ca339e23e6ead3c5ae53344",
-    "arena --semantics rc --dot pin-4-3": "3185fce1ad150f5cf3df055dad2578c6845cd3dba00728bfe58ec3a8799929f7",
-    "synth --semantics fv --stats pin-4-3": "febb8e0743dbb47315d8c04c57682dca32a2e44e33cbfd58e491a2a87b4ebc4a",
-    "arena --semantics fv pin-4-3": "9d01d7a7b9a635057b7924199317b96e41e8b0718cd33917ecd34963e4a8f87b",
-    "arena --semantics fv --dot pin-4-3": "e9c56029fa9cef8cf66ea8de87ac7f0c3227360b56e04f7e51ef7ff4afc2888c",
-    "synth --semantics rc --stats pin-5-3": "eda68ef876b6b759a5e91dd3a8d2441a4ff4ffa966d38441c91ccc6a23444984",
-    "arena --semantics rc pin-5-3": "d6c953431620a03afcd90be4e0b736b9a706bfdd7b0744c6670a6eaed5f1663c",
-    "arena --semantics rc --dot pin-5-3": "0e1a455b2a5d7847ee8f532a5e76655752d78ecaa187488a191a67a683cdc29d",
-    "synth --semantics fv --stats pin-5-3": "64e61639b52d033e7443361b33583a77cec7ce1f2a70ce2a2b2b05142bf9cbf1",
-    "arena --semantics fv pin-5-3": "8bd6210509568e556802cadb1105399090df3740bf5143266d23bf514bd64ff3",
-    "arena --semantics fv --dot pin-5-3": "27cbd1ff14c95130fb4263c86f13b718ebfd4caf0e094b03f7eb9f16a1f51ae1",
-    "synth --semantics rc --stats pin-6-3": "561837330052cd8a577b7d8883fed08f8a2ca44b2f7eb2569e26097a7dcf20e4",
-    "arena --semantics rc pin-6-3": "a494a07399bb52424403e4c0b80215e6877177e69e52cc16676a02c5efe7e07a",
-    "arena --semantics rc --dot pin-6-3": "2b95fa013a55560728b9c10b9b0a2bc439af5d19fd5c0f1ed37d8285c0d50829",
-    "synth --semantics fv --stats pin-6-3": "e4b7e96b6c9974bf31ccd74b7cfeb868345b7a3107dc78c2716b63c2bea134ab",
-    "arena --semantics fv pin-6-3": "7eebc2bcc6de29d98710276e9407625a77ec8baa543af55a278d3b39aff8facc",
-    "arena --semantics fv --dot pin-6-3": "c40a3e8667e401898f031e6e4647fc8845f90e3625b9ab3b5ba8158327ad8bb3",
-    "synth --semantics rc --stats pin-7-3": "206efd02697590140d00ac65469949fd05879e7fab7fcaa9ec0ef4bc79fbca5b",
-    "arena --semantics rc pin-7-3": "6f5b50fd7cd2869c43565465af01e1c9edc05bc67dd3a558d6e55d01a01ab551",
-    "arena --semantics rc --dot pin-7-3": "58c0ff2a351f8db00f9a403363cb8d5264c00c2532138a48d63afc1b91a0e1d0",
-    "synth --semantics fv --stats pin-7-3": "278b4111c846eb429fafa48ca0837c2ea558a21bd4be770abc82a08009720651",
-    "arena --semantics fv pin-7-3": "9bdb4cd75f37ea9de55315622293efec66c6dc6bb0cc4fa33a4ac9fd57efb747",
-    "arena --semantics fv --dot pin-7-3": "7fbd0a9249f2ab210dcdb6047f5d6ac77f7f2468c1fea4fa67dca6eb5edb864c",
+    "synth --semantics rc --stats pin-0-2": "9e56d8bca0ef7bdab31865782e96f7fd3663a86a2896bb0e4642778f2e35f0ef",
+    "arena --semantics rc pin-0-2": "2f55a4b99f4bd3c3a8f367119311d68677919e4f839be885d881a7a036264f8a",
+    "arena --semantics rc --dot pin-0-2": "62324f8ca930ee40dc7c3fc83f401a16236834ea5c173f48dc1dadb7ba77927d",
+    "synth --semantics fv --stats pin-0-2": "b3604ccf1e98ed53cb74daab65a1827afea385d8b358824cce41e8310b5f0997",
+    "arena --semantics fv pin-0-2": "7b69006b2124fe1d9f60f6e088084dd5431f3bcff78e205be71c62456abc3244",
+    "arena --semantics fv --dot pin-0-2": "0375d56203dd467424461bdabc95d7178f812aad4cc641b71cf60b10a8017761",
+    "synth --semantics rc --stats pin-1-2": "632d955c4f1e42d8bb2f726024ee68bb576654c88cb67f5b29cb705b0a26082c",
+    "arena --semantics rc pin-1-2": "fddc77db0137648602ad88cdced7a161d23c01f37640a2352bc87266d4d2f1e3",
+    "arena --semantics rc --dot pin-1-2": "658c1859cff3247601fc08c50f1fb8ec9f422606f53f69ee02f17dd876e3ea93",
+    "synth --semantics fv --stats pin-1-2": "758ca4148694a8f1025f5992f53c9b5314b4c8dfed1b2943682259527f7cb8f4",
+    "arena --semantics fv pin-1-2": "aac80f77df038a4c8c3603f0ff068d07078dd1e4d49934a70b433b5062919e09",
+    "arena --semantics fv --dot pin-1-2": "c2717397afea8260db54ccb63f2f294930d0887124c1861dcd25daeb1a2b31ff",
+    "synth --semantics rc --stats pin-2-2": "edda780d38ccc54c2b8dbbbf2aac6a1b422f635f886a932c299d7f2c5e77d969",
+    "arena --semantics rc pin-2-2": "56e807a062816304aaaf68e2985ed1d2183253f5cbe2010d72bcf49a5291e77a",
+    "arena --semantics rc --dot pin-2-2": "af174613e1f5f9af65c8203fed05a1b18a82124db20e8867b6ee3e61067fc89f",
+    "synth --semantics fv --stats pin-2-2": "24db29031263e1a0f56dbf1ee30bf61e21723f6a9a50befa40aa9c2c1f8d69a7",
+    "arena --semantics fv pin-2-2": "a2bce0ed4be303173c19d00a6ae01b2f3c1789f0c66b5bf5ab2537a8ba40168a",
+    "arena --semantics fv --dot pin-2-2": "c791ea25ce9a59d4481b9cd25ce7bea1a205ec090aaf93dce35de46d03d4695d",
+    "synth --semantics rc --stats pin-3-2": "7a39f312e7ef51803739b93807df2e02dc678e58c33c1405f3d3471af9a3731c",
+    "arena --semantics rc pin-3-2": "b2ee0c0e549b3b640d623c4b088b3da63ae9f293e5e50d29bd628f188e7c79a9",
+    "arena --semantics rc --dot pin-3-2": "03393f90e5432e52b2c7cf4ef01ffb988eb657a7533073ab04c22692ec21e589",
+    "synth --semantics fv --stats pin-3-2": "750aa71ea7ef5ce74e49a76fdcda58ead3abf69acb81fa30a47c5aa60a6507af",
+    "arena --semantics fv pin-3-2": "532bb12bd2f3dfcc41ba8adb4e4ca5828120dc0edd349f50cf63bb028976c00c",
+    "arena --semantics fv --dot pin-3-2": "d09455724136b74f6a7e6454b79497597200c5834afa076d68d9a41ecb8732cd",
+    "synth --semantics rc --stats pin-4-3": "a7c20fdcd26161373a015093f4f3aadee96218f3fd9b0fba8a480cf04918cf01",
+    "arena --semantics rc pin-4-3": "6229449d4333f941f65c72cecdebdd32a71d20bec1b535f499f530ee48f621fa",
+    "arena --semantics rc --dot pin-4-3": "2628f11affcc77574e7e46c4c4f53a7eb17a011b36464ca02524cbe285ee65cc",
+    "synth --semantics fv --stats pin-4-3": "a65eba359e927d8a90dc2104fc7ddde26205bc8847d73549b70eef2681a3f129",
+    "arena --semantics fv pin-4-3": "3260f4880620c21478c6f0f65469113d5d8ad1024593bf717e0f0ab300643532",
+    "arena --semantics fv --dot pin-4-3": "f2825f6909292f4a56cc1411d99e43755b7dc1fcc0dd23cd11f7c3884ec47829",
+    "synth --semantics rc --stats pin-5-3": "f737f961763aae07cd46e91ffef63f77c8cd0498d4d924a895e4148cd86cb286",
+    "arena --semantics rc pin-5-3": "0d2079486494a48d7d87af763e649483956d14be82c4cf9206de742f4eae8dcc",
+    "arena --semantics rc --dot pin-5-3": "0d96fb1ecf5f1cf174aa03a6f7afb3c27a5079c1289406a6137cc1c24c798bf0",
+    "synth --semantics fv --stats pin-5-3": "0ad7b8e0c3f7237893241e0370dac838091f599fbff3361ddf74b431cbe04c1b",
+    "arena --semantics fv pin-5-3": "4371e751759d7cd63786ab0b7e61ba4b2bc70afc8cee6ec2cf7a7ecd0a68f0ec",
+    "arena --semantics fv --dot pin-5-3": "286450c814a655ed2f678e0e3078c2b5d364cd18f2d7c8d99e84eb7fa2a99202",
+    "synth --semantics rc --stats pin-6-3": "e63c886cd481bb05261e3ba57d8ae6c7ba08da042f4ad51a5435608f905f5cda",
+    "arena --semantics rc pin-6-3": "7135b5de73ad8aac2d48ecf1ac1fba23afc231a39c20aff9c00d4ef997e258b0",
+    "arena --semantics rc --dot pin-6-3": "5ddef3e230cb52e8b2dce9d0c0ee8f0bad439b89f2000cfd077b8e22b332058a",
+    "synth --semantics fv --stats pin-6-3": "8c90991a1aaa24aa4f4a710ac0316115733846bec8958fe9a83a5d3fb98b5813",
+    "arena --semantics fv pin-6-3": "9341b6c167524683e9ba9589261e1f3c50c62f5db470cceac8f06ec456de10c9",
+    "arena --semantics fv --dot pin-6-3": "0a76bfc9f1f3fd93d6e7efe6c80b6c03e71a5d23527c5a1ee59193b9c4059684",
+    "synth --semantics rc --stats pin-7-3": "5955a2df0969b519166a548f01baf9b75c40e4ac420d06d6ef3f96f5f76790ef",
+    "arena --semantics rc pin-7-3": "372a5fb30f2d12419bf132eb52425bfc26d4bd9b43f185672e9d287249ad90ff",
+    "arena --semantics rc --dot pin-7-3": "864c629061b8d4d288f9ae9787bfa1b96a02c0f946423c39e966cf50d4b8f9d8",
+    "synth --semantics fv --stats pin-7-3": "dcf6d4cc03a608bfea5277cff919c09a9c473fbcfc1158a299503dd58ab77bc0",
+    "arena --semantics fv pin-7-3": "e7870436b1d57f769c8d331ba9df2b231696ace71ee92c2a8dd21ccfefabada0",
+    "arena --semantics fv --dot pin-7-3": "a0b570af66943e50a48462e1a858de71d3878abbe6d31eea92dbfab714325474",
 }
 
 

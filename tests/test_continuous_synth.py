@@ -269,10 +269,10 @@ SEARCH_TABLE = {
     ("psi_copy", FV): (True, 1, 8, 16),
     ("psi_indet_fv", RC): (False, 0, 0, 0),
     ("psi_indet_fv", FV): (False, 0, 0, 0),
-    ("psi_jump_fv", RC): (True, 1, 29, 72),
-    ("psi_jump_fv", FV): (True, 1, 56, 222),
-    ("psi_jump_rc", RC): (True, 1, 23, 52),
-    ("psi_jump_rc", FV): (True, 1, 43, 158),
+    ("psi_jump_fv", RC): (True, 1, 25, 56),
+    ("psi_jump_fv", FV): (True, 1, 40, 110),
+    ("psi_jump_rc", RC): (True, 1, 19, 36),
+    ("psi_jump_rc", FV): (True, 1, 31, 78),
 }
 
 
@@ -290,94 +290,94 @@ def test_fixture_search_is_pinned(fixture, semantics):
 # order, the witness and the violation's cycle and entry path; the 4-state
 # and 3-letter arenas are large enough to show a change of tie order.
 CORPUS_TABLE = {
-    (0, RC): (True, 1, 27, 93, 27, 93, "1ca1dcbe31166e1d", "dc937b59892604f5"),
-    (0, FV): (True, 1, 80, 479, 80, 479, "af619c3ff0ec5f8c", "dc937b59892604f5"),
-    (1, RC): (False, 0, 0, 0, 11, 26, "74234e98afe7498f", "1c27151ed7444657"),
-    (1, FV): (False, 0, 0, 0, 18, 50, "74234e98afe7498f", "7a7d42e71296d2f6"),
-    (2, RC): (True, 1, 10, 30, 15, 50, "798b71db6af6f422", "dc937b59892604f5"),
-    (2, FV): (True, 1, 31, 165, 41, 232, "86d21b0516a231dd", "dc937b59892604f5"),
-    (3, RC): (True, 1, 5, 8, 11, 21, "1ca1dcbe31166e1d", "dc937b59892604f5"),
-    (3, FV): (True, 1, 8, 16, 18, 49, "af619c3ff0ec5f8c", "dc937b59892604f5"),
+    (0, RC): (True, 1, 14, 31, 14, 31, "1ca1dcbe31166e1d", "dc937b59892604f5"),
+    (0, FV): (True, 1, 34, 138, 34, 138, "af619c3ff0ec5f8c", "dc937b59892604f5"),
+    (1, RC): (False, 0, 0, 0, 10, 22, "74234e98afe7498f", "9ac3cb562fd59485"),
+    (1, FV): (False, 0, 0, 0, 16, 37, "74234e98afe7498f", "de7eb114b996ec04"),
+    (2, RC): (True, 1, 9, 24, 13, 39, "bf63d7e11ae910e5", "dc937b59892604f5"),
+    (2, FV): (True, 1, 19, 61, 26, 105, "86d21b0516a231dd", "dc937b59892604f5"),
+    (3, RC): (True, 1, 5, 8, 10, 17, "1ca1dcbe31166e1d", "dc937b59892604f5"),
+    (3, FV): (True, 1, 8, 16, 16, 36, "af619c3ff0ec5f8c", "dc937b59892604f5"),
     (4, RC): (False, 0, 0, 0, 13, 28, "74234e98afe7498f", "421ab0403053329c"),
-    (4, FV): (False, 0, 0, 0, 21, 68, "74234e98afe7498f", "da4d2f84ec13b53c"),
-    (5, RC): (True, 3, 15, 42, 21, 76, "7f95ce4a253b3e47", "dc937b59892604f5"),
-    (5, FV): (True, 3, 27, 106, 61, 354, "ab213b4496981480", "dc937b59892604f5"),
-    (6, RC): (True, 3, 13, 32, 25, 86, "7f95ce4a253b3e47", "dc937b59892604f5"),
-    (6, FV): (True, 3, 31, 136, 77, 460, "ab213b4496981480", "dc937b59892604f5"),
-    (7, RC): (True, 1, 10, 18, 11, 21, "1ca1dcbe31166e1d", "dc937b59892604f5"),
-    (7, FV): (True, 1, 17, 44, 18, 49, "af619c3ff0ec5f8c", "dc937b59892604f5"),
-    (8, RC): (False, 0, 0, 0, 27, 93, "74234e98afe7498f", "421ab0403053329c"),
-    (8, FV): (False, 0, 0, 0, 80, 479, "74234e98afe7498f", "da4d2f84ec13b53c"),
-    (9, RC): (True, 1, 10, 18, 11, 21, "1ca1dcbe31166e1d", "dc937b59892604f5"),
-    (9, FV): (True, 1, 17, 44, 18, 49, "af619c3ff0ec5f8c", "dc937b59892604f5"),
-    (10, RC): (True, 1, 15, 45, 15, 45, "1ca1dcbe31166e1d", "dc937b59892604f5"),
-    (10, FV): (True, 1, 38, 192, 38, 192, "af619c3ff0ec5f8c", "dc937b59892604f5"),
-    (11, RC): (False, 0, 0, 0, 32, 119, "74234e98afe7498f", "2df02f8433b2073a"),
-    (11, FV): (False, 0, 0, 0, 118, 766, "74234e98afe7498f", "dae14dbc864bb34c"),
-    (12, RC): (False, 0, 0, 0, 27, 93, "74234e98afe7498f", "421ab0403053329c"),
-    (12, FV): (False, 0, 0, 0, 80, 479, "74234e98afe7498f", "da4d2f84ec13b53c"),
+    (4, FV): (False, 0, 0, 0, 19, 54, "74234e98afe7498f", "da4d2f84ec13b53c"),
+    (5, RC): (True, 3, 13, 32, 13, 32, "7f95ce4a253b3e47", "dc937b59892604f5"),
+    (5, FV): (True, 3, 23, 80, 33, 142, "ab213b4496981480", "dc937b59892604f5"),
+    (6, RC): (True, 3, 11, 22, 13, 28, "7f95ce4a253b3e47", "dc937b59892604f5"),
+    (6, FV): (True, 3, 21, 66, 33, 132, "ab213b4496981480", "dc937b59892604f5"),
+    (7, RC): (True, 1, 9, 14, 10, 17, "1ca1dcbe31166e1d", "dc937b59892604f5"),
+    (7, FV): (True, 1, 15, 31, 16, 36, "af619c3ff0ec5f8c", "dc937b59892604f5"),
+    (8, RC): (False, 0, 0, 0, 15, 35, "74234e98afe7498f", "421ab0403053329c"),
+    (8, FV): (False, 0, 0, 0, 35, 144, "74234e98afe7498f", "da4d2f84ec13b53c"),
+    (9, RC): (True, 1, 9, 14, 10, 17, "1ca1dcbe31166e1d", "dc937b59892604f5"),
+    (9, FV): (True, 1, 15, 31, 16, 36, "af619c3ff0ec5f8c", "dc937b59892604f5"),
+    (10, RC): (True, 1, 11, 23, 11, 23, "1ca1dcbe31166e1d", "dc937b59892604f5"),
+    (10, FV): (True, 1, 24, 86, 24, 86, "af619c3ff0ec5f8c", "dc937b59892604f5"),
+    (11, RC): (False, 0, 0, 0, 13, 28, "74234e98afe7498f", "2df02f8433b2073a"),
+    (11, FV): (False, 0, 0, 0, 43, 199, "74234e98afe7498f", "dae14dbc864bb34c"),
+    (12, RC): (False, 0, 0, 0, 15, 35, "74234e98afe7498f", "421ab0403053329c"),
+    (12, FV): (False, 0, 0, 0, 35, 144, "74234e98afe7498f", "da4d2f84ec13b53c"),
     (13, RC): (True, 3, 10, 18, 11, 21, "7f95ce4a253b3e47", "dc937b59892604f5"),
-    (13, FV): (True, 3, 17, 44, 18, 49, "ab213b4496981480", "dc937b59892604f5"),
-    (14, RC): (False, 0, 0, 0, 15, 45, "74234e98afe7498f", "421ab0403053329c"),
-    (14, FV): (False, 0, 0, 0, 38, 192, "74234e98afe7498f", "da4d2f84ec13b53c"),
-    (15, RC): (True, 1, 11, 22, 13, 28, "1ca1dcbe31166e1d", "dc937b59892604f5"),
-    (15, FV): (True, 1, 19, 58, 21, 68, "af619c3ff0ec5f8c", "dc937b59892604f5"),
-    (16, RC): (False, 0, 0, 0, 15, 50, "74234e98afe7498f", "57549412d7b45a1f"),
-    (16, FV): (False, 0, 0, 0, 49, 291, "74234e98afe7498f", "af8b404fa4a9bae4"),
+    (13, FV): (True, 3, 16, 37, 17, 42, "ab213b4496981480", "dc937b59892604f5"),
+    (14, RC): (False, 0, 0, 0, 11, 23, "74234e98afe7498f", "421ab0403053329c"),
+    (14, FV): (False, 0, 0, 0, 24, 86, "74234e98afe7498f", "da4d2f84ec13b53c"),
+    (15, RC): (True, 1, 9, 14, 11, 20, "1ca1dcbe31166e1d", "dc937b59892604f5"),
+    (15, FV): (True, 1, 15, 32, 17, 42, "af619c3ff0ec5f8c", "dc937b59892604f5"),
+    (16, RC): (False, 0, 0, 0, 11, 28, "74234e98afe7498f", "57549412d7b45a1f"),
+    (16, FV): (False, 0, 0, 0, 27, 110, "74234e98afe7498f", "af8b404fa4a9bae4"),
     (17, RC): (True, 1, 9, 14, 9, 14, "1ca1dcbe31166e1d", "dc937b59892604f5"),
     (17, FV): (True, 3, 15, 30, 15, 30, "af619c3ff0ec5f8c", "dc937b59892604f5"),
-    (18, RC): (True, 1, 26, 95, 32, 119, "65e4d8351ebcadff", "dc937b59892604f5"),
-    (18, FV): (True, 1, 104, 670, 118, 766, "653e1832d6372f73", "dc937b59892604f5"),
-    (19, RC): (True, 1, 27, 93, 27, 93, "1ca1dcbe31166e1d", "dc937b59892604f5"),
-    (19, FV): (True, 1, 80, 479, 80, 479, "af619c3ff0ec5f8c", "dc937b59892604f5"),
-    ("deep/4/0", RC): (False, 4, 31, 125, 51, 276, "74234e98afe7498f", "a8526f378f828c24"),
-    ("deep/4/0", FV): (False, 4, 63, 358, 147, 1282, "74234e98afe7498f", "413cd2a2132cfa56"),
-    ("deep/4/1", RC): (False, 0, 0, 0, 207, 1418, "74234e98afe7498f", "421ab0403053329c"),
-    ("deep/4/1", FV): (False, 0, 0, 0, 1599, 19685, "74234e98afe7498f", "ab65064682fdc870"),
-    ("deep/4/2", RC): (True, 2, 60, 318, 83, 429, "918465b9716f4802", "dc937b59892604f5"),
-    ("deep/4/2", FV): (True, 2, 518, 4778, 594, 5340, "7bfb4537eccf5143", "dc937b59892604f5"),
-    ("deep/4/3", RC): (True, 1, 151, 826, 151, 826, "d13285ebdde49d2c", "dc937b59892604f5"),
-    ("deep/4/3", FV): (True, 1, 2159, 25152, 2159, 25152, "c8bdd3e8d8dbf4aa", "dc937b59892604f5"),
-    ("deep/4/4", RC): (True, 3, 70, 346, 176, 1237, "7f95ce4a253b3e47", "dc937b59892604f5"),
-    ("deep/4/4", FV): (True, 3, 428, 3933, 2924, 38149, "ab213b4496981480", "dc937b59892604f5"),
-    ("deep/4/5", RC): (True, 1, 183, 1430, 270, 2045, "6ffb20581beaa079", "dc937b59892604f5"),
-    ("deep/4/5", FV): (True, 1, 2652, 32446, 3093, 37433, "9bd3bf6e028b9387", "dc937b59892604f5"),
-    ("deep/4/6", RC): (True, 2, 50, 179, 53, 188, "1ca1dcbe31166e1d", "dc937b59892604f5"),
-    ("deep/4/6", FV): (True, 2, 160, 1041, 163, 1056, "af619c3ff0ec5f8c", "dc937b59892604f5"),
-    ("deep/4/7", RC): (False, 0, 0, 0, 65, 322, "74234e98afe7498f", "421ab0403053329c"),
-    ("deep/4/7", FV): (False, 0, 0, 0, 273, 2472, "74234e98afe7498f", "da4d2f84ec13b53c"),
-    ("deep/4/8", RC): (True, 1, 82, 436, 93, 491, "e582ab84bb1aa395", "dc937b59892604f5"),
-    ("deep/4/8", FV): (True, 1, 315, 2923, 369, 3385, "a9e50ec0c0f052f5", "dc937b59892604f5"),
-    ("deep/4/9", RC): (True, 2, 47, 224, 69, 335, "34d79eba8fb08d34", "dc937b59892604f5"),
-    ("deep/4/9", FV): (True, 2, 139, 1116, 234, 1877, "fd7505e521d9a34b", "dc937b59892604f5"),
-    ("deep/4/10", RC): (True, 5, 110, 739, 183, 1240, "1ca1dcbe31166e1d", "dc937b59892604f5"),
-    ("deep/4/10", FV): (True, 5, 1383, 17828, 1728, 21267, "af619c3ff0ec5f8c", "dc937b59892604f5"),
-    ("deep/4/11", RC): (False, 0, 0, 0, 98, 652, "74234e98afe7498f", "a8212684c367846e"),
-    ("deep/4/11", FV): (False, 0, 0, 0, 422, 4996, "74234e98afe7498f", "2542d3a4dab8e504"),
-    ("x2/0", RC): (True, 1, 11, 28, 21, 101, "77033231c05826ff", "dc937b59892604f5"),
-    ("x2/0", FV): (True, 3, 17, 56, 47, 403, "00d47e7774ca436f", "dc937b59892604f5"),
-    ("x2/1", RC): (True, 1, 43, 291, 61, 417, "3d29142ee93b144b", "dc937b59892604f5"),
-    ("x2/1", FV): (True, 1, 153, 1827, 207, 2457, "0de4d996445a66f3", "dc937b59892604f5"),
-    ("x2/2", RC): (True, 3, 25, 129, 61, 417, "3d29142ee93b144b", "dc937b59892604f5"),
-    ("x2/2", FV): (True, 3, 69, 651, 207, 2457, "1d1783856ef4f069", "dc937b59892604f5"),
-    ("x2/3", RC): (True, 1, 43, 291, 61, 417, "77033231c05826ff", "dc937b59892604f5"),
-    ("x2/3", FV): (True, 1, 153, 1827, 207, 2457, "00d47e7774ca436f", "dc937b59892604f5"),
-    ("x2/4", RC): (True, 1, 37, 201, 37, 201, "77033231c05826ff", "dc937b59892604f5"),
-    ("x2/4", FV): (True, 1, 153, 1599, 153, 1599, "00d47e7774ca436f", "dc937b59892604f5"),
-    ("x2/5", RC): (False, 0, 0, 0, 38, 232, "74234e98afe7498f", "421ab0403053329c"),
-    ("x2/5", FV): (False, 0, 0, 0, 127, 1469, "74234e98afe7498f", "f5d6caa6ca36a875"),
-    ("x2/6", RC): (True, 1, 40, 264, 52, 348, "03a7781d1e389e73", "dc937b59892604f5"),
-    ("x2/6", FV): (True, 1, 176, 2169, 204, 2525, "796526e3a906568f", "dc937b59892604f5"),
-    ("x2/7", RC): (True, 1, 37, 229, 37, 229, "6f6d837e6414654f", "dc937b59892604f5"),
-    ("x2/7", FV): (True, 1, 123, 1409, 123, 1409, "e36870ee6ac664a5", "dc937b59892604f5"),
-    ("x2/8", RC): (False, 0, 0, 0, 47, 301, "74234e98afe7498f", "421ab0403053329c"),
-    ("x2/8", FV): (False, 0, 0, 0, 148, 1695, "74234e98afe7498f", "da4d2f84ec13b53c"),
-    ("x2/9", RC): (False, 0, 0, 0, 61, 417, "74234e98afe7498f", "421ab0403053329c"),
-    ("x2/9", FV): (False, 0, 0, 0, 207, 2457, "74234e98afe7498f", "da4d2f84ec13b53c"),
-    ("x2/10", RC): (False, 0, 0, 0, 38, 232, "74234e98afe7498f", "421ab0403053329c"),
-    ("x2/10", FV): (False, 0, 0, 0, 131, 1521, "74234e98afe7498f", "da4d2f84ec13b53c"),
-    ("x2/11", RC): (True, 1, 51, 345, 51, 345, "77033231c05826ff", "dc937b59892604f5"),
-    ("x2/11", FV): (True, 1, 212, 2637, 212, 2637, "00d47e7774ca436f", "dc937b59892604f5"),
+    (18, RC): (True, 1, 9, 14, 13, 28, "65e4d8351ebcadff", "dc937b59892604f5"),
+    (18, FV): (True, 1, 33, 133, 43, 199, "653e1832d6372f73", "dc937b59892604f5"),
+    (19, RC): (True, 1, 14, 31, 14, 31, "1ca1dcbe31166e1d", "dc937b59892604f5"),
+    (19, FV): (True, 1, 34, 138, 34, 138, "af619c3ff0ec5f8c", "dc937b59892604f5"),
+    ("deep/4/0", RC): (False, 4, 22, 65, 25, 82, "74234e98afe7498f", "c7ffdeddcb74a9f0"),
+    ("deep/4/0", FV): (False, 4, 41, 155, 56, 273, "74234e98afe7498f", "99585be77e496034"),
+    ("deep/4/1", RC): (False, 0, 0, 0, 37, 121, "74234e98afe7498f", "421ab0403053329c"),
+    ("deep/4/1", FV): (False, 0, 0, 0, 194, 1352, "74234e98afe7498f", "ab65064682fdc870"),
+    ("deep/4/2", RC): (True, 2, 25, 76, 34, 110, "9a1c69b55725c336", "dc937b59892604f5"),
+    ("deep/4/2", FV): (True, 2, 79, 428, 104, 589, "5a8d942283de619d", "dc937b59892604f5"),
+    ("deep/4/3", RC): (True, 1, 45, 150, 45, 150, "d13285ebdde49d2c", "dc937b59892604f5"),
+    ("deep/4/3", FV): (True, 1, 193, 1336, 193, 1336, "c8bdd3e8d8dbf4aa", "dc937b59892604f5"),
+    ("deep/4/4", RC): (True, 3, 30, 98, 40, 164, "7f95ce4a253b3e47", "dc937b59892604f5"),
+    ("deep/4/4", FV): (True, 3, 102, 647, 194, 1610, "ab213b4496981480", "dc937b59892604f5"),
+    ("deep/4/5", RC): (True, 1, 25, 96, 44, 184, "41e2cb68e4503252", "dc937b59892604f5"),
+    ("deep/4/5", FV): (True, 1, 147, 1051, 218, 1626, "452fbb3c604841d5", "dc937b59892604f5"),
+    ("deep/4/6", RC): (True, 2, 30, 79, 33, 88, "1ca1dcbe31166e1d", "dc937b59892604f5"),
+    ("deep/4/6", FV): (True, 2, 78, 384, 81, 399, "af619c3ff0ec5f8c", "dc937b59892604f5"),
+    ("deep/4/7", RC): (False, 0, 0, 0, 29, 98, "74234e98afe7498f", "421ab0403053329c"),
+    ("deep/4/7", FV): (False, 0, 0, 0, 82, 452, "74234e98afe7498f", "da4d2f84ec13b53c"),
+    ("deep/4/8", RC): (True, 1, 33, 107, 42, 149, "463979a63441e1c4", "dc937b59892604f5"),
+    ("deep/4/8", FV): (True, 1, 96, 571, 126, 808, "09bfe22fa9ae2987", "dc937b59892604f5"),
+    ("deep/4/9", RC): (True, 2, 23, 62, 34, 106, "9b0167d538f3d5d7", "dc937b59892604f5"),
+    ("deep/4/9", FV): (True, 2, 56, 255, 93, 507, "6d9a7cdffdd992a4", "dc937b59892604f5"),
+    ("deep/4/10", RC): (True, 5, 31, 112, 42, 164, "1ca1dcbe31166e1d", "dc937b59892604f5"),
+    ("deep/4/10", FV): (True, 5, 118, 833, 173, 1245, "af619c3ff0ec5f8c", "dc937b59892604f5"),
+    ("deep/4/11", RC): (False, 0, 0, 0, 32, 135, "74234e98afe7498f", "f9305d4574bd7c6a"),
+    ("deep/4/11", FV): (False, 0, 0, 0, 87, 606, "74234e98afe7498f", "b4aff58081d66321"),
+    ("x2/0", RC): (True, 1, 11, 28, 17, 61, "77033231c05826ff", "dc937b59892604f5"),
+    ("x2/0", FV): (True, 3, 17, 56, 32, 192, "00d47e7774ca436f", "dc937b59892604f5"),
+    ("x2/1", RC): (True, 1, 13, 33, 25, 105, "3d29142ee93b144b", "dc937b59892604f5"),
+    ("x2/1", FV): (True, 1, 51, 381, 75, 621, "0de4d996445a66f3", "dc937b59892604f5"),
+    ("x2/2", RC): (True, 3, 19, 75, 25, 105, "3d29142ee93b144b", "dc937b59892604f5"),
+    ("x2/2", FV): (True, 3, 39, 261, 75, 621, "1d1783856ef4f069", "dc937b59892604f5"),
+    ("x2/3", RC): (True, 1, 13, 33, 25, 105, "77033231c05826ff", "dc937b59892604f5"),
+    ("x2/3", FV): (True, 1, 51, 381, 75, 621, "00d47e7774ca436f", "dc937b59892604f5"),
+    ("x2/4", RC): (True, 1, 19, 63, 19, 63, "77033231c05826ff", "dc937b59892604f5"),
+    ("x2/4", FV): (True, 1, 63, 453, 63, 453, "00d47e7774ca436f", "dc937b59892604f5"),
+    ("x2/5", RC): (False, 0, 0, 0, 19, 69, "74234e98afe7498f", "421ab0403053329c"),
+    ("x2/5", FV): (False, 0, 0, 0, 51, 397, "74234e98afe7498f", "f5d6caa6ca36a875"),
+    ("x2/6", RC): (True, 1, 13, 33, 21, 81, "03a7781d1e389e73", "dc937b59892604f5"),
+    ("x2/6", FV): (True, 1, 49, 358, 69, 602, "796526e3a906568f", "dc937b59892604f5"),
+    ("x2/7", RC): (True, 1, 21, 85, 21, 85, "6f6d837e6414654f", "dc937b59892604f5"),
+    ("x2/7", FV): (True, 1, 46, 336, 46, 336, "e36870ee6ac664a5", "dc937b59892604f5"),
+    ("x2/8", RC): (False, 0, 0, 0, 22, 86, "74234e98afe7498f", "421ab0403053329c"),
+    ("x2/8", FV): (False, 0, 0, 0, 58, 447, "74234e98afe7498f", "da4d2f84ec13b53c"),
+    ("x2/9", RC): (False, 0, 0, 0, 25, 105, "74234e98afe7498f", "421ab0403053329c"),
+    ("x2/9", FV): (False, 0, 0, 0, 75, 621, "74234e98afe7498f", "da4d2f84ec13b53c"),
+    ("x2/10", RC): (False, 0, 0, 0, 18, 62, "74234e98afe7498f", "421ab0403053329c"),
+    ("x2/10", FV): (False, 0, 0, 0, 52, 408, "74234e98afe7498f", "da4d2f84ec13b53c"),
+    ("x2/11", RC): (True, 1, 23, 97, 23, 97, "77033231c05826ff", "dc937b59892604f5"),
+    ("x2/11", FV): (True, 1, 66, 571, 66, 571, "00d47e7774ca436f", "dc937b59892604f5"),
 }
 
 

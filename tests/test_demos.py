@@ -22,8 +22,8 @@ PINNED = {
     "03_state_classes_and_blocks": "387f291d43600da0c761b16ec971b0f61757a45172b53626f1f8ee195ceb9bef",
     "04_discrete_synthesis": "f26f248c626c345c63b722ebde80cc3032df7b3d4e772862c7e30e4837e69f9f",
     "05_finite_state_gap": "3b829d17d0cf68cd53c751d30f04ac440b548ce515e7c3373e376429019df1a2",
-    "06_arena_tour": "b8355babb0ec726427728a0e5b5960f11aa9533613e016650d1f601763415b77",
-    "07_continuous_synthesis": "79e1b9c52a07bd4632d99496835cd69049cb6d7dceefef747ad4d42f9dd36a44",
+    "06_arena_tour": "3f78486019fcc0a905a2ee09b6448bf64cd2c750cb27caedf9502420a414078a",
+    "07_continuous_synthesis": "9e2a7400a2958cc0e88241623f058771b8a0410d59d8dd71c40bd11aafb46939",
     "08_zeno_duel": "82e9e9c96cc21ae58c9994b19071107eedc16a7238e762520ec5689b46cd95ae",
 }
 

@@ -134,18 +134,20 @@ def test_unrealizable_violations_replay_to_the_environment():
 
 
 def test_search_heavy_specs_decide_without_a_choice_cap():
-    # the bench's arena-13 spec under fv: the search meets 268 choices, and
-    # the clause-A attractor alone decides it before any recursion call
+    # the bench's arena-13 spec under fv: the search meets 64 choices (268
+    # with the dominated blocks), and the clause-A attractor alone decides
+    # it before any recursion call
     arena = build_game_arena(_family_spec("arena", 13, 2, ("0", "1"), 3), FV)[0]
     stats = SynthStats()
     assert solve_interrupt(arena, stats)[0] is False
     assert (stats.solve_calls, stats.game_edges) == (0, 0)
-    assert _search_verdict(arena) == (False, 268)
-    # deep/4/0 under fv: the search meets 5,639 choices (about a second);
-    # the recursion decides it in 4 calls on 358 of the 1,282 edges
+    assert _search_verdict(arena) == (False, 64)
+    # deep/4/0 under fv: the search meets 134 choices (5,639 with the
+    # dominated blocks); the recursion decides it in 4 calls on 155 of the
+    # 273 edges
     res = decide_continuous(_family_spec("deep", 0, 4, ("0", "1"), 4), FV)
     assert res.realizable is False
-    assert (res.stats.solve_calls, res.stats.game_edges, len(res.arena.edges)) == (4, 358, 1282)
+    assert (res.stats.solve_calls, res.stats.game_edges, len(res.arena.edges)) == (4, 155, 273)
     assert res.violation is not None
 
 
