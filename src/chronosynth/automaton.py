@@ -5,9 +5,12 @@ a pair ``(in_letter, out_letter)``.  Two acceptance conventions coexist:
 ``min_even`` (minimum priority seen infinitely often is even) and
 ``max_even``; the game pipeline normalizes to ``max_even`` at ingestion.
 
-The pass that validates an automaton also builds its integer ``table``; the
-product with a safety monitor is composed from two tables and names its
-transitions only when they are read.
+The pass that validates an automaton also builds its integer ``table``.  The
+constructor walks every (state, in, out) triple; the spec-file loader instead
+checks each transition entry once, writes its target's index into the table
+as it goes, and hands the checked table to ``ParityAutomaton._from_table``,
+which names ``transition`` from it.  The product with a safety monitor is
+composed from two tables and names its transitions only when they are read.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add
+from operator import add, itemgetter
 from typing import NamedTuple
 from .omega_word import LassoWord, inf_set, transduce
 
@@ -60,12 +63,7 @@ class ParityAutomaton:
         object.__setattr__(self, "states", tuple(self.states))
         object.__setattr__(self, "sigma_in", tuple(self.sigma_in))
         object.__setattr__(self, "sigma_out", tuple(self.sigma_out))
-        if not self.sigma_in or not self.sigma_out:
-            raise AutomatonError("sigma_in and sigma_out must be nonempty")
-        if self.convention not in CONVENTIONS:
-            raise AutomatonError(f"unknown convention {self.convention!r}")
-        if self.initial not in self.states:
-            raise AutomatonError("initial state not among states")
+        self._check_fields()
         index = {q: i for i, q in enumerate(self.states)}
         table = []
         for q in self.states:
@@ -89,6 +87,36 @@ class ParityAutomaton:
             extra = next(key for key in self.transition if key not in triples)
             raise AutomatonError(f"transition key {extra!r} outside states x sigma_in x sigma_out")
         object.__setattr__(self, "table", table)
+
+    def _check_fields(self):
+        """The checks that read no transition: the alphabets, the convention, the initial state."""
+        if not self.sigma_in or not self.sigma_out:
+            raise AutomatonError("sigma_in and sigma_out must be nonempty")
+        if self.convention not in CONVENTIONS:
+            raise AutomatonError(f"unknown convention {self.convention!r}")
+        if self.initial not in self.states:
+            raise AutomatonError("initial state not among states")
+
+    @classmethod
+    def _from_table(cls, states, sigma_in, sigma_out, table, initial, priority, convention):
+        """The automaton of a table whose entries the caller has checked: distinct
+        names, every target an index into ``states``.  Only the checks of the
+        other fields run, in ``__post_init__``'s order, and ``transition`` is
+        named from the table."""
+        self = object.__new__(cls)
+        keys = itertools.product(states, sigma_in, sigma_out)
+        self.__dict__.update(  # frozen, so set past __setattr__
+            states=states, sigma_in=sigma_in, sigma_out=sigma_out,
+            transition=dict(zip(keys, map(states.__getitem__, table))),
+            initial=initial, priority=priority, convention=convention, table=table,
+        )
+        self._check_fields()
+        for q in states:
+            if q not in priority:
+                raise AutomatonError(f"priority missing for state {q!r}")
+            if priority[q] < 0:
+                raise AutomatonError("priorities must be nonnegative")
+        return self
 
     def step(self, q, a, b):
         try:
@@ -270,54 +298,60 @@ def automaton_from_json(data) -> ParityAutomaton:
             raise AutomatonError(f"{key} repeats an entry: {list(values)!r}")
     states, sigma_in, sigma_out = list(names["states"]), names["sigma_in"], names["sigma_out"]
     convention = data.get("convention", MIN_EVEN)
-    known = set(states)
+    index = {q: i for i, q in enumerate(states)}
     priority = {}
     for q, p in data["priority"].items():
-        if q not in known:
+        if q not in index:
             raise AutomatonError(f"priority of undeclared state {q!r}")
         if isinstance(p, bool) or not isinstance(p, int):
             raise AutomatonError(f"priority of {q!r} is not an integer: {p!r}")
         priority[q] = p
 
-    def declared(q):
-        return isinstance(q, str) and q in known
-
-    transition = {}
-    for entry in data["transitions"]:
-        q, ain, aout, tgt = entry["from"], entry["in"], entry["out"], entry["to"]
-        if not declared(q):
-            raise AutomatonError(f"transition from undeclared state {q!r}")
-        if ain not in sigma_in or aout not in sigma_out:
-            raise AutomatonError(f"transition letter ({ain!r}, {aout!r}) undeclared")
-        key = (q, ain, aout)
-        if key in transition:
-            raise AutomatonError(f"duplicate transition at {key!r}")
-        transition[key] = tgt
-
-    referenced_sink = any(t == SINK for t in transition.values()) and SINK not in known
-    incomplete = any(
-        (q, a, b) not in transition for q in states for a in sigma_in for b in sigma_out
-    )
-    if referenced_sink or incomplete:
-        if SINK not in known:
-            states.append(SINK)
-            known.add(SINK)
-            priority[SINK] = _worst_priority(convention, priority.values())
-        for q in states:
-            for a in sigma_in:
-                for b in sigma_out:
-                    transition.setdefault((q, a, b), SINK)
-    for tgt in transition.values():
-        if not declared(tgt):
-            raise AutomatonError(f"transition target {tgt!r} undeclared")
-    return ParityAutomaton(
-        states=tuple(states),
-        sigma_in=sigma_in,
-        sigma_out=sigma_out,
-        transition=transition,
-        initial=data["initial"],
-        priority=priority,
-        convention=convention,
+    # (state, in, out) is slot row[state] + cell[in] + column[out] of the table
+    n, width = len(states), len(sigma_in) * len(sigma_out)
+    row = {q: i * width for i, q in enumerate(states)}
+    cell = {a: x * len(sigma_out) for x, a in enumerate(sigma_in)}
+    column = {b: y for y, b in enumerate(sigma_out)}
+    table = [None] * (n * width)
+    sink = index.get(SINK, n)  # an undeclared sink is added as state n if a slot needs it
+    referenced_sink, undeclared = False, []
+    fields = itemgetter("from", "in", "out", "to")
+    entries = data["transitions"]
+    if not isinstance(entries, list):  # any iterable, counted below
+        entries = list(entries)
+    for entry in entries:
+        q, ain, aout, tgt = fields(entry)
+        # names are str, so a lookup that fails (an unhashable value too) is undeclared
+        try:
+            slot = row[q]
+        except (KeyError, TypeError):
+            raise AutomatonError(f"transition from undeclared state {q!r}") from None
+        try:
+            slot += cell[ain] + column[aout]
+        except (KeyError, TypeError):
+            raise AutomatonError(f"transition letter ({ain!r}, {aout!r}) undeclared") from None
+        if table[slot] is not None:
+            raise AutomatonError(f"duplicate transition at {(q, ain, aout)!r}")
+        try:
+            table[slot] = index[tgt]
+        except (KeyError, TypeError):  # targets are checked once every entry is read
+            table[slot] = sink
+            if tgt == SINK:
+                referenced_sink = True
+            else:
+                undeclared.append(tgt)
+    if undeclared:
+        raise AutomatonError(f"transition target {undeclared[0]!r} undeclared")
+    incomplete = len(entries) < len(table)  # each entry filled its own slot
+    if incomplete:
+        table = [sink if t is None else t for t in table]
+    if sink == n and (referenced_sink or incomplete):
+        states.append(SINK)
+        priority[SINK] = _worst_priority(convention, priority.values())
+        table += [sink] * width
+    initial = data["initial"]
+    return ParityAutomaton._from_table(
+        tuple(states), sigma_in, sigma_out, table, initial, priority, convention
     )
 
 

@@ -78,7 +78,9 @@ def _json_parts(obj, parts, indent):
     """Append obj as json.dumps(obj, indent=2, sort_keys=True) writes it.
 
     Takes dicts with str keys, lists, str, int, bool and None; any other
-    value raises TypeError.
+    value raises TypeError.  One call per value, except that a list's
+    records of scalars (machine transitions, arena nodes and edges) are
+    written with one join each.
     """
     if isinstance(obj, str):
         parts.append(_quote(obj))
@@ -103,10 +105,27 @@ def _json_parts(obj, parts, indent):
             parts.append("\n" + indent + "}")
         else:
             parts.append("[")
+            field_sep = sep + "  "
             for value in obj:
                 parts.append(sep)
-                _json_parts(value, parts, inner)
                 sep = ",\n" + inner
+                if isinstance(value, dict) and value:
+                    # a record of scalars is written with one join; any other value recurses
+                    fields = []
+                    for key, v in sorted(value.items()):
+                        if isinstance(v, str):
+                            v = _quote(v)
+                        elif v is None or v is True or v is False:
+                            v = "null" if v is None else "true" if v else "false"
+                        elif isinstance(v, int):
+                            v = int.__repr__(v)
+                        else:
+                            break
+                        fields.append(_quote(key) + ": " + v)  # raises TypeError unless key is a str
+                    else:
+                        parts.append("{" + field_sep + ("," + field_sep).join(fields) + "\n" + inner + "}")
+                        continue
+                _json_parts(value, parts, inner)
             parts.append("\n" + indent + "]")
     else:
         raise TypeError(f"{type(obj).__name__} is not emitted as JSON")

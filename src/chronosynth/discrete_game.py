@@ -169,10 +169,13 @@ def solve_indexed(succ, owner, priority):
 
     ``succ[v]`` lists v's successors (ties go to the first), ``owner[v]`` is
     'O' or 'I' and ``priority[v]`` its priority; 'O' wants the top priority
-    seen infinitely often even.  The caller must give every node a successor
-    and list each once; nothing checks it.  Returns the node lists of 'O' and
-    'I' and their strategies as node -> node dicts.  Parity is the chain case
-    of ``Game.solve``: a node's edges have one colour, its priority's rank.
+    seen infinitely often even.  The caller must give every node a successor;
+    nothing checks it.  A successor listed twice is two edges to it, which
+    changes no region or strategy: an environment node is attracted with its
+    last copy, a controller node through its first.  Returns the node lists
+    of 'O' and 'I' and their strategies as node -> node dicts.  Parity is the
+    chain case of ``Game.solve``: a node's edges have one colour, its
+    priority's rank.
     """
     bit, n = {p: 1 << r for p, r in dense_ranks(priority).items()}, len(succ)
     game = Game(succ, owner, list(map(bit.__getitem__, priority)))
@@ -241,9 +244,8 @@ def solve(a: ParityAutomaton) -> SolveResult:
     # alphabets' order, as the named game lists them
     in_order = [x_rank[x] for x in a.sigma_in]
     succ = [[base + j for j in in_order] for base in range(n, n + n * k, k)]
-    for row in rows:
-        for c in x_pos:
-            succ.append(list(dict.fromkeys(row[c:c + width])))
+    # a target that two output letters reach is listed twice: two edges, same regions
+    succ += [row[c:c + width] for row in rows for c in x_pos]
     state_priority = [priority[q] for q in states]
     w_o, w_i, s_o, s_i = solve_indexed(
         succ,
@@ -251,13 +253,8 @@ def solve(a: ParityAutomaton) -> SolveResult:
         state_priority + [p for p in state_priority for _ in range(k)],
     )
 
-    def node(v):
-        if v < n:
-            return ("i", states[v])
-        r, j = divmod(v - n, k)
-        return ("o", states[r], letters[j])
-
-    input_region = frozenset(map(node, w_i))
+    names = [("i", q) for q in states] + [("o", q, x) for q in states for x in letters]
+    input_region = frozenset(map(names.__getitem__, w_i))
     initial = rank[a.states.index(a.initial)]
 
     def walk(successors):
@@ -311,32 +308,24 @@ def run_counter_machine(m: MooreCounterMachine, word: LassoWord) -> LassoWord:
 
 
 def machine_to_json(m) -> dict:
+    names = {q: state_name(q) for q in m.states}
+    states = list(names.values())
     if isinstance(m, MealyMachine):
+        rows = sorted((names[q], a, b, names[t]) for (q, a), (t, b) in m.transition.items())
         return {
             "kind": "mealy",
-            "states": [state_name(q) for q in m.states],
-            "initial": state_name(m.initial),
-            "transitions": sorted(
-                (
-                    {"from": state_name(q), "in": a, "out": b, "to": state_name(t)}
-                    for (q, a), (t, b) in m.transition.items()
-                ),
-                key=lambda e: (e["from"], e["in"]),
-            ),
+            "states": states,
+            "initial": names[m.initial],
+            "transitions": [{"from": q, "in": a, "out": b, "to": t} for q, a, b, t in rows],
         }
     if isinstance(m, MooreCounterMachine):
+        rows = sorted((names[q], b, names[t]) for (q, b), t in m.transition.items())
         return {
             "kind": "moore_counter",
-            "states": [state_name(q) for q in m.states],
-            "initial": state_name(m.initial),
-            "output": {state_name(q): m.output[q] for q in m.states},
-            "transitions": sorted(
-                (
-                    {"from": state_name(q), "out": b, "to": state_name(t)}
-                    for (q, b), t in m.transition.items()
-                ),
-                key=lambda e: (e["from"], e["out"]),
-            ),
+            "states": states,
+            "initial": names[m.initial],
+            "output": {names[q]: m.output[q] for q in m.states},
+            "transitions": [{"from": q, "out": b, "to": t} for q, b, t in rows],
         }
     raise GameError(f"cannot serialize {type(m).__name__}")
 

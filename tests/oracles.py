@@ -12,6 +12,10 @@ and predecessor lists rebuilt per attractor, and must return exactly what
 ``GameGraph`` (``game_from_automaton``), solves it with
 ``reference_zielonka`` and reads the machines off the named strategies, and
 must return exactly what ``discrete_game.solve`` returns;
+``reference_automaton_from_json`` loads a spec file in two passes, the
+entries into a named dict and then every triple again in the constructor,
+as an oracle for the one-pass ``automaton.automaton_from_json``, which must
+raise the same error or return an equal automaton and table;
 ``reference_product`` tabulates the product of a spec and a safety monitor
 by name, transition by transition, as an oracle for the product that
 ``automaton.product_with_monitor`` composes from the two transition tables;
@@ -50,6 +54,7 @@ verdict of ``continuous_synth.solve_interrupt``, which runs ``Game.solve``
 over the Zielonka tree of the interrupt arena's condition.
 """
 
+import json
 from collections import Counter
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -69,7 +74,11 @@ from chronosynth.arena import (
     ArenaNode,
 )
 from chronosynth.automaton import (
+    LASSO_SYNTAX,
     MAX_EVEN,
+    MIN_EVEN,
+    SINK,
+    AutomatonError,
     ParityAutomaton,
     SafetyMonitor,
     _worst_priority,
@@ -296,6 +305,86 @@ def reference_product(a: ParityAutomaton, m: SafetyMonitor) -> ParityAutomaton:
         initial=(a.initial, m.initial),
         priority=priority,
         convention=a.convention,
+    )
+
+
+def reference_automaton_from_json(data) -> ParityAutomaton:
+    """The spec file loaded in two passes, as an oracle for ``automaton.automaton_from_json``.
+
+    The first pass checks each transition entry's source, letters and key
+    into a named dict; then the missing triples complete to the sink, every
+    target is checked, and ``ParityAutomaton``'s constructor walks every
+    triple again.  Must raise what the one-pass loader raises, or return an
+    equal automaton with an equal ``table``.
+    """
+    if isinstance(data, (str, bytes)):
+        data = json.loads(data)
+    names = {}
+    for key in ("states", "sigma_in", "sigma_out"):
+        values = data[key]
+        if not isinstance(values, list):
+            raise AutomatonError(f"{key} is not a JSON array: {values!r}")
+        names[key] = tuple(values)
+    for key, values in names.items():
+        for name in values:
+            if not isinstance(name, str):
+                raise AutomatonError(f"{key} entry {name!r} is not a string")
+            if key != "states" and name.split() != [name]:
+                raise AutomatonError(f"{key} entry {name!r} is empty or contains whitespace")
+            if key != "states" and not LASSO_SYNTAX.isdisjoint(name):
+                raise AutomatonError(f"{key} entry {name!r} contains one of ( ) ^")
+        if len(set(values)) < len(values):
+            raise AutomatonError(f"{key} repeats an entry: {list(values)!r}")
+    states, sigma_in, sigma_out = list(names["states"]), names["sigma_in"], names["sigma_out"]
+    convention = data.get("convention", MIN_EVEN)
+    known = set(states)
+    priority = {}
+    for q, p in data["priority"].items():
+        if q not in known:
+            raise AutomatonError(f"priority of undeclared state {q!r}")
+        if isinstance(p, bool) or not isinstance(p, int):
+            raise AutomatonError(f"priority of {q!r} is not an integer: {p!r}")
+        priority[q] = p
+
+    def declared(q):
+        return isinstance(q, str) and q in known
+
+    transition = {}
+    for entry in data["transitions"]:
+        q, ain, aout, tgt = entry["from"], entry["in"], entry["out"], entry["to"]
+        if not declared(q):
+            raise AutomatonError(f"transition from undeclared state {q!r}")
+        if ain not in sigma_in or aout not in sigma_out:
+            raise AutomatonError(f"transition letter ({ain!r}, {aout!r}) undeclared")
+        key = (q, ain, aout)
+        if key in transition:
+            raise AutomatonError(f"duplicate transition at {key!r}")
+        transition[key] = tgt
+
+    referenced_sink = any(t == SINK for t in transition.values()) and SINK not in known
+    incomplete = any(
+        (q, a, b) not in transition for q in states for a in sigma_in for b in sigma_out
+    )
+    if referenced_sink or incomplete:
+        if SINK not in known:
+            states.append(SINK)
+            known.add(SINK)
+            priority[SINK] = _worst_priority(convention, priority.values())
+        for q in states:
+            for a in sigma_in:
+                for b in sigma_out:
+                    transition.setdefault((q, a, b), SINK)
+    for tgt in transition.values():
+        if not declared(tgt):
+            raise AutomatonError(f"transition target {tgt!r} undeclared")
+    return ParityAutomaton(
+        states=tuple(states),
+        sigma_in=sigma_in,
+        sigma_out=sigma_out,
+        transition=transition,
+        initial=data["initial"],
+        priority=priority,
+        convention=convention,
     )
 
 

@@ -24,7 +24,8 @@ from chronosynth.automaton import (
 )
 from chronosynth.omega_word import LassoWord, inf_set
 
-from oracles import reference_product
+from fixture_specs import FIXTURES
+from oracles import reference_automaton_from_json, reference_product
 
 
 def build(states, sigma_in, sigma_out, step, initial, priority, convention=MIN_EVEN):
@@ -449,3 +450,137 @@ def test_json_rejects_bad_references():
     }
     with pytest.raises(AutomatonError):
         automaton_from_json(data)
+
+
+def _large_family_spec():
+    """Member 0 of the bench's 300-state ``large`` family, as its spec file reads."""
+    rng = random.Random("large/0")
+    states = [f"q{i}" for i in range(300)]
+    priority = {q: rng.randint(0, 7) for q in states}
+    transitions = [
+        {"from": q, "in": a, "out": b, "to": rng.choice(states)} for q in states for a in "01" for b in "01"
+    ]
+    return {
+        "states": states, "sigma_in": ["0", "1"], "sigma_out": ["0", "1"], "initial": "q0",
+        "priority": priority, "convention": MAX_EVEN, "transitions": transitions,
+    }
+
+
+# values a mutation writes besides the spec's own names: unhashable, non-str, empty or odd names
+ODD_VALUES = (None, True, False, 0, -1, 3, 2.5, "", " ", "a b", "(", "zz", SINK, "max_even", [], ["q0"], {}, {"q0": 1})
+FIELDS = ("states", "sigma_in", "sigma_out", "initial", "priority", "convention", "transitions")
+
+
+def _mutated(spec, rng):
+    """A copy of the JSON spec with one or two seeded faults; the input stays as it was."""
+    data = dict(spec)
+    names = list(spec["states"]) + list(spec["sigma_in"]) + list(spec["sigma_out"]) + [SINK, "zz"]
+
+    def value():
+        return rng.choice(names) if rng.random() < 0.6 else rng.choice(ODD_VALUES)
+
+    for _ in range(rng.randint(1, 2)):
+        kind = rng.randrange(8)
+        if kind == 0:  # a field replaced or dropped
+            key = rng.choice(FIELDS)
+            if rng.random() < 0.3:
+                data.pop(key, None)
+            else:
+                data[key] = rng.choice((value(), [value() for _ in range(rng.randint(0, 3))]))
+        elif kind <= 3 and isinstance(data.get("transitions"), list) and data["transitions"]:
+            entries = data["transitions"] = list(data["transitions"])
+            i = rng.randrange(len(entries))
+            if kind == 1:  # an entry dropped or repeated
+                if rng.random() < 0.5:
+                    del entries[i]
+                else:
+                    entries.insert(rng.randrange(len(entries) + 1), entries[i])
+            elif kind == 2:  # an entry's field changed, dropped or pointed at the sink
+                entry = entries[i] = dict(entries[i]) if isinstance(entries[i], dict) else {}
+                key = rng.choice(("from", "in", "out", "to"))
+                if rng.random() < 0.15:
+                    entry.pop(key, None)
+                else:
+                    entry[key] = SINK if key == "to" and rng.random() < 0.3 else value()
+            else:  # an entry that is not an object
+                entries[i] = rng.choice(ODD_VALUES[:8] + ("from", [1, 2], ["from", "in"]))
+        elif kind == 4 and isinstance(data.get("states"), list):  # a state added, dropped or repeated
+            states = data["states"] = list(data["states"])
+            if rng.random() < 0.5 or not states:
+                state = rng.choice((SINK, "zz", value()))
+                states.insert(rng.randrange(len(states) + 1), state)
+                if state == SINK and isinstance(data.get("priority"), dict) and rng.random() < 0.7:
+                    # a declared sink, perhaps also a target
+                    data["priority"] = dict(data["priority"], **{SINK: rng.randint(0, 3)})
+                    entries = data.get("transitions")
+                    if isinstance(entries, list) and entries and isinstance(entries[0], dict) and rng.random() < 0.5:
+                        data["transitions"] = [dict(entries[0], to=SINK)] + entries[1:]
+            else:
+                i = rng.randrange(len(states))
+                states.append(states[i]) if rng.random() < 0.3 else states.pop(i)
+        elif kind == 5:  # a letter added, dropped, repeated or malformed
+            key = rng.choice(("sigma_in", "sigma_out"))
+            letters = data[key] = list(data[key]) if isinstance(data.get(key), list) else []
+            if rng.random() < 0.4:
+                letters.append(rng.choice(("9", "x", value())))
+            elif letters:
+                i = rng.randrange(len(letters))
+                letters.append(letters[i]) if rng.random() < 0.3 else letters.pop(i)
+        elif kind == 6 and isinstance(data.get("priority"), dict):  # a priority dropped, added or odd
+            priority = data["priority"] = dict(data["priority"])
+            q = rng.choice(list(priority) + [SINK, "zz"])
+            if rng.random() < 0.3:
+                priority.pop(q, None)
+            else:
+                priority[q] = rng.choice((-1, -4, 0, 9, True, 2.0, "1", None))
+        else:  # an initial state or convention that may not be declared
+            key = rng.choice(("initial", "convention"))
+            data[key] = rng.choice((value(), [value()], MIN_EVEN, MAX_EVEN, "max_odd"))
+    return data
+
+
+def _outcome(load, data):
+    try:
+        a = load(data)
+    except Exception as exc:  # the loaders must fail alike, whatever the error
+        return type(exc), str(exc)
+    return a, a.table
+
+
+def test_one_pass_loader_matches_the_two_pass_reference_on_seeded_mutations():
+    bases = [json.loads(path.read_text()) for path in sorted(FIXTURES.glob("*.json"))]
+    large = _large_family_spec()
+    rng = random.Random(37)
+    loaded, completed, declared, messages = 0, 0, 0, []
+    for trial in range(4000):
+        spec = large if trial % 25 == 0 else rng.choice(bases)
+        data = _mutated(spec, rng)
+        got = _outcome(automaton_from_json, data)
+        assert got == _outcome(reference_automaton_from_json, data), (trial, data)
+        if isinstance(got[0], ParityAutomaton):
+            loaded += 1
+            completed += SINK in got[0].states
+            declared += SINK in data["states"]
+        else:
+            messages.append(got[1])
+    # both loaders accept some mutations, complete some to the sink (some
+    # declared as a state), and fail every way a spec can on the rest
+    assert loaded > 150 and completed > 50 and declared > 10, (loaded, completed, declared)
+    for fault in (
+        "not a JSON array", "not a string", "repeats an entry", "priority of undeclared state",
+        "is not an integer", "transition from undeclared state", "transition letter",
+        "duplicate transition", "transition target", "unknown convention",
+        "initial state not among states", "priority missing", "priorities must be nonnegative",
+    ):
+        assert any(fault in message for message in messages), fault
+
+
+def test_an_undeclared_source_after_an_undeclared_target_wins():
+    # targets are checked once every entry is read, so the later entry's fault is the one reported
+    data = dict(ONE_STATE, transitions=[
+        {"from": "q", "in": "0", "out": "0", "to": "zz"},
+        {"from": "yy", "in": "0", "out": "0", "to": "q"},
+    ])
+    for load in (automaton_from_json, reference_automaton_from_json):
+        with pytest.raises(AutomatonError, match="^transition from undeclared state 'yy'$"):
+            load(data)

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import pathlib
+import random
 import re
 import subprocess
 import sys
@@ -763,11 +764,54 @@ def test_emitter_matches_json_dumps_on_hand_made_values():
         assert _emitted(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
+def _random_json(rng, depth):
+    """A seeded value of the emitter's JSON subset; lists often hold records of scalars."""
+    keys = ["a", "b", "from", "to", "kind", "é", "\u2028", 'q"1', "back\\slash", "\t", ""]
+    scalars = [True, False, None, 0, -1, -17, 3, 10**20, "", "q0", "é ü ∞", '"', "\x00\n", "\U0001d11e"]
+
+    def record():
+        return {key: rng.choice(scalars) for key in rng.sample(keys, rng.randint(1, 5))}
+
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        return rng.choice(scalars)
+    if roll < 0.6:  # a list of records with mixed key sets, some empty or nested
+        items = []
+        for _ in range(rng.randint(0, 5)):
+            pick = rng.random()
+            if pick < 0.6:
+                items.append(record())
+            elif pick < 0.7:
+                items.append(rng.choice(({}, [])))
+            elif pick < 0.85:  # a record with a record or a list among its values
+                items.append(dict(record(), nested=_random_json(rng, depth - 1)))
+            else:
+                items.append(_random_json(rng, depth - 1))
+        return items
+    if roll < 0.8:
+        return [_random_json(rng, depth - 1) for _ in range(rng.randint(0, 4))]
+    return {key: _random_json(rng, depth - 1) for key in rng.sample(keys, rng.randint(0, 4))}
+
+
+def test_emitter_matches_json_dumps_on_seeded_payloads():
+    rng = random.Random(37)
+    records = 0
+    for trial in range(600):
+        value = _random_json(rng, 4)
+        assert _emitted(value) == json.dumps(value, indent=2, sort_keys=True) + "\n", trial
+        records += json.dumps(value).count("{")
+    assert records > 2000
+
+
 @pytest.mark.parametrize(
     "value",
-    [1.5, (1, 2), {1: "a"}, {"a": (1,)}, [{"a": 0.0}], {None: 1}, {"a": 1, 2: "b"}, {1, 2}],
+    [
+        1.5, (1, 2), {1: "a"}, {"a": (1,)}, [{"a": 0.0}], {None: 1}, {"a": 1, 2: "b"}, {1, 2},
+        [{"a": 1, "b": 0.5}], [{1: "a"}], [{"a": "x"}, {"a": True, None: 1}], [{"a": 1, "b": [0.5]}],
+    ],
     ids=[
         "float", "tuple", "int key", "nested tuple", "nested float", "None key", "mixed keys", "set",
+        "float in record", "int key in record", "None key in record", "float under record",
     ],
 )
 def test_emitter_refuses_values_outside_its_json_subset(value):

@@ -325,14 +325,16 @@ def _family_spec(family, index, n_states, letters, max_priority):
     return ParityAutomaton(tuple(states), letters, letters, transition, "q0", priority, MAX_EVEN)
 
 
-def _seeded_games():
+def _seeded_games(repeats=False):
+    """Seeded games, successors drawn with replacement; unless ``repeats``, each is kept once in order."""
     rng = random.Random(37)
     for trial in range(2000):
         n = rng.randint(1, 40)
         owner = [rng.choice("OI") for _ in range(n)]
         priority = [rng.randint(0, 7) for _ in range(n)]
-        # drawn with replacement, then each successor kept once in order
-        succ = [list(dict.fromkeys(rng.choices(range(n), k=rng.randint(1, 4)))) for _ in range(n)]
+        succ = [rng.choices(range(n), k=rng.randint(1, 4)) for _ in range(n)]
+        if not repeats:
+            succ = [list(dict.fromkeys(ws)) for ws in succ]
         yield succ, owner, priority
 
 
@@ -351,6 +353,34 @@ def test_zielonka_matches_reference_on_seeded_games():
         assert solve_sets(game) == reference_zielonka(game_graph(*game)), trial
     for name, a in _family_specs():
         assert solve(a) == reference_solve(a), name
+
+
+def _small_specs():
+    """1-3-state specs with 3 or 4 output letters, whose rows often reach one target twice."""
+    rng = random.Random(41)
+    for trial in range(300):
+        states = tuple(f"q{i}" for i in range(rng.randint(1, 3)))
+        sigma_in, sigma_out = ("0", "1")[:rng.randint(1, 2)], ("a", "b", "c", "d")[:rng.randint(3, 4)]
+        transition = {key: rng.choice(states) for key in itertools.product(states, sigma_in, sigma_out)}
+        priority = {q: rng.randint(0, 4) for q in states}
+        yield ParityAutomaton(states, sigma_in, sigma_out, transition, "q0", priority, rng.choice(CONVENTIONS))
+
+
+def test_repeated_successors_change_no_region_or_strategy():
+    # solve lists an output node's row slice as its successors, repeats and all
+    repeated = 0
+    for trial, (succ, owner, priority) in enumerate(_seeded_games(repeats=True)):
+        once = [list(dict.fromkeys(ws)) for ws in succ]
+        repeated += once != succ
+        assert solve_indexed(succ, owner, priority) == solve_indexed(once, owner, priority), trial
+    assert repeated > 1000
+    repeated = 0
+    for trial, a in enumerate(_small_specs()):
+        width = len(a.sigma_out)
+        rows = [a.table[c:c + width] for c in range(0, len(a.table), width)]
+        repeated += any(len(set(row)) < width for row in rows)
+        assert solve(a) == reference_solve(a), trial
+    assert repeated > 250
 
 
 def solve_through_hops(game, routed):

@@ -149,6 +149,14 @@ def test_search_heavy_specs_decide_without_a_choice_cap():
     assert res.realizable is False
     assert (res.stats.solve_calls, res.stats.game_edges, len(res.arena.edges)) == (4, 155, 273)
     assert res.violation is not None
+    # w3/120 under fv (3 states, letters 0 1, priorities up to 7): the search
+    # meets 1,782 choices, each checked by find_violation, where the
+    # recursion decides in 3 calls on 263 edges, in about a millisecond
+    arena = build_game_arena(_family_spec("w3", 120, 3, ("0", "1"), 7), FV)[0]
+    stats = SynthStats()
+    assert solve_interrupt(arena, stats)[0] is False
+    assert (stats.solve_calls, stats.game_edges) == (3, 263)
+    assert _search_verdict(arena) == (False, 1782)
 
 
 def _controller_wins(colours, big_colours):
