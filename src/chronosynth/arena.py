@@ -149,7 +149,15 @@ class Arena:
 
     @cached_property
     def lag_bound(self) -> int:
-        """The longest lag among the members (bounds small-edge spans)."""
+        """The longest lag among the members of every block of the arena.
+
+        The play engine prints ``block_scale * 2 * lag_bound`` as the bound on
+        the small-tail duration from the current block on.  That sum runs over
+        the current block and every later one, at scales that halve per block,
+        and a later block can be any block of the arena; so each term needs
+        the longest lag over all blocks.  The current block's own lag would
+        give an unsound bound.
+        """
         return max((len(m.lag) for m in self.members), default=1)
 
     def interrupt_edge(self, node: ArenaNode, n: int, b) -> ArenaEdge:

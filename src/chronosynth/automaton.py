@@ -5,12 +5,12 @@ a pair ``(in_letter, out_letter)``.  Two acceptance conventions coexist:
 ``min_even`` (minimum priority seen infinitely often is even) and
 ``max_even``; the game pipeline normalizes to ``max_even`` at ingestion.
 
-The pass that validates an automaton also builds its integer ``table``.  The
-constructor walks every (state, in, out) triple; the spec-file loader instead
-checks each transition entry once, writes its target's index into the table
-as it goes, and hands the checked table to ``ParityAutomaton._from_table``,
-which names ``transition`` from it.  The product with a safety monitor is
-composed from two tables and names its transitions only when they are read.
+Every automaton is its integer transition ``table``.  The constructor checks
+a named ``transition`` dict into the table in one walk over the (state, in,
+out) triples.  The spec-file loader, the product with a safety monitor and
+the convention change start from a checked table instead and go through
+``ParityAutomaton._from_table``; such an automaton names ``transition`` from
+its table only when something first reads it.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from functools import cached_property
 from operator import add, itemgetter
 from typing import NamedTuple
 from .omega_word import LassoWord, inf_set, transduce
@@ -67,10 +66,7 @@ class ParityAutomaton:
         index = {q: i for i, q in enumerate(self.states)}
         table = []
         for q in self.states:
-            if q not in self.priority:
-                raise AutomatonError(f"priority missing for state {q!r}")
-            if self.priority[q] < 0:
-                raise AutomatonError("priorities must be nonnegative")
+            self._check_priority(q)
             for a in self.sigma_in:
                 for b in self.sigma_out:
                     tgt = self.transition.get((q, a, b))
@@ -97,26 +93,35 @@ class ParityAutomaton:
         if self.initial not in self.states:
             raise AutomatonError("initial state not among states")
 
+    def _check_priority(self, q):
+        if q not in self.priority:
+            raise AutomatonError(f"priority missing for state {q!r}")
+        if self.priority[q] < 0:
+            raise AutomatonError("priorities must be nonnegative")
+
     @classmethod
     def _from_table(cls, states, sigma_in, sigma_out, table, initial, priority, convention):
         """The automaton of a table whose entries the caller has checked: distinct
-        names, every target an index into ``states``.  Only the checks of the
-        other fields run, in ``__post_init__``'s order, and ``transition`` is
-        named from the table."""
+        names, every target an index into ``states``.  The field checks run, then
+        each state's priority check, in ``__post_init__``'s order; ``transition``
+        is named from the table when it is first read."""
         self = object.__new__(cls)
-        keys = itertools.product(states, sigma_in, sigma_out)
         self.__dict__.update(  # frozen, so set past __setattr__
-            states=states, sigma_in=sigma_in, sigma_out=sigma_out,
-            transition=dict(zip(keys, map(states.__getitem__, table))),
-            initial=initial, priority=priority, convention=convention, table=table,
+            states=states, sigma_in=sigma_in, sigma_out=sigma_out, table=table,
+            initial=initial, priority=priority, convention=convention,
         )
         self._check_fields()
         for q in states:
-            if q not in priority:
-                raise AutomatonError(f"priority missing for state {q!r}")
-            if priority[q] < 0:
-                raise AutomatonError("priorities must be nonnegative")
+            self._check_priority(q)
         return self
+
+    def __getattr__(self, name):
+        """Name ``transition`` of an automaton built by ``_from_table`` on first read."""
+        if name != "transition":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        keys = itertools.product(self.states, self.sigma_in, self.sigma_out)
+        named = self.__dict__["transition"] = dict(zip(keys, map(self.states.__getitem__, self.table)))
+        return named
 
     def step(self, q, a, b):
         try:
@@ -180,14 +185,8 @@ def convert_convention(a: ParityAutomaton, target: str) -> ParityAutomaton:
         raise AutomatonError(f"unknown convention {target!r}")
     if a.convention == target:
         return a
-    return ParityAutomaton(
-        states=a.states,
-        sigma_in=a.sigma_in,
-        sigma_out=a.sigma_out,
-        transition=dict(a.transition),
-        initial=a.initial,
-        priority=mirrored_priority(a),
-        convention=target,
+    return ParityAutomaton._from_table(
+        a.states, a.sigma_in, a.sigma_out, a.table, a.initial, mirrored_priority(a), target
     )
 
 
@@ -214,47 +213,24 @@ def _worst_priority(convention, priorities) -> int:
     return m if m % 2 == 1 else m + 1
 
 
-class MonitorProduct(ParityAutomaton):
-    """A spec times a safety monitor: state (spec.states[i], monitor.states[j]) is number
-    i * len(monitor.states) + j; ``step`` pairs the components' steps, and
-    ``transition`` is named on first read."""
-
-    def __init__(self, spec, monitor, states, priority, table):
-        self.__dict__.update(  # frozen, so set past __setattr__
-            spec=spec, monitor=monitor, states=states, sigma_in=spec.sigma_in, sigma_out=spec.sigma_out,
-            initial=(spec.initial, monitor.initial), priority=priority, convention=spec.convention, table=table,
-        )
-
-    @cached_property
-    def transition(self):
-        keys = itertools.product(self.states, self.sigma_in, self.sigma_out)
-        return dict(zip(keys, map(self.states.__getitem__, self.table)))
-
-    def step(self, q, a, b):
-        try:
-            qa, qm = q
-            return self.spec.transition[(qa, a, b)], self.monitor.transition[(qm, a, b)]
-        except (KeyError, TypeError, ValueError):
-            raise InputDomainError(f"letter ({a!r}, {b!r}) outside alphabet at state {q!r}")
-
-
 def product_with_monitor(a: ParityAutomaton, m: SafetyMonitor) -> ParityAutomaton:
     """Product automaton; entering the monitor sink fixes the verdict.
 
     Sink states receive the worst (losing-for-acceptance) priority, so a
-    word that violates the monitored discipline is rejected.  A faulty
+    word that violates the monitored discipline is rejected.  State
+    (a.states[i], m.states[j]) is number i * len(m.states) + j.  A faulty
     monitor raises what the named product's constructor would.
     """
-    keys = list(itertools.product(m.states, a.sigma_in, a.sigma_out))
+    keys = itertools.product(m.states, a.sigma_in, a.sigma_out)
     targets = list(itertools.starmap(m.step, keys))
     if m.initial not in m.states:
         raise AutomatonError("initial state not among states")
     index = {q: j for j, q in enumerate(m.states)}
-    for (_, x, y), tgt in zip(keys, targets):
-        if tgt not in index:
-            raise AutomatonError(f"transition target {(a.transition[(a.states[0], x, y)], tgt)!r} not a state")
-    m_table = list(map(index.__getitem__, targets))
     size, width = len(m.states), len(a.sigma_in) * len(a.sigma_out)
+    for k, tgt in enumerate(targets):
+        if tgt not in index:  # named as the product's first row names it
+            raise AutomatonError(f"transition target {(a.states[a.table[k % width]], tgt)!r} not a state")
+    m_table = list(map(index.__getitem__, targets))
     m_rows = [m_table[j * width:(j + 1) * width] for j in range(size)]
     table = []
     for i in range(len(a.states)):
@@ -264,7 +240,9 @@ def product_with_monitor(a: ParityAutomaton, m: SafetyMonitor) -> ParityAutomato
     sink_prio = _worst_priority(a.convention, (a.priority[q] for q in a.states))
     states = tuple(itertools.product(a.states, m.states))
     priority = {q: sink_prio if q[1] == m.sink else a.priority[q[0]] for q in states}
-    return MonitorProduct(a, m, states, priority, table)
+    return ParityAutomaton._from_table(
+        states, a.sigma_in, a.sigma_out, table, (a.initial, m.initial), priority, a.convention
+    )
 
 
 def _array(data, key) -> tuple:

@@ -1,7 +1,10 @@
 """Parity automaton runs, acceptance, conventions, and monitor products."""
 
+import copy
+import dataclasses
 import itertools
 import json
+import pickle
 import random
 import re
 
@@ -22,6 +25,8 @@ from chronosynth.automaton import (
     product_with_monitor,
     run_over,
 )
+from chronosynth.definable_synth import build_psi_star_monitor, solve_definable, square_alphabet
+from chronosynth.discrete_game import solve
 from chronosynth.omega_word import LassoWord, inf_set
 
 from fixture_specs import FIXTURES
@@ -274,6 +279,49 @@ def test_monitor_faults_raise_what_the_named_product_raises(faults):
         assert type(info.value) is error and str(info.value) == message
 
 
+# each fault set raises what the constructor's one walk meets first: the
+# fields, then per state in order its priority and its transitions, then
+# repeated names, then keys outside the triples
+CONSTRUCTOR_FAULTS = {
+    ("initial",): "initial state not among states",
+    ("transition",): "transition missing at ('p', '1', '0')",
+    ("priority",): "priority missing for state 'q'",
+    ("negative",): "priorities must be nonnegative",
+    ("target",): "transition target 'nowhere' not a state",
+    ("repeat",): "states, sigma_in or sigma_out repeats an entry",
+    ("outside",): "transition key ('zz', '0', '0') outside states x sigma_in x sigma_out",
+    ("initial", "transition"): "initial state not among states",
+    # a missing transition at an earlier state before a missing priority at a later one
+    ("priority", "transition"): "transition missing at ('p', '1', '0')",
+    ("priority", "target"): "priority missing for state 'q'",
+    ("negative", "transition"): "transition missing at ('p', '1', '0')",
+    # a repeated state is found only after the walk over every triple
+    ("repeat", "transition"): "transition missing at ('p', '1', '0')",
+    ("repeat", "target"): "transition target 'nowhere' not a state",
+    ("outside", "repeat"): "states, sigma_in or sigma_out repeats an entry",
+    ("outside", "target"): "transition target 'nowhere' not a state",
+}
+
+
+@pytest.mark.parametrize("faults", sorted(CONSTRUCTOR_FAULTS), ids="+".join)
+def test_constructor_faults_raise_in_the_walk_order(faults):
+    states = ("p", "q", "p") if "repeat" in faults else ("p", "q")
+    transition = {(q, x, y): q for q in "pq" for x in "01" for y in "01"}
+    priority = {"p": 0, "q": -1 if "negative" in faults else 1}
+    if "transition" in faults:
+        del transition[("p", "1", "0")]
+    if "priority" in faults:
+        del priority["q"]
+    if "target" in faults:
+        transition[("q", "0", "0")] = "nowhere"
+    if "outside" in faults:
+        transition[("zz", "0", "0")] = "p"
+    initial = "nowhere" if "initial" in faults else "p"
+    with pytest.raises(AutomatonError) as info:
+        ParityAutomaton(states, ("0", "1"), ("0", "1"), transition, initial, priority)
+    assert type(info.value) is AutomatonError and str(info.value) == CONSTRUCTOR_FAULTS[faults]
+
+
 def test_transition_keys_outside_the_triples_are_rejected():
     transition = {(q, x, y): q for q in "pq" for x in "01" for y in "01"}
     transition[("zz", "0", "0")] = "p"
@@ -452,18 +500,24 @@ def test_json_rejects_bad_references():
         automaton_from_json(data)
 
 
-def _large_family_spec():
-    """Member 0 of the bench's 300-state ``large`` family, as its spec file reads."""
-    rng = random.Random("large/0")
-    states = [f"q{i}" for i in range(300)]
-    priority = {q: rng.randint(0, 7) for q in states}
+def _family_spec(family="large", n_states=300, letters=("0", "1"), max_priority=7):
+    """Member 0 of one of the bench's families, as its spec file reads: by
+    default the 300-state ``large`` family, or the 40-state ``squared`` one
+    over the squared letters of 0 and 1."""
+    rng = random.Random(f"{family}/0")
+    states = [f"q{i}" for i in range(n_states)]
+    priority = {q: rng.randint(0, max_priority) for q in states}
     transitions = [
-        {"from": q, "in": a, "out": b, "to": rng.choice(states)} for q in states for a in "01" for b in "01"
+        {"from": q, "in": a, "out": b, "to": rng.choice(states)} for q in states for a in letters for b in letters
     ]
     return {
-        "states": states, "sigma_in": ["0", "1"], "sigma_out": ["0", "1"], "initial": "q0",
+        "states": states, "sigma_in": list(letters), "sigma_out": list(letters), "initial": "q0",
         "priority": priority, "convention": MAX_EVEN, "transitions": transitions,
     }
+
+
+def _squared_family_spec():
+    return _family_spec("squared", 40, square_alphabet("01"), 5)
 
 
 # values a mutation writes besides the spec's own names: unhashable, non-str, empty or odd names
@@ -549,7 +603,7 @@ def _outcome(load, data):
 
 def test_one_pass_loader_matches_the_two_pass_reference_on_seeded_mutations():
     bases = [json.loads(path.read_text()) for path in sorted(FIXTURES.glob("*.json"))]
-    large = _large_family_spec()
+    large = _family_spec()
     rng = random.Random(37)
     loaded, completed, declared, messages = 0, 0, 0, []
     for trial in range(4000):
@@ -584,3 +638,54 @@ def test_an_undeclared_source_after_an_undeclared_target_wins():
     for load in (automaton_from_json, reference_automaton_from_json):
         with pytest.raises(AutomatonError, match="^transition from undeclared state 'yy'$"):
             load(data)
+
+
+def test_solving_a_loaded_spec_leaves_its_transitions_unnamed():
+    # solve-discrete and definable read only the tables
+    large = automaton_from_json(_family_spec())
+    solve(large)
+    assert "transition" not in large.__dict__
+    squared = automaton_from_json(_squared_family_spec())
+    solve_definable(squared)
+    assert "transition" not in squared.__dict__
+    product = product_with_monitor(squared, build_psi_star_monitor(squared.sigma_in, squared.sigma_out))
+    solve(product)
+    assert "transition" not in product.__dict__
+
+
+def _table_built(kind):
+    """A fresh automaton built from a table, and its twin built from named transitions."""
+    if kind == "loaded":
+        data = _family_spec()
+        return automaton_from_json(data), reference_automaton_from_json(data)
+    if kind == "converted":
+        t = toggler()
+        twin = ParityAutomaton(t.states, t.sigma_in, t.sigma_out, t.transition, t.initial, {"r": 2, "s": 1}, MAX_EVEN)
+        return convert_convention(t, MAX_EVEN), twin
+    monitor = accept_all_monitor(("0", "1"), ("0", "1"))
+    return product_with_monitor(toggler(), monitor), reference_product(toggler(), monitor)
+
+
+@pytest.mark.parametrize("kind", ["loaded", "converted", "product"])
+def test_table_built_automata_work_before_their_transitions_are_named(kind):
+    twin = _table_built(kind)[1]
+    rng = random.Random(43)
+    words = [random_word(rng) for _ in range(20)]
+    checks = {
+        "equal": lambda a: a == twin and a.table == twin.table,
+        "step": lambda a: a.step(a.initial, "1", "0") == twin.step(twin.initial, "1", "0"),
+        "accepts": lambda a: [accepts(a, w) for w in words] == [accepts(twin, w) for w in words],
+        "repr": lambda a: repr(a) == repr(twin),
+        "deepcopy": lambda a: copy.deepcopy(a) == twin,
+        "pickle": lambda a: pickle.loads(pickle.dumps(a)) == twin,
+        "replace": lambda a: dataclasses.replace(a, priority=dict(a.priority)) == twin,
+    }
+    for check, holds in checks.items():
+        a = _table_built(kind)[0]
+        assert type(a) is ParityAutomaton and "transition" not in a.__dict__, check
+        assert holds(a), check
+    a = _table_built(kind)[0]
+    with pytest.raises(InputDomainError, match=re.escape(f"letter ('2', '0') outside alphabet at state {a.initial!r}")):
+        a.step(a.initial, "2", "0")
+    with pytest.raises(AttributeError, match="^'ParityAutomaton' object has no attribute 'spec'$"):
+        a.spec

@@ -17,7 +17,6 @@ from chronosynth.automaton import (
     ParityAutomaton,
     accepts,
     automaton_from_json,
-    MonitorProduct,
     load_automaton,
     product_with_monitor,
 )
@@ -41,6 +40,7 @@ from oracles import (
     brute_force_solve,
     game_from_automaton,
     game_graph,
+    reference_automaton_from_json,
     reference_product,
     reference_solve,
     reference_zielonka,
@@ -460,7 +460,9 @@ def test_zielonka_depth_does_not_grow_with_peeled_regions():
 def _differential_specs():
     """Specs whose game numbering can go wrong: unsorted states and alphabets,
     every letter count from 1 to 3, both conventions, tuple states with a
-    sink, specs the loader completes with SINK, and the fixtures."""
+    sink, specs the loader completes with SINK, and the fixtures.  Each comes
+    with its twin built from named transitions: itself when constructed, else
+    ``reference_product``'s product or the two-pass reference loader's spec."""
     rng = random.Random(41)
     for trial in range(300):
         states = rng.sample(["b", "a2", "a10", "q", "Q", "z_", "m", "c"], rng.randint(1, 8))
@@ -470,19 +472,20 @@ def _differential_specs():
             (q, x, b): rng.choice(states) for q in states for x in sigma_in for b in sigma_out
         }
         priority = {q: rng.randint(0, 5) for q in states}
-        yield f"seeded {trial}", ParityAutomaton(
+        a = ParityAutomaton(
             tuple(states), sigma_in, sigma_out, transition, rng.choice(states), priority,
             CONVENTIONS[trial % 2],
         )
+        yield f"seeded {trial}", a, a
     squared = square_alphabet("01")
     monitor = build_psi_star_monitor(squared, squared)
     for trial in range(12):
         spec = _seeded_spec(rng, rng.randint(1, 4), squared)
-        yield f"product {trial}", product_with_monitor(spec, monitor)
+        yield f"product {trial}", product_with_monitor(spec, monitor), reference_product(spec, monitor)
     for trial in range(40):
         spec = _seeded_spec(rng, rng.randint(1, 5), ("0", "1"))
         kept = [t for t in spec.transition.items() if rng.random() < 0.7]
-        yield f"sink {trial}", automaton_from_json({
+        data = {
             "states": list(spec.states),
             "sigma_in": list(spec.sigma_in),
             "sigma_out": list(spec.sigma_out),
@@ -492,14 +495,15 @@ def _differential_specs():
             "transitions": [
                 {"from": q, "in": x, "out": b, "to": t} for (q, x, b), t in kept
             ],
-        })
+        }
+        yield f"sink {trial}", automaton_from_json(data), reference_automaton_from_json(data)
     for path in sorted(FIXTURES.glob("*.json")):
-        yield path.name, load_automaton(path)
+        yield path.name, load_automaton(path), reference_automaton_from_json(path.read_text())
 
 
 def test_solve_matches_reference_solve():
     sinks = products = 0
-    for name, a in _differential_specs():
+    for name, a, _ in _differential_specs():
         assert solve(a) == reference_solve(a), name
         sinks += SINK in a.states
         products += isinstance(a.initial, tuple)
@@ -507,11 +511,18 @@ def test_solve_matches_reference_solve():
 
 
 def test_table_lists_each_transition_target_by_index():
-    for name, a in _differential_specs():
-        # a product names its transitions from its table, so check it against the oracle's
-        named = reference_product(a.spec, a.monitor) if isinstance(a, MonitorProduct) else a
+    for name, a, twin in _differential_specs():
+        # read the targets off the twin's named transitions, not off a's own view of its table
         keys = itertools.product(a.states, a.sigma_in, a.sigma_out)
-        assert [a.states[t] for t in a.table] == [named.transition[key] for key in keys], name
+        assert [a.states[t] for t in a.table] == [twin.transition[key] for key in keys], name
+
+
+def test_every_differential_spec_equals_its_named_twin():
+    products = 0
+    for name, a, twin in _differential_specs():
+        assert type(a) is ParityAutomaton and a == twin and a.table == twin.table, name
+        products += isinstance(a.initial, tuple)
+    assert products == 12
 
 
 def test_machine_serialization_roundtrip():
