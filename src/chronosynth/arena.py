@@ -32,13 +32,13 @@ of minimal behaviours (De Wulf, Doyen, Henzinger & Raskin, CAV 2006).
 Nodes and edges are immutable named tuples, ordered, compared and hashed
 by their fields in declaration order; the sorted node list, and with it the
 solver's node numbering, witnesses and exports, follows that order.
-The arena is one move table: every node keeps the id of its row, a sorted
-tuple of labels (dst, priority, size, kind).  Block nodes with one (small,
-big) half pair share one row; every other node has a row of its own, of
-plain labels (dst, -1, "", "plain").  ``Arena.outgoing`` builds a node's
-edges from its row on first read; since edges out of one node compare by
-their labels and edges compare by source first, the sorted edge list is
-every node's moves joined in node order.
+The arena is one move table: every node keeps its row, the sorted tuple
+of its labels (dst, priority, size, kind); a block node's row is its small
+and big half joined, every other node's row holds plain labels (dst, -1,
+"", "plain").  ``Arena.outgoing`` builds a node's edges from its row on
+first read; since edges out of one node compare by their labels and edges
+compare by source first, the sorted edge list is every node's moves joined
+in node order.
 """
 
 from __future__ import annotations
@@ -103,13 +103,12 @@ class Arena:
 
     fresh = ArenaNode(FRESH)
 
-    def __init__(self, semantics, automaton, members, nodes, rows, labels, final_up):
+    def __init__(self, semantics, automaton, members, nodes, rows, final_up):
         self.semantics = semantics
         self.automaton = automaton
         self.members = members  # all UPMember objects referenced by i_up nodes
         self.nodes = nodes  # every node, sorted
-        self.rows = rows  # each node -> the id of its row of labels
-        self.labels = labels  # row id -> its sorted labels; () only at a block node over one input letter
+        self.rows = rows  # each node -> its sorted labels; () only at a block node over one input letter
         self.final_up = final_up  # i_up nodes whose period's max priority is even
         self._edges = {}  # node -> its edges, built on first read
 
@@ -133,14 +132,13 @@ class Arena:
         """The node's sorted moves, built from its row of labels once."""
         outs = self._edges.get(node)
         if outs is None:
-            outs = self._edges[node] = tuple(ArenaEdge(node, *t) for t in self.labels[self.rows[node]])
+            outs = self._edges[node] = tuple(ArenaEdge(node, *t) for t in self.rows[node])
         return outs
 
     @property
     def edge_count(self) -> int:
         """The number of edges, summed over the table without building an edge."""
-        labels = self.labels
-        return sum(len(labels[i]) for i in self.rows.values())
+        return sum(map(len, self.rows.values()))
 
     @cached_property
     def edges(self) -> tuple:
@@ -254,7 +252,7 @@ def _interrupt_targets(a, semantics):
     return targets
 
 
-def _arena(a, semantics, up, moves):
+def _arena(a, semantics, up, rels, moves):
     """The arena over a builder's map from its (q, x) and dagger nodes to their successors.
 
     Adds, under the max-even convention, the fresh node with an edge to
@@ -267,12 +265,11 @@ def _arena(a, semantics, up, moves):
     their order over the whole vocabulary.  A behaviour B of (q, x) is
     dropped when another, A, dominates it: (final_A or not final_B) and
     small_A <= small_B and big_A <= big_B.  Only the kept representatives
-    are numbered, in rank order.
+    are numbered, in rank order.  rels is ``a.edge_relations()``.
     """
     a = convert_convention(a, MAX_EVEN)
     moves[Arena.fresh] = {ArenaNode(O_PAIR, a.initial, x) for x in a.sigma_in}
     source_kind = O_PAIR if semantics == RC else I_DAG
-    rels = a.edge_relations()
     targets_of = _interrupt_targets(a, semantics)
     rank, best = {}, {}  # member -> first-use rank; behaviour -> (rank, representative)
     for x in a.sigma_in:
@@ -304,28 +301,21 @@ def _arena(a, semantics, up, moves):
     representative = dict(best.values())  # rank -> member
     number = {r: i for i, r in enumerate(sorted(representative))}
     final_up, rows = set(), {}
-    pair_rows, labels = {}, []  # (small, big) -> its row id; row id -> its labels, sorted
     for (q, x, final, small, big), (r, _) in best.items():
         up_node = ArenaNode(I_UP, q, x, number[r])
         if final:
             final_up.add(up_node)
         moves[ArenaNode(source_kind, q, x)].add(up_node)
-        row = pair_rows.get((small, big))
-        if row is None:
-            row = pair_rows[small, big] = len(labels)
-            # edges out of one node compare by their labels
-            labels.append(tuple(sorted(small | big)))
-        rows[up_node] = row
+        # edges out of one node compare by their labels
+        rows[up_node] = tuple(sorted(small | big))
     for node, dsts in moves.items():
-        rows[node] = len(labels)
-        labels.append(tuple((dst, -1, "", "plain") for dst in sorted(dsts)))
+        rows[node] = tuple((dst, -1, "", "plain") for dst in sorted(dsts))
     return Arena(
         semantics=semantics,
         automaton=a,
         members=tuple(representative[r] for r in number),
         nodes=tuple(sorted(rows)),
         rows=rows,
-        labels=labels,
         final_up=frozenset(final_up),
     )
 
@@ -338,7 +328,8 @@ def build_rc_arena(a: ParityAutomaton, up: dict) -> Arena:
     land on (u(n), b) for b != a.  Priorities are read under the max-even
     convention.
     """
-    return _arena(a, RC, up, {ArenaNode(O_PAIR, q, x): set() for x in a.sigma_in for q in a.states})
+    moves = {ArenaNode(O_PAIR, q, x): set() for x in a.sigma_in for q in a.states}
+    return _arena(a, RC, up, a.edge_relations(), moves)
 
 
 def build_fv_arena(a: ParityAutomaton, up: dict) -> Arena:
@@ -354,10 +345,13 @@ def build_fv_arena(a: ParityAutomaton, up: dict) -> Arena:
     for q in a.states:
         moves[ArenaNode(O_DAG, q)] = {ArenaNode(I_DAG, q, x) for x in a.sigma_in}
         for x in a.sigma_in:
-            # a set: several outputs can reach one state
-            moves[ArenaNode(O_PAIR, q, x)] = {ArenaNode(O_DAG, a.transition[(q, x, b)]) for b in a.sigma_out}
+            moves[ArenaNode(O_PAIR, q, x)] = set()
             moves[ArenaNode(I_DAG, q, x)] = set()
-    return _arena(a, FV, up, moves)
+    rels = a.edge_relations()
+    for x, rel in rels.items():
+        for q, q2 in rel:  # q2 is reached from q under x by some output
+            moves[ArenaNode(O_PAIR, q, x)].add(ArenaNode(O_DAG, q2))
+    return _arena(a, FV, up, rels, moves)
 
 
 # -- inspection -------------------------------------------------------------

@@ -133,14 +133,13 @@ class ParityAutomaton:
         return max(self.priority[q] for q in self.states)
 
     def edge_relations(self) -> dict:
-        """Per input letter a, the relation E_a(q, q') = exists b with d(q,(a,b)) = q'."""
+        """Per input letter a, the relation E_a(q, q') = exists b with d(q,(a,b)) = q', read off ``table``."""
+        states, table, width = self.states, self.table, len(self.sigma_out)
+        cells = len(self.sigma_in) * width  # the table's slots per state
         rels = {}
-        for a in self.sigma_in:
-            rel = set()
-            for q in self.states:
-                for b in self.sigma_out:
-                    rel.add((q, self.transition[(q, a, b)]))
-            rels[a] = frozenset(rel)
+        for x, a in enumerate(self.sigma_in):
+            starts = range(x * width, len(table), cells)  # (q, a)'s slots start at each state's row
+            rels[a] = frozenset((q, states[t]) for q, s in zip(states, starts) for t in table[s:s + width])
         return rels
 
 

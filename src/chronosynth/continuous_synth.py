@@ -277,10 +277,8 @@ def solve_interrupt(arena: Arena, stats: SynthStats | None = None):
     colour of its inherited priority (``Arena.node_priority``, -1 read as
     0).  Each labelled edge of a block node passes through the hop node of
     its target and label colour, an environment node numbered after the
-    arena's nodes and shared by the whole arena, so the block nodes of one
-    row share one successor list, which ``Game`` only reads.  Counts the
-    recursion's calls and its game's arena nodes and edges into ``stats``
-    if given.
+    arena's nodes and shared by the whole arena.  Counts the recursion's
+    calls and its game's arena nodes and edges into ``stats`` if given.
     """
     stats = stats if stats is not None else SynthStats()
     nodes = arena.nodes
@@ -292,28 +290,24 @@ def solve_interrupt(arena: Arena, stats: SynthStats | None = None):
     rank = dense_ranks([0, *priority.values()])
     small = {p: 1 << 2 * r for p, r in rank.items()}
     big_colours = int("10" * (max(rank.values()) + 1), 2)
-    rows, labels = arena.rows, arena.labels
+    rows = arena.rows
     succ, owner, colour = [], [], []
     accepts, stuck = [], []  # non-final block nodes; final block nodes without moves
-    shared = {}  # block row id -> the successors of its nodes
     hops = {}  # (target, label colour) -> hop node
     for v, node in enumerate(nodes):
         owner.append(OWNER[node.kind])
         colour.append(small[max(arena.node_priority(node), 0)])
-        row = rows[node]
         if node.kind == I_UP:
-            ws = shared.get(row)
-            if ws is None:
-                ws = shared[row] = [
-                    hops.setdefault((index[dst], small[q] << (size == "big")), n + len(hops))
-                    for dst, q, size, _ in labels[row]
-                ]
+            ws = [
+                hops.setdefault((index[dst], small[q] << (size == "big")), n + len(hops))
+                for dst, q, size, _ in rows[node]
+            ]
             if node not in final_up:
                 accepts.append(v)
             elif not ws:
                 stuck.append(v)
         else:
-            ws = [index[dst] for dst, _, _, _ in labels[row]]
+            ws = [index[dst] for dst, _, _, _ in rows[node]]
         succ.append(ws)
     for w, c in hops:
         succ.append([w])
@@ -382,7 +376,7 @@ def build_game_arena(spec: ParityAutomaton, semantics: str, monoid_cap: int = MO
         stats.up_sizes[x] = len(up_by_letter[x])
     builder = build_rc_arena if semantics == RC else build_fv_arena
     arena = builder(spec, up_by_letter)
-    stuck = [n for n in arena.nodes if arena.owner(n) == "O" and not arena.labels[arena.rows[n]]]
+    stuck = [n for n in arena.nodes if arena.owner(n) == "O" and not arena.rows[n]]
     if stuck:
         # cannot happen with a complete per-letter vocabulary over a total
         # automaton; a bare block vocabulary would silently skew the game

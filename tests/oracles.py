@@ -19,6 +19,9 @@ raise the same error or return an equal automaton and table;
 ``reference_product`` tabulates the product of a spec and a safety monitor
 by name, transition by transition, as an oracle for the product that
 ``automaton.product_with_monitor`` composes from the two transition tables;
+``reference_edge_relations`` reads each input letter's one-step relation off
+the named transitions, as an oracle for ``ParityAutomaton.edge_relations``,
+which reads it off the table;
 ``reference_signature`` is the named normal form of the state-string
 congruence (first and last state, occurrence set, the set of (state,
 states strictly before) pairs and the path letters, as frozensets), and
@@ -38,9 +41,9 @@ oracle for the two cached halves of ``arena._interrupt_targets``;
 ``reference_arena`` builds the flat arena, every block node with its own
 sorted ``ArenaEdge`` tuple read off ``reference_interrupt_targets``, as an
 oracle for the move table that ``arena.build_rc_arena`` and
-``build_fv_arena`` return, whose block nodes share one row of labels per
-half pair, once ``reference_antichain`` has dropped every block node that
-another block node of its (q, x) dominates, by comparing every pair;
+``build_fv_arena`` return, one row of labels per node, once
+``reference_antichain`` has dropped every block node that another block
+node of its (q, x) dominates, by comparing every pair;
 ``full_arena`` is the flat arena of a spec as an ``Arena``, dominated
 block nodes included, on which the tests check the witnesses found on the
 pruned arena and play the geometric duel, whose controller picks a
@@ -308,6 +311,18 @@ def reference_product(a: ParityAutomaton, m: SafetyMonitor) -> ParityAutomaton:
     )
 
 
+def reference_edge_relations(a: ParityAutomaton) -> dict:
+    """Per input letter x, the pairs (q, q') with d(q, (x, b)) = q' for some b, by name."""
+    rels = {}
+    for x in a.sigma_in:
+        rel = set()
+        for q in a.states:
+            for b in a.sigma_out:
+                rel.add((q, a.transition[(q, x, b)]))
+        rels[x] = frozenset(rel)
+    return rels
+
+
 def reference_automaton_from_json(data) -> ParityAutomaton:
     """The spec file loaded in two passes, as an oracle for ``automaton.automaton_from_json``.
 
@@ -568,7 +583,7 @@ def reference_arena(a: ParityAutomaton, semantics, up) -> FlatArena:
             dag = ArenaNode(O_DAG, q)
             moves[dag] = {ArenaEdge(dag, ArenaNode(I_DAG, q, x)) for x in a.sigma_in}
     source_kind = O_PAIR if semantics == RC else I_DAG
-    rels = a.edge_relations()
+    rels = reference_edge_relations(a)
     rank, best = {}, {}
     for x in a.sigma_in:
         for member in up[x]:
@@ -645,15 +660,14 @@ def full_arena(spec: ParityAutomaton, semantics) -> Arena:
     """The arena of ``spec`` with a block node for every behaviour, dominated ones included.
 
     Builds the vocabulary of each input letter over its own class table,
-    and gives each node of ``reference_arena`` a row of its own.  The
+    and gives each node of ``reference_arena`` its row of labels.  The
     dominated block nodes are moves that ``build_game_arena`` drops.
     """
     ctx = context_from_automaton(spec)
     up = {x: build_UP(build_class_table(ctx, letter=x)) for x in spec.sigma_in}
     flat = reference_arena(spec, semantics, up)
-    rows = {node: i for i, node in enumerate(flat.nodes)}
-    labels = [tuple(e[1:] for e in flat.edges_from[node]) for node in flat.nodes]
-    return Arena(semantics, flat.automaton, flat.members, flat.nodes, rows, labels, flat.final_up)
+    rows = {node: tuple(e[1:] for e in flat.edges_from[node]) for node in flat.nodes}
+    return Arena(semantics, flat.automaton, flat.members, flat.nodes, rows, flat.final_up)
 
 
 def enumerate_choices(arena):

@@ -386,16 +386,19 @@ def test_effective_priority_and_exported_node_priorities(quotient_corpus):
     for fixture in sorted(FIXTURES.glob("*.json")):
         if not fixture.stem.endswith("_d"):
             arenas += [build_game_arena(load_fixture(fixture.stem), s)[0] for s in (RC, FV)]
-    # the arena stores the sorted nodes, each node's row id and each row's
-    # sorted labels; in the readers' view every edge is in its source's
-    # sorted list, and the sorted edge list is those lists joined in node order
+    # the arena stores the sorted nodes and each node's own row, the labels
+    # of its moves, sorted; in the readers' view every edge is in its
+    # source's sorted list, and the sorted edge list is those lists joined
+    # in node order
     fields = set(inspect.signature(Arena).parameters)
-    assert fields == {"semantics", "automaton", "members", "nodes", "rows", "labels", "final_up"}
+    assert fields == {"semantics", "automaton", "members", "nodes", "rows", "final_up"}
     for arena in arenas:
         assert arena.nodes == tuple(sorted(arena.rows))
+        assert arena.edge_count == sum(map(len, arena.rows.values()))
         for node in arena.nodes:
             outs = arena.outgoing(node)
             assert outs == tuple(sorted(outs)) and all(e.src == node for e in outs), node
+            assert arena.rows[node] == tuple(e[1:] for e in outs), node
             # only a block node over a one-letter input alphabet has no moves
             assert outs or (node.kind == I_UP and len(arena.automaton.sigma_in) == 1), node
         assert arena.edges == tuple(sorted(arena.edges))
@@ -442,10 +445,7 @@ def test_factored_arena_matches_flat_reference(quotient_corpus):
             assert arena.members == flat.members, semantics
             assert arena.names == flat.names, semantics
             assert count == len(arena.edges), semantics
-            # block nodes share the row of a half pair, each pair's labels stored once
             block_nodes = [n for n in arena.nodes if n.kind == I_UP]
-            block_rows = {arena.rows[n] for n in block_nodes}
-            assert len({arena.labels[i] for i in block_rows}) == len(block_rows) <= len(block_nodes)
             blocks += len(block_nodes)
     assert blocks > 1000
 

@@ -41,6 +41,7 @@ from oracles import (
     game_from_automaton,
     game_graph,
     reference_automaton_from_json,
+    reference_edge_relations,
     reference_product,
     reference_solve,
     reference_zielonka,
@@ -518,11 +519,13 @@ def test_table_lists_each_transition_target_by_index():
 
 
 def test_every_differential_spec_equals_its_named_twin():
-    products = 0
+    specs = products = 0
     for name, a, twin in _differential_specs():
         assert type(a) is ParityAutomaton and a == twin and a.table == twin.table, name
+        assert a.edge_relations() == reference_edge_relations(twin), name
+        specs += 1
         products += isinstance(a.initial, tuple)
-    assert products == 12
+    assert specs == 360 and products == 12
 
 
 def test_machine_serialization_roundtrip():

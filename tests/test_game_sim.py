@@ -449,10 +449,30 @@ def test_interactive_session_rejects_bad_input_and_reprompts():
     members[play.node.up] = member._replace(lag=member.lag[:1])
     arena = Arena(
         res.arena.semantics, res.arena.automaton, tuple(members), res.arena.nodes,
-        res.arena.rows, res.arena.labels, res.arena.final_up,
+        res.arena.rows, res.arena.final_up,
     )
     with pytest.raises(IllegalMove, match="no even lag position to interrupt at"):
         PlaySession(arena, None, None, None)._parse(play, "late 1 right")
+
+
+def test_deciding_and_playing_a_loaded_spec_leave_its_transitions_unnamed():
+    # the arena builders and the play engine read the automaton's integer table
+    script = ["start 0", "late 1", "late 0", "accept"]
+    plays = 0
+    for path in sorted(FIXTURES.glob("*.json")):
+        if path.stem.endswith("_d"):
+            continue
+        for semantics in (RC, FV):
+            a = load_fixture(path.stem)
+            build_game_arena(a, semantics)
+            assert "transition" not in a.__dict__, (path.stem, semantics)
+            res = decide_continuous(a, semantics)
+            if res.realizable:
+                PlaySession(res.arena, ChoiceController(res.arena, res.witness), script, lambda s: None).run()
+                plays += 1
+            automata = (a, res.arena.automaton)
+            assert not any("transition" in b.__dict__ for b in automata), (path.stem, semantics)
+    assert plays >= 4
 
 
 def test_interactive_session_quit_is_graceful():
