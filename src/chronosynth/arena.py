@@ -14,7 +14,8 @@ finite-variability arena odd positions are interval values (interrupts
 from the left) and even positions are point values (interrupts from the
 right), and every non-fresh node inherits the priority of its automaton
 state.  ``Arena.interrupt_edge`` states this rule for one position; the
-builders read the same labels off two cached halves per member.
+builders read the same labels as bits of one int, a small half per lag
+class and a big half per idempotent.
 
 Block nodes are built over behaviours, not vocabulary members: a block
 node (q, x, u) is determined, as a game position, by q, x, whether u is
@@ -23,11 +24,12 @@ all four are interchangeable moves.  A behaviour A of (q, x) dominates
 another, B, when A is final whenever B is and A's labels are a subset of
 B's: every interrupt open at A is open at B, and accepting at A loses for
 the environment wherever it does at B, so B is never the better move for
-the controller and dropping it leaves every node's winner as it is.
-Labels carry their size, so the subset test splits into the small and the
-big half.  (q, x) gets one block node per undominated behaviour,
-represented by the first-ranked member that has it; this is the antichain
-of minimal behaviours (De Wulf, Doyen, Henzinger & Raskin, CAV 2006).
+the controller and dropping it leaves every node's winner as it is.  With
+labels as bits the subset test is a mask test.  (q, x) gets one block node
+per undominated behaviour, represented by the first-ranked member that
+has it; this is the antichain of minimal behaviours (De Wulf, Doyen,
+Henzinger & Raskin, CAV 2006).  The builders walk each input letter's
+class table and build a ``UPMember`` only for a kept representative.
 
 Nodes and edges are immutable named tuples, ordered, compared and hashed
 by their fields in declaration order; the sorted node list, and with it the
@@ -196,150 +198,217 @@ def _landing(semantics, q, n, b):
     return ArenaNode(I_DAG, q, b), RIGHT
 
 
-def _interrupt_targets(a, semantics):
-    """The interrupt targets of vocabulary members, from two halves cached for one arena build.
+class _LabelBits:
+    """Every label (dst, priority, size, kind) an interrupt can carry, as one bit of an int.
 
-    Returns targets(member, letter) -> (small, big, final): two frozensets
-    of (target, priority, size, kind), one per interrupt to a letter other
-    than letter at each position of the member, without repeats, and
-    whether the period's top priority is even, cached with the big half.
-    The small targets land in the lag and carry the running maximum priority
-    over it, so they depend only on (lag, letter).  Absorption makes the
-    period's states a subset of the lag's, so past the lag the running
-    maximum is the constant M, the lag's top priority: the big targets
-    depend only on (period, M, letter), plus the parity of the lag length
-    under fv, where a position's parity fixes its edge kind.  One period
-    lists every big (target, kind) under rc, two periods under fv.
+    Bits follow sorted label order: each target (dst, kind), in node kind,
+    state and letter order, owns two bits per priority, big below small.
+    ``land[x][q][parity]`` has the lowest bit of each target's block that an
+    interrupt to a letter other than x reaches from state q at a position
+    of that parity (``_landing``); shifted by ``shift[p]`` it gives the big
+    labels of priority p, by one more the small ones.
     """
-    small_half, big_half = {}, {}
-    # (target, kind) of each interrupt to another letter, by (state, position parity, letter)
-    landings = {
-        (q, parity, x): tuple(_landing(semantics, q, parity, b) for b in a.sigma_in if b != x)
-        for q in a.states
-        for parity in (0, 1)
-        for x in a.sigma_in
-    }
-    priority, fv = a.priority, semantics == FV
-    periods = 2 if fv else 1
 
-    # plain loops: a generator and max() per position cost twice as much; a
-    # frozenset copied from a set is smaller than one built from a list
-    def targets(member, letter):
-        lag = member.lag
-        key = (lag, letter)
-        small = small_half.get(key)
-        if small is None:
-            found, top = set(), -1
-            for n, q in enumerate(lag, 1):
-                if priority[q] > top:
-                    top = priority[q]
-                for dst, kind in landings[q, n % 2, letter]:
-                    found.add((dst, top, "small", kind))
-            small = small_half[key] = frozenset(found), top
-        top = small[1]
-        start = len(lag) % 2 if fv else 0
-        key = (member.period, top, letter, start)
-        big = big_half.get(key)
-        if big is None:
-            found = set()
-            for n, q in enumerate(member.period * periods, start + 1):
-                for dst, kind in landings[q, n % 2, letter]:
-                    found.add((dst, top, "big", kind))
-            final = max(map(priority.__getitem__, member.period)) % 2 == 0
-            big = big_half[key] = frozenset(found), final
-        return small[0], *big
+    def __init__(self, a, semantics):
+        self.priority, self.fv = a.priority, semantics == FV
+        self.priorities = sorted(set(a.priority.values()))
+        self.shift = {p: 2 * i for i, p in enumerate(self.priorities)}
+        states, letters = sorted(a.states), sorted(a.sigma_in)
+        # the (q, +, b) targets of even fv positions sort before the (q, b) ones of odd positions
+        kinds = ((I_DAG, RIGHT), (O_PAIR, LEFT)) if self.fv else ((O_PAIR, "interrupt"),)
+        self.targets = [(ArenaNode(node, q, b), kind) for node, kind in kinds for q in states for b in letters]
+        self.width = width = 2 * len(self.priorities)
+        every, at = sum(1 << width * i for i in range(len(letters))), width * len(letters)
+        odd = len(states) if self.fv else 0
+        self.land = {}
+        for x in a.sigma_in:
+            others = every ^ 1 << width * letters.index(x)
+            self.land[x] = {q: (others << at * i, others << at * (odd + i)) for i, q in enumerate(states)}
+        self.labels = {}  # bit -> its label, built on first read
 
-    return targets
+    def small(self, lag, letter):
+        """(labels, top priority) of the interrupts inside a lag run under letter."""
+        land, priority, shift = self.land[letter], self.priority, self.shift
+        labels, top, at = 0, -1, 0
+        for n, q in enumerate(lag, 1):
+            if priority[q] > top:
+                top = priority[q]
+                at = shift[top] + 1
+            labels |= land[q][n & 1] << at
+        return labels, top
+
+    def big(self, period, letter, lag_length):
+        """The labels past a lag of that length, to be shifted by ``shift`` of the lag's top priority.
+
+        Absorption puts the period's states in the lag, so the running
+        maximum past it is the lag's top; under fv only the lag length's
+        parity matters, and two periods list every (target, kind).
+        """
+        land, labels = self.land[letter], 0
+        for n, q in enumerate(period * 2 if self.fv else period, lag_length % 2 + 1 if self.fv else 1):
+            labels |= land[q][n & 1]
+        return labels
+
+    def decode(self, labels):
+        """The labels of a set, in sorted order."""
+        row, digits = [], bin(labels)[:1:-1]  # bit i at index i
+        i = digits.find("1")
+        while i >= 0:
+            label = self.labels.get(i)
+            if label is None:
+                (dst, kind), j = self.targets[i // self.width], i % self.width
+                label = self.labels[i] = dst, self.priorities[j >> 1], ("big", "small")[j & 1], kind
+            row.append(label)
+            i = digits.find("1", i + 1)
+        return tuple(row)
 
 
-def _arena(a, semantics, up, rels, moves):
+def _arena(a, semantics, tables, rels, moves, up_sizes):
     """The arena over a builder's map from its (q, x) and dagger nodes to their successors.
 
     Adds, under the max-even convention, the fresh node with an edge to
     (q_init, x) per input letter, and one block node per undominated
     behaviour of (q, x), entered from (q, x) under rc and (q, +, x) under
-    fv.  up[x] is the block vocabulary of input letter x, built over its
-    path classes, so every member is a run under x.  Members are ranked in
-    first-use order over (letter, member, state), and the lowest-ranked
-    member with a behaviour represents it, so the moves out of (q, x) keep
-    their order over the whole vocabulary.  A behaviour B of (q, x) is
-    dropped when another, A, dominates it: (final_A or not final_B) and
-    small_A <= small_B and big_A <= big_B.  Only the kept representatives
-    are numbered, in rank order.  rels is ``a.edge_relations()``.
+    fv.  tables[x] is input letter x's path class table.  Its pairs of a
+    class and a compatible idempotent, the members of ``build_UP``, are
+    met by groups of idempotents that share (last, occ, flags) and counted
+    into ``up_sizes[x]`` if given; only the first class of each (first,
+    last, late, flags, small half, top priority, lag parity) is walked.  A
+    behaviour's key is its labels over a low bit set iff it is not final,
+    so A dominates B iff ``not key_A & ~key_B``.  Pairs with a source are
+    ranked by first use over (letter, class, idempotent): the first input
+    letter whose paths hold the class and give its first state a source,
+    then the witnesses' order, shortest and lexicographically least, which
+    all tables share.  The lowest-ranked pair of a behaviour represents it,
+    and only kept representatives become ``UPMember``s, numbered in rank
+    order.  rels is ``a.edge_relations()``.
     """
     a = convert_convention(a, MAX_EVEN)
     moves[Arena.fresh] = {ArenaNode(O_PAIR, a.initial, x) for x in a.sigma_in}
     source_kind = O_PAIR if semantics == RC else I_DAG
-    targets_of = _interrupt_targets(a, semantics)
-    rank, best = {}, {}  # member -> first-use rank; behaviour -> (rank, representative)
+    bits, priority = _LabelBits(a, semantics), a.priority
+    best = {}  # (q, x, key) -> (rank, lag, period) of the lowest-ranked pair with that behaviour
     for x in a.sigma_in:
-        sources_of = {
-            q2: [q for q in a.states if (q, q2) in rels[x]] for q2 in a.states
-        }
-        for member in up[x]:
-            sources = sources_of[member.lag[0]]
-            if not sources:
+        table = tables[x]
+        ctx = table.ctx
+        n = len(ctx.states)
+        by_last, i = [{} for _ in ctx.states], 0  # (occ, flags) -> [(index, witness)], in table order
+        for e, period in table.witnesses.items():
+            if e in table.idempotents:
+                by_last[e[1]].setdefault((e[2], e[4]), []).append((i, period))
+                i += 1
+        groups = [[(occ, fl, es) for (occ, fl), es in g.items()] for g in by_last]
+        flag = [1 << list(ctx.relations).index(y) for y in a.sigma_in]
+        sourced = [0] * n  # the letters under which each state has a source
+        for y, f in zip(a.sigma_in, flag):
+            for _, s in rels[y]:
+                sourced[ctx.index[s]] |= f
+        sources_of = [[q for q in a.states if (q, s) in rels[x]] for s in ctx.states]
+        fits_of, use_of, kinds_of, walked, merged, pairs = {}, {}, {}, set(), {}, 0
+        for c, ((first, last, occ, levels, flags), lag) in enumerate(table.witnesses.items()):
+            late = levels >> (occ.bit_count() * n) & ((1 << n) - 1)
+            fit = fits_of.get((last, late, flags))
+            if fit is None:
+                fit = fits_of[last, late, flags] = [0, []]
+                for g in groups[last]:
+                    if not g[0] & ~late and not flags & ~g[1]:
+                        fit[0] += len(g[2])
+                        fit[1].append(g)
+            pairs += fit[0]
+            if not fit[0] or not sources_of[first]:
                 continue
-            r = rank.setdefault(member, len(rank))
-            # small and big targets differ in size, so equal halves mean equal edge sets
-            small, big, final = targets_of(member, x)
-            for q in sources:
-                key = (q, x, final, small, big)
-                kept = best.get(key)
-                if kept is None or r < kept[0]:
-                    best[key] = r, member
-    # every dominator of a key sorts before it: finals come first, and a
-    # dominator as final as the key has fewer labels; a key dominated by a
-    # dropped key is dominated by what dropped that one
-    antichains = {}  # (q, x) -> its undominated keys so far
-    for key in sorted(best, key=lambda k: (not k[2], len(k[3]) + len(k[4]))):
-        q, x, final, small, big = key
-        antichain = antichains.setdefault((q, x), [])
-        if not any((f or not final) and s <= small and b <= big for _, _, f, s, b in antichain):
-            antichain.append(key)
-    best = {key: best[key] for keys in antichains.values() for key in keys}
-    representative = dict(best.values())  # rank -> member
-    number = {r: i for i, r in enumerate(sorted(representative))}
-    final_up, rows = set(), {}
-    for (q, x, final, small, big), (r, _) in best.items():
-        up_node = ArenaNode(I_UP, q, x, number[r])
-        if final:
+            small, top = bits.small(lag, x)
+            parity = len(lag) % 2 if bits.fv else 0
+            walk = (first, last, late, flags, small, top, parity)
+            if walk in walked:
+                continue
+            walked.add(walk)
+            used = flags & sourced[first]
+            if used not in use_of:
+                use_of[used] = next(i for i, f in enumerate(flag) if used & f)
+            shift = bits.shift[top]
+            for g in fit[1]:
+                kinds = kinds_of.get((last, g[0], g[1], parity))
+                if kinds is None:
+                    # the group's distinct big halves, first idempotent of each: its periods
+                    # share their states, hence their top priority and, under rc, their big half
+                    odd, found = max(map(priority.__getitem__, g[2][0][1])) % 2, {}
+                    for e, period in g[2] if bits.fv else g[2][:1]:
+                        big = bits.big(period, x, parity)
+                        if big not in found:
+                            found[big] = big, odd, e, period
+                    kinds = kinds_of[last, g[0], g[1], parity] = list(found.values())
+                for big, odd, e, period in kinds:
+                    key, rank = (small | big << shift) << 1 | odd, (use_of[used], c, e)
+                    held = merged.get((first, key))
+                    if held is None or rank < held[0]:
+                        merged[first, key] = rank, lag, period
+        if up_sizes is not None:
+            up_sizes[x] = pairs
+        for (first, key), pair in merged.items():
+            for q in sources_of[first]:
+                held = best.get((q, x, key))
+                if held is None or pair[0] < held[0]:
+                    best[q, x, key] = pair
+    # a dominator's key is a proper subset of the dominated one's, so it sorts
+    # first; a key dominated by a dropped key is dominated by what dropped that one
+    behaviours, kept = {}, []  # (q, x) -> its keys
+    for q, x, key in best:
+        behaviours.setdefault((q, x), []).append(key)
+    for (q, x), keys in behaviours.items():
+        antichain = []
+        for key in sorted(keys, key=int.bit_count):
+            for k in antichain:
+                if not k & ~key:
+                    break
+            else:
+                antichain.append(key)
+                kept.append((q, x, key, best[q, x, key]))
+    # rank order across tables: the letter of first use, then the witnesses' order
+    ranked = sorted({(rank[0], len(lag), lag, len(period), period) for *_, (rank, lag, period) in kept})
+    number = {(lag, period): i for i, (_, _, lag, _, period) in enumerate(ranked)}
+    final_up, rows, decoded = set(), {}, {}
+    for q, x, key, (_, lag, period) in kept:
+        up_node = ArenaNode(I_UP, q, x, number[lag, period])
+        if not key & 1:
             final_up.add(up_node)
         moves[ArenaNode(source_kind, q, x)].add(up_node)
-        # edges out of one node compare by their labels
-        rows[up_node] = tuple(sorted(small | big))
+        if key >> 1 not in decoded:  # block nodes with the same labels share a row
+            decoded[key >> 1] = bits.decode(key >> 1)
+        rows[up_node] = decoded[key >> 1]
     for node, dsts in moves.items():
         rows[node] = tuple((dst, -1, "", "plain") for dst in sorted(dsts))
     return Arena(
         semantics=semantics,
         automaton=a,
-        members=tuple(representative[r] for r in number),
+        members=tuple(UPMember(lag, period) for _, _, lag, _, period in ranked),
         nodes=tuple(sorted(rows)),
         rows=rows,
         final_up=frozenset(final_up),
     )
 
 
-def build_rc_arena(a: ParityAutomaton, up: dict) -> Arena:
-    """Arena for the right-continuous game.
+def build_rc_arena(a: ParityAutomaton, tables: dict, up_sizes: dict | None = None) -> Arena:
+    """Arena for the right-continuous game, over each input letter's class table.
 
     fresh -> (q_init, a); (q, a) -> (q, a, u) for blocks u that are valid
     runs under a and start at a successor of q; interrupts from (q, a, u)
     land on (u(n), b) for b != a.  Priorities are read under the max-even
-    convention.
+    convention.  Counts each letter's vocabulary into ``up_sizes`` if given.
     """
     moves = {ArenaNode(O_PAIR, q, x): set() for x in a.sigma_in for q in a.states}
-    return _arena(a, RC, up, a.edge_relations(), moves)
+    return _arena(a, RC, tables, a.edge_relations(), moves, up_sizes)
 
 
-def build_fv_arena(a: ParityAutomaton, up: dict) -> Arena:
-    """Arena for the finite-variability game, with dagger nodes.
+def build_fv_arena(a: ParityAutomaton, tables: dict, up_sizes: dict | None = None) -> Arena:
+    """Arena for the finite-variability game, with dagger nodes, over each input letter's class table.
 
     (q, a) -> (q', +) consumes the point output; (q, +) -> (q, +, a) fixes
     the next input; (q, +, a) -> (q, a, u) commits a block.  Interrupts at
     odd positions are discontinuities from the left and land on (u(n), b);
     even positions are discontinuities from the right and land on
     (u(n), +, b).  Priorities are read under the max-even convention.
+    Counts each letter's vocabulary into ``up_sizes`` if given.
     """
     moves = {}
     for q in a.states:
@@ -351,7 +420,7 @@ def build_fv_arena(a: ParityAutomaton, up: dict) -> Arena:
     for x, rel in rels.items():
         for q, q2 in rel:  # q2 is reached from q under x by some output
             moves[ArenaNode(O_PAIR, q, x)].add(ArenaNode(O_DAG, q2))
-    return _arena(a, FV, up, rels, moves)
+    return _arena(a, FV, tables, rels, moves, up_sizes)
 
 
 # -- inspection -------------------------------------------------------------

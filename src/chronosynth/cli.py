@@ -74,29 +74,69 @@ def _stdin_lines():
         return
 
 
+def _flat(values, sep, close):
+    """The JSON text of each value, or None unless every value is flat.
+
+    A flat value is a str, int, bool or None, or a nonempty dict of those
+    (a record), written with each field after sep and close last.
+    """
+    texts = []
+    for value in values:
+        if isinstance(value, dict) and value:
+            fields = []
+            for key, v in sorted(value.items()):
+                if isinstance(v, str):
+                    v = _quote(v)
+                elif v is None or v is True or v is False:
+                    v = "null" if v is None else "true" if v else "false"
+                elif isinstance(v, int):
+                    v = int.__repr__(v)
+                else:
+                    return None
+                fields.append(_quote(key) + ": " + v)  # raises TypeError unless key is a str
+            value = "{" + sep + ("," + sep).join(fields) + close
+        elif isinstance(value, str):
+            value = _quote(value)
+        elif value is None or value is True or value is False:
+            value = "null" if value is None else "true" if value else "false"
+        elif isinstance(value, int):
+            value = int.__repr__(value)
+        else:
+            return None
+        texts.append(value)
+    return texts
+
+
 def _json_parts(obj, parts, indent):
     """Append obj as json.dumps(obj, indent=2, sort_keys=True) writes it.
 
     Takes dicts with str keys, lists, str, int, bool and None; any other
-    value raises TypeError.  One call per value, except that a list's
-    records of scalars (machine transitions, arena nodes and edges) are
-    written with one join each.
+    value raises TypeError.  A dict or list whose values are all flat
+    (``_flat``: machine transitions, a machine's states, a counter
+    machine's output, arena nodes and edges) is written with one join; any
+    other value recurses once per item.
     """
-    if isinstance(obj, str):
-        parts.append(_quote(obj))
-    elif obj is None or obj is True or obj is False:
-        parts.append("null" if obj is None else "true" if obj else "false")
-    elif isinstance(obj, int):
-        parts.append(int.__repr__(obj))
-    elif isinstance(obj, (dict, list)):
-        if not obj:
-            parts.append("{}" if isinstance(obj, dict) else "[]")
-            return
+    if not isinstance(obj, (dict, list)):
+        texts = _flat((obj,), "", "")
+        if texts is None:
+            raise TypeError(f"{type(obj).__name__} is not emitted as JSON")
+        parts.append(texts[0])
+    elif not obj:
+        parts.append("{}" if isinstance(obj, dict) else "[]")
+    else:
         inner = indent + "  "
         sep = "\n" + inner
+        # a record among the values sits one level further in
+        field_sep, close = sep + "  ", sep + "}"
         if isinstance(obj, dict):
+            keys = sorted(obj)
+            texts = _flat([obj[key] for key in keys], field_sep, close)
+            if texts is not None:
+                fields = [_quote(key) + ": " + text for key, text in zip(keys, texts)]
+                parts.append("{" + sep + ("," + sep).join(fields) + "\n" + indent + "}")
+                return
             parts.append("{")
-            for key in sorted(obj):
+            for key in keys:
                 if not isinstance(key, str):
                     raise TypeError(f"key {key!r} is not a str")
                 parts += (sep, _quote(key), ": ")
@@ -104,31 +144,16 @@ def _json_parts(obj, parts, indent):
                 sep = ",\n" + inner
             parts.append("\n" + indent + "}")
         else:
+            texts = _flat(obj, field_sep, close)
+            if texts is not None:
+                parts.append("[" + sep + ("," + sep).join(texts) + "\n" + indent + "]")
+                return
             parts.append("[")
-            field_sep = sep + "  "
             for value in obj:
                 parts.append(sep)
                 sep = ",\n" + inner
-                if isinstance(value, dict) and value:
-                    # a record of scalars is written with one join; any other value recurses
-                    fields = []
-                    for key, v in sorted(value.items()):
-                        if isinstance(v, str):
-                            v = _quote(v)
-                        elif v is None or v is True or v is False:
-                            v = "null" if v is None else "true" if v else "false"
-                        elif isinstance(v, int):
-                            v = int.__repr__(v)
-                        else:
-                            break
-                        fields.append(_quote(key) + ": " + v)  # raises TypeError unless key is a str
-                    else:
-                        parts.append("{" + field_sep + ("," + field_sep).join(fields) + "\n" + inner + "}")
-                        continue
                 _json_parts(value, parts, inner)
             parts.append("\n" + indent + "]")
-    else:
-        raise TypeError(f"{type(obj).__name__} is not emitted as JSON")
 
 
 def _emit(obj, out):

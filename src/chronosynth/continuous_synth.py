@@ -36,12 +36,7 @@ from typing import NamedTuple
 from .arena import FV, I_UP, OWNER, RC, Arena, ArenaNode, build_fv_arena, build_rc_arena
 from .automaton import ParityAutomaton
 from .discrete_game import Game, dense_ranks
-from .state_monoid import (
-    MONOID_CAP,
-    build_UP,
-    build_class_table,
-    context_from_automaton,
-)
+from .state_monoid import MONOID_CAP, build_class_table, context_from_automaton
 
 
 class SynthError(Exception):
@@ -355,27 +350,26 @@ def solve_interrupt(arena: Arena, stats: SynthStats | None = None):
 def build_game_arena(spec: ParityAutomaton, semantics: str, monoid_cap: int = MONOID_CAP):
     """The arena for one semantics, and the sizes of the layers that built it.
 
-    Builds one class table and block vocabulary per distinct one-step
-    relation (letters that share a relation share them) and the arena over
-    them, the one layer that reads priorities.  Returns (arena, stats) with
-    the class counts, vocabulary sizes and d bound set.
+    Builds one class table per distinct one-step relation (letters that
+    share a relation share it) and the arena straight from the tables, the
+    one layer that reads priorities; the arena counts each letter's block
+    vocabulary without building it.  Returns (arena, stats) with the class
+    counts, vocabulary sizes and d bound set.
     """
     if semantics not in (RC, FV):
         raise SynthError(f"semantics must be '{RC}' or '{FV}'")
     ctx = context_from_automaton(spec)
     stats = SynthStats()
-    solved = {}  # relation -> (class table, vocabulary) of its first letter
-    up_by_letter = {}
+    solved = {}  # relation -> the class table of its first letter
+    tables = {}
     for x in spec.sigma_in:
         if ctx.relations[x] not in solved:
-            table = build_class_table(ctx, cap=monoid_cap, letter=x)
-            solved[ctx.relations[x]] = table, build_UP(table)
-        table, up_by_letter[x] = solved[ctx.relations[x]]
+            solved[ctx.relations[x]] = build_class_table(ctx, cap=monoid_cap, letter=x)
+        table = tables[x] = solved[ctx.relations[x]]
         stats.class_counts[x] = table.class_count
         stats.d_bound = max(stats.d_bound, table.d_q)
-        stats.up_sizes[x] = len(up_by_letter[x])
     builder = build_rc_arena if semantics == RC else build_fv_arena
-    arena = builder(spec, up_by_letter)
+    arena = builder(spec, tables, stats.up_sizes)
     stuck = [n for n in arena.nodes if arena.owner(n) == "O" and not arena.rows[n]]
     if stuck:
         # cannot happen with a complete per-letter vocabulary over a total

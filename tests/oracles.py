@@ -35,15 +35,19 @@ idempotents and d_q of ``state_monoid.build_class_table``;
 witness and builds the block vocabulary by testing every (class,
 idempotent) pair with ``reference_signature_product``, as an oracle for the
 closed-form absorption test of ``state_monoid.build_UP``, and must return the
-same members in the same order; ``reference_interrupt_targets`` scans every
-interrupt position of a member's lag plus one period (two under fv), as an
-oracle for the two cached halves of ``arena._interrupt_targets``;
-``reference_arena`` builds the flat arena, every block node with its own
-sorted ``ArenaEdge`` tuple read off ``reference_interrupt_targets``, as an
-oracle for the move table that ``arena.build_rc_arena`` and
-``build_fv_arena`` return, one row of labels per node, once
-``reference_antichain`` has dropped every block node that another block
-node of its (q, x) dominates, by comparing every pair;
+same members in the same order; ``build_UP`` itself is the oracle for the
+vocabulary that the arena builders walk and count from the class tables
+without building it; ``reference_interrupt_targets`` scans every interrupt
+position of a member's lag plus one period (two under fv), as an oracle
+for the label bits of ``arena._LabelBits``, a small half read off the lag
+and a big half read off the period, checked for every member;
+``reference_arena`` builds the flat arena over ``build_UP`` member lists,
+every block node with its own sorted ``ArenaEdge`` tuple read off
+``reference_interrupt_targets``, as an oracle for the move table that
+``arena.build_rc_arena`` and ``build_fv_arena`` return from the class
+tables, one row of labels per node, once ``reference_antichain`` has
+dropped every block node that another block node of its (q, x) dominates,
+by comparing every pair;
 ``full_arena`` is the flat arena of a spec as an ``Arena``, dominated
 block nodes included, on which the tests check the witnesses found on the
 pruned arena and play the geometric duel, whose controller picks a

@@ -26,9 +26,10 @@ from chronosynth.arena import (
 )
 from chronosynth.automaton import MAX_EVEN, MIN_EVEN, ParityAutomaton, convert_convention, dot_quote
 from chronosynth.cli import main
-from chronosynth import continuous_synth
+from chronosynth import continuous_synth, state_monoid
 from chronosynth.continuous_synth import SynthError, build_game_arena, decide_continuous
 from chronosynth.state_monoid import (
+    UPMember,
     build_UP,
     build_class_table,
     context_from_automaton,
@@ -37,6 +38,7 @@ from chronosynth.state_monoid import (
 
 from fixture_specs import FIXTURES, load_fixture
 from oracles import full_arena, reference_antichain, reference_arena
+from test_discrete_game import _family_spec
 
 
 def one_state_automaton(sigma_in=("0", "1"), priority=0):
@@ -63,21 +65,21 @@ def is_path_for(member, a, ctx):
     return bool(signature_of(member.lag, ctx)[4] >> list(ctx.relations).index(a) & 1)
 
 
-def up_for(a):
+def tables_for(a):
     ctx = context_from_automaton(a)
-    return {x: build_UP(build_class_table(ctx, letter=x)) for x in a.sigma_in}
+    return {x: build_class_table(ctx, letter=x) for x in a.sigma_in}
 
 
 def test_rc_arena_one_state_shape():
     a = one_state_automaton()
-    up = up_for(a)
-    arena = build_rc_arena(a, up)
+    tables = tables_for(a)
+    arena = build_rc_arena(a, tables)
     kinds = {}
     for n in arena.nodes:
         kinds.setdefault(n.kind, []).append(n)
     assert len(kinds["fresh"]) == 1
     assert len(kinds[O_PAIR]) == 2
-    assert len(kinds[I_UP]) <= sum(len(members) for members in up.values())
+    assert len(kinds[I_UP]) <= sum(len(build_UP(table)) for table in tables.values())
     # from fresh, one edge per input letter
     assert len(arena.outgoing(arena.fresh)) == 2
     # every block node interrupts only to the other letter, via big edges too
@@ -90,7 +92,7 @@ def test_rc_arena_one_state_shape():
 
 def test_rc_arena_singleton_input_has_no_interrupts():
     a = one_state_automaton(sigma_in=("0",))
-    arena = build_rc_arena(a, up_for(a))
+    arena = build_rc_arena(a, tables_for(a))
     assert all(not e.labeled for e in arena.edges)
 
 
@@ -102,9 +104,9 @@ def test_arena_builders_convert_to_max_even():
         canonical = convert_convention(spec, MAX_EVEN)
         if canonical.priority == spec.priority:
             continue
-        up = up_for(spec)
+        tables = tables_for(spec)
         for build in (build_rc_arena, build_fv_arena):
-            arena, expected = build(spec, up), build(canonical, up)
+            arena, expected = build(spec, tables), build(canonical, tables)
             assert arena.edges == expected.edges
             assert arena.final_up == expected.final_up
         checked += 1
@@ -115,7 +117,7 @@ def test_big_edge_priority_is_member_max():
     rng = random.Random(3)
     for _ in range(10):
         a = random_automaton(rng)
-        arena = build_rc_arena(a, up_for(a))
+        arena = build_rc_arena(a, tables_for(a))
         checked = 0
         for e in arena.edges:
             if e.size != "big":
@@ -130,7 +132,7 @@ def test_big_edge_priority_is_member_max():
 def test_small_edge_priority_bounded_by_big():
     rng = random.Random(5)
     a = random_automaton(rng)
-    arena = build_rc_arena(a, up_for(a))
+    arena = build_rc_arena(a, tables_for(a))
     for node in arena.nodes:
         if node.kind != I_UP:
             continue
@@ -144,7 +146,7 @@ def test_small_edge_priority_bounded_by_big():
 def test_small_edges_land_in_lag_targets():
     rng = random.Random(7)
     a = random_automaton(rng)
-    arena = build_rc_arena(a, up_for(a))
+    arena = build_rc_arena(a, tables_for(a))
     for e in arena.edges:
         if e.size == "small":
             member = arena.member(e.src)
@@ -160,7 +162,7 @@ def test_small_edges_land_in_lag_targets():
 
 def test_fv_arena_structure():
     a = one_state_automaton()
-    arena = build_fv_arena(a, up_for(a))
+    arena = build_fv_arena(a, tables_for(a))
     dag_nodes = [n for n in arena.nodes if n.kind == O_DAG]
     assert dag_nodes
     for n in dag_nodes:
@@ -178,7 +180,7 @@ def test_fv_arena_structure():
 def test_fv_left_interrupts_come_from_odd_positions():
     rng = random.Random(11)
     a = random_automaton(rng)
-    arena = build_fv_arena(a, up_for(a))
+    arena = build_fv_arena(a, tables_for(a))
     for e in arena.edges:
         if e.kind not in (LEFT, RIGHT):
             continue
@@ -198,7 +200,7 @@ def test_fv_left_interrupts_come_from_odd_positions():
 def test_fv_final_set_matches_period_priority():
     rng = random.Random(13)
     a = random_automaton(rng)
-    arena = build_fv_arena(a, up_for(a))
+    arena = build_fv_arena(a, tables_for(a))
     for node in arena.nodes:
         if node.kind != I_UP:
             continue
@@ -210,21 +212,21 @@ def test_fv_final_set_matches_period_priority():
 def test_fv_node_priorities_inherited():
     rng = random.Random(17)
     a = random_automaton(rng)
-    arena = build_fv_arena(a, up_for(a))
+    arena = build_fv_arena(a, tables_for(a))
     for n in arena.nodes:
         if n.kind == "fresh":
             assert arena.node_priority(n) == -1
         else:
             assert arena.node_priority(n) == a.priority[n.state]
-    rc = build_rc_arena(a, up_for(a))
+    rc = build_rc_arena(a, tables_for(a))
     assert all(rc.node_priority(n) == -1 for n in rc.nodes)
 
 
 def test_dot_export_deterministic_and_parses_back():
     a = one_state_automaton()
-    arena = build_rc_arena(a, up_for(a))
+    arena = build_rc_arena(a, tables_for(a))
     dot1 = export_dot(arena)
-    dot2 = export_dot(build_rc_arena(a, up_for(a)))
+    dot2 = export_dot(build_rc_arena(a, tables_for(a)))
     assert dot1 == dot2
     assert dot1.startswith("digraph")
     assert dot1.count("->") == len(arena.edges)
@@ -232,7 +234,7 @@ def test_dot_export_deterministic_and_parses_back():
 
 def test_json_dump_counts():
     a = one_state_automaton()
-    arena = build_fv_arena(a, up_for(a))
+    arena = build_fv_arena(a, tables_for(a))
     data = arena_to_json(arena)
     assert len(data["nodes"]) == len(arena.nodes)
     assert len(data["edges"]) == len(arena.edges)
@@ -432,11 +434,14 @@ def _continuous_fixtures():
 def test_factored_arena_matches_flat_reference(quotient_corpus):
     specs = [a for a, semantics, _ in quotient_corpus if semantics == RC] + _continuous_fixtures()
     specs += [random_automaton(random.Random(seed), 3) for seed in range(8)]
+    # in deep/3/9 fv two classes agree on all the walk reads of them but their lag's parity
+    specs += [_family_spec("deep", i, 3, ("0", "1"), 4) for i in range(12)]
     blocks = 0
     for a in specs:
-        up = up_for(a)
+        tables = tables_for(a)
+        up = {x: build_UP(table) for x, table in tables.items()}
         for semantics, build in ((RC, build_rc_arena), (FV, build_fv_arena)):
-            arena, flat = build(a, up), reference_antichain(reference_arena(a, semantics, up))
+            arena, flat = build(a, tables), reference_antichain(reference_arena(a, semantics, up))
             count = arena.edge_count  # read off the table, before any edge is built
             assert arena.nodes == flat.nodes, semantics
             assert {n: arena.outgoing(n) for n in arena.nodes} == flat.edges_from, semantics
@@ -478,12 +483,42 @@ def test_build_game_arena_builds_no_edge(monkeypatch):
     for a in _continuous_fixtures():
         for semantics in (RC, FV):
             assert build_game_arena(a, semantics)[0]._edges == {}, semantics
-    # and still refuses a controller node without moves: an empty vocabulary
-    # leaves each (q, +, x) node none
-    monkeypatch.setattr(continuous_synth, "build_UP", lambda table: ())
+    # and still refuses a controller node without moves: class tables without
+    # idempotents give an empty vocabulary, which leaves each (q, +, x) node none
+    build = continuous_synth.build_class_table
+
+    def without_idempotents(*args, **kwargs):
+        return build(*args, **kwargs)._replace(idempotents=frozenset())
+
+    monkeypatch.setattr(continuous_synth, "build_class_table", without_idempotents)
     for semantics in (RC, FV):
         with pytest.raises(SynthError, match="controller node without moves"):
             build_game_arena(load_fixture("psi_copy"), semantics)
+
+
+def test_build_game_arena_builds_members_only_for_representatives(monkeypatch):
+    # the arena is built straight from the class tables: no vocabulary list,
+    # and a UPMember only for each block node's representative
+    def refuse(table):
+        raise AssertionError("build_UP called")
+
+    monkeypatch.setattr(state_monoid, "build_UP", refuse)
+    assert not hasattr(continuous_synth, "build_UP")
+    made = []
+    new = UPMember.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(UPMember, "__new__", counting)
+    specs = _continuous_fixtures() + [random_automaton(random.Random(seed), 3) for seed in range(4)]
+    for a in specs:
+        for semantics in (RC, FV):
+            made.clear()
+            arena = build_game_arena(a, semantics)[0]
+            assert 0 < len(made) <= len(arena.members), semantics
+            assert all(type(m) is UPMember for m in arena.members)
 
 
 # -- 3-state arenas are pinned -------------------------------------------------

@@ -759,6 +759,10 @@ def test_emitter_matches_json_dumps_on_hand_made_values():
         12,
         None,
         [[1, [2, [3, {"x": [4]}]]]],
+        # a machine's states and a counter machine's output, each written with one join
+        {"states": [f"q{i}" for i in range(300)], "initial": "q0"},
+        {"output": {f"q{i}": awkward[i % 6] for i in range(40)}, "states": ["q0", None, True, 3]},
+        [["a", 1, None], {"k": [False, "é"]}, [], "b"],
     ]
     for value in cases:
         assert _emitted(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"

@@ -1,22 +1,26 @@
-"""The closed-form block vocabulary and the cached interrupt-target halves, against their references.
+"""The closed-form block vocabulary and the label bits of the arena, against their references.
 
 ``build_UP`` decides absorption from three mask conditions and ``build_class_table``
-decides idempotence the same way; ``arena._interrupt_targets`` assembles a
-member's interrupt targets from a small half cached by lag and a big half
-cached by period.  Each is compared with the literal procedure it replaces,
-kept in ``oracles.py``, on seeded specs and on the fixtures.
+decides idempotence the same way; ``arena._LabelBits`` encodes a member's
+interrupt labels as the bits of one int, a small half read off its lag and
+a big half read off its period, and the arena builders count each letter's
+vocabulary without building it.  Each is compared with the literal
+procedure it replaces, kept in ``oracles.py``, or with ``build_UP``, on
+seeded specs and on the fixtures.
 """
 
 import random
 
 import pytest
 
-from chronosynth.arena import FV, RC, _interrupt_targets
+from chronosynth.arena import FV, RC, _LabelBits, build_fv_arena, build_rc_arena
 from chronosynth.automaton import MAX_EVEN, ParityAutomaton, convert_convention, load_automaton
+from chronosynth.continuous_synth import build_game_arena
 from chronosynth.state_monoid import build_UP, build_class_table, context_from_automaton, signature_of
 
 from fixture_specs import FIXTURES
 from oracles import reference_build_UP, reference_interrupt_targets
+from test_discrete_game import _family_spec
 
 PAIR_CAP = 200_000  # the default --monoid-cap, which `monoid` applies to classes x idempotents
 
@@ -81,18 +85,38 @@ def test_closed_form_vocabulary_matches_product_reference(name, vocabularies):
 @pytest.mark.parametrize("name", SPECS)
 @pytest.mark.parametrize("semantics", (RC, FV))
 def test_cached_target_halves_match_position_scan(name, semantics, vocabularies):
+    # every member of every vocabulary, not only the arena's representatives
     a = SPECS[name]
-    targets = _interrupt_targets(a, semantics)
+    bits = _LabelBits(a, semantics)
     checked = 0
     for letter, _, members in vocabularies[name]:
         for i, member in enumerate(members):
             # full-table members run under no one letter: take the letters in turn
             x = a.sigma_in[i % len(a.sigma_in)] if letter is None else letter
-            small, big, final = targets(member, x)
-            assert {t[2] for t in small} <= {"small"} and {t[2] for t in big} <= {"big"}
-            assert final == (max(a.priority[q] for q in member.period) % 2 == 0)
-            assert small | big == reference_interrupt_targets(a, member, x, semantics), (
+            small, top = bits.small(member.lag, x)
+            big = bits.big(member.period, x, len(member.lag)) << bits.shift[top]
+            assert not small & big
+            assert {t[2] for t in bits.decode(small)} <= {"small"} and {t[2] for t in bits.decode(big)} <= {"big"}
+            assert top == max(a.priority[q] for q in member.lag)
+            assert bits.decode(small | big) == tuple(sorted(reference_interrupt_targets(a, member, x, semantics))), (
                 x, member.lag, member.period
             )
             checked += 1
     assert checked > 0
+
+
+DEEP = {f"deep/4/{i}": _family_spec("deep", i, 4, ("0", "1"), 4) for i in range(12)}
+
+
+@pytest.mark.parametrize("name", [*SPECS, *DEEP])
+def test_counted_vocabulary_is_build_UP(name):
+    # the builders count each letter's pairs without building a member
+    a = SPECS[name] if name in SPECS else DEEP[name]
+    ctx = context_from_automaton(a)
+    tables = {x: build_class_table(ctx, letter=x) for x in a.sigma_in}
+    want = {x: len(build_UP(table)) for x, table in tables.items()}
+    for semantics, build in ((RC, build_rc_arena), (FV, build_fv_arena)):
+        counted = {}
+        build(a, tables, counted)
+        assert counted == want, semantics
+        assert build_game_arena(a, semantics)[1].up_sizes == want, semantics
