@@ -28,8 +28,9 @@ the controller and dropping it leaves every node's winner as it is.  With
 labels as bits the subset test is a mask test.  (q, x) gets one block node
 per undominated behaviour, represented by the first-ranked member that
 has it; this is the antichain of minimal behaviours (De Wulf, Doyen,
-Henzinger & Raskin, CAV 2006).  The builders walk each input letter's
-class table and build a ``UPMember`` only for a kept representative.
+Henzinger & Raskin, CAV 2006).  The builders read each input letter's
+block vocabulary off ``state_monoid.vocabulary``, the one walk of (class,
+idempotent) pairs, and build a ``UPMember`` only for a kept representative.
 
 Nodes and edges are immutable named tuples, ordered, compared and hashed
 by their fields in declaration order; the sorted node list, and with it the
@@ -50,7 +51,7 @@ from functools import cached_property
 from typing import NamedTuple
 
 from .automaton import MAX_EVEN, ParityAutomaton, convert_convention, dot_quote, state_name
-from .state_monoid import UPMember
+from .state_monoid import UPMember, vocabulary
 
 RC = "rc"
 FV = "fv"
@@ -263,25 +264,25 @@ class _LabelBits:
         return tuple(row)
 
 
-def _arena(a, semantics, tables, rels, moves, up_sizes):
+def _arena(a, semantics, tables, moves, up_sizes):
     """The arena over a builder's map from its (q, x) and dagger nodes to their successors.
 
     Adds, under the max-even convention, the fresh node with an edge to
     (q_init, x) per input letter, and one block node per undominated
     behaviour of (q, x), entered from (q, x) under rc and (q, +, x) under
-    fv.  tables[x] is input letter x's path class table.  Its pairs of a
-    class and a compatible idempotent, the members of ``build_UP``, are
-    met by groups of idempotents that share (last, occ, flags) and counted
-    into ``up_sizes[x]`` if given; only the first class of each (first,
-    last, late, flags, small half, top priority, lag parity) is walked.  A
-    behaviour's key is its labels over a low bit set iff it is not final,
-    so A dominates B iff ``not key_A & ~key_B``.  Pairs with a source are
-    ranked by first use over (letter, class, idempotent): the first input
-    letter whose paths hold the class and give its first state a source,
-    then the witnesses' order, shortest and lexicographically least, which
-    all tables share.  The lowest-ranked pair of a behaviour represents it,
-    and only kept representatives become ``UPMember``s, numbered in rank
-    order.  rels is ``a.edge_relations()``.
+    fv.  tables[x] is input letter x's path class table, whose
+    ``vocabulary`` walk, the one that ``build_UP`` expands, gives each
+    class with its groups of absorbed idempotents; the pairs are counted
+    into ``up_sizes[x]`` if given, a group's big halves are computed once
+    per lag parity, and only the first class of each (first, last, late,
+    flags, small half, top priority, lag parity) goes on.  A behaviour's
+    key is its labels over a low bit set iff it is not final, so A
+    dominates B iff ``not key_A & ~key_B``.  Pairs with a source are ranked
+    by first use over (letter, class, idempotent): the first input letter
+    whose paths hold the class and give its first state a source, then the
+    witnesses' order, shortest and lexicographically least, which all
+    tables share.  The lowest-ranked pair of a behaviour represents it, and
+    only kept representatives become ``UPMember``s, numbered in rank order.
     """
     a = convert_convention(a, MAX_EVEN)
     moves[Arena.fresh] = {ArenaNode(O_PAIR, a.initial, x) for x in a.sigma_in}
@@ -289,33 +290,20 @@ def _arena(a, semantics, tables, rels, moves, up_sizes):
     bits, priority = _LabelBits(a, semantics), a.priority
     best = {}  # (q, x, key) -> (rank, lag, period) of the lowest-ranked pair with that behaviour
     for x in a.sigma_in:
-        table = tables[x]
-        ctx = table.ctx
-        n = len(ctx.states)
-        by_last, i = [{} for _ in ctx.states], 0  # (occ, flags) -> [(index, witness)], in table order
-        for e, period in table.witnesses.items():
-            if e in table.idempotents:
-                by_last[e[1]].setdefault((e[2], e[4]), []).append((i, period))
-                i += 1
-        groups = [[(occ, fl, es) for (occ, fl), es in g.items()] for g in by_last]
-        flag = [1 << list(ctx.relations).index(y) for y in a.sigma_in]
-        sourced = [0] * n  # the letters under which each state has a source
+        ctx = tables[x].ctx
+        rels = ctx.relations
+        flag = [1 << list(rels).index(y) for y in a.sigma_in]
+        sourced = [0] * len(ctx.states)  # the letters under which each state has a source
         for y, f in zip(a.sigma_in, flag):
             for _, s in rels[y]:
                 sourced[ctx.index[s]] |= f
         sources_of = [[q for q in a.states if (q, s) in rels[x]] for s in ctx.states]
-        fits_of, use_of, kinds_of, walked, merged, pairs = {}, {}, {}, set(), {}, 0
-        for c, ((first, last, occ, levels, flags), lag) in enumerate(table.witnesses.items()):
-            late = levels >> (occ.bit_count() * n) & ((1 << n) - 1)
-            fit = fits_of.get((last, late, flags))
-            if fit is None:
-                fit = fits_of[last, late, flags] = [0, []]
-                for g in groups[last]:
-                    if not g[0] & ~late and not flags & ~g[1]:
-                        fit[0] += len(g[2])
-                        fit[1].append(g)
-            pairs += fit[0]
-            if not fit[0] or not sources_of[first]:
+        use_of, kinds_of, walked, merged, pairs = {}, {}, set(), {}, 0
+        for c, ((first, last, _, _, flags), late, lag, groups) in enumerate(vocabulary(tables[x])):
+            if not groups:
+                continue
+            pairs += sum(len(es) for _, es in groups)
+            if not sources_of[first]:
                 continue
             small, top = bits.small(lag, x)
             parity = len(lag) % 2 if bits.fv else 0
@@ -327,17 +315,17 @@ def _arena(a, semantics, tables, rels, moves, up_sizes):
             if used not in use_of:
                 use_of[used] = next(i for i, f in enumerate(flag) if used & f)
             shift = bits.shift[top]
-            for g in fit[1]:
-                kinds = kinds_of.get((last, g[0], g[1], parity))
+            for number, es in groups:
+                kinds = kinds_of.get((number, parity))
                 if kinds is None:
                     # the group's distinct big halves, first idempotent of each: its periods
                     # share their states, hence their top priority and, under rc, their big half
-                    odd, found = max(map(priority.__getitem__, g[2][0][1])) % 2, {}
-                    for e, period in g[2] if bits.fv else g[2][:1]:
+                    odd, found = max(map(priority.__getitem__, es[0][1])) % 2, {}
+                    for e, period in es if bits.fv else es[:1]:
                         big = bits.big(period, x, parity)
                         if big not in found:
                             found[big] = big, odd, e, period
-                    kinds = kinds_of[last, g[0], g[1], parity] = list(found.values())
+                    kinds = kinds_of[number, parity] = list(found.values())
                 for big, odd, e, period in kinds:
                     key, rank = (small | big << shift) << 1 | odd, (use_of[used], c, e)
                     held = merged.get((first, key))
@@ -397,7 +385,7 @@ def build_rc_arena(a: ParityAutomaton, tables: dict, up_sizes: dict | None = Non
     convention.  Counts each letter's vocabulary into ``up_sizes`` if given.
     """
     moves = {ArenaNode(O_PAIR, q, x): set() for x in a.sigma_in for q in a.states}
-    return _arena(a, RC, tables, a.edge_relations(), moves, up_sizes)
+    return _arena(a, RC, tables, moves, up_sizes)
 
 
 def build_fv_arena(a: ParityAutomaton, tables: dict, up_sizes: dict | None = None) -> Arena:
@@ -416,11 +404,10 @@ def build_fv_arena(a: ParityAutomaton, tables: dict, up_sizes: dict | None = Non
         for x in a.sigma_in:
             moves[ArenaNode(O_PAIR, q, x)] = set()
             moves[ArenaNode(I_DAG, q, x)] = set()
-    rels = a.edge_relations()
-    for x, rel in rels.items():
-        for q, q2 in rel:  # q2 is reached from q under x by some output
+    for x in a.sigma_in:
+        for q, q2 in tables[x].ctx.relations[x]:  # q2 is reached from q under x by some output
             moves[ArenaNode(O_PAIR, q, x)].add(ArenaNode(O_DAG, q2))
-    return _arena(a, FV, tables, rels, moves, up_sizes)
+    return _arena(a, FV, tables, moves, up_sizes)
 
 
 # -- inspection -------------------------------------------------------------

@@ -33,6 +33,7 @@ from .state_monoid import (
     build_UP,
     build_class_table,
     context_from_automaton,
+    vocabulary,
 )
 
 EXIT_OK = 0
@@ -246,22 +247,20 @@ def cmd_monoid(spec, args, out, err):
         letters = ", ".join(spec.sigma_in)
         raise UsageError(f"unknown input letter {args.letter!r}; the spec's letters are {letters}")
     ctx = context_from_automaton(spec)
-    # the cap also bounds the (class, idempotent) pairs that could form members;
-    # build_UP tries only the pairs that end in the same state
+    # the cap also bounds the (class, idempotent) pairs, one member each under --full
     table = build_class_table(ctx, cap=args.monoid_cap, letter=args.letter, pair_cap=args.monoid_cap)
-    up = build_UP(table)
     payload = {
         "classes": table.class_count,
         "d_Q": table.d_q,
         "idempotents": len(table.idempotents),
-        "up_members": len(up),
+        "up_members": sum(len(es) for *_, groups in vocabulary(table) for _, es in groups),
     }
     if args.letter is not None:
         payload["letter"] = args.letter
     if args.full:
         payload["representatives"] = [list(w) for w in table.witnesses.values()]
         payload["up"] = [
-            {"lag": list(m.lag), "period": list(m.period)} for m in up
+            {"lag": list(m.lag), "period": list(m.period)} for m in build_UP(table)
         ]
     _emit(payload, out)
     return EXIT_OK

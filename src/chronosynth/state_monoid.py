@@ -189,27 +189,40 @@ class UPMember(NamedTuple):
         return self.period[(n - len(self.lag) - 1) % len(self.period)]
 
 
-def build_UP(table: ClassTable) -> list:
-    """The move vocabulary: lag . period^omega over class representatives.
+def vocabulary(table: ClassTable):
+    """Each class, in table order, with the idempotents it absorbs: the block vocabulary.
 
-    A pair of representatives (r, e) qualifies when e's class is idempotent
-    and appending e does not change r's class, which ``absorbs`` decides in
-    closed form, inlined below.  Only idempotents ending where r's class
-    ends can qualify, so each class is tried against that bucket alone.  An
-    idempotent's flags all step from its last state to its first (squaring
-    it keeps them), so the flag test needs no step mask.  Members come out
-    in (class order, idempotent order).
+    Yields (signature, late, witness, groups), late being the class's
+    ``late_states``.  ``absorbs`` is decided in closed form: an idempotent
+    qualifies only if it ends where the class ends, and its flags all step
+    from its last state to its first (squaring keeps them), so the flag test
+    needs no step mask.  groups lists the qualifying idempotents that share
+    (last, occ, flags) as (number, [(index in table order, witness)]), the
+    number unique within the walk; the mask tests run once per (last, late,
+    flags), and classes share the yielded lists.
     """
-    n = len(table.ctx.states)
-    full = (1 << n) - 1
-    by_last = [[] for _ in range(n)]
-    for e, period in table.witnesses.items():
-        if e in table.idempotents:
-            by_last[e[1]].append((e[2], e[4], period))
+    ctx, witnesses = table.ctx, table.witnesses
+    found = {}  # (last, occ, flags) -> (number, [(index, witness)]), in table order
+    for i, e in enumerate(e for e in witnesses if e in table.idempotents):
+        found.setdefault((e[1], e[2], e[4]), (len(found), []))[1].append((i, witnesses[e]))
+    buckets = [[] for _ in ctx.states]
+    for (last, occ, flags), group in found.items():
+        buckets[last].append((occ, flags, group))
+    fits = {}  # (last, late, flags) -> the groups that qualify
+    for s, witness in witnesses.items():
+        late, last, flags = late_states(ctx, s), s[1], s[4]
+        groups = fits.get((last, late, flags))
+        if groups is None:
+            groups = fits[last, late, flags] = [
+                g for occ, e_flags, g in buckets[last] if not occ & ~late and not flags & ~e_flags
+            ]
+        yield s, late, witness, groups
+
+
+def build_UP(table: ClassTable) -> list:
+    """The move vocabulary, lag . period^omega: the walk expanded in (class, idempotent) order."""
     members = []
-    for (_, last, occ, levels, flags), rep in table.witnesses.items():
-        late = levels >> (occ.bit_count() * n) & full
-        for e_occ, e_flags, period in by_last[last]:
-            if not e_occ & ~late and not flags & ~e_flags:
-                members.append(UPMember(rep, period))
+    for _, _, rep, groups in vocabulary(table):
+        for _, period in sorted(e for _, es in groups for e in es):
+            members.append(UPMember(rep, period))
     return members

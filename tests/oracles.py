@@ -34,10 +34,11 @@ idempotents and d_q of ``state_monoid.build_class_table``;
 ``reference_build_UP`` recomputes each class's named signature from its
 witness and builds the block vocabulary by testing every (class,
 idempotent) pair with ``reference_signature_product``, as an oracle for the
-closed-form absorption test of ``state_monoid.build_UP``, and must return the
-same members in the same order; ``build_UP`` itself is the oracle for the
-vocabulary that the arena builders walk and count from the class tables
-without building it; ``reference_interrupt_targets`` scans every interrupt
+closed-form absorption test of ``state_monoid.vocabulary``, the one walk of
+the block vocabulary: ``build_UP``, the walk expanded, must return the same
+members in the same order, and the pairs that the arena builders and
+``monoid`` count off the walk without building a member must number as
+many; ``reference_interrupt_targets`` scans every interrupt
 position of a member's lag plus one period (two under fv), as an oracle
 for the label bits of ``arena._LabelBits``, a small half read off the lag
 and a big half read off the period, checked for every member;

@@ -16,6 +16,7 @@ from chronosynth.automaton import MIN_EVEN, convert_convention, load_automaton
 from chronosynth import cli
 from chronosynth.cli import EXIT_CAP, EXIT_OK, EXIT_UNDECIDED, EXIT_USAGE, main
 from chronosynth.continuous_synth import build_game_arena
+from chronosynth.state_monoid import UPMember
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "fixtures"
@@ -390,6 +391,35 @@ def test_monoid_pair_cap_stops_the_class_table_early():
     assert time.perf_counter() - start < 1.0
     assert code == EXIT_CAP
     assert out == "" and "over the pair cap 200000" in err
+
+
+def test_monoid_counts_members_without_building_them(monkeypatch):
+    # up_members is counted off the vocabulary walk; only --full builds the members
+    made = [0]
+    new = UPMember.__new__
+
+    def counting(cls, *args, **kwargs):
+        made[0] += 1
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(UPMember, "__new__", counting)
+    # the whole tables of the 4-state fixtures are over the default pair cap
+    for name in ("one_state", "psi_copy", "psi_jump_fv", "psi_indet_fv"):
+        path = str(FIXTURES / f"{name}.json")
+        letters = load_automaton(path).sigma_in
+        whole = [["monoid", path]] if name in ("one_state", "psi_copy") else []
+        for argv in (*whole, *(["monoid", "--letter", x, path] for x in letters)):
+            made[0] = 0
+            code, out, _ = run_cli(*argv)
+            assert (code, made[0]) == (EXIT_OK, 0), argv
+            code, full, _ = run_cli(*argv[:1], "--full", *argv[1:])
+            assert code == EXIT_OK and json.loads(full)["up_members"] == json.loads(out)["up_members"]
+            assert len(json.loads(full)["up"]) == json.loads(out)["up_members"] == made[0], argv
+    # 53,312 classes x 6,772 idempotents, past the default pair cap
+    made[0] = 0
+    code, out, err = run_cli("--monoid-cap", "400000000", "monoid", str(FIXTURES / "predict_next.json"))
+    assert (code, err, made[0]) == (EXIT_OK, "", 0)
+    assert json.loads(out)["up_members"] == 11_590_180
 
 
 # where a capped build stops depends on the order the classes are found in,
