@@ -40,7 +40,9 @@ def step(q, a, b):
     return q
 
 
-toggler = ParityAutomaton(
+# the constructor takes the integer transition table; a named (state, in,
+# out) -> state dict goes through from_transitions, which checks it into one
+toggler = ParityAutomaton.from_transitions(
     states=("r", "s"),
     sigma_in=("0", "1"),
     sigma_out=("0", "1"),

@@ -47,7 +47,8 @@ in node order.
 from __future__ import annotations
 
 from collections import Counter
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import NamedTuple
 
 from .automaton import MAX_EVEN, ParityAutomaton, convert_convention, dot_quote, state_name
@@ -289,16 +290,15 @@ def _arena(a, semantics, tables, moves, up_sizes):
     source_kind = O_PAIR if semantics == RC else I_DAG
     bits, priority = _LabelBits(a, semantics), a.priority
     best = {}  # (q, x, key) -> (rank, lag, period) of the lowest-ranked pair with that behaviour
-    for x in a.sigma_in:
-        ctx = tables[x].ctx
-        rels = ctx.relations
-        flag = [1 << list(rels).index(y) for y in a.sigma_in]
-        sourced = [0] * len(ctx.states)  # the letters under which each state has a source
-        for y, f in zip(a.sigma_in, flag):
-            for _, s in rels[y]:
-                sourced[ctx.index[s]] |= f
-        sources_of = [[q for q in a.states if (q, s) in rels[x]] for s in ctx.states]
-        use_of, kinds_of, walked, merged, pairs = {}, {}, set(), {}, 0
+    ctx = None
+    for bit, x in enumerate(a.sigma_in):  # letter bits follow sigma_in, as edge_relations lists them
+        if tables[x].ctx is not ctx:  # letters share a context: read its step masks once
+            ctx = tables[x].ctx
+            # into[s]: per state of a, the mask of the letters that step it to state number s
+            into = list(zip(*(ctx.steps[ctx.index[q]] for q in a.states)))
+            sourced = [reduce(or_, masks) for masks in into]  # the letters under which s has a source
+        sources_of = [[q for q, m in zip(a.states, masks) if m >> bit & 1] for masks in into]
+        kinds_of, walked, merged, pairs = {}, set(), {}, 0
         for c, ((first, last, _, _, flags), late, lag, groups) in enumerate(vocabulary(tables[x])):
             if not groups:
                 continue
@@ -312,8 +312,7 @@ def _arena(a, semantics, tables, moves, up_sizes):
                 continue
             walked.add(walk)
             used = flags & sourced[first]
-            if used not in use_of:
-                use_of[used] = next(i for i, f in enumerate(flag) if used & f)
+            use = (used & -used).bit_length() - 1  # the lowest letter of first use
             shift = bits.shift[top]
             for number, es in groups:
                 kinds = kinds_of.get((number, parity))
@@ -327,7 +326,7 @@ def _arena(a, semantics, tables, moves, up_sizes):
                             found[big] = big, odd, e, period
                     kinds = kinds_of[number, parity] = list(found.values())
                 for big, odd, e, period in kinds:
-                    key, rank = (small | big << shift) << 1 | odd, (use_of[used], c, e)
+                    key, rank = (small | big << shift) << 1 | odd, (use, c, e)
                     held = merged.get((first, key))
                     if held is None or rank < held[0]:
                         merged[first, key] = rank, lag, period

@@ -5,19 +5,20 @@ a pair ``(in_letter, out_letter)``.  Two acceptance conventions coexist:
 ``min_even`` (minimum priority seen infinitely often is even) and
 ``max_even``; the game pipeline normalizes to ``max_even`` at ingestion.
 
-Every automaton is its integer transition ``table``.  The constructor checks
-a named ``transition`` dict into the table in one walk over the (state, in,
-out) triples.  The spec-file loader, the product with a safety monitor and
-the convention change start from a checked table instead and go through
-``ParityAutomaton._from_table``; such an automaton names ``transition`` from
-its table only when something first reads it.
+Every automaton is its integer transition ``table``, and its one
+constructor takes the table.  ``ParityAutomaton.from_transitions`` checks a
+named ``transition`` dict into a table in one walk over the (state, in, out)
+triples; the spec-file loader, the product with a safety monitor and the
+convention change build the table themselves.  ``transition`` is a view of
+the table, named only when something first reads it.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from operator import add, itemgetter
 from typing import NamedTuple
 from .omega_word import LassoWord, inf_set, transduce
@@ -42,86 +43,79 @@ class AlphabetMismatchError(AutomatonError):
     pass
 
 
-@dataclass(frozen=True, eq=True)
+def _check_fields(states, sigma_in, sigma_out, initial, convention):
+    """The checks that read no transition or priority: the alphabets, the convention, the initial state."""
+    if not sigma_in or not sigma_out:
+        raise AutomatonError("sigma_in and sigma_out must be nonempty")
+    if convention not in CONVENTIONS:
+        raise AutomatonError(f"unknown convention {convention!r}")
+    if initial not in states:
+        raise AutomatonError("initial state not among states")
+
+
+def _check_priority(priority, q):
+    if q not in priority:
+        raise AutomatonError(f"priority missing for state {q!r}")
+    if priority[q] < 0:
+        raise AutomatonError("priorities must be nonnegative")
+
+
+@dataclass(frozen=True, kw_only=True)
 class ParityAutomaton:
     """Complete deterministic parity automaton over Sigma_in x Sigma_out.
 
     ``table[(i * len(sigma_in) + x) * len(sigma_out) + y]`` is the index in
-    ``states`` of the target of (states[i], sigma_in[x], sigma_out[y]).
+    ``states`` of the target of (states[i], sigma_in[x], sigma_out[y]); the
+    caller checks that names are distinct and that every entry is an index.
+    The fields are keyword-only, so a named dict passed where the table goes
+    fails when the automaton is built.
     """
 
     states: tuple
     sigma_in: tuple
     sigma_out: tuple
-    transition: dict  # (state, in_letter, out_letter) -> state
+    table: list
     initial: object
     priority: dict  # state -> nonnegative int
     convention: str = MIN_EVEN
 
     def __post_init__(self):
-        object.__setattr__(self, "states", tuple(self.states))
-        object.__setattr__(self, "sigma_in", tuple(self.sigma_in))
-        object.__setattr__(self, "sigma_out", tuple(self.sigma_out))
-        self._check_fields()
-        index = {q: i for i, q in enumerate(self.states)}
-        table = []
+        _check_fields(self.states, self.sigma_in, self.sigma_out, self.initial, self.convention)
         for q in self.states:
-            self._check_priority(q)
-            for a in self.sigma_in:
-                for b in self.sigma_out:
-                    tgt = self.transition.get((q, a, b))
+            _check_priority(self.priority, q)
+
+    @classmethod
+    def from_transitions(cls, states, sigma_in, sigma_out, transition, initial, priority, convention=MIN_EVEN):
+        """The automaton of a named ``transition`` dict, (state, in, out) -> state,
+        checked into the table in one walk over every triple."""
+        states, sigma_in, sigma_out = tuple(states), tuple(sigma_in), tuple(sigma_out)
+        _check_fields(states, sigma_in, sigma_out, initial, convention)
+        index = {q: i for i, q in enumerate(states)}
+        table = []
+        for q in states:
+            _check_priority(priority, q)
+            for a in sigma_in:
+                for b in sigma_out:
+                    tgt = transition.get((q, a, b))
                     if tgt is None:
                         raise AutomatonError(f"transition missing at ({q!r}, {a!r}, {b!r})")
                     if tgt not in index:
                         raise AutomatonError(f"transition target {tgt!r} not a state")
                     table.append(index[tgt])
-        if len(index) < len(self.states) or len(set(self.sigma_in)) < len(self.sigma_in) \
-                or len(set(self.sigma_out)) < len(self.sigma_out):
+        if len(index) < len(states) or len(set(sigma_in)) < len(sigma_in) or len(set(sigma_out)) < len(sigma_out):
             raise AutomatonError("states, sigma_in or sigma_out repeats an entry")
-        if len(self.transition) > len(table):  # every triple is a key, so the rest lie outside
-            triples = set(itertools.product(self.states, self.sigma_in, self.sigma_out))
-            extra = next(key for key in self.transition if key not in triples)
+        if len(transition) > len(table):  # every triple is a key, so the rest lie outside
+            triples = set(itertools.product(states, sigma_in, sigma_out))
+            extra = next(key for key in transition if key not in triples)
             raise AutomatonError(f"transition key {extra!r} outside states x sigma_in x sigma_out")
-        object.__setattr__(self, "table", table)
+        return cls(states=states, sigma_in=sigma_in, sigma_out=sigma_out, table=table,
+                   initial=initial, priority=priority, convention=convention)
 
-    def _check_fields(self):
-        """The checks that read no transition: the alphabets, the convention, the initial state."""
-        if not self.sigma_in or not self.sigma_out:
-            raise AutomatonError("sigma_in and sigma_out must be nonempty")
-        if self.convention not in CONVENTIONS:
-            raise AutomatonError(f"unknown convention {self.convention!r}")
-        if self.initial not in self.states:
-            raise AutomatonError("initial state not among states")
-
-    def _check_priority(self, q):
-        if q not in self.priority:
-            raise AutomatonError(f"priority missing for state {q!r}")
-        if self.priority[q] < 0:
-            raise AutomatonError("priorities must be nonnegative")
-
-    @classmethod
-    def _from_table(cls, states, sigma_in, sigma_out, table, initial, priority, convention):
-        """The automaton of a table whose entries the caller has checked: distinct
-        names, every target an index into ``states``.  The field checks run, then
-        each state's priority check, in ``__post_init__``'s order; ``transition``
-        is named from the table when it is first read."""
-        self = object.__new__(cls)
-        self.__dict__.update(  # frozen, so set past __setattr__
-            states=states, sigma_in=sigma_in, sigma_out=sigma_out, table=table,
-            initial=initial, priority=priority, convention=convention,
-        )
-        self._check_fields()
-        for q in states:
-            self._check_priority(q)
-        return self
-
-    def __getattr__(self, name):
-        """Name ``transition`` of an automaton built by ``_from_table`` on first read."""
-        if name != "transition":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+    @cached_property
+    def transition(self) -> dict:
+        """(state, in_letter, out_letter) -> state, named from ``table`` when first read."""
         keys = itertools.product(self.states, self.sigma_in, self.sigma_out)
-        named = self.__dict__["transition"] = dict(zip(keys, map(self.states.__getitem__, self.table)))
-        return named
+        return dict(zip(keys, map(self.states.__getitem__, self.table)))
 
     def step(self, q, a, b):
         try:
@@ -184,9 +178,7 @@ def convert_convention(a: ParityAutomaton, target: str) -> ParityAutomaton:
         raise AutomatonError(f"unknown convention {target!r}")
     if a.convention == target:
         return a
-    return ParityAutomaton._from_table(
-        a.states, a.sigma_in, a.sigma_out, a.table, a.initial, mirrored_priority(a), target
-    )
+    return replace(a, priority=mirrored_priority(a), convention=target)
 
 
 class SafetyMonitor(NamedTuple):
@@ -239,8 +231,9 @@ def product_with_monitor(a: ParityAutomaton, m: SafetyMonitor) -> ParityAutomato
     sink_prio = _worst_priority(a.convention, (a.priority[q] for q in a.states))
     states = tuple(itertools.product(a.states, m.states))
     priority = {q: sink_prio if q[1] == m.sink else a.priority[q[0]] for q in states}
-    return ParityAutomaton._from_table(
-        states, a.sigma_in, a.sigma_out, table, (a.initial, m.initial), priority, a.convention
+    return ParityAutomaton(
+        states=states, sigma_in=a.sigma_in, sigma_out=a.sigma_out, table=table,
+        initial=(a.initial, m.initial), priority=priority, convention=a.convention,
     )
 
 
@@ -326,9 +319,9 @@ def automaton_from_json(data) -> ParityAutomaton:
         states.append(SINK)
         priority[SINK] = _worst_priority(convention, priority.values())
         table += [sink] * width
-    initial = data["initial"]
-    return ParityAutomaton._from_table(
-        tuple(states), sigma_in, sigma_out, table, initial, priority, convention
+    return ParityAutomaton(
+        states=tuple(states), sigma_in=sigma_in, sigma_out=sigma_out, table=table,
+        initial=data["initial"], priority=priority, convention=convention,
     )
 
 

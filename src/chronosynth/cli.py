@@ -229,14 +229,7 @@ def cmd_synth(spec, args, out, err):
         payload["witness"] = _witness_json(res.arena, res.witness)
     if args.stats:
         payload["stats"] = {
-            "solve_calls": res.stats.solve_calls,
-            "game_nodes": res.stats.game_nodes,
-            "game_edges": res.stats.game_edges,
-            "class_counts": res.stats.class_counts,
-            "up_sizes": res.stats.up_sizes,
-            "d_bound": res.stats.d_bound,
-            "arena_nodes": len(res.arena.nodes),
-            "arena_edges": res.arena.edge_count,
+            **vars(res.stats), "arena_nodes": len(res.arena.nodes), "arena_edges": res.arena.edge_count
         }
     _emit(payload, out)
     return EXIT_OK

@@ -196,7 +196,8 @@ def find_violation(sg: StrategyGraph):
 
 
 class SynthStats:
-    """Counters of one decision, filled in as it runs; ``synth --stats`` prints them."""
+    """Counters of one decision, filled in as it runs; ``synth --stats`` prints every
+    attribute, beside the arena's node and edge counts."""
 
     def __init__(self):
         self.class_counts = {}  # input letter -> classes

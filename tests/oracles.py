@@ -13,9 +13,10 @@ and predecessor lists rebuilt per attractor, and must return exactly what
 ``reference_zielonka`` and reads the machines off the named strategies, and
 must return exactly what ``discrete_game.solve`` returns;
 ``reference_automaton_from_json`` loads a spec file in two passes, the
-entries into a named dict and then every triple again in the constructor,
-as an oracle for the one-pass ``automaton.automaton_from_json``, which must
-raise the same error or return an equal automaton and table;
+entries into a named dict and then every triple again in
+``ParityAutomaton.from_transitions``, as an oracle for the one-pass
+``automaton.automaton_from_json``, which must raise the same error or
+return an equal automaton and table;
 ``reference_product`` tabulates the product of a spec and a safety monitor
 by name, transition by transition, as an oracle for the product that
 ``automaton.product_with_monitor`` composes from the two transition tables;
@@ -305,7 +306,7 @@ def reference_product(a: ParityAutomaton, m: SafetyMonitor) -> ParityAutomaton:
                         a.transition[(qa, ain, aout)],
                         m.step(qm, ain, aout),
                     )
-    return ParityAutomaton(
+    return ParityAutomaton.from_transitions(
         states=tuple(states),
         sigma_in=a.sigma_in,
         sigma_out=a.sigma_out,
@@ -397,7 +398,7 @@ def reference_automaton_from_json(data) -> ParityAutomaton:
     for tgt in transition.values():
         if not declared(tgt):
             raise AutomatonError(f"transition target {tgt!r} undeclared")
-    return ParityAutomaton(
+    return ParityAutomaton.from_transitions(
         states=tuple(states),
         sigma_in=sigma_in,
         sigma_out=sigma_out,

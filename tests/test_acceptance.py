@@ -184,7 +184,7 @@ def test_criterion_3_discrete_solver_against_oracle():
     for trial in range(10):
         rng2 = random.Random(100 + trial)
         states = [f"q{i}" for i in range(rng2.randint(1, 6))]
-        spec = ParityAutomaton(
+        spec = ParityAutomaton.from_transitions(
             tuple(states), letters, letters,
             {(q, a, b): rng2.choice(states) for q in states for a in letters for b in letters},
             states[0], {q: rng2.randint(0, 3) for q in states},
@@ -306,7 +306,7 @@ def test_criterion_7_strategy_check_vs_simulation():
     for seed in (1, 2, 3):
         rng = random.Random(seed)
         states = [f"q{i}" for i in range(rng.randint(1, 2))]
-        spec = ParityAutomaton(
+        spec = ParityAutomaton.from_transitions(
             tuple(states), ("0", "1"), ("0", "1"),
             {(q, a, b): rng.choice(states) for q in states for a in "01" for b in "01"},
             states[0], {q: rng.randint(0, 2) for q in states}, MAX_EVEN,

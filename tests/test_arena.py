@@ -43,7 +43,7 @@ from test_discrete_game import _family_spec
 
 def one_state_automaton(sigma_in=("0", "1"), priority=0):
     transition = {("q", a, b): "q" for a in sigma_in for b in ("0", "1")}
-    return ParityAutomaton(
+    return ParityAutomaton.from_transitions(
         ("q",), sigma_in, ("0", "1"), transition, "q", {"q": priority}, MAX_EVEN
     )
 
@@ -54,7 +54,7 @@ def random_automaton(rng, n_states=2, sigma_in=("0", "1")):
         (q, a, b): rng.choice(states) for q in states for a in sigma_in for b in "01"
     }
     priority = {q: rng.randint(0, 3) for q in states}
-    return ParityAutomaton(
+    return ParityAutomaton.from_transitions(
         tuple(states), tuple(sigma_in), ("0", "1"), transition, states[0], priority, MAX_EVEN
     )
 
@@ -252,7 +252,7 @@ def corpus_automaton(rng, n_states, sigma_in):
         (q, x, b): rng.choice(states) for q in states for x in sigma_in for b in ("0", "1")
     }
     priority = {q: rng.randint(0, 4) for q in states}
-    return ParityAutomaton(
+    return ParityAutomaton.from_transitions(
         tuple(states), sigma_in, ("0", "1"), transition, states[0], priority, MAX_EVEN
     )
 

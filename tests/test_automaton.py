@@ -37,7 +37,7 @@ def build(states, sigma_in, sigma_out, step, initial, priority, convention=MIN_E
     transition = {
         (q, a, b): step(q, a, b) for q in states for a in sigma_in for b in sigma_out
     }
-    return ParityAutomaton(
+    return ParityAutomaton.from_transitions(
         states=tuple(states),
         sigma_in=tuple(sigma_in),
         sigma_out=tuple(sigma_out),
@@ -69,7 +69,7 @@ def random_automaton(rng, n_states=3, convention=MIN_EVEN):
         (q, a, b): rng.choice(states) for q in states for a in sigma_in for b in sigma_out
     }
     priority = {q: rng.randint(0, 3) for q in states}
-    return ParityAutomaton(
+    return ParityAutomaton.from_transitions(
         tuple(states), sigma_in, sigma_out, transition, states[0], priority, convention
     )
 
@@ -186,7 +186,7 @@ def test_convert_convention_exhaustive_small_lassos():
     rng = random.Random(1)
     letters = [("0", "0"), ("1", "0")]
     a = random_automaton(rng, n_states=2)
-    a = ParityAutomaton(
+    a = ParityAutomaton.from_transitions(
         a.states, ("0", "1"), ("0",),
         {(q, x, "0"): a.transition[(q, x, "0")] for q in a.states for x in ("0", "1")},
         a.initial, a.priority, MIN_EVEN,
@@ -318,8 +318,21 @@ def test_constructor_faults_raise_in_the_walk_order(faults):
         transition[("zz", "0", "0")] = "p"
     initial = "nowhere" if "initial" in faults else "p"
     with pytest.raises(AutomatonError) as info:
-        ParityAutomaton(states, ("0", "1"), ("0", "1"), transition, initial, priority)
+        ParityAutomaton.from_transitions(states, ("0", "1"), ("0", "1"), transition, initial, priority)
     assert type(info.value) is AutomatonError and str(info.value) == CONSTRUCTOR_FAULTS[faults]
+
+
+def test_a_named_transition_dict_fails_when_the_automaton_is_built():
+    # the constructor takes the table, by keyword, so the named dict of the
+    # old positional call is refused at once, not on the first step
+    t = toggler()
+    with pytest.raises(TypeError):
+        ParityAutomaton(t.states, t.sigma_in, t.sigma_out, t.transition, t.initial, t.priority)
+    with pytest.raises(TypeError, match="'transition'"):
+        ParityAutomaton(
+            states=t.states, sigma_in=t.sigma_in, sigma_out=t.sigma_out,
+            transition=t.transition, initial=t.initial, priority=t.priority,
+        )
 
 
 def test_transition_keys_outside_the_triples_are_rejected():
@@ -327,7 +340,7 @@ def test_transition_keys_outside_the_triples_are_rejected():
     transition[("zz", "0", "0")] = "p"
     transition[("p", "9", "0")] = "nowhere"
     with pytest.raises(AutomatonError) as info:
-        ParityAutomaton(("p", "q"), ("0", "1"), ("0", "1"), transition, "p", {"p": 0, "q": 1})
+        ParityAutomaton.from_transitions(("p", "q"), ("0", "1"), ("0", "1"), transition, "p", {"p": 0, "q": 1})
     assert str(info.value) == "transition key ('zz', '0', '0') outside states x sigma_in x sigma_out"
 
 
@@ -338,7 +351,7 @@ def test_repeated_states_or_letters_are_rejected(states, sigma_in, outside):
     # with 4 keys outside the triples the key count equals the count of listed triples
     transition.update({("zz", str(i), "0"): "p" for i in range(outside)})
     with pytest.raises(AutomatonError, match="^states, sigma_in or sigma_out repeats an entry$"):
-        ParityAutomaton(states, sigma_in, ("0", "1"), transition, "p", {"p": 0, "q": 1})
+        ParityAutomaton.from_transitions(states, sigma_in, ("0", "1"), transition, "p", {"p": 0, "q": 1})
 
 
 @pytest.mark.parametrize("kind", [list, tuple, iter])
@@ -660,7 +673,9 @@ def _table_built(kind):
         return automaton_from_json(data), reference_automaton_from_json(data)
     if kind == "converted":
         t = toggler()
-        twin = ParityAutomaton(t.states, t.sigma_in, t.sigma_out, t.transition, t.initial, {"r": 2, "s": 1}, MAX_EVEN)
+        twin = ParityAutomaton.from_transitions(
+            t.states, t.sigma_in, t.sigma_out, t.transition, t.initial, {"r": 2, "s": 1}, MAX_EVEN
+        )
         return convert_convention(t, MAX_EVEN), twin
     monitor = accept_all_monitor(("0", "1"), ("0", "1"))
     return product_with_monitor(toggler(), monitor), reference_product(toggler(), monitor)

@@ -31,7 +31,7 @@ def seeded_spec(rng, n_states, sigma_in):
         (q, x, b): rng.choice(states) for q in states for x in sigma_in for b in ("0", "1")
     }
     priority = {q: rng.randint(0, 4) for q in states}
-    return ParityAutomaton(
+    return ParityAutomaton.from_transitions(
         tuple(states), sigma_in, ("0", "1"), transition, states[0], priority, MAX_EVEN
     )
 

@@ -31,7 +31,7 @@ def random_automaton(rng, n_states=2, max_prio=3):
         (q, a, b): rng.choice(states) for q in states for a in "01" for b in "01"
     }
     priority = {q: rng.randint(0, max_prio) for q in states}
-    return ParityAutomaton(
+    return ParityAutomaton.from_transitions(
         tuple(states), ("0", "1"), ("0", "1"), transition, states[0], priority, MAX_EVEN
     )
 
@@ -179,7 +179,7 @@ def test_adding_accepting_escape_never_breaks_realizability():
                         transition[(q, x, b)] = "trap"
         priority = dict(a.priority)
         priority["trap"] = trap_prio
-        return ParityAutomaton(
+        return ParityAutomaton.from_transitions(
             states, a.sigma_in, sigma_out, transition, a.initial, priority, MAX_EVEN
         )
 
@@ -212,7 +212,7 @@ def test_uniform_priority_parity_forces_verdict():
             (q, a, b): rng.choice(states) for q in states for a in "01" for b in "01"
         }
         for parity, expected in ((0, True), (1, False)):
-            spec = ParityAutomaton(
+            spec = ParityAutomaton.from_transitions(
                 tuple(states), ("0", "1"), ("0", "1"), dict(transition), states[0],
                 {q: 2 * rng.randint(0, 1) + parity for q in states}, MAX_EVEN,
             )

@@ -48,7 +48,7 @@ def copy_spec_d():
         for a in SQ:
             for b in SQ:
                 transition[(q, a, b)] = "ok" if (q == "ok" and a == b) else "bad"
-    return ParityAutomaton(states, SQ, SQ, transition, "ok", {"ok": 0, "bad": 1})
+    return ParityAutomaton.from_transitions(states, SQ, SQ, transition, "ok", {"ok": 0, "bad": 1})
 
 
 def jump_spec_d():
@@ -69,7 +69,7 @@ def jump_spec_d():
                 else:
                     transition[(f"t{v}", a, b)] = "done"
             transition[("done", a, b)] = "done"
-    return ParityAutomaton(
+    return ParityAutomaton.from_transitions(
         states, SQ, SQ, transition, "init",
         {"init": 1, "t0": 1, "t1": 1, "done": 0},
     )
@@ -78,7 +78,7 @@ def jump_spec_d():
 def trivial_spec(accept: bool):
     pr = 0 if accept else 1
     transition = {("q", a, b): "q" for a in SQ for b in SQ}
-    return ParityAutomaton(("q",), SQ, SQ, transition, "q", {"q": pr})
+    return ParityAutomaton.from_transitions(("q",), SQ, SQ, transition, "q", {"q": pr})
 
 
 def run_monitor(monitor, letters):
@@ -131,7 +131,7 @@ def test_monitor_first_letter_unconstrained():
 
 
 def test_solve_definable_requires_squared_alphabet():
-    bad = ParityAutomaton(
+    bad = ParityAutomaton.from_transitions(
         ("q",), ("0", "1"), ("0", "1"),
         {("q", a, b): "q" for a in "01" for b in "01"}, "q", {"q": 0},
     )

@@ -56,7 +56,7 @@ def copy_spec():
         for a in "01":
             for b in "01":
                 transition[(q, a, b)] = "bad" if (q == "bad" or a != b) else "ok"
-    return ParityAutomaton(states, ("0", "1"), ("0", "1"), transition, "ok", {"ok": 0, "bad": 1})
+    return ParityAutomaton.from_transitions(states, ("0", "1"), ("0", "1"), transition, "ok", {"ok": 0, "bad": 1})
 
 
 def predict_next_spec():
@@ -69,7 +69,7 @@ def predict_next_spec():
             transition[("p0", a, b)] = f"p{b}" if a == "0" else "bad"
             transition[("p1", a, b)] = f"p{b}" if a == "1" else "bad"
             transition[("bad", a, b)] = "bad"
-    return ParityAutomaton(
+    return ParityAutomaton.from_transitions(
         states, ("0", "1"), ("0", "1"), transition, "start",
         {"start": 0, "p0": 0, "p1": 0, "bad": 1},
     )
@@ -95,7 +95,7 @@ def random_automaton(rng, n_states=6):
         (q, a, b): rng.choice(states) for q in states for a in "01" for b in "01"
     }
     priority = {q: rng.randint(0, 3) for q in states}
-    return ParityAutomaton(
+    return ParityAutomaton.from_transitions(
         tuple(states), ("0", "1"), ("0", "1"), transition, states[0], priority, MIN_EVEN
     )
 
@@ -323,7 +323,7 @@ def _family_spec(family, index, n_states, letters, max_priority):
     transition = {
         (q, a, b): rng.choice(states) for q in states for a in letters for b in letters
     }
-    return ParityAutomaton(tuple(states), letters, letters, transition, "q0", priority, MAX_EVEN)
+    return ParityAutomaton.from_transitions(tuple(states), letters, letters, transition, "q0", priority, MAX_EVEN)
 
 
 def _seeded_games(repeats=False):
@@ -364,7 +364,9 @@ def _small_specs():
         sigma_in, sigma_out = ("0", "1")[:rng.randint(1, 2)], ("a", "b", "c", "d")[:rng.randint(3, 4)]
         transition = {key: rng.choice(states) for key in itertools.product(states, sigma_in, sigma_out)}
         priority = {q: rng.randint(0, 4) for q in states}
-        yield ParityAutomaton(states, sigma_in, sigma_out, transition, "q0", priority, rng.choice(CONVENTIONS))
+        yield ParityAutomaton.from_transitions(
+            states, sigma_in, sigma_out, transition, "q0", priority, rng.choice(CONVENTIONS)
+        )
 
 
 def test_repeated_successors_change_no_region_or_strategy():
@@ -473,7 +475,7 @@ def _differential_specs():
             (q, x, b): rng.choice(states) for q in states for x in sigma_in for b in sigma_out
         }
         priority = {q: rng.randint(0, 5) for q in states}
-        a = ParityAutomaton(
+        a = ParityAutomaton.from_transitions(
             tuple(states), sigma_in, sigma_out, transition, rng.choice(states), priority,
             CONVENTIONS[trial % 2],
         )
@@ -606,7 +608,7 @@ def _seeded_spec(rng, n_states, letters):
         (q, a, b): rng.choice(states) for q in states for a in letters for b in letters
     }
     priority = {q: rng.randint(0, 5) for q in states}
-    return ParityAutomaton(
+    return ParityAutomaton.from_transitions(
         tuple(states), letters, letters, transition, states[0], priority, rng.choice(CONVENTIONS)
     )
 

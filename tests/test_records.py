@@ -41,7 +41,7 @@ MODULES = {
 }
 
 FROZEN_RECORDS = [
-    ParityAutomaton(("q",), ("0",), ("0",), {("q", "0", "0"): "q"}, "q", {"q": 0}),
+    ParityAutomaton.from_transitions(("q",), ("0",), ("0",), {("q", "0", "0"): "q"}, "q", {"q": 0}),
     SafetyMonitor(("ok", "dead"), "ok", "dead", {}),
     MonoidContext(("q",), {"0": {("q", "q")}}),
     MealyMachine(("s",), "s", {("s", "0"): ("s", "0")}),
