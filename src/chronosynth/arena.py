@@ -290,13 +290,11 @@ def _arena(a, semantics, tables, moves, up_sizes):
     source_kind = O_PAIR if semantics == RC else I_DAG
     bits, priority = _LabelBits(a, semantics), a.priority
     best = {}  # (q, x, key) -> (rank, lag, period) of the lowest-ranked pair with that behaviour
-    ctx = None
+    ctx = tables[a.sigma_in[0]].ctx  # every letter's table is over this one context
+    # into[s]: per state of a, the mask of the letters that step it to state number s
+    into = list(zip(*(ctx.steps[ctx.index[q]] for q in a.states)))
+    sourced = [reduce(or_, masks) for masks in into]  # the letters under which s has a source
     for bit, x in enumerate(a.sigma_in):  # letter bits follow sigma_in, as edge_relations lists them
-        if tables[x].ctx is not ctx:  # letters share a context: read its step masks once
-            ctx = tables[x].ctx
-            # into[s]: per state of a, the mask of the letters that step it to state number s
-            into = list(zip(*(ctx.steps[ctx.index[q]] for q in a.states)))
-            sourced = [reduce(or_, masks) for masks in into]  # the letters under which s has a source
         sources_of = [[q for q, m in zip(a.states, masks) if m >> bit & 1] for masks in into]
         kinds_of, walked, merged, pairs = {}, set(), {}, 0
         for c, ((first, last, _, _, flags), late, lag, groups) in enumerate(vocabulary(tables[x])):

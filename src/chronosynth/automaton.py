@@ -3,7 +3,9 @@
 States are hashable values (strings when read from files).  A word letter is
 a pair ``(in_letter, out_letter)``.  Two acceptance conventions coexist:
 ``min_even`` (minimum priority seen infinitely often is even) and
-``max_even``; the game pipeline normalizes to ``max_even`` at ingestion.
+``max_even``.  A loaded spec keeps its file's convention; the games read
+priorities under ``max_even``, the arena through ``convert_convention`` and
+the discrete game through ``mirrored_priority``.
 
 Every automaton is its integer transition ``table``, and its one
 constructor takes the table.  ``ParityAutomaton.from_transitions`` checks a

@@ -75,94 +75,44 @@ def _stdin_lines():
         return
 
 
-def _flat(values, sep, close):
-    """The JSON text of each value, or None unless every value is flat.
-
-    A flat value is a str, int, bool or None, or a nonempty dict of those
-    (a record), written with each field after sep and close last.
-    """
-    texts = []
-    for value in values:
-        if isinstance(value, dict) and value:
-            fields = []
-            for key, v in sorted(value.items()):
-                if isinstance(v, str):
-                    v = _quote(v)
-                elif v is None or v is True or v is False:
-                    v = "null" if v is None else "true" if v else "false"
-                elif isinstance(v, int):
-                    v = int.__repr__(v)
-                else:
-                    return None
-                fields.append(_quote(key) + ": " + v)  # raises TypeError unless key is a str
-            value = "{" + sep + ("," + sep).join(fields) + close
-        elif isinstance(value, str):
-            value = _quote(value)
-        elif value is None or value is True or value is False:
-            value = "null" if value is None else "true" if value else "false"
-        elif isinstance(value, int):
-            value = int.__repr__(value)
-        else:
-            return None
-        texts.append(value)
-    return texts
-
-
-def _json_parts(obj, parts, indent):
-    """Append obj as json.dumps(obj, indent=2, sort_keys=True) writes it.
+def _text(value, indent):
+    """value as json.dumps(value, indent=2, sort_keys=True) writes it.
 
     Takes dicts with str keys, lists, str, int, bool and None; any other
-    value raises TypeError.  A dict or list whose values are all flat
-    (``_flat``: machine transitions, a machine's states, a counter
-    machine's output, arena nodes and edges) is written with one join; any
-    other value recurses once per item.
+    value raises TypeError.  A container writes a value of exactly class
+    str, and a dict one of exactly class int, in place rather than by a
+    call: a discrete machine's records of such fields are most of its output.
     """
-    if not isinstance(obj, (dict, list)):
-        texts = _flat((obj,), "", "")
-        if texts is None:
-            raise TypeError(f"{type(obj).__name__} is not emitted as JSON")
-        parts.append(texts[0])
-    elif not obj:
-        parts.append("{}" if isinstance(obj, dict) else "[]")
-    else:
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
         inner = indent + "  "
-        sep = "\n" + inner
-        # a record among the values sits one level further in
-        field_sep, close = sep + "  ", sep + "}"
-        if isinstance(obj, dict):
-            keys = sorted(obj)
-            texts = _flat([obj[key] for key in keys], field_sep, close)
-            if texts is not None:
-                fields = [_quote(key) + ": " + text for key, text in zip(keys, texts)]
-                parts.append("{" + sep + ("," + sep).join(fields) + "\n" + indent + "}")
-                return
-            parts.append("{")
-            for key in keys:
-                if not isinstance(key, str):
-                    raise TypeError(f"key {key!r} is not a str")
-                parts += (sep, _quote(key), ": ")
-                _json_parts(obj[key], parts, inner)
-                sep = ",\n" + inner
-            parts.append("\n" + indent + "}")
-        else:
-            texts = _flat(obj, field_sep, close)
-            if texts is not None:
-                parts.append("[" + sep + ("," + sep).join(texts) + "\n" + indent + "]")
-                return
-            parts.append("[")
-            for value in obj:
-                parts.append(sep)
-                sep = ",\n" + inner
-                _json_parts(value, parts, inner)
-            parts.append("\n" + indent + "]")
+        texts = []
+        # json.dumps sorts the items; the keys are distinct, so sorting them alone gives
+        # the same order, faster.  _quote raises TypeError unless the key is a str
+        for key in sorted(value):
+            v = value[key]
+            v = _quote(v) if type(v) is str else int.__repr__(v) if type(v) is int else _text(v, inner)
+            texts.append(f"{_quote(key)}: {v}")
+        return "{\n" + inner + (",\n" + inner).join(texts) + "\n" + indent + "}"
+    if isinstance(value, list):
+        if not value:
+            return "[]"
+        inner = indent + "  "
+        texts = [_quote(v) if type(v) is str else _text(v, inner) for v in value]
+        return "[\n" + inner + (",\n" + inner).join(texts) + "\n" + indent + "]"
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None or value is True or value is False:
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"{type(value).__name__} is not emitted as JSON")
 
 
 def _emit(obj, out):
-    # json.dumps(indent=...) falls back to the pure-Python encoder; same bytes, faster
-    parts = []
-    _json_parts(obj, parts, "")
-    parts.append("\n")
-    out.write("".join(parts))
+    # json.dumps(indent=...) runs the pure-Python encoder; _text writes the same bytes, faster
+    out.write(_text(obj, "") + "\n")
 
 
 def positive_int(text):

@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, determinism, caps."""
 
+import enum
 import io
 import json
 import os
@@ -752,6 +753,8 @@ PAYLOAD_COMMANDS = [
     ["synth", "--semantics", "fv", "--stats"],
     ["arena", "--semantics", "rc"],
     ["arena", "--semantics", "fv"],
+    # a nested run record; the squared fixtures' letters are not 0 and 1 (exit 2)
+    ["solve-discrete", "--run", "0(1)^w"],
     # the cap stops the class tables of the larger fixtures early (exit 3)
     ["--monoid-cap", "20000", "monoid", "--full"],
 ]
@@ -775,6 +778,18 @@ def test_emitter_writes_every_payload_as_json_dumps_does(command, monkeypatch):
     assert payloads
 
 
+class Name(str):
+    pass
+
+
+class Count(int):
+    pass
+
+
+class Level(enum.IntEnum):
+    HIGH = 7
+
+
 def test_emitter_matches_json_dumps_on_hand_made_values():
     awkward = ['"quoted"', "back\\slash", "\x00\x1f\t\n\r\x7f", "é ü ∞", "\U0001d11e clef", "/"]
     cases = [
@@ -789,11 +804,14 @@ def test_emitter_matches_json_dumps_on_hand_made_values():
         12,
         None,
         [[1, [2, [3, {"x": [4]}]]]],
-        # a machine's states and a counter machine's output, each written with one join
+        # a machine's states and a counter machine's output, their str values written in place
         {"states": [f"q{i}" for i in range(300)], "initial": "q0"},
         {"output": {f"q{i}": awkward[i % 6] for i in range(40)}, "states": ["q0", None, True, 3]},
         [["a", 1, None], {"k": [False, "é"]}, [], "b"],
     ]
+    # subclasses of str and int are written through the recursion, not in place
+    odd = [Name("é\n"), Count(-3), Level.HIGH]
+    cases += [*odd, odd, {"name": odd[0], "count": odd[1], "level": odd[2]}, {"all": odd}]
     for value in cases:
         assert _emitted(value) == json.dumps(value, indent=2, sort_keys=True) + "\n"
 

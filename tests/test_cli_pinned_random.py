@@ -2,10 +2,11 @@
 
 ``test_cli_pinned.py`` pins the fixtures byte for byte; this file pins the
 same three continuous commands on 2- and 3-state specs drawn with
-``test_discrete_game._family_spec``, so an arena or solver refactor is
-checked on games the fixtures do not reach.  A change that alters one of
-these outputs on purpose says why and records the new digests:
-``python tests/test_cli_pinned_random.py`` prints them.
+``test_discrete_game._family_spec``, and the ``arena`` JSON export on the
+4-state ``deep`` specs (up to 218 nodes and 1,626 edges), so an arena,
+solver or writer refactor is checked on games the fixtures do not reach.
+A change that alters one of these outputs on purpose says why and records
+the new digests: ``python tests/test_cli_pinned_random.py`` prints them.
 """
 
 import hashlib
@@ -20,6 +21,9 @@ ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 # (family, index, states): the specs, each over input and output letters 0 and 1
 SPECS = [("pin", i, 2) for i in range(4)] + [("pin", i, 3) for i in range(4, 8)]
+# the bench's deep/4 specs, as test_continuous_synth draws them: their arena JSON only
+DEEP_SPECS = [("deep", i, 4) for i in range(12)]
+MAX_PRIORITY = {"pin": 3, "deep": 4}
 
 
 def _invocations():
@@ -29,6 +33,9 @@ def _invocations():
             yield ("synth", "--semantics", sem, "--stats", spec)
             yield ("arena", "--semantics", sem, spec)
             yield ("arena", "--semantics", sem, "--dot", spec)
+    for family, index, states in DEEP_SPECS:
+        for sem in ("rc", "fv"):
+            yield ("arena", "--semantics", sem, f"{family}-{index}-{states}")
 
 
 INVOCATIONS = list(_invocations())
@@ -82,6 +89,30 @@ PINNED = {
     "synth --semantics fv --stats pin-7-3": "dcf6d4cc03a608bfea5277cff919c09a9c473fbcfc1158a299503dd58ab77bc0",
     "arena --semantics fv pin-7-3": "e7870436b1d57f769c8d331ba9df2b231696ace71ee92c2a8dd21ccfefabada0",
     "arena --semantics fv --dot pin-7-3": "a0b570af66943e50a48462e1a858de71d3878abbe6d31eea92dbfab714325474",
+    "arena --semantics rc deep-0-4": "c3377d2ebcc05fc6554501b6dab761eeccded1b942b929fd9551a7f60e6e7afe",
+    "arena --semantics fv deep-0-4": "c1ec57bfb1b1c84801d7008ae0b93199514ab154bf7ac12dd181bc55f1cee053",
+    "arena --semantics rc deep-1-4": "27ee416b83b8f955f17a021b7df5bf46b97a3b6a00ea30f7e86ac9adad8e84b3",
+    "arena --semantics fv deep-1-4": "7f50f836be61b8a634698a7718619f02c7d1b617965e42373ba3691138a01ed5",
+    "arena --semantics rc deep-2-4": "2841203c54f5171e1bf49116c09551900e3ad58c32715995dd55331dffd36804",
+    "arena --semantics fv deep-2-4": "c6645cec86a19a62fb6dcea583a874f2b71d606acf6d23e6c90f101633668011",
+    "arena --semantics rc deep-3-4": "2152b62a86e2fb3e37564e057711e98f7a032b495193bf48f933eda6956ca9c5",
+    "arena --semantics fv deep-3-4": "442682fefd1d6299d51cbbc4fc0410d53ee94e28007b2e308d6bd482e5db5054",
+    "arena --semantics rc deep-4-4": "c8bed53b1bfa292a41b6881df412abfa6fc178c79b53c59bf07851dfb713b45a",
+    "arena --semantics fv deep-4-4": "3af24b43650eee7a481de0be1bbf99119d2369653595ed6492ecb1f5dbfba26f",
+    "arena --semantics rc deep-5-4": "b971fd14f8027981d142a33eb5d98ccdaeada1ea1c948779c77097bedd7605a1",
+    "arena --semantics fv deep-5-4": "27996306f952f3686391bbeea7dd38cb31552255eecd57b717ab1746a665cd37",
+    "arena --semantics rc deep-6-4": "3d91cdc798a48b7276abc1bfd4ae03870f41627c2f32d7b886aa092cd73f02dd",
+    "arena --semantics fv deep-6-4": "de641d02128bb6365097562d4d0f834b867ec0dfed1dd7dd13b6744fa2287084",
+    "arena --semantics rc deep-7-4": "e53629b36df2f166da97f39cf34ec230b2340ec273cccb83a42d7e86da9a0f4c",
+    "arena --semantics fv deep-7-4": "1ed214d9892a3a3d03efc2cfb534c531a775718b988e4fa56ed36d669d6bf3ac",
+    "arena --semantics rc deep-8-4": "5c3eb3a0eec8f32a59a9afab62b49c5e5bdf3eb76a60a0836248b451fb7485ba",
+    "arena --semantics fv deep-8-4": "b333936915acb0d214d8a11e8050f711ac2c019347240288ae393891221e7bd1",
+    "arena --semantics rc deep-9-4": "627c5c47fbdb6891217322e6479aa52e98b571adc5ddb46ddaf17d0cbe6c9912",
+    "arena --semantics fv deep-9-4": "427455a946dedfc71667ca5f65bedd787caa4ecde367b188e85151a4f24b0590",
+    "arena --semantics rc deep-10-4": "19d51d663cfd7d2d5240528fccd0f8c687413dd93645040a9912e9f51c70ae1d",
+    "arena --semantics fv deep-10-4": "5522f3c06ac0c0c1176f43406474febfe2759521750bcae29c126043fb6a32cd",
+    "arena --semantics rc deep-11-4": "5bc5b050486d2839548f7b2d91163ec3643de27ef5cd137e81d2da50a18532d2",
+    "arena --semantics fv deep-11-4": "c3514911ad0edd54f570c40807d7c8e4d113f7acd90477ef8598880f12c1a03d",
 }
 
 
@@ -89,7 +120,7 @@ def _spec_json(spec):
     from test_discrete_game import _family_spec  # imported late: run as a script, tests/ joins the path first
 
     family, index, states = spec.split("-")
-    a = _family_spec(family, int(index), int(states), ("0", "1"), 3)
+    a = _family_spec(family, int(index), int(states), ("0", "1"), MAX_PRIORITY[family])
     return json.dumps({
         "states": list(a.states),
         "sigma_in": list(a.sigma_in),
