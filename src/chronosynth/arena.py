@@ -288,13 +288,12 @@ def _arena(a, semantics, tables, moves, up_sizes):
     a = convert_convention(a, MAX_EVEN)
     moves[Arena.fresh] = {ArenaNode(O_PAIR, a.initial, x) for x in a.sigma_in}
     source_kind = O_PAIR if semantics == RC else I_DAG
-    bits, priority = _LabelBits(a, semantics), a.priority
-    best = {}  # (q, x, key) -> (rank, lag, period) of the lowest-ranked pair with that behaviour
+    bits, priority, kept = _LabelBits(a, semantics), a.priority, []
     ctx = tables[a.sigma_in[0]].ctx  # every letter's table is over this one context
     # into[s]: per state of a, the mask of the letters that step it to state number s
     into = list(zip(*(ctx.steps[ctx.index[q]] for q in a.states)))
     sourced = [reduce(or_, masks) for masks in into]  # the letters under which s has a source
-    for bit, x in enumerate(a.sigma_in):  # letter bits follow sigma_in, as edge_relations lists them
+    for bit, x in enumerate(ctx.relations):
         sources_of = [[q for q, m in zip(a.states, masks) if m >> bit & 1] for masks in into]
         kinds_of, walked, merged, pairs = {}, set(), {}, 0
         for c, ((first, last, _, _, flags), late, lag, groups) in enumerate(vocabulary(tables[x])):
@@ -330,25 +329,23 @@ def _arena(a, semantics, tables, moves, up_sizes):
                         merged[first, key] = rank, lag, period
         if up_sizes is not None:
             up_sizes[x] = pairs
+        best = {q: {} for q in a.states}  # q -> key -> (rank, lag, period) of its lowest-ranked pair
         for (first, key), pair in merged.items():
             for q in sources_of[first]:
-                held = best.get((q, x, key))
+                held = best[q].get(key)
                 if held is None or pair[0] < held[0]:
-                    best[q, x, key] = pair
-    # a dominator's key is a proper subset of the dominated one's, so it sorts
-    # first; a key dominated by a dropped key is dominated by what dropped that one
-    behaviours, kept = {}, []  # (q, x) -> its keys
-    for q, x, key in best:
-        behaviours.setdefault((q, x), []).append(key)
-    for (q, x), keys in behaviours.items():
-        antichain = []
-        for key in sorted(keys, key=int.bit_count):
-            for k in antichain:
-                if not k & ~key:
-                    break
-            else:
-                antichain.append(key)
-                kept.append((q, x, key, best[q, x, key]))
+                    best[q][key] = pair
+        # a dominator's key is a proper subset of the dominated one's, so it sorts
+        # first; a key dominated by a dropped key is dominated by what dropped that one
+        for q, behaviours in best.items():
+            antichain = []
+            for key in sorted(behaviours, key=int.bit_count):
+                for k in antichain:
+                    if not k & ~key:
+                        break
+                else:
+                    antichain.append(key)
+                    kept.append((q, x, key, behaviours[key]))
     # rank order across tables: the letter of first use, then the witnesses' order
     ranked = sorted({(rank[0], len(lag), lag, len(period), period) for *_, (rank, lag, period) in kept})
     number = {(lag, period): i for i, (_, _, lag, _, period) in enumerate(ranked)}

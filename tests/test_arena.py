@@ -424,7 +424,7 @@ def test_effective_priority_and_exported_node_priorities(quotient_corpus):
             assert entry["name"] == name and entry.get("priority", -1) == p, (node, entry)
 
 
-# -- the factored arena against the flat one ---------------------------------
+# -- the table-fed arena against the member-by-member reference --------------
 
 
 def _continuous_fixtures():

@@ -408,6 +408,11 @@ def test_monoid_counts_members_without_building_them(monkeypatch):
     for name in ("one_state", "psi_copy", "psi_jump_fv", "psi_indet_fv"):
         path = str(FIXTURES / f"{name}.json")
         letters = load_automaton(path).sigma_in
+        # synth counts each letter's vocabulary off the same walk, without a member
+        code, out, _ = run_cli("synth", "--semantics", "fv", "--stats", path)
+        assert code == EXIT_OK
+        up_sizes = json.loads(out)["stats"]["up_sizes"]
+        assert sorted(up_sizes) == sorted(letters)
         whole = [["monoid", path]] if name in ("one_state", "psi_copy") else []
         for argv in (*whole, *(["monoid", "--letter", x, path] for x in letters)):
             made[0] = 0
@@ -416,6 +421,8 @@ def test_monoid_counts_members_without_building_them(monkeypatch):
             code, full, _ = run_cli(*argv[:1], "--full", *argv[1:])
             assert code == EXIT_OK and json.loads(full)["up_members"] == json.loads(out)["up_members"]
             assert len(json.loads(full)["up"]) == json.loads(out)["up_members"] == made[0], argv
+            if "--letter" in argv:
+                assert len(json.loads(full)["up"]) == up_sizes[argv[2]], argv
     # 53,312 classes x 6,772 idempotents, past the default pair cap
     made[0] = 0
     code, out, err = run_cli("--monoid-cap", "400000000", "monoid", str(FIXTURES / "predict_next.json"))
@@ -592,14 +599,20 @@ CONTINUOUS_FIXTURES = sorted(p for p in FIXTURES.glob("*.json") if not p.stem.en
 @pytest.mark.parametrize("semantics", ["rc", "fv"])
 @pytest.mark.parametrize("fixture", CONTINUOUS_FIXTURES, ids=lambda p: p.stem)
 def test_arena_export_matches_synth_stats(fixture, semantics):
+    # synth counts the arena's edges off its table, and both exports build
+    # every edge: the arena exported is the one solved
     code, out, _ = run_cli("arena", "--semantics", semantics, str(fixture))
     assert code == EXIT_OK
     arena = json.loads(out)
+    code, dot, _ = run_cli("arena", "--semantics", semantics, "--dot", str(fixture))
+    assert code == EXIT_OK
     code, out, _ = run_cli("synth", "--semantics", semantics, "--stats", str(fixture))
     assert code == EXIT_OK
     stats = json.loads(out)["stats"]
+    assert stats["arena_nodes"] > 0 and stats["arena_edges"] > 0
     assert len(arena["nodes"]) == stats["arena_nodes"]
     assert len(arena["edges"]) == stats["arena_edges"]
+    assert sum("->" in line for line in dot.splitlines()) == stats["arena_edges"]
 
 
 def _min_even_twin(fixture, tmp_path):

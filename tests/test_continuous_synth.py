@@ -1,6 +1,5 @@
 """Winning-check clauses, the choice oracle, and end-to-end verdicts."""
 
-import hashlib
 import json
 import random
 
@@ -22,6 +21,7 @@ from chronosynth.state_monoid import ResourceCapError
 
 from fixture_specs import load_fixture
 from oracles import enumerate_choices
+from test_arena import _digest
 from test_discrete_game import _family_spec
 
 
@@ -392,10 +392,6 @@ def _pinned_specs():
     specs += [(f"deep/4/{i}", _family_spec("deep", i, 4, ("0", "1"), 4)) for i in range(12)]
     specs += [(f"x2/{i}", _family_spec("x2", i, 2, ("0", "1", "2"), 6)) for i in range(12)]
     return specs
-
-
-def _digest(text):
-    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 def test_random_corpus_search_is_pinned():

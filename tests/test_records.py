@@ -94,7 +94,10 @@ def test_synth_stats_do_not_share_their_dicts():
 
 def test_cli_import_builds_at_most_the_kept_dataclasses():
     # each dataclass compiles its generated methods at import; count the
-    # classes in a fresh interpreter, which is deterministic where a time is not
+    # classes in a fresh interpreter, which is deterministic where a time is not.
+    # -S leaves site-packages off the path, so this import is also the check of
+    # zero runtime dependencies: cli imports every module, and an import of
+    # anything outside the standard library fails here
     code = (
         "import dataclasses, json, sys\n"
         f"sys.path.insert(0, {str(ROOT / 'src')!r})\n"

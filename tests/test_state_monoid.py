@@ -28,7 +28,7 @@ from oracles import (
     reference_signature,
     reference_signature_product,
 )
-from test_arena import corpus_automaton
+from test_arena import corpus_automaton, is_path_for
 from test_discrete_game import _family_spec
 from word_forms import ramsey_factorize
 
@@ -45,12 +45,6 @@ def random_ctx(rng, states, letters=("x", "y")):
             (p, q) for p in states for q in states if rng.random() < 0.6
         )
     return MonoidContext(tuple(states), rels)
-
-
-def is_path_for(member, a, ctx):
-    # absorption (lag . period ~ lag) plus idempotence make the lag's flag
-    # alone decide path validity of the whole omega-word
-    return bool(signature_of(member.lag, ctx)[4] >> list(ctx.relations).index(a) & 1)
 
 
 def test_signature_single_state():
