@@ -10,14 +10,7 @@ lassos, so acceptance is decidable by inspecting finitely much data.
 import sys
 from pathlib import Path
 
-from chronosynth.automaton import (
-    MAX_EVEN,
-    MIN_EVEN,
-    ParityAutomaton,
-    accepts,
-    convert_convention,
-    run_over,
-)
+from chronosynth.automaton import accepts, automaton_from_json, run_over
 from chronosynth.omega_word import LassoWord, format_lasso, inf_set, parse_lasso
 
 # the lasso normal form is a reference the tests check against, kept with them
@@ -40,23 +33,24 @@ def step(q, a, b):
     return q
 
 
-# the constructor takes the integer transition table; a named (state, in,
-# out) -> state dict goes through from_transitions, which checks it into one
-toggler = ParityAutomaton.from_transitions(
-    states=("r", "s"),
-    sigma_in=("0", "1"),
-    sigma_out=("0", "1"),
-    transition={(q, a, b): step(q, a, b) for q in "rs" for a in "01" for b in "01"},
-    initial="r",
-    priority={"r": 0, "s": 1},
-    convention=MIN_EVEN,
-)
+# the spec file reads its priorities min-even: the least one seen infinitely
+# often must be even; the loader mirrors them, p -> M - p with M the top
+# priority rounded up to even, to the max-even ones every automaton reads
+spec = {
+    "states": ["r", "s"],
+    "sigma_in": ["0", "1"],
+    "sigma_out": ["0", "1"],
+    "initial": "r",
+    "priority": {"r": 0, "s": 1},
+    "convention": "min_even",
+    "transitions": [{"from": q, "in": a, "out": b, "to": step(q, a, b)} for q in "rs" for a in "01" for b in "01"],
+}
+toggler = automaton_from_json(spec)
 
 word = LassoWord((), (("1", "0"),))
 run = run_over(toggler, word)
 print(f"  word ((1,0))^w gives the run {format_lasso(run)}")
-print(f"  accepted under min-even? {accepts(toggler, word)}")
-
-flipped = convert_convention(toggler, MAX_EVEN)
-print(f"  priorities after max-even conversion: {flipped.priority}")
-print(f"  accepted under max-even? {accepts(flipped, word)} (language unchanged)")
+least = min(spec["priority"][q] for q in inf_set(run))
+print(f"  accepted under min-even? {least % 2 == 0}")
+print(f"  priorities after max-even conversion: {toggler.priority}")
+print(f"  accepted under max-even? {accepts(toggler, word)} (language unchanged)")

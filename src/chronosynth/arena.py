@@ -51,7 +51,7 @@ from functools import cached_property, reduce
 from operator import or_
 from typing import NamedTuple
 
-from .automaton import MAX_EVEN, ParityAutomaton, convert_convention, dot_quote, state_name
+from .automaton import ParityAutomaton, dot_quote, state_name
 from .state_monoid import UPMember, vocabulary
 
 RC = "rc"
@@ -268,24 +268,23 @@ class _LabelBits:
 def _arena(a, semantics, tables, moves, up_sizes):
     """The arena over a builder's map from its (q, x) and dagger nodes to their successors.
 
-    Adds, under the max-even convention, the fresh node with an edge to
-    (q_init, x) per input letter, and one block node per undominated
-    behaviour of (q, x), entered from (q, x) under rc and (q, +, x) under
-    fv.  tables[x] is input letter x's path class table, whose
-    ``vocabulary`` walk, the one that ``build_UP`` expands, gives each
-    class with its groups of absorbed idempotents; the pairs are counted
-    into ``up_sizes[x]`` if given, a group's big halves are computed once
-    per lag parity, and only the first class of each (first, last, late,
-    flags, small half, top priority, lag parity) goes on.  A behaviour's
-    key is its labels over a low bit set iff it is not final, so A
-    dominates B iff ``not key_A & ~key_B``.  Pairs with a source are ranked
-    by first use over (letter, class, idempotent): the first input letter
-    whose paths hold the class and give its first state a source, then the
-    witnesses' order, shortest and lexicographically least, which all
-    tables share.  The lowest-ranked pair of a behaviour represents it, and
-    only kept representatives become ``UPMember``s, numbered in rank order.
+    Adds the fresh node with an edge to (q_init, x) per input letter, and
+    one block node per undominated behaviour of (q, x), entered from (q, x)
+    under rc and (q, +, x) under fv.  tables[x] is input letter x's path
+    class table, whose ``vocabulary`` walk, the one that ``build_UP``
+    expands, gives each class with its groups of absorbed idempotents; the
+    pairs are counted into ``up_sizes[x]`` if given, a group's big halves
+    are computed once per lag parity, and only the first class of each
+    (first, last, late, flags, small half, top priority, lag parity) goes
+    on.  A behaviour's key is its labels over a low bit set iff it is not
+    final, so A dominates B iff ``not key_A & ~key_B``.  Pairs with a source
+    are ranked by first use over (letter, class, idempotent): the first
+    input letter whose paths hold the class and give its first state a
+    source, then the witnesses' order, shortest and lexicographically least,
+    which all tables share.  The lowest-ranked pair of a behaviour represents
+    it, and only kept representatives become ``UPMember``s, numbered in rank
+    order.
     """
-    a = convert_convention(a, MAX_EVEN)
     moves[Arena.fresh] = {ArenaNode(O_PAIR, a.initial, x) for x in a.sigma_in}
     source_kind = O_PAIR if semantics == RC else I_DAG
     bits, priority, kept = _LabelBits(a, semantics), a.priority, []
@@ -375,8 +374,8 @@ def build_rc_arena(a: ParityAutomaton, tables: dict, up_sizes: dict | None = Non
 
     fresh -> (q_init, a); (q, a) -> (q, a, u) for blocks u that are valid
     runs under a and start at a successor of q; interrupts from (q, a, u)
-    land on (u(n), b) for b != a.  Priorities are read under the max-even
-    convention.  Counts each letter's vocabulary into ``up_sizes`` if given.
+    land on (u(n), b) for b != a.  Counts each letter's vocabulary into
+    ``up_sizes`` if given.
     """
     moves = {ArenaNode(O_PAIR, q, x): set() for x in a.sigma_in for q in a.states}
     return _arena(a, RC, tables, moves, up_sizes)
@@ -389,8 +388,7 @@ def build_fv_arena(a: ParityAutomaton, tables: dict, up_sizes: dict | None = Non
     the next input; (q, +, a) -> (q, a, u) commits a block.  Interrupts at
     odd positions are discontinuities from the left and land on (u(n), b);
     even positions are discontinuities from the right and land on
-    (u(n), +, b).  Priorities are read under the max-even convention.
-    Counts each letter's vocabulary into ``up_sizes`` if given.
+    (u(n), +, b).  Counts each letter's vocabulary into ``up_sizes`` if given.
     """
     moves = {}
     for q in a.states:

@@ -1,18 +1,18 @@
 """Deterministic parity automata over a product alphabet.
 
 States are hashable values (strings when read from files).  A word letter is
-a pair ``(in_letter, out_letter)``.  Two acceptance conventions coexist:
-``min_even`` (minimum priority seen infinitely often is even) and
-``max_even``.  A loaded spec keeps its file's convention; the games read
-priorities under ``max_even``, the arena through ``convert_convention`` and
-the discrete game through ``mirrored_priority``.
+a pair ``(in_letter, out_letter)``.  Every automaton reads its priorities
+max-even: a run is accepted when the greatest priority it sees infinitely
+often is even.  A spec file may say ``min_even`` instead (the least one is
+even), and the loader mirrors such a file's priorities once
+(``mirrored_priority``), so nothing past it reads a convention.
 
 Every automaton is its integer transition ``table``, and its one
 constructor takes the table.  ``ParityAutomaton.from_transitions`` checks a
 named ``transition`` dict into a table in one walk over the (state, in, out)
-triples; the spec-file loader, the product with a safety monitor and the
-convention change build the table themselves.  ``transition`` is a view of
-the table, named only when something first reads it.
+triples; the spec-file loader and the product with a safety monitor build
+the table themselves.  ``transition`` is a view of the table, named only
+when something first reads it.
 """
 
 from __future__ import annotations
@@ -45,12 +45,10 @@ class AlphabetMismatchError(AutomatonError):
     pass
 
 
-def _check_fields(states, sigma_in, sigma_out, initial, convention):
-    """The checks that read no transition or priority: the alphabets, the convention, the initial state."""
+def _check_fields(states, sigma_in, sigma_out, initial):
+    """The checks that read no transition or priority: the alphabets, the initial state."""
     if not sigma_in or not sigma_out:
         raise AutomatonError("sigma_in and sigma_out must be nonempty")
-    if convention not in CONVENTIONS:
-        raise AutomatonError(f"unknown convention {convention!r}")
     if initial not in states:
         raise AutomatonError("initial state not among states")
 
@@ -78,20 +76,19 @@ class ParityAutomaton:
     sigma_out: tuple
     table: list
     initial: object
-    priority: dict  # state -> nonnegative int
-    convention: str = MIN_EVEN
+    priority: dict  # state -> nonnegative int, read max-even
 
     def __post_init__(self):
-        _check_fields(self.states, self.sigma_in, self.sigma_out, self.initial, self.convention)
+        _check_fields(self.states, self.sigma_in, self.sigma_out, self.initial)
         for q in self.states:
             _check_priority(self.priority, q)
 
     @classmethod
-    def from_transitions(cls, states, sigma_in, sigma_out, transition, initial, priority, convention=MIN_EVEN):
+    def from_transitions(cls, states, sigma_in, sigma_out, transition, initial, priority):
         """The automaton of a named ``transition`` dict, (state, in, out) -> state,
         checked into the table in one walk over every triple."""
         states, sigma_in, sigma_out = tuple(states), tuple(sigma_in), tuple(sigma_out)
-        _check_fields(states, sigma_in, sigma_out, initial, convention)
+        _check_fields(states, sigma_in, sigma_out, initial)
         index = {q: i for i, q in enumerate(states)}
         table = []
         for q in states:
@@ -111,7 +108,7 @@ class ParityAutomaton:
             extra = next(key for key in transition if key not in triples)
             raise AutomatonError(f"transition key {extra!r} outside states x sigma_in x sigma_out")
         return cls(states=states, sigma_in=sigma_in, sigma_out=sigma_out, table=table,
-                   initial=initial, priority=priority, convention=convention)
+                   initial=initial, priority=priority)
 
     @cached_property
     def transition(self) -> dict:
@@ -158,29 +155,16 @@ def run_over(a: ParityAutomaton, word: LassoWord) -> LassoWord:
 
 
 def accepts(a: ParityAutomaton, word: LassoWord) -> bool:
-    run = run_over(a, word)
-    inf = inf_set(run)
-    prios = [a.priority[q] for q in inf]
-    if a.convention == MIN_EVEN:
-        return min(prios) % 2 == 0
-    return max(prios) % 2 == 0
+    return max(a.priority[q] for q in inf_set(run_over(a, word))) % 2 == 0
 
 
 def mirrored_priority(a: ParityAutomaton) -> dict:
-    """M - p for each state's p, M the top priority rounded up to even: the
-    same language under the other convention (min and max swap, parity kept)."""
+    """M - p for each state's p, M the top priority rounded up to even: read
+    max-even, the language that ``a``'s priorities give read min-even (min and
+    max swap, parity kept)."""
     m = a.max_priority()
     m += m % 2
     return {q: m - a.priority[q] for q in a.states}
-
-
-def convert_convention(a: ParityAutomaton, target: str) -> ParityAutomaton:
-    """Language-preserving priority remap between min-even and max-even."""
-    if target not in CONVENTIONS:
-        raise AutomatonError(f"unknown convention {target!r}")
-    if a.convention == target:
-        return a
-    return replace(a, priority=mirrored_priority(a), convention=target)
 
 
 class SafetyMonitor(NamedTuple):
@@ -198,18 +182,15 @@ class SafetyMonitor(NamedTuple):
             raise AlphabetMismatchError(f"monitor has no transition at ({q!r}, {a!r}, {b!r})")
 
 
-def _worst_priority(convention, priorities) -> int:
-    """Losing priority for an added sink: 1 under min_even, else the least odd one >= all given."""
-    if convention != MAX_EVEN:
-        return 1
-    m = max(priorities, default=0)
-    return m if m % 2 == 1 else m + 1
+def _sink_priority(priorities) -> int:
+    """The least odd priority at or above all given: an added sink's, so a run caught there is rejected."""
+    return max(priorities, default=0) | 1
 
 
 def product_with_monitor(a: ParityAutomaton, m: SafetyMonitor) -> ParityAutomaton:
     """Product automaton; entering the monitor sink fixes the verdict.
 
-    Sink states receive the worst (losing-for-acceptance) priority, so a
+    Sink states receive the least odd priority at or above every other, so a
     word that violates the monitored discipline is rejected.  State
     (a.states[i], m.states[j]) is number i * len(m.states) + j.  A faulty
     monitor raises what the named product's constructor would.
@@ -230,12 +211,12 @@ def product_with_monitor(a: ParityAutomaton, m: SafetyMonitor) -> ParityAutomato
         row = [t * size for t in a.table[i * width:(i + 1) * width]]
         for m_row in m_rows:
             table += map(add, row, m_row)
-    sink_prio = _worst_priority(a.convention, (a.priority[q] for q in a.states))
+    sink_prio = _sink_priority(a.priority[q] for q in a.states)
     states = tuple(itertools.product(a.states, m.states))
     priority = {q: sink_prio if q[1] == m.sink else a.priority[q[0]] for q in states}
     return ParityAutomaton(
         states=states, sigma_in=a.sigma_in, sigma_out=a.sigma_out, table=table,
-        initial=(a.initial, m.initial), priority=priority, convention=a.convention,
+        initial=(a.initial, m.initial), priority=priority,
     )
 
 
@@ -251,7 +232,10 @@ def automaton_from_json(data) -> ParityAutomaton:
     """Load the file format; missing transitions complete to the sink.
 
     Expected fields: states, sigma_in, sigma_out, initial, priority,
-    convention, transitions (list of {from, in, out, to}).
+    convention, transitions (list of {from, in, out, to}).  An added sink
+    loses under the file's convention (1 under ``min_even``, the default);
+    then a ``min_even`` file's priorities, the sink's included, are mirrored
+    to max-even.
     """
     if isinstance(data, (str, bytes)):
         data = json.loads(data)
@@ -319,12 +303,17 @@ def automaton_from_json(data) -> ParityAutomaton:
         table = [sink if t is None else t for t in table]
     if sink == n and (referenced_sink or incomplete):
         states.append(SINK)
-        priority[SINK] = _worst_priority(convention, priority.values())
+        priority[SINK] = 1 if convention == MIN_EVEN else _sink_priority(priority.values())
         table += [sink] * width
-    return ParityAutomaton(
+    initial = data["initial"]
+    # the convention is checked after the alphabets and before the initial state and priorities
+    if sigma_in and sigma_out and convention not in CONVENTIONS:
+        raise AutomatonError(f"unknown convention {convention!r}")
+    a = ParityAutomaton(
         states=tuple(states), sigma_in=sigma_in, sigma_out=sigma_out, table=table,
-        initial=data["initial"], priority=priority, convention=convention,
+        initial=initial, priority=priority,
     )
+    return a if convention == MAX_EVEN else replace(a, priority=mirrored_priority(a))
 
 
 def state_name(q) -> str:

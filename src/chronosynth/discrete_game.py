@@ -22,7 +22,7 @@ from functools import reduce
 from operator import or_
 from typing import NamedTuple
 
-from .automaton import MAX_EVEN, ParityAutomaton, dot_quote, mirrored_priority, state_name
+from .automaton import ParityAutomaton, dot_quote, state_name
 from .omega_word import LassoWord, transduce
 
 
@@ -229,7 +229,6 @@ def solve(a: ParityAutomaton) -> SolveResult:
     every input word.  Input player wins: the Moore counter machine defeats
     every output word.  Exactly one side is returned.
     """
-    priority = a.priority if a.convention == MAX_EVEN else mirrored_priority(a)
     order = sorted(range(len(a.states)), key=a.states.__getitem__)
     states, letters = [a.states[i] for i in order], sorted(a.sigma_in)
     n, k, width = len(states), len(letters), len(a.sigma_out)
@@ -246,7 +245,7 @@ def solve(a: ParityAutomaton) -> SolveResult:
     succ = [[base + j for j in in_order] for base in range(n, n + n * k, k)]
     # a target that two output letters reach is listed twice: two edges, same regions
     succ += [row[c:c + width] for row in rows for c in x_pos]
-    state_priority = [priority[q] for q in states]
+    state_priority = [a.priority[q] for q in states]
     w_o, w_i, s_o, s_i = solve_indexed(
         succ,
         ["I"] * n + ["O"] * (n * k),

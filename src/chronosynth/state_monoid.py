@@ -67,9 +67,6 @@ class MonoidContext:
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete {name!r} of a MonoidContext")
 
-    def has_edge(self, a, q, q2) -> bool:
-        return (q, q2) in self.relations[a]
-
 
 def context_from_automaton(a) -> MonoidContext:
     return MonoidContext(states=tuple(a.states), relations=a.edge_relations())

@@ -32,6 +32,9 @@ signatures of ``state_monoid`` must be equal exactly when these are.
 as an oracle for both; ``reference_class_table`` closes the generators
 breadth-first over named signatures, as an oracle for the witness order,
 idempotents and d_q of ``state_monoid.build_class_table``;
+``greatest_witness_table`` gives a class table the lexicographically
+greatest shortest witness of each class, on which the tests check that no
+verdict depends on the class representatives;
 ``reference_build_UP`` recomputes each class's named signature from its
 witness and builds the block vocabulary by testing every (class,
 idempotent) pair with ``reference_signature_product``, as an oracle for the
@@ -65,7 +68,7 @@ over the Zielonka tree of the interrupt arena's condition.
 
 import json
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from chronosynth.arena import (
@@ -83,15 +86,13 @@ from chronosynth.arena import (
     ArenaNode,
 )
 from chronosynth.automaton import (
+    CONVENTIONS,
     LASSO_SYNTAX,
-    MAX_EVEN,
     MIN_EVEN,
     SINK,
     AutomatonError,
     ParityAutomaton,
     SafetyMonitor,
-    _worst_priority,
-    convert_convention,
 )
 from chronosynth.continuous_synth import find_violation, partial_strategy_graph
 from chronosynth.discrete_game import GameError, MealyMachine, MooreCounterMachine, SolveResult
@@ -103,6 +104,7 @@ from chronosynth.state_monoid import (
     build_class_table,
     build_UP,
     context_from_automaton,
+    signature_of,
 )
 
 
@@ -235,8 +237,7 @@ def reference_zielonka(g: GameGraph):
 
 
 def game_from_automaton(a: ParityAutomaton) -> GameGraph:
-    """The synthesis game of the spec, its priorities read under the max-even convention."""
-    a = convert_convention(a, MAX_EVEN)
+    """The synthesis game of the spec, its priorities read max-even."""
     owner, priority, succ = {}, {}, {}
     for q in a.states:
         iv = ("i", q)
@@ -289,9 +290,14 @@ def reference_solve(a: ParityAutomaton) -> SolveResult:
     return SolveResult("input", None, machine, frozenset(w_i))
 
 
+def _least_odd_at_or_above(priorities) -> int:
+    top = max(priorities, default=0)
+    return top if top % 2 else top + 1
+
+
 def reference_product(a: ParityAutomaton, m: SafetyMonitor) -> ParityAutomaton:
     """The product automaton, named state by state; entering the monitor sink fixes the verdict."""
-    sink_prio = _worst_priority(a.convention, (a.priority[q] for q in a.states))
+    sink_prio = _least_odd_at_or_above(a.priority[q] for q in a.states)
     states = []
     transition = {}
     priority = {}
@@ -313,7 +319,6 @@ def reference_product(a: ParityAutomaton, m: SafetyMonitor) -> ParityAutomaton:
         transition=transition,
         initial=(a.initial, m.initial),
         priority=priority,
-        convention=a.convention,
     )
 
 
@@ -335,8 +340,10 @@ def reference_automaton_from_json(data) -> ParityAutomaton:
     The first pass checks each transition entry's source, letters and key
     into a named dict; then the missing triples complete to the sink, every
     target is checked, and ``ParityAutomaton``'s constructor walks every
-    triple again.  Must raise what the one-pass loader raises, or return an
-    equal automaton with an equal ``table``.
+    triple again; a ``min_even`` spec's priorities are then mirrored, p ->
+    M - p for M the top one rounded up to even.  Must raise what the
+    one-pass loader raises, or return an equal automaton with an equal
+    ``table``.
     """
     if isinstance(data, (str, bytes)):
         data = json.loads(data)
@@ -390,7 +397,7 @@ def reference_automaton_from_json(data) -> ParityAutomaton:
         if SINK not in known:
             states.append(SINK)
             known.add(SINK)
-            priority[SINK] = _worst_priority(convention, priority.values())
+            priority[SINK] = 1 if convention == MIN_EVEN else _least_odd_at_or_above(priority.values())
         for q in states:
             for a in sigma_in:
                 for b in sigma_out:
@@ -398,15 +405,22 @@ def reference_automaton_from_json(data) -> ParityAutomaton:
     for tgt in transition.values():
         if not declared(tgt):
             raise AutomatonError(f"transition target {tgt!r} undeclared")
-    return ParityAutomaton.from_transitions(
+    initial = data["initial"]
+    if sigma_in and sigma_out and convention not in CONVENTIONS:
+        raise AutomatonError(f"unknown convention {convention!r}")
+    a = ParityAutomaton.from_transitions(
         states=tuple(states),
         sigma_in=sigma_in,
         sigma_out=sigma_out,
         transition=transition,
-        initial=data["initial"],
+        initial=initial,
         priority=priority,
-        convention=convention,
     )
+    if convention == MIN_EVEN:
+        top = max(priority[q] for q in states)
+        top += top % 2
+        a = replace(a, priority={q: top - priority[q] for q in states})
+    return a
 
 
 def naive_equiv(u, v, ctx: MonoidContext) -> bool:
@@ -432,8 +446,8 @@ def naive_equiv(u, v, ctx: MonoidContext) -> bool:
     if not covers(u, v) or not covers(v, u):
         return False
     for a in sorted(ctx.relations):
-        ru = all(ctx.has_edge(a, u[i], u[i + 1]) for i in range(len(u) - 1))
-        rv = all(ctx.has_edge(a, v[i], v[i + 1]) for i in range(len(v) - 1))
+        ru = all((u[i], u[i + 1]) in ctx.relations[a] for i in range(len(u) - 1))
+        rv = all((v[i], v[i + 1]) in ctx.relations[a] for i in range(len(v) - 1))
         if ru != rv:
             return False
     return True
@@ -461,7 +475,7 @@ def reference_signature(u, ctx: MonoidContext) -> ReferenceSignature:
         seen.add(q)
     flags = frozenset(
         a for a in ctx.relations
-        if all(ctx.has_edge(a, u[i], u[i + 1]) for i in range(len(u) - 1))
+        if all((u[i], u[i + 1]) in ctx.relations[a] for i in range(len(u) - 1))
     )
     return ReferenceSignature(u[0], u[-1], frozenset(seen), frozenset(pairs), flags)
 
@@ -471,7 +485,7 @@ def reference_signature_product(ctx: MonoidContext, s1, s2) -> ReferenceSignatur
     pairs = set(s1.pairs)
     for q, before in s2.pairs:
         pairs.add((q, s1.occ | before))
-    flags = frozenset(a for a in s1.flags & s2.flags if ctx.has_edge(a, s1.last, s2.first))
+    flags = frozenset(a for a in s1.flags & s2.flags if (s1.last, s2.first) in ctx.relations[a])
     return ReferenceSignature(s1.first, s2.last, s1.occ | s2.occ, frozenset(pairs), flags)
 
 
@@ -491,7 +505,7 @@ def reference_class_table(ctx: MonoidContext, letter=None):
         next_level = []
         for w in level:
             for q in ctx.states:
-                if letter is not None and not ctx.has_edge(letter, w[-1], q):
+                if letter is not None and (w[-1], q) not in ctx.relations[letter]:
                     continue
                 sig = reference_signature(w + (q,), ctx)
                 if sig not in witnesses:
@@ -502,6 +516,31 @@ def reference_class_table(ctx: MonoidContext, letter=None):
         w for sig, w in witnesses.items() if reference_signature_product(ctx, sig, sig) == sig
     ]
     return list(witnesses.values()), idempotents, max(map(len, witnesses.values()))
+
+
+def greatest_witness_table(table, letter):
+    """``table``, letter's path class table, with each class's lexicographically greatest shortest witness.
+
+    Runs the breadth-first closure of ``state_monoid.build_class_table``
+    over E_letter-paths with the states tried in reverse order, so the
+    first string met in a class is its greatest of least length.  Keeps the
+    table's signature order, idempotents and d_q.
+    """
+    ctx, greatest, level = table.ctx, {}, []
+    for q in reversed(ctx.states):
+        greatest[signature_of((q,), ctx)] = (q,)
+        level.append((q,))
+    while level:
+        next_level = []
+        for w in level:
+            for q in reversed(ctx.states):
+                if (w[-1], q) in ctx.relations[letter]:
+                    sig = signature_of(w + (q,), ctx)
+                    if sig not in greatest:
+                        greatest[sig] = w + (q,)
+                        next_level.append(w + (q,))
+        level = next_level
+    return table._replace(witnesses={sig: greatest[sig] for sig in table.witnesses})
 
 
 def reference_build_UP(table):
@@ -575,7 +614,6 @@ def reference_arena(a: ParityAutomaton, semantics, up) -> FlatArena:
     x, represented by the member of that behaviour used first over (letter,
     member); members are numbered by first use.
     """
-    a = convert_convention(a, MAX_EVEN)
     fresh = ArenaNode(FRESH)
     moves = {fresh: {ArenaEdge(fresh, ArenaNode(O_PAIR, a.initial, x)) for x in a.sigma_in}}
     for q in a.states:

@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 from chronosynth.arena import FV, RC
-from chronosynth.automaton import MAX_EVEN, ParityAutomaton, accepts
+from chronosynth.automaton import ParityAutomaton, accepts
 from chronosynth.cli import main as cli_main
 from chronosynth.continuous_synth import decide_continuous
 from chronosynth.discrete_game import run_counter_machine, run_machine, solve, solve_indexed
@@ -309,7 +309,7 @@ def test_criterion_7_strategy_check_vs_simulation():
         spec = ParityAutomaton.from_transitions(
             tuple(states), ("0", "1"), ("0", "1"),
             {(q, a, b): rng.choice(states) for q in states for a in "01" for b in "01"},
-            states[0], {q: rng.randint(0, 2) for q in states}, MAX_EVEN,
+            states[0], {q: rng.randint(0, 2) for q in states},
         )
         specs.append((spec, RC))
         specs.append((spec, FV))

@@ -24,10 +24,17 @@ from chronosynth.arena import (
     build_rc_arena,
     export_dot,
 )
-from chronosynth.automaton import MAX_EVEN, MIN_EVEN, ParityAutomaton, convert_convention, dot_quote
+from chronosynth.automaton import ParityAutomaton, dot_quote
 from chronosynth.cli import main
 from chronosynth import continuous_synth, state_monoid
-from chronosynth.continuous_synth import SynthError, build_game_arena, decide_continuous
+from chronosynth.continuous_synth import (
+    SynthError,
+    build_game_arena,
+    build_strategy_graph,
+    decide_continuous,
+    find_violation,
+    solve_interrupt,
+)
 from chronosynth.state_monoid import (
     UPMember,
     build_UP,
@@ -37,14 +44,14 @@ from chronosynth.state_monoid import (
 )
 
 from fixture_specs import FIXTURES, load_fixture
-from oracles import full_arena, reference_antichain, reference_arena
+from oracles import full_arena, greatest_witness_table, reference_antichain, reference_arena
 from test_discrete_game import _family_spec
 
 
 def one_state_automaton(sigma_in=("0", "1"), priority=0):
     transition = {("q", a, b): "q" for a in sigma_in for b in ("0", "1")}
     return ParityAutomaton.from_transitions(
-        ("q",), sigma_in, ("0", "1"), transition, "q", {"q": priority}, MAX_EVEN
+        ("q",), sigma_in, ("0", "1"), transition, "q", {"q": priority}
     )
 
 
@@ -55,7 +62,7 @@ def random_automaton(rng, n_states=2, sigma_in=("0", "1")):
     }
     priority = {q: rng.randint(0, 3) for q in states}
     return ParityAutomaton.from_transitions(
-        tuple(states), tuple(sigma_in), ("0", "1"), transition, states[0], priority, MAX_EVEN
+        tuple(states), tuple(sigma_in), ("0", "1"), transition, states[0], priority
     )
 
 
@@ -94,23 +101,6 @@ def test_rc_arena_singleton_input_has_no_interrupts():
     a = one_state_automaton(sigma_in=("0",))
     arena = build_rc_arena(a, tables_for(a))
     assert all(not e.labeled for e in arena.edges)
-
-
-def test_arena_builders_convert_to_max_even():
-    rng = random.Random(4)
-    checked = 0
-    for _ in range(10):
-        spec = convert_convention(random_automaton(rng, 3), MIN_EVEN)
-        canonical = convert_convention(spec, MAX_EVEN)
-        if canonical.priority == spec.priority:
-            continue
-        tables = tables_for(spec)
-        for build in (build_rc_arena, build_fv_arena):
-            arena, expected = build(spec, tables), build(canonical, tables)
-            assert arena.edges == expected.edges
-            assert arena.final_up == expected.final_up
-        checked += 1
-    assert checked >= 5
 
 
 def test_big_edge_priority_is_member_max():
@@ -253,7 +243,7 @@ def corpus_automaton(rng, n_states, sigma_in):
     }
     priority = {q: rng.randint(0, 4) for q in states}
     return ParityAutomaton.from_transitions(
-        tuple(states), sigma_in, ("0", "1"), transition, states[0], priority, MAX_EVEN
+        tuple(states), sigma_in, ("0", "1"), transition, states[0], priority
     )
 
 
@@ -453,6 +443,49 @@ def test_factored_arena_matches_flat_reference(quotient_corpus):
             block_nodes = [n for n in arena.nodes if n.kind == I_UP]
             blocks += len(block_nodes)
     assert blocks > 1000
+
+
+# -- the verdict does not depend on the class representatives ----------------
+
+
+def _behaviours(arena, kind):
+    """Each source node of that kind, with the (final, row) of its block nodes."""
+    return {
+        node: {(e.dst in arena.final_up, arena.rows[e.dst]) for e in arena.outgoing(node) if e.dst.kind == I_UP}
+        for node in arena.nodes
+        if node.kind == kind
+    }
+
+
+def test_verdict_does_not_depend_on_the_class_representatives(quotient_corpus):
+    # the tables keep each class's least shortest witness; with the greatest
+    # one, an rc (q, x) keeps the same behaviours, its labels being a function
+    # of the signature, while an fv one may not, the signature not holding
+    # the positions' parities; no verdict changes, and every controller
+    # witness wins on the arena it was found on
+    specs = _continuous_fixtures() + [a for a, semantics, _ in quotient_corpus if semantics == RC]
+    specs += [_family_spec("deep", i, 3, ("0", "1"), 4) for i in range(30)]
+    specs += [_family_spec("deep", i, 4, ("0", "1"), 4) for i in range(12)]
+    realizable = fv_moved = 0
+    for a in specs:
+        least = tables_for(a)
+        greatest = {x: greatest_witness_table(table, x) for x, table in least.items()}
+        for semantics, build, source_kind in ((RC, build_rc_arena, O_PAIR), (FV, build_fv_arena, I_DAG)):
+            arenas = build(a, least), build(a, greatest)
+            verdicts = []
+            for arena in arenas:
+                won, choice = solve_interrupt(arena)
+                if won:
+                    assert find_violation(build_strategy_graph(arena, choice)) is None, (a, semantics)
+                verdicts.append(won)
+            assert verdicts[0] == verdicts[1], (a, semantics)
+            realizable += verdicts[0]
+            behaviours = [_behaviours(arena, source_kind) for arena in arenas]
+            if semantics == RC:
+                assert behaviours[0] == behaviours[1], a
+            else:
+                fv_moved += behaviours[0] != behaviours[1]
+    assert len(specs) == 63 and realizable > 40 and fv_moved > 10, (len(specs), realizable, fv_moved)
 
 
 def test_synth_builds_no_block_edge(monkeypatch):

@@ -1,4 +1,4 @@
-"""Parity automaton runs, acceptance, conventions, and monitor products."""
+"""Parity automaton runs, acceptance, the loader's conventions, and monitor products."""
 
 import copy
 import dataclasses
@@ -21,7 +21,6 @@ from chronosynth.automaton import (
     SafetyMonitor,
     accepts,
     automaton_from_json,
-    convert_convention,
     product_with_monitor,
     run_over,
 )
@@ -33,7 +32,7 @@ from fixture_specs import FIXTURES
 from oracles import reference_automaton_from_json, reference_product
 
 
-def build(states, sigma_in, sigma_out, step, initial, priority, convention=MIN_EVEN):
+def build(states, sigma_in, sigma_out, step, initial, priority):
     transition = {
         (q, a, b): step(q, a, b) for q in states for a in sigma_in for b in sigma_out
     }
@@ -44,12 +43,11 @@ def build(states, sigma_in, sigma_out, step, initial, priority, convention=MIN_E
         transition=transition,
         initial=initial,
         priority=dict(priority),
-        convention=convention,
     )
 
 
-def one_state(priority=0, convention=MIN_EVEN):
-    return build(["q"], ["0", "1"], ["0", "1"], lambda q, a, b: "q", "q", {"q": priority}, convention)
+def one_state(priority=0):
+    return build(["q"], ["0", "1"], ["0", "1"], lambda q, a, b: "q", "q", {"q": priority})
 
 
 def toggler():
@@ -62,7 +60,7 @@ def toggler():
     return build(["r", "s"], ["0", "1"], ["0", "1"], step, "r", {"r": 0, "s": 1})
 
 
-def random_automaton(rng, n_states=3, convention=MIN_EVEN):
+def random_automaton(rng, n_states=3):
     states = [f"q{i}" for i in range(n_states)]
     sigma_in, sigma_out = ("0", "1"), ("0", "1")
     transition = {
@@ -70,8 +68,24 @@ def random_automaton(rng, n_states=3, convention=MIN_EVEN):
     }
     priority = {q: rng.randint(0, 3) for q in states}
     return ParityAutomaton.from_transitions(
-        tuple(states), sigma_in, sigma_out, transition, states[0], priority, convention
+        tuple(states), sigma_in, sigma_out, transition, states[0], priority
     )
+
+
+def spec_json(a, convention):
+    """The spec file of ``a``, its priorities written as they are, under ``convention``."""
+    return {
+        "states": list(a.states), "sigma_in": list(a.sigma_in), "sigma_out": list(a.sigma_out),
+        "initial": a.initial, "priority": dict(a.priority), "convention": convention,
+        "transitions": [{"from": q, "in": x, "out": b, "to": t} for (q, x, b), t in a.transition.items()],
+    }
+
+
+def literal_accepts(convention, a, word):
+    """Acceptance read off ``a``'s own priorities under ``convention``: the least
+    (min-even) or greatest (max-even) priority the run sees infinitely often is even."""
+    seen = [a.priority[q] for q in inf_set(run_over(a, word))]
+    return (min if convention == MIN_EVEN else max)(seen) % 2 == 0
 
 
 def random_word(rng, max_len=4):
@@ -145,43 +159,41 @@ def test_accepts_one_state_priorities():
 
 
 def test_accepts_min_vs_max_convention():
-    # run with Inf = {p: 1, q: 2}: min-even rejects, max-even accepts
+    # run with Inf = {p: 1, q: 2}: a min-even file rejects it, a max-even file accepts it
     def step(q, a, b):
         return "q" if q == "p" else "p"
 
-    for conv, expected in ((MIN_EVEN, False), (MAX_EVEN, True)):
-        a = build(["p", "q"], ["0"], ["0"], step, "p", {"p": 1, "q": 2}, conv)
-        assert accepts(a, LassoWord((), (("0", "0"),))) is expected
+    a = build(["p", "q"], ["0"], ["0"], step, "p", {"p": 1, "q": 2})
+    for convention, expected in ((MIN_EVEN, False), (MAX_EVEN, True)):
+        assert accepts(automaton_from_json(spec_json(a, convention)), LassoWord((), (("0", "0"),))) is expected
 
 
-def test_convert_convention_remap_values():
+def test_min_even_file_loads_with_mirrored_priorities():
     def step(q, a, b):
         return "q" if (a, b) == ("0", "0") else "p"
 
     a = build(["p", "q"], ["0", "1"], ["0"], step, "p", {"p": 0, "q": 1})
-    c = convert_convention(a, MAX_EVEN)
-    assert c.priority == {"p": 2, "q": 1}
+    assert automaton_from_json(spec_json(a, MIN_EVEN)).priority == {"p": 2, "q": 1}
     b = build(["p", "q", "r"], ["0"], ["0"], lambda q, a_, b_: "r", "p", {"p": 1, "q": 2, "r": 3})
-    c2 = convert_convention(b, MAX_EVEN)
-    assert c2.priority == {"p": 3, "q": 2, "r": 1}
+    assert automaton_from_json(spec_json(b, MIN_EVEN)).priority == {"p": 3, "q": 2, "r": 1}
+    # a max-even file, or one without the field, loads as it is written
+    assert automaton_from_json(spec_json(b, MAX_EVEN)) == b
+    data = spec_json(b, MIN_EVEN)
+    del data["convention"]
+    assert automaton_from_json(data) == automaton_from_json(spec_json(b, MIN_EVEN))
 
 
-def test_convert_convention_identity():
-    a = one_state()
-    assert convert_convention(a, MIN_EVEN) is a
-
-
-def test_convert_convention_preserves_language_random():
+def test_min_even_file_keeps_its_language_random():
     rng = random.Random(23)
     for _ in range(50):
-        a = random_automaton(rng, convention=rng.choice((MIN_EVEN, MAX_EVEN)))
-        target = MAX_EVEN if a.convention == MIN_EVEN else MIN_EVEN
-        c = convert_convention(a, target)
+        convention = rng.choice((MIN_EVEN, MAX_EVEN))
+        a = random_automaton(rng)
+        loaded = automaton_from_json(spec_json(a, convention))
         w = random_word(rng)
-        assert accepts(a, w) == accepts(c, w)
+        assert accepts(loaded, w) == literal_accepts(convention, a, w)
 
 
-def test_convert_convention_exhaustive_small_lassos():
+def test_min_even_file_keeps_its_language_on_small_lassos():
     # exhaustive over 2-letter product alphabets, |u|, |v| <= 3
     rng = random.Random(1)
     letters = [("0", "0"), ("1", "0")]
@@ -189,18 +201,15 @@ def test_convert_convention_exhaustive_small_lassos():
     a = ParityAutomaton.from_transitions(
         a.states, ("0", "1"), ("0",),
         {(q, x, "0"): a.transition[(q, x, "0")] for q in a.states for x in ("0", "1")},
-        a.initial, a.priority, MIN_EVEN,
+        a.initial, a.priority,
     )
-    conv = convert_convention(a, MAX_EVEN)
-    back = convert_convention(conv, MIN_EVEN)
+    loaded = automaton_from_json(spec_json(a, MIN_EVEN))
     for ulen in range(0, 4):
         for vlen in range(1, 4):
             for u in itertools.product(letters, repeat=ulen):
                 for v in itertools.product(letters, repeat=vlen):
                     w = LassoWord(u, v)
-                    r = accepts(a, w)
-                    assert accepts(conv, w) == r
-                    assert accepts(back, w) == r
+                    assert accepts(loaded, w) == literal_accepts(MIN_EVEN, a, w)
 
 
 def accept_all_monitor(sigma_in, sigma_out) -> SafetyMonitor:
@@ -233,9 +242,9 @@ def test_product_with_letter_rejecting_monitor():
     p = product_with_monitor(a, mon)
     assert accepts(p, LassoWord((), (("0", "0"),)))
     assert not accepts(p, LassoWord((("1", "1"),), (("0", "0"),)))
-    # sink priority dominates for max-even automata too
-    a2 = convert_convention(one_state(0), MAX_EVEN)
-    p2 = product_with_monitor(a2, mon)
+    # the sink's priority tops an even one
+    p2 = product_with_monitor(one_state(2), mon)
+    assert accepts(p2, LassoWord((), (("0", "0"),)))
     assert not accepts(p2, LassoWord((("1", "1"),), (("0", "0"),)))
 
 
@@ -404,10 +413,18 @@ def test_json_rejects_non_integer_priorities(value):
 
 
 @pytest.mark.parametrize(
-    "convention, priorities, sink",
-    [(MIN_EVEN, [0, 4], 1), (MAX_EVEN, [0, 1], 1), (MAX_EVEN, [0, 2], 3), (MAX_EVEN, [5, 2], 5)],
+    "convention, priorities, sink, product_sink",
+    [
+        # a min-even file's sink gets 1 and is then mirrored with M = 4, to 3;
+        # mirroring first would give it 5, as the monitor product does over the
+        # mirrored priorities; arena JSON prints the 3
+        (MIN_EVEN, [0, 4], 3, 5),
+        (MAX_EVEN, [0, 1], 1, 1),
+        (MAX_EVEN, [0, 2], 3, 3),
+        (MAX_EVEN, [5, 2], 5, 5),
+    ],
 )
-def test_loader_and_monitor_product_give_the_sink_one_priority(convention, priorities, sink):
+def test_loader_and_monitor_product_give_the_sink_one_priority(convention, priorities, sink, product_sink):
     data = {
         "states": ["a", "b"],
         "sigma_in": ["0", "1"],
@@ -421,7 +438,7 @@ def test_loader_and_monitor_product_give_the_sink_one_priority(convention, prior
     data["transitions"] = [{"from": q, "in": x, "out": "0", "to": q} for q in "ab" for x in "01"]
     complete = automaton_from_json(data)
     prod = product_with_monitor(complete, accept_all_monitor(complete.sigma_in, complete.sigma_out))
-    assert {prod.priority[(q, "dead")] for q in "ab"} == {sink}
+    assert {prod.priority[(q, "dead")] for q in "ab"} == {product_sink}
 
 
 @pytest.mark.parametrize("state", [1, ["a"]], ids=["int", "list"])
@@ -671,12 +688,12 @@ def _table_built(kind):
     if kind == "loaded":
         data = _family_spec()
         return automaton_from_json(data), reference_automaton_from_json(data)
-    if kind == "converted":
+    if kind == "converted":  # a min-even file, its priorities mirrored by the loader
         t = toggler()
         twin = ParityAutomaton.from_transitions(
-            t.states, t.sigma_in, t.sigma_out, t.transition, t.initial, {"r": 2, "s": 1}, MAX_EVEN
+            t.states, t.sigma_in, t.sigma_out, t.transition, t.initial, {"r": 2, "s": 1}
         )
-        return convert_convention(t, MAX_EVEN), twin
+        return automaton_from_json(spec_json(t, MIN_EVEN)), twin
     monitor = accept_all_monitor(("0", "1"), ("0", "1"))
     return product_with_monitor(toggler(), monitor), reference_product(toggler(), monitor)
 

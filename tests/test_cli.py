@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from chronosynth.automaton import MIN_EVEN, convert_convention, load_automaton
+from chronosynth.automaton import MIN_EVEN, load_automaton
 from chronosynth import cli
 from chronosynth.cli import EXIT_CAP, EXIT_OK, EXIT_UNDECIDED, EXIT_USAGE, main
 from chronosynth.continuous_synth import build_game_arena
@@ -619,8 +619,9 @@ def _min_even_twin(fixture, tmp_path):
     """The fixture written under the min-even convention, with the priorities that keep its language.
 
     The priorities follow the formula p -> M - p, with M the top priority
-    rounded up to even, not the conversion under test, so a wrong M in
-    ``convert_convention`` shows as a mismatch here.
+    rounded up to even, not the loader's mirroring, which maps them back:
+    every fixture has a priority 0 or 1, so both mirrors share M, and a
+    wrong M in the loader shows as a mismatch here.
     """
     data = json.loads(fixture.read_text())
     top = max(data["priority"].values())
@@ -629,13 +630,13 @@ def _min_even_twin(fixture, tmp_path):
     data["convention"] = MIN_EVEN
     path = tmp_path / fixture.name
     path.write_text(json.dumps(data))
-    assert load_automaton(path) == convert_convention(load_automaton(fixture), MIN_EVEN)
+    assert load_automaton(path) == load_automaton(fixture)
     return path
 
 
 @pytest.mark.parametrize("fixture", sorted(FIXTURES.glob("*.json")), ids=lambda p: p.stem)
 def test_min_even_twin_prints_what_the_fixture_prints(fixture, tmp_path):
-    # every entry point reads the twin's priorities through the one conversion
+    # the loader mirrors the twin's priorities, and no entry point reads a convention
     twin = _min_even_twin(fixture, tmp_path)
     # the monoid of four fixtures is over the cap, which a small cap finds sooner
     commands = [["--monoid-cap", "5000", "monoid", "--full"], ["solve-discrete"]]

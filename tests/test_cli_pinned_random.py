@@ -127,7 +127,7 @@ def _spec_json(spec):
         "sigma_out": list(a.sigma_out),
         "initial": a.initial,
         "priority": a.priority,
-        "convention": a.convention,
+        "convention": "max_even",
         "transitions": [
             {"from": q, "in": x, "out": b, "to": t} for (q, x, b), t in sorted(a.transition.items())
         ],

@@ -14,7 +14,7 @@ import random
 import pytest
 
 from chronosynth.arena import FV, RC, _LabelBits, build_fv_arena, build_rc_arena
-from chronosynth.automaton import MAX_EVEN, ParityAutomaton, convert_convention, load_automaton
+from chronosynth.automaton import ParityAutomaton, load_automaton
 from chronosynth.continuous_synth import build_game_arena
 from chronosynth.state_monoid import build_UP, build_class_table, context_from_automaton, signature_of
 
@@ -32,7 +32,7 @@ def seeded_spec(rng, n_states, sigma_in):
     }
     priority = {q: rng.randint(0, 4) for q in states}
     return ParityAutomaton.from_transitions(
-        tuple(states), sigma_in, ("0", "1"), transition, states[0], priority, MAX_EVEN
+        tuple(states), sigma_in, ("0", "1"), transition, states[0], priority
     )
 
 
@@ -44,7 +44,7 @@ def corpus():
         for n_states in (1, 2, 2, 3):
             specs.append((f"seeded/{len(specs)}", seeded_spec(rng, n_states, sigma_in)))
     for path in sorted(FIXTURES.glob("*.json")):
-        specs.append((path.stem, convert_convention(load_automaton(path), MAX_EVEN)))
+        specs.append((path.stem, load_automaton(path)))
     return specs
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from chronosynth import continuous_synth
 from chronosynth.arena import FV, I_UP, RC
-from chronosynth.automaton import MAX_EVEN, ParityAutomaton
+from chronosynth.automaton import ParityAutomaton
 from chronosynth.cli import _witness_json
 from chronosynth.continuous_synth import (
     SynthError,
@@ -32,7 +32,7 @@ def random_automaton(rng, n_states=2, max_prio=3):
     }
     priority = {q: rng.randint(0, max_prio) for q in states}
     return ParityAutomaton.from_transitions(
-        tuple(states), ("0", "1"), ("0", "1"), transition, states[0], priority, MAX_EVEN
+        tuple(states), ("0", "1"), ("0", "1"), transition, states[0], priority
     )
 
 
@@ -180,7 +180,7 @@ def test_adding_accepting_escape_never_breaks_realizability():
         priority = dict(a.priority)
         priority["trap"] = trap_prio
         return ParityAutomaton.from_transitions(
-            states, a.sigma_in, sigma_out, transition, a.initial, priority, MAX_EVEN
+            states, a.sigma_in, sigma_out, transition, a.initial, priority
         )
 
     copy_spec = load_fixture("psi_copy")
@@ -214,7 +214,7 @@ def test_uniform_priority_parity_forces_verdict():
         for parity, expected in ((0, True), (1, False)):
             spec = ParityAutomaton.from_transitions(
                 tuple(states), ("0", "1"), ("0", "1"), dict(transition), states[0],
-                {q: 2 * rng.randint(0, 1) + parity for q in states}, MAX_EVEN,
+                {q: 2 * rng.randint(0, 1) + parity for q in states},
             )
             for sem in (RC, FV):
                 assert decide_continuous(spec, sem).realizable is expected

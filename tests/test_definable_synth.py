@@ -6,12 +6,9 @@ from fractions import Fraction
 import pytest
 
 from chronosynth.automaton import (
-    CONVENTIONS,
-    MIN_EVEN,
     AlphabetMismatchError,
     ParityAutomaton,
     accepts,
-    convert_convention,
     product_with_monitor,
 )
 from chronosynth.definable_synth import (
@@ -222,11 +219,9 @@ def test_witness_answers_indicator_prefixes_alike_until_they_diverge():
 
 
 def _product_specs():
-    """psi_copy_d and psi_jump_d under both conventions, and the seeded specs of DEFINABLE_TABLE."""
+    """psi_copy_d and psi_jump_d, and the seeded specs of DEFINABLE_TABLE, their min-even draws mirrored."""
     for name in ("psi_copy_d", "psi_jump_d"):
-        spec = load_fixture(name)
-        yield name, spec
-        yield f"{name} min-even", convert_convention(spec, MIN_EVEN)
+        yield name, load_fixture(name)
     rng = random.Random(31)  # as test_discrete_game._pinned_definable_rows draws them
     for i in range(10):
         yield f"seeded {i}", _seeded_spec(rng, rng.randint(2, 8), SQ)
@@ -234,11 +229,10 @@ def _product_specs():
 
 def test_product_matches_reference_product():
     rng = random.Random(13)
-    conventions = set()
     for name, spec in _product_specs():
         monitor = build_psi_star_monitor(spec.sigma_in, spec.sigma_out)
         product, reference = product_with_monitor(spec, monitor), reference_product(spec, monitor)
-        for field in ("states", "sigma_in", "sigma_out", "initial", "priority", "convention"):
+        for field in ("states", "sigma_in", "sigma_out", "initial", "priority"):
             assert getattr(product, field) == getattr(reference, field), (name, field)
         assert list(product.transition.items()) == list(reference.transition.items()), name
         assert solve(product) == solve(reference), name
@@ -247,5 +241,3 @@ def test_product_matches_reference_product():
             v = tuple((rng.choice(SQ), rng.choice(SQ)) for _ in range(rng.randint(1, 3)))
             word = LassoWord(u, v)
             assert accepts(product, word) == accepts(reference, word), (name, word)
-        conventions.add(spec.convention)
-    assert conventions == set(CONVENTIONS)

@@ -8,6 +8,7 @@ import hashlib
 import itertools
 import json
 import random
+from dataclasses import replace
 
 from chronosynth.automaton import (
     CONVENTIONS,
@@ -18,6 +19,7 @@ from chronosynth.automaton import (
     accepts,
     automaton_from_json,
     load_automaton,
+    mirrored_priority,
     product_with_monitor,
 )
 from chronosynth.definable_synth import build_psi_star_monitor, solve_definable, square_alphabet
@@ -89,15 +91,20 @@ def solve_sets(game):
     return set(w_o), set(w_i), s_o, s_i
 
 
+def max_even_twin(a, convention):
+    """The automaton whose priorities, read max-even, give the language of
+    ``a``'s read under ``convention``: a min-even one is mirrored, as the loader does."""
+    return a if convention == MAX_EVEN else replace(a, priority=mirrored_priority(a))
+
+
 def random_automaton(rng, n_states=6):
     states = [f"q{i}" for i in range(n_states)]
     transition = {
         (q, a, b): rng.choice(states) for q in states for a in "01" for b in "01"
     }
     priority = {q: rng.randint(0, 3) for q in states}
-    return ParityAutomaton.from_transitions(
-        tuple(states), ("0", "1"), ("0", "1"), transition, states[0], priority, MIN_EVEN
-    )
+    a = ParityAutomaton.from_transitions(tuple(states), ("0", "1"), ("0", "1"), transition, states[0], priority)
+    return max_even_twin(a, MIN_EVEN)
 
 
 def random_in_lasso(rng, letters=("0", "1"), max_len=4):
@@ -323,7 +330,7 @@ def _family_spec(family, index, n_states, letters, max_priority):
     transition = {
         (q, a, b): rng.choice(states) for q in states for a in letters for b in letters
     }
-    return ParityAutomaton.from_transitions(tuple(states), letters, letters, transition, "q0", priority, MAX_EVEN)
+    return ParityAutomaton.from_transitions(tuple(states), letters, letters, transition, "q0", priority)
 
 
 def _seeded_games(repeats=False):
@@ -364,9 +371,8 @@ def _small_specs():
         sigma_in, sigma_out = ("0", "1")[:rng.randint(1, 2)], ("a", "b", "c", "d")[:rng.randint(3, 4)]
         transition = {key: rng.choice(states) for key in itertools.product(states, sigma_in, sigma_out)}
         priority = {q: rng.randint(0, 4) for q in states}
-        yield ParityAutomaton.from_transitions(
-            states, sigma_in, sigma_out, transition, "q0", priority, rng.choice(CONVENTIONS)
-        )
+        a = ParityAutomaton.from_transitions(states, sigma_in, sigma_out, transition, "q0", priority)
+        yield max_even_twin(a, rng.choice(CONVENTIONS))
 
 
 def test_repeated_successors_change_no_region_or_strategy():
@@ -462,7 +468,8 @@ def test_zielonka_depth_does_not_grow_with_peeled_regions():
 
 def _differential_specs():
     """Specs whose game numbering can go wrong: unsorted states and alphabets,
-    every letter count from 1 to 3, both conventions, tuple states with a
+    every letter count from 1 to 3, both conventions (a min-even draw
+    mirrored, in memory or by the loader), tuple states with a
     sink, specs the loader completes with SINK, and the fixtures.  Each comes
     with its twin built from named transitions: itself when constructed, else
     ``reference_product``'s product or the two-pass reference loader's spec."""
@@ -476,9 +483,9 @@ def _differential_specs():
         }
         priority = {q: rng.randint(0, 5) for q in states}
         a = ParityAutomaton.from_transitions(
-            tuple(states), sigma_in, sigma_out, transition, rng.choice(states), priority,
-            CONVENTIONS[trial % 2],
+            tuple(states), sigma_in, sigma_out, transition, rng.choice(states), priority
         )
+        a = max_even_twin(a, CONVENTIONS[trial % 2])
         yield f"seeded {trial}", a, a
     squared = square_alphabet("01")
     monitor = build_psi_star_monitor(squared, squared)
@@ -486,7 +493,7 @@ def _differential_specs():
         spec = _seeded_spec(rng, rng.randint(1, 4), squared)
         yield f"product {trial}", product_with_monitor(spec, monitor), reference_product(spec, monitor)
     for trial in range(40):
-        spec = _seeded_spec(rng, rng.randint(1, 5), ("0", "1"))
+        spec, convention = _seeded_draw(rng, rng.randint(1, 5), ("0", "1"))
         kept = [t for t in spec.transition.items() if rng.random() < 0.7]
         data = {
             "states": list(spec.states),
@@ -494,7 +501,7 @@ def _differential_specs():
             "sigma_out": list(spec.sigma_out),
             "initial": spec.initial,
             "priority": spec.priority,
-            "convention": spec.convention,
+            "convention": convention,
             "transitions": [
                 {"from": q, "in": x, "out": b, "to": t} for (q, x, b), t in kept
             ],
@@ -602,15 +609,20 @@ def _digest(data):
     return hashlib.sha256(json.dumps(data).encode()).hexdigest()[:16]
 
 
-def _seeded_spec(rng, n_states, letters):
+def _seeded_draw(rng, n_states, letters):
+    """A seeded automaton, and the convention its priorities are drawn under."""
     states = [f"q{i}" for i in range(n_states)]
     transition = {
         (q, a, b): rng.choice(states) for q in states for a in letters for b in letters
     }
     priority = {q: rng.randint(0, 5) for q in states}
-    return ParityAutomaton.from_transitions(
-        tuple(states), letters, letters, transition, states[0], priority, rng.choice(CONVENTIONS)
-    )
+    a = ParityAutomaton.from_transitions(tuple(states), letters, letters, transition, states[0], priority)
+    return a, rng.choice(CONVENTIONS)
+
+
+def _seeded_spec(rng, n_states, letters):
+    """A seeded spec, its min-even draws mirrored to max-even."""
+    return max_even_twin(*_seeded_draw(rng, n_states, letters))
 
 
 def _pinned_solve_rows():

@@ -296,7 +296,7 @@ def test_restricted_table_matches_path_strings():
             for w in frontier:
                 paths.add(signature_of(w, ctx))
                 for q in ctx.states:
-                    if ctx.has_edge("x", w[-1], q):
+                    if (w[-1], q) in ctx.relations["x"]:
                         new.append(w + (q,))
             frontier = new
         for w in frontier:
@@ -304,7 +304,7 @@ def test_restricted_table_matches_path_strings():
         # the restricted closure finds at least these and nothing non-path
         assert paths <= set(table.witnesses)
         for sig, w in table.witnesses.items():
-            assert all(ctx.has_edge("x", w[i], w[i + 1]) for i in range(len(w) - 1))
+            assert all((w[i], w[i + 1]) in ctx.relations["x"] for i in range(len(w) - 1))
 
 
 def test_letter_restricted_up_covers_path_lassos():
@@ -353,7 +353,7 @@ def test_member_path_flags_match_unfolded_check():
             word = m.lag + m.period * 2
             for letter in sorted(ctx.relations):
                 literal = all(
-                    ctx.has_edge(letter, word[i], word[i + 1])
+                    (word[i], word[i + 1]) in ctx.relations[letter]
                     for i in range(len(word) - 1)
                 )
                 assert is_path_for(m, letter, ctx) == literal
@@ -370,7 +370,7 @@ def test_per_letter_vocabulary_holds_only_paths_for_its_letter():
                 for m in build_UP(build_class_table(ctx, letter=letter)):
                     word = m.lag + m.period * 2
                     assert all(
-                        ctx.has_edge(letter, word[i], word[i + 1]) for i in range(len(word) - 1)
+                        (word[i], word[i + 1]) in ctx.relations[letter] for i in range(len(word) - 1)
                     ), (letter, m.lag, m.period)
                     assert is_path_for(m, letter, ctx)
                     checked += 1
