@@ -10,9 +10,11 @@ even), and the loader mirrors such a file's priorities once
 Every automaton is its integer transition ``table``, and its one
 constructor takes the table.  ``ParityAutomaton.from_transitions`` checks a
 named ``transition`` dict into a table in one walk over the (state, in, out)
-triples; the spec-file loader and the product with a safety monitor build
-the table themselves.  ``transition`` is a view of the table, named only
-when something first reads it.
+triples, as the jump-discipline monitor is built; the spec-file loader and
+the product with a monitor build the table themselves.  A safety monitor is
+an automaton too, whose states of odd priority are its rejecting sink.
+``transition`` is a view of the table, named only when something first
+reads it.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import json
 from dataclasses import dataclass, replace
 from functools import cached_property
 from operator import add, itemgetter
-from typing import NamedTuple
 from .omega_word import LassoWord, inf_set, transduce
 
 SINK = "__sink__"
@@ -167,45 +168,23 @@ def mirrored_priority(a: ParityAutomaton) -> dict:
     return {q: m - a.priority[q] for q in a.states}
 
 
-class SafetyMonitor(NamedTuple):
-    """Deterministic safety automaton with an absorbing rejecting sink."""
-
-    states: tuple
-    initial: object
-    sink: object
-    transition: dict  # (state, in_letter, out_letter) -> state
-
-    def step(self, q, a, b):
-        try:
-            return self.transition[(q, a, b)]
-        except KeyError:
-            raise AlphabetMismatchError(f"monitor has no transition at ({q!r}, {a!r}, {b!r})")
-
-
 def _sink_priority(priorities) -> int:
     """The least odd priority at or above all given: an added sink's, so a run caught there is rejected."""
     return max(priorities, default=0) | 1
 
 
-def product_with_monitor(a: ParityAutomaton, m: SafetyMonitor) -> ParityAutomaton:
-    """Product automaton; entering the monitor sink fixes the verdict.
+def product_with_monitor(a: ParityAutomaton, m: ParityAutomaton) -> ParityAutomaton:
+    """Product with a safety monitor; entering a monitor state of odd priority fixes the verdict.
 
-    Sink states receive the least odd priority at or above every other, so a
-    word that violates the monitored discipline is rejected.  State
-    (a.states[i], m.states[j]) is number i * len(m.states) + j.  A faulty
-    monitor raises what the named product's constructor would.
+    Such sink states receive the least odd priority at or above every other,
+    so a word that violates the monitored discipline is rejected.  The two
+    tables are composed row by row: state (a.states[i], m.states[j]) is
+    number i * len(m.states) + j.
     """
-    keys = itertools.product(m.states, a.sigma_in, a.sigma_out)
-    targets = list(itertools.starmap(m.step, keys))
-    if m.initial not in m.states:
-        raise AutomatonError("initial state not among states")
-    index = {q: j for j, q in enumerate(m.states)}
+    if (m.sigma_in, m.sigma_out) != (a.sigma_in, a.sigma_out):
+        raise AlphabetMismatchError("monitor alphabets are not the automaton's, in its order")
     size, width = len(m.states), len(a.sigma_in) * len(a.sigma_out)
-    for k, tgt in enumerate(targets):
-        if tgt not in index:  # named as the product's first row names it
-            raise AutomatonError(f"transition target {(a.states[a.table[k % width]], tgt)!r} not a state")
-    m_table = list(map(index.__getitem__, targets))
-    m_rows = [m_table[j * width:(j + 1) * width] for j in range(size)]
+    m_rows = [m.table[j * width:(j + 1) * width] for j in range(size)]
     table = []
     for i in range(len(a.states)):
         row = [t * size for t in a.table[i * width:(i + 1) * width]]
@@ -213,7 +192,7 @@ def product_with_monitor(a: ParityAutomaton, m: SafetyMonitor) -> ParityAutomato
             table += map(add, row, m_row)
     sink_prio = _sink_priority(a.priority[q] for q in a.states)
     states = tuple(itertools.product(a.states, m.states))
-    priority = {q: sink_prio if q[1] == m.sink else a.priority[q[0]] for q in states}
+    priority = {q: sink_prio if m.priority[q[1]] % 2 else a.priority[q[0]] for q in states}
     return ParityAutomaton(
         states=states, sigma_in=a.sigma_in, sigma_out=a.sigma_out, table=table,
         initial=(a.initial, m.initial), priority=priority,

@@ -5,7 +5,9 @@ letter encodes (value at the sample point, value on the following open
 interval), and likewise for output letters.  A finite-state operator's
 output can only jump where its input jumps, so the decision composes the
 specification's transition table with that of a safety monitor enforcing
-exactly that discipline and hands the product to the discrete solver.
+exactly that discipline and hands the product to the discrete solver.  The
+monitor is a parity automaton too: its rejecting sink is its one state of
+odd priority.
 
 Positive answers return a machine to be run on stuttering-free encodings;
 negative answers carry the losing region and the counter machine as a
@@ -16,12 +18,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .automaton import (
-    AlphabetMismatchError,
-    ParityAutomaton,
-    SafetyMonitor,
-    product_with_monitor,
-)
+from .automaton import AlphabetMismatchError, ParityAutomaton, product_with_monitor
 from .discrete_game import MealyMachine, MooreCounterMachine, solve
 
 PAIR_SEP = ","
@@ -53,14 +50,16 @@ def is_squared_alphabet(letters) -> bool:
         return False
 
 
-def build_psi_star_monitor(sigma_in, sigma_out) -> SafetyMonitor:
+def build_psi_star_monitor(sigma_in, sigma_out) -> ParityAutomaton:
     """Safety monitor for the jump discipline of finite-state operators.
 
     Remembers the previous letter's interval components (a', b').  On the
     next letter ((c, c'), (d, d')): if a' = c (the input is left-continuous
     at the sample point) the output must be too (b' = d); if additionally
     c = c' (continuous), d = d' is also required.  The first letter is
-    unconstrained: the clauses quantify over times strictly after 0.
+    unconstrained: the clauses quantify over times strictly after 0.  The
+    monitor is a parity automaton whose one odd priority, 1, is at the
+    absorbing ``dead`` state; every other state has 0.
     """
     base_in = sorted({piece for letter in sigma_in for piece in split_letter(letter)})
     base_out = sorted({piece for letter in sigma_out for piece in split_letter(letter)})
@@ -79,7 +78,9 @@ def build_psi_star_monitor(sigma_in, sigma_out) -> SafetyMonitor:
                 state = f"m:{x}{PAIR_SEP}{y}"
                 violated = x == c and (y != d or (c == c_prime and d != d_prime))
                 transition[(state, ain, aout)] = "dead" if violated else next_mem
-    return SafetyMonitor(tuple(states), "start", "dead", transition)
+    priority = dict.fromkeys(states, 0)
+    priority["dead"] = 1
+    return ParityAutomaton.from_transitions(states, sigma_in, sigma_out, transition, "start", priority)
 
 
 class DefinableResult(NamedTuple):

@@ -18,8 +18,10 @@ entries into a named dict and then every triple again in
 ``automaton.automaton_from_json``, which must raise the same error or
 return an equal automaton and table;
 ``reference_product`` tabulates the product of a spec and a safety monitor
-by name, transition by transition, as an oracle for the product that
-``automaton.product_with_monitor`` composes from the two transition tables;
+by name, transition by transition, reading the monitor's named
+``transition`` and taking its states of odd priority as the sink, as an
+oracle for the product that ``automaton.product_with_monitor`` composes
+from the two transition tables;
 ``reference_edge_relations`` reads each input letter's one-step relation off
 the named transitions, as an oracle for ``ParityAutomaton.edge_relations``,
 which reads it off the table;
@@ -92,7 +94,6 @@ from chronosynth.automaton import (
     SINK,
     AutomatonError,
     ParityAutomaton,
-    SafetyMonitor,
 )
 from chronosynth.continuous_synth import find_violation, partial_strategy_graph
 from chronosynth.discrete_game import GameError, MealyMachine, MooreCounterMachine, SolveResult
@@ -295,8 +296,8 @@ def _least_odd_at_or_above(priorities) -> int:
     return top if top % 2 else top + 1
 
 
-def reference_product(a: ParityAutomaton, m: SafetyMonitor) -> ParityAutomaton:
-    """The product automaton, named state by state; entering the monitor sink fixes the verdict."""
+def reference_product(a: ParityAutomaton, m: ParityAutomaton) -> ParityAutomaton:
+    """The product automaton, named state by state; entering a monitor state of odd priority fixes the verdict."""
     sink_prio = _least_odd_at_or_above(a.priority[q] for q in a.states)
     states = []
     transition = {}
@@ -305,12 +306,12 @@ def reference_product(a: ParityAutomaton, m: SafetyMonitor) -> ParityAutomaton:
         for qm in m.states:
             q = (qa, qm)
             states.append(q)
-            priority[q] = sink_prio if qm == m.sink else a.priority[qa]
+            priority[q] = sink_prio if m.priority[qm] % 2 == 1 else a.priority[qa]
             for ain in a.sigma_in:
                 for aout in a.sigma_out:
                     transition[(q, ain, aout)] = (
                         a.transition[(qa, ain, aout)],
-                        m.step(qm, ain, aout),
+                        m.transition[(qm, ain, aout)],
                     )
     return ParityAutomaton.from_transitions(
         states=tuple(states),

@@ -85,6 +85,12 @@ def run_monitor(monitor, letters):
     return q
 
 
+def monitor_sink(monitor):
+    """The monitor's rejecting sink: its one state of odd priority."""
+    (sink,) = (q for q in monitor.states if monitor.priority[q] % 2 == 1)
+    return sink
+
+
 def test_squared_alphabet_helpers():
     assert pair_letter("0", "1") == "0,1"
     assert split_letter("1,0") == ("1", "0")
@@ -95,7 +101,7 @@ def test_squared_alphabet_helpers():
 def test_monitor_constant_streams_pass():
     mon = build_psi_star_monitor(SQ, SQ)
     letters = [("0,0", "1,1")] * 6
-    assert run_monitor(mon, letters) != mon.sink
+    assert run_monitor(mon, letters) != monitor_sink(mon)
 
 
 def test_monitor_rejects_output_jump_at_smooth_point():
@@ -103,28 +109,31 @@ def test_monitor_rejects_output_jump_at_smooth_point():
     # X left-continuous and continuous at the sample; Y's point value
     # differs from its preceding interval value
     letters = [("0,0", "1,1"), ("0,0", "0,0")]
-    assert run_monitor(mon, letters) == mon.sink
+    assert run_monitor(mon, letters) == monitor_sink(mon)
     # X continuous but Y jumps from the right at the sample point
     letters = [("0,0", "1,1"), ("0,0", "1,0")]
-    assert run_monitor(mon, letters) == mon.sink
+    assert run_monitor(mon, letters) == monitor_sink(mon)
 
 
 def test_monitor_allows_output_jump_where_input_jumps():
     mon = build_psi_star_monitor(SQ, SQ)
     # X's point value differs from its previous interval value: no constraint
     letters = [("0,0", "1,1"), ("1,1", "0,0")]
-    assert run_monitor(mon, letters) != mon.sink
+    assert run_monitor(mon, letters) != monitor_sink(mon)
     # X left-continuous but right-discontinuous: left clause still binds Y's
     # point value, the two-sided clause does not bind Y's interval value
     letters = [("0,0", "1,1"), ("0,1", "1,0")]
-    assert run_monitor(mon, letters) != mon.sink
+    assert run_monitor(mon, letters) != monitor_sink(mon)
 
 
 def test_monitor_first_letter_unconstrained():
     mon = build_psi_star_monitor(SQ, SQ)
+    # 'dead' is the one state of odd priority, and no letter leaves it
+    assert [q for q in mon.states if mon.priority[q] % 2 == 1] == ["dead"]
     for ain in SQ:
         for aout in SQ:
-            assert run_monitor(mon, [(ain, aout)]) != mon.sink
+            assert run_monitor(mon, [(ain, aout)]) != "dead"
+            assert mon.step("dead", ain, aout) == "dead"
 
 
 def test_solve_definable_requires_squared_alphabet():

@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from chronosynth.automaton import ParityAutomaton, SafetyMonitor
+from chronosynth.automaton import ParityAutomaton
 from chronosynth.continuous_synth import SynthStats, Violation
 from chronosynth.definable_synth import DefinableResult
 from chronosynth.discrete_game import MealyMachine, MooreCounterMachine, SolveResult
@@ -42,7 +42,6 @@ MODULES = {
 
 FROZEN_RECORDS = [
     ParityAutomaton.from_transitions(("q",), ("0",), ("0",), {("q", "0", "0"): "q"}, "q", {"q": 0}),
-    SafetyMonitor(("ok", "dead"), "ok", "dead", {}),
     MonoidContext(("q",), {"0": {("q", "q")}}),
     MealyMachine(("s",), "s", {("s", "0"): ("s", "0")}),
     MooreCounterMachine(("s",), "s", {"s": "0"}, {("s", "0"): "s"}),
