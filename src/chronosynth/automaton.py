@@ -7,14 +7,14 @@ often is even.  A spec file may say ``min_even`` instead (the least one is
 even), and the loader mirrors such a file's priorities once
 (``mirrored_priority``), so nothing past it reads a convention.
 
-Every automaton is its integer transition ``table``, and its one
-constructor takes the table.  ``ParityAutomaton.from_transitions`` checks a
-named ``transition`` dict into a table in one walk over the (state, in, out)
-triples, as the jump-discipline monitor is built; the spec-file loader and
-the product with a monitor build the table themselves.  A safety monitor is
-an automaton too, whose states of odd priority are its rejecting sink.
-``transition`` is a view of the table, named only when something first
-reads it.
+Every automaton is only its integer transition ``table``: its one
+constructor takes the table, and ``run_over`` steps through it by state
+index, naming the run at the end.  ``ParityAutomaton.from_transitions``
+checks a named ``transition`` dict into a table in one walk over the
+(state, in, out) triples, as the jump-discipline monitor is built; the
+spec-file loader and the product with a monitor build the table themselves.
+A safety monitor is an automaton too, whose states of odd priority are its
+rejecting sink.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass, replace
-from functools import cached_property
 from operator import add, itemgetter
 from .omega_word import LassoWord, inf_set, transduce
 
@@ -111,18 +110,6 @@ class ParityAutomaton:
         return cls(states=states, sigma_in=sigma_in, sigma_out=sigma_out, table=table,
                    initial=initial, priority=priority)
 
-    @cached_property
-    def transition(self) -> dict:
-        """(state, in_letter, out_letter) -> state, named from ``table`` when first read."""
-        keys = itertools.product(self.states, self.sigma_in, self.sigma_out)
-        return dict(zip(keys, map(self.states.__getitem__, self.table)))
-
-    def step(self, q, a, b):
-        try:
-            return self.transition[(q, a, b)]
-        except KeyError:
-            raise InputDomainError(f"letter ({a!r}, {b!r}) outside alphabet at state {q!r}")
-
     def max_priority(self) -> int:
         return max(self.priority[q] for q in self.states)
 
@@ -152,7 +139,10 @@ def run_over(a: ParityAutomaton, word: LassoWord) -> LassoWord:
         if ain not in a.sigma_in or aout not in a.sigma_out:
             raise InputDomainError(f"letter ({ain!r}, {aout!r}) outside alphabet")
 
-    return transduce(lambda q, letter: (a.step(q, *letter), q), a.initial, word)
+    cells = len(a.sigma_in) * len(a.sigma_out)
+    slot = {letter: s for s, letter in enumerate(itertools.product(a.sigma_in, a.sigma_out))}
+    run = transduce(lambda i, letter: (a.table[i * cells + slot[letter]], i), a.states.index(a.initial), word)
+    return LassoWord(map(a.states.__getitem__, run.prefix), map(a.states.__getitem__, run.period))
 
 
 def accepts(a: ParityAutomaton, word: LassoWord) -> bool:
@@ -252,8 +242,6 @@ def automaton_from_json(data) -> ParityAutomaton:
     referenced_sink, undeclared = False, []
     fields = itemgetter("from", "in", "out", "to")
     entries = data["transitions"]
-    if not isinstance(entries, list):  # any iterable, counted below
-        entries = list(entries)
     for entry in entries:
         q, ain, aout, tgt = fields(entry)
         # names are str, so a lookup that fails (an unhashable value too) is undeclared

@@ -5,9 +5,11 @@ reads one spec file.  Exit codes: 0 success, 2 usage, 3 resource cap
 exceeded, 4 adjudication undecided; an unreadable or malformed spec or
 script file (an empty alphabet included), a cap that is not positive, an
 unknown monoid --letter, a --run lasso that does not parse over the
-machine's alphabet, a --dot file that cannot be written and a definable
-spec whose alphabets are not squared are usage errors.  Usage errors and
---help go to the err and out streams given to main.  Output is
+machine's alphabet, a --dot file that cannot be written, play input on
+stdin that does not decode and a definable spec whose alphabets are not
+squared are usage errors.  Usage errors and --help go to the err and out
+streams given to main.  The console script exits 1 when stdout cannot be
+written, silently if the reader closed the pipe.  Output is
 byte-deterministic for a fixed invocation.
 """
 
@@ -50,15 +52,19 @@ _BAD_INPUT = (
 
 
 class UsageError(Exception):
-    """A bad argument, or a spec or script file that cannot be read or parsed."""
+    """A bad argument, or a spec file, script file or stdin that cannot be read or parsed."""
+
+
+def _unreadable(source, exc) -> UsageError:
+    detail = " ".join(str(exc).split())
+    return UsageError(f"cannot read {source}: {type(exc).__name__}: {detail}")
 
 
 def _read_input(reader, path):
     try:
         return reader(path)
     except _BAD_INPUT as exc:
-        detail = " ".join(str(exc).split())
-        raise UsageError(f"cannot read {path}: {type(exc).__name__}: {detail}") from exc
+        raise _unreadable(path, exc) from exc
 
 
 def _script_lines(path):
@@ -67,12 +73,18 @@ def _script_lines(path):
 
 
 def _stdin_lines():
-    """The lines typed at a ``> `` prompt, until end of input."""
+    """The lines typed at a ``> `` prompt until end of input; a byte that does not decode is a usage error."""
+    encoding = sys.stdin.encoding or "utf-8"
     try:
         while True:
-            yield input("> ")
+            line = input("> ")
+            # a byte that surrogateescape let through fails to decode here
+            line.encode(encoding, "surrogateescape").decode(encoding)
+            yield line
     except EOFError:
         return
+    except UnicodeError as exc:
+        raise _unreadable("stdin", exc) from exc
 
 
 def _text(value, indent):
@@ -317,9 +329,12 @@ def entry():
     try:
         code = main()
         sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader stopped early (`| head`, `| grep -q`); send what is still
-        # buffered to devnull, or the flush at exit reports the closed pipe
+    except OSError as exc:
+        # the reader stopped early (`| head`, `| grep -q`), which is no error to
+        # report, or a write failed (a full disk); send what is still buffered
+        # to devnull, or the flush at exit reports it again
+        if not isinstance(exc, BrokenPipeError):
+            sys.stderr.write(f"cannot write output: {exc.strerror or exc}\n")
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = 1
     sys.exit(code)

@@ -8,6 +8,8 @@ for ``solve_indexed``; ``reference_zielonka`` is the parity case of
 and predecessor lists rebuilt per attractor, and must return exactly what
 ``solve_indexed`` returns, strategies included, and the regions that
 ``Game.solve`` returns when some nodes' edges pass through hop nodes;
+``named_transitions`` names an automaton's ``table``, (state, in, out) ->
+target, the reading by name that every oracle below compares against;
 ``reference_solve`` builds the synthesis game of a spec as a node-keyed
 ``GameGraph`` (``game_from_automaton``), solves it with
 ``reference_zielonka`` and reads the machines off the named strategies, and
@@ -18,10 +20,10 @@ entries into a named dict and then every triple again in
 ``automaton.automaton_from_json``, which must raise the same error or
 return an equal automaton and table;
 ``reference_product`` tabulates the product of a spec and a safety monitor
-by name, transition by transition, reading the monitor's named
-``transition`` and taking its states of odd priority as the sink, as an
-oracle for the product that ``automaton.product_with_monitor`` composes
-from the two transition tables;
+by name, transition by transition, reading both automata's
+``named_transitions`` and taking the monitor's states of odd priority as the
+sink, as an oracle for the product that ``automaton.product_with_monitor``
+composes from the two transition tables;
 ``reference_edge_relations`` reads each input letter's one-step relation off
 the named transitions, as an oracle for ``ParityAutomaton.edge_relations``,
 which reads it off the table;
@@ -68,6 +70,7 @@ verdict of ``continuous_synth.solve_interrupt``, which runs ``Game.solve``
 over the Zielonka tree of the interrupt arena's condition.
 """
 
+import itertools
 import json
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -237,8 +240,15 @@ def reference_zielonka(g: GameGraph):
     return win["O"], win["I"], strat["O"], strat["I"]
 
 
+def named_transitions(a: ParityAutomaton) -> dict:
+    """(state, in_letter, out_letter) -> the target's name, read off ``a.table``."""
+    keys = itertools.product(a.states, a.sigma_in, a.sigma_out)
+    return dict(zip(keys, map(a.states.__getitem__, a.table)))
+
+
 def game_from_automaton(a: ParityAutomaton) -> GameGraph:
     """The synthesis game of the spec, its priorities read max-even."""
+    delta = named_transitions(a)
     owner, priority, succ = {}, {}, {}
     for q in a.states:
         iv = ("i", q)
@@ -249,13 +259,14 @@ def game_from_automaton(a: ParityAutomaton) -> GameGraph:
             ov = ("o", q, x)
             owner[ov] = "O"
             priority[ov] = a.priority[q]
-            succ[ov] = tuple(("i", a.transition[(q, x, b)]) for b in a.sigma_out)
+            succ[ov] = tuple(("i", delta[(q, x, b)]) for b in a.sigma_out)
     return GameGraph(owner, priority, succ)
 
 
 def reference_solve(a: ParityAutomaton) -> SolveResult:
     """``discrete_game.solve`` on the named game: the same winner, machines and region."""
     w_o, w_i, s_o, s_i = reference_zielonka(game_from_automaton(a))
+    delta = named_transitions(a)
 
     def walk(successors):
         """States reachable from the initial one; successors(q) records q's moves."""
@@ -273,7 +284,7 @@ def reference_solve(a: ParityAutomaton) -> SolveResult:
         def respond(q):
             for x in a.sigma_in:
                 q_next = s_o[("o", q, x)][1]
-                b = min(b for b in a.sigma_out if a.transition[(q, x, b)] == q_next)
+                b = min(b for b in a.sigma_out if delta[(q, x, b)] == q_next)
                 transition[(q, x)] = (q_next, b)
                 yield q_next
 
@@ -284,7 +295,7 @@ def reference_solve(a: ParityAutomaton) -> SolveResult:
     def challenge(q):
         x = output[q] = s_i[("i", q)][2]
         for b in a.sigma_out:
-            q_next = transition[(q, b)] = a.transition[(q, x, b)]
+            q_next = transition[(q, b)] = delta[(q, x, b)]
             yield q_next
 
     machine = MooreCounterMachine(walk(challenge), a.initial, output, transition)
@@ -299,6 +310,7 @@ def _least_odd_at_or_above(priorities) -> int:
 def reference_product(a: ParityAutomaton, m: ParityAutomaton) -> ParityAutomaton:
     """The product automaton, named state by state; entering a monitor state of odd priority fixes the verdict."""
     sink_prio = _least_odd_at_or_above(a.priority[q] for q in a.states)
+    delta_a, delta_m = named_transitions(a), named_transitions(m)
     states = []
     transition = {}
     priority = {}
@@ -309,10 +321,7 @@ def reference_product(a: ParityAutomaton, m: ParityAutomaton) -> ParityAutomaton
             priority[q] = sink_prio if m.priority[qm] % 2 == 1 else a.priority[qa]
             for ain in a.sigma_in:
                 for aout in a.sigma_out:
-                    transition[(q, ain, aout)] = (
-                        a.transition[(qa, ain, aout)],
-                        m.transition[(qm, ain, aout)],
-                    )
+                    transition[(q, ain, aout)] = (delta_a[(qa, ain, aout)], delta_m[(qm, ain, aout)])
     return ParityAutomaton.from_transitions(
         states=tuple(states),
         sigma_in=a.sigma_in,
@@ -325,12 +334,13 @@ def reference_product(a: ParityAutomaton, m: ParityAutomaton) -> ParityAutomaton
 
 def reference_edge_relations(a: ParityAutomaton) -> dict:
     """Per input letter x, the pairs (q, q') with d(q, (x, b)) = q' for some b, by name."""
+    delta = named_transitions(a)
     rels = {}
     for x in a.sigma_in:
         rel = set()
         for q in a.states:
             for b in a.sigma_out:
-                rel.add((q, a.transition[(q, x, b)]))
+                rel.add((q, delta[(q, x, b)]))
         rels[x] = frozenset(rel)
     return rels
 
@@ -615,6 +625,7 @@ def reference_arena(a: ParityAutomaton, semantics, up) -> FlatArena:
     x, represented by the member of that behaviour used first over (letter,
     member); members are numbered by first use.
     """
+    delta = named_transitions(a)
     fresh = ArenaNode(FRESH)
     moves = {fresh: {ArenaEdge(fresh, ArenaNode(O_PAIR, a.initial, x)) for x in a.sigma_in}}
     for q in a.states:
@@ -622,7 +633,7 @@ def reference_arena(a: ParityAutomaton, semantics, up) -> FlatArena:
             pair = ArenaNode(O_PAIR, q, x)
             moves[pair] = set()
             if semantics == FV:
-                moves[pair] = {ArenaEdge(pair, ArenaNode(O_DAG, a.transition[q, x, b])) for b in a.sigma_out}
+                moves[pair] = {ArenaEdge(pair, ArenaNode(O_DAG, delta[q, x, b])) for b in a.sigma_out}
                 moves[ArenaNode(I_DAG, q, x)] = set()
         if semantics == FV:
             dag = ArenaNode(O_DAG, q)

@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes, determinism, caps."""
 
 import enum
+import errno
 import io
 import json
 import os
@@ -292,6 +293,44 @@ def test_play_reads_moves_from_stdin_until_eof():
     assert "I start a=0" in proc.stdout
     assert "I interrupt t=2 letter=1" in proc.stdout
     assert "outcome: undecided (play abandoned early)" in proc.stdout
+
+
+@pytest.mark.parametrize("errors", ["strict", "surrogateescape"])
+def test_undecodable_stdin_is_a_usage_error(monkeypatch, capsys, errors):
+    # a strict handler raises while decoding; surrogateescape turns the byte into a lone surrogate
+    stdin = io.TextIOWrapper(io.BytesIO(b"start 0\n\xff\n"), encoding="utf-8", errors=errors)
+    monkeypatch.setattr(sys, "stdin", stdin)
+    code, _, err = run_cli("play", "--semantics", "rc", str(FIXTURES / "psi_copy.json"))
+    assert code == EXIT_USAGE
+    assert re.fullmatch(
+        r"cannot read stdin: UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff in position \d+: "
+        r"invalid start byte\n", err,
+    ), err
+    capsys.readouterr()  # the prompts input() wrote
+
+
+def test_a_failed_stdout_write_is_one_stderr_line(monkeypatch, tmp_path):
+    class FullStdout(io.StringIO):
+        """A stdout on a full disk: every write fails."""
+
+        def write(self, text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        def fileno(self):
+            return fd
+
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    err = io.StringIO()
+    monkeypatch.setattr(sys, "argv", ["chronosynth", "synth", "--semantics", "rc", str(FIXTURES / "psi_copy.json")])
+    monkeypatch.setattr(sys, "stdout", FullStdout())
+    monkeypatch.setattr(sys, "stderr", err)
+    try:
+        with pytest.raises(SystemExit) as info:
+            cli.entry()
+    finally:
+        os.close(fd)
+    assert info.value.code == 1
+    assert err.getvalue() == f"cannot write output: {os.strerror(errno.ENOSPC)}\n"
 
 
 def test_closed_stdout_exits_1_without_a_traceback():

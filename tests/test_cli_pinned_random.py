@@ -117,7 +117,8 @@ PINNED = {
 
 
 def _spec_json(spec):
-    from test_discrete_game import _family_spec  # imported late: run as a script, tests/ joins the path first
+    from oracles import named_transitions  # imported late: run as a script, tests/ joins the path first
+    from test_discrete_game import _family_spec
 
     family, index, states = spec.split("-")
     a = _family_spec(family, int(index), int(states), ("0", "1"), MAX_PRIORITY[family])
@@ -129,7 +130,7 @@ def _spec_json(spec):
         "priority": a.priority,
         "convention": "max_even",
         "transitions": [
-            {"from": q, "in": x, "out": b, "to": t} for (q, x, b), t in sorted(a.transition.items())
+            {"from": q, "in": x, "out": b, "to": t} for (q, x, b), t in sorted(named_transitions(a).items())
         ],
     })
 

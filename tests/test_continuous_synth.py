@@ -20,7 +20,7 @@ from chronosynth.continuous_synth import (
 from chronosynth.state_monoid import ResourceCapError
 
 from fixture_specs import load_fixture
-from oracles import enumerate_choices
+from oracles import enumerate_choices, named_transitions
 from test_arena import _digest
 from test_discrete_game import _family_spec
 
@@ -170,7 +170,7 @@ def test_adding_accepting_escape_never_breaks_realizability():
         states = tuple(a.states) + ("trap",)
         m = max(a.priority.values())
         trap_prio = m if m % 2 == 0 else m + 1
-        transition = dict(a.transition)
+        transition = named_transitions(a)
         for q in states:
             for x in a.sigma_in:
                 transition[(q, x, "w")] = "trap"

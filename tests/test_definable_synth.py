@@ -24,7 +24,7 @@ from chronosynth.discrete_game import run_machine, solve
 from chronosynth.omega_word import LassoWord, zip_lassos
 
 from fixture_specs import load_fixture
-from oracles import reference_product
+from oracles import named_transitions, reference_product
 from test_discrete_game import _seeded_spec
 from signal_model import (
     delta_signal,
@@ -79,9 +79,10 @@ def trivial_spec(accept: bool):
 
 
 def run_monitor(monitor, letters):
+    delta = named_transitions(monitor)
     q = monitor.initial
     for ain, aout in letters:
-        q = monitor.step(q, ain, aout)
+        q = delta[(q, ain, aout)]
     return q
 
 
@@ -130,10 +131,11 @@ def test_monitor_first_letter_unconstrained():
     mon = build_psi_star_monitor(SQ, SQ)
     # 'dead' is the one state of odd priority, and no letter leaves it
     assert [q for q in mon.states if mon.priority[q] % 2 == 1] == ["dead"]
+    delta = named_transitions(mon)
     for ain in SQ:
         for aout in SQ:
             assert run_monitor(mon, [(ain, aout)]) != "dead"
-            assert mon.step("dead", ain, aout) == "dead"
+            assert delta[("dead", ain, aout)] == "dead"
 
 
 def test_solve_definable_requires_squared_alphabet():
@@ -243,7 +245,7 @@ def test_product_matches_reference_product():
         product, reference = product_with_monitor(spec, monitor), reference_product(spec, monitor)
         for field in ("states", "sigma_in", "sigma_out", "initial", "priority"):
             assert getattr(product, field) == getattr(reference, field), (name, field)
-        assert list(product.transition.items()) == list(reference.transition.items()), name
+        assert list(named_transitions(product).items()) == list(named_transitions(reference).items()), name
         assert solve(product) == solve(reference), name
         for _ in range(40):
             u = tuple((rng.choice(SQ), rng.choice(SQ)) for _ in range(rng.randint(0, 3)))

@@ -42,6 +42,7 @@ from oracles import (
     brute_force_solve,
     game_from_automaton,
     game_graph,
+    named_transitions,
     reference_automaton_from_json,
     reference_edge_relations,
     reference_product,
@@ -494,7 +495,7 @@ def _differential_specs():
         yield f"product {trial}", product_with_monitor(spec, monitor), reference_product(spec, monitor)
     for trial in range(40):
         spec, convention = _seeded_draw(rng, rng.randint(1, 5), ("0", "1"))
-        kept = [t for t in spec.transition.items() if rng.random() < 0.7]
+        kept = [t for t in named_transitions(spec).items() if rng.random() < 0.7]
         data = {
             "states": list(spec.states),
             "sigma_in": list(spec.sigma_in),
@@ -522,9 +523,9 @@ def test_solve_matches_reference_solve():
 
 def test_table_lists_each_transition_target_by_index():
     for name, a, twin in _differential_specs():
-        # read the targets off the twin's named transitions, not off a's own view of its table
-        keys = itertools.product(a.states, a.sigma_in, a.sigma_out)
-        assert [a.states[t] for t in a.table] == [twin.transition[key] for key in keys], name
+        # name the targets off the twin's table, which the named transitions built
+        keys, named = itertools.product(a.states, a.sigma_in, a.sigma_out), named_transitions(twin)
+        assert [a.states[t] for t in a.table] == [named[key] for key in keys], name
 
 
 def test_every_differential_spec_equals_its_named_twin():
