@@ -38,10 +38,10 @@ solver's node numbering, witnesses and exports, follows that order.
 The arena is one move table: every node keeps its row, the sorted tuple
 of its labels (dst, priority, size, kind); a block node's row is its small
 and big half joined, every other node's row holds plain labels (dst, -1,
-"", "plain").  ``Arena.outgoing`` builds a node's edges from its row on
-first read; since edges out of one node compare by their labels and edges
-compare by source first, the sorted edge list is every node's moves joined
-in node order.
+"", "plain"), and the nodes are the table's keys, sorted.
+``Arena.outgoing`` builds a node's edges from its row on every read; since
+edges out of one node compare by their labels and edges compare by source
+first, the sorted edge list is every node's moves joined in node order.
 """
 
 from __future__ import annotations
@@ -107,14 +107,13 @@ class Arena:
 
     fresh = ArenaNode(FRESH)
 
-    def __init__(self, semantics, automaton, members, nodes, rows, final_up):
+    def __init__(self, semantics, automaton, members, rows, final_up):
         self.semantics = semantics
         self.automaton = automaton
         self.members = members  # all UPMember objects referenced by i_up nodes
-        self.nodes = nodes  # every node, sorted
         self.rows = rows  # each node -> its sorted labels; () only at a block node over one input letter
+        self.nodes = tuple(sorted(rows))  # every node, sorted
         self.final_up = final_up  # i_up nodes whose period's max priority is even
-        self._edges = {}  # node -> its edges, built on first read
 
     def owner(self, node: ArenaNode) -> str:
         return OWNER[node.kind]
@@ -133,11 +132,8 @@ class Arena:
         return self.members[node.up]
 
     def outgoing(self, node: ArenaNode) -> tuple:
-        """The node's sorted moves, built from its row of labels once."""
-        outs = self._edges.get(node)
-        if outs is None:
-            outs = self._edges[node] = tuple(ArenaEdge(node, *t) for t in self.rows[node])
-        return outs
+        """The node's sorted moves, built from its row of labels."""
+        return tuple(ArenaEdge(node, *t) for t in self.rows[node])
 
     @property
     def edge_count(self) -> int:
@@ -277,13 +273,13 @@ def _arena(a, semantics, tables, moves, up_sizes):
     are computed once per lag parity, and only the first class of each
     (first, last, late, flags, small half, top priority, lag parity) goes
     on.  A behaviour's key is its labels over a low bit set iff it is not
-    final, so A dominates B iff ``not key_A & ~key_B``.  Pairs with a source
-    are ranked by first use over (letter, class, idempotent): the first
-    input letter whose paths hold the class and give its first state a
-    source, then the witnesses' order, shortest and lexicographically least,
-    which all tables share.  The lowest-ranked pair of a behaviour represents
+    final, so A dominates B iff ``not key_A & ~key_B``.  A pair with a source
+    is ranked by its witnesses, (use, len(lag), lag, len(period), period),
+    use being the first input letter whose paths hold the class and give its
+    first state a source.  The lowest-ranked pair of a behaviour represents
     it, and only kept representatives become ``UPMember``s, numbered in rank
-    order.
+    order.  Keeping the first class of a walk key keeps its lowest-ranked
+    lag because a ``ClassTable`` lists its witnesses in (length, lex) order.
     """
     moves[Arena.fresh] = {ArenaNode(O_PAIR, a.initial, x) for x in a.sigma_in}
     source_kind = O_PAIR if semantics == RC else I_DAG
@@ -295,10 +291,10 @@ def _arena(a, semantics, tables, moves, up_sizes):
     for bit, x in enumerate(ctx.relations):
         sources_of = [[q for q, m in zip(a.states, masks) if m >> bit & 1] for masks in into]
         kinds_of, walked, merged, pairs = {}, set(), {}, 0
-        for c, ((first, last, _, _, flags), late, lag, groups) in enumerate(vocabulary(tables[x])):
+        for (first, last, _, _, flags), late, lag, groups in vocabulary(tables[x]):
             if not groups:
                 continue
-            pairs += sum(len(es) for _, es in groups)
+            pairs += sum(map(len, groups))
             if not sources_of[first]:
                 continue
             small, top = bits.small(lag, x)
@@ -310,30 +306,30 @@ def _arena(a, semantics, tables, moves, up_sizes):
             used = flags & sourced[first]
             use = (used & -used).bit_length() - 1  # the lowest letter of first use
             shift = bits.shift[top]
-            for number, es in groups:
-                kinds = kinds_of.get((number, parity))
+            for periods in groups:
+                kinds = kinds_of.get((periods[0], parity))
                 if kinds is None:
-                    # the group's distinct big halves, first idempotent of each: its periods
+                    # the group's distinct big halves, first period of each: its periods
                     # share their states, hence their top priority and, under rc, their big half
-                    odd, found = max(map(priority.__getitem__, es[0][1])) % 2, {}
-                    for e, period in es if bits.fv else es[:1]:
+                    odd, found = max(map(priority.__getitem__, periods[0])) % 2, {}
+                    for period in periods if bits.fv else periods[:1]:
                         big = bits.big(period, x, parity)
                         if big not in found:
-                            found[big] = big, odd, e, period
-                    kinds = kinds_of[number, parity] = list(found.values())
-                for big, odd, e, period in kinds:
-                    key, rank = (small | big << shift) << 1 | odd, (use, c, e)
+                            found[big] = big, odd, period
+                    kinds = kinds_of[periods[0], parity] = list(found.values())
+                for big, odd, period in kinds:
+                    key, rank = (small | big << shift) << 1 | odd, (use, len(lag), lag, len(period), period)
                     held = merged.get((first, key))
-                    if held is None or rank < held[0]:
-                        merged[first, key] = rank, lag, period
+                    if held is None or rank < held:
+                        merged[first, key] = rank
         if up_sizes is not None:
             up_sizes[x] = pairs
-        best = {q: {} for q in a.states}  # q -> key -> (rank, lag, period) of its lowest-ranked pair
-        for (first, key), pair in merged.items():
+        best = {q: {} for q in a.states}  # q -> key -> the rank of its lowest-ranked pair
+        for (first, key), rank in merged.items():
             for q in sources_of[first]:
                 held = best[q].get(key)
-                if held is None or pair[0] < held[0]:
-                    best[q][key] = pair
+                if held is None or rank < held:
+                    best[q][key] = rank
         # a dominator's key is a proper subset of the dominated one's, so it sorts
         # first; a key dominated by a dropped key is dominated by what dropped that one
         for q, behaviours in best.items():
@@ -345,12 +341,10 @@ def _arena(a, semantics, tables, moves, up_sizes):
                 else:
                     antichain.append(key)
                     kept.append((q, x, key, behaviours[key]))
-    # rank order across tables: the letter of first use, then the witnesses' order
-    ranked = sorted({(rank[0], len(lag), lag, len(period), period) for *_, (rank, lag, period) in kept})
-    number = {(lag, period): i for i, (_, _, lag, _, period) in enumerate(ranked)}
+    number = {rank: i for i, rank in enumerate(sorted({rank for *_, rank in kept}))}
     final_up, rows, decoded = set(), {}, {}
-    for q, x, key, (_, lag, period) in kept:
-        up_node = ArenaNode(I_UP, q, x, number[lag, period])
+    for q, x, key, rank in kept:
+        up_node = ArenaNode(I_UP, q, x, number[rank])
         if not key & 1:
             final_up.add(up_node)
         moves[ArenaNode(source_kind, q, x)].add(up_node)
@@ -362,8 +356,7 @@ def _arena(a, semantics, tables, moves, up_sizes):
     return Arena(
         semantics=semantics,
         automaton=a,
-        members=tuple(UPMember(lag, period) for _, _, lag, _, period in ranked),
-        nodes=tuple(sorted(rows)),
+        members=tuple(UPMember(lag, period) for _, _, lag, _, period in number),
         rows=rows,
         final_up=frozenset(final_up),
     )

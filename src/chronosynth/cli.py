@@ -73,18 +73,16 @@ def _script_lines(path):
 
 
 def _stdin_lines():
-    """The lines typed at a ``> `` prompt until end of input; a byte that does not decode is a usage error."""
+    """The lines typed at a ``> `` prompt until end of input, each decoded alone; a bad line is a usage error."""
     encoding = sys.stdin.encoding or "utf-8"
-    try:
-        while True:
-            line = input("> ")
-            # a byte that surrogateescape let through fails to decode here
-            line.encode(encoding, "surrogateescape").decode(encoding)
-            yield line
-    except EOFError:
-        return
-    except UnicodeError as exc:
-        raise _unreadable("stdin", exc) from exc
+    print("> ", end="", flush=True)  # to sys.stdout, as input() writes it
+    for number, raw in enumerate(iter(sys.stdin.buffer.readline, b""), 1):
+        try:
+            line = raw.decode(encoding)
+        except UnicodeDecodeError as exc:
+            raise _unreadable(f"stdin line {number}", exc) from exc
+        yield line.removesuffix("\n")  # as input() strips it
+        print("> ", end="", flush=True)  # when the session asks for the next line
 
 
 def _text(value, indent):
@@ -208,7 +206,7 @@ def cmd_monoid(spec, args, out, err):
         "classes": table.class_count,
         "d_Q": table.d_q,
         "idempotents": len(table.idempotents),
-        "up_members": sum(len(es) for *_, groups in vocabulary(table) for _, es in groups),
+        "up_members": sum(len(g) for *_, groups in vocabulary(table) for g in groups),
     }
     if args.letter is not None:
         payload["letter"] = args.letter

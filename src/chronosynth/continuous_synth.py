@@ -26,6 +26,8 @@ the reachable edges of effective priority at most p that contains an edge
 of priority exactly p and a big edge; a closed walk through both realizes
 the cycle.  Effective priority folds the source node's inherited priority
 into the edge label, which preserves the maximum over any closed walk.
+Kosaraju's two passes find the components, which are tried in the order
+of their least edge: the violation depends on the strategy graph alone.
 """
 
 from __future__ import annotations
@@ -82,41 +84,38 @@ def build_strategy_graph(arena: Arena, choice: dict) -> StrategyGraph:
 
 
 def _sccs(roots, succ):
-    """Iterative Tarjan from each root in turn; maps each node to the number
-    of its strongly connected component, numbered in the order they close."""
-    index, low, comp_of = {}, {}, {}
-    stack, closed = [], 0
-    for root in roots:
-        if root in index:
-            continue
-        work = [(root, iter(succ.get(root, ())))]
-        index[root] = low[root] = len(index)
-        stack.append(root)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = len(index)
-                    stack.append(w)
-                    work.append((w, iter(succ.get(w, ()))))
-                    advanced = True
-                    break
-                if w not in comp_of:  # still on the stack
-                    low[node] = min(low[node], index[w])
-            if advanced:
-                continue
+    """Kosaraju: maps each node reached from the roots to its strongly connected component's name.
+
+    A depth-first pass from each root in turn gives the finishing order;
+    then, in reverse finishing order, a sweep over the predecessors of each
+    node not yet placed gathers its component, named by that node.
+    """
+    seen, finished = set(), []
+    work = [(None, iter(roots))]  # a node above the roots: the pass starts from each in turn
+    while work:
+        node, it = work[-1]
+        for w in it:
+            if w not in seen:
+                seen.add(w)
+                work.append((w, iter(succ.get(w, ()))))
+                break
+        else:
             work.pop()
-            if low[node] == index[node]:
-                while True:
-                    w = stack.pop()
-                    comp_of[w] = closed
-                    if w == node:
-                        break
-                closed += 1
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
+            finished.append(node)
+    finished.pop()  # the node above the roots
+    pred = {}
+    for v in finished:
+        for w in succ.get(v, ()):
+            pred.setdefault(w, []).append(v)
+    comp_of = {}
+    for root in reversed(finished):
+        if root not in comp_of:
+            comp_of[root], todo = root, [root]
+            while todo:
+                for v in pred.get(todo.pop(), ()):
+                    if v not in comp_of:
+                        comp_of[v] = root
+                        todo.append(v)
     return comp_of
 
 
@@ -171,7 +170,7 @@ def find_violation(sg: StrategyGraph):
         for e, q in sub_edges:
             if comp_of[e.src] == comp_of[e.dst]:
                 inside_of.setdefault(comp_of[e.src], []).append((e, q))
-        for _, inside in sorted(inside_of.items()):
+        for inside in sorted(inside_of.values()):  # by their least edge
             peak = [e for e, q in inside if q == p]
             big = [e for e, _ in inside if e.size == "big"]
             if not peak or not big:

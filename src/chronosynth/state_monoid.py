@@ -194,14 +194,13 @@ def vocabulary(table: ClassTable):
     qualifies only if it ends where the class ends, and its flags all step
     from its last state to its first (squaring keeps them), so the flag test
     needs no step mask.  groups lists the qualifying idempotents that share
-    (last, occ, flags) as (number, [(index in table order, witness)]), the
-    number unique within the walk; the mask tests run once per (last, late,
-    flags), and classes share the yielded lists.
+    (last, occ, flags), each group their witnesses in table order; the mask
+    tests run once per (last, late, flags), and classes share the lists.
     """
     ctx, witnesses = table.ctx, table.witnesses
-    found = {}  # (last, occ, flags) -> (number, [(index, witness)]), in table order
-    for i, e in enumerate(e for e in witnesses if e in table.idempotents):
-        found.setdefault((e[1], e[2], e[4]), (len(found), []))[1].append((i, witnesses[e]))
+    found = {}  # (last, occ, flags) -> the witnesses of those idempotents, in table order
+    for e in filter(table.idempotents.__contains__, witnesses):
+        found.setdefault((e[1], e[2], e[4]), []).append(witnesses[e])
     buckets = [[] for _ in ctx.states]
     for (last, occ, flags), group in found.items():
         buckets[last].append((occ, flags, group))
@@ -220,6 +219,6 @@ def build_UP(table: ClassTable) -> list:
     """The move vocabulary, lag . period^omega: the walk expanded in (class, idempotent) order."""
     members = []
     for _, _, rep, groups in vocabulary(table):
-        for _, period in sorted(e for _, es in groups for e in es):
+        for period in sorted((p for g in groups for p in g), key=lambda p: (len(p), p)):  # table order
             members.append(UPMember(rep, period))
     return members

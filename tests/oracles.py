@@ -67,7 +67,13 @@ from ``pair_profile`` and ``path_flags``, whose classes the tests check
 ``enumerate_choices`` searches the controller's positional choices on an
 arena one by one, each checked by ``find_violation``, as an oracle for the
 verdict of ``continuous_synth.solve_interrupt``, which runs ``Game.solve``
-over the Zielonka tree of the interrupt arena's condition.
+over the Zielonka tree of the interrupt arena's condition;
+``reference_components`` puts two nodes in one strongly connected
+component iff each reaches the other, by a breadth-first search per node,
+as an oracle for the partition of ``continuous_synth._sccs``, and
+``reference_violation`` scans the sorted edges of each G_p for the first
+one inside a component of those and tries the components in that order,
+as an oracle for the violation that ``find_violation`` reports.
 """
 
 import itertools
@@ -98,7 +104,7 @@ from chronosynth.automaton import (
     AutomatonError,
     ParityAutomaton,
 )
-from chronosynth.continuous_synth import find_violation, partial_strategy_graph
+from chronosynth.continuous_synth import Violation, _bfs_path, find_violation, partial_strategy_graph
 from chronosynth.discrete_game import GameError, MealyMachine, MooreCounterMachine, SolveResult
 from chronosynth.omega_word import LassoWord, inf_set
 from chronosynth.state_monoid import (
@@ -723,7 +729,7 @@ def full_arena(spec: ParityAutomaton, semantics) -> Arena:
     up = {x: build_UP(build_class_table(ctx, letter=x)) for x in spec.sigma_in}
     flat = reference_arena(spec, semantics, up)
     rows = {node: tuple(e[1:] for e in flat.edges_from[node]) for node in flat.nodes}
-    return Arena(semantics, flat.automaton, flat.members, flat.nodes, rows, flat.final_up)
+    return Arena(semantics, flat.automaton, flat.members, rows, flat.final_up)
 
 
 def enumerate_choices(arena):
@@ -802,3 +808,64 @@ def omega_equivalent(w1: LassoWord, w2: LassoWord, relations: dict | None = None
         if path_flags(w1, relations) != path_flags(w2, relations):
             return False
     return True
+
+
+def reference_components(nodes, succ):
+    """Each of ``nodes`` -> the frozenset of its strongly connected component.
+
+    A node's component is the set of the nodes it reaches that reach it,
+    each node's reach found by its own breadth-first search over ``succ``.
+    """
+    reach = {}
+
+    def reached(v):
+        if v not in reach:
+            seen, frontier = {v}, [v]
+            while frontier:
+                frontier = [w for u in frontier for w in succ.get(u, ()) if w not in seen and not seen.add(w)]
+            reach[v] = seen
+        return reach[v]
+
+    return {v: frozenset(w for w in reached(v) if v in reached(w)) for v in nodes}
+
+
+def reference_violation(sg):
+    """``find_violation`` with ``reference_components``, the components tried in edge order.
+
+    Clause A is the least non-final block node reached.  For each odd p,
+    highest first, G_p is the sorted edges of effective priority at most p;
+    scanning them, the first edge inside each component not yet tried
+    tries it, and the first one that holds an edge of priority p and a big
+    edge gives the cycle through its first such edges.
+    """
+    arena, edges_from = sg.arena, sg.edges_from
+    bad = sorted(n for n in edges_from if n.kind == I_UP and n not in arena.final_up)
+    if bad:
+        return Violation(kind="A", node=bad[0], entry=_bfs_path(edges_from, arena.fresh, {bad[0]}))
+    edges = sorted(e for outs in edges_from.values() for e in outs)
+    odd = {q for e in edges if (q := arena.effective_priority(e)) > 0 and q % 2}
+    for p in sorted(odd, reverse=True):
+        g_p = [e for e in edges if arena.effective_priority(e) <= p]
+        succ = {}
+        for e in g_p:
+            succ.setdefault(e.src, []).append(e.dst)
+        comp = reference_components({*edges_from, *(e.dst for e in edges)}, succ)
+        tried = set()
+        for e in g_p:
+            if comp[e.src] != comp[e.dst] or comp[e.src] in tried:
+                continue
+            tried.add(comp[e.src])
+            inside = [f for f in g_p if comp[f.src] == comp[f.dst] == comp[e.src]]
+            peak = [f for f in inside if arena.effective_priority(f) == p]
+            big = [f for f in inside if f.size == "big"]
+            if not peak or not big:
+                continue
+            inner = {}
+            for f in inside:
+                inner.setdefault(f.src, []).append(f)
+            cycle = (peak[0],) + _bfs_path(inner, peak[0].dst, {big[0].src})
+            if peak[0] != big[0]:
+                cycle += (big[0],) + _bfs_path(inner, big[0].dst, {peak[0].src})
+            entry = _bfs_path(edges_from, arena.fresh, {peak[0].src})
+            return Violation(kind="B", priority=p, cycle=cycle, entry=entry)
+    return None

@@ -297,16 +297,24 @@ def test_play_reads_moves_from_stdin_until_eof():
 
 @pytest.mark.parametrize("errors", ["strict", "surrogateescape"])
 def test_undecodable_stdin_is_a_usage_error(monkeypatch, capsys, errors):
-    # a strict handler raises while decoding; surrogateescape turns the byte into a lone surrogate
-    stdin = io.TextIOWrapper(io.BytesIO(b"start 0\n\xff\n"), encoding="utf-8", errors=errors)
-    monkeypatch.setattr(sys, "stdin", stdin)
-    code, _, err = run_cli("play", "--semantics", "rc", str(FIXTURES / "psi_copy.json"))
-    assert code == EXIT_USAGE
-    assert re.fullmatch(
-        r"cannot read stdin: UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff in position \d+: "
-        r"invalid start byte\n", err,
-    ), err
-    capsys.readouterr()  # the prompts input() wrote
+    # each line is decoded alone and strictly, whatever the stream's handler: a
+    # strict one would raise while decoding, surrogateescape would pass the byte
+    # on as a lone surrogate; the lines before the bad one are played first
+    def play(errors):
+        stdin = io.TextIOWrapper(io.BytesIO(b"start 0\n\xff\n"), encoding="utf-8", errors=errors)
+        monkeypatch.setattr(sys, "stdin", stdin)
+        code, out, err = run_cli("play", "--semantics", "rc", str(FIXTURES / "psi_copy.json"))
+        return code, out, err, capsys.readouterr().out  # the prompts input() would write
+
+    other = {"strict": "surrogateescape", "surrogateescape": "strict"}[errors]
+    code, out, err, prompts = play(errors)
+    assert (code, out, err, prompts) == play(other)
+    assert code == EXIT_USAGE and prompts == "> " * 2
+    assert "I start a=0" in out
+    assert err == (
+        "cannot read stdin line 2: UnicodeDecodeError: 'utf-8' codec can't decode byte 0xff in position 0: "
+        "invalid start byte\n"
+    )
 
 
 def test_a_failed_stdout_write_is_one_stderr_line(monkeypatch, tmp_path):

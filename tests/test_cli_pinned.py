@@ -148,7 +148,7 @@ def _digest(invocation, tmp_dir):
             arg = str(path)
         argv.append(arg)
     out, err = io.StringIO(), io.StringIO()
-    saved_stdin, sys.stdin = sys.stdin, io.StringIO(stdin)
+    saved_stdin, sys.stdin = sys.stdin, io.TextIOWrapper(io.BytesIO(stdin.encode("utf-8")), encoding="utf-8")
     try:
         with contextlib.redirect_stdout(io.StringIO()):
             code = main(argv + [str(FIXTURES / f"{name}.json")], out=out, err=err)

@@ -1,15 +1,18 @@
 """Winning-check clauses, the choice oracle, and end-to-end verdicts."""
 
+import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
 
 from chronosynth import continuous_synth
-from chronosynth.arena import FV, I_UP, RC
+from chronosynth.arena import FV, I_UP, O_PAIR, RC, ArenaEdge, ArenaNode
 from chronosynth.automaton import ParityAutomaton
 from chronosynth.cli import _witness_json
 from chronosynth.continuous_synth import (
+    StrategyGraph,
     SynthError,
     build_game_arena,
     build_strategy_graph,
@@ -20,8 +23,8 @@ from chronosynth.continuous_synth import (
 from chronosynth.state_monoid import ResourceCapError
 
 from fixture_specs import load_fixture
-from oracles import enumerate_choices, named_transitions
-from test_arena import _digest
+from oracles import enumerate_choices, named_transitions, reference_components, reference_violation
+from test_arena import _continuous_fixtures, _digest, quotient_corpus  # noqa: F401 (a fixture)
 from test_discrete_game import _family_spec
 
 
@@ -154,6 +157,79 @@ def test_violation_cycle_is_well_formed():
                 assert violation.priority % 2 == 1
                 assert any(e.size == "big" for e in cyc)
             break
+
+
+def test_sccs_partition_the_reached_nodes_as_the_reference_does():
+    # seeded graphs with self-loops, nodes without successors, an isolated
+    # root and the roots in no order; each component is named by a member
+    rng = random.Random(50)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        succ = {}
+        for v in range(n):
+            if rng.random() < 0.8:
+                succ[v] = [rng.randrange(n) for _ in range(rng.randint(0, 3))] + [v] * (rng.random() < 0.2)
+        roots = rng.sample(range(n), rng.randint(1, n)) + [n]
+        reached, todo = set(roots), list(roots)
+        while todo:
+            for w in succ.get(todo.pop(), ()):
+                if w not in reached:
+                    reached.add(w)
+                    todo.append(w)
+        comp_of = continuous_synth._sccs(roots, succ)
+        assert set(comp_of) == reached, (roots, succ)
+        members = {v: frozenset(w for w in comp_of if comp_of[w] == comp_of[v]) for v in comp_of}
+        assert members == reference_components(reached, succ), (roots, succ)
+        assert all(comp_of[v] in members[v] for v in comp_of)
+
+
+def _random_labelled_graph(rng, arena):
+    """A seeded graph of rc (q, a) nodes under fresh, as a strategy graph over the rc arena.
+
+    Under rc an edge's effective priority is its label's, so the graph
+    reads nothing else of the arena; two components of one G_p often hold
+    a big edge and the top odd priority at once, which strategy graphs of
+    the small arenas seldom do.
+    """
+    nodes = [ArenaNode(O_PAIR, i, "0") for i in range(rng.randint(2, 9))]
+    edges_from = {arena.fresh: sorted({ArenaEdge(arena.fresh, v) for v in rng.sample(nodes, 2)})}
+    for v in nodes:
+        labels = [(rng.randint(0, 5), rng.choice(("small", "big")), "interrupt") for _ in range(rng.randint(0, 3))]
+        edges_from[v] = sorted({ArenaEdge(v, rng.choice(nodes), *label) for label in labels})
+    reached, todo = {arena.fresh}, [arena.fresh]  # a strategy graph holds only what fresh reaches
+    while todo:
+        for e in edges_from[todo.pop()]:
+            if e.dst not in reached:
+                reached.add(e.dst)
+                todo.append(e.dst)
+    return StrategyGraph(arena, {v: edges_from[v] for v in reached}, [])
+
+
+def test_find_violation_is_the_edge_order_reference(quotient_corpus):
+    # the first-move graphs of the fixtures and the quotient corpus, the
+    # graphs of the choices the search meets on small arenas, and seeded
+    # labelled graphs
+    arenas = [arena for _, _, arena in quotient_corpus]
+    arenas += [arena_for(a, s) for a in _continuous_fixtures() for s in (RC, FV)]
+    graphs = []
+    for arena in arenas:
+        first = {n: arena.outgoing(n)[0] for n in arena.nodes if arena.owner(n) == "O" and arena.outgoing(n)}
+        graphs.append(build_strategy_graph(arena, first))
+    rng = random.Random(51)
+    for _ in range(30):
+        a = random_automaton(rng, n_states=rng.choice((1, 2)), max_prio=rng.choice((3, 5)))
+        arena = arena_for(a, rng.choice((RC, FV)))
+        for choice, _ in itertools.islice(enumerate_choices(arena), 40):
+            graphs.append(partial_strategy_graph(arena, choice))
+    rc_arena = arena_for(load_fixture("psi_copy"), RC)
+    graphs += [_random_labelled_graph(rng, rc_arena) for _ in range(300)]
+    kinds = Counter()
+    for sg in graphs:
+        violation = find_violation(sg)
+        assert violation == reference_violation(sg)
+        assert violation is None or None not in (violation.entry, *violation.cycle)
+        kinds[violation.kind if violation else None] += 1
+    assert min(kinds[k] for k in ("A", "B", None)) >= 20, kinds
 
 
 def test_verdicts_for_paper_specs():

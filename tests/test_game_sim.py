@@ -447,10 +447,7 @@ def test_interactive_session_rejects_bad_input_and_reprompts():
     member = res.arena.member(play.node)
     members = list(res.arena.members)
     members[play.node.up] = member._replace(lag=member.lag[:1])
-    arena = Arena(
-        res.arena.semantics, res.arena.automaton, tuple(members), res.arena.nodes,
-        res.arena.rows, res.arena.final_up,
-    )
+    arena = Arena(res.arena.semantics, res.arena.automaton, tuple(members), res.arena.rows, res.arena.final_up)
     with pytest.raises(IllegalMove, match="no even lag position to interrupt at"):
         PlaySession(arena, None, None, None)._parse(play, "late 1 right")
 
